@@ -13,6 +13,7 @@
 
 use crate::json::{self, Value};
 use crate::report::Finding;
+use mb_simcore::json::json_string;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -108,9 +109,9 @@ pub fn render(findings: &[Finding]) -> String {
         let _ = write!(
             out,
             "    {{\"rule\": {}, \"file\": {}, \"context\": {}}}",
-            crate::report::json_string(rule),
-            crate::report::json_string(file),
-            crate::report::json_string(context)
+            json_string(rule),
+            json_string(file),
+            json_string(context)
         );
         out.push_str(if i + 1 == keys.len() { "\n" } else { ",\n" });
     }

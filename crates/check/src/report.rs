@@ -7,6 +7,7 @@
 //! `crates/check/schema/` by `mb-check validate-sarif`.
 
 use crate::json::Value;
+use mb_simcore::json::json_string;
 use std::fmt::Write as _;
 
 /// One lint finding.
@@ -196,27 +197,6 @@ fn collect_path<'v>(value: &'v Value, segs: &[&str], out: &mut Vec<&'v Value>) {
     }
 }
 
-/// Escapes a string for JSON output.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,11 +233,6 @@ mod tests {
         assert!(json.contains("\"symbol\":\"mb_os::scheduler::pick\""));
         assert!(json.ends_with("\"count\":1}\n"));
         assert_eq!(render_json(&[]), "{\"findings\":[],\"count\":0}\n");
-    }
-
-    #[test]
-    fn json_escapes_control_chars() {
-        assert_eq!(json_string("a\nb\t\u{1}"), "\"a\\nb\\t\\u0001\"");
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::campaign::{digest, Campaign};
 use crate::journal::{Journal, JournalError, JournalHeader};
 use mb_simcore::error::MbError;
 use parking_lot::Mutex;
+use std::fmt;
 use std::path::Path;
 
 /// A shard assignment `index/count`.
@@ -43,7 +44,8 @@ impl Shard {
         Shard { index: 0, count: 1 }
     }
 
-    /// Parses `"i/N"`.
+    /// Parses `"i/N"` — the one parser behind `--shard`, `MB_SHARD` and
+    /// the journal header's `shard=` field.
     pub fn parse(text: &str) -> Option<Shard> {
         let (i, n) = text.split_once('/')?;
         let index = i.trim().parse().ok()?;
@@ -54,6 +56,13 @@ impl Shard {
     /// Whether this shard owns `slot` under the modulo partition.
     pub fn owns(&self, slot: usize) -> bool {
         slot % self.count as usize == self.index as usize
+    }
+}
+
+/// Renders `i/N`, the form [`Shard::parse`] reads.
+impl fmt::Display for Shard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.index, self.count)
     }
 }
 
@@ -120,8 +129,7 @@ pub fn expected_header(campaign: &dyn Campaign, shard: Shard) -> JournalHeader {
         campaign: campaign.name().to_string(),
         seed: campaign.seed(),
         tasks: campaign.task_labels().len(),
-        shard_index: shard.index,
-        shard_count: shard.count,
+        shard,
     }
 }
 
@@ -323,20 +331,11 @@ pub fn digest_journal(journal: &Journal) -> Result<u64, JournalError> {
         crate::campaign::find(&journal.header.campaign).ok_or_else(|| JournalError::BadShardFamily {
             detail: format!("unknown campaign '{}'", journal.header.campaign),
         })?;
-    let expected = expected_header(campaign.as_ref(), Shard::solo());
-    if journal.header.seed != expected.seed || journal.header.tasks != expected.tasks {
-        return Err(JournalError::BadShardFamily {
-            detail: format!(
-                "journal header (seed {:016x}, {} tasks) disagrees with registered \
-                 campaign '{}' (seed {:016x}, {} tasks)",
-                journal.header.seed,
-                journal.header.tasks,
-                campaign.name(),
-                expected.seed,
-                expected.tasks
-            ),
-        });
-    }
+    journal
+        .check_header(&expected_header(campaign.as_ref(), journal.header.shard))
+        .map_err(|e| JournalError::BadShardFamily {
+            detail: format!("journal disagrees with registered campaign '{}': {e}", campaign.name()),
+        })?;
     check_payload_widths(campaign.as_ref(), &journal.records)?;
     let mut slots: Vec<Option<Vec<f64>>> = vec![None; journal.header.tasks];
     for (slot, payload) in &journal.records {

@@ -3,7 +3,8 @@
 //! One journal file persists one shard's progress through one campaign.
 //! The format is a hand-rolled line protocol (the workspace's `serde` is
 //! an offline marker-trait stand-in, so nothing here round-trips through
-//! a serialization framework):
+//! a serialization framework), written and read through the crate's one
+//! line codec (`codec.rs`):
 //!
 //! ```text
 //! mblab1 campaign=fig3-quick seed=000000000005ca1e tasks=9 shard=0/1
@@ -33,6 +34,9 @@
 //! expects, and [`Journal::load`] reports it via `torn_tail` so drivers
 //! can log the recovery.
 
+use crate::codec::{self, ChainError, Fields};
+use crate::driver::Shard;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io::{Seek, Write};
@@ -40,6 +44,10 @@ use std::path::{Path, PathBuf};
 
 /// Format version token leading every journal header.
 pub const FORMAT_VERSION: &str = "mblab1";
+
+/// Most missing slots one [`JournalError::IncompleteMerge`] lists: the
+/// task count comes from a file, so the list must not be sized by it.
+pub const MISSING_LISTED: usize = 1024;
 
 /// Everything that can go wrong reading or merging journals.
 #[derive(Debug)]
@@ -97,7 +105,8 @@ pub enum JournalError {
     },
     /// A merge is missing completed slots.
     IncompleteMerge {
-        /// Slots with no record in any input shard.
+        /// Slots with no record in any input shard, ascending — at most
+        /// the first [`MISSING_LISTED`] of them.
         missing: Vec<usize>,
     },
     /// A record's payload width disagrees with the campaign's
@@ -162,7 +171,8 @@ impl fmt::Display for JournalError {
                 write!(f, "merge inputs are not one shard family: {detail}")
             }
             JournalError::IncompleteMerge { missing } => {
-                write!(f, "merge is missing {} slot(s): {missing:?}", missing.len())
+                let at_least = if missing.len() >= MISSING_LISTED { "at least " } else { "" };
+                write!(f, "merge is missing {at_least}{} slot(s): {missing:?}", missing.len())
             }
             JournalError::BadPayload {
                 slot,
@@ -231,117 +241,54 @@ pub struct JournalHeader {
     pub seed: u64,
     /// Total slot count of the campaign (across all shards).
     pub tasks: usize,
-    /// This journal's shard index.
-    pub shard_index: u32,
-    /// Total shard count of the partition this journal belongs to.
-    pub shard_count: u32,
+    /// This journal's place in its shard family.
+    pub shard: Shard,
+}
+
+/// The identity fields, as a segment header repeats them after its own
+/// version token: `campaign=… seed=… tasks=… shard=i/N`.
+impl fmt::Display for JournalHeader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "campaign={} seed={:016x} tasks={} shard={}",
+            self.campaign, self.seed, self.tasks, self.shard
+        )
+    }
 }
 
 impl JournalHeader {
     /// Renders the header line (without the trailing newline).
     pub(crate) fn render(&self) -> String {
-        format!(
-            "{FORMAT_VERSION} campaign={} seed={:016x} tasks={} shard={}/{}",
-            self.campaign, self.seed, self.tasks, self.shard_index, self.shard_count
-        )
+        format!("{FORMAT_VERSION} {self}")
     }
 
-    /// Whether this header owns `slot` under the modulo partition.
-    pub fn owns_slot(&self, slot: usize) -> bool {
-        slot % self.shard_count as usize == self.shard_index as usize
-    }
-
-    fn parse(line: &str) -> Result<JournalHeader, JournalError> {
-        let mut parts = line.split_whitespace();
-        let version = parts.next().unwrap_or_default();
-        if version != FORMAT_VERSION {
-            return Err(JournalError::VersionSkew {
-                found: version.to_string(),
-            });
-        }
-        let bad = || JournalError::BadHeader {
+    /// Parses a header line led by `version`: the identity fields plus
+    /// the `extra` keys a segment header frames its slice with, which
+    /// come back unconverted in the returned [`Fields`].
+    pub(crate) fn parse<'a>(
+        line: &'a str,
+        version: &str,
+        extra: &[&str],
+    ) -> Result<(JournalHeader, Fields<'a>), JournalError> {
+        let rest = codec::strip_version(line, version).map_err(|found| {
+            JournalError::VersionSkew {
+                found: found.to_string(),
+            }
+        })?;
+        let bad = |_| JournalError::BadHeader {
             line: line.to_string(),
         };
-        let mut campaign = None;
-        let mut seed = None;
-        let mut tasks = None;
-        let mut shard = None;
-        for part in parts {
-            let (key, value) = part.split_once('=').ok_or_else(bad)?;
-            match key {
-                "campaign" => campaign = Some(value.to_string()),
-                "seed" => seed = Some(u64::from_str_radix(value, 16).map_err(|_| bad())?),
-                "tasks" => tasks = Some(value.parse::<usize>().map_err(|_| bad())?),
-                "shard" => {
-                    let (i, n) = value.split_once('/').ok_or_else(bad)?;
-                    let i = i.parse::<u32>().map_err(|_| bad())?;
-                    let n = n.parse::<u32>().map_err(|_| bad())?;
-                    if n == 0 || i >= n {
-                        return Err(bad());
-                    }
-                    shard = Some((i, n));
-                }
-                _ => return Err(bad()),
-            }
-        }
-        let (shard_index, shard_count) = shard.ok_or_else(bad)?;
-        Ok(JournalHeader {
-            campaign: campaign.ok_or_else(bad)?,
-            seed: seed.ok_or_else(bad)?,
-            tasks: tasks.ok_or_else(bad)?,
-            shard_index,
-            shard_count,
-        })
+        let fields = Fields::split(rest, &["campaign", "seed", "tasks", "shard"], extra)
+            .map_err(bad)?;
+        let header = JournalHeader {
+            campaign: fields.get_with("campaign", Some).map_err(bad)?.to_string(),
+            seed: fields.get_with("seed", codec::hex).map_err(bad)?,
+            tasks: fields.value("tasks").map_err(bad)?,
+            shard: fields.get_with("shard", Shard::parse).map_err(bad)?,
+        };
+        Ok((header, fields))
     }
-}
-
-/// FNV-1a over a byte string — the line hash feeding the digest chain.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer — diffuses the chain state between records.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Chain value after appending a record with body `body` to a chain
-/// currently at `prev`.
-pub(crate) fn chain_step(prev: u64, body: &str) -> u64 {
-    mix64(prev ^ fnv1a64(body.as_bytes()))
-}
-
-/// Renders a record body (everything before the chain field).
-pub(crate) fn record_body(slot: usize, payload: &[f64]) -> String {
-    let hex: Vec<String> = payload.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
-    format!("r {:x} {}", slot, hex.join(","))
-}
-
-/// Parses a record line into `(slot, payload, chain)`.
-pub(crate) fn parse_record(line: &str) -> Option<(usize, Vec<f64>, u64)> {
-    let rest = line.strip_prefix("r ")?;
-    let mut fields = rest.split(' ');
-    let slot = usize::from_str_radix(fields.next()?, 16).ok()?;
-    let payload_hex = fields.next()?;
-    let chain = u64::from_str_radix(fields.next()?, 16).ok()?;
-    if fields.next().is_some() {
-        return None;
-    }
-    let mut payload = Vec::new();
-    if !payload_hex.is_empty() {
-        for part in payload_hex.split(',') {
-            payload.push(f64::from_bits(u64::from_str_radix(part, 16).ok()?));
-        }
-    }
-    Some((slot, payload, chain))
 }
 
 /// One shard's persisted progress: the parsed header, every verified
@@ -372,7 +319,7 @@ impl Journal {
         text.push('\n');
         fs::write(path, &text)?;
         Ok(Journal {
-            chain: fnv1a64(line.as_bytes()),
+            chain: codec::fnv1a64(line.as_bytes()),
             valid_len: text.len() as u64,
             header,
             records: Vec::new(),
@@ -391,57 +338,51 @@ impl Journal {
     /// See [`JournalError`] — anything except a torn tail fails.
     pub fn load(path: &Path) -> Result<Journal, JournalError> {
         let raw = fs::read_to_string(path)?;
-        // Split into complete (newline-terminated) lines plus a
-        // possibly-torn tail fragment.
-        let mut complete: Vec<&str> = Vec::new();
-        let mut rest = raw.as_str();
-        while let Some(pos) = rest.find('\n') {
-            complete.push(&rest[..pos]);
-            rest = &rest[pos + 1..];
-        }
-        let mut torn_tail = !rest.is_empty();
-
-        let header_line = complete.first().ok_or_else(|| {
+        // Complete (newline-terminated) lines, then a possibly-torn
+        // fragment after the last newline.
+        let complete = raw.rfind('\n').map_or(0, |i| i + 1);
+        let mut torn_tail = complete < raw.len();
+        let mut lines: Vec<&str> = raw[..complete].split_terminator('\n').collect();
+        let Some(&header_line) = lines.first() else {
             // Even the header line is incomplete: unrecoverable.
-            JournalError::BadHeader {
-                line: rest.to_string(),
-            }
-        })?;
-        let header = JournalHeader::parse(header_line)?;
-        let mut chain = fnv1a64(header_line.as_bytes());
-        let mut valid_len = header_line.len() as u64 + 1;
-
-        let mut records: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut seen = vec![false; header.tasks];
-        for (i, line) in complete.iter().enumerate().skip(1) {
-            let line_number = i + 1;
-            let last = i + 1 == complete.len();
-            let parsed = parse_record(line);
-            let Some((slot, payload, recorded_chain)) = parsed else {
-                if last && !torn_tail {
-                    // A malformed final line with nothing after it is a
-                    // torn write too (e.g. the newline made it out but
-                    // the body didn't finish): drop it.
-                    torn_tail = true;
-                    break;
-                }
-                return Err(JournalError::BadRecord { line_number });
-            };
-            let expected_chain = chain_step(chain, &record_body(slot, &payload));
-            if recorded_chain != expected_chain {
-                return Err(JournalError::ChainMismatch { line_number });
-            }
-            if slot >= header.tasks || !header.owns_slot(slot) {
-                return Err(JournalError::ForeignSlot { slot });
-            }
-            if seen[slot] {
-                return Err(JournalError::DuplicateSlot { slot });
-            }
-            seen[slot] = true;
-            chain = expected_chain;
-            valid_len += line.len() as u64 + 1;
-            records.push((slot, payload));
+            return Err(JournalError::BadHeader {
+                line: raw.clone(),
+            });
+        };
+        let (header, _) = JournalHeader::parse(header_line, FORMAT_VERSION, &[])?;
+        // A malformed final line with nothing after it is a torn write
+        // too (the newline made it out but the body didn't finish):
+        // drop it.
+        if !torn_tail && lines.len() > 1 && codec::parse_record(lines[lines.len() - 1]).is_none() {
+            lines.pop();
+            torn_tail = true;
         }
+
+        // Duplicates are tracked over the records present, never sized
+        // by the header's task count: that count comes from the file.
+        let mut seen = BTreeSet::new();
+        let mut records: Vec<(usize, Vec<f64>)> = Vec::with_capacity(lines.len() - 1);
+        let chain = codec::verify_chain(
+            codec::fnv1a64(header_line.as_bytes()),
+            lines[1..].iter().copied(),
+            |record| {
+                let slot = record.slot;
+                if slot >= header.tasks || !header.shard.owns(slot) {
+                    return Err(JournalError::ForeignSlot { slot });
+                }
+                if !seen.insert(slot) {
+                    return Err(JournalError::DuplicateSlot { slot });
+                }
+                records.push((slot, record.values().collect()));
+                Ok(())
+            },
+        )
+        .map_err(|e| match e {
+            // Record lines start at line 2, after the header.
+            ChainError::Unparseable(i) => JournalError::BadRecord { line_number: i + 2 },
+            ChainError::Broken(i) => JournalError::ChainMismatch { line_number: i + 2 },
+            ChainError::Rejected(e) => e,
+        })?;
 
         Ok(Journal {
             header,
@@ -449,7 +390,7 @@ impl Journal {
             torn_tail,
             path: path.to_path_buf(),
             chain,
-            valid_len,
+            valid_len: lines.iter().map(|l| l.len() as u64 + 1).sum(),
         })
     }
 
@@ -478,30 +419,22 @@ impl Journal {
     /// disagreeing field.
     pub fn check_header(&self, expected: &JournalHeader) -> Result<(), JournalError> {
         let h = &self.header;
-        let mismatch = |field: &'static str, found: String, want: String| {
-            Err(JournalError::HeaderMismatch {
-                field,
-                found,
-                expected: want,
-            })
+        let (field, found, want) = if h.campaign != expected.campaign {
+            ("campaign", h.campaign.clone(), expected.campaign.clone())
+        } else if h.seed != expected.seed {
+            ("seed", format!("{:016x}", h.seed), format!("{:016x}", expected.seed))
+        } else if h.tasks != expected.tasks {
+            ("tasks", h.tasks.to_string(), expected.tasks.to_string())
+        } else if h.shard != expected.shard {
+            ("shard", h.shard.to_string(), expected.shard.to_string())
+        } else {
+            return Ok(());
         };
-        if h.campaign != expected.campaign {
-            return mismatch("campaign", h.campaign.clone(), expected.campaign.clone());
-        }
-        if h.seed != expected.seed {
-            return mismatch("seed", format!("{:016x}", h.seed), format!("{:016x}", expected.seed));
-        }
-        if h.tasks != expected.tasks {
-            return mismatch("tasks", h.tasks.to_string(), expected.tasks.to_string());
-        }
-        if (h.shard_index, h.shard_count) != (expected.shard_index, expected.shard_count) {
-            return mismatch(
-                "shard",
-                format!("{}/{}", h.shard_index, h.shard_count),
-                format!("{}/{}", expected.shard_index, expected.shard_count),
-            );
-        }
-        Ok(())
+        Err(JournalError::HeaderMismatch {
+            field,
+            found,
+            expected: want,
+        })
     }
 
     /// The slots this journal has completed, as a sorted list.
@@ -520,15 +453,14 @@ impl Journal {
     /// Returns [`JournalError::DuplicateSlot`] / [`JournalError::ForeignSlot`]
     /// on contract violations and [`JournalError::Io`] on write failure.
     pub fn append(&mut self, slot: usize, payload: &[f64]) -> Result<(), JournalError> {
-        if slot >= self.header.tasks || !self.header.owns_slot(slot) {
+        if slot >= self.header.tasks || !self.header.shard.owns(slot) {
             return Err(JournalError::ForeignSlot { slot });
         }
         if self.records.iter().any(|(s, _)| *s == slot) {
             return Err(JournalError::DuplicateSlot { slot });
         }
-        let body = record_body(slot, payload);
-        let next_chain = chain_step(self.chain, &body);
-        let line = format!("{body} {next_chain:016x}\n");
+        let mut line = String::with_capacity(24 + 17 * payload.len());
+        let next_chain = codec::render_record(&mut line, self.chain, slot, payload);
 
         let mut file = fs::OpenOptions::new().write(true).open(&self.path)?;
         if self.torn_tail {
@@ -561,9 +493,11 @@ impl Journal {
     /// Panics when `count > records.len()` — callers bound it first.
     pub fn chain_at(&self, count: usize) -> u64 {
         assert!(count <= self.records.len(), "chain_at past journal end");
-        let mut chain = fnv1a64(self.header.render().as_bytes());
+        let mut line = String::new();
+        let mut chain = codec::fnv1a64(self.header.render().as_bytes());
         for (slot, payload) in &self.records[..count] {
-            chain = chain_step(chain, &record_body(*slot, payload));
+            line.clear();
+            chain = codec::render_record(&mut line, chain, *slot, payload);
         }
         chain
     }
@@ -572,6 +506,12 @@ impl Journal {
     /// record) — the value the next append will mix against.
     pub fn chain(&self) -> u64 {
         self.chain
+    }
+
+    /// Byte length of the verified prefix: the header and every record
+    /// line, torn tail excluded.
+    pub(crate) fn verified_len(&self) -> u64 {
+        self.valid_len
     }
 }
 
@@ -618,8 +558,8 @@ pub fn merge_allowing(
         .map(|p| Journal::load(p))
         .collect::<Result<_, _>>()?;
 
-    let first = &shards[0].header;
-    let n = first.shard_count;
+    let first = shards[0].header.clone();
+    let n = first.shard.count;
     if shards.len() != n as usize {
         return Err(JournalError::BadShardFamily {
             detail: format!("{} inputs for a {n}-way partition", shards.len()),
@@ -627,60 +567,41 @@ pub fn merge_allowing(
     }
     let mut seen_shard = vec![false; n as usize];
     for j in &shards {
-        let h = &j.header;
-        if (h.campaign.as_str(), h.seed, h.tasks, h.shard_count)
-            != (first.campaign.as_str(), first.seed, first.tasks, n)
-        {
+        let index = j.header.shard.index;
+        let member = JournalHeader {
+            shard: Shard { index, count: n },
+            ..first.clone()
+        };
+        j.check_header(&member).map_err(|e| JournalError::BadShardFamily {
+            detail: format!("'{}': {e}", j.path.display()),
+        })?;
+        if std::mem::replace(&mut seen_shard[index as usize], true) {
             return Err(JournalError::BadShardFamily {
-                detail: format!(
-                    "'{}' ({}, seed {:016x}, {} tasks, /{}) does not match '{}'",
-                    j.path.display(),
-                    h.campaign,
-                    h.seed,
-                    h.tasks,
-                    h.shard_count,
-                    first.campaign
-                ),
+                detail: format!("shard {index}/{n} appears twice"),
             });
         }
-        let idx = h.shard_index as usize;
-        if seen_shard[idx] {
-            return Err(JournalError::BadShardFamily {
-                detail: format!("shard {idx}/{n} appears twice"),
-            });
-        }
-        seen_shard[idx] = true;
     }
 
-    let mut slots: Vec<Option<Vec<f64>>> = vec![None; first.tasks];
-    for j in &shards {
-        for (slot, payload) in &j.records {
-            // Per-journal loads already rejected foreign/duplicate slots.
-            slots[*slot] = Some(payload.clone());
-        }
-    }
-    let missing: Vec<usize> = slots
+    // Per-journal loads already rejected foreign/duplicate slots.
+    let slots: BTreeMap<usize, &[f64]> = shards
         .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .filter(|i| !allow_missing.contains(i))
+        .flat_map(|j| j.records.iter().map(|(slot, payload)| (*slot, payload.as_slice())))
+        .collect();
+    let missing: Vec<usize> = (0..first.tasks)
+        .filter(|i| !slots.contains_key(i) && !allow_missing.contains(i))
+        .take(MISSING_LISTED)
         .collect();
     if !missing.is_empty() {
         return Err(JournalError::IncompleteMerge { missing });
     }
 
     let merged_header = JournalHeader {
-        campaign: first.campaign.clone(),
-        seed: first.seed,
-        tasks: first.tasks,
-        shard_index: 0,
-        shard_count: 1,
+        shard: Shard::solo(),
+        ..first
     };
     let mut merged = Journal::create(out, merged_header)?;
-    for (slot, payload) in slots.into_iter().enumerate() {
-        if let Some(payload) = payload {
-            merged.append(slot, &payload)?;
-        }
+    for (slot, payload) in slots {
+        merged.append(slot, payload)?;
     }
     Ok(merged)
 }

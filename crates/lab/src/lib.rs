@@ -29,6 +29,9 @@
 //!   multiplexing many shard families over a bounded worker pool,
 //!   with typed `busy` backpressure, streaming `watch` progress and
 //!   resume-on-restart from persisted job state;
+//! * `codec` (private) — the one line codec every format above goes
+//!   through: the `key=value` field splitter, the record line, and the
+//!   single digest-chain verification loop;
 //! * [`client`] — the client half: submit/status/watch/cancel/fetch
 //!   over the socket, mapping typed server errors back to the
 //!   documented exit codes.
@@ -41,6 +44,7 @@
 
 pub mod campaign;
 pub mod client;
+mod codec;
 pub mod driver;
 pub mod journal;
 pub mod lock;

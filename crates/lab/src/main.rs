@@ -1,32 +1,11 @@
 //! `mb-lab` CLI — run, shard, supervise, serve, merge and digest
-//! experiment campaigns.
+//! experiment campaigns. Run it without arguments for the usage text,
+//! which is generated from [`VERBS`]: every verb declares its operands
+//! and one flag table, and a single parser reads every command line.
 //!
-//! ```text
-//! mb-lab list
-//! mb-lab run <campaign> --journal <path> [--shard i/N] [--task-delay-ms d]
-//!        [--max-slots n] [--skip-slots a,b,c] [--times]
-//! mb-lab supervise <campaign> --dir <path> [--shards N] [--poll-ms d]
-//!        [--hang-polls n] [--poison-threshold k] [--max-restarts n]
-//!        [--backoff-base-ms d] [--backoff-cap-ms d] [--max-polls n]
-//!        [--task-delay-ms d] [--chaos-kills n]
-//! mb-lab serve --dir <path> [--bind host:port] [--queue-cap n] [--workers n]
-//!        [--poll-ms d] [--task-delay-ms d]
-//! mb-lab submit <campaign> --addr host:port [--shards N]
-//! mb-lab status [job] --addr host:port
-//! mb-lab watch <job> --addr host:port
-//! mb-lab cancel <job> --addr host:port
-//! mb-lab fetch <job> <segment> --addr host:port
-//! mb-lab ping --addr host:port
-//! mb-lab shutdown --addr host:port
-//! mb-lab export <journal> <segment> [--from k]
-//! mb-lab ingest <journal> <segment>
-//! mb-lab merge <out> <in>...
-//! mb-lab digest <journal> [--expect 0xHEX] [--check]
-//! ```
-//!
-//! The client subcommands (`submit` … `shutdown`) speak the `mbsrv1`
-//! line protocol to an `mb-lab serve` instance; `--addr` falls back
-//! to the `MB_ADDR` environment variable.
+//! The client verbs (`submit` … `shutdown`) speak the `mbsrv1` line
+//! protocol to an `mb-lab serve` instance; `--addr` falls back to the
+//! `MB_ADDR` environment variable.
 //!
 //! ## Exit codes
 //!
@@ -56,389 +35,359 @@
 //! `--times` prints per-slot wall times. Worker threads follow the
 //! workspace-wide `MB_THREADS` variable.
 
-use mb_lab::{campaign, client, driver, journal, serve, supervise, transport};
+use mb_lab::driver::{RunOptions, Shard};
+use mb_lab::serve::ServePolicy;
+use mb_lab::supervise::SupervisePolicy;
+use mb_lab::{campaign, client, driver, journal, serve, supervise, transport, JobState};
 use mb_simcore::error::exit_code;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
+/// Everything a command line can set. Each verb's flags fill the part
+/// it reads; the serve policy's `supervise` half doubles as the knob
+/// store of `supervise`, `run` (`--task-delay-ms`) and `submit`
+/// (`--shards`). Required flags are always set before a verb runs.
+#[derive(Default)]
+struct Cli {
+    operands: Vec<String>,
+    journal: PathBuf,
+    dir: PathBuf,
+    addr: String,
+    run: RunOptions,
+    times: bool,
+    policy: ServePolicy,
+    from: usize,
+    expect: Option<u64>,
+    check: bool,
+}
+
+impl Cli {
+    fn sup(&mut self) -> &mut SupervisePolicy {
+        &mut self.policy.supervise
+    }
+}
+
+/// Parses a flag value into its target; `None` rejects the value.
+type Setter = fn(&mut Cli, &str) -> Option<()>;
+
+/// One flag: its name, the placeholder its value is shown with (empty
+/// for a switch), the environment variable it falls back to, whether
+/// the verb needs it, and its setter.
+struct Flag {
+    name: &'static str,
+    arg: &'static str,
+    env: Option<&'static str>,
+    required: bool,
+    set: Setter,
+}
+
+const fn flag(name: &'static str, arg: &'static str, set: Setter) -> Flag {
+    Flag {
+        name,
+        arg,
+        env: None,
+        required: false,
+        set,
+    }
+}
+
+const fn required(name: &'static str, arg: &'static str, set: Setter) -> Flag {
+    Flag {
+        required: true,
+        ..flag(name, arg, set)
+    }
+}
+
+const fn with_env(env: &'static str, name: &'static str, arg: &'static str, set: Setter) -> Flag {
+    Flag {
+        env: Some(env),
+        ..flag(name, arg, set)
+    }
+}
+
+/// Stores `value` in `slot` when there is one.
+fn set<T>(slot: &mut T, value: Option<T>) -> Option<()> {
+    *slot = value?;
+    Some(())
+}
+
+/// Parses `v` into `slot`.
+fn put<T: FromStr>(slot: &mut T, v: &str) -> Option<()> {
+    set(slot, v.parse().ok())
+}
+
+const JOURNAL: Flag = required("--journal", "<path>", |c, v| put(&mut c.journal, v));
+const DIR: Flag = required("--dir", "<path>", |c, v| put(&mut c.dir, v));
+const ADDR: Flag = with_env("MB_ADDR", "--addr", "host:port", |c, v| put(&mut c.addr, v));
+const SHARD: Flag = with_env("MB_SHARD", "--shard", "i/N", |c, v| {
+    set(&mut c.run.shard, Shard::parse(v))
+});
+const MAX_SLOTS: Flag = with_env("MB_MAX_SLOTS", "--max-slots", "n", |c, v| {
+    set(&mut c.run.max_slots, v.parse().ok().map(Some))
+});
+const SKIP_SLOTS: Flag = flag("--skip-slots", "a,b,c", |c, v| {
+    set(
+        &mut c.run.skip_slots,
+        v.split(',').map(|p| p.trim().parse().ok()).collect(),
+    )
+});
+const TIMES: Flag = flag("--times", "", |c, _| set(&mut c.times, Some(true)));
+const TASK_DELAY: Flag = flag("--task-delay-ms", "d", |c, v| {
+    put(&mut c.sup().task_delay_ms, v)
+});
+const POLL: Flag = flag("--poll-ms", "d", |c, v| put(&mut c.sup().poll_ms, v));
+const SHARDS: Flag = flag("--shards", "N", |c, v| {
+    set(&mut c.sup().shards, v.parse().ok().filter(|&n| n > 0))
+});
+const HANG_POLLS: Flag = flag("--hang-polls", "n", |c, v| put(&mut c.sup().hang_polls, v));
+const POISON: Flag = flag("--poison-threshold", "k", |c, v| {
+    put(&mut c.sup().poison_threshold, v)
+});
+const MAX_RESTARTS: Flag = flag("--max-restarts", "n", |c, v| {
+    put(&mut c.sup().max_restarts, v)
+});
+const BACKOFF_BASE: Flag = flag("--backoff-base-ms", "d", |c, v| {
+    put(&mut c.sup().backoff_base_ms, v)
+});
+const BACKOFF_CAP: Flag = flag("--backoff-cap-ms", "d", |c, v| {
+    put(&mut c.sup().backoff_cap_ms, v)
+});
+const MAX_POLLS: Flag = flag("--max-polls", "n", |c, v| put(&mut c.sup().max_polls, v));
+const CHAOS_KILLS: Flag = flag("--chaos-kills", "n", |c, v| {
+    put(&mut c.sup().chaos_kills, v)
+});
+const BIND: Flag = flag("--bind", "host:port", |c, v| put(&mut c.policy.bind, v));
+const QUEUE_CAP: Flag = flag("--queue-cap", "n", |c, v| put(&mut c.policy.queue_cap, v));
+const WORKERS: Flag = flag("--workers", "n", |c, v| put(&mut c.policy.workers, v));
+const FROM: Flag = flag("--from", "k", |c, v| put(&mut c.from, v));
+const EXPECT: Flag = flag("--expect", "0xHEX", |c, v| {
+    set(
+        &mut c.expect,
+        u64::from_str_radix(v.trim_start_matches("0x"), 16)
+            .ok()
+            .map(Some),
+    )
+});
+const CHECK: Flag = flag("--check", "", |c, _| set(&mut c.check, Some(true)));
+
+/// A verb's outcome: `Err` carries the documented exit code, its
+/// diagnostic already printed.
+type Outcome = Result<(), ExitCode>;
+
+/// One verb: its operands as the usage text shows them, how many it
+/// takes, its flag table, and what it runs.
+struct Verb {
+    name: &'static str,
+    operands: &'static str,
+    arity: (usize, usize),
+    flags: &'static [Flag],
+    run: fn(Cli) -> Outcome,
+}
+
+const fn verb(
+    name: &'static str,
+    operands: &'static str,
+    arity: (usize, usize),
+    flags: &'static [Flag],
+    run: fn(Cli) -> Outcome,
+) -> Verb {
+    Verb {
+        name,
+        operands,
+        arity,
+        flags,
+        run,
+    }
+}
+
+const VERBS: &[Verb] = &[
+    verb("list", "", (0, 0), &[], cmd_list),
+    verb(
+        "run",
+        "<campaign>",
+        (1, 1),
+        &[JOURNAL, SHARD, TASK_DELAY, MAX_SLOTS, SKIP_SLOTS, TIMES],
+        cmd_run,
+    ),
+    verb(
+        "supervise",
+        "<campaign>",
+        (1, 1),
+        &[
+            DIR,
+            SHARDS,
+            POLL,
+            HANG_POLLS,
+            POISON,
+            MAX_RESTARTS,
+            BACKOFF_BASE,
+            BACKOFF_CAP,
+            MAX_POLLS,
+            TASK_DELAY,
+            CHAOS_KILLS,
+        ],
+        cmd_supervise,
+    ),
+    verb(
+        "serve",
+        "",
+        (0, 0),
+        &[DIR, BIND, QUEUE_CAP, WORKERS, POLL, TASK_DELAY],
+        cmd_serve,
+    ),
+    verb("submit", "<campaign>", (1, 1), &[ADDR, SHARDS], cmd_submit),
+    verb("status", "[job]", (0, 1), &[ADDR], cmd_status),
+    verb("watch", "<job>", (1, 1), &[ADDR], cmd_watch),
+    verb("cancel", "<job>", (1, 1), &[ADDR], cmd_cancel),
+    verb("fetch", "<job> <segment>", (2, 2), &[ADDR], cmd_fetch),
+    verb("ping", "", (0, 0), &[ADDR], cmd_ping),
+    verb("shutdown", "", (0, 0), &[ADDR], cmd_shutdown),
+    verb("export", "<journal> <segment>", (2, 2), &[FROM], cmd_export),
+    verb("ingest", "<journal> <segment>", (2, 2), &[], cmd_ingest),
+    verb("merge", "<out> <in>...", (2, usize::MAX), &[], cmd_merge),
+    verb("digest", "<journal>", (1, 1), &[EXPECT, CHECK], cmd_digest),
+];
+
+/// Prints the usage text generated from [`VERBS`], wrapped at 80
+/// columns, and returns the usage exit code.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  mb-lab list\n  mb-lab run <campaign> --journal <path> \
-         [--shard i/N] [--task-delay-ms d] [--max-slots n] [--skip-slots a,b,c] [--times]\n  \
-         mb-lab supervise <campaign> --dir <path> [--shards N] [--poll-ms d] [--hang-polls n]\n    \
-         [--poison-threshold k] [--max-restarts n] [--backoff-base-ms d] [--backoff-cap-ms d]\n    \
-         [--max-polls n] [--task-delay-ms d] [--chaos-kills n]\n  \
-         mb-lab serve --dir <path> [--bind host:port] [--queue-cap n] [--workers n]\n    \
-         [--poll-ms d] [--task-delay-ms d]\n  \
-         mb-lab submit <campaign> --addr host:port [--shards N]\n  \
-         mb-lab status [job] --addr host:port\n  \
-         mb-lab watch <job> --addr host:port\n  \
-         mb-lab cancel <job> --addr host:port\n  \
-         mb-lab fetch <job> <segment> --addr host:port\n  \
-         mb-lab ping --addr host:port\n  \
-         mb-lab shutdown --addr host:port\n  \
-         mb-lab export <journal> <segment> [--from k]\n  \
-         mb-lab ingest <journal> <segment>\n  \
-         mb-lab merge <out> <in>...\n  \
-         mb-lab digest <journal> [--expect 0xHEX] [--check]"
-    );
+    let mut text = String::from("usage:");
+    for verb in VERBS {
+        let mut line = format!("  mb-lab {}", verb.name);
+        let flags = verb.flags.iter().map(|f| match (f.required, f.arg) {
+            (true, arg) => format!("{} {arg}", f.name),
+            (false, "") => format!("[{}]", f.name),
+            (false, arg) => format!("[{} {arg}]", f.name),
+        });
+        for part in std::iter::once(verb.operands.to_string()).chain(flags) {
+            if part.is_empty() {
+                continue;
+            }
+            if line.len() + 1 + part.len() > 80 {
+                text.push('\n');
+                text.push_str(&line);
+                line = "      ".to_string();
+            } else {
+                line.push(' ');
+            }
+            line.push_str(&part);
+        }
+        text.push('\n');
+        text.push_str(&line);
+    }
+    eprintln!("{text}");
     ExitCode::from(exit_code::USAGE)
 }
 
-/// Prints a journal-layer error and maps it to its documented code.
-fn fail_journal(e: &journal::JournalError) -> ExitCode {
-    eprintln!("mb-lab: {e}");
-    ExitCode::from(e.exit_code())
-}
-
-/// Prints a transport-layer error and maps it to its documented code.
-fn fail_transport(e: &transport::TransportError) -> ExitCode {
-    eprintln!("mb-lab: {e}");
-    ExitCode::from(e.exit_code())
+/// Reads `args` against `verb`'s flag table. Flags and operands may
+/// interleave; the last repeat of a flag wins. A bad flag, a missing
+/// required flag or a wrong operand count is a usage error (exit 2).
+/// An environment fallback shares its flag's validation, but a bad
+/// value there is an environment misconfiguration (exit 5): a sharded
+/// worker that quietly runs the whole grid solo corrupts the experiment
+/// it thinks it is contributing to.
+fn parse(verb: &Verb, args: &[String]) -> Result<Cli, ExitCode> {
+    let mut cli = Cli::default();
+    let mut given: Vec<&str> = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            cli.operands.push(arg.clone());
+            continue;
+        }
+        let Some(flag) = verb.flags.iter().find(|f| f.name == arg) else {
+            eprintln!("mb-lab: unknown {} option '{arg}'", verb.name);
+            return Err(usage());
+        };
+        let value = match (flag.arg, args.next()) {
+            ("", _) => "",
+            (_, Some(value)) => value,
+            (_, None) => {
+                let msg = format!("{} requires a value", flag.name);
+                return Err(fail(&msg, exit_code::USAGE));
+            }
+        };
+        if (flag.set)(&mut cli, value).is_none() {
+            let msg = format!("bad {} '{value}': want {}", flag.name, flag.arg);
+            return Err(fail(&msg, exit_code::USAGE));
+        }
+        given.push(flag.name);
+    }
+    let (min, max) = verb.arity;
+    if !(min..=max).contains(&cli.operands.len()) {
+        eprintln!("mb-lab: {} takes {}", verb.name, verb.operands);
+        return Err(usage());
+    }
+    for flag in verb.flags.iter().filter(|f| !given.contains(&f.name)) {
+        if flag.required {
+            eprintln!("mb-lab: {} requires {} {}", verb.name, flag.name, flag.arg);
+            return Err(usage());
+        }
+        let Some((var, value)) = flag
+            .env
+            .and_then(|var| Some((var, std::env::var(var).ok()?)))
+        else {
+            continue;
+        };
+        if (flag.set)(&mut cli, &value).is_none() {
+            eprintln!("mb-lab: bad {var} '{value}': want {}", flag.arg);
+            return Err(ExitCode::from(exit_code::ENV_MISCONFIG));
+        }
+    }
+    Ok(cli)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("supervise") => cmd_supervise(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("cancel") => cmd_cancel(&args[1..]),
-        Some("fetch") => cmd_fetch(&args[1..]),
-        Some("ping") => cmd_ping(&args[1..]),
-        Some("shutdown") => cmd_shutdown(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("digest") => cmd_digest(&args[1..]),
-        _ => usage(),
+    let Some(verb) = args
+        .first()
+        .and_then(|name| VERBS.iter().find(|v| v.name == name))
+    else {
+        return usage();
+    };
+    match parse(verb, &args[1..]).and_then(verb.run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
-/// Prints a client-layer error and maps it to its documented code.
-fn fail_client(e: &client::ClientError) -> ExitCode {
+/// Prints an error and returns its documented exit code.
+fn fail(e: &dyn std::fmt::Display, code: u8) -> ExitCode {
     eprintln!("mb-lab: {e}");
-    ExitCode::from(e.exit_code())
+    ExitCode::from(code)
 }
 
-/// Splits client-command args into `(positional operands, addr)`:
-/// `--addr host:port` with an `MB_ADDR` fallback, anything else
-/// positional. Errors (usage / missing addr) come back as exit codes.
-fn parse_client_args(args: &[String], positional_max: usize) -> Result<(Vec<String>, String), ExitCode> {
-    let mut positional = Vec::new();
-    let mut addr: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" if i + 1 < args.len() => {
-                addr = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--addr" => {
-                eprintln!("mb-lab: --addr requires a value");
-                return Err(ExitCode::from(exit_code::USAGE));
-            }
-            other if other.starts_with("--") => {
-                eprintln!("mb-lab: unknown client option '{other}'");
-                return Err(usage());
-            }
-            other => {
-                positional.push(other.to_string());
-                i += 1;
-            }
-        }
+/// The server address of a client verb; absent is exit 5.
+fn addr(cli: &Cli) -> Result<&str, ExitCode> {
+    if cli.addr.is_empty() {
+        eprintln!("mb-lab: no server address (pass --addr host:port or set MB_ADDR)");
+        return Err(ExitCode::from(exit_code::ENV_MISCONFIG));
     }
-    if positional.len() > positional_max {
-        eprintln!("mb-lab: too many operands");
-        return Err(usage());
-    }
-    let addr = match addr.or_else(|| std::env::var("MB_ADDR").ok()) {
-        Some(a) => a,
-        None => {
-            eprintln!("mb-lab: no server address (pass --addr host:port or set MB_ADDR)");
-            return Err(ExitCode::from(exit_code::ENV_MISCONFIG));
-        }
-    };
-    Ok((positional, addr))
+    Ok(&cli.addr)
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut dir: Option<PathBuf> = None;
-    let mut policy = serve::ServePolicy::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |flag: &str| -> Result<&String, ExitCode> {
-            args.get(i + 1).ok_or_else(|| {
-                eprintln!("mb-lab: {flag} requires a value");
-                ExitCode::from(exit_code::USAGE)
-            })
+/// Reads `MB_SEED` (decimal or `0x`-prefixed hex) into the supervise
+/// backoff/chaos seed; absent keeps the policy default. Then locates
+/// this very binary, which supervisors spawn as their workers.
+fn seed_and_worker(seed: &mut u64) -> Result<PathBuf, ExitCode> {
+    if let Ok(v) = std::env::var("MB_SEED") {
+        let parsed = match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
         };
-        macro_rules! numeric {
-            ($field:expr) => {{
-                let raw = match value(flag) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match raw.parse() {
-                    Ok(v) => $field = v,
-                    Err(_) => {
-                        eprintln!("mb-lab: bad {flag} '{raw}'");
-                        return ExitCode::from(exit_code::USAGE);
-                    }
-                }
-                i += 2;
-            }};
-        }
-        match flag {
-            "--dir" => {
-                let raw = match value(flag) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                dir = Some(PathBuf::from(raw));
-                i += 2;
-            }
-            "--bind" => {
-                let raw = match value(flag) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                policy.bind = raw.clone();
-                i += 2;
-            }
-            "--queue-cap" => numeric!(policy.queue_cap),
-            "--workers" => numeric!(policy.workers),
-            "--poll-ms" => numeric!(policy.supervise.poll_ms),
-            "--task-delay-ms" => numeric!(policy.supervise.task_delay_ms),
-            other => {
-                eprintln!("mb-lab: unknown serve option '{other}'");
-                return usage();
-            }
-        }
+        *seed = parsed.map_err(|_| {
+            eprintln!("mb-lab: bad MB_SEED '{v}': want decimal or 0xHEX");
+            ExitCode::from(exit_code::ENV_MISCONFIG)
+        })?;
     }
-    let Some(dir) = dir else {
-        eprintln!("mb-lab: serve requires --dir <path>");
-        return usage();
-    };
-    match seed_from_env() {
-        Ok(Some(seed)) => policy.supervise.seed = seed,
-        Ok(None) => {}
-        Err(code) => return code,
-    }
-    let worker_exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mb-lab: cannot locate own binary: {e}");
-            return ExitCode::from(exit_code::ENV_MISCONFIG);
-        }
-    };
-    match serve::serve(&dir, &worker_exe, &policy) {
-        Ok(summary) => {
-            println!(
-                "mb-lab serve: exiting: {} job(s) known, {} done, {} failed, {} cancelled, \
-                 {} left for the next server",
-                summary.jobs, summary.done, summary.failed, summary.cancelled, summary.queued_left
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mb-lab: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    std::env::current_exe().map_err(|e| {
+        eprintln!("mb-lab: cannot locate own binary: {e}");
+        ExitCode::from(exit_code::ENV_MISCONFIG)
+    })
 }
 
-fn cmd_submit(args: &[String]) -> ExitCode {
-    // Positional: the campaign. --shards rides along with --addr.
-    let mut shards = 2u32;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" if i + 1 < args.len() => {
-                let Ok(n) = args[i + 1].parse() else {
-                    eprintln!("mb-lab: bad --shards '{}'", args[i + 1]);
-                    return ExitCode::from(exit_code::USAGE);
-                };
-                shards = n;
-                i += 2;
-            }
-            other => {
-                rest.push(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    let (positional, addr) = match parse_client_args(&rest, 1) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let Some(campaign_name) = positional.first() else {
-        eprintln!("mb-lab: submit requires a campaign name");
-        return usage();
-    };
-    if shards == 0 {
-        eprintln!("mb-lab: --shards must be at least 1");
-        return ExitCode::from(exit_code::USAGE);
-    }
-    match client::submit(&addr, campaign_name, shards) {
-        Ok((job, queued)) => {
-            println!("submitted {job} ({campaign_name}, {shards} shard(s), queue depth {queued})");
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_client(&e),
-    }
-}
-
-fn print_job(s: &mb_lab::JobStatus) {
-    let digest = match s.digest {
-        Some(d) => format!("  digest {d:#018x}"),
-        None => String::new(),
-    };
-    println!(
-        "{:<6} {:<20} {:>2} shard(s)  {:<9} {:>4}/{:<4}{digest}",
-        s.job, s.campaign, s.shards, s.state.as_str(), s.done, s.total
-    );
-}
-
-fn cmd_status(args: &[String]) -> ExitCode {
-    let (positional, addr) = match parse_client_args(args, 1) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    match client::status(&addr, positional.first().map(String::as_str)) {
-        Ok(jobs) => {
-            for s in &jobs {
-                print_job(s);
-            }
-            if positional.is_empty() {
-                println!("{} job(s)", jobs.len());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_client(&e),
-    }
-}
-
-fn cmd_watch(args: &[String]) -> ExitCode {
-    let (positional, addr) = match parse_client_args(args, 1) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let Some(job) = positional.first() else {
-        eprintln!("mb-lab: watch requires a job id");
-        return usage();
-    };
-    let mut last_done = usize::MAX;
-    let outcome = client::watch(&addr, job, |done, total, eta_ms| {
-        if done != last_done {
-            last_done = done;
-            match eta_ms {
-                Some(eta) => println!("{job}: {done}/{total} slot(s), eta {:.1}s", eta as f64 / 1000.0),
-                None => println!("{job}: {done}/{total} slot(s)"),
-            }
-        }
-    });
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => return fail_client(&e),
-    };
-    use mb_lab::JobState;
-    match outcome.state {
-        JobState::Done => {
-            match outcome.digest {
-                Some(d) if outcome.checked => {
-                    println!("{job}: done, digest {d:#018x} (pinned digest check: ok)")
-                }
-                Some(d) => println!("{job}: done, digest {d:#018x} (no pin registered)"),
-                None => println!(
-                    "{job}: done (degraded: {})",
-                    outcome.detail.as_deref().unwrap_or("digest withheld")
-                ),
-            }
-            ExitCode::SUCCESS
-        }
-        state => {
-            eprintln!(
-                "mb-lab: {job} ended {}: {}",
-                state.as_str(),
-                outcome.detail.as_deref().unwrap_or("<no detail>")
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_cancel(args: &[String]) -> ExitCode {
-    let (positional, addr) = match parse_client_args(args, 1) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let Some(job) = positional.first() else {
-        eprintln!("mb-lab: cancel requires a job id");
-        return usage();
-    };
-    match client::cancel(&addr, job) {
-        Ok(s) => {
-            print_job(&s);
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_client(&e),
-    }
-}
-
-fn cmd_fetch(args: &[String]) -> ExitCode {
-    let (positional, addr) = match parse_client_args(args, 2) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let (Some(job), Some(out)) = (positional.first(), positional.get(1)) else {
-        eprintln!("mb-lab: fetch requires a job id and an output segment path");
-        return usage();
-    };
-    match client::fetch(&addr, job, Path::new(out)) {
-        Ok(records) => {
-            println!("fetched {records} record(s) -> {out} (chain-verified)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_client(&e),
-    }
-}
-
-fn cmd_ping(args: &[String]) -> ExitCode {
-    let (_, addr) = match parse_client_args(args, 0) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    match client::ping(&addr) {
-        Ok(()) => {
-            println!("{addr}: alive");
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_client(&e),
-    }
-}
-
-fn cmd_shutdown(args: &[String]) -> ExitCode {
-    let (_, addr) = match parse_client_args(args, 0) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    match client::shutdown(&addr) {
-        Ok(running) => {
-            println!("{addr}: stopping ({running} job(s) draining)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_client(&e),
-    }
-}
-
-fn cmd_list() -> ExitCode {
+fn cmd_list(_: Cli) -> Outcome {
     for c in campaign::registry() {
         let pinned = match c.pinned_digest() {
             Some(d) => format!("digest {d:#018x}"),
@@ -452,431 +401,276 @@ fn cmd_list() -> ExitCode {
             c.description()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        return usage();
-    };
-    let mut journal_path: Option<PathBuf> = None;
-    let mut shard: Option<driver::Shard> = None;
-    let mut task_delay_ms = 0u64;
-    let mut max_slots: Option<usize> = None;
-    let mut skip_slots: Vec<usize> = Vec::new();
-    let mut show_times = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--skip-slots" if i + 1 < args.len() => {
-                for part in args[i + 1].split(',') {
-                    let Ok(slot) = part.trim().parse() else {
-                        eprintln!("mb-lab: bad --skip-slots entry '{part}'");
-                        return ExitCode::from(exit_code::USAGE);
-                    };
-                    skip_slots.push(slot);
-                }
-                i += 2;
-            }
-            "--journal" if i + 1 < args.len() => {
-                journal_path = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--shard" if i + 1 < args.len() => {
-                let Some(s) = driver::Shard::parse(&args[i + 1]) else {
-                    eprintln!("mb-lab: bad --shard '{}': want i/N with i < N", args[i + 1]);
-                    return ExitCode::from(exit_code::USAGE);
-                };
-                shard = Some(s);
-                i += 2;
-            }
-            "--task-delay-ms" if i + 1 < args.len() => {
-                let Ok(d) = args[i + 1].parse() else {
-                    eprintln!("mb-lab: bad --task-delay-ms '{}'", args[i + 1]);
-                    return ExitCode::from(exit_code::USAGE);
-                };
-                task_delay_ms = d;
-                i += 2;
-            }
-            "--max-slots" if i + 1 < args.len() => {
-                let Ok(n) = args[i + 1].parse() else {
-                    eprintln!("mb-lab: bad --max-slots '{}'", args[i + 1]);
-                    return ExitCode::from(exit_code::USAGE);
-                };
-                max_slots = Some(n);
-                i += 2;
-            }
-            "--times" => {
-                show_times = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("mb-lab: unknown run option '{other}'");
-                return usage();
-            }
-        }
-    }
-    let Some(journal_path) = journal_path else {
-        eprintln!("mb-lab: run requires --journal <path>");
-        return usage();
-    };
-    // Env fallbacks mirror the flags and share their validation: a
-    // malformed value is a hard error, never a silent default — a
-    // sharded worker that quietly runs the whole grid solo corrupts
-    // the experiment it thinks it is contributing to.
-    let shard = match shard {
-        Some(s) => s,
-        None => match std::env::var("MB_SHARD") {
-            Ok(v) => match driver::Shard::parse(&v) {
-                Some(s) => s,
-                None => {
-                    eprintln!("mb-lab: bad MB_SHARD '{v}': want i/N with i < N");
-                    return ExitCode::from(exit_code::ENV_MISCONFIG);
-                }
-            },
-            Err(_) => driver::Shard::solo(),
-        },
-    };
-    let max_slots = match max_slots {
-        Some(n) => Some(n),
-        None => match std::env::var("MB_MAX_SLOTS") {
-            Ok(v) => match v.parse() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!("mb-lab: bad MB_MAX_SLOTS '{v}': want a slot count");
-                    return ExitCode::from(exit_code::ENV_MISCONFIG);
-                }
-            },
-            Err(_) => None,
-        },
-    };
-
-    let Some(c) = campaign::find(name) else {
+fn cmd_run(cli: Cli) -> Outcome {
+    let name = &cli.operands[0];
+    let c = campaign::find(name).ok_or_else(|| {
         eprintln!("mb-lab: unknown campaign '{name}' (try `mb-lab list`)");
-        return ExitCode::from(exit_code::ENV_MISCONFIG);
+        ExitCode::from(exit_code::ENV_MISCONFIG)
+    })?;
+    let opts = RunOptions {
+        task_delay_ms: cli.policy.supervise.task_delay_ms,
+        ..cli.run
     };
-    let opts = driver::RunOptions {
-        shard,
-        task_delay_ms,
-        max_slots,
-        skip_slots,
-    };
-    match driver::run_campaign_with(c.as_ref(), &journal_path, &opts) {
-        Ok(outcome) => {
-            if outcome.recovered_torn_tail {
-                eprintln!("mb-lab: dropped a torn journal tail (crash recovery)");
-            }
-            if show_times {
-                let labels = c.task_labels();
-                for &(slot, secs) in &outcome.slot_secs {
-                    println!("  slot {slot:>4} {:<24} {secs:>9.4}s", labels[slot]);
-                }
-            }
-            if !outcome.slot_secs.is_empty() {
-                let total: f64 = outcome.slot_secs.iter().map(|&(_, s)| s).sum();
-                let peak = outcome
-                    .slot_secs
-                    .iter()
-                    .map(|&(_, s)| s)
-                    .fold(0.0_f64, f64::max);
-                println!(
-                    "{}: {} slot(s) in {total:.3}s (mean {:.4}s, max {peak:.4}s)",
-                    c.name(),
-                    outcome.slot_secs.len(),
-                    total / outcome.slot_secs.len() as f64
-                );
-            }
-            print!(
-                "{}: shard {}/{}: {} replayed, {} executed",
-                c.name(),
-                shard.index,
-                shard.count,
-                outcome.replayed,
-                outcome.executed
-            );
-            if outcome.skipped > 0 {
-                print!(", {} skipped (quarantined)", outcome.skipped);
-            }
-            match outcome.digest {
-                Some(d) => println!(", digest {d:#018x}"),
-                None if outcome.remaining > 0 => {
-                    println!(", {} still missing (bounded run; rerun to continue)", outcome.remaining)
-                }
-                None => println!(" (partial shard; merge to finalize)"),
-            }
-            ExitCode::SUCCESS
+    let outcome = driver::run_campaign_with(c.as_ref(), &cli.journal, &opts)
+        .map_err(|e| fail(&e, e.exit_code()))?;
+    if outcome.recovered_torn_tail {
+        eprintln!("mb-lab: dropped a torn journal tail (crash recovery)");
+    }
+    if cli.times {
+        let labels = c.task_labels();
+        for &(slot, secs) in &outcome.slot_secs {
+            println!("  slot {slot:>4} {:<24} {secs:>9.4}s", labels[slot]);
         }
-        Err(e) => fail_journal(&e),
     }
-}
-
-fn cmd_merge(args: &[String]) -> ExitCode {
-    if args.len() < 2 {
-        return usage();
+    if !outcome.slot_secs.is_empty() {
+        let total: f64 = outcome.slot_secs.iter().map(|&(_, s)| s).sum();
+        let peak = outcome
+            .slot_secs
+            .iter()
+            .map(|&(_, s)| s)
+            .fold(0.0_f64, f64::max);
+        println!(
+            "{}: {} slot(s) in {total:.3}s (mean {:.4}s, max {peak:.4}s)",
+            c.name(),
+            outcome.slot_secs.len(),
+            total / outcome.slot_secs.len() as f64
+        );
     }
-    let out = Path::new(&args[0]);
-    let inputs: Vec<PathBuf> = args[1..].iter().map(PathBuf::from).collect();
-    match journal::merge(out, &inputs) {
-        Ok(merged) => {
+    print!(
+        "{}: shard {}: {} replayed, {} executed",
+        c.name(),
+        opts.shard,
+        outcome.replayed,
+        outcome.executed
+    );
+    if outcome.skipped > 0 {
+        print!(", {} skipped (quarantined)", outcome.skipped);
+    }
+    match outcome.digest {
+        Some(d) => println!(", digest {d:#018x}"),
+        None if outcome.remaining > 0 => {
             println!(
-                "merged {} shard(s) -> {} ({} records, campaign {})",
-                inputs.len(),
-                out.display(),
-                merged.records.len(),
-                merged.header.campaign
-            );
-            ExitCode::SUCCESS
+                ", {} still missing (bounded run; rerun to continue)",
+                outcome.remaining
+            )
         }
-        Err(e) => fail_journal(&e),
+        None => println!(" (partial shard; merge to finalize)"),
     }
+    Ok(())
 }
 
-fn cmd_digest(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        return usage();
+fn cmd_supervise(mut cli: Cli) -> Outcome {
+    let name = &cli.operands[0];
+    let policy = &mut cli.policy.supervise;
+    let worker_exe = seed_and_worker(&mut policy.seed)?;
+    let report = supervise::supervise(name, &cli.dir, &worker_exe, policy)
+        .map_err(|e| fail(&e, e.exit_code()))?;
+    let restarts: u32 = report.per_shard.iter().map(|s| s.crashes).sum();
+    println!(
+        "{name}: supervised {} shard(s): {} ({} restart(s), {} hang(s), {} chaos kill(s))",
+        report.shards,
+        report.accounting.summary(),
+        restarts,
+        report.per_shard.iter().map(|s| s.hangs).sum::<u32>(),
+        report.chaos_kills
+    );
+    match report.digest {
+        Some(d) if report.digest_checked => {
+            println!("merged digest {d:#018x} (pinned digest check: ok)")
+        }
+        Some(d) => println!("merged digest {d:#018x} (no pin registered)"),
+        None => println!(
+            "degraded completion: {} slot(s) quarantined, digest withheld",
+            report.quarantined.len()
+        ),
+    }
+    println!("report: {}", cli.dir.join("report.json").display());
+    Ok(())
+}
+
+fn cmd_serve(mut cli: Cli) -> Outcome {
+    let worker_exe = seed_and_worker(&mut cli.sup().seed)?;
+    let summary =
+        serve::serve(&cli.dir, &worker_exe, &cli.policy).map_err(|e| fail(&e, e.exit_code()))?;
+    println!(
+        "mb-lab serve: exiting: {} job(s) known, {} done, {} failed, {} cancelled, \
+         {} left for the next server",
+        summary.jobs, summary.done, summary.failed, summary.cancelled, summary.queued_left
+    );
+    Ok(())
+}
+
+fn cmd_submit(cli: Cli) -> Outcome {
+    let (campaign_name, shards) = (&cli.operands[0], cli.policy.supervise.shards);
+    let (job, queued) =
+        client::submit(addr(&cli)?, campaign_name, shards).map_err(|e| fail(&e, e.exit_code()))?;
+    println!("submitted {job} ({campaign_name}, {shards} shard(s), queue depth {queued})");
+    Ok(())
+}
+
+fn print_job(s: &mb_lab::JobStatus) {
+    let digest = match s.digest {
+        Some(d) => format!("  digest {d:#018x}"),
+        None => String::new(),
     };
-    let mut expect: Option<u64> = None;
-    let mut check = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--expect" if i + 1 < args.len() => {
-                let text = args[i + 1].trim_start_matches("0x");
-                let Ok(v) = u64::from_str_radix(text, 16) else {
-                    eprintln!("mb-lab: bad --expect '{}'", args[i + 1]);
-                    return ExitCode::from(exit_code::USAGE);
-                };
-                expect = Some(v);
-                i += 2;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("mb-lab: unknown digest option '{other}'");
-                return usage();
+    println!(
+        "{:<6} {:<20} {:>2} shard(s)  {:<9} {:>4}/{:<4}{digest}",
+        s.job,
+        s.campaign,
+        s.shards,
+        s.state.as_str(),
+        s.done,
+        s.total
+    );
+}
+
+fn cmd_status(cli: Cli) -> Outcome {
+    let jobs = client::status(addr(&cli)?, cli.operands.first().map(String::as_str))
+        .map_err(|e| fail(&e, e.exit_code()))?;
+    jobs.iter().for_each(print_job);
+    if cli.operands.is_empty() {
+        println!("{} job(s)", jobs.len());
+    }
+    Ok(())
+}
+
+fn cmd_watch(cli: Cli) -> Outcome {
+    let job = &cli.operands[0];
+    let mut last_done = usize::MAX;
+    let outcome = client::watch(addr(&cli)?, job, |done, total, eta_ms| {
+        if done != last_done {
+            last_done = done;
+            match eta_ms {
+                Some(eta) => println!(
+                    "{job}: {done}/{total} slot(s), eta {:.1}s",
+                    eta as f64 / 1000.0
+                ),
+                None => println!("{job}: {done}/{total} slot(s)"),
             }
         }
-    }
-    let loaded = match journal::Journal::load(Path::new(path)) {
-        Ok(j) => j,
-        Err(e) => return fail_journal(&e),
-    };
-    let digest = match driver::digest_journal(&loaded) {
-        Ok(d) => d,
-        Err(e) => return fail_journal(&e),
-    };
-    println!("{}: digest {digest:#018x}", loaded.header.campaign);
-    if let Some(want) = expect {
-        if digest != want {
-            eprintln!("mb-lab: digest mismatch: got {digest:#018x}, expected {want:#018x}");
-            return ExitCode::FAILURE;
+    })
+    .map_err(|e| fail(&e, e.exit_code()))?;
+    let detail = outcome.detail.as_deref();
+    match (outcome.state, outcome.digest) {
+        (JobState::Done, Some(d)) if outcome.checked => {
+            println!("{job}: done, digest {d:#018x} (pinned digest check: ok)")
+        }
+        (JobState::Done, Some(d)) => println!("{job}: done, digest {d:#018x} (no pin registered)"),
+        (JobState::Done, None) => println!(
+            "{job}: done (degraded: {})",
+            detail.unwrap_or("digest withheld")
+        ),
+        (state, _) => {
+            return Err(fail(
+                &format!(
+                    "{job} ended {}: {}",
+                    state.as_str(),
+                    detail.unwrap_or("<no detail>")
+                ),
+                exit_code::FAILURE,
+            ))
         }
     }
-    if check {
-        let pinned = campaign::find(&loaded.header.campaign).and_then(|c| c.pinned_digest());
-        match pinned {
+    Ok(())
+}
+
+fn cmd_cancel(cli: Cli) -> Outcome {
+    let snapshot = client::cancel(addr(&cli)?, &cli.operands[0]);
+    print_job(&snapshot.map_err(|e| fail(&e, e.exit_code()))?);
+    Ok(())
+}
+
+fn cmd_fetch(cli: Cli) -> Outcome {
+    let (job, out) = (&cli.operands[0], &cli.operands[1]);
+    let records =
+        client::fetch(addr(&cli)?, job, Path::new(out)).map_err(|e| fail(&e, e.exit_code()))?;
+    println!("fetched {records} record(s) -> {out} (chain-verified)");
+    Ok(())
+}
+
+fn cmd_ping(cli: Cli) -> Outcome {
+    let addr = addr(&cli)?;
+    client::ping(addr).map_err(|e| fail(&e, e.exit_code()))?;
+    println!("{addr}: alive");
+    Ok(())
+}
+
+fn cmd_shutdown(cli: Cli) -> Outcome {
+    let addr = addr(&cli)?;
+    let running = client::shutdown(addr).map_err(|e| fail(&e, e.exit_code()))?;
+    println!("{addr}: stopping ({running} job(s) draining)");
+    Ok(())
+}
+
+fn cmd_export(cli: Cli) -> Outcome {
+    let (journal_path, segment) = (&cli.operands[0], &cli.operands[1]);
+    let seg = transport::export_segment(Path::new(journal_path), cli.from, Path::new(segment))
+        .map_err(|e| fail(&e, e.exit_code()))?;
+    let end = seg.from + seg.records.len();
+    println!(
+        "exported {} record(s) [{}..{end}] of {journal_path} -> {segment}",
+        seg.records.len(),
+        seg.from
+    );
+    Ok(())
+}
+
+fn cmd_ingest(cli: Cli) -> Outcome {
+    let (journal_path, segment) = (&cli.operands[0], &cli.operands[1]);
+    let out = transport::ingest_segment(Path::new(journal_path), Path::new(segment))
+        .map_err(|e| fail(&e, e.exit_code()))?;
+    println!(
+        "ingested {segment} -> {journal_path}: {} appended, {} duplicate(s) verified",
+        out.appended, out.duplicates
+    );
+    Ok(())
+}
+
+fn cmd_merge(cli: Cli) -> Outcome {
+    let out = Path::new(&cli.operands[0]);
+    let inputs: Vec<PathBuf> = cli.operands[1..].iter().map(PathBuf::from).collect();
+    let merged = journal::merge(out, &inputs).map_err(|e| fail(&e, e.exit_code()))?;
+    println!(
+        "merged {} shard(s) -> {} ({} records, campaign {})",
+        inputs.len(),
+        out.display(),
+        merged.records.len(),
+        merged.header.campaign
+    );
+    Ok(())
+}
+
+fn cmd_digest(cli: Cli) -> Outcome {
+    let loaded =
+        journal::Journal::load(Path::new(&cli.operands[0])).map_err(|e| fail(&e, e.exit_code()))?;
+    let digest = driver::digest_journal(&loaded).map_err(|e| fail(&e, e.exit_code()))?;
+    let campaign_name = &loaded.header.campaign;
+    println!("{campaign_name}: digest {digest:#018x}");
+    if let Some(want) = cli.expect.filter(|&want| want != digest) {
+        return Err(fail(
+            &format!("digest mismatch: got {digest:#018x}, expected {want:#018x}"),
+            exit_code::FAILURE,
+        ));
+    }
+    if cli.check {
+        match campaign::find(campaign_name).and_then(|c| c.pinned_digest()) {
             Some(want) if want == digest => println!("pinned digest check: ok"),
             Some(want) => {
-                eprintln!(
-                    "mb-lab: pinned digest mismatch: got {digest:#018x}, pinned {want:#018x}"
-                );
-                return ExitCode::FAILURE;
+                return Err(fail(
+                    &format!("pinned digest mismatch: got {digest:#018x}, pinned {want:#018x}"),
+                    exit_code::FAILURE,
+                ))
             }
             None => {
-                eprintln!("mb-lab: campaign '{}' has no pinned digest", loaded.header.campaign);
-                return ExitCode::FAILURE;
+                return Err(fail(
+                    &format!("campaign '{campaign_name}' has no pinned digest"),
+                    exit_code::FAILURE,
+                ))
             }
         }
     }
-    ExitCode::SUCCESS
-}
-
-/// Parses `MB_SEED` (decimal or `0x`-prefixed hex) for the supervise
-/// backoff/chaos schedules; absent means the policy default.
-fn seed_from_env() -> Result<Option<u64>, ExitCode> {
-    match std::env::var("MB_SEED") {
-        Err(_) => Ok(None),
-        Ok(v) => {
-            let parsed = match v.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => v.parse(),
-            };
-            match parsed {
-                Ok(seed) => Ok(Some(seed)),
-                Err(_) => {
-                    eprintln!("mb-lab: bad MB_SEED '{v}': want decimal or 0xHEX");
-                    Err(ExitCode::from(exit_code::ENV_MISCONFIG))
-                }
-            }
-        }
-    }
-}
-
-fn cmd_supervise(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        return usage();
-    };
-    let mut dir: Option<PathBuf> = None;
-    let mut policy = supervise::SupervisePolicy::default();
-    // Every numeric knob shares one parse-or-usage-error path.
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |flag: &str| -> Result<&String, ExitCode> {
-            args.get(i + 1).ok_or_else(|| {
-                eprintln!("mb-lab: {flag} requires a value");
-                ExitCode::from(exit_code::USAGE)
-            })
-        };
-        macro_rules! numeric {
-            ($field:expr) => {{
-                let raw = match value(flag) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                match raw.parse() {
-                    Ok(v) => $field = v,
-                    Err(_) => {
-                        eprintln!("mb-lab: bad {flag} '{raw}'");
-                        return ExitCode::from(exit_code::USAGE);
-                    }
-                }
-                i += 2;
-            }};
-        }
-        match flag {
-            "--dir" => {
-                let raw = match value(flag) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                dir = Some(PathBuf::from(raw));
-                i += 2;
-            }
-            "--shards" => numeric!(policy.shards),
-            "--poll-ms" => numeric!(policy.poll_ms),
-            "--hang-polls" => numeric!(policy.hang_polls),
-            "--poison-threshold" => numeric!(policy.poison_threshold),
-            "--max-restarts" => numeric!(policy.max_restarts),
-            "--backoff-base-ms" => numeric!(policy.backoff_base_ms),
-            "--backoff-cap-ms" => numeric!(policy.backoff_cap_ms),
-            "--max-polls" => numeric!(policy.max_polls),
-            "--task-delay-ms" => numeric!(policy.task_delay_ms),
-            "--chaos-kills" => numeric!(policy.chaos_kills),
-            other => {
-                eprintln!("mb-lab: unknown supervise option '{other}'");
-                return usage();
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!("mb-lab: supervise requires --dir <path>");
-        return usage();
-    };
-    if policy.shards == 0 {
-        eprintln!("mb-lab: --shards must be at least 1");
-        return ExitCode::from(exit_code::USAGE);
-    }
-    match seed_from_env() {
-        Ok(Some(seed)) => policy.seed = seed,
-        Ok(None) => {}
-        Err(code) => return code,
-    }
-    // Workers are this very binary.
-    let worker_exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mb-lab: cannot locate own binary: {e}");
-            return ExitCode::from(exit_code::ENV_MISCONFIG);
-        }
-    };
-    match supervise::supervise(name, &dir, &worker_exe, &policy) {
-        Ok(report) => {
-            let restarts: u32 = report.per_shard.iter().map(|s| s.crashes).sum();
-            println!(
-                "{name}: supervised {} shard(s): {} ({} restart(s), {} hang(s), {} chaos kill(s))",
-                report.shards,
-                report.accounting.summary(),
-                restarts,
-                report.per_shard.iter().map(|s| s.hangs).sum::<u32>(),
-                report.chaos_kills
-            );
-            match report.digest {
-                Some(d) if report.digest_checked => {
-                    println!("merged digest {d:#018x} (pinned digest check: ok)")
-                }
-                Some(d) => println!("merged digest {d:#018x} (no pin registered)"),
-                None => println!(
-                    "degraded completion: {} slot(s) quarantined, digest withheld",
-                    report.quarantined.len()
-                ),
-            }
-            println!("report: {}", dir.join("report.json").display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mb-lab: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
-}
-
-fn cmd_export(args: &[String]) -> ExitCode {
-    let (Some(journal_path), Some(segment)) = (args.first(), args.get(1)) else {
-        return usage();
-    };
-    let mut from = 0usize;
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--from" if i + 1 < args.len() => {
-                let Ok(k) = args[i + 1].parse() else {
-                    eprintln!("mb-lab: bad --from '{}'", args[i + 1]);
-                    return ExitCode::from(exit_code::USAGE);
-                };
-                from = k;
-                i += 2;
-            }
-            other => {
-                eprintln!("mb-lab: unknown export option '{other}'");
-                return usage();
-            }
-        }
-    }
-    match transport::export_segment(Path::new(journal_path), from, Path::new(segment)) {
-        Ok(seg) => {
-            println!(
-                "exported {} record(s) [{}..{}] of {} -> {}",
-                seg.records.len(),
-                seg.from,
-                seg.from + seg.records.len(),
-                journal_path,
-                segment
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_transport(&e),
-    }
-}
-
-fn cmd_ingest(args: &[String]) -> ExitCode {
-    let (Some(journal_path), Some(segment)) = (args.first(), args.get(1)) else {
-        return usage();
-    };
-    if args.len() > 2 {
-        eprintln!("mb-lab: unknown ingest option '{}'", args[2]);
-        return usage();
-    }
-    match transport::ingest_segment(Path::new(journal_path), Path::new(segment)) {
-        Ok(out) => {
-            println!(
-                "ingested {} -> {}: {} appended, {} duplicate(s) verified",
-                segment, journal_path, out.appended, out.duplicates
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail_transport(&e),
-    }
+    Ok(())
 }

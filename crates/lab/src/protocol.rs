@@ -31,6 +31,7 @@
 //! [`exit_code::PROTOCOL`]: mb_simcore::error::exit_code::PROTOCOL
 //! [`exit_code::UNAVAILABLE`]: mb_simcore::error::exit_code::UNAVAILABLE
 
+use crate::codec::{self, FieldError, Fields};
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 
@@ -288,14 +289,6 @@ pub enum Reply {
     },
 }
 
-/// Whether `text` is a legal campaign/job name on the wire.
-fn valid_name(text: &str) -> bool {
-    !text.is_empty()
-        && text.len() <= MAX_NAME_BYTES
-        && text
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_')
-}
 
 fn bad(detail: impl Into<String>) -> ProtocolError {
     ProtocolError::BadFrame {
@@ -303,124 +296,36 @@ fn bad(detail: impl Into<String>) -> ProtocolError {
     }
 }
 
-/// Keys whose value runs to the end of the line (free text).
-const TAIL_KEYS: [&str; 2] = ["msg", "detail"];
-
-/// Splits `rest` into `key=value` fields. Tail keys swallow the rest
-/// of the line; every other value is one whitespace-delimited token.
-fn parse_fields(rest: &str) -> Result<Vec<(String, String)>, ProtocolError> {
-    let mut fields: Vec<(String, String)> = Vec::new();
-    let mut offset = 0usize;
-    while offset < rest.len() {
-        let chunk = &rest[offset..];
-        let trimmed = chunk.trim_start_matches(' ');
-        if trimmed.is_empty() {
-            break;
-        }
-        offset += chunk.len() - trimmed.len();
-        let token_end = trimmed.find(' ').unwrap_or(trimmed.len());
-        let token = &trimmed[..token_end];
-        let Some(eq) = token.find('=') else {
-            return Err(bad(format!("bare token '{token}' (want key=value)")));
-        };
-        let key = &token[..eq];
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-            return Err(bad(format!("bad field key in '{token}'")));
-        }
-        if fields.iter().any(|(k, _)| k == key) {
-            return Err(bad(format!("duplicate field '{key}'")));
-        }
-        if TAIL_KEYS.contains(&key) {
-            let value = &trimmed[eq + 1..];
-            fields.push((key.to_string(), value.to_string()));
-            break;
-        }
-        let value = &token[eq + 1..];
-        if value.is_empty() {
-            return Err(bad(format!("empty value for field '{key}'")));
-        }
-        fields.push((key.to_string(), value.to_string()));
-        offset += token_end;
+/// Every field-level rejection is a malformed frame.
+impl From<FieldError<'_>> for ProtocolError {
+    fn from(e: FieldError<'_>) -> Self {
+        bad(e.to_string())
     }
-    Ok(fields)
 }
 
-/// Consumes the fields of one frame with exactly the sets given:
-/// every required key present, no key outside required+optional.
-struct Fields {
-    inner: Vec<(String, String)>,
+/// `text` if it is a legal campaign/job name on the wire.
+fn name(text: &str) -> Option<&str> {
+    let legal = !text.is_empty()
+        && text.len() <= MAX_NAME_BYTES
+        && text
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_');
+    legal.then_some(text)
 }
 
-impl Fields {
-    fn parse(rest: &str, verb: &str, required: &[&str], optional: &[&str]) -> Result<Fields, ProtocolError> {
-        let inner = parse_fields(rest)?;
-        for key in required {
-            if !inner.iter().any(|(k, _)| k == key) {
-                return Err(bad(format!("{verb} frame is missing field '{key}'")));
-            }
-        }
-        for (key, _) in &inner {
-            if !required.contains(&key.as_str()) && !optional.contains(&key.as_str()) {
-                return Err(bad(format!("{verb} frame has unknown field '{key}'")));
-            }
-        }
-        Ok(Fields { inner })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.inner
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn name(&self, key: &str) -> Result<String, ProtocolError> {
-        let value = self.get(key).expect("required key checked in parse");
-        if !valid_name(value) {
-            return Err(bad(format!(
-                "bad name '{value}' for '{key}' (want [a-z0-9_-]{{1,{MAX_NAME_BYTES}}})"
-            )));
-        }
-        Ok(value.to_string())
-    }
-
-    fn counter(&self, key: &str) -> Result<usize, ProtocolError> {
-        let value = self.get(key).expect("required key checked in parse");
-        value
-            .parse()
-            .map_err(|_| bad(format!("bad counter '{value}' for '{key}'")))
-    }
-
-    fn counter_u64(&self, key: &str) -> Result<u64, ProtocolError> {
-        let value = self.get(key).expect("required key checked in parse");
-        value
-            .parse()
-            .map_err(|_| bad(format!("bad counter '{value}' for '{key}'")))
-    }
-
-    fn digest(&self, key: &str) -> Result<u64, ProtocolError> {
-        let value = self.get(key).expect("caller checked presence");
-        let hex = value
-            .strip_prefix("0x")
-            .ok_or_else(|| bad(format!("bad digest '{value}' (want 0xHEX)")))?;
-        u64::from_str_radix(hex, 16).map_err(|_| bad(format!("bad digest '{value}'")))
-    }
-
-    fn state(&self, key: &str) -> Result<JobState, ProtocolError> {
-        let value = self.get(key).expect("required key checked in parse");
-        JobState::parse(value).ok_or_else(|| bad(format!("bad job state '{value}'")))
-    }
+/// A `0x`-prefixed hex digest.
+fn digest(text: &str) -> Option<u64> {
+    text.strip_prefix("0x").and_then(codec::hex)
 }
 
 /// Strips and checks the version token, returning `(verb, rest)`.
 fn split_verb(line: &str) -> Result<(&str, &str), ProtocolError> {
     let line = line.strip_suffix('\r').unwrap_or(line);
-    let (version, rest) = line.split_once(' ').unwrap_or((line, ""));
-    if version != PROTOCOL_VERSION {
-        return Err(ProtocolError::VersionSkew {
-            found: version.to_string(),
-        });
-    }
+    let rest = codec::strip_version(line, PROTOCOL_VERSION).map_err(|found| {
+        ProtocolError::VersionSkew {
+            found: found.to_string(),
+        }
+    })?;
     let rest = rest.trim_start_matches(' ');
     let (verb, fields) = rest.split_once(' ').unwrap_or((rest, ""));
     if verb.is_empty() {
@@ -456,9 +361,9 @@ impl Request {
         let (verb, rest) = split_verb(line)?;
         match verb {
             "submit" => {
-                let f = Fields::parse(rest, verb, &["campaign", "shards"], &[])?;
-                let campaign = f.name("campaign")?;
-                let shards = f.counter("shards")? as u64;
+                let f = Fields::split(rest, &["campaign", "shards"], &[])?;
+                let campaign = f.get_with("campaign", name)?.to_string();
+                let shards: u64 = f.value("shards")?;
                 if shards == 0 || shards > u64::from(MAX_SHARDS) {
                     return Err(bad(format!("shards must be 1..={MAX_SHARDS}, got {shards}")));
                 }
@@ -468,16 +373,14 @@ impl Request {
                 })
             }
             "status" => {
-                let f = Fields::parse(rest, verb, &[], &["job"])?;
-                let job = match f.get("job") {
-                    Some(_) => Some(f.name("job")?),
-                    None => None,
-                };
-                Ok(Request::Status { job })
+                let f = Fields::split(rest, &[], &["job"])?;
+                Ok(Request::Status {
+                    job: f.opt_with("job", name)?.map(str::to_string),
+                })
             }
             "watch" | "cancel" | "fetch" => {
-                let f = Fields::parse(rest, verb, &["job"], &[])?;
-                let job = f.name("job")?;
+                let f = Fields::split(rest, &["job"], &[])?;
+                let job = f.get_with("job", name)?.to_string();
                 Ok(match verb {
                     "watch" => Request::Watch { job },
                     "cancel" => Request::Cancel { job },
@@ -485,11 +388,11 @@ impl Request {
                 })
             }
             "ping" => {
-                Fields::parse(rest, verb, &[], &[])?;
+                Fields::split(rest, &[], &[])?;
                 Ok(Request::Ping)
             }
             "shutdown" => {
-                Fields::parse(rest, verb, &[], &[])?;
+                Fields::split(rest, &[], &[])?;
                 Ok(Request::Shutdown)
             }
             other => Err(bad(format!("unknown request verb '{other}'"))),
@@ -573,22 +476,22 @@ impl Reply {
         let (verb, rest) = split_verb(line)?;
         match verb {
             "submitted" => {
-                let f = Fields::parse(rest, verb, &["job", "queued"], &[])?;
+                let f = Fields::split(rest, &["job", "queued"], &[])?;
                 Ok(Reply::Submitted {
-                    job: f.name("job")?,
-                    queued: f.counter("queued")?,
+                    job: f.get_with("job", name)?.to_string(),
+                    queued: f.value("queued")?,
                 })
             }
             "busy" => {
-                let f = Fields::parse(rest, verb, &["queued", "cap"], &[])?;
+                let f = Fields::split(rest, &["queued", "cap"], &[])?;
                 Ok(Reply::Busy {
-                    queued: f.counter("queued")?,
-                    cap: f.counter("cap")?,
+                    queued: f.value("queued")?,
+                    cap: f.value("cap")?,
                 })
             }
             "err" => {
-                let f = Fields::parse(rest, verb, &["code", "msg"], &[])?;
-                let code = f.counter("code")?;
+                let f = Fields::split(rest, &["code", "msg"], &[])?;
+                let code: usize = f.value("code")?;
                 if code == 0 || code > 255 {
                     return Err(bad(format!("err code {code} outside 1..=255")));
                 }
@@ -598,84 +501,60 @@ impl Reply {
                 })
             }
             "job" => {
-                let f = Fields::parse(
+                let f = Fields::split(
                     rest,
-                    verb,
                     &["id", "campaign", "shards", "state", "done", "total"],
                     &["digest"],
                 )?;
-                let digest = match f.get("digest") {
-                    Some(_) => Some(f.digest("digest")?),
-                    None => None,
-                };
                 Ok(Reply::Job(JobStatus {
-                    job: f.name("id")?,
-                    campaign: f.name("campaign")?,
-                    shards: f.counter("shards")? as u32,
-                    state: f.state("state")?,
-                    done: f.counter("done")?,
-                    total: f.counter("total")?,
-                    digest,
+                    job: f.get_with("id", name)?.to_string(),
+                    campaign: f.get_with("campaign", name)?.to_string(),
+                    shards: f.value("shards")?,
+                    state: f.get_with("state", JobState::parse)?,
+                    done: f.value("done")?,
+                    total: f.value("total")?,
+                    digest: f.opt_with("digest", digest)?,
                 }))
             }
             "end" => {
-                let f = Fields::parse(rest, verb, &["count"], &[])?;
+                let f = Fields::split(rest, &["count"], &[])?;
                 Ok(Reply::End {
-                    count: f.counter("count")?,
+                    count: f.value("count")?,
                 })
             }
             "progress" => {
-                let f = Fields::parse(rest, verb, &["job", "done", "total"], &["eta_ms"])?;
-                let eta_ms = match f.get("eta_ms") {
-                    Some(_) => Some(f.counter_u64("eta_ms")?),
-                    None => None,
-                };
+                let f = Fields::split(rest, &["job", "done", "total"], &["eta_ms"])?;
                 Ok(Reply::Progress {
-                    job: f.name("job")?,
-                    done: f.counter("done")?,
-                    total: f.counter("total")?,
-                    eta_ms,
+                    job: f.get_with("job", name)?.to_string(),
+                    done: f.value("done")?,
+                    total: f.value("total")?,
+                    eta_ms: f.opt_with("eta_ms", |v| v.parse().ok())?,
                 })
             }
             "done" => {
-                let f = Fields::parse(
-                    rest,
-                    verb,
-                    &["job", "state"],
-                    &["digest", "checked", "detail"],
-                )?;
-                let digest = match f.get("digest") {
-                    Some(_) => Some(f.digest("digest")?),
-                    None => None,
-                };
-                let checked = match f.get("checked") {
-                    None => false,
-                    Some("true") => true,
-                    Some("false") => false,
-                    Some(other) => return Err(bad(format!("bad checked '{other}'"))),
-                };
+                let f = Fields::split(rest, &["job", "state"], &["digest", "checked", "detail"])?;
                 Ok(Reply::Done {
-                    job: f.name("job")?,
-                    state: f.state("state")?,
-                    digest,
-                    checked,
+                    job: f.get_with("job", name)?.to_string(),
+                    state: f.get_with("state", JobState::parse)?,
+                    digest: f.opt_with("digest", digest)?,
+                    checked: f.opt_with("checked", |v| v.parse().ok())?.unwrap_or(false),
                     detail: f.get("detail").map(str::to_string),
                 })
             }
             "segment" => {
-                let f = Fields::parse(rest, verb, &["lines"], &[])?;
+                let f = Fields::split(rest, &["lines"], &[])?;
                 Ok(Reply::Segment {
-                    lines: f.counter("lines")?,
+                    lines: f.value("lines")?,
                 })
             }
             "pong" => {
-                Fields::parse(rest, verb, &[], &[])?;
+                Fields::split(rest, &[], &[])?;
                 Ok(Reply::Pong)
             }
             "stopping" => {
-                let f = Fields::parse(rest, verb, &["running"], &[])?;
+                let f = Fields::split(rest, &["running"], &[])?;
                 Ok(Reply::Stopping {
-                    running: f.counter("running")?,
+                    running: f.value("running")?,
                 })
             }
             other => Err(bad(format!("unknown reply verb '{other}'"))),

@@ -40,6 +40,7 @@
 //! measurement.
 
 use crate::campaign;
+use crate::codec::Fields;
 use crate::lock::{LockError, PathLock};
 use crate::protocol::{self, JobState, JobStatus, Reply, Request};
 use crate::supervise::{self, SuperviseError, SupervisePolicy};
@@ -272,23 +273,16 @@ fn rescan(dir: &Path) -> std::io::Result<(ServerState, usize)> {
         let Ok(meta) = fs::read_to_string(meta_path(dir, &id)) else {
             continue; // a dir without meta was never acknowledged
         };
-        let mut campaign_name = None;
-        let mut shards = None;
-        for token in meta.split_whitespace() {
-            if let Some(v) = token.strip_prefix("campaign=") {
-                campaign_name = Some(v.to_string());
-            } else if let Some(v) = token.strip_prefix("shards=") {
-                shards = v.parse::<u32>().ok();
-            }
-        }
-        let (Some(campaign_name), Some(shards)) = (campaign_name, shards) else {
+        let parsed = Fields::split(meta.trim_end(), &["campaign", "shards"], &[])
+            .and_then(|f| Ok((f.get_with("campaign", Some)?, f.value::<u32>("shards")?)));
+        let Ok((campaign_name, shards)) = parsed else {
             continue;
         };
-        let total = campaign::find(&campaign_name)
+        let total = campaign::find(campaign_name)
             .map(|c| c.task_labels().len())
             .unwrap_or(0);
         let mut entry = JobEntry {
-            campaign: campaign_name,
+            campaign: campaign_name.to_string(),
             shards,
             total,
             state: JobState::Queued,

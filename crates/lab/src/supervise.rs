@@ -40,6 +40,8 @@ use crate::campaign::{self, Campaign};
 use crate::driver::Shard;
 use crate::journal::{self, Journal, JournalError};
 use crate::transport::{self, TransportError};
+use mb_simcore::json::json_string;
+use mb_simcore::rng::{Rng, SplitMix64};
 use montblanc::report::CampaignAccounting;
 use std::fmt;
 use std::fs;
@@ -146,6 +148,12 @@ pub enum SuperviseError {
     /// two supervisors double-spawning workers against the same
     /// journals is exactly the corruption the lockfile exists to stop.
     Lock(crate::lock::LockError),
+    /// A `quarantine.txt` line is not `slot shard crashes`: the fence
+    /// file is corrupt, and guessing would re-run a poison slot.
+    BadQuarantine {
+        /// 1-based line number of the malformed line.
+        line_number: usize,
+    },
     /// The family was cancelled via [`supervise_cancellable`]'s flag;
     /// workers were killed, journals are intact, and a later run may
     /// resume from them.
@@ -180,6 +188,10 @@ impl fmt::Display for SuperviseError {
                 "merged digest mismatch: got {got:#018x}, pinned {pinned:#018x}"
             ),
             SuperviseError::Lock(e) => write!(f, "{e}"),
+            SuperviseError::BadQuarantine { line_number } => write!(
+                f,
+                "quarantine.txt line {line_number} is not `slot shard crashes`: fence file corrupt"
+            ),
             SuperviseError::Cancelled => {
                 write!(f, "family cancelled; journals intact, resumable")
             }
@@ -221,6 +233,7 @@ impl SuperviseError {
             SuperviseError::Journal(e) => e.exit_code(),
             SuperviseError::Transport(e) => e.exit_code(),
             SuperviseError::UnknownCampaign(_) => exit_code::ENV_MISCONFIG,
+            SuperviseError::BadQuarantine { .. } => exit_code::CORRUPT,
             SuperviseError::WorkerUnretryable { code, .. } => *code,
             SuperviseError::RestartsExhausted { .. }
             | SuperviseError::PollBudgetExhausted { .. }
@@ -237,16 +250,6 @@ impl From<crate::lock::LockError> for SuperviseError {
     }
 }
 
-/// SplitMix64 step — same generator the rest of the workspace seeds
-/// with, reused here for backoff jitter and the chaos schedule.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    *state = z ^ (z >> 31);
-}
-
 const BACKOFF_SALT: u64 = 0xBAC0_FF5A_17D0_0D1E;
 const CHAOS_SALT: u64 = 0xC4A0_5C4E_D01E_5EED;
 
@@ -260,12 +263,12 @@ pub fn backoff_delay_ms(seed: u64, shard: u32, attempt: u32, base_ms: u64, cap_m
     let nominal = base_ms
         .saturating_mul(1u64 << shift)
         .min(cap_ms);
-    let mut state = seed ^ BACKOFF_SALT ^ (u64::from(shard) << 32) ^ u64::from(attempt);
-    splitmix64(&mut state);
+    let draw = SplitMix64::new(seed ^ BACKOFF_SALT ^ (u64::from(shard) << 32) ^ u64::from(attempt))
+        .next_u64();
     // Jitter scales the delay into [nominal/2, nominal]: desynchronizes
     // a thundering herd of restarts without ever exceeding the cap.
     let half = nominal / 2;
-    half + (state % (nominal - half + 1))
+    half + (draw % (nominal - half + 1))
 }
 
 /// One fenced slot: the quarantine record the ROADMAP's "complete
@@ -326,21 +329,6 @@ pub struct SuperviseReport {
     pub digest_checked: bool,
 }
 
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SuperviseReport {
     /// Renders the report as a JSON document (the workspace's `serde`
     /// is a marker-trait stand-in, so this is hand-rolled like every
@@ -348,7 +336,7 @@ impl SuperviseReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"campaign\": \"{}\",\n", json_escape(&self.campaign)));
+        out.push_str(&format!("  \"campaign\": {},\n", json_string(&self.campaign)));
         out.push_str(&format!("  \"shards\": {},\n", self.shards));
         out.push_str(&format!("  \"polls\": {},\n", self.polls));
         out.push_str(&format!("  \"chaos_kills\": {},\n", self.chaos_kills));
@@ -445,38 +433,43 @@ fn quarantine_path(dir: &Path) -> PathBuf {
 
 /// Loads the persisted quarantine set (one `slot shard crashes` line
 /// per fenced slot) so a restarted *supervisor* keeps earlier fences.
+/// A line that is not exactly three numbers is corruption, never
+/// skipped: a dropped fence would re-run its poison slot.
 fn load_quarantine(dir: &Path) -> Result<Vec<QuarantineRecord>, SuperviseError> {
     let path = quarantine_path(dir);
     if !path.exists() {
         return Ok(Vec::new());
     }
-    let mut records = Vec::new();
-    for line in fs::read_to_string(&path)?.lines() {
-        let mut fields = line.split_whitespace();
-        let (Some(slot), Some(shard), Some(crashes)) =
-            (fields.next(), fields.next(), fields.next())
-        else {
-            continue;
-        };
-        if let (Ok(slot), Ok(shard), Ok(crashes)) =
-            (slot.parse(), shard.parse(), crashes.parse())
-        {
-            records.push(QuarantineRecord {
-                slot,
-                shard,
-                crashes,
-            });
-        }
-    }
-    Ok(records)
+    fs::read_to_string(&path)?
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            parse_fence(line).ok_or(SuperviseError::BadQuarantine { line_number: i + 1 })
+        })
+        .collect()
 }
 
+/// Parses one `slot shard crashes` quarantine line.
+fn parse_fence(line: &str) -> Option<QuarantineRecord> {
+    let mut fields = line.split_whitespace();
+    let record = QuarantineRecord {
+        slot: fields.next()?.parse().ok()?,
+        shard: fields.next()?.parse().ok()?,
+        crashes: fields.next()?.parse().ok()?,
+    };
+    fields.next().is_none().then_some(record)
+}
+
+/// Persists the quarantine set via tmp + rename, so a crash mid-write
+/// leaves the previous fence file whole rather than a torn one.
 fn persist_quarantine(dir: &Path, records: &[QuarantineRecord]) -> Result<(), SuperviseError> {
     let mut text = String::new();
     for q in records {
         text.push_str(&format!("{} {} {}\n", q.slot, q.shard, q.crashes));
     }
-    fs::write(quarantine_path(dir), text)?;
+    let tmp = dir.join("quarantine.tmp");
+    fs::write(&tmp, text)?;
+    fs::rename(&tmp, quarantine_path(dir))?;
     Ok(())
 }
 
@@ -560,14 +553,12 @@ fn shard_complete(
 /// supervisor SIGKILLs a live worker, spaced a few polls apart so the
 /// kills land while slots are genuinely in flight.
 fn chaos_schedule(policy: &SupervisePolicy) -> Vec<(u64, u32)> {
-    let mut state = policy.seed ^ CHAOS_SALT;
+    let mut rng = SplitMix64::new(policy.seed ^ CHAOS_SALT);
     let mut schedule = Vec::new();
     let mut poll = 0u64;
     for _ in 0..policy.chaos_kills {
-        splitmix64(&mut state);
-        poll += 2 + state % 6;
-        splitmix64(&mut state);
-        schedule.push((poll, (state % u64::from(policy.shards)) as u32));
+        poll += 2 + rng.next_u64() % 6;
+        schedule.push((poll, (rng.next_u64() % u64::from(policy.shards)) as u32));
     }
     schedule
 }
@@ -964,6 +955,24 @@ mod tests {
             .map(|s| backoff_delay_ms(0xFEED, s, 3, 25, 2000))
             .collect();
         assert!(spread.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn quarantine_round_trips_and_a_malformed_line_is_corruption() {
+        let dir = std::env::temp_dir().join(format!("mb-lab-quarantine-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("scratch dir");
+        let fence = |slot, shard, crashes| QuarantineRecord { slot, shard, crashes };
+        let fences = vec![fence(5, 1, 3), fence(9, 0, 2)];
+        persist_quarantine(&dir, &fences).expect("persist");
+        assert_eq!(load_quarantine(&dir).expect("load"), fences);
+        for torn in ["5 1 3\n9 0", "5 1 3\nnine 0 2\n", "5 1 3 7\n", "\n"] {
+            fs::write(quarantine_path(&dir), torn).expect("tear");
+            let err = load_quarantine(&dir).expect_err(torn);
+            assert!(matches!(err, SuperviseError::BadQuarantine { .. }), "{torn:?}: {err}");
+            assert_eq!(err.exit_code(), mb_simcore::error::exit_code::CORRUPT);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

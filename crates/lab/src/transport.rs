@@ -4,9 +4,9 @@
 //! A distributed shard family runs each worker against a *local*
 //! journal and ships progress to a collector as **segments** — the
 //! stand-in for per-host uploads the ROADMAP's "Distributed campaigns"
-//! item calls for. A segment is a window of a journal's record lines
-//! plus enough framing to splice it into a replica without trusting
-//! the network path:
+//! item calls for. A segment is a byte slice of a journal's verified
+//! record lines, framed by the journal header plus enough to splice it
+//! into a replica without trusting the network path:
 //!
 //! ```text
 //! mbseg1 campaign=fig3-quick seed=000000000005ca1e tasks=9 shard=0/2 from=2 count=3 chain=9c1d2e3f4a5b6c7d
@@ -16,8 +16,11 @@
 //! end 13579bdf02468ace
 //! ```
 //!
-//! * `from` is the append-order offset of the first carried record in
-//!   the source journal, `count` the number of records carried.
+//! * The header is the journal header under its own version token,
+//!   plus `from` — the append-order offset of the first carried record
+//!   in the source journal — and `count`, the number of records carried.
+//! * The record lines are the source journal's bytes verbatim: export
+//!   copies the verified byte range, it never re-renders a record.
 //! * `chain` is the journal's digest-chain value *before* the first
 //!   carried record; the `end` trailer is the chain value after the
 //!   last. Both re-derive from the carried bodies via the same
@@ -37,9 +40,9 @@
 //! segments in any valid order, any number of times, converges every
 //! replica to a byte-identical copy of the source journal.
 
-use crate::journal::{
-    chain_step, parse_record, record_body, Journal, JournalError, JournalHeader,
-};
+use crate::codec::{self, ChainError};
+use crate::journal::{Journal, JournalError, JournalHeader};
+use std::convert::Infallible;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -70,16 +73,6 @@ pub enum TransportError {
     TornSegment {
         /// What is missing or extra.
         detail: String,
-    },
-    /// The segment belongs to a different journal than the destination
-    /// (campaign, seed, task count or shard disagree).
-    SegmentMismatch {
-        /// Which field disagreed.
-        field: &'static str,
-        /// Value in the segment.
-        found: String,
-        /// Value in (or expected by) the destination.
-        expected: String,
     },
     /// A carried record's chain does not re-derive — the segment was
     /// tampered with, records were reordered, or it disagrees with the
@@ -121,14 +114,6 @@ impl fmt::Display for TransportError {
             TransportError::TornSegment { detail } => {
                 write!(f, "torn segment rejected: {detail}")
             }
-            TransportError::SegmentMismatch {
-                field,
-                found,
-                expected,
-            } => write!(
-                f,
-                "segment does not belong to this journal: {field} is '{found}', expected '{expected}'"
-            ),
             TransportError::ChainBreak { record } => write!(
                 f,
                 "segment digest chain broken at record {record}: tampered, reordered or \
@@ -175,7 +160,6 @@ impl TransportError {
             | TransportError::ChainBreak { .. } => exit_code::CORRUPT,
             TransportError::Journal(e) => e.exit_code(),
             TransportError::Io(_)
-            | TransportError::SegmentMismatch { .. }
             | TransportError::Gap { .. }
             | TransportError::BadRange { .. } => exit_code::ENV_MISCONFIG,
         }
@@ -208,17 +192,11 @@ pub struct IngestOutcome {
     pub duplicates: usize,
 }
 
-fn render_segment_header(header: &JournalHeader, from: usize, count: usize, chain: u64) -> String {
-    format!(
-        "{SEGMENT_VERSION} campaign={} seed={:016x} tasks={} shard={}/{} from={from} count={count} \
-         chain={chain:016x}",
-        header.campaign, header.seed, header.tasks, header.shard_index, header.shard_count
-    )
-}
-
 /// Exports the records `from..` of the journal at `journal_path` as a
-/// segment file at `out`. `from == len` is a valid empty segment (a
-/// heartbeat upload); `from > len` is [`TransportError::BadRange`].
+/// segment file at `out`: the segment header, the verified byte range
+/// of those record lines, then the `end` trailer. `from == len` is a
+/// valid empty segment (a heartbeat upload); `from > len` is
+/// [`TransportError::BadRange`].
 ///
 /// # Errors
 ///
@@ -234,25 +212,22 @@ pub fn export_segment(
     if from > len {
         return Err(TransportError::BadRange { from, len });
     }
-    let chain_before = journal.chain_at(from);
-    let mut text = render_segment_header(&journal.header, from, len - from, chain_before);
-    text.push('\n');
-    let mut chain = chain_before;
-    let mut records = Vec::new();
-    for (slot, payload) in &journal.records[from..] {
-        let body = record_body(*slot, payload);
-        chain = chain_step(chain, &body);
-        text.push_str(&format!("{body} {chain:016x}\n"));
-        records.push((*slot, payload.clone(), chain));
-    }
-    text.push_str(&format!("end {chain:016x}\n"));
-    fs::write(out, text)?;
-    Ok(Segment {
-        header: journal.header,
-        from,
-        records,
-        chain_before,
-        chain_after: chain,
+    // Journals are append-only, so the verified prefix just loaded is
+    // still the file's prefix: skip its header and first `from` lines.
+    let raw = fs::read_to_string(journal_path)?;
+    let verified = raw.get(..journal.verified_len() as usize).unwrap_or_default();
+    let skip: usize = verified.split_inclusive('\n').take(from + 1).map(str::len).sum();
+    let head = format!(
+        "{SEGMENT_VERSION} {} from={from} count={} chain={:016x}",
+        journal.header,
+        len - from,
+        journal.chain_at(from)
+    );
+    fs::write(out, format!("{head}\n{}end {:016x}\n", &verified[skip..], journal.chain()))?;
+    // Re-verify what went out: the slice must chain from the splice
+    // point to the journal's end, or the file changed under us.
+    load_segment(out).inspect_err(|_| {
+        let _ = fs::remove_file(out);
     })
 }
 
@@ -268,85 +243,48 @@ pub fn export_segment(
 /// [`TransportError::BadSegment`] / [`TransportError::VersionSkew`]
 /// for framing damage, plus I/O.
 pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
-    let raw = fs::read(path)?;
-    let raw = String::from_utf8(raw).map_err(|_| TransportError::BadSegment {
+    let raw = String::from_utf8(fs::read(path)?).map_err(|_| TransportError::BadSegment {
         detail: "segment is not UTF-8".to_string(),
     })?;
     // A valid segment ends with a newline-terminated `end` line; any
     // unterminated tail means the upload was cut short.
-    let mut lines: Vec<&str> = Vec::new();
-    let mut rest = raw.as_str();
-    while let Some(pos) = rest.find('\n') {
-        lines.push(&rest[..pos]);
-        rest = &rest[pos + 1..];
-    }
-    if !rest.is_empty() {
+    if !raw.is_empty() && !raw.ends_with('\n') {
         return Err(TransportError::TornSegment {
             detail: "unterminated final line".to_string(),
         });
     }
-
-    let header_line = *lines.first().ok_or_else(|| TransportError::TornSegment {
-        detail: "empty file".to_string(),
-    })?;
-    let mut parts = header_line.split_whitespace();
-    let version = parts.next().unwrap_or_default();
-    if version != SEGMENT_VERSION {
-        return Err(TransportError::VersionSkew {
-            found: version.to_string(),
-        });
-    }
-    let bad = |what: &str| TransportError::BadSegment {
-        detail: format!("{what} in header '{header_line}'"),
-    };
-    let (mut campaign, mut seed, mut tasks, mut shard) = (None, None, None, None);
-    let (mut from, mut count, mut chain) = (None, None, None);
-    for part in parts {
-        let (key, value) = part.split_once('=').ok_or_else(|| bad("bare token"))?;
-        match key {
-            "campaign" => campaign = Some(value.to_string()),
-            "seed" => seed = Some(u64::from_str_radix(value, 16).map_err(|_| bad("seed"))?),
-            "tasks" => tasks = Some(value.parse::<usize>().map_err(|_| bad("tasks"))?),
-            "shard" => {
-                let (i, n) = value.split_once('/').ok_or_else(|| bad("shard"))?;
-                let i: u32 = i.parse().map_err(|_| bad("shard index"))?;
-                let n: u32 = n.parse().map_err(|_| bad("shard count"))?;
-                if n == 0 || i >= n {
-                    return Err(bad("shard range"));
-                }
-                shard = Some((i, n));
-            }
-            "from" => from = Some(value.parse::<usize>().map_err(|_| bad("from"))?),
-            "count" => count = Some(value.parse::<usize>().map_err(|_| bad("count"))?),
-            "chain" => chain = Some(u64::from_str_radix(value, 16).map_err(|_| bad("chain"))?),
-            _ => return Err(bad("unknown key")),
-        }
-    }
-    let (shard_index, shard_count) = shard.ok_or_else(|| bad("missing shard"))?;
-    let header = JournalHeader {
-        campaign: campaign.ok_or_else(|| bad("missing campaign"))?,
-        seed: seed.ok_or_else(|| bad("missing seed"))?,
-        tasks: tasks.ok_or_else(|| bad("missing tasks"))?,
-        shard_index,
-        shard_count,
-    };
-    let from = from.ok_or_else(|| bad("missing from"))?;
-    let count = count.ok_or_else(|| bad("missing count"))?;
-    let chain_before = chain.ok_or_else(|| bad("missing chain"))?;
-
-    let body_lines = &lines[1..];
-    let Some((end_line, record_lines)) = body_lines.split_last() else {
+    let lines: Vec<&str> = raw.split_terminator('\n').collect();
+    let Some((&header_line, body)) = lines.split_first() else {
         return Err(TransportError::TornSegment {
-            detail: "missing end trailer".to_string(),
+            detail: "empty file".to_string(),
         });
     };
-    let Some(end_hex) = end_line.strip_prefix("end ") else {
+    let (header, fields) =
+        JournalHeader::parse(header_line, SEGMENT_VERSION, &["from", "count", "chain"]).map_err(
+            |e| match e {
+                JournalError::VersionSkew { found } => TransportError::VersionSkew { found },
+                e => TransportError::BadSegment {
+                    detail: e.to_string(),
+                },
+            },
+        )?;
+    let bad = |e: codec::FieldError| TransportError::BadSegment {
+        detail: format!("{e} in header '{header_line}'"),
+    };
+    let from = fields.value("from").map_err(bad)?;
+    let count: usize = fields.value("count").map_err(bad)?;
+    let chain_before = fields.get_with("chain", codec::hex).map_err(bad)?;
+
+    let Some((end_hex, record_lines)) = body
+        .split_last()
+        .and_then(|(end, records)| Some((end.strip_prefix("end ")?, records)))
+    else {
         return Err(TransportError::TornSegment {
-            detail: format!("missing end trailer ({} of {count} records present)", record_lines.len() + 1),
+            detail: format!("missing end trailer ({count} records promised)"),
         });
     };
-    let chain_after = u64::from_str_radix(end_hex, 16).map_err(|_| TransportError::BadSegment {
-        detail: format!("unparseable end trailer '{end_line}'"),
+    let chain_after = codec::hex(end_hex).ok_or_else(|| TransportError::BadSegment {
+        detail: format!("unparseable end trailer 'end {end_hex}'"),
     })?;
     if record_lines.len() != count {
         return Err(TransportError::TornSegment {
@@ -355,19 +293,18 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
     }
 
     let mut records = Vec::with_capacity(count);
-    let mut running = chain_before;
-    for (i, line) in record_lines.iter().enumerate() {
-        let (slot, payload, recorded_chain) =
-            parse_record(line).ok_or_else(|| TransportError::BadSegment {
-                detail: format!("unparseable record {i}"),
-            })?;
-        running = chain_step(running, &record_body(slot, &payload));
-        if recorded_chain != running {
-            return Err(TransportError::ChainBreak { record: i });
-        }
-        records.push((slot, payload, recorded_chain));
-    }
-    if chain_after != running {
+    let chain = codec::verify_chain(chain_before, record_lines.iter().copied(), |r| {
+        records.push((r.slot, r.values().collect(), r.chain));
+        Ok::<(), Infallible>(())
+    })
+    .map_err(|e| match e {
+        ChainError::Unparseable(i) => TransportError::BadSegment {
+            detail: format!("unparseable record {i}"),
+        },
+        ChainError::Broken(i) => TransportError::ChainBreak { record: i },
+        ChainError::Rejected(never) => match never {},
+    })?;
+    if chain_after != chain {
         return Err(TransportError::ChainBreak { record: count });
     }
 
@@ -387,39 +324,16 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
 ///
 /// # Errors
 ///
-/// Any [`load_segment`] error; [`TransportError::SegmentMismatch`]
-/// when segment and replica identify different journals;
-/// [`TransportError::Gap`] when the segment starts past the replica's
-/// end; [`TransportError::ChainBreak`] when the overlap disagrees with
-/// the replica's history.
+/// Any [`load_segment`] error; [`JournalError::HeaderMismatch`] (as
+/// [`TransportError::Journal`]) when segment and replica identify
+/// different journals; [`TransportError::Gap`] when the segment starts
+/// past the replica's end; [`TransportError::ChainBreak`] when the
+/// overlap disagrees with the replica's history.
 pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome, TransportError> {
     let segment = load_segment(segment_path)?;
     let mut journal = if dest.exists() {
         let journal = Journal::load(dest)?;
-        let mismatch = |field: &'static str, found: String, expected: String| {
-            Err(TransportError::SegmentMismatch {
-                field,
-                found,
-                expected,
-            })
-        };
-        let (h, d) = (&segment.header, &journal.header);
-        if h.campaign != d.campaign {
-            return mismatch("campaign", h.campaign.clone(), d.campaign.clone());
-        }
-        if h.seed != d.seed {
-            return mismatch("seed", format!("{:016x}", h.seed), format!("{:016x}", d.seed));
-        }
-        if h.tasks != d.tasks {
-            return mismatch("tasks", h.tasks.to_string(), d.tasks.to_string());
-        }
-        if (h.shard_index, h.shard_count) != (d.shard_index, d.shard_count) {
-            return mismatch(
-                "shard",
-                format!("{}/{}", h.shard_index, h.shard_count),
-                format!("{}/{}", d.shard_index, d.shard_count),
-            );
-        }
+        journal.check_header(&segment.header)?;
         journal
     } else {
         Journal::create(dest, segment.header.clone())?
@@ -432,47 +346,42 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
             from: segment.from,
         });
     }
-    // The splice point must sit on the same history: the replica's
-    // chain after `from` records has to equal the segment's declared
-    // starting chain.
-    if journal.chain_at(segment.from) != segment.chain_before {
+    // One running chain over the replica's own history: it must sit at
+    // the segment's declared start, then agree with every carried
+    // record the replica already holds. Chain equality is record
+    // equality (the chain commits to slot and payload bits).
+    let mut chain = journal.chain_at(segment.from);
+    if chain != segment.chain_before {
         return Err(TransportError::ChainBreak { record: 0 });
     }
-    // Overlap: records the replica already holds. Chain equality is
-    // record equality (the chain commits to slot and payload bits), so
-    // comparing the running chain suffices.
-    let mut duplicates = 0;
-    for (i, (_, _, seg_chain)) in segment.records.iter().enumerate() {
-        let pos = segment.from + i;
-        if pos < have {
-            if journal.chain_at(pos + 1) != *seg_chain {
-                return Err(TransportError::ChainBreak { record: i });
-            }
-            duplicates += 1;
-        }
-    }
-    // New suffix: append through the journal so the replica re-derives
-    // and re-verifies the chain itself.
-    let mut appended = 0;
+    let mut outcome = IngestOutcome {
+        appended: 0,
+        duplicates: 0,
+    };
+    let mut line = String::new();
     for (i, (slot, payload, seg_chain)) in segment.records.iter().enumerate() {
-        if segment.from + i < have {
-            continue;
+        if let Some((held_slot, held)) = journal.records.get(segment.from + i) {
+            line.clear();
+            chain = codec::render_record(&mut line, chain, *held_slot, held);
+            outcome.duplicates += 1;
+        } else {
+            // New suffix: append through the journal so the replica
+            // re-derives the chain itself.
+            journal.append(*slot, payload)?;
+            chain = journal.chain();
+            outcome.appended += 1;
         }
-        journal.append(*slot, payload)?;
-        if journal.chain() != *seg_chain {
+        if chain != *seg_chain {
             return Err(TransportError::ChainBreak { record: i });
         }
-        appended += 1;
     }
-    Ok(IngestOutcome {
-        appended,
-        duplicates,
-    })
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Shard;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -491,8 +400,7 @@ mod tests {
             campaign: "transport-test".to_string(),
             seed: 0xFEED,
             tasks: 16,
-            shard_index: 0,
-            shard_count: 1,
+            shard: Shard::solo(),
         };
         let mut journal = Journal::create(&path, header).expect("create");
         for slot in 0..records {
@@ -645,14 +553,16 @@ mod tests {
                 campaign: "some-other-campaign".to_string(),
                 seed: 0xFEED,
                 tasks: 16,
-                shard_index: 0,
-                shard_count: 1,
+                shard: Shard::solo(),
             },
         )
         .expect("create");
         assert!(matches!(
             ingest_segment(&other, &seg),
-            Err(TransportError::SegmentMismatch { field: "campaign", .. })
+            Err(TransportError::Journal(JournalError::HeaderMismatch {
+                field: "campaign",
+                ..
+            }))
         ));
     }
 

@@ -357,3 +357,42 @@ fn supervise_dir_owned_by_a_live_process_is_refused_with_exit_5() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn usage_is_generated_for_every_verb_and_exits_2() {
+    let output = mb_lab().output().expect("run bare mb-lab");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    for line in [
+        "mb-lab run <campaign> --journal <path> [--shard i/N]",
+        "mb-lab supervise <campaign> --dir <path> [--shards N]",
+        "mb-lab merge <out> <in>...",
+        "mb-lab digest <journal> [--expect 0xHEX] [--check]",
+    ] {
+        assert!(stderr.contains(line), "usage lacks '{line}':\n{stderr}");
+    }
+    let output = mb_lab()
+        .args(["export", "a.journal", "a.seg", "--to", "3"])
+        .output()
+        .expect("run mb-lab with an unknown flag");
+    assert_eq!(output.status.code(), Some(2), "an unknown flag is a usage error");
+}
+
+#[test]
+fn malformed_quarantine_file_exits_3() {
+    let dir = scratch("bad-quarantine");
+    // A torn fence line: dropping it would silently re-run slot 5.
+    fs::write(dir.join("quarantine.txt"), "5 1\n").expect("plant quarantine");
+    let output = mb_lab()
+        .args(["supervise", "selftest", "--dir"])
+        .arg(&dir)
+        .output()
+        .expect("supervise over a corrupt fence file");
+    assert_eq!(
+        output.status.code(),
+        Some(3),
+        "a corrupt quarantine.txt is corruption: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

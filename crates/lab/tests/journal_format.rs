@@ -3,9 +3,11 @@
 //! breaks, version skew, foreign campaigns and slot-ownership
 //! violations must all fail loudly, never silently skip records.
 
-use mb_lab::journal::{merge, Journal, JournalError, JournalHeader};
+use mb_lab::driver::Shard;
+use mb_lab::journal::{merge, Journal, JournalError, JournalHeader, MISSING_LISTED};
+use mb_lab::transport::{export_segment, ingest_segment};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A per-test scratch directory under the target-adjacent temp dir,
 /// wiped on entry so reruns are deterministic.
@@ -16,13 +18,12 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn header(campaign: &str, shard_index: u32, shard_count: u32) -> JournalHeader {
+fn header(campaign: &str, index: u32, count: u32) -> JournalHeader {
     JournalHeader {
         campaign: campaign.to_string(),
         seed: 0xDEAD_BEEF_1234,
         tasks: 8,
-        shard_index,
-        shard_count,
+        shard: Shard { index, count },
     }
 }
 
@@ -154,10 +155,7 @@ fn foreign_campaign_header_is_rejected_on_open() {
         Err(JournalError::HeaderMismatch { field, .. }) => assert_eq!(field, "campaign"),
         other => panic!("campaign mismatch must be fatal, got {other:?}"),
     }
-    let mut wrong_shard = header("demo", 0, 1);
-    wrong_shard.shard_index = 0;
-    wrong_shard.shard_count = 2;
-    match Journal::open_or_create(&path, wrong_shard) {
+    match Journal::open_or_create(&path, header("demo", 0, 2)) {
         Err(JournalError::HeaderMismatch { field, .. }) => assert_eq!(field, "shard"),
         other => panic!("shard mismatch must be fatal, got {other:?}"),
     }
@@ -220,8 +218,7 @@ fn merge_validates_the_shard_family() {
 
     // A valid family merges into canonical slot order under a 0/1 header.
     let merged = merge(&out, &[b.clone(), a.clone()]).expect("merge (input order free)");
-    assert_eq!(merged.header.shard_index, 0);
-    assert_eq!(merged.header.shard_count, 1);
+    assert_eq!(merged.header.shard, Shard::solo());
     let slots: Vec<usize> = merged.records.iter().map(|(s, _)| *s).collect();
     assert_eq!(slots, (0..8).collect::<Vec<_>>());
     let reloaded = Journal::load(&out).expect("merged journal verifies");
@@ -247,4 +244,88 @@ fn merge_rejects_mixed_campaigns() {
         }
         other => panic!("mixed campaigns must be fatal, got {other:?}"),
     }
+}
+
+/// The header's task count is read from the file, so it may bound a
+/// check but never size an allocation: a journal claiming `usize::MAX`
+/// tasks loads, merges to a typed error, and crosses the transport.
+#[test]
+fn header_task_count_never_sizes_an_allocation() {
+    let dir = scratch("huge-tasks");
+    let path = dir.join("huge.journal");
+    let huge = JournalHeader {
+        tasks: usize::MAX,
+        ..header("demo", 0, 1)
+    };
+    let mut j = Journal::create(&path, huge).expect("create");
+    j.append(3, &[1.0]).expect("append");
+    let loaded = Journal::load(&path).expect("a huge task count is only a number");
+    assert_eq!(loaded.completed_slots(), vec![3]);
+
+    match merge(&dir.join("m.journal"), std::slice::from_ref(&path)) {
+        Err(JournalError::IncompleteMerge { missing }) => {
+            assert_eq!(missing.len(), MISSING_LISTED);
+            assert_eq!(&missing[..4], &[0, 1, 2, 4]);
+        }
+        other => panic!("merge must fail typed, got {other:?}"),
+    }
+
+    let seg = dir.join("huge.seg");
+    let replica = dir.join("replica.journal");
+    export_segment(&path, 0, &seg).expect("export");
+    ingest_segment(&replica, &seg).expect("ingest into a fresh replica");
+    let replay = ingest_segment(&replica, &seg).expect("replay loads the replica");
+    assert_eq!((replay.appended, replay.duplicates), (0, 1));
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+}
+
+/// Segments are byte slices of their journal: `selftest-1of3.from*.seg`
+/// were exported from `selftest-1of3.journal` by the re-rendering
+/// exporter that predates the slice rule, and today's export of the
+/// same journal must reproduce them byte for byte — and they must
+/// splice into a replica that is byte-identical to the source.
+#[test]
+fn exported_segments_match_the_pinned_fixtures_and_ingest() {
+    let dir = scratch("segment-fixtures");
+    let source = fixture("selftest-1of3.journal");
+    for (from, name) in [(0, "selftest-1of3.from0.seg"), (2, "selftest-1of3.from2.seg")] {
+        let out = dir.join(name);
+        export_segment(&source, from, &out).expect("export");
+        assert_eq!(
+            fs::read(&out).expect("exported"),
+            fs::read(fixture(name)).expect("fixture"),
+            "{name}: export drifted from the pinned bytes"
+        );
+    }
+    let replica = dir.join("replica.journal");
+    let full = ingest_segment(&replica, &fixture("selftest-1of3.from0.seg")).expect("ingest");
+    assert_eq!((full.appended, full.duplicates), (5, 0));
+    assert_eq!(fs::read(&replica).expect("replica"), fs::read(&source).expect("source"));
+    let tail = ingest_segment(&replica, &fixture("selftest-1of3.from2.seg")).expect("re-ingest");
+    assert_eq!((tail.appended, tail.duplicates), (0, 3));
+}
+
+/// Records parse only in their canonical rendering, so the bytes the
+/// chain hashes are exactly the bytes a segment ships: another spelling
+/// of the same slot is a bad record, not a synonym.
+#[test]
+fn non_canonical_record_spellings_are_bad_records() {
+    let dir = scratch("canonical");
+    let path = dir.join("c.journal");
+    let mut j = Journal::create(&path, header("demo", 0, 1)).expect("create");
+    j.append(7, &[1.0]).expect("append");
+    j.append(6, &[2.0]).expect("append");
+    let text = fs::read_to_string(&path).expect("read");
+    for spelling in ["r 07 ", "r +7 ", "r 7  "] {
+        fs::write(&path, text.replacen("r 7 ", spelling, 1)).expect("write");
+        match Journal::load(&path) {
+            Err(JournalError::BadRecord { line_number: 2 }) => {}
+            other => panic!("'{spelling}' must be a bad record, got {other:?}"),
+        }
+    }
+    fs::write(&path, text.replace("3ff0000000000000", "3FF0000000000000")).expect("write");
+    assert!(matches!(Journal::load(&path), Err(JournalError::BadRecord { line_number: 2 })));
 }

@@ -12,6 +12,7 @@ use mb_lab::campaign::{Selftest, SELFTEST_TASKS};
 use mb_lab::driver::{digest_journal, run_campaign, run_campaign_with, RunOptions, Shard};
 use mb_lab::journal::{merge, Journal};
 use mb_simcore::par::with_threads;
+use mb_simcore::rng::{Rng, SplitMix64};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,16 +31,6 @@ fn scratch() -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir
-}
-
-/// SplitMix64 — drives the test's own interleaving choices (shard
-/// order, rewind depths) deterministically from one proptest input.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Rewinds a journal file to its header plus the first `keep` records —
@@ -67,12 +58,14 @@ proptest! {
                 .expect("solo run");
             let solo_digest = solo.digest.expect("solo runs always finalize");
 
-            let mut rng = choice_seed;
+            // Drives the test's own interleaving choices (shard order,
+            // rewind depths) deterministically from one proptest input.
+            let mut rng = SplitMix64::new(choice_seed);
             // Fisher–Yates over the shard indices: completion order is
             // a proptest-chosen permutation, not 0..N.
             let mut order: Vec<u32> = (0..n).collect();
             for i in (1..order.len()).rev() {
-                let j = (splitmix(&mut rng) % (i as u64 + 1)) as usize;
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
                 order.swap(i, j);
             }
             let paths: Vec<PathBuf> = (0..n)
@@ -95,7 +88,7 @@ proptest! {
             for &i in &order {
                 let path = &paths[i as usize];
                 let total = Journal::load(path).expect("load shard").records.len();
-                let keep = (splitmix(&mut rng) % (total as u64 + 1)) as usize;
+                let keep = (rng.next_u64() % (total as u64 + 1)) as usize;
                 rewind_to(path, keep);
                 let shard = Shard { index: i, count: n };
                 let out = run_campaign(&Selftest, path, shard, 0).expect("shard resume");

@@ -197,6 +197,16 @@ fn poison_slot_is_quarantined_and_the_family_still_completes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `backoff_delay_ms` takes a single draw from a fresh SplitMix64
+/// state, so these values are bit-identical to every schedule earlier
+/// supervisors replayed.
+#[test]
+fn backoff_values_are_pinned() {
+    assert_eq!(backoff_delay_ms(0xFEED, 1, 3, 25, 2000), 162);
+    assert_eq!(backoff_delay_ms(0x5EED, 0, 0, 25, 2000), 19);
+    assert_eq!(backoff_delay_ms(1, 0, 5, 100, 10_000), 2564);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

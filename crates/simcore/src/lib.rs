@@ -15,6 +15,7 @@
 //! * [`stats`] — online statistics (Welford), confidence intervals,
 //!   histograms, percentiles and least-squares fits used by the analysis
 //!   and reporting layers.
+//! * [`json`] — the JSON string writer every hand-rolled report uses.
 //! * [`error`] — the typed [`MbError`] taxonomy for *recoverable*
 //!   failures (dropped messages, timeouts, crashed ranks) so library
 //!   crates reserve panics for genuine contract violations.
@@ -42,6 +43,7 @@
 
 pub mod error;
 pub mod event;
+pub mod json;
 pub mod par;
 pub mod plan;
 pub mod rng;

@@ -106,6 +106,10 @@ echo "==> mb-lab exit-code contract (CLI + chaos suites)"
 cargo test --release -p mb-lab --test cli --test supervise_chaos --quiet
 cargo test --release -p mb-lab \
     --test protocol_format --test serve_soak --test serve_chaos --quiet
+# The format contract and the one decoder fuzz surface: golden journal
+# and segment bytes, plus never-panic sweeps of Journal::load and
+# transport::load_segment.
+cargo test --release -p mb-lab --test journal_format --test codec_fuzz --quiet
 
 echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resume)"
 # The always-on service end to end: start a server, submit fig3-quick
