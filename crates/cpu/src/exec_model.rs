@@ -30,7 +30,7 @@
 //! scales miss counts by `k`. `sample_rate = 1` is exact and is the
 //! default for every preset.
 
-use mb_mem::hierarchy::{Hierarchy, HierarchyConfig};
+use mb_mem::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
 use mb_mem::pages::PageTable;
 use mb_mem::tlb::{Tlb, TlbConfig};
 use mb_simcore::time::{Cycles, SimTime};
@@ -284,7 +284,6 @@ impl ModelExec {
             self.sampled_latency += self.tlb_miss_penalty_cycles;
         }
         let paddr = self.route(addr);
-        let l1_misses_before = self.hierarchy.level_stats(0).misses;
         let (lvl, lat) = self.hierarchy.access(paddr);
         // Stores retire through the write buffer on both target cores:
         // they cost issue slots and fill bandwidth but never stall the
@@ -292,21 +291,17 @@ impl ModelExec {
         if !is_store {
             self.sampled_latency += lat;
         }
+        // L1 is probed first, so anything but an L1 hit is an L1 miss
+        // (and an L2 access).
         match lvl {
-            mb_mem::hierarchy::HitLevel::Cache(i) if i > 0 => {
-                self.sampled_fill_cycles += self.fill_cost[i];
-            }
-            mb_mem::hierarchy::HitLevel::Memory => {
-                self.sampled_fill_cycles += self.memory_fill_cost;
-            }
-            _ => {}
+            HitLevel::Cache(0) => return,
+            HitLevel::Cache(i) => self.sampled_fill_cycles += self.fill_cost[i],
+            HitLevel::Memory => self.sampled_fill_cycles += self.memory_fill_cost,
         }
-        if self.hierarchy.level_stats(0).misses > l1_misses_before {
-            self.sampled_l1_misses += 1;
-            self.sampled_l2_accesses += 1;
-            if !matches!(lvl, mb_mem::hierarchy::HitLevel::Cache(1)) {
-                self.sampled_l2_misses += 1;
-            }
+        self.sampled_l1_misses += 1;
+        self.sampled_l2_accesses += 1;
+        if lvl != HitLevel::Cache(1) {
+            self.sampled_l2_misses += 1;
         }
     }
 
@@ -653,6 +648,39 @@ mod tests {
         let sampled = run(4);
         let err = (sampled - exact).abs() / exact;
         assert!(err < 0.25, "sampling error {err} too large");
+    }
+
+    #[test]
+    fn exact_counters_are_the_hierarchy_and_tlb_tallies() {
+        // A stream that ends at every Xeon level: a hot line (L1), a
+        // 128 KB sweep (L2), a strided 1 MB sweep (L3 once the two
+        // sweeps overflow L2) and cold pages (DRAM).
+        let addrs: Vec<u64> = (0..4u64)
+            .flat_map(|round| {
+                let hot = std::iter::repeat_n(0x40, 64);
+                let l2 = (0..128 * 1024u64).step_by(64);
+                let l3 = (0x10_0000..0x20_0000u64).step_by(7 * 64);
+                let cold = (0..64u64).map(move |i| 0x1000_0000 + (round * 64 + i) * 4096);
+                hot.chain(l2).chain(l3).chain(cold)
+            })
+            .collect();
+        let mut e = ModelExec::nehalem();
+        let mut h = Hierarchy::new(HierarchyConfig::xeon_x5550());
+        let mut t = Tlb::new(TlbConfig::new(64, 4096));
+        for &a in &addrs {
+            e.load(a, 8);
+            h.access(a);
+            t.access(a);
+        }
+        assert!(
+            h.level_stats(1).misses > h.memory_accesses(),
+            "the stream must hit in L3"
+        );
+        let c = e.finish().counters;
+        assert_eq!(c.get(Counter::L1DataMisses), h.level_stats(0).misses);
+        assert_eq!(c.get(Counter::L2DataAccesses), h.level_stats(1).accesses);
+        assert_eq!(c.get(Counter::L2DataMisses), h.level_stats(1).misses);
+        assert_eq!(c.get(Counter::TlbDataMisses), t.misses());
     }
 
     #[test]

@@ -133,14 +133,6 @@ impl AccessResult {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    /// LRU timestamp (higher = more recent).
-    stamp: u64,
-}
-
 /// A set-associative cache.
 ///
 /// Addresses are byte addresses; the cache extracts set index and tag
@@ -149,22 +141,45 @@ struct Way {
 /// produced by a [`crate::pages::PageTable`], which is what makes page
 /// allocation visible to the cache.
 ///
-/// Ways are stored in one contiguous array indexed by
-/// `set * associativity + way` (not a `Vec` per set), and the index/tag
-/// extraction uses shift/mask values precomputed from the power-of-two
-/// geometry — `access` is the hottest loop in the whole model and runs
-/// once per simulated memory reference.
+/// `access` is the hottest loop in the whole model (it runs once per
+/// simulated memory reference), so the storage is laid out for it:
+///
+/// * Ways live in two dense arrays, `tags` and `stamps`, indexed by
+///   `set * associativity + way`. A way is valid exactly when its LRU
+///   stamp is non-zero (the clock is bumped before any stamp is written),
+///   so a fresh or reset cache is all zeros.
+/// * Set index and tag come from shift/mask values precomputed from the
+///   power-of-two geometry.
+/// * A lookup scans the set for a way with the tag and a non-zero stamp;
+///   on a miss, one more pass picks the first invalid way, or else the
+///   policy's victim (for LRU both are "the first way with the smallest
+///   stamp", since invalid ways have stamp 0).
+/// * The PLRU tree is kept only under [`Replacement::PseudoLru`], the
+///   one policy that reads it.
+/// * The line touched by the previous access is remembered. Touching it
+///   again is a hit that changes no replacement state — it is already
+///   the most recent way of its set, a PLRU re-touch is idempotent, and
+///   a hit draws no random number — so it only bumps the counters.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Flattened way storage: set `s`, way `w` lives at
-    /// `s * cfg.associativity + w`.
-    ways: Vec<Way>,
+    /// Tag of set `s`, way `w` at `s * cfg.associativity + w`.
+    tags: Vec<u64>,
+    /// LRU stamp of the same way (higher = more recent); 0 = invalid.
+    stamps: Vec<u64>,
     stats: CacheStats,
     clock: u64,
     rng: Xoshiro256,
-    /// Per-set PLRU tree bits (one word per set suffices for ≤64 ways).
+    /// Per-set PLRU tree bits (one word per set suffices for ≤64 ways);
+    /// empty unless the policy is [`Replacement::PseudoLru`].
     plru: Vec<u64>,
+    /// Depth of the PLRU tree: `log2(associativity)` under a PLRU policy
+    /// with a power-of-two associativity, else 0 (no tree to walk).
+    plru_levels: u32,
+    /// Line number (`addr >> line_shift`) of the previous access, which
+    /// is resident and most recent in its set; `None` when there was none
+    /// since construction or `reset`.
+    last_line: Option<u64>,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `num_sets - 1`.
@@ -176,25 +191,30 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache with the given configuration.
     pub fn new(cfg: CacheConfig) -> Self {
-        let ways = vec![
-            Way {
-                tag: 0,
-                valid: false,
-                stamp: 0,
-            };
-            cfg.num_sets() * cfg.associativity
-        ];
-        let plru = vec![0u64; cfg.num_sets()];
+        let slots = cfg.num_sets() * cfg.associativity;
+        let is_plru = cfg.replacement == Replacement::PseudoLru;
+        let plru_levels = if is_plru && cfg.associativity.is_power_of_two() {
+            cfg.associativity.trailing_zeros()
+        } else {
+            0
+        };
         Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (cfg.num_sets() - 1) as u64,
             tag_shift: cfg.num_sets().trailing_zeros(),
-            cfg,
-            ways,
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
             stats: CacheStats::default(),
             clock: 0,
             rng: Xoshiro256::seed_from(0xCAC4E),
-            plru,
+            plru: if is_plru {
+                vec![0; cfg.num_sets()]
+            } else {
+                Vec::new()
+            },
+            plru_levels,
+            last_line: None,
+            cfg,
         }
     }
 
@@ -210,118 +230,117 @@ impl Cache {
 
     /// Resets contents and statistics.
     pub fn reset(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-            way.stamp = 0;
+        // Every stamp write follows a clock bump, so a clock still at 0
+        // means the arrays are all zeros since `new` or the last `reset`;
+        // skipping the fill leaves their pages untouched.
+        if self.clock != 0 {
+            self.stamps.fill(0);
+            self.plru.fill(0);
         }
-        self.plru.iter_mut().for_each(|b| *b = 0);
         self.stats = CacheStats::default();
         self.clock = 0;
+        self.last_line = None;
     }
 
+    /// The first slot index of the set holding `line`, and its tag.
     #[inline]
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr >> self.line_shift;
+    fn base_and_tag(&self, line: u64) -> (usize, u64) {
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.tag_shift;
-        (set, tag)
+        (set * self.cfg.associativity, line >> self.tag_shift)
+    }
+
+    /// The way of the set starting at `base` that holds `tag`, if valid.
+    #[inline]
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        // Invalid ways keep a stale (or zero) tag, so a match also needs
+        // a non-zero stamp.
+        (0..self.cfg.associativity)
+            .position(|w| self.tags[base + w] == tag && self.stamps[base + w] != 0)
     }
 
     /// Accesses one byte address (loads and stores are treated alike:
     /// write-allocate, and dirty write-back traffic is not modelled).
-    ///
-    /// The hit path is a single forward scan over the set's contiguous
-    /// ways; the same pass remembers the first free way so a miss needs
-    /// no second scan.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessResult {
-        self.clock += 1;
         self.stats.accesses += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let assoc = self.cfg.associativity;
-        let base = set_idx * assoc;
+        let line = addr >> self.line_shift;
+        if self.last_line == Some(line) {
+            self.stats.hits += 1;
+            return AccessResult::Hit;
+        }
+        self.last_line = Some(line);
+        self.clock += 1;
+        let (base, tag) = self.base_and_tag(line);
 
-        let mut free: Option<usize> = None;
-        for w in 0..assoc {
-            let way = &self.ways[base + w];
-            if way.valid {
-                if way.tag == tag {
-                    self.stats.hits += 1;
-                    self.ways[base + w].stamp = self.clock;
-                    self.touch_plru(set_idx, w);
-                    return AccessResult::Hit;
-                }
-            } else if free.is_none() {
-                free = Some(w);
-            }
+        if let Some(w) = self.find(base, tag) {
+            self.stats.hits += 1;
+            self.stamps[base + w] = self.clock;
+            self.touch_plru(base, w);
+            return AccessResult::Hit;
         }
 
         self.stats.misses += 1;
-
-        if let Some(w) = free {
-            self.fill(set_idx, w, tag);
-            return AccessResult::Miss { evicted: false };
-        }
-
-        // Evict a victim.
-        let victim = match self.cfg.replacement {
+        let assoc = self.cfg.associativity;
+        let set = &self.stamps[base..base + assoc];
+        let way = match self.cfg.replacement {
+            // The first way with the smallest stamp, as `min_by_key`
+            // picks: an invalid way (stamp 0) if there is one.
             Replacement::Lru => {
-                // First way with the minimum stamp, as `min_by_key` picks.
-                let set = &self.ways[base..base + assoc];
                 let mut best = 0;
                 for w in 1..assoc {
-                    if set[w].stamp < set[best].stamp {
+                    if set[w] < set[best] {
                         best = w;
                     }
                 }
                 best
             }
-            Replacement::Random => self.rng.gen_range(assoc as u64) as usize,
-            Replacement::PseudoLru => self.plru_victim(set_idx),
+            policy => match set.iter().position(|&s| s == 0) {
+                Some(free) => free,
+                None if policy == Replacement::Random => self.rng.gen_range(assoc as u64) as usize,
+                None => self.plru_victim(base),
+            },
         };
-        self.stats.evictions += 1;
-        self.fill(set_idx, victim, tag);
-        AccessResult::Miss { evicted: true }
+        let evicted = self.stamps[base + way] != 0;
+        if evicted {
+            self.stats.evictions += 1;
+        }
+        self.tags[base + way] = tag;
+        self.stamps[base + way] = self.clock;
+        self.touch_plru(base, way);
+        AccessResult::Miss { evicted }
     }
 
-    fn fill(&mut self, set_idx: usize, way: usize, tag: u64) {
-        let w = &mut self.ways[set_idx * self.cfg.associativity + way];
-        w.tag = tag;
-        w.valid = true;
-        w.stamp = self.clock;
-        self.touch_plru(set_idx, way);
-    }
-
-    /// Marks `way` most-recently-used in the PLRU tree: set the bits on
-    /// the root-to-leaf path to point *away* from it.
-    fn touch_plru(&mut self, set_idx: usize, way: usize) {
-        let ways = self.cfg.associativity;
-        if !ways.is_power_of_two() || ways < 2 {
+    /// Marks `way` most-recently-used in the PLRU tree of the set starting
+    /// at slot `base`: set the bits on the root-to-leaf path to point
+    /// *away* from it.
+    #[inline]
+    fn touch_plru(&mut self, base: usize, way: usize) {
+        let levels = self.plru_levels;
+        if levels == 0 {
             return;
         }
+        let bits = &mut self.plru[base >> levels];
         let mut node = 1usize; // 1-based heap index
-        let levels = ways.trailing_zeros();
-        let mut bits = self.plru[set_idx];
         for level in (0..levels).rev() {
             let bit = (way >> level) & 1;
             // Point the node away from the path taken.
             if bit == 0 {
-                bits |= 1 << node;
+                *bits |= 1 << node;
             } else {
-                bits &= !(1 << node);
+                *bits &= !(1 << node);
             }
             node = node * 2 + bit;
         }
-        self.plru[set_idx] = bits;
     }
 
-    /// Follows the PLRU tree bits to the current victim way.
-    fn plru_victim(&self, set_idx: usize) -> usize {
-        let ways = self.cfg.associativity;
-        if !ways.is_power_of_two() || ways < 2 {
+    /// Follows the PLRU tree bits of the set starting at slot `base` to
+    /// the current victim way (way 0 when there is no tree).
+    fn plru_victim(&self, base: usize) -> usize {
+        let levels = self.plru_levels;
+        if levels == 0 {
             return 0;
         }
-        let bits = self.plru[set_idx];
-        let levels = ways.trailing_zeros();
+        let bits = self.plru[base >> levels];
         let mut node = 1usize;
         let mut way = 0usize;
         for _ in 0..levels {
@@ -334,11 +353,8 @@ impl Cache {
 
     /// Returns `true` if the line containing `addr` is resident.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.cfg.associativity;
-        self.ways[base..base + self.cfg.associativity]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        let (base, tag) = self.base_and_tag(addr >> self.line_shift);
+        self.find(base, tag).is_some()
     }
 }
 

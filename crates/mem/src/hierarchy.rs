@@ -179,6 +179,7 @@ impl Hierarchy {
 
     /// Accesses a (physical) byte address. Returns the satisfying level
     /// and the latency charged in cycles.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> (HitLevel, u64) {
         self.accesses += 1;
         for (i, (cache, latency)) in self.levels.iter_mut().enumerate() {

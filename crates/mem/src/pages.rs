@@ -44,6 +44,8 @@ pub enum PagePolicy {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageTable {
     page_bytes: usize,
+    /// `log2(page_bytes)`.
+    page_shift: u32,
     frames: Vec<u64>,
 }
 
@@ -56,7 +58,11 @@ impl PageTable {
     pub fn new(page_bytes: usize, frames: Vec<u64>) -> Self {
         assert!(page_bytes.is_power_of_two(), "page size must be 2^k");
         assert!(!frames.is_empty(), "page table needs at least one frame");
-        PageTable { page_bytes, frames }
+        PageTable {
+            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
+            frames,
+        }
     }
 
     /// Page size in bytes.
@@ -85,9 +91,9 @@ impl PageTable {
     ///
     /// Panics if `offset` is outside the mapped span.
     pub fn translate(&self, offset: u64) -> u64 {
-        let page = (offset / self.page_bytes as u64) as usize;
+        let page = (offset >> self.page_shift) as usize;
         assert!(page < self.frames.len(), "offset {offset} beyond mapping");
-        self.frames[page] * self.page_bytes as u64 + offset % self.page_bytes as u64
+        (self.frames[page] << self.page_shift) | (offset & (self.page_bytes as u64 - 1))
     }
 
     /// Whether the physical frames are consecutive.

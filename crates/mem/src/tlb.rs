@@ -33,6 +33,15 @@ impl TlbConfig {
 
 /// A fully-associative, LRU translation look-aside buffer.
 ///
+/// Entries keep the slot they were installed in, and a small
+/// direct-mapped hint table remembers, per `vpn & hint_mask`, the slot
+/// that last held a page with those low bits. A lookup checks the hinted
+/// slot first and trusts it only if that entry really holds the page;
+/// otherwise it scans all entries, as it must on a miss. Hints are never
+/// invalidated: a stale one only costs the scan. The LRU victim search
+/// runs on misses alone, so hit/miss outcomes and victims are exactly
+/// those of a plain scan-every-access LRU.
+///
 /// # Examples
 ///
 /// ```
@@ -45,8 +54,14 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
+    /// `log2(page_bytes)`.
+    page_shift: u32,
     /// (virtual page number, stamp), LRU by stamp.
     entries: Vec<(u64, u64)>,
+    /// Slot hint per `vpn & hint_mask`; confirmed against `entries`.
+    hints: Vec<usize>,
+    /// `hints.len() - 1`.
+    hint_mask: u64,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -55,9 +70,15 @@ pub struct Tlb {
 impl Tlb {
     /// Creates an empty TLB.
     pub fn new(cfg: TlbConfig) -> Self {
+        // Four hint slots per entry keeps collisions between live pages
+        // rare for the contiguous page runs the kernels sweep.
+        let hint_len = (cfg.entries * 4).next_power_of_two();
         Tlb {
             cfg,
+            page_shift: cfg.page_bytes.trailing_zeros(),
             entries: Vec::with_capacity(cfg.entries),
+            hints: vec![0; hint_len],
+            hint_mask: hint_len as u64 - 1,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -71,16 +92,24 @@ impl Tlb {
 
     /// Looks up the page of `vaddr`; returns `true` on a hit. Misses
     /// install the translation (evicting LRU if full).
+    #[inline]
     pub fn access(&mut self, vaddr: u64) -> bool {
         self.clock += 1;
-        let vpn = vaddr / self.cfg.page_bytes as u64;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = self.clock;
+        let vpn = vaddr >> self.page_shift;
+        let hint = &mut self.hints[(vpn & self.hint_mask) as usize];
+        let slot = match self.entries.get(*hint) {
+            Some(e) if e.0 == vpn => Some(*hint),
+            _ => self.entries.iter().position(|e| e.0 == vpn),
+        };
+        if let Some(i) = slot {
+            *hint = i;
+            self.entries[i].1 = self.clock;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
         if self.entries.len() < self.cfg.entries {
+            *hint = self.entries.len();
             self.entries.push((vpn, self.clock));
         } else {
             let lru = self
@@ -90,6 +119,7 @@ impl Tlb {
                 .min_by_key(|(_, e)| e.1)
                 .map(|(i, _)| i)
                 .expect("non-empty");
+            *hint = lru;
             self.entries[lru] = (vpn, self.clock);
         }
         false

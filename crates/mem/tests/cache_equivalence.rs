@@ -1,10 +1,15 @@
-//! Property test: the flattened `Cache` (contiguous way storage +
-//! precomputed shift/masks) behaves identically to the original
-//! nested-`Vec` implementation, re-implemented here as a reference
-//! oracle — every per-access outcome, the final statistics and residency
-//! probes must agree across replacement policies and edge geometries.
+//! Property tests: the fast `Cache` (dense tag/stamp arrays, PLRU tree
+//! only under PLRU, last-line memo, precomputed shift/masks) behaves identically to the original nested-`Vec`
+//! implementation, re-implemented here as a reference oracle — every
+//! per-access outcome, the final statistics and residency probes must
+//! agree across replacement policies and edge geometries, including
+//! same-line runs that exercise the memo, resets between two touches of
+//! one line, and tags that are 0 or span the whole address. A last
+//! property checks the shift/mask `PageTable::translate` against the
+//! division/modulo form it replaced.
 
 use mb_mem::cache::{AccessResult, Cache, CacheConfig, Replacement};
+use mb_mem::pages::PageTable;
 use mb_simcore::rng::{Rng, Xoshiro256};
 use proptest::prelude::*;
 
@@ -148,21 +153,43 @@ impl RefCache {
         let (set_idx, tag) = self.set_and_tag(addr);
         self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
     }
+
+    /// Invalidates every way (tags stay behind, stale), clears the PLRU
+    /// bits, statistics and clock, and keeps the RNG state.
+    fn reset(&mut self) {
+        for set in &mut self.sets {
+            for way in set {
+                way.valid = false;
+                way.stamp = 0;
+            }
+        }
+        self.plru.iter_mut().for_each(|b| *b = 0);
+        self.clock = 0;
+        self.accesses = 0;
+        self.hits = 0;
+        self.misses = 0;
+        self.evictions = 0;
+    }
 }
 
 /// Edge geometries: direct-mapped, tiny 2-way, fully associative
 /// (single set), odd non-power-of-two associativity (PLRU degrades to
-/// its early-return path), and a realistic L1 shape.
+/// its early-return path), realistic L1 shapes, and 1-byte lines, where
+/// the tag is the whole address (one set) or nearly so.
+const GEOMETRIES: usize = 8;
+
 fn geometry(index: usize) -> CacheConfig {
-    let (size, line, assoc) = match index % 6 {
-        0 => (256, 16, 1),         // direct-mapped
-        1 => (128, 16, 2),         // tiny 2-way
-        2 => (512, 32, 16),        // fully associative: one set
-        3 => (96, 16, 3),          // 3-way: PLRU early-return path
-        4 => (4 * 1024, 32, 4),    // Cortex-A9 L1 shape, scaled down
-        _ => (2 * 1024, 64, 8),    // Nehalem L1 shape, scaled down
+    let (size, line, assoc) = match index % GEOMETRIES {
+        0 => (256, 16, 1),      // direct-mapped
+        1 => (128, 16, 2),      // tiny 2-way
+        2 => (512, 32, 16),     // fully associative: one set
+        3 => (96, 16, 3),       // 3-way: PLRU early-return path
+        4 => (4 * 1024, 32, 4), // Cortex-A9 L1 shape, scaled down
+        5 => (2 * 1024, 64, 8), // Nehalem L1 shape, scaled down
+        6 => (4, 1, 4),         // one set, 1-byte lines: tag == addr
+        _ => (16, 1, 2),        // 8 sets, 1-byte lines
     };
-    let replacement = match index / 6 % 3 {
+    let replacement = match index / GEOMETRIES % 3 {
         0 => Replacement::Lru,
         1 => Replacement::Random,
         _ => Replacement::PseudoLru,
@@ -175,7 +202,7 @@ proptest! {
 
     #[test]
     fn flattened_cache_matches_nested_reference(
-        geo in 0usize..18,
+        geo in 0usize..3 * GEOMETRIES,
         addrs in prop::collection::vec(0u64..8192, 1..400),
         with_reset in proptest::arbitrary::any::<bool>(),
     ) {
@@ -206,6 +233,130 @@ proptest! {
         // Residency probes over the whole address range agree too.
         for probe in (0..8192u64).step_by(16) {
             prop_assert_eq!(real.contains(probe), oracle.contains(probe));
+        }
+    }
+}
+
+/// Drives both caches through `steps` and asserts agreement after every
+/// access. A step is `(kind, x, len)`:
+///
+/// * a fresh address, small (tag 0 on most geometries) or at the top of
+///   the address space (the largest tags);
+/// * a run of `len` accesses inside the current line — the memo's case;
+/// * `len` alternations between the current line and the previous one,
+///   so the memo keeps being replaced;
+/// * the previous address again;
+/// * a reset of both caches.
+fn drive(cfg: CacheConfig, steps: &[(u8, u64, u64)]) {
+    let mut real = Cache::new(cfg);
+    let mut oracle = RefCache::new(cfg);
+    let line = cfg.line_bytes as u64;
+    let (mut cur, mut prev) = (0u64, 0u64);
+    let mut touched = Vec::new();
+    let mut n = 0usize;
+    let mut check = |real: &mut Cache, oracle: &mut RefCache, addr: u64| {
+        let got = real.access(addr);
+        let want = oracle.access(addr);
+        assert_eq!(got, want, "access #{n} to {addr:#x} under {cfg:?}");
+        touched.push(addr);
+        n += 1;
+    };
+    for &(kind, x, len) in steps {
+        match kind % 8 {
+            0 | 1 => {
+                prev = cur;
+                cur = if kind == 0 {
+                    x % 8192
+                } else {
+                    u64::MAX - x % 8192
+                };
+                check(&mut real, &mut oracle, cur);
+            }
+            2 | 3 => {
+                for i in 0..len {
+                    let addr = (cur & !(line - 1)) | (x.wrapping_add(i) % line);
+                    check(&mut real, &mut oracle, addr);
+                }
+            }
+            4 | 5 => {
+                for _ in 0..len {
+                    check(&mut real, &mut oracle, prev);
+                    check(&mut real, &mut oracle, cur);
+                }
+            }
+            6 => check(&mut real, &mut oracle, prev),
+            _ => {
+                real.reset();
+                oracle.reset();
+            }
+        }
+    }
+    let stats = *real.stats();
+    assert_eq!(stats.accesses, oracle.accesses);
+    assert_eq!(stats.hits, oracle.hits);
+    assert_eq!(stats.misses, oracle.misses);
+    assert_eq!(stats.evictions, oracle.evictions);
+    for addr in touched {
+        assert_eq!(
+            real.contains(addr),
+            oracle.contains(addr),
+            "probe {addr:#x}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn same_line_runs_and_resets_match_nested_reference(
+        geo in 0usize..3 * GEOMETRIES,
+        steps in prop::collection::vec((0u8..8, any::<u64>(), 1u64..12), 1..160),
+    ) {
+        drive(geometry(geo), &steps);
+    }
+}
+
+#[test]
+fn reset_between_two_touches_of_one_line_forgets_it() {
+    for geo in 0..3 * GEOMETRIES {
+        let cfg = geometry(geo);
+        for addr in [0, 0x40, u64::MAX] {
+            let mut c = Cache::new(cfg);
+            assert_eq!(c.access(addr), AccessResult::Miss { evicted: false });
+            assert_eq!(c.access(addr), AccessResult::Hit);
+            c.reset();
+            assert_eq!(
+                c.access(addr),
+                AccessResult::Miss { evicted: false },
+                "a stale memo answered {addr:#x} under {cfg:?}"
+            );
+            assert_eq!((c.stats().accesses, c.stats().hits), (1, 0));
+        }
+        // The same sequence against the oracle, with the reset mid-run.
+        drive(
+            cfg,
+            &[(0, 0x40, 1), (2, 3, 4), (7, 0, 0), (2, 3, 4), (4, 0, 2)],
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn page_table_translate_matches_div_mod(
+        shift in 0u32..24,
+        frames in prop::collection::vec(0u64..1 << 36, 1..64),
+        offsets in prop::collection::vec(any::<u64>(), 1..64),
+    ) {
+        let page = 1u64 << shift;
+        let table = PageTable::new(page as usize, frames.clone());
+        let span = frames.len() as u64 * page;
+        for raw in offsets {
+            let offset = raw % span;
+            let want = frames[(offset / page) as usize] * page + offset % page;
+            prop_assert_eq!(table.translate(offset), want, "offset {} page {}", offset, page);
         }
     }
 }
