@@ -38,7 +38,7 @@ fn main() {
     ]);
     for campaign in registry() {
         // Persistence overhead shows up fine on the quick grids; the
-        // paper grids' cost profile is campaign_eta's job.
+        // paper grids' cost profile is mbbench's job.
         if campaign.pinned_digest().is_none() || campaign.name().ends_with("-paper") {
             continue;
         }

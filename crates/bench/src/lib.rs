@@ -21,13 +21,8 @@
 //! `campaign_resume` is a diagnostic rather than a figure: it times
 //! every pinned quick-grid `mb-lab` campaign cold, resumed from a
 //! half-complete journal, and as a pure journal replay, re-verifying
-//! each digest against the registry pins. `campaign_eta` samples a
-//! bounded prefix of every `-paper` campaign and extrapolates the
-//! full-grid cost into `BENCH_campaigns.json` — the shard-count
-//! guidance in EXPERIMENTS.md is derived from it.
-//!
-//! The Criterion benches (`cargo bench -p mb-bench`) time the *real*
-//! Rust kernels at native speed and the simulators themselves.
+//! each digest against the registry pins. Performance (paper-grid
+//! campaign cost, native kernel time) is measured by `mbbench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

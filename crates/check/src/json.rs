@@ -1,6 +1,6 @@
 //! A minimal JSON reader.
 //!
-//! The workspace's vendored `serde` is a no-op stub, so mb-check parses
+//! The workspace has no serialisation framework, so mb-check parses
 //! the JSON it needs — the finding baseline and SARIF documents under
 //! `validate-sarif` — with this hand-rolled recursive-descent parser.
 //! It accepts strict RFC 8259 JSON (no comments, no trailing commas)

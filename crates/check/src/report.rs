@@ -1,9 +1,8 @@
 //! Finding records and the three output formats.
 //!
-//! JSON and SARIF are hand-rolled (the workspace's vendored `serde` is a
-//! no-op stub), with full string escaping so paths and messages survive
-//! machine consumption in CI. SARIF output follows the 2.1.0 shape and
-//! is checked against the required-path snapshot in
+//! JSON and SARIF are hand-rolled, with full string escaping so paths
+//! and messages survive machine consumption in CI. SARIF output follows
+//! the 2.1.0 shape and is checked against the required-path snapshot in
 //! `crates/check/schema/` by `mb-check validate-sarif`.
 
 use crate::json::Value;

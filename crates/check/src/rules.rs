@@ -178,9 +178,10 @@ const UNSEEDED_RNG_TOKENS: [&str; 6] = [
 ];
 
 /// Tokens whose presence fires `rogue-threads`.
-const ROGUE_THREAD_TOKENS: [&str; 5] = [
+const ROGUE_THREAD_TOKENS: [&str; 6] = [
     "thread::spawn",
     "thread::Builder",
+    "thread::scope",
     "mpsc::",
     "crossbeam::",
     "rayon::",
@@ -574,11 +575,15 @@ let mut rng = thread_rng();
 
     #[test]
     fn rogue_threads_fires_outside_par() {
-        let src = "std::thread::spawn(move || work());\n";
-        let f = check_snippet("crates/kernels/src/lib.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "rogue-threads");
-        assert!(check_snippet("crates/simcore/src/par.rs", src).is_empty());
+        for src in [
+            "std::thread::spawn(move || work());\n",
+            "std::thread::scope(|s| work(s));\n",
+        ] {
+            let f = check_snippet("crates/kernels/src/lib.rs", src);
+            assert_eq!(f.len(), 1, "{src}");
+            assert_eq!(f[0].rule, "rogue-threads");
+            assert!(check_snippet("crates/simcore/src/par.rs", src).is_empty());
+        }
     }
 
     #[test]

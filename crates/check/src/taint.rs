@@ -253,7 +253,7 @@ fn direct_sources(
                 Some(SourceKind::UnseededRng)
             }
             "random" if prev_path("rand") => Some(SourceKind::UnseededRng),
-            "spawn" | "Builder" if prev_path("thread") => Some(SourceKind::Threads),
+            "spawn" | "Builder" | "scope" if prev_path("thread") => Some(SourceKind::Threads),
             "mpsc" | "crossbeam" | "rayon" if next_is_sep => Some(SourceKind::Threads),
             _ => None,
         };
@@ -266,6 +266,7 @@ fn direct_sources(
             "random" => "rand::random".to_string(),
             "spawn" => "thread::spawn".to_string(),
             "Builder" => "thread::Builder".to_string(),
+            "scope" => "thread::scope".to_string(),
             other => other.to_string(),
         };
         out.push((kind, token, line));

@@ -10,14 +10,13 @@ use mb_net::fabric::Fabric;
 use mb_simcore::rng::{Rng, Xoshiro256};
 use mb_simcore::time::SimTime;
 use mb_trace::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Salt mixed into the study seed when deriving per-point fault-plan
 /// seeds, so fault draws never correlate with fabric or jitter streams.
 const FAULT_SEED_SALT: u64 = 0xFA17_5EED_0000_0001;
 
 /// Which fabric to run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricKind {
     /// The commodity GbE Tibidabo fabric (shallow buffers, hiccups).
     Tibidabo,
@@ -39,7 +38,7 @@ impl FabricKind {
 }
 
 /// One measured point of a scaling study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Core (rank) count.
     pub cores: u32,
@@ -54,7 +53,7 @@ pub struct ScalingPoint {
 }
 
 /// A scaling series for one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingSeries {
     /// Workload name.
     pub name: String,
@@ -87,7 +86,7 @@ pub struct ScalingOutcome {
 
 /// One point of a fault-injected scaling study: the usual scaling
 /// numbers plus the degradation record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilientPoint {
     /// The scaling measurement (time, speedup, efficiency).
     pub point: ScalingPoint,
@@ -117,7 +116,7 @@ impl ResilientPoint {
 
 /// A degraded-but-completed scaling series: points that finished (with
 /// their resilience counters) plus any points whose task died outright.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilientSeries {
     /// Workload name.
     pub name: String,

@@ -15,10 +15,8 @@
 //!   requiring `all_to_all_v` transpositions of the distributed grid
 //!   (the pattern that melts down on commodity switches, Figures 3c/4).
 
-use serde::{Deserialize, Serialize};
-
 /// A communication pattern closing one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommPattern {
     /// No communication.
     None,
@@ -48,7 +46,7 @@ pub enum CommPattern {
 }
 
 /// One phase of an iteration: compute then communicate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Floating-point work per rank in this phase.
     pub flops_per_rank: f64,
@@ -57,7 +55,7 @@ pub struct Phase {
 }
 
 /// Which application skeleton a [`Workload`] instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum AppKind {
     /// HPL: `n` matrix order, `nb` panel width.
     Linpack { n: u64, nb: u64 },
@@ -76,7 +74,7 @@ enum AppKind {
 }
 
 /// An application skeleton ready to run at any rank count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Display name.
     pub name: String,

@@ -20,10 +20,9 @@ use mb_mpi::comm::{Comm, CommConfig};
 use mb_net::builders::tibidabo_fabric;
 use mb_simcore::stats::Summary;
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Result of one collective-algorithm comparison cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveCell {
     /// Payload bytes.
     pub bytes: u64,
@@ -41,7 +40,7 @@ impl CollectiveCell {
 }
 
 /// Tree-vs-ring comparison for one collective across payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveAblation {
     /// `"bcast"` or `"allreduce"`.
     pub collective: String,
@@ -104,7 +103,7 @@ pub fn collective_algorithms(ranks: u32, payloads: &[u64]) -> Vec<CollectiveAbla
 }
 
 /// One row of the switch-upgrade ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpgradeRow {
     /// Core count.
     pub cores: u32,
@@ -165,7 +164,7 @@ pub fn switch_upgrade(core_counts: &[u32], iterations: u32) -> Vec<UpgradeRow> {
 }
 
 /// One row of the page-policy ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRow {
     /// The allocator policy.
     pub policy: PagePolicy,

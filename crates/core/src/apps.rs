@@ -1,12 +1,11 @@
 //! Table I — the eleven HPC applications selected by the Mont-Blanc
 //! project.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The dominant programming/communication paradigm of an application, as
 /// far as the paper discusses it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Paradigm {
     /// Dense linear algebra (LINPACK-like).
     DenseLinearAlgebra,
@@ -23,7 +22,7 @@ pub enum Paradigm {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Application {
     /// Code name.
     pub code: &'static str,

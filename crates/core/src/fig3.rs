@@ -14,11 +14,10 @@ use mb_cluster::workload::Workload;
 use mb_energy::{Energy, PowerModel, RetransmissionModel};
 use mb_faults::FaultConfig;
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Which Figure 3 panel to reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Panel {
     /// Figure 3a: LINPACK.
     Linpack,
@@ -29,7 +28,7 @@ pub enum Panel {
 }
 
 /// Configuration of the Figure 3 experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fig3Config {
     /// Core counts for the LINPACK panel.
     pub linpack_cores: Vec<u32>,
@@ -113,7 +112,7 @@ pub fn workload(panel: Panel, iterations: u32) -> Workload {
 }
 
 /// The three panels of Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Report {
     /// Fig 3a.
     pub linpack: ScalingSeries,
@@ -156,7 +155,7 @@ pub fn run_on(cfg: &Fig3Config, fabric: FabricKind) -> Fig3Report {
 /// Figure 3 rerun under injected faults: the same three panels, each a
 /// degraded-but-completed [`ResilientSeries`] with retry/timeout/crash
 /// counters per point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3FaultReport {
     /// Fig 3a under faults.
     pub linpack: ResilientSeries,

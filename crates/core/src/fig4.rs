@@ -15,10 +15,9 @@ use mb_simcore::time::SimTime;
 use mb_trace::analysis::DelayAnalysis;
 use mb_trace::record::CollectiveKind;
 use mb_trace::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Figure 4 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Config {
     /// Ranks (the paper's trace uses 36 cores).
     pub cores: u32,
@@ -51,7 +50,7 @@ impl Fig4Config {
 }
 
 /// The Figure 4 verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Report {
     /// The recorded trace (commodity fabric).
     pub trace: Trace,

@@ -14,10 +14,9 @@ use mb_mem::pages::{PageAllocator, PagePolicy};
 use mb_os::rt_anomaly::RtAnomalyModel;
 use mb_simcore::plan::MeasurementPlan;
 use mb_simcore::stats::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Figure 5 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Config {
     /// Array sizes in bytes.
     pub sizes: Vec<usize>,
@@ -60,7 +59,7 @@ impl Fig5Config {
 }
 
 /// One measurement in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Sample {
     /// Position in the executed sequence (panel b's x-axis).
     pub seq: usize,
@@ -73,7 +72,7 @@ pub struct Fig5Sample {
 }
 
 /// The Figure 5 dataset and its analysis hooks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Report {
     /// Samples in execution order.
     pub samples: Vec<Fig5Sample>,

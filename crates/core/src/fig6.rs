@@ -10,10 +10,9 @@
 
 use crate::platform::Platform;
 use mb_kernels::membench::{make_buffer, run_model, MembenchConfig};
-use serde::{Deserialize, Serialize};
 
 /// One cell of the Figure 6 grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Cell {
     /// Element size in bits (32, 64, 128).
     pub elem_bits: u32,
@@ -24,7 +23,7 @@ pub struct Fig6Cell {
 }
 
 /// One machine's panel (six cells).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Panel {
     /// Machine name.
     pub machine: String,
@@ -58,7 +57,7 @@ impl Fig6Panel {
 }
 
 /// The full Figure 6: both machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Report {
     /// Figure 6a: the Xeon panel.
     pub xeon: Fig6Panel,

@@ -18,10 +18,10 @@ use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
 use mb_tuner::analysis::{staircase_steps, sweet_spot, SweetSpot};
 use mb_tuner::search::ExhaustiveSearch;
 use mb_tuner::space::ParameterSpace;
-use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the Figure 7 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Config {
     /// Cubic grid edge for the filtered field.
     pub grid_edge: usize,
@@ -52,7 +52,7 @@ impl Fig7Config {
 }
 
 /// One measured variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fig7Point {
     /// Unroll degree.
     pub unroll: u32,
@@ -63,7 +63,7 @@ pub struct Fig7Point {
 }
 
 /// One machine's sweep plus its analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Panel {
     /// Machine name.
     pub machine: String,
@@ -76,7 +76,7 @@ pub struct Fig7Panel {
 }
 
 /// The full Figure 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Report {
     /// Figure 7a: Nehalem.
     pub nehalem: Fig7Panel,
@@ -134,18 +134,23 @@ fn sweep(platform: &Platform, cfg: &Fig7Config) -> Fig7Panel {
     // is bit-identical to reusing one serially).
     let space =
         ParameterSpace::new().with_parameter("unroll", (1..=cfg.max_unroll as i64).collect());
-    let measured_cell: parking_lot::Mutex<Vec<Fig7Point>> = parking_lot::Mutex::new(Vec::new());
+    let measured_cell: Mutex<Vec<Fig7Point>> = Mutex::new(Vec::new());
     let _result = ExhaustiveSearch::new().tune_par(&space, |p| {
         let unroll = space.value("unroll", p) as u32;
         let mut exec = platform.exec(1);
         let mut ws = MagicfilterWorkspace::new();
         let point = measure_variant(&grid, unroll, &mut exec, &mut ws);
-        measured_cell.lock().push(point);
+        measured_cell
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(point);
         point.cycles as f64
     });
     // Each unroll degree is measured exactly once, so sorting restores
     // the deterministic order regardless of worker interleaving.
-    let mut measured = measured_cell.into_inner();
+    let mut measured = measured_cell
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     measured.sort_by_key(|p| p.unroll);
     let cycles_sweep: Vec<(i64, f64)> = measured
         .iter()

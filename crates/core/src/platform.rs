@@ -8,11 +8,10 @@ use mb_energy::PowerModel;
 use mb_mem::hierarchy::HierarchyConfig;
 use mb_mem::tlb::TlbConfig;
 use mb_mem::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A complete single-node platform: cores, memory system, power model
 /// and topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Platform {
     /// Display name.
     pub name: String,

@@ -1,8 +1,6 @@
 //! Small text-rendering helpers shared by the experiment reports and the
 //! `mb-bench` binaries.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-width text table builder.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(text.contains("cores"));
 /// assert!(text.lines().count() == 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,

@@ -20,10 +20,9 @@ use mb_kernels::membench::{make_buffer, run as membench_run, MembenchConfig};
 use mb_mem::coloring::{analyse, ColourAnalysis};
 use mb_mem::pages::{PageAllocator, PagePolicy};
 use mb_simcore::stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the reproducibility study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sec5aConfig {
     /// Array size under test (the paper: ~32 KB, the L1 size).
     pub array_bytes: usize,
@@ -61,7 +60,7 @@ impl Sec5aConfig {
 }
 
 /// One simulated run: its measurements and the mapping diagnosis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// The run's seed (its "boot identity").
     pub seed: u64,
@@ -76,7 +75,7 @@ pub struct RunResult {
 }
 
 /// The full study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sec5aReport {
     /// Per-run results.
     pub runs: Vec<RunResult>,

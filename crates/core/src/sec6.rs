@@ -19,10 +19,9 @@ use mb_cpu::ops::Precision;
 use mb_energy::{gflops_per_watt, required_gflops_per_watt, Power};
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Verdict of one offload comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffloadCase {
     /// Code name.
     pub code: String,
@@ -75,7 +74,7 @@ pub fn hybrid_offload(gpu: &GpuModel) -> Vec<OffloadCase> {
 }
 
 /// One rung of the efficiency ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EfficiencyRung {
     /// Platform/node name.
     pub name: String,

@@ -18,14 +18,13 @@ use mb_kernels::coremark::CoreMark;
 use mb_kernels::linpack::Linpack;
 use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parallel efficiency assumed when scaling single-core model times to
 /// the node's core count.
 const NODE_PARALLEL_EFFICIENCY: f64 = 0.95;
 
 /// Configuration of the Table II experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table2Config {
     /// LINPACK matrix order.
     pub linpack_n: usize,
@@ -77,7 +76,7 @@ impl Table2Config {
 }
 
 /// One row of Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -97,7 +96,7 @@ pub struct Table2Row {
 }
 
 /// The full Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Report {
     /// Rows in the paper's order.
     pub rows: Vec<Table2Row>,

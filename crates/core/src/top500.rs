@@ -9,10 +9,9 @@
 //! [`mb_simcore::stats::LinearFit`].
 
 use mb_simcore::stats::LinearFit;
-use serde::{Deserialize, Serialize};
 
 /// One June TOP500 list snapshot (Rmax in GFLOPS).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Top500Entry {
     /// List year.
     pub year: u32,
@@ -61,7 +60,7 @@ pub fn history() -> Vec<Top500Entry> {
 }
 
 /// Which Figure 1 series to fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Series {
     /// The #1 system.
     First,
@@ -73,7 +72,7 @@ pub enum Series {
 
 /// The Figure 1 analysis: a log-linear fit of one series and its
 /// exaflop-crossing projection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrendReport {
     /// Which series was fitted.
     pub series: Series,

@@ -40,6 +40,15 @@ fn table2_parallel_matches_serial() {
 }
 
 #[test]
+fn fig3_scaling_parallel_matches_serial() {
+    // The healthy (no fault plan) scaling run; the faulted one is below.
+    let cfg = fig3::Fig3Config::quick();
+    let serial = with_threads(1, || fig3::run(&cfg));
+    let parallel = with_threads(4, || fig3::run(&cfg));
+    assert_eq!(serial, parallel);
+}
+
+#[test]
 fn faulted_fig3_serial_parallel_chaos_identical() {
     // The ISSUE's resilience acceptance gate: a fault-injected Figure 3
     // run is a pure function of (seed, FaultConfig) — serial, parallel

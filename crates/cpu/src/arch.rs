@@ -11,12 +11,11 @@
 //! from fitting the paper's results; see `DESIGN.md §4`.
 
 use mb_simcore::time::Frequency;
-use serde::{Deserialize, Serialize};
 
 use crate::ops::Precision;
 
 /// How compute and memory cycle totals combine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Overlap {
     /// Out-of-order execution: compute and memory overlap, the total is
     /// `max(compute, memory)` plus un-hidable stalls.
@@ -44,7 +43,7 @@ pub enum Overlap {
 /// // large advantage because the A9's NEON unit cannot do f64 at all.
 /// assert!(xeon.peak_flops_per_cycle_f64() >= 4.0 * arm.peak_flops_per_cycle_f64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreModel {
     /// Human-readable name.
     pub name: String,

@@ -6,12 +6,11 @@
 //! the same named-counter interface, populated by the simulators instead
 //! of the PMU.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Counter identifiers, named after their PAPI equivalents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Counter {
     /// `PAPI_TOT_CYC` — total cycles.
     TotalCycles,
@@ -74,7 +73,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(c.get(Counter::TotalCycles), 1500);
 /// assert_eq!(c.get(Counter::L1DataMisses), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CounterSet {
     values: BTreeMap<Counter, u64>,
 }

@@ -34,7 +34,6 @@ use mb_mem::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
 use mb_mem::pages::PageTable;
 use mb_mem::tlb::{Tlb, TlbConfig};
 use mb_simcore::time::{Cycles, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::arch::{CoreModel, Overlap};
 use crate::counters::{Counter, CounterSet};
@@ -44,7 +43,7 @@ use crate::ops::{Exec, FlopKind, OpCounts, Precision};
 const SAMPLE_WINDOW: u64 = 1024;
 
 /// The final verdict of a modelled run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecReport {
     /// Total modelled cycles.
     pub cycles: Cycles,

@@ -12,10 +12,9 @@
 
 use crate::ops::Precision;
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A coarse embedded-GPU model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     /// Marketing name.
     pub name: String,

@@ -5,15 +5,13 @@
 //! report every abstract operation to the sink. The sink decides what the
 //! report costs:
 //!
-//! * [`NullExec`] — nothing (native-speed runs, used by Criterion);
+//! * [`NullExec`] — nothing (native-speed runs);
 //! * [`CountingExec`] — tallies [`OpCounts`] (workload characterisation);
 //! * [`crate::exec_model::ModelExec`] — charges cycles on a machine model.
 
-use serde::{Deserialize, Serialize};
-
 /// Floating-point operation kinds, costed separately because their
 /// throughputs differ by an order of magnitude on both target cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlopKind {
     /// Addition or subtraction.
     Add,
@@ -44,7 +42,7 @@ impl FlopKind {
 /// Floating-point precision. The distinction drives the paper's key
 /// asymmetry: the Cortex-A9's NEON unit is **single precision only**
 /// (Section II.B), so double-precision work cannot be vectorised on ARM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit IEEE-754.
     F32,
@@ -135,7 +133,7 @@ impl Exec for NullExec {
 }
 
 /// Aggregated operation counts — a workload characterisation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Scalar-equivalent flops (lanes × per-op flops), double precision.
     pub flops_f64: u64,

@@ -34,12 +34,11 @@
 #![warn(missing_docs)]
 
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// Electrical power in watts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {
@@ -78,7 +77,7 @@ impl Add for Power {
 }
 
 /// Energy in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -132,7 +131,7 @@ impl AddAssign for Energy {
 }
 
 /// A platform's nameplate power model, after §III.C of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     name: String,
     nameplate: Power,
@@ -199,7 +198,7 @@ impl PowerModel {
 /// fixed energy per event, derived from the Tibidabo GbE numbers — it
 /// deliberately mirrors the paper's nameplate style of accounting
 /// (§III.C) rather than attempting per-byte microbilling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetransmissionModel {
     /// Energy charged per retransmitted message.
     pub per_retry: Energy,

@@ -1,7 +1,6 @@
 //! Fault-rate configuration and presets.
 
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Per-element fault probabilities and the horizon within which fault
 /// windows are scheduled.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// directed link, one switch, one host, one rank) receives one fault of
 /// that kind somewhere inside the horizon. `Copy` so experiment configs
 /// embedding it stay `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Chance a directed link gets an outage window.
     pub link_down_probability: f64,

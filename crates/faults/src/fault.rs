@@ -1,11 +1,10 @@
 //! Fault kinds, injection windows and the topology summary they target.
 
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A half-open simulated-time interval `[start, end)` during which a
 /// fault is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultWindow {
     /// First instant the fault is active.
     pub start: SimTime,
@@ -24,7 +23,7 @@ impl FaultWindow {
 /// (directed-link index, switch ordinal, host ordinal, MPI rank) so
 /// this crate depends only on `mb-simcore`; consumers map the indices
 /// onto their own id types.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// A directed link carries nothing for the window (cable pull,
     /// port flap): messages queue until `window.end`.
@@ -80,7 +79,7 @@ pub enum Fault {
 /// Deliberately just counts — indices `0..n` address elements in their
 /// creation order, which every crate in the workspace already fixes
 /// deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Directed links in the network.
     pub links: u32,

@@ -17,7 +17,6 @@ use crate::fault::Fault;
 use crate::plan::FaultPlan;
 use crate::FaultWindow;
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Typed failure of name → index resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +91,7 @@ impl std::error::Error for NameError {}
 /// creation order, plus each directed link's endpoint-name pair, in
 /// link-index order. Built by the topology owner (the network graph),
 /// consumed here — so this crate still depends only on `mb-simcore`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementNames {
     hosts: Vec<String>,
     switches: Vec<String>,
@@ -211,7 +210,7 @@ impl ElementNames {
 /// maps it onto the index form, and [`FaultPlan::from_named`] builds a
 /// whole plan. `RankCrash` keeps its numeric rank — MPI ranks *are*
 /// the stable name of a process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NamedFault {
     /// [`Fault::LinkDown`] addressed by the link's endpoint names.
     LinkDown {

@@ -4,7 +4,6 @@ use crate::config::FaultConfig;
 use crate::fault::{Fault, FaultWindow, Topology};
 use mb_simcore::rng::{Rng, SplitMix64};
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 // Per-category stream salts: each fault kind draws from its own
 // SplitMix64 stream so adding (say) stragglers to a config never
@@ -22,7 +21,7 @@ const RANK_CRASH_SALT: u64 = 0x11AB_1E5D_0F0F_0005;
 /// `tests/plan_props.rs`). Queries are read-only linear scans — plans
 /// hold a handful of faults, and consumers gate the scan on having a
 /// plan installed at all, keeping the zero-fault path free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<Fault>,

@@ -16,10 +16,9 @@
 //! ply 5).
 
 use mb_cpu::ops::Exec;
-use serde::{Deserialize, Serialize};
 
 /// Piece colour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Color {
     /// White to move first.
     White,
@@ -38,7 +37,7 @@ impl Color {
 }
 
 /// Piece kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// Pawn.
     Pawn,
@@ -69,7 +68,7 @@ impl Kind {
 }
 
 /// A piece: colour + kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Piece {
     /// Colour.
     pub color: Color,
@@ -79,7 +78,7 @@ pub struct Piece {
 
 /// A move from one square to another, with an optional promotion.
 /// Squares are `rank * 8 + file`, rank 0 = white's back rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Move {
     /// Origin square.
     pub from: u8,

@@ -13,7 +13,6 @@
 
 use mb_cpu::ops::Exec;
 use mb_simcore::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// CRC-16/ARC step (polynomial 0x8005, reflected) — CoreMark's `crcu8`.
 fn crc8(data: u8, mut crc: u16, exec: &mut impl Exec) -> u16 {
@@ -133,7 +132,7 @@ fn state_bench(input: &[u8], exec: &mut impl Exec) -> u16 {
 }
 
 /// A CoreMark-style benchmark instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreMark {
     /// Number of iterations of the three-workload loop.
     pub iterations: u32,

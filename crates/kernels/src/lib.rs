@@ -6,8 +6,8 @@
 //! the wave propagator conserves energy, the magicfilter matches a naive
 //! convolution) *and* reports its operations to an
 //! [`mb_cpu::ops::Exec`] sink, so the same code runs at native speed
-//! under Criterion and is costed on the simulated Snowball / Xeon /
-//! Tegra2 machines for the paper's tables and figures.
+//! under [`mb_cpu::ops::NullExec`] and is costed on the simulated
+//! Snowball / Xeon / Tegra2 machines for the paper's tables and figures.
 //!
 //! | Module | Paper benchmark | Role |
 //! |---|---|---|

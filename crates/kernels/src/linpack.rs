@@ -163,7 +163,7 @@ impl Linpack {
 
     /// The normalised residual `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞·n·ε)` of a
     /// candidate solution against the *original* system — LINPACK's
-    /// correctness criterion (should be O(1), conventionally < 16).
+    /// correctness test (should be O(1), conventionally < 16).
     ///
     /// # Panics
     ///

@@ -14,7 +14,6 @@
 //! the `ndat` loop is the Figure 7 tuning parameter (1..=12).
 
 use mb_cpu::ops::{Exec, FlopKind, Precision};
-use serde::{Deserialize, Serialize};
 
 /// BigDFT's magic-filter coefficients for Daubechies-16 wavelets,
 /// indexed `l = -8..=7` (i.e. `MAGIC_FILTER[l + 8]`).
@@ -43,7 +42,7 @@ pub const LOWFIL: i64 = -8;
 pub const UPFIL: i64 = 7;
 
 /// A dense 3-D grid of `f64` values, row-major `(d0, d1, d2)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid3 {
     /// Extent of axis 0 (slowest).
     pub d0: usize,

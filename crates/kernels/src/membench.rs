@@ -16,10 +16,9 @@
 use mb_cpu::exec_model::{ExecReport, ModelExec};
 use mb_cpu::ops::Exec;
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One microbenchmark variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MembenchConfig {
     /// Array size in bytes.
     pub array_bytes: usize,
@@ -70,7 +69,7 @@ impl MembenchConfig {
 }
 
 /// Result of one modelled run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MembenchResult {
     /// The variant measured.
     pub config: MembenchConfig,

@@ -15,7 +15,6 @@
 
 use mb_cpu::ops::Exec;
 use mb_simcore::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A lattice coordinate.
@@ -24,7 +23,7 @@ pub type Pos = (i32, i32);
 const NEIGHBOURS: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
 
 /// An HP-model chain on the 2-D square lattice.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HpModel {
     /// `true` = hydrophobic (H), `false` = polar (P).
     sequence: Vec<bool>,

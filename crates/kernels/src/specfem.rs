@@ -15,7 +15,6 @@
 //! VFP code the ARM build is stuck with.
 
 use mb_cpu::ops::{Exec, FlopKind, Precision};
-use serde::{Deserialize, Serialize};
 
 /// Polynomial degree of each element (degree 4 = 5 GLL points, the
 /// common SPECFEM choice).
@@ -70,7 +69,7 @@ pub fn derivative_matrix() -> [[f64; NGLL]; NGLL] {
 }
 
 /// Physical and discretisation parameters of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecfemConfig {
     /// Number of spectral elements.
     pub elements: usize,

@@ -25,9 +25,9 @@
 use crate::campaign::{digest, Campaign};
 use crate::journal::{Journal, JournalError, JournalHeader};
 use mb_simcore::error::MbError;
-use parking_lot::Mutex;
 use std::fmt;
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// A shard assignment `index/count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,7 +245,7 @@ pub fn run_campaign_with(
         let started = std::time::Instant::now(); // mb-check: allow(wall-clock-in-model)
         let payload = campaign.run_slot(ctx);
         let secs = started.elapsed().as_secs_f64(); // mb-check: allow(wall-clock-in-model)
-        let mut shared = journal.lock();
+        let mut shared = journal.lock().unwrap_or_else(PoisonError::into_inner);
         shared
             .0
             .append(ctx.index, &payload)
@@ -253,7 +253,7 @@ pub fn run_campaign_with(
         shared.1.push((ctx.index, secs));
         payload
     });
-    let (_, mut slot_secs) = journal.into_inner();
+    let (_, mut slot_secs) = journal.into_inner().unwrap_or_else(PoisonError::into_inner);
     slot_secs.sort_unstable_by_key(|&(slot, _)| slot);
 
     // A panicking slot surfaces as a TaskFailed entry; report the first

@@ -1,10 +1,8 @@
 //! The append-only experiment journal.
 //!
 //! One journal file persists one shard's progress through one campaign.
-//! The format is a hand-rolled line protocol (the workspace's `serde` is
-//! an offline marker-trait stand-in, so nothing here round-trips through
-//! a serialization framework), written and read through the crate's one
-//! line codec (`codec.rs`):
+//! The format is a hand-rolled line protocol, written and read through
+//! the crate's one line codec (`codec.rs`):
 //!
 //! ```text
 //! mblab1 campaign=fig3-quick seed=000000000005ca1e tasks=9 shard=0/1

@@ -33,11 +33,10 @@
 //!
 //! Progress reported to `watch`ing clients is advisory: journaled
 //! record counts scanned without verification (the merge/digest gate
-//! re-verifies everything), and the ETA is the same mean-slot-cost
-//! estimator as the `campaign_eta` bench — elapsed wall time over
-//! slots completed this run, extrapolated to the remainder. Wall
-//! clock here is reporting-only and never feeds a decision or a
-//! measurement.
+//! re-verifies everything), and the ETA is a mean-slot-cost estimate —
+//! elapsed wall time over slots completed this run, extrapolated to the
+//! remainder. Wall clock here is reporting-only and never feeds a
+//! decision or a measurement.
 
 use crate::campaign;
 use crate::codec::Fields;
@@ -666,8 +665,8 @@ fn handle_watch(shared: &Shared, writer: &mut TcpStream, id: &str) {
                     let total = e.total;
                     drop(st);
                     let done = scan_done(&job_dir(&shared.dir, id));
-                    // Same estimator as the campaign_eta bench: mean
-                    // observed slot cost × remaining slots. Advisory.
+                    // Mean observed slot cost × remaining slots.
+                    // Advisory.
                     let eta_ms = started.and_then(|t0| {
                         let fresh = done.saturating_sub(done_at_start);
                         if fresh == 0 || done >= total {

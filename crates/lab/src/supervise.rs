@@ -330,9 +330,8 @@ pub struct SuperviseReport {
 }
 
 impl SuperviseReport {
-    /// Renders the report as a JSON document (the workspace's `serde`
-    /// is a marker-trait stand-in, so this is hand-rolled like every
-    /// other emitter in the repo).
+    /// Renders the report as a JSON document, hand-rolled like every
+    /// other emitter in the repo.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

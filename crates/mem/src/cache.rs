@@ -7,10 +7,9 @@
 //! [`crate::hierarchy::Hierarchy`].
 
 use mb_simcore::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// Replacement policy of a cache set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// True least-recently-used.
     Lru,
@@ -29,7 +28,7 @@ pub enum Replacement {
 /// let cfg = CacheConfig::new(32 * 1024, 64, 8, Replacement::Lru);
 /// assert_eq!(cfg.num_sets(), 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -81,7 +80,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss accounting for one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -114,7 +113,7 @@ impl CacheStats {
 }
 
 /// Outcome of a single cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessResult {
     /// The line was resident.
     Hit,

@@ -11,10 +11,9 @@
 
 use crate::cache::CacheConfig;
 use crate::pages::PageTable;
-use serde::{Deserialize, Serialize};
 
 /// Colour-balance analysis of one mapping against one cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColourAnalysis {
     /// Number of distinct colours the cache has.
     pub num_colours: usize,

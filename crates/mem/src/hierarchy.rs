@@ -14,10 +14,9 @@
 //! * [`HierarchyConfig::tegra2`] — 32 KB L1 / 1 MB shared L2.
 
 use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
-use serde::{Deserialize, Serialize};
 
 /// One level of the hierarchy: geometry plus hit latency in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelConfig {
     /// Cache geometry and replacement policy.
     pub cache: CacheConfig,
@@ -31,7 +30,7 @@ pub struct LevelConfig {
 }
 
 /// Configuration of a whole hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyConfig {
     /// Levels ordered L1 → last-level cache.
     pub levels: Vec<LevelConfig>,
@@ -125,7 +124,7 @@ impl HierarchyConfig {
 }
 
 /// Where an access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitLevel {
     /// Satisfied by cache level `0` (L1), `1` (L2), …
     Cache(usize),

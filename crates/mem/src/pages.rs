@@ -21,11 +21,10 @@
 //!   (the paper's "almost no noise inside a run").
 
 use mb_simcore::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Physical frame allocation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePolicy {
     /// Frames are handed out consecutively.
     Contiguous,
@@ -41,7 +40,7 @@ pub enum PagePolicy {
 ///
 /// Returned by [`PageAllocator::allocate`]; translates byte offsets within
 /// the buffer to physical byte addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageTable {
     page_bytes: usize,
     /// `log2(page_bytes)`.

@@ -10,11 +10,10 @@ use crate::hierarchy::Hierarchy;
 use crate::pages::PageTable;
 use crate::tlb::Tlb;
 use mb_simcore::time::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// Kind of memory access (reads and writes currently cost the same; the
 /// distinction is kept for counter reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load.
     Read,
@@ -24,7 +23,7 @@ pub enum AccessKind {
 
 /// Result of running a stream: cycle and event totals plus derived
 /// bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamReport {
     /// Accesses performed.
     pub accesses: u64,

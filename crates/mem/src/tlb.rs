@@ -4,10 +4,8 @@
 //! well before cache capacity is exhausted; the [`Tlb`] lets the
 //! [`crate::stream::StreamEngine`] charge translation misses.
 
-use serde::{Deserialize, Serialize};
-
 /// TLB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: usize,

@@ -5,11 +5,10 @@
 //! caches, cores and processing units with an ASCII renderer, plus the
 //! two machines as presets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of one topology object, mirroring hwloc's object types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// A whole machine with total memory in bytes.
     Machine {
@@ -64,7 +63,7 @@ impl fmt::Display for ObjectKind {
 }
 
 /// A node in the topology tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyNode {
     /// What this node is.
     pub kind: ObjectKind,
@@ -109,7 +108,7 @@ impl TopologyNode {
 /// let art = xeon.render();
 /// assert!(art.contains("L3 (8192KB)"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// A short machine name (e.g. `"Xeon X5550"`).
     pub name: String,

@@ -8,10 +8,9 @@ use mb_simcore::error::{MbError, MbResult};
 use mb_simcore::time::SimTime;
 use mb_trace::record::{CollectiveKind, CommRecord, StateKind};
 use mb_trace::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a communicator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommConfig {
     /// Number of ranks.
     pub ranks: u32,

@@ -17,10 +17,9 @@
 
 use mb_faults::FaultPlan;
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Bounded exponential backoff for retransmissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retransmissions allowed after the initial attempt.
     pub max_retries: u32,
@@ -57,7 +56,7 @@ impl Default for RetryPolicy {
 }
 
 /// Counters describing how degraded a completed run was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResilienceStats {
     /// Retransmissions performed.
     pub retries: u64,

@@ -18,7 +18,6 @@ use mb_faults::FaultPlan;
 use mb_simcore::error::{MbError, MbResult};
 use mb_simcore::rng::{Rng, Xoshiro256};
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Ethernet MTU used for cut-through pipelining.
@@ -32,7 +31,7 @@ const MTU_BYTES: u64 = 1500;
 const BURST_WINDOW_BYTES: u64 = 64 * 1024;
 
 /// Shared-buffer and misbehaviour model of the fabric's switches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchModel {
     /// Shared packet buffer per switch, in bytes.
     pub buffer_bytes: u64,
@@ -77,7 +76,7 @@ impl SwitchModel {
 }
 
 /// Aggregate fabric statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FabricStats {
     /// Messages delivered.
     pub messages: u64,

@@ -15,10 +15,9 @@
 //! degraded samples in sequence order — the two panels of Figure 5.
 
 use mb_simcore::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// A degraded-window perturbation over a measurement sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtAnomalyModel {
     n: usize,
     window_start: usize,

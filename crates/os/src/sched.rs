@@ -8,17 +8,14 @@
 //! either policy alongside background OS noise.
 
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a simulated task.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskId(pub u32);
 
 /// Scheduling policy of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// CFS-like fair scheduling with `nice` weight (0 = default; lower
     /// nice = higher weight, as in Linux).
@@ -36,7 +33,7 @@ pub enum Policy {
 }
 
 /// A simulated task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Identifier.
     pub id: TaskId,
@@ -73,7 +70,7 @@ impl Task {
 }
 
 /// Result of simulating a run queue to completion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
     /// Completion time of each task.
     pub completion: BTreeMap<TaskId, SimTime>,

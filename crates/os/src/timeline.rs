@@ -10,11 +10,10 @@
 
 use crate::sched::{Policy, RunQueue, ScheduleOutcome, Task, TaskId};
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-task scheduling metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskMetrics {
     /// The task.
     pub id: TaskId,
@@ -29,7 +28,7 @@ pub struct TaskMetrics {
 }
 
 /// Timeline analysis of a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// Metrics per task, by id.
     pub tasks: BTreeMap<TaskId, TaskMetrics>,

@@ -15,7 +15,6 @@
 //! counts) so the type stays `Clone + Eq` and usable in digests and
 //! tests without any allocation games.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Workspace-wide result alias.
@@ -58,7 +57,7 @@ pub mod exit_code {
 }
 
 /// A recoverable failure anywhere in the simulation stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MbError {
     /// No path between two network nodes.
     NoRoute {

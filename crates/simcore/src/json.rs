@@ -1,8 +1,8 @@
 //! The one JSON string writer of the workspace.
 //!
-//! Reports are hand-rolled JSON (the vendored `serde` is a no-op
-//! stand-in); every emitter quotes its strings through [`json_string`]
-//! so paths, names and messages survive machine consumption.
+//! Reports are hand-rolled JSON; every emitter quotes its strings
+//! through [`json_string`] so paths, names and messages survive machine
+//! consumption.
 
 use std::fmt::Write as _;
 

@@ -47,10 +47,10 @@
 
 use crate::error::MbError;
 use crate::rng::{Rng, SplitMix64};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -198,6 +198,11 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Locks `m`, recovering the data if a panicking holder poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs one task per item on a scoped worker pool, returning results in
 /// input order. Tasks are labelled `task-{index}`; use [`sweep_labeled`]
 /// to attach meaningful labels to panic reports.
@@ -253,7 +258,7 @@ where
     // thread-locals, which workers cannot see.
     let chaos = chaos_seed();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..workers {
             let mut chaos_rng = chaos
                 .map(|c| SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
@@ -274,8 +279,7 @@ where
                 if index >= n {
                     break;
                 }
-                let (label, item) = slots[index]
-                    .lock()
+                let (label, item) = lock(&slots[index])
                     .take()
                     .expect("each task index is claimed exactly once");
                 let ctx = TaskCtx {
@@ -283,9 +287,9 @@ where
                     seed: seeds[index],
                 };
                 match std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, item))) {
-                    Ok(r) => *results[index].lock() = Some(r),
+                    Ok(r) => *lock(&results[index]) = Some(r),
                     Err(payload) => {
-                        let mut slot = failure.lock();
+                        let mut slot = lock(failure);
                         if slot.is_none() {
                             *slot = Some((label, panic_text(payload.as_ref())));
                         }
@@ -295,15 +299,18 @@ where
                 }
             });
         }
-    })
-    .expect("sweep workers neither panic nor detach");
+    });
 
-    if let Some((label, message)) = failure.into_inner() {
+    if let Some((label, message)) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
         panic!("sweep task '{label}' panicked: {message}");
     }
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("every claimed task stored a result"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every claimed task stored a result")
+        })
         .collect()
 }
 
@@ -378,7 +385,7 @@ where
     let next = AtomicUsize::new(0);
     let chaos = chaos_seed();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..workers {
             let mut chaos_rng = chaos
                 .map(|c| SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
@@ -394,19 +401,21 @@ where
                 if pos >= n {
                     break;
                 }
-                let (ctx, label, item) = slots[pos]
-                    .lock()
+                let (ctx, label, item) = lock(&slots[pos])
                     .take()
                     .expect("each task index is claimed exactly once");
-                *results[pos].lock() = Some(contain(ctx, label, item));
+                *lock(&results[pos]) = Some(contain(ctx, label, item));
             });
         }
-    })
-    .expect("sweep workers neither panic nor detach");
+    });
 
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("every claimed task stored a result"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every claimed task stored a result")
+        })
         .collect()
 }
 

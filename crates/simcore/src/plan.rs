@@ -14,11 +14,10 @@
 //! seed)`.
 
 use crate::rng::{shuffle, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled measurement: which factor level to use, and which
 /// repetition this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Measurement<L> {
     /// Index into the level list the plan was built from.
     pub level_index: usize,
@@ -41,7 +40,7 @@ pub struct Measurement<L> {
 /// assert_eq!(plan.len(), 50 * 42);
 /// // Every (size, rep) pair appears exactly once.
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementPlan<L> {
     order: Vec<Measurement<L>>,
     reps: u32,

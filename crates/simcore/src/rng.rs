@@ -16,8 +16,6 @@
 //! sampling helpers (ranges, floats, Bernoulli, exponential, normal,
 //! shuffling).
 
-use serde::{Deserialize, Serialize};
-
 /// Minimal random-generation interface implemented by the crate's PRNGs.
 ///
 /// The trait is object-safe: simulators can hold a `&mut dyn Rng` when they
@@ -126,7 +124,7 @@ pub fn shuffle<T, R: Rng + ?Sized>(slice: &mut [T], rng: &mut R) {
 /// let mut b = SplitMix64::new(7);
 /// assert_eq!(a.next_u64(), b.next_u64()); // deterministic
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -152,7 +150,7 @@ impl Rng for SplitMix64 {
 ///
 /// Fast, 256 bits of state, excellent statistical quality, and fully
 /// deterministic from a single `u64` seed via [`Xoshiro256::seed_from`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xoshiro256 {
     s: [u64; 4],
 }

@@ -11,8 +11,6 @@
 //! * [`LinearFit`] — ordinary least squares, plus a log-space helper for
 //!   exponential trends (Figure 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass mean and variance accumulator (Welford's algorithm).
 ///
 /// Numerically stable; suitable for millions of samples.
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -164,7 +162,7 @@ impl Extend<f64> for OnlineStats {
 ///
 /// Built by [`Summary::from_samples`]; keeps a sorted copy of the data so
 /// arbitrary quantiles remain available.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     sorted: Vec<f64>,
     stats: OnlineStats,
@@ -287,7 +285,7 @@ impl Summary {
 /// assert_eq!(h.bin_count(1), 2);
 /// assert_eq!(h.total(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -392,7 +390,7 @@ impl Histogram {
 /// [`LinearFit::fit_log`] fits in log-y space, which turns an exponential
 /// trend into a line — exactly the TOP500 performance-development plot of
 /// Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,

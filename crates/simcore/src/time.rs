@@ -10,7 +10,6 @@
 //! newtypes: cheap to copy, totally ordered, and safe for use as event
 //! timestamps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -31,9 +30,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_nanos(), 3_500);
 /// assert!(t < SimTime::from_millis(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -208,9 +205,7 @@ impl Sum for SimTime {
 /// let c = Cycles::new(10) + Cycles::new(32);
 /// assert_eq!(c.get(), 42);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -291,7 +286,7 @@ impl Sum for Cycles {
 /// let t = nehalem.cycles_to_time(1_000_000);
 /// assert!((t.as_secs_f64() - 1.0e6 / 2.66e9).abs() < 1e-9); // ns rounding
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency(u64);
 
 impl Frequency {

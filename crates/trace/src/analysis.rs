@@ -12,11 +12,10 @@ use crate::record::{CollectiveKind, StateKind};
 use crate::trace::Trace;
 use mb_simcore::stats::Summary;
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Verdict on one collective invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveReport {
     /// Collective kind.
     pub kind: CollectiveKind,
@@ -46,7 +45,7 @@ impl CollectiveReport {
 }
 
 /// The Figure 4 analysis over one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayAnalysis {
     /// Per-operation verdicts, ordered by start time.
     pub operations: Vec<CollectiveReport>,

@@ -1,13 +1,12 @@
 //! Trace record types, mirroring the Paraver data model.
 
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a rank is doing during a state interval. Paraver colours its
 /// timeline by exactly this kind of classification; Figure 4's orange
 /// regions are the communication states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateKind {
     /// Useful computation.
     Compute,
@@ -44,9 +43,7 @@ impl fmt::Display for StateKind {
 }
 
 /// Collective-operation kinds (the subset the paper's applications use).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CollectiveKind {
     /// Barrier synchronisation.
     Barrier,
@@ -78,7 +75,7 @@ impl fmt::Display for CollectiveKind {
 }
 
 /// A per-rank state interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateRecord {
     /// Rank the interval belongs to.
     pub rank: u32,
@@ -98,7 +95,7 @@ impl StateRecord {
 }
 
 /// A point event on one rank (counter sample, phase marker, …).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
     /// Rank the event occurred on.
     pub rank: u32,
@@ -111,7 +108,7 @@ pub struct EventRecord {
 }
 
 /// One logical message: matched send and receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommRecord {
     /// Sending rank.
     pub src: u32,

@@ -2,14 +2,13 @@
 
 use crate::record::{CommRecord, EventRecord, StateKind, StateRecord};
 use mb_simcore::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An execution trace: states, events and communications over a fixed set
 /// of ranks.
 ///
 /// Records may be pushed in any order; accessors that need ordering sort
 /// lazily on demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     num_ranks: u32,
     states: Vec<StateRecord>,

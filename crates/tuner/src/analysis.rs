@@ -6,10 +6,8 @@
 //! cache pressure — is `[4:12]` on Nehalem but only `[4:7]` on Tegra2.
 //! This module computes those observations from a `(x, cost)` series.
 
-use serde::{Deserialize, Serialize};
-
 /// The sweet-spot verdict over a 1-D sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweetSpot {
     /// x of the global minimum.
     pub best_x: i64,

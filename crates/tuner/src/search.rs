@@ -9,10 +9,9 @@
 
 use crate::space::{ParameterSpace, Point};
 use mb_simcore::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// Result of a tuning run: the winner plus the full evaluation log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuneResult {
     /// The best point found.
     pub best_point: Point,

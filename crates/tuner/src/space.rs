@@ -1,13 +1,11 @@
 //! Discrete parameter spaces.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in a parameter space: one level index per parameter, in
 /// declaration order.
 pub type Point = Vec<usize>;
 
 /// A named parameter with integer levels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Parameter {
     name: String,
     levels: Vec<i64>,
@@ -29,7 +27,7 @@ struct Parameter {
 /// assert_eq!(points.len(), 6);
 /// assert_eq!(space.value("elem_bits", &points[0]), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParameterSpace {
     params: Vec<Parameter>,
 }

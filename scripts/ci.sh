@@ -39,9 +39,6 @@ cargo test --release -p montblanc --features validate --test validate_smoke --qu
 echo "==> fault-injection smoke (degraded-but-completed Figure 3)"
 cargo run --release -p mb-bench --bin fault_ablation -- --quick
 
-echo "==> perfsuite (healthy-path check: no faults planned, no overhead, bit-identical)"
-cargo run --release -p mb-bench --bin perfsuite -- --quick
-
 echo "==> mb-lab 2-shard campaign smoke (shard, merge, pinned-digest check)"
 # Two sharded processes split the fig3-quick campaign, the merge stitches
 # their journals back into canonical slot order, and the digest gate
@@ -164,7 +161,12 @@ if [ "$serve_elapsed_ms" -ge 60000 ]; then
     echo "serve smoke exceeded its 60 s wall-time budget"; exit 1
 fi
 
-echo "==> campaign_eta (paper-grid cost model -> BENCH_campaigns.json)"
-cargo run --release -p mb-bench --bin campaign_eta
+echo "==> mbbench smoke (every workload once, on quick campaigns and four served jobs)"
+# The one performance harness, bounded to one window per workload. It
+# exits nonzero on any failed operation or missing metric, and a
+# campaign whose digest misses its pin counts as failed. Its build
+# rewrites the stale mbbench/Cargo.lock; that file is left for a
+# benchmark change to commit.
+bash mbbench/run.sh run --smoke
 
 echo "CI green."
