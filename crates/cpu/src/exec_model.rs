@@ -29,6 +29,16 @@
 //! between them (preserving spatial locality inside a window), then
 //! scales miss counts by `k`. `sample_rate = 1` is exact and is the
 //! default for every preset.
+//!
+//! ## Batched runs
+//!
+//! [`Exec::mem_run`] reports a constant-stride run of accesses in one
+//! call. `ModelExec` splits it at L1-line and sample-window boundaries
+//! and costs each same-line chunk with one TLB and one hierarchy lookup:
+//! a page spans at least one L1 line (asserted when the sink is built
+//! and when a page table is installed), so the chunk's trailing accesses
+//! are TLB hits on the same page and L1 last-line-memo hits, charged in
+//! closed form. The result is bit-identical to reporting each access.
 
 use mb_mem::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
 use mb_mem::pages::PageTable;
@@ -82,6 +92,7 @@ pub struct ModelExec {
     tlb: Tlb,
     tlb_miss_penalty_cycles: u64,
     l1_latency: u64,
+    l1_line_bytes: u64,
     /// Per cache level: `(line_bytes / fill_bytes_per_cycle)` — transfer
     /// cycles one line fetched *from* that level occupies.
     fill_cost: Vec<f64>,
@@ -110,7 +121,8 @@ impl ModelExec {
     ///
     /// # Panics
     ///
-    /// Panics if `sample_rate` is zero.
+    /// Panics if `sample_rate` is zero or a TLB page is smaller than an
+    /// L1 line.
     pub fn new(
         model: CoreModel,
         hierarchy: HierarchyConfig,
@@ -119,8 +131,14 @@ impl ModelExec {
         sample_rate: u32,
     ) -> Self {
         assert!(sample_rate > 0, "sample rate must be at least 1");
+        let l1_line_bytes = hierarchy.l1_line_bytes();
+        assert!(
+            tlb.page_bytes >= l1_line_bytes,
+            "TLB page ({} B) smaller than an L1 line ({l1_line_bytes} B)",
+            tlb.page_bytes
+        );
         let l1_latency = hierarchy.levels[0].hit_latency_cycles;
-        let line = hierarchy.l1_line_bytes() as f64;
+        let line = l1_line_bytes as f64;
         let fill_cost: Vec<f64> = hierarchy
             .levels
             .iter()
@@ -137,6 +155,7 @@ impl ModelExec {
             tlb: Tlb::new(tlb),
             tlb_miss_penalty_cycles,
             l1_latency,
+            l1_line_bytes: l1_line_bytes as u64,
             fill_cost,
             memory_fill_cost,
             sample_rate,
@@ -206,15 +225,33 @@ impl ModelExec {
     /// the (physically indexed) caches — the Section V.A.1 mechanism.
     /// Addresses reported by the kernel are then interpreted as offsets
     /// into the mapped buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page of `table` is smaller than an L1 line.
     pub fn with_page_table(mut self, table: PageTable) -> Self {
-        self.page_table = Some(table);
+        self.set_page_table(Some(table));
         self
     }
 
     /// Replaces (or clears) the page table routing after construction —
     /// used by experiments that re-allocate their buffer per measurement
     /// (the Section V.A.1 protocol).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page of `table` is smaller than an L1 line.
     pub fn set_page_table(&mut self, table: Option<PageTable>) {
+        if let Some(t) = &table {
+            // Whole pages keep every L1 line inside one frame and on one
+            // side of `span_bytes`, which `mem_run`'s chunks rely on.
+            assert!(
+                t.page_bytes() as u64 >= self.l1_line_bytes,
+                "page table page ({} B) smaller than an L1 line ({} B)",
+                t.page_bytes(),
+                self.l1_line_bytes
+            );
+        }
         self.page_table = table;
     }
 
@@ -268,22 +305,56 @@ impl ModelExec {
             (1..=4096).contains(&bytes),
             "mem_access({addr:#x}): {bytes} B outside 1..=4096"
         );
-        self.access_index += 1;
         if bytes >= 16 {
             self.wide_accesses += 1;
         }
-        // Window sampling: simulate window 0, skip windows 1..rate.
-        let window = (self.access_index - 1) / SAMPLE_WINDOW;
-        if self.sample_rate > 1 && !window.is_multiple_of(self.sample_rate as u64) {
-            return;
+        if self.sample_run(1).1 {
+            self.sampled_accesses += 1;
+            let tlb_hit = self.tlb.access(addr);
+            let (lvl, lat) = self.hierarchy.access(self.route(addr));
+            self.charge(tlb_hit, lvl, lat, is_store);
         }
-        self.sampled_accesses += 1;
-        if !self.tlb.access(addr) {
+    }
+
+    /// Advances the access index over the next `n` accesses, stopping
+    /// early at the end of the current sample window when sampling.
+    /// Returns how many accesses it advanced over and whether their
+    /// window is simulated (window 0 of every `sample_rate`).
+    #[inline]
+    fn sample_run(&mut self, n: u64) -> (u64, bool) {
+        let index = self.access_index;
+        if self.sample_rate == 1 {
+            self.access_index += n;
+            return (n, true);
+        }
+        let taken = n.min(SAMPLE_WINDOW - index % SAMPLE_WINDOW);
+        self.access_index += taken;
+        let window = index / SAMPLE_WINDOW;
+        (taken, window.is_multiple_of(self.sample_rate as u64))
+    }
+
+    /// Costs `k` sampled accesses to the L1 line of `addr`, `addr`
+    /// first, with one TLB and one hierarchy lookup. The trailing `k − 1`
+    /// are TLB hits (a page spans at least one line) and L1
+    /// last-line-memo hits at the L1 latency.
+    fn line_run(&mut self, addr: u64, k: u64, is_store: bool) {
+        self.sampled_accesses += k;
+        let tlb_hit = self.tlb.access_run(addr, k);
+        let (lvl, lat) = self.hierarchy.access_run(self.route(addr), k);
+        if !is_store {
+            self.sampled_latency += (k - 1) * self.l1_latency;
+        }
+        self.charge(tlb_hit, lvl, lat, is_store);
+    }
+
+    /// Charges the outcome of one sampled access's TLB and hierarchy
+    /// lookups.
+    #[inline]
+    fn charge(&mut self, tlb_hit: bool, lvl: HitLevel, lat: u64, is_store: bool) {
+        if !tlb_hit {
             self.sampled_tlb_misses += 1;
             self.sampled_latency += self.tlb_miss_penalty_cycles;
         }
-        let paddr = self.route(addr);
-        let (lvl, lat) = self.hierarchy.access(paddr);
         // Stores retire through the write buffer on both target cores:
         // they cost issue slots and fill bandwidth but never stall the
         // pipeline on a miss. Loads pay the full latency.
@@ -442,14 +513,12 @@ impl Exec for ModelExec {
     }
 
     fn load(&mut self, addr: u64, bytes: u32) {
-        self.counts.loads += 1;
-        self.counts.load_bytes += bytes as u64;
+        self.counts.add_mem(1, bytes, false);
         self.mem_access(addr, bytes, false);
     }
 
     fn store(&mut self, addr: u64, bytes: u32) {
-        self.counts.stores += 1;
-        self.counts.store_bytes += bytes as u64;
+        self.counts.add_mem(1, bytes, true);
         self.mem_access(addr, bytes, true);
     }
 
@@ -483,6 +552,41 @@ impl Exec for ModelExec {
         self.counts.branches += n;
         if !predictable {
             self.counts.unpredictable_branches += n;
+        }
+    }
+
+    fn mem_run(&mut self, base: u64, stride: u64, n: u64, bytes: u32, is_store: bool) {
+        #[cfg(feature = "validate")]
+        assert!(
+            (1..=4096).contains(&bytes),
+            "mem_run({base:#x}): {bytes} B outside 1..=4096"
+        );
+        self.counts.add_mem(n, bytes, is_store);
+        if bytes >= 16 {
+            self.wide_accesses += n;
+        }
+        let line = self.l1_line_bytes;
+        let mut i = 0;
+        while i < n {
+            let (taken, sampled) = self.sample_run(n - i);
+            let end = i + taken;
+            if !sampled {
+                i = end;
+                continue;
+            }
+            // One lookup per L1 line the window's share of the run touches.
+            while i < end {
+                let addr = base.wrapping_add(i.wrapping_mul(stride));
+                let k = match stride {
+                    0 => end - i,
+                    _ => {
+                        let room = line - (addr & (line - 1));
+                        (end - i).min((room - 1) / stride + 1)
+                    }
+                };
+                self.line_run(addr, k, is_store);
+                i += k;
+            }
         }
     }
 }
@@ -732,5 +836,113 @@ mod tests {
     #[should_panic(expected = "sample rate must be at least 1")]
     fn zero_sample_rate_panics() {
         let _ = ModelExec::snowball().with_sample_rate(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "TLB page (16 B) smaller than an L1 line (32 B)")]
+    fn tlb_page_smaller_than_a_line_panics() {
+        let _ = ModelExec::new(
+            CoreModel::cortex_a9_snowball(),
+            HierarchyConfig::snowball_a9500(),
+            TlbConfig::new(32, 16),
+            40,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "page table page (32 B) smaller than an L1 line (64 B)")]
+    fn with_page_table_smaller_than_a_line_panics() {
+        let _ = ModelExec::nehalem().with_page_table(PageTable::new(32, vec![0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "page table page (16 B) smaller than an L1 line (32 B)")]
+    fn set_page_table_smaller_than_a_line_panics() {
+        ModelExec::snowball().set_page_table(Some(PageTable::new(16, vec![3])));
+    }
+
+    /// Sweeps the first `array` bytes of a contiguous mapping `sweeps`
+    /// times, one `mem_run` of 4-byte loads per sweep, and returns the
+    /// finished report.
+    fn sweep(array: u64, sweeps: u32) -> ExecReport {
+        use mb_mem::pages::{PageAllocator, PagePolicy};
+        let table =
+            PageAllocator::new(PagePolicy::Contiguous, 4096, 1 << 18, 0).allocate(array as usize);
+        let mut e = ModelExec::snowball().with_page_table(table);
+        for _ in 0..sweeps {
+            e.mem_run(0, 4, array / 4, 4, false);
+        }
+        e.finish()
+    }
+
+    fn bandwidth(array: u64, sweeps: u32) -> f64 {
+        (array * sweeps as u64) as f64 / sweep(array, sweeps).time.as_secs_f64()
+    }
+
+    #[test]
+    fn mem_run_small_array_hits_l1_after_warmup() {
+        // An 8 KB array fits the 32 KB L1: the second sweep adds no
+        // misses anywhere.
+        let warm = sweep(8 * 1024, 1).counters;
+        let both = sweep(8 * 1024, 2).counters;
+        assert_eq!(both.get(Counter::L1DataAccesses), 2 * 2048);
+        assert_eq!(both.get(Counter::L1DataMisses), warm.get(Counter::L1DataMisses));
+        assert_eq!(both.get(Counter::TlbDataMisses), warm.get(Counter::TlbDataMisses));
+    }
+
+    #[test]
+    fn mem_run_bandwidth_drops_past_l1_capacity() {
+        // Figure 5a: bandwidth falls once the array outgrows the L1.
+        let small = bandwidth(16 * 1024, 4);
+        let large = bandwidth(256 * 1024, 4);
+        assert!(
+            small > large * 1.2,
+            "L1-resident {small} B/s should beat L2-resident {large} B/s"
+        );
+    }
+
+    #[test]
+    fn mem_run_random_pages_cost_at_least_contiguous_near_l1_size() {
+        use mb_mem::pages::{PageAllocator, PagePolicy};
+        // Section V.A.1: near the 32 KB L1, random frames collide in
+        // colour where contiguous ones do not.
+        let size = 32 * 1024u64;
+        let run = |policy: PagePolicy, seed: u64| {
+            let table = PageAllocator::new(policy, 4096, 1 << 18, seed).allocate(size as usize);
+            let mut e = ModelExec::snowball().with_page_table(table);
+            for _ in 0..2 {
+                e.mem_run(0, 4, size / 4, 4, false);
+            }
+            e.finish().cycles.get()
+        };
+        let contiguous = run(PagePolicy::Contiguous, 0);
+        let random: u64 = (0..8).map(|s| run(PagePolicy::Random, s)).sum::<u64>() / 8;
+        assert!(
+            random >= contiguous,
+            "random ({random}) should never beat contiguous ({contiguous})"
+        );
+    }
+
+    #[test]
+    fn mem_run_counts_one_access_per_element() {
+        let mut e = ModelExec::nehalem();
+        e.mem_run(0, 16, 4096 / 16, 4, false);
+        e.mem_run(0x10_0000, 8, 10, 8, true);
+        let r = e.finish();
+        assert_eq!((r.counts.loads, r.counts.load_bytes), (256, 1024));
+        assert_eq!((r.counts.stores, r.counts.store_bytes), (10, 80));
+        assert_eq!(r.counters.get(Counter::L1DataAccesses), 266);
+    }
+
+    #[test]
+    fn mem_run_counts_tlb_misses_per_page() {
+        // One element per page over 64 pages overflows the 32-entry TLB
+        // on every sweep.
+        let mut e = ModelExec::snowball();
+        for _ in 0..2 {
+            e.mem_run(0, 4096, 64, 4, false);
+        }
+        assert_eq!(e.finish().counters.get(Counter::TlbDataMisses), 128);
     }
 }

@@ -100,6 +100,24 @@ pub trait Exec {
             self.branch(predictable);
         }
     }
+
+    /// Reports `n` accesses of `bytes` at `base`, `base + stride`,
+    /// `base + 2·stride`, … (wrapping) in one call — equivalent to
+    /// calling [`Exec::store`] (if `is_store`) or [`Exec::load`] on each
+    /// address in turn. Sinks with a cheaper batched form override it;
+    /// kernels should prefer it for constant-stride sweeps whose
+    /// accesses share cache lines.
+    fn mem_run(&mut self, base: u64, stride: u64, n: u64, bytes: u32, is_store: bool) {
+        let mut addr = base;
+        for _ in 0..n {
+            if is_store {
+                self.store(addr, bytes);
+            } else {
+                self.load(addr, bytes);
+            }
+            addr = addr.wrapping_add(stride);
+        }
+    }
 }
 
 /// A sink that ignores everything — kernels run at native speed.
@@ -130,6 +148,8 @@ impl Exec for NullExec {
     fn flop_run(&mut self, _kind: FlopKind, _prec: Precision, _lanes: u32, _n: u64) {}
     #[inline(always)]
     fn branch_run(&mut self, _n: u64, _predictable: bool) {}
+    #[inline(always)]
+    fn mem_run(&mut self, _base: u64, _stride: u64, _n: u64, _bytes: u32, _is_store: bool) {}
 }
 
 /// Aggregated operation counts — a workload characterisation.
@@ -199,6 +219,17 @@ impl OpCounts {
         self.branches += other.branches;
         self.unpredictable_branches += other.unpredictable_branches;
     }
+
+    /// Tallies `n` loads (or stores) of `bytes` each.
+    pub(crate) fn add_mem(&mut self, n: u64, bytes: u32, is_store: bool) {
+        if is_store {
+            self.stores += n;
+            self.store_bytes += n * bytes as u64;
+        } else {
+            self.loads += n;
+            self.load_bytes += n * bytes as u64;
+        }
+    }
 }
 
 /// A sink that tallies [`OpCounts`] without costing anything.
@@ -242,13 +273,11 @@ impl Exec for CountingExec {
     }
 
     fn load(&mut self, _addr: u64, bytes: u32) {
-        self.counts.loads += 1;
-        self.counts.load_bytes += bytes as u64;
+        self.counts.add_mem(1, bytes, false);
     }
 
     fn store(&mut self, _addr: u64, bytes: u32) {
-        self.counts.stores += 1;
-        self.counts.store_bytes += bytes as u64;
+        self.counts.add_mem(1, bytes, true);
     }
 
     fn branch(&mut self, predictable: bool) {
@@ -275,6 +304,10 @@ impl Exec for CountingExec {
         if !predictable {
             self.counts.unpredictable_branches += n;
         }
+    }
+
+    fn mem_run(&mut self, _base: u64, _stride: u64, n: u64, bytes: u32, is_store: bool) {
+        self.counts.add_mem(n, bytes, is_store);
     }
 }
 
@@ -323,6 +356,10 @@ impl<A: Exec, B: Exec> Exec for TeeExec<'_, A, B> {
     fn branch_run(&mut self, n: u64, predictable: bool) {
         self.a.branch_run(n, predictable);
         self.b.branch_run(n, predictable);
+    }
+    fn mem_run(&mut self, base: u64, stride: u64, n: u64, bytes: u32, is_store: bool) {
+        self.a.mem_run(base, stride, n, bytes, is_store);
+        self.b.mem_run(base, stride, n, bytes, is_store);
     }
 }
 
@@ -412,10 +449,35 @@ mod tests {
     }
 
     #[test]
+    fn counting_mem_run_equals_per_access_calls() {
+        let mut batched = CountingExec::new();
+        batched.mem_run(0x100, 12, 1000, 8, false);
+        batched.mem_run(0x100, 0, 7, 16, true);
+        let mut single = CountingExec::new();
+        for i in 0..1000 {
+            single.load(0x100 + i * 12, 8);
+        }
+        for _ in 0..7 {
+            single.store(0x100, 16);
+        }
+        assert_eq!(batched, single);
+    }
+
+    #[test]
+    fn tee_forwards_mem_run_to_both() {
+        let mut a = CountingExec::new();
+        let mut b = CountingExec::new();
+        TeeExec::new(&mut a, &mut b).mem_run(0, 4, 100, 4, true);
+        assert_eq!(a.counts().stores, 100);
+        assert_eq!(b.counts().store_bytes, 400);
+    }
+
+    #[test]
     fn null_exec_is_inert() {
         let mut e = NullExec;
         e.flop(FlopKind::Sqrt, Precision::F32, 16);
         e.load(0, 4);
-        // Nothing to assert beyond "it compiles and runs".
+        e.mem_run(0, 4, 1 << 40, 4, false);
+        // Nothing to assert beyond "it compiles and runs" (at once).
     }
 }

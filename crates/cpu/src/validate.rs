@@ -7,12 +7,14 @@
 //! * **Region containment** — every load/store falls inside a declared
 //!   address region (the membench array, its spill slots, …). An access
 //!   outside is the simulation analogue of a wild pointer.
-//! * **Batch/per-op consistency** — `flop_run`/`branch_run` totals must
-//!   equal the sum of the equivalent per-op calls. The wrapper tallies
-//!   both forms independently (expanding a bounded prefix of each batch
-//!   op by op) and cross-checks after every batch call.
-//! * **Operand sanity** — zero-byte accesses, zero-lane flops and other
-//!   degenerate operands are flagged at the first offending call.
+//! * **Batch/per-op consistency** — `flop_run`/`branch_run`/`mem_run`
+//!   totals must equal the sum of the equivalent per-op calls. The
+//!   wrapper tallies both forms independently (expanding a bounded
+//!   prefix of each batch op by op) and cross-checks after every batch
+//!   call.
+//! * **Operand sanity** — zero-byte or over-4096-byte accesses, runs
+//!   whose addresses overflow, zero-lane flops and other degenerate
+//!   operands are flagged at the first offending call.
 //!
 //! For a wrapped [`ModelExec`], [`ValidatingExec::finish`] additionally
 //! validates the report: cycle components finite and non-negative,
@@ -42,8 +44,10 @@ pub struct Region {
 }
 
 impl Region {
-    fn contains(&self, addr: u64, bytes: u32) -> bool {
-        addr >= self.base && addr + bytes as u64 <= self.base + self.bytes
+    /// Whether `[addr, addr + bytes)` lies inside the region.
+    fn contains(&self, addr: u64, bytes: u64) -> bool {
+        addr.checked_sub(self.base)
+            .is_some_and(|offset| offset <= self.bytes && bytes <= self.bytes - offset)
     }
 }
 
@@ -134,22 +138,42 @@ impl<E: Exec> ValidatingExec<E> {
         self.violations.push(message);
     }
 
-    fn check_region(&mut self, what: &str, addr: u64, bytes: u32) {
-        if bytes == 0 {
-            self.violate(format!("{what} of zero bytes at {addr:#x}"));
+    /// Checks a run of `n` accesses of `bytes` at `addr`, `addr + stride`,
+    /// … (a single access is a run of one): each access is `1..=4096` B,
+    /// the addresses do not overflow, and one declared region holds the
+    /// whole span.
+    fn check_region(&mut self, what: &str, addr: u64, bytes: u32, n: u64, stride: u64) {
+        if n == 0 {
             return;
         }
+        if !(1..=4096).contains(&bytes) {
+            self.violate(format!("{what} of {bytes} B at {addr:#x} outside 1..=4096"));
+            return;
+        }
+        // A run is monotone, so its span is [first, last + bytes).
+        let Some(end) = stride
+            .checked_mul(n - 1)
+            .and_then(|d| addr.checked_add(d))
+            .and_then(|last| last.checked_add(bytes as u64))
+        else {
+            self.violate(format!(
+                "{what} of {n} × {bytes} B at {addr:#x}, stride {stride}, \
+                 overflows the address space"
+            ));
+            return;
+        };
         if self.regions.is_empty() {
             return;
         }
-        if !self.regions.iter().any(|r| r.contains(addr, bytes)) {
+        let span = end - addr;
+        if !self.regions.iter().any(|r| r.contains(addr, span)) {
             let declared: Vec<String> = self
                 .regions
                 .iter()
                 .map(|r| format!("{} [{:#x}, {:#x})", r.name, r.base, r.base + r.bytes))
                 .collect();
             self.violate(format!(
-                "{what} of {bytes} B at {addr:#x} outside every declared \
+                "{what} of {span} B at {addr:#x} outside every declared \
                  region: {}",
                 declared.join(", ")
             ));
@@ -188,14 +212,14 @@ impl<E: Exec> Exec for ValidatingExec<E> {
     }
 
     fn load(&mut self, addr: u64, bytes: u32) {
-        self.check_region("load", addr, bytes);
+        self.check_region("load", addr, bytes, 1, 0);
         self.closed.load(addr, bytes);
         self.replayed.load(addr, bytes);
         self.inner.load(addr, bytes);
     }
 
     fn store(&mut self, addr: u64, bytes: u32) {
-        self.check_region("store", addr, bytes);
+        self.check_region("store", addr, bytes, 1, 0);
         self.closed.store(addr, bytes);
         self.replayed.store(addr, bytes);
         self.inner.store(addr, bytes);
@@ -234,6 +258,27 @@ impl<E: Exec> Exec for ValidatingExec<E> {
         }
         self.check_batch("branch_run");
         self.inner.branch_run(n, predictable);
+    }
+
+    fn mem_run(&mut self, base: u64, stride: u64, n: u64, bytes: u32, is_store: bool) {
+        let what = if is_store { "store run" } else { "load run" };
+        self.check_region(what, base, bytes, n, stride);
+        self.closed.mem_run(base, stride, n, bytes, is_store);
+        let replay = n.min(EXPAND_CAP);
+        let mut addr = base;
+        for _ in 0..replay {
+            if is_store {
+                self.replayed.store(addr, bytes);
+            } else {
+                self.replayed.load(addr, bytes);
+            }
+            addr = addr.wrapping_add(stride);
+        }
+        if n > replay {
+            self.replayed.mem_run(addr, stride, n - replay, bytes, is_store);
+        }
+        self.check_batch("mem_run");
+        self.inner.mem_run(base, stride, n, bytes, is_store);
     }
 }
 
@@ -310,6 +355,7 @@ mod tests {
         let mut v = ValidatingExec::new(NullExec);
         v.load(0x1000, 0);
         assert_eq!(v.violations().len(), 1);
+        assert!(v.violations()[0].contains("load of 0 B at 0x1000 outside 1..=4096"));
     }
 
     #[test]
@@ -344,6 +390,51 @@ mod tests {
         assert_eq!(c.branches, EXPAND_CAP + 7);
         assert_eq!(c.unpredictable_branches, EXPAND_CAP + 7);
         assert_eq!(v.inner().counts(), v.shadow_counts());
+    }
+
+    #[test]
+    fn mem_run_checks_the_whole_span() {
+        let mut v = ValidatingExec::new(CountingExec::new());
+        v.declare_region("array", 0x1000, 4096);
+        v.mem_run(0x1000, 8, 512, 8, false); // exactly the region
+        v.assert_clean();
+        v.mem_run(0x1000, 8, 513, 8, true); // one element past the end
+        v.mem_run(0xff8, 8, 2, 8, false); // starts below
+        assert_eq!(v.violations().len(), 2, "{:?}", v.violations());
+        assert!(v.violations()[0]
+            .contains("store run of 4104 B at 0x1000 outside every declared region"));
+        // An empty run touches nothing.
+        v.mem_run(0, 8, 0, 8, false);
+        assert_eq!(v.violations().len(), 2);
+    }
+
+    #[test]
+    fn degenerate_mem_runs_are_flagged() {
+        let mut v = ValidatingExec::new(NullExec);
+        v.mem_run(0x1000, 8, 4, 0, false);
+        v.mem_run(0x1000, 8, 4, 4097, true);
+        v.load(0x1000, 8192);
+        v.mem_run(u64::MAX - 64, 8, 16, 8, false);
+        v.mem_run(0, u64::MAX, 3, 8, false);
+        assert_eq!(v.violations().len(), 5, "{:?}", v.violations());
+        assert!(v.violations()[0].contains("load run of 0 B at 0x1000 outside 1..=4096"));
+        assert!(v.violations()[3].contains("overflows the address space"));
+    }
+
+    #[test]
+    fn mem_run_forwards_verbatim_and_cross_checks() {
+        let mut v = ValidatingExec::new(ModelExec::snowball());
+        v.declare_region("buffer", 0, 1 << 20);
+        v.mem_run(0, 4, EXPAND_CAP + 321, 4, false);
+        v.mem_run(64, 16, 10, 16, true);
+        let report = v.finish();
+        v.assert_clean();
+        let mut bare = ModelExec::snowball();
+        bare.mem_run(0, 4, EXPAND_CAP + 321, 4, false);
+        bare.mem_run(64, 16, 10, 16, true);
+        assert_eq!(report, bare.finish());
+        assert_eq!(report.counts.loads, EXPAND_CAP + 321);
+        assert_eq!(report.counts.store_bytes, 160);
     }
 
     #[test]

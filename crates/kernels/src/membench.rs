@@ -97,9 +97,16 @@ impl MembenchResult {
     }
 }
 
-/// The raw kernel: walks `data` per `cfg`, reporting each access to
-/// `exec`, and returns `(accesses, checksum)`. Architecture-neutral — no
-/// spill or MLP modelling here.
+/// The raw kernel: walks `data` per `cfg` and returns
+/// `(accesses, checksum)`. Architecture-neutral — no spill or MLP
+/// modelling here.
+///
+/// Each sweep touches elements `0, stride, 2·stride, …` in order, at any
+/// unroll degree, so it is reported to `exec` as one [`Exec::mem_run`]
+/// of loads, plus one index-arithmetic op per access (`int_ops`) and one
+/// predictable loop branch per unrolled iteration group (`branch_run`).
+/// That is the same operation multiset as reporting each load, op and
+/// branch in loop order.
 ///
 /// # Panics
 ///
@@ -109,34 +116,28 @@ pub fn run<E: Exec>(cfg: &MembenchConfig, data: &[u8], exec: &mut E) -> (u64, u6
     cfg.validate();
     assert!(data.len() >= cfg.array_bytes, "buffer smaller than array");
     let n_elems = cfg.array_bytes / cfg.elem_bytes;
+    let per_sweep = n_elems.div_ceil(cfg.stride) as u64;
+    let groups = per_sweep.div_ceil(cfg.unroll as u64);
     let mut checksum = 0u64;
-    let mut accesses = 0u64;
     for _ in 0..cfg.sweeps {
-        let mut i = 0usize;
-        while i < n_elems {
-            // One unrolled iteration group.
-            let group = cfg.unroll as usize;
-            let mut grp = 0u64;
-            for u in 0..group {
-                let idx = i + u * cfg.stride;
-                if idx >= n_elems {
-                    break;
-                }
-                let off = idx * cfg.elem_bytes;
-                exec.load(off as u64, cfg.elem_bytes as u32);
-                // Really read the element (first byte stands in for the
-                // whole element in the checksum).
-                checksum = checksum.wrapping_add(data[off] as u64).rotate_left(1);
-                accesses += 1;
-                grp += 1;
-            }
-            // Index arithmetic + accumulate, batched for the group.
-            exec.int_ops(grp);
-            exec.branch(true);
-            i += group * cfg.stride;
+        exec.mem_run(
+            0,
+            (cfg.stride * cfg.elem_bytes) as u64,
+            per_sweep,
+            cfg.elem_bytes as u32,
+            false,
+        );
+        for idx in (0..n_elems).step_by(cfg.stride) {
+            // Really read the element (first byte stands in for the
+            // whole element in the checksum).
+            checksum = checksum
+                .wrapping_add(data[idx * cfg.elem_bytes] as u64)
+                .rotate_left(1);
         }
+        exec.int_ops(per_sweep);
+        exec.branch_run(groups, true);
     }
-    (accesses, checksum)
+    (per_sweep * cfg.sweeps as u64, checksum)
 }
 
 /// Runs the variant "compiled for" the machine behind `exec`:
@@ -228,6 +229,71 @@ mod tests {
         assert_eq!((a1, c1), (a2, c2));
         assert_eq!(count.counts().loads, a2);
         assert_eq!(a1, 2 * 8192 / 4);
+    }
+
+    /// The kernel before sweeps were batched: per unrolled group, one
+    /// `load` per element, then `int_ops(group)` and one branch.
+    fn per_group_reference<E: Exec>(cfg: &MembenchConfig, data: &[u8], exec: &mut E) -> (u64, u64) {
+        let n_elems = cfg.array_bytes / cfg.elem_bytes;
+        let (mut checksum, mut accesses) = (0u64, 0u64);
+        for _ in 0..cfg.sweeps {
+            let mut i = 0usize;
+            while i < n_elems {
+                let mut grp = 0u64;
+                for u in 0..cfg.unroll as usize {
+                    let idx = i + u * cfg.stride;
+                    if idx >= n_elems {
+                        break;
+                    }
+                    let off = idx * cfg.elem_bytes;
+                    exec.load(off as u64, cfg.elem_bytes as u32);
+                    checksum = checksum.wrapping_add(data[off] as u64).rotate_left(1);
+                    accesses += 1;
+                    grp += 1;
+                }
+                exec.int_ops(grp);
+                exec.branch(true);
+                i += cfg.unroll as usize * cfg.stride;
+            }
+        }
+        (accesses, checksum)
+    }
+
+    #[test]
+    fn batched_sweeps_cost_exactly_the_per_group_loop() {
+        let data = make_buffer(50 * 1024, 8);
+        for (array_bytes, sample_rate) in [(6000, 1), (50 * 1024, 3)] {
+            for stride in [1, 3, 4] {
+                for unroll in [1, 3, 8] {
+                    for elem_bytes in [4, 8, 16] {
+                        let cfg = MembenchConfig {
+                            array_bytes,
+                            stride,
+                            elem_bytes,
+                            unroll,
+                            sweeps: 2,
+                        };
+                        let mut batched = ModelExec::nehalem().with_sample_rate(sample_rate);
+                        let mut single = batched.clone();
+                        let got = run(&cfg, &data, &mut batched);
+                        assert_eq!(got, per_group_reference(&cfg, &data, &mut single));
+                        let (b, s) = (batched.finish(), single.finish());
+                        assert_eq!(
+                            (b.cycles, b.time, &b.counters, b.counts),
+                            (s.cycles, s.time, &s.counters, s.counts),
+                            "{cfg:?}"
+                        );
+                        for (x, y) in [
+                            (b.compute_cycles, s.compute_cycles),
+                            (b.memory_cycles, s.memory_cycles),
+                            (b.branch_cycles, s.branch_cycles),
+                        ] {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{cfg:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -259,7 +259,9 @@ impl Cache {
 
     /// Accesses one byte address (loads and stores are treated alike:
     /// write-allocate, and dirty write-back traffic is not modelled).
-    #[inline]
+    // Always inlined into `Hierarchy::access`, which is itself inlined
+    // into both of `ModelExec`'s lookup paths.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> AccessResult {
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
@@ -307,6 +309,16 @@ impl Cache {
         self.stamps[base + way] = self.clock;
         self.touch_plru(base, way);
         AccessResult::Miss { evicted }
+    }
+
+    /// Counts `n` more accesses to the memoised last line — the line of
+    /// the previous [`Cache::access`] — as hits that change no
+    /// replacement state.
+    #[inline]
+    pub(crate) fn repeat_last(&mut self, n: u64) {
+        debug_assert!(n == 0 || self.last_line.is_some(), "no line to repeat");
+        self.stats.accesses += n;
+        self.stats.hits += n;
     }
 
     /// Marks `way` most-recently-used in the PLRU tree of the set starting

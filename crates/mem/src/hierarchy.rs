@@ -178,7 +178,10 @@ impl Hierarchy {
 
     /// Accesses a (physical) byte address. Returns the satisfying level
     /// and the latency charged in cycles.
-    #[inline]
+    // Always inlined: the single-access and run paths of
+    // `ModelExec` both call it, and an out-of-line call costs the
+    // per-access path about a tenth of its time.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> (HitLevel, u64) {
         self.accesses += 1;
         for (i, (cache, latency)) in self.levels.iter_mut().enumerate() {
@@ -192,6 +195,26 @@ impl Hierarchy {
         self.memory_accesses += 1;
         self.total_cycles += self.memory_latency_cycles;
         (HitLevel::Memory, self.memory_latency_cycles)
+    }
+
+    /// Accesses `k` addresses of one L1 line in a row, `addr` first —
+    /// equivalent to `k` calls of [`Hierarchy::access`], returning the
+    /// first outcome. The other `k − 1` are L1 last-line-memo hits, so
+    /// they are charged in closed form at the L1 latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    #[inline]
+    pub fn access_run(&mut self, addr: u64, k: u64) -> (HitLevel, u64) {
+        assert!(k > 0, "an access run needs at least one access");
+        let first = self.access(addr);
+        let rest = k - 1;
+        let (l1, l1_latency) = &mut self.levels[0];
+        l1.repeat_last(rest);
+        self.accesses += rest;
+        self.total_cycles += rest * *l1_latency;
+        first
     }
 
     /// Statistics of cache level `i` (0 = L1).

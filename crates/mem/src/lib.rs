@@ -17,9 +17,10 @@
 //! * [`pages`] — virtual→physical page mapping with the three allocation
 //!   policies the paper's reproducibility study distinguishes (contiguous,
 //!   randomised, reuse-previous);
-//! * [`tlb`] — a small TLB model;
-//! * [`stream`] — drives address streams through TLB + page table + cache
-//!   hierarchy and reports cycles and effective bandwidth.
+//! * [`tlb`] — a small TLB model.
+//!
+//! `mb_cpu::exec_model::ModelExec` drives kernel address streams through
+//! the TLB, an optional page table and the cache hierarchy.
 //!
 //! # Examples
 //!
@@ -41,13 +42,11 @@ pub mod cache;
 pub mod coloring;
 pub mod hierarchy;
 pub mod pages;
-pub mod stream;
 pub mod tlb;
 pub mod topology;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Replacement};
 pub use hierarchy::{Hierarchy, HierarchyConfig, LevelConfig};
 pub use pages::{PageAllocator, PagePolicy, PageTable};
-pub use stream::{AccessKind, StreamEngine, StreamReport};
 pub use tlb::{Tlb, TlbConfig};
 pub use topology::{Topology, TopologyNode};

@@ -4,11 +4,15 @@
 //! per-access outcome, the final statistics and residency probes must
 //! agree across replacement policies and edge geometries, including
 //! same-line runs that exercise the memo, resets between two touches of
-//! one line, and tags that are 0 or span the whole address. A last
+//! one line, and tags that are 0 or span the whole address. Another
+//! property checks `Hierarchy::access_run` against `k` single
+//! `Hierarchy::access` calls inside one L1 line: the first outcome,
+//! every level's statistics and every later outcome must agree. A last
 //! property checks the shift/mask `PageTable::translate` against the
 //! division/modulo form it replaced.
 
 use mb_mem::cache::{AccessResult, Cache, CacheConfig, Replacement};
+use mb_mem::hierarchy::{Hierarchy, HierarchyConfig};
 use mb_mem::pages::PageTable;
 use mb_simcore::rng::{Rng, Xoshiro256};
 use proptest::prelude::*;
@@ -338,6 +342,46 @@ fn reset_between_two_touches_of_one_line_forgets_it() {
             cfg,
             &[(0, 0x40, 1), (2, 3, 4), (7, 0, 0), (2, 3, 4), (4, 0, 2)],
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn hierarchy_access_run_matches_k_single_accesses(
+        preset in 0usize..3,
+        steps in prop::collection::vec((any::<u64>(), 1u64..48, prop::bool::ANY), 1..300),
+    ) {
+        let cfg = match preset {
+            0 => HierarchyConfig::snowball_a9500(),
+            1 => HierarchyConfig::xeon_x5550(),
+            _ => HierarchyConfig::tegra2(),
+        };
+        let line = cfg.l1_line_bytes() as u64;
+        let mut real = Hierarchy::new(cfg.clone());
+        let mut oracle = Hierarchy::new(cfg);
+        for (i, &(x, k, run)) in steps.iter().enumerate() {
+            // A 48 KB region (past the 32 KB L1s) keeps lines moving.
+            let addr = x % (48 * 1024);
+            if run {
+                let got = real.access_run(addr, k);
+                prop_assert_eq!(got, oracle.access(addr), "run #{} at {:#x}", i, addr);
+                for j in 1..k {
+                    // The rest of the run, anywhere in the same L1 line.
+                    let same_line = (addr & !(line - 1)) | (x.wrapping_add(j * 4) % line);
+                    oracle.access(same_line);
+                }
+            } else {
+                prop_assert_eq!(real.access(addr), oracle.access(addr), "access #{}", i);
+            }
+            prop_assert_eq!(real.accesses(), oracle.accesses());
+            prop_assert_eq!(real.total_cycles(), oracle.total_cycles());
+            prop_assert_eq!(real.memory_accesses(), oracle.memory_accesses());
+            for level in 0..real.num_levels() {
+                prop_assert_eq!(real.level_stats(level), oracle.level_stats(level));
+            }
+        }
     }
 }
 

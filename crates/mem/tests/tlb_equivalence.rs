@@ -4,7 +4,9 @@
 //! oracle — every per-access hit/miss and both counters must agree for
 //! small and realistic entry counts, two page sizes, same-page runs,
 //! sweeps wider than the TLB, hint-aliasing strides and mid-stream
-//! resets.
+//! resets. A second property checks `Tlb::access_run` against `k`
+//! reference accesses to one page: the first outcome, both counters and
+//! every later outcome (which the run's final LRU stamp decides) agree.
 
 use mb_mem::tlb::{Tlb, TlbConfig};
 use proptest::prelude::*;
@@ -158,6 +160,41 @@ fn every_geometry_survives_a_reset_between_touches_of_one_page() {
             t.reset();
             assert!(!t.access(0x48), "reset must forget the page");
             assert_eq!((t.hits(), t.misses()), (0, 1));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn access_run_matches_k_single_accesses(
+        geo in 0usize..10,
+        steps in prop::collection::vec((any::<u64>(), 1u64..40, prop::bool::ANY), 1..160),
+    ) {
+        let cfg = TlbConfig::new(ENTRIES[geo % 5], PAGES[geo / 5]);
+        let page = cfg.page_bytes as u64;
+        let mut real = Tlb::new(cfg);
+        let mut oracle = RefTlb::new(cfg);
+        for (i, &(x, k, run)) in steps.iter().enumerate() {
+            // Pages from a region a little wider than the largest TLB,
+            // so runs and single accesses keep evicting each other.
+            let vaddr = (x % 80) * page + (x >> 32) % page;
+            if run {
+                let got = real.access_run(vaddr, k);
+                let want = oracle.access(vaddr);
+                prop_assert_eq!(got, want, "run #{} at {:#x} under {:?}", i, vaddr, cfg);
+                for j in 1..k {
+                    // The rest of the run, anywhere in the same page.
+                    let same_page = (vaddr & !(page - 1)) | (x.wrapping_add(j * 8) % page);
+                    prop_assert!(oracle.access(same_page), "run tail must hit");
+                }
+            } else {
+                let (got, want) = (real.access(vaddr), oracle.access(vaddr));
+                prop_assert_eq!(got, want, "access #{} under {:?}", i, cfg);
+            }
+            prop_assert_eq!(real.hits(), oracle.hits);
+            prop_assert_eq!(real.misses(), oracle.misses);
         }
     }
 }
