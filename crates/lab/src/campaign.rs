@@ -75,11 +75,17 @@ pub enum Grid {
 const PAPER_SEED_SALT: u64 = 0x9A9E12;
 
 impl Grid {
-    fn seed(self, base: u64) -> u64 {
+    /// The one grid switch: `quick` on the quick grid, `paper` on the
+    /// paper grid.
+    fn pick<T>(self, quick: T, paper: T) -> T {
         match self {
-            Grid::Quick => base,
-            Grid::Paper => base ^ PAPER_SEED_SALT,
+            Grid::Quick => quick,
+            Grid::Paper => paper,
         }
+    }
+
+    fn seed(self, base: u64) -> u64 {
+        self.pick(base, base ^ PAPER_SEED_SALT)
     }
 }
 
@@ -128,30 +134,20 @@ struct Fig3Scaling {
 
 impl Fig3Scaling {
     fn config(&self) -> fig3::Fig3Config {
-        match self.grid {
-            Grid::Quick => fig3::Fig3Config::quick(),
-            Grid::Paper => fig3::Fig3Config::paper(),
-        }
+        self.grid.pick(fig3::Fig3Config::quick(), fig3::Fig3Config::paper())
     }
 }
 
 impl Campaign for Fig3Scaling {
     fn name(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "fig3-quick",
-            Grid::Paper => "fig3-paper",
-        }
+        self.grid.pick("fig3-quick", "fig3-paper")
     }
 
     fn description(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => {
-                "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), quick grid"
-            }
-            Grid::Paper => {
-                "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), full paper grid"
-            }
-        }
+        self.grid.pick(
+            "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), quick grid",
+            "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), full paper grid",
+        )
     }
 
     fn seed(&self) -> u64 {
@@ -180,10 +176,7 @@ impl Campaign for Fig3Scaling {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(match self.grid {
-            Grid::Quick => FIG3_QUICK_DIGEST,
-            Grid::Paper => FIG3_PAPER_DIGEST,
-        })
+        Some(self.grid.pick(FIG3_QUICK_DIGEST, FIG3_PAPER_DIGEST))
     }
 
     fn payload_width(&self) -> Option<usize> {
@@ -204,19 +197,14 @@ impl Fig3Faulted {
 
 impl Campaign for Fig3Faulted {
     fn name(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "fig3-faulted-quick",
-            Grid::Paper => "fig3-faulted-paper",
-        }
+        self.grid.pick("fig3-faulted-quick", "fig3-faulted-paper")
     }
 
     fn description(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "Figure 3 scaling under light injected faults, with resilience counters",
-            Grid::Paper => {
-                "Figure 3 full paper grid under light injected faults, with resilience counters"
-            }
-        }
+        self.grid.pick(
+            "Figure 3 scaling under light injected faults, with resilience counters",
+            "Figure 3 full paper grid under light injected faults, with resilience counters",
+        )
     }
 
     fn seed(&self) -> u64 {
@@ -248,10 +236,7 @@ impl Campaign for Fig3Faulted {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(match self.grid {
-            Grid::Quick => FIG3_FAULTED_QUICK_DIGEST,
-            Grid::Paper => FIG3_FAULTED_PAPER_DIGEST,
-        })
+        Some(self.grid.pick(FIG3_FAULTED_QUICK_DIGEST, FIG3_FAULTED_PAPER_DIGEST))
     }
 
     fn payload_width(&self) -> Option<usize> {
@@ -278,10 +263,7 @@ impl Fig5Anomaly {
     }
 
     fn config(&self) -> fig5::Fig5Config {
-        match self.grid {
-            Grid::Quick => fig5::Fig5Config::quick(),
-            Grid::Paper => fig5::Fig5Config::paper(),
-        }
+        self.grid.pick(fig5::Fig5Config::quick(), fig5::Fig5Config::paper())
     }
 
     fn measurer(&self) -> &fig5::SlotMeasurer {
@@ -292,19 +274,14 @@ impl Fig5Anomaly {
 
 impl Campaign for Fig5Anomaly {
     fn name(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "fig5-quick",
-            Grid::Paper => "fig5-paper",
-        }
+        self.grid.pick("fig5-quick", "fig5-paper")
     }
 
     fn description(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "Figure 5 Snowball bandwidth under the RT scheduling anomaly, quick grid",
-            Grid::Paper => {
-                "Figure 5 Snowball bandwidth under the RT anomaly, paper grid (50 sizes x 42 reps)"
-            }
-        }
+        self.grid.pick(
+            "Figure 5 Snowball bandwidth under the RT scheduling anomaly, quick grid",
+            "Figure 5 Snowball bandwidth under the RT anomaly, paper grid (50 sizes x 42 reps)",
+        )
     }
 
     fn seed(&self) -> u64 {
@@ -324,10 +301,7 @@ impl Campaign for Fig5Anomaly {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(match self.grid {
-            Grid::Quick => FIG5_QUICK_DIGEST,
-            Grid::Paper => FIG5_PAPER_DIGEST,
-        })
+        Some(self.grid.pick(FIG5_QUICK_DIGEST, FIG5_PAPER_DIGEST))
     }
 
     fn payload_width(&self) -> Option<usize> {
@@ -343,26 +317,20 @@ struct Fig7Tuning {
 
 impl Fig7Tuning {
     fn config(&self) -> fig7::Fig7Config {
-        match self.grid {
-            Grid::Quick => fig7::Fig7Config::quick(),
-            Grid::Paper => fig7::Fig7Config::paper(),
-        }
+        self.grid.pick(fig7::Fig7Config::quick(), fig7::Fig7Config::paper())
     }
 }
 
 impl Campaign for Fig7Tuning {
     fn name(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "fig7-quick",
-            Grid::Paper => "fig7-paper",
-        }
+        self.grid.pick("fig7-quick", "fig7-paper")
     }
 
     fn description(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, quick grid",
-            Grid::Paper => "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid",
-        }
+        self.grid.pick(
+            "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, quick grid",
+            "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid",
+        )
     }
 
     fn seed(&self) -> u64 {
@@ -386,10 +354,7 @@ impl Campaign for Fig7Tuning {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(match self.grid {
-            Grid::Quick => FIG7_QUICK_DIGEST,
-            Grid::Paper => FIG7_PAPER_DIGEST,
-        })
+        Some(self.grid.pick(FIG7_QUICK_DIGEST, FIG7_PAPER_DIGEST))
     }
 
     fn payload_width(&self) -> Option<usize> {
@@ -404,26 +369,20 @@ struct Table2Extended {
 
 impl Table2Extended {
     fn config(&self) -> table2::Table2Config {
-        match self.grid {
-            Grid::Quick => table2::Table2Config::quick(),
-            Grid::Paper => table2::Table2Config::paper(),
-        }
+        self.grid.pick(table2::Table2Config::quick(), table2::Table2Config::paper())
     }
 }
 
 impl Campaign for Table2Extended {
     fn name(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "table2-quick",
-            Grid::Paper => "table2-paper",
-        }
+        self.grid.pick("table2-quick", "table2-paper")
     }
 
     fn description(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => "Extended Table II single-node comparison (Snowball vs Xeon), quick config",
-            Grid::Paper => "Extended Table II single-node comparison (Snowball vs Xeon), paper config",
-        }
+        self.grid.pick(
+            "Extended Table II single-node comparison (Snowball vs Xeon), quick config",
+            "Extended Table II single-node comparison (Snowball vs Xeon), paper config",
+        )
     }
 
     fn seed(&self) -> u64 {
@@ -447,10 +406,7 @@ impl Campaign for Table2Extended {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(match self.grid {
-            Grid::Quick => TABLE2_QUICK_DIGEST,
-            Grid::Paper => TABLE2_PAPER_DIGEST,
-        })
+        Some(self.grid.pick(TABLE2_QUICK_DIGEST, TABLE2_PAPER_DIGEST))
     }
 
     fn payload_width(&self) -> Option<usize> {

@@ -5,99 +5,33 @@
 //! request frame, and consumes the reply (or reply stream). The
 //! failure mapping is the whole point:
 //!
-//! * a refused/dropped connection is [`ClientError::Protocol`] with
-//!   an I/O cause → exit 7 (`UNAVAILABLE`) — the server is down,
-//!   retry later;
-//! * a `busy` reply is [`ClientError::Busy`] → exit 7 — typed
+//! * a refused/dropped connection is [`LabError::Socket`] → exit 7
+//!   (`UNAVAILABLE`) — the server is down, retry later;
+//! * a `busy` reply is [`LabError::Busy`] → exit 7 — typed
 //!   backpressure, retry later;
-//! * an `err code=N` reply is [`ClientError::Server`] → exit `N`,
+//! * an `err code=N` reply is [`LabError::Server`] → exit `N`,
 //!   forwarding the server's classification verbatim;
 //! * a frame we cannot parse (version skew, malformed) → exit 6
-//!   (`PROTOCOL`).
+//!   (`PROTOCOL`);
+//! * a local file [`fetch`] cannot write is [`LabError::Io`] → exit 5,
+//!   like every other filesystem failure.
 //!
 //! Fetched segments are raw `mbseg1` lines; [`fetch`] writes them to
 //! a file and chain-verifies with [`crate::transport::load_segment`]
 //! before reporting success, so a truncated or tampered wire transfer
 //! is a typed corruption error (exit 3), never a quietly short file.
 
-use crate::protocol::{self, JobState, JobStatus, ProtocolError, Reply, Request};
-use crate::transport::{self, TransportError};
-use std::fmt;
+use crate::error::LabError;
+use crate::protocol::{self, JobState, JobStatus, Reply, Request};
+use crate::transport;
 use std::fs;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 
-/// Everything a client call can fail with.
-#[derive(Debug)]
-pub enum ClientError {
-    /// Wire fault: connect/read/write failure or an unparseable frame.
-    Protocol(ProtocolError),
-    /// The server answered with a typed error.
-    Server {
-        /// Exit code the server assigned.
-        code: u8,
-        /// The server's message.
-        msg: String,
-    },
-    /// Typed backpressure: the job queue is at its bound.
-    Busy {
-        /// Jobs queued at the server.
-        queued: usize,
-        /// The server's queue bound.
-        cap: usize,
-    },
-    /// The server answered with a frame this request cannot accept.
-    Unexpected {
-        /// The frame received.
-        got: String,
-    },
-    /// A fetched segment failed chain verification.
-    Transport(TransportError),
-}
-
-impl fmt::Display for ClientError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClientError::Protocol(e) => write!(f, "{e}"),
-            ClientError::Server { code, msg } => write!(f, "server error (code {code}): {msg}"),
-            ClientError::Busy { queued, cap } => write!(
-                f,
-                "server busy: job queue at its bound ({queued}/{cap}); retry later"
-            ),
-            ClientError::Unexpected { got } => write!(f, "unexpected reply frame: '{got}'"),
-            ClientError::Transport(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-impl From<ProtocolError> for ClientError {
-    fn from(e: ProtocolError) -> Self {
-        ClientError::Protocol(e)
-    }
-}
-
-impl From<TransportError> for ClientError {
-    fn from(e: TransportError) -> Self {
-        ClientError::Transport(e)
-    }
-}
-
-impl ClientError {
-    /// Exit code under the workspace contract (see module docs).
-    pub fn exit_code(&self) -> u8 {
-        use mb_simcore::error::exit_code;
-        match self {
-            ClientError::Protocol(e) => e.exit_code(),
-            ClientError::Server { code, .. } => *code,
-            ClientError::Busy { .. } => exit_code::UNAVAILABLE,
-            ClientError::Unexpected { .. } => exit_code::PROTOCOL,
-            ClientError::Transport(e) => e.exit_code(),
-        }
-    }
-}
+/// [`LabError`] under the name callers of the client calls match on
+/// (`ClientError::Busy { .. }`).
+pub type ClientError = LabError;
 
 /// One open request: reader for replies, writer already flushed.
 struct Session {
@@ -105,8 +39,8 @@ struct Session {
 }
 
 impl Session {
-    fn open(addr: &str, request: &Request) -> Result<Session, ClientError> {
-        let mut stream = TcpStream::connect(addr).map_err(ProtocolError::Io)?;
+    fn open(addr: &str, request: &Request) -> Result<Session, LabError> {
+        let mut stream = TcpStream::connect(addr).map_err(LabError::Socket)?;
         protocol::write_frame(&mut stream, &request.render())?;
         Ok(Session {
             reader: BufReader::new(stream),
@@ -114,20 +48,20 @@ impl Session {
     }
 
     /// Reads one reply frame; EOF and `err`/`busy` replies are typed.
-    fn reply(&mut self) -> Result<Reply, ClientError> {
+    fn reply(&mut self) -> Result<Reply, LabError> {
         let line = protocol::read_frame(&mut self.reader)?
-            .ok_or(ClientError::Protocol(ProtocolError::Truncated { got: 0 }))?;
+            .ok_or(LabError::Truncated { got: 0 })?;
         match Reply::parse(&line)? {
-            Reply::Err { code, msg } => Err(ClientError::Server { code, msg }),
-            Reply::Busy { queued, cap } => Err(ClientError::Busy { queued, cap }),
+            Reply::Err { code, msg } => Err(LabError::Server { code, msg }),
+            Reply::Busy { queued, cap } => Err(LabError::Busy { queued, cap }),
             other => Ok(other),
         }
     }
 
     /// Reads one raw (non-frame) line, as used by segment streaming.
-    fn raw_line(&mut self) -> Result<String, ClientError> {
+    fn raw_line(&mut self) -> Result<String, LabError> {
         protocol::read_frame(&mut self.reader)?
-            .ok_or(ClientError::Protocol(ProtocolError::Truncated { got: 0 }))
+            .ok_or(LabError::Truncated { got: 0 })
     }
 }
 
@@ -135,9 +69,9 @@ impl Session {
 ///
 /// # Errors
 ///
-/// Any [`ClientError`]; [`ClientError::Busy`] is the typed
+/// Any [`LabError`]; [`LabError::Busy`] is the typed
 /// backpressure case.
-pub fn submit(addr: &str, campaign: &str, shards: u32) -> Result<(String, usize), ClientError> {
+pub fn submit(addr: &str, campaign: &str, shards: u32) -> Result<(String, usize), LabError> {
     let mut s = Session::open(
         addr,
         &Request::Submit {
@@ -147,7 +81,7 @@ pub fn submit(addr: &str, campaign: &str, shards: u32) -> Result<(String, usize)
     )?;
     match s.reply()? {
         Reply::Submitted { job, queued } => Ok((job, queued)),
-        other => Err(ClientError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected { got: other.render() }),
     }
 }
 
@@ -155,8 +89,8 @@ pub fn submit(addr: &str, campaign: &str, shards: u32) -> Result<(String, usize)
 ///
 /// # Errors
 ///
-/// Any [`ClientError`].
-pub fn status(addr: &str, job: Option<&str>) -> Result<Vec<JobStatus>, ClientError> {
+/// Any [`LabError`].
+pub fn status(addr: &str, job: Option<&str>) -> Result<Vec<JobStatus>, LabError> {
     let mut s = Session::open(
         addr,
         &Request::Status {
@@ -166,7 +100,7 @@ pub fn status(addr: &str, job: Option<&str>) -> Result<Vec<JobStatus>, ClientErr
     match job {
         Some(_) => match s.reply()? {
             Reply::Job(snapshot) => Ok(vec![snapshot]),
-            other => Err(ClientError::Unexpected { got: other.render() }),
+            other => Err(LabError::Unexpected { got: other.render() }),
         },
         None => {
             let mut all = Vec::new();
@@ -175,13 +109,13 @@ pub fn status(addr: &str, job: Option<&str>) -> Result<Vec<JobStatus>, ClientErr
                     Reply::Job(snapshot) => all.push(snapshot),
                     Reply::End { count } => {
                         if count != all.len() {
-                            return Err(ClientError::Unexpected {
+                            return Err(LabError::Unexpected {
                                 got: format!("end count={count} after {} snapshots", all.len()),
                             });
                         }
                         return Ok(all);
                     }
-                    other => return Err(ClientError::Unexpected { got: other.render() }),
+                    other => return Err(LabError::Unexpected { got: other.render() }),
                 }
             }
         }
@@ -206,12 +140,12 @@ pub struct WatchOutcome {
 ///
 /// # Errors
 ///
-/// Any [`ClientError`].
+/// Any [`LabError`].
 pub fn watch(
     addr: &str,
     job: &str,
     mut on_progress: impl FnMut(usize, usize, Option<u64>),
-) -> Result<WatchOutcome, ClientError> {
+) -> Result<WatchOutcome, LabError> {
     let mut s = Session::open(
         addr,
         &Request::Watch {
@@ -237,7 +171,7 @@ pub fn watch(
                     detail,
                 })
             }
-            other => return Err(ClientError::Unexpected { got: other.render() }),
+            other => return Err(LabError::Unexpected { got: other.render() }),
         }
     }
 }
@@ -249,8 +183,8 @@ pub fn watch(
 ///
 /// # Errors
 ///
-/// Any [`ClientError`].
-pub fn cancel(addr: &str, job: &str) -> Result<JobStatus, ClientError> {
+/// Any [`LabError`].
+pub fn cancel(addr: &str, job: &str) -> Result<JobStatus, LabError> {
     let mut s = Session::open(
         addr,
         &Request::Cancel {
@@ -259,7 +193,7 @@ pub fn cancel(addr: &str, job: &str) -> Result<JobStatus, ClientError> {
     )?;
     match s.reply()? {
         Reply::Job(snapshot) => Ok(snapshot),
-        other => Err(ClientError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected { got: other.render() }),
     }
 }
 
@@ -268,9 +202,10 @@ pub fn cancel(addr: &str, job: &str) -> Result<JobStatus, ClientError> {
 ///
 /// # Errors
 ///
-/// Any [`ClientError`]; a segment that fails verification is
-/// [`ClientError::Transport`] (exit 3) and the file is removed.
-pub fn fetch(addr: &str, job: &str, out: &Path) -> Result<usize, ClientError> {
+/// Any [`LabError`]; a segment that fails verification is a
+/// corruption error (exit 3) and the file is removed, and a local
+/// write failure is [`LabError::Io`] (exit 5).
+pub fn fetch(addr: &str, job: &str, out: &Path) -> Result<usize, LabError> {
     let mut s = Session::open(
         addr,
         &Request::Fetch {
@@ -279,33 +214,30 @@ pub fn fetch(addr: &str, job: &str, out: &Path) -> Result<usize, ClientError> {
     )?;
     let lines = match s.reply()? {
         Reply::Segment { lines } => lines,
-        other => return Err(ClientError::Unexpected { got: other.render() }),
+        other => return Err(LabError::Unexpected { got: other.render() }),
     };
     let mut text = String::new();
     for _ in 0..lines {
         text.push_str(&s.raw_line()?);
         text.push('\n');
     }
-    fs::write(out, &text).map_err(|e| ClientError::Protocol(ProtocolError::Io(e)))?;
-    match transport::load_segment(out) {
-        Ok(segment) => Ok(segment.records.len()),
-        Err(e) => {
-            let _ = fs::remove_file(out);
-            Err(ClientError::Transport(e))
-        }
-    }
+    fs::write(out, &text)?;
+    let segment = transport::load_segment(out).inspect_err(|_| {
+        let _ = fs::remove_file(out);
+    })?;
+    Ok(segment.records.len())
 }
 
 /// Liveness probe.
 ///
 /// # Errors
 ///
-/// Any [`ClientError`].
-pub fn ping(addr: &str) -> Result<(), ClientError> {
+/// Any [`LabError`].
+pub fn ping(addr: &str) -> Result<(), LabError> {
     let mut s = Session::open(addr, &Request::Ping)?;
     match s.reply()? {
         Reply::Pong => Ok(()),
-        other => Err(ClientError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected { got: other.render() }),
     }
 }
 
@@ -314,11 +246,11 @@ pub fn ping(addr: &str) -> Result<(), ClientError> {
 ///
 /// # Errors
 ///
-/// Any [`ClientError`].
-pub fn shutdown(addr: &str) -> Result<usize, ClientError> {
+/// Any [`LabError`].
+pub fn shutdown(addr: &str) -> Result<usize, LabError> {
     let mut s = Session::open(addr, &Request::Shutdown)?;
     match s.reply()? {
         Reply::Stopping { running } => Ok(running),
-        other => Err(ClientError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected { got: other.render() }),
     }
 }

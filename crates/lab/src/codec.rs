@@ -24,6 +24,7 @@
 //! exactly the bytes [`render_record`] writes: a verified run of journal
 //! lines can be shipped as a byte slice and re-verified anywhere.
 
+use crate::error::LabError;
 use std::fmt;
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -50,6 +51,13 @@ pub(crate) enum FieldError<'a> {
     Unknown(&'a str),
     /// A required key that is absent.
     Missing(&'a str),
+    /// An optional key present without the key it qualifies.
+    Requires {
+        /// The present key.
+        key: &'a str,
+        /// The absent key it needs.
+        needs: &'a str,
+    },
     /// A value that does not parse as its key's type.
     BadValue {
         /// The key.
@@ -68,6 +76,7 @@ impl fmt::Display for FieldError<'_> {
             FieldError::Duplicate(key) => write!(f, "duplicate field '{key}'"),
             FieldError::Unknown(key) => write!(f, "unknown field '{key}'"),
             FieldError::Missing(key) => write!(f, "missing field '{key}'"),
+            FieldError::Requires { key, needs } => write!(f, "field '{key}' needs '{needs}'"),
             FieldError::BadValue { key, value } => write!(f, "bad value '{value}' for '{key}'"),
         }
     }
@@ -279,25 +288,25 @@ pub(crate) fn parse_record(line: &str) -> Option<Record<'_>> {
 
 /// Where [`verify_chain`] stopped.
 #[derive(Debug)]
-pub(crate) enum ChainError<E> {
+pub(crate) enum ChainError {
     /// The line at this zero-based index of the run is not a record.
     Unparseable(usize),
     /// The record at this index does not re-derive from its
     /// predecessor: edited, reordered or truncated history.
     Broken(usize),
     /// The caller's `accept` rejected a verified record.
-    Rejected(E),
+    Rejected(LabError),
 }
 
 /// The record-chain verification loop: walks `lines` starting from
 /// chain value `start`, requires every line to parse and to carry the
 /// chain its body re-derives, and hands each verified record to
 /// `accept`. Returns the chain value after the last line.
-pub(crate) fn verify_chain<'a, E>(
+pub(crate) fn verify_chain<'a>(
     start: u64,
     lines: impl IntoIterator<Item = &'a str>,
-    mut accept: impl FnMut(Record<'a>) -> Result<(), E>,
-) -> Result<u64, ChainError<E>> {
+    mut accept: impl FnMut(Record<'a>) -> Result<(), LabError>,
+) -> Result<u64, ChainError> {
     let mut chain = start;
     for (i, line) in lines.into_iter().enumerate() {
         let record = parse_record(line).ok_or(ChainError::Unparseable(i))?;

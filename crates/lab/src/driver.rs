@@ -23,7 +23,8 @@
 //!    next unbounded invocation completes it.
 
 use crate::campaign::{digest, Campaign};
-use crate::journal::{Journal, JournalError, JournalHeader};
+use crate::error::LabError;
+use crate::journal::{Journal, JournalHeader};
 use mb_simcore::error::MbError;
 use std::fmt;
 use std::path::Path;
@@ -144,7 +145,7 @@ pub fn run_campaign(
     journal_path: &Path,
     shard: Shard,
     task_delay_ms: u64,
-) -> Result<RunOutcome, JournalError> {
+) -> Result<RunOutcome, LabError> {
     run_campaign_with(
         campaign,
         journal_path,
@@ -165,25 +166,24 @@ pub fn run_campaign(
 ///
 /// # Errors
 ///
-/// Any [`JournalError`] from opening, verifying or appending to the
-/// journal; [`JournalError::BadPayload`] when a journaled record's
+/// Any [`LabError`] from opening, verifying or appending to the
+/// journal; [`LabError::BadPayload`] when a journaled record's
 /// width disagrees with the campaign's fixed slot width; plus
-/// [`JournalError::SlotFailed`] if a slot execution dies (surfaced
+/// [`LabError::SlotFailed`] if a slot execution dies (surfaced
 /// with the failing slot's index and label, and mapped to the
 /// restartable exit code 4 by the CLI).
 pub fn run_campaign_with(
     campaign: &dyn Campaign,
     journal_path: &Path,
     opts: &RunOptions,
-) -> Result<RunOutcome, JournalError> {
+) -> Result<RunOutcome, LabError> {
     let shard = opts.shard;
     let labels = campaign.task_labels();
     let n = labels.len();
     // Exclusive ownership for the whole run: a second concurrent
     // writer would interleave appends and break the digest chain.
     // Held until this function returns (success or error).
-    let _lock = crate::lock::PathLock::acquire_guarding(journal_path)
-        .map_err(JournalError::Locked)?;
+    let _lock = crate::lock::PathLock::acquire_guarding(journal_path)?;
     let journal = Journal::open_or_create(journal_path, expected_header(campaign, shard))?;
     let recovered_torn_tail = journal.torn_tail;
     let replayed = journal.records.len();
@@ -264,7 +264,7 @@ pub fn run_campaign_with(
         .into_iter()
         .find(|(i, _)| attempted[*i])
     {
-        return Err(JournalError::SlotFailed {
+        return Err(LabError::SlotFailed {
             slot,
             detail: err.to_string(),
         });
@@ -275,7 +275,7 @@ pub fn run_campaign_with(
             .into_slots()
             .into_iter()
             .collect::<Result<_, _>>()
-            .map_err(|e| JournalError::BadShardFamily {
+            .map_err(|e| LabError::BadShardFamily {
                 detail: format!("incomplete solo run: {e}"),
             })?;
         Some(digest(campaign.finalize(&payloads)))
@@ -296,16 +296,16 @@ pub fn run_campaign_with(
 
 /// Rejects journaled payloads whose width disagrees with the
 /// campaign's fixed slot width, so a truncated record surfaces as a
-/// [`JournalError::BadPayload`] instead of a slice panic inside the
+/// [`LabError::BadPayload`] instead of a slice panic inside the
 /// campaign's finalizer.
 fn check_payload_widths(
     campaign: &dyn Campaign,
     records: &[(usize, Vec<f64>)],
-) -> Result<(), JournalError> {
+) -> Result<(), LabError> {
     if let Some(expected) = campaign.payload_width() {
         for (slot, payload) in records {
             if payload.len() != expected {
-                return Err(JournalError::BadPayload {
+                return Err(LabError::BadPayload {
                     slot: *slot,
                     got: payload.len(),
                     expected,
@@ -321,19 +321,18 @@ fn check_payload_widths(
 ///
 /// # Errors
 ///
-/// [`JournalError::IncompleteMerge`] when slots are missing,
-/// [`JournalError::BadPayload`] when a record's width disagrees with
+/// [`LabError::IncompleteMerge`] when slots are missing,
+/// [`LabError::BadPayload`] when a record's width disagrees with
 /// the campaign's fixed slot width,
-/// [`JournalError::BadShardFamily`] when the journal's campaign is not
-/// registered or its header disagrees with the registry.
-pub fn digest_journal(journal: &Journal) -> Result<u64, JournalError> {
-    let campaign =
-        crate::campaign::find(&journal.header.campaign).ok_or_else(|| JournalError::BadShardFamily {
-            detail: format!("unknown campaign '{}'", journal.header.campaign),
-        })?;
+/// [`LabError::UnknownCampaign`] when the journal's campaign is not
+/// registered, [`LabError::BadShardFamily`] when its header disagrees
+/// with the registry.
+pub fn digest_journal(journal: &Journal) -> Result<u64, LabError> {
+    let campaign = crate::campaign::find(&journal.header.campaign)
+        .ok_or_else(|| LabError::UnknownCampaign(journal.header.campaign.clone()))?;
     journal
         .check_header(&expected_header(campaign.as_ref(), journal.header.shard))
-        .map_err(|e| JournalError::BadShardFamily {
+        .map_err(|e| LabError::BadShardFamily {
             detail: format!("journal disagrees with registered campaign '{}': {e}", campaign.name()),
         })?;
     check_payload_widths(campaign.as_ref(), &journal.records)?;
@@ -347,7 +346,7 @@ pub fn digest_journal(journal: &Journal) -> Result<u64, JournalError> {
         .filter_map(|(i, s)| s.is_none().then_some(i))
         .collect();
     if !missing.is_empty() {
-        return Err(JournalError::IncompleteMerge { missing });
+        return Err(LabError::IncompleteMerge { missing });
     }
     let payloads: Vec<Vec<f64>> = slots
         .into_iter()

@@ -22,7 +22,7 @@
 //! * The **chain** field makes the file tamper- and truncation-evident:
 //!   each record's chain value mixes the previous chain value with a
 //!   hash of the record body, seeded by a hash of the header. A record
-//!   whose chain does not re-derive is a hard error ([`JournalError::ChainMismatch`]).
+//!   whose chain does not re-derive is a hard error ([`LabError::ChainMismatch`]).
 //!
 //! The single deliberate soft spot is the **torn tail**: a process
 //! killed mid-`write` leaves a final line with no terminating newline
@@ -34,6 +34,7 @@
 
 use crate::codec::{self, ChainError, Fields};
 use crate::driver::Shard;
+use crate::error::LabError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -43,192 +44,9 @@ use std::path::{Path, PathBuf};
 /// Format version token leading every journal header.
 pub const FORMAT_VERSION: &str = "mblab1";
 
-/// Most missing slots one [`JournalError::IncompleteMerge`] lists: the
+/// Most missing slots one [`LabError::IncompleteMerge`] lists: the
 /// task count comes from a file, so the list must not be sized by it.
 pub const MISSING_LISTED: usize = 1024;
-
-/// Everything that can go wrong reading or merging journals.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// The file's version token is not [`FORMAT_VERSION`].
-    VersionSkew {
-        /// The token actually found.
-        found: String,
-    },
-    /// The header could not be parsed at all.
-    BadHeader {
-        /// The offending line.
-        line: String,
-    },
-    /// The header disagrees with what the driver expected (campaign,
-    /// seed, task count or shard assignment).
-    HeaderMismatch {
-        /// Which field disagreed.
-        field: &'static str,
-        /// Value in the file.
-        found: String,
-        /// Value the driver expected.
-        expected: String,
-    },
-    /// A fully terminated record line failed to parse.
-    BadRecord {
-        /// 1-based line number.
-        line_number: usize,
-    },
-    /// A record's chained digest does not re-derive from its
-    /// predecessors — the file was edited, reordered or corrupted
-    /// somewhere before its final line.
-    ChainMismatch {
-        /// 1-based line number of the first bad record.
-        line_number: usize,
-    },
-    /// The same slot appears twice.
-    DuplicateSlot {
-        /// The repeated slot index.
-        slot: usize,
-    },
-    /// A record names a slot outside `0..tasks` or one this shard does
-    /// not own.
-    ForeignSlot {
-        /// The offending slot index.
-        slot: usize,
-    },
-    /// A merge input set does not form one complete shard family
-    /// (`i/N` for every `i in 0..N`, all over the same campaign).
-    BadShardFamily {
-        /// Human-readable description of the inconsistency.
-        detail: String,
-    },
-    /// A merge is missing completed slots.
-    IncompleteMerge {
-        /// Slots with no record in any input shard, ascending — at most
-        /// the first [`MISSING_LISTED`] of them.
-        missing: Vec<usize>,
-    },
-    /// A record's payload width disagrees with the campaign's
-    /// fixed-width slot contract — e.g. a truncated six-counter faulted
-    /// payload. Surfaced before the payload can reach a finalizer that
-    /// would slice-index it.
-    BadPayload {
-        /// The offending slot index.
-        slot: usize,
-        /// Number of values actually recorded.
-        got: usize,
-        /// Width the campaign's slots produce.
-        expected: usize,
-    },
-    /// A campaign slot panicked inside the contained sweep. The journal
-    /// itself is healthy — every slot completed before the panic is
-    /// persisted — so a supervisor may restart the worker and resume,
-    /// quarantining the slot if it keeps crashing.
-    SlotFailed {
-        /// The failing slot index.
-        slot: usize,
-        /// The contained panic, rendered (label + payload text).
-        detail: String,
-    },
-    /// The journal's ownership lock is held by a live process — a
-    /// second writer would interleave appends and break the chain, so
-    /// the run refuses to start (see [`crate::lock`]).
-    Locked(crate::lock::LockError),
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
-            JournalError::VersionSkew { found } => write!(
-                f,
-                "journal version skew: found '{found}', this build reads '{FORMAT_VERSION}'"
-            ),
-            JournalError::BadHeader { line } => write!(f, "unparseable journal header: '{line}'"),
-            JournalError::HeaderMismatch {
-                field,
-                found,
-                expected,
-            } => write!(
-                f,
-                "journal header mismatch: {field} is '{found}', expected '{expected}'"
-            ),
-            JournalError::BadRecord { line_number } => {
-                write!(f, "unparseable journal record at line {line_number}")
-            }
-            JournalError::ChainMismatch { line_number } => write!(
-                f,
-                "journal digest chain broken at line {line_number}: file was modified or corrupted"
-            ),
-            JournalError::DuplicateSlot { slot } => {
-                write!(f, "journal records slot {slot} twice")
-            }
-            JournalError::ForeignSlot { slot } => {
-                write!(f, "journal records slot {slot}, which is out of range or unowned")
-            }
-            JournalError::BadShardFamily { detail } => {
-                write!(f, "merge inputs are not one shard family: {detail}")
-            }
-            JournalError::IncompleteMerge { missing } => {
-                let at_least = if missing.len() >= MISSING_LISTED { "at least " } else { "" };
-                write!(f, "merge is missing {at_least}{} slot(s): {missing:?}", missing.len())
-            }
-            JournalError::BadPayload {
-                slot,
-                got,
-                expected,
-            } => write!(
-                f,
-                "journal records a {got}-value payload for slot {slot}, campaign slots are \
-                 {expected} values wide"
-            ),
-            // The leading "slot <n> failed:" form is parsed by the
-            // supervisor's poison-slot tracker — keep it stable.
-            JournalError::SlotFailed { slot, detail } => {
-                write!(f, "slot {slot} failed: {detail}")
-            }
-            JournalError::Locked(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl JournalError {
-    /// The process exit code a driver should report for this error
-    /// (see [`mb_simcore::error::exit_code`]): corruption of the
-    /// on-disk format maps to [`exit_code::CORRUPT`], a contained slot
-    /// panic to [`exit_code::SLOT_PANIC`], and disagreements between a
-    /// healthy file and the invocation (wrong campaign, inconsistent
-    /// shard family, unreadable path) to [`exit_code::ENV_MISCONFIG`].
-    ///
-    /// [`exit_code::CORRUPT`]: mb_simcore::error::exit_code::CORRUPT
-    /// [`exit_code::SLOT_PANIC`]: mb_simcore::error::exit_code::SLOT_PANIC
-    /// [`exit_code::ENV_MISCONFIG`]: mb_simcore::error::exit_code::ENV_MISCONFIG
-    pub fn exit_code(&self) -> u8 {
-        use mb_simcore::error::exit_code;
-        match self {
-            JournalError::VersionSkew { .. }
-            | JournalError::BadHeader { .. }
-            | JournalError::BadRecord { .. }
-            | JournalError::ChainMismatch { .. }
-            | JournalError::DuplicateSlot { .. }
-            | JournalError::ForeignSlot { .. }
-            | JournalError::BadPayload { .. } => exit_code::CORRUPT,
-            JournalError::SlotFailed { .. } => exit_code::SLOT_PANIC,
-            JournalError::Io(_)
-            | JournalError::HeaderMismatch { .. }
-            | JournalError::BadShardFamily { .. }
-            | JournalError::IncompleteMerge { .. } => exit_code::ENV_MISCONFIG,
-            JournalError::Locked(e) => e.exit_code(),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
-}
 
 /// The identity a journal claims in its header line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,15 +84,14 @@ impl JournalHeader {
     /// come back unconverted in the returned [`Fields`].
     pub(crate) fn parse<'a>(
         line: &'a str,
-        version: &str,
+        version: &'static str,
         extra: &[&str],
-    ) -> Result<(JournalHeader, Fields<'a>), JournalError> {
-        let rest = codec::strip_version(line, version).map_err(|found| {
-            JournalError::VersionSkew {
-                found: found.to_string(),
-            }
+    ) -> Result<(JournalHeader, Fields<'a>), LabError> {
+        let rest = codec::strip_version(line, version).map_err(|found| LabError::VersionSkew {
+            expected: version,
+            found: found.to_string(),
         })?;
-        let bad = |_| JournalError::BadHeader {
+        let bad = |_| LabError::BadHeader {
             line: line.to_string(),
         };
         let fields = Fields::split(rest, &["campaign", "seed", "tasks", "shard"], extra)
@@ -310,8 +127,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::Io`] when the file cannot be written.
-    pub fn create(path: &Path, header: JournalHeader) -> Result<Journal, JournalError> {
+    /// Returns [`LabError::Io`] when the file cannot be written.
+    pub fn create(path: &Path, header: JournalHeader) -> Result<Journal, LabError> {
         let line = header.render();
         let mut text = line.clone();
         text.push('\n');
@@ -333,8 +150,8 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// See [`JournalError`] — anything except a torn tail fails.
-    pub fn load(path: &Path) -> Result<Journal, JournalError> {
+    /// See [`LabError`] — anything except a torn tail fails.
+    pub fn load(path: &Path) -> Result<Journal, LabError> {
         let raw = fs::read_to_string(path)?;
         // Complete (newline-terminated) lines, then a possibly-torn
         // fragment after the last newline.
@@ -343,7 +160,7 @@ impl Journal {
         let mut lines: Vec<&str> = raw[..complete].split_terminator('\n').collect();
         let Some(&header_line) = lines.first() else {
             // Even the header line is incomplete: unrecoverable.
-            return Err(JournalError::BadHeader {
+            return Err(LabError::BadHeader {
                 line: raw.clone(),
             });
         };
@@ -366,10 +183,10 @@ impl Journal {
             |record| {
                 let slot = record.slot;
                 if slot >= header.tasks || !header.shard.owns(slot) {
-                    return Err(JournalError::ForeignSlot { slot });
+                    return Err(LabError::ForeignSlot { slot });
                 }
                 if !seen.insert(slot) {
-                    return Err(JournalError::DuplicateSlot { slot });
+                    return Err(LabError::DuplicateSlot { slot });
                 }
                 records.push((slot, record.values().collect()));
                 Ok(())
@@ -377,8 +194,8 @@ impl Journal {
         )
         .map_err(|e| match e {
             // Record lines start at line 2, after the header.
-            ChainError::Unparseable(i) => JournalError::BadRecord { line_number: i + 2 },
-            ChainError::Broken(i) => JournalError::ChainMismatch { line_number: i + 2 },
+            ChainError::Unparseable(i) => LabError::BadRecord { line_number: i + 2 },
+            ChainError::Broken(i) => LabError::ChainMismatch { line_number: i + 2 },
             ChainError::Rejected(e) => e,
         })?;
 
@@ -397,10 +214,10 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Any [`JournalError`] from [`Journal::load`] / [`Journal::create`],
-    /// plus [`JournalError::HeaderMismatch`] when an existing file
+    /// Any [`LabError`] from [`Journal::load`] / [`Journal::create`],
+    /// plus [`LabError::HeaderMismatch`] when an existing file
     /// belongs to a different campaign, seed, task count or shard.
-    pub fn open_or_create(path: &Path, expected: JournalHeader) -> Result<Journal, JournalError> {
+    pub fn open_or_create(path: &Path, expected: JournalHeader) -> Result<Journal, LabError> {
         if !path.exists() {
             return Journal::create(path, expected);
         }
@@ -413,9 +230,9 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::HeaderMismatch`] naming the first
+    /// Returns [`LabError::HeaderMismatch`] naming the first
     /// disagreeing field.
-    pub fn check_header(&self, expected: &JournalHeader) -> Result<(), JournalError> {
+    pub fn check_header(&self, expected: &JournalHeader) -> Result<(), LabError> {
         let h = &self.header;
         let (field, found, want) = if h.campaign != expected.campaign {
             ("campaign", h.campaign.clone(), expected.campaign.clone())
@@ -428,7 +245,7 @@ impl Journal {
         } else {
             return Ok(());
         };
-        Err(JournalError::HeaderMismatch {
+        Err(LabError::HeaderMismatch {
             field,
             found,
             expected: want,
@@ -448,14 +265,14 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::DuplicateSlot`] / [`JournalError::ForeignSlot`]
-    /// on contract violations and [`JournalError::Io`] on write failure.
-    pub fn append(&mut self, slot: usize, payload: &[f64]) -> Result<(), JournalError> {
+    /// Returns [`LabError::DuplicateSlot`] / [`LabError::ForeignSlot`]
+    /// on contract violations and [`LabError::Io`] on write failure.
+    pub fn append(&mut self, slot: usize, payload: &[f64]) -> Result<(), LabError> {
         if slot >= self.header.tasks || !self.header.shard.owns(slot) {
-            return Err(JournalError::ForeignSlot { slot });
+            return Err(LabError::ForeignSlot { slot });
         }
         if self.records.iter().any(|(s, _)| *s == slot) {
-            return Err(JournalError::DuplicateSlot { slot });
+            return Err(LabError::DuplicateSlot { slot });
         }
         let mut line = String::with_capacity(24 + 17 * payload.len());
         let next_chain = codec::render_record(&mut line, self.chain, slot, payload);
@@ -523,10 +340,10 @@ impl Journal {
 ///
 /// # Errors
 ///
-/// [`JournalError::BadShardFamily`] on inconsistent inputs,
-/// [`JournalError::IncompleteMerge`] when slots are missing, plus any
+/// [`LabError::BadShardFamily`] on inconsistent inputs,
+/// [`LabError::IncompleteMerge`] when slots are missing, plus any
 /// load/write error.
-pub fn merge(out: &Path, inputs: &[PathBuf]) -> Result<Journal, JournalError> {
+pub fn merge(out: &Path, inputs: &[PathBuf]) -> Result<Journal, LabError> {
     merge_allowing(out, inputs, &[])
 }
 
@@ -534,7 +351,7 @@ pub fn merge(out: &Path, inputs: &[PathBuf]) -> Result<Journal, JournalError> {
 /// may be absent from every input (the supervisor fenced them off
 /// after repeated worker crashes) and are simply left out of the
 /// merged journal. Any *other* missing slot is still
-/// [`JournalError::IncompleteMerge`], and a quarantined slot that does
+/// [`LabError::IncompleteMerge`], and a quarantined slot that does
 /// have a record is merged normally — quarantine permits absence, it
 /// does not erase data.
 ///
@@ -545,9 +362,9 @@ pub fn merge_allowing(
     out: &Path,
     inputs: &[PathBuf],
     allow_missing: &[usize],
-) -> Result<Journal, JournalError> {
+) -> Result<Journal, LabError> {
     if inputs.is_empty() {
-        return Err(JournalError::BadShardFamily {
+        return Err(LabError::BadShardFamily {
             detail: "no input journals".to_string(),
         });
     }
@@ -559,7 +376,7 @@ pub fn merge_allowing(
     let first = shards[0].header.clone();
     let n = first.shard.count;
     if shards.len() != n as usize {
-        return Err(JournalError::BadShardFamily {
+        return Err(LabError::BadShardFamily {
             detail: format!("{} inputs for a {n}-way partition", shards.len()),
         });
     }
@@ -570,11 +387,11 @@ pub fn merge_allowing(
             shard: Shard { index, count: n },
             ..first.clone()
         };
-        j.check_header(&member).map_err(|e| JournalError::BadShardFamily {
+        j.check_header(&member).map_err(|e| LabError::BadShardFamily {
             detail: format!("'{}': {e}", j.path.display()),
         })?;
         if std::mem::replace(&mut seen_shard[index as usize], true) {
-            return Err(JournalError::BadShardFamily {
+            return Err(LabError::BadShardFamily {
                 detail: format!("shard {index}/{n} appears twice"),
             });
         }
@@ -590,7 +407,7 @@ pub fn merge_allowing(
         .take(MISSING_LISTED)
         .collect();
     if !missing.is_empty() {
-        return Err(JournalError::IncompleteMerge { missing });
+        return Err(LabError::IncompleteMerge { missing });
     }
 
     let merged_header = JournalHeader {

@@ -22,6 +22,8 @@
 //! * [`lock`] — pid-liveness ownership lockfiles so journals, family
 //!   dirs and server data dirs have exactly one live writer (typed
 //!   exit-5 refusal, stale locks stolen from dead owners);
+//! * [`error`] — [`LabError`], the one error type of every module
+//!   here, and the one place the exit-code contract is applied;
 //! * [`protocol`] — the versioned `mbsrv1` line protocol of the
 //!   service mode: typed frames, canonical renderings, hard typed
 //!   rejection of malformed/oversized/truncated input;
@@ -46,6 +48,7 @@ pub mod campaign;
 pub mod client;
 mod codec;
 pub mod driver;
+pub mod error;
 pub mod journal;
 pub mod lock;
 pub mod protocol;
@@ -55,9 +58,13 @@ pub mod transport;
 
 pub use campaign::{digest, Campaign};
 pub use driver::{digest_journal, expected_header, run_campaign, RunOutcome, Shard};
-pub use journal::{merge, merge_allowing, Journal, JournalError, JournalHeader};
-pub use lock::{LockError, PathLock};
-pub use protocol::{JobState, JobStatus, ProtocolError, Reply, Request};
-pub use serve::{serve, ServeError, ServePolicy, ServeSummary};
+pub use error::LabError;
+pub use journal::{merge, merge_allowing, Journal, JournalHeader};
+pub use lock::PathLock;
+pub use protocol::{JobState, JobStatus, Reply, Request};
+pub use serve::{serve, ServePolicy, ServeSummary};
 pub use supervise::{supervise, supervise_cancellable, SupervisePolicy, SuperviseReport};
-pub use transport::{export_segment, ingest_segment, IngestOutcome, TransportError};
+pub use transport::{export_segment, ingest_segment, IngestOutcome};
+
+/// [`LabError`] under the name callers of the journal API match on.
+pub type JournalError = LabError;

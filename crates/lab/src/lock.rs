@@ -12,7 +12,7 @@
 //! * A [`PathLock`] is a sidecar file holding the owner's pid, created
 //!   with `O_EXCL` so exactly one contender wins a race.
 //! * A lock whose recorded pid is still alive (checked via
-//!   `/proc/<pid>`) is a hard [`LockError::Owned`] error — mapped to
+//!   `/proc/<pid>`) is a hard [`LabError::Locked`] error — mapped to
 //!   exit code 5 (`ENV_MISCONFIG`), never retried, never stolen.
 //! * A lock whose owner is dead (SIGKILL, power loss) is *stale*: it
 //!   is removed and the acquisition retried, so crash recovery never
@@ -25,55 +25,10 @@
 //! the width of a pid reuse against a crashed owner's own lockfile —
 //! the failure it closes (two *live* writers) is checked exactly.
 
-use std::fmt;
+use crate::error::LabError;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-
-/// Acquisition failure for a [`PathLock`].
-#[derive(Debug)]
-pub enum LockError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// The path is owned by a process that is still alive.
-    Owned {
-        /// The lockfile that is held.
-        path: PathBuf,
-        /// The live owner's pid.
-        pid: u32,
-    },
-}
-
-impl fmt::Display for LockError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockError::Io(e) => write!(f, "lockfile I/O error: {e}"),
-            LockError::Owned { path, pid } => write!(
-                f,
-                "{} is already owned by live process {pid} \
-                 (a second writer would corrupt it; stop that process first)",
-                path.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LockError {}
-
-impl From<std::io::Error> for LockError {
-    fn from(e: std::io::Error) -> Self {
-        LockError::Io(e)
-    }
-}
-
-impl LockError {
-    /// Exit code under the workspace contract: a held lock is an
-    /// environment problem (exit 5), exactly like any other "this
-    /// invocation must not run here" misconfiguration.
-    pub fn exit_code(&self) -> u8 {
-        mb_simcore::error::exit_code::ENV_MISCONFIG
-    }
-}
 
 /// Whether `pid` names a live process. Linux reads `/proc`; elsewhere
 /// the probe conservatively reports "alive" so locks are never stolen.
@@ -117,9 +72,9 @@ impl PathLock {
     ///
     /// # Errors
     ///
-    /// [`LockError::Owned`] when a live process holds it, or
-    /// [`LockError::Io`] on filesystem failure.
-    pub fn acquire(path: &Path) -> Result<PathLock, LockError> {
+    /// [`LabError::Locked`] when a live process holds it, or
+    /// [`LabError::Io`] on filesystem failure.
+    pub fn acquire(path: &Path) -> Result<PathLock, LabError> {
         // Bounded retries: each loop either wins O_EXCL, errors on a
         // live owner, or removes one stale file. Unbounded contention
         // over freshly written locks resolves as Owned below.
@@ -142,11 +97,11 @@ impl PathLock {
                         // The holder released between our open and read:
                         // go around and contend again.
                         Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                        Err(e) => return Err(LockError::Io(e)),
+                        Err(e) => return Err(LabError::Io(e)),
                     };
                     match text.trim().parse::<u32>() {
                         Ok(pid) if pid_alive(pid) => {
-                            return Err(LockError::Owned {
+                            return Err(LabError::Locked {
                                 path: path.to_path_buf(),
                                 pid,
                             })
@@ -157,14 +112,14 @@ impl PathLock {
                         _ => match fs::remove_file(path) {
                             Ok(()) => continue,
                             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                            Err(e) => return Err(LockError::Io(e)),
+                            Err(e) => return Err(LabError::Io(e)),
                         },
                     }
                 }
-                Err(e) => return Err(LockError::Io(e)),
+                Err(e) => return Err(LabError::Io(e)),
             }
         }
-        Err(LockError::Io(std::io::Error::new(
+        Err(LabError::Io(std::io::Error::new(
             std::io::ErrorKind::WouldBlock,
             format!("lock at {} kept churning owners", path.display()),
         )))
@@ -176,7 +131,7 @@ impl PathLock {
     /// # Errors
     ///
     /// As [`PathLock::acquire`].
-    pub fn acquire_guarding(target: &Path) -> Result<PathLock, LockError> {
+    pub fn acquire_guarding(target: &Path) -> Result<PathLock, LabError> {
         PathLock::acquire(&PathLock::guard_path(target))
     }
 
@@ -225,7 +180,7 @@ mod tests {
         // Our own pid is alive by definition, so the second claim must
         // refuse rather than steal.
         match PathLock::acquire(&path) {
-            Err(LockError::Owned { pid, .. }) => {
+            Err(LabError::Locked { pid, .. }) => {
                 assert_eq!(pid, std::process::id());
             }
             other => panic!("expected Owned, got {other:?}"),
@@ -253,7 +208,7 @@ mod tests {
 
     #[test]
     fn exit_code_is_env_misconfig() {
-        let e = LockError::Owned {
+        let e = LabError::Locked {
             path: PathBuf::from("j.lock"),
             pid: 1,
         };

@@ -38,7 +38,7 @@
 use mb_lab::driver::{RunOptions, Shard};
 use mb_lab::serve::ServePolicy;
 use mb_lab::supervise::SupervisePolicy;
-use mb_lab::{campaign, client, driver, journal, serve, supervise, transport, JobState};
+use mb_lab::{campaign, client, driver, journal, serve, supervise, transport, JobState, LabError};
 use mb_simcore::error::exit_code;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -171,9 +171,8 @@ const EXPECT: Flag = flag("--expect", "0xHEX", |c, v| {
 });
 const CHECK: Flag = flag("--check", "", |c, _| set(&mut c.check, Some(true)));
 
-/// A verb's outcome: `Err` carries the documented exit code, its
-/// diagnostic already printed.
-type Outcome = Result<(), ExitCode>;
+/// A verb's outcome: `main` prints an `Err` and exits with its code.
+type Outcome = Result<(), LabError>;
 
 /// One verb: its operands as the usage text shows them, how many it
 /// takes, its flag table, and what it runs.
@@ -346,8 +345,9 @@ fn main() -> ExitCode {
     else {
         return usage();
     };
-    match parse(verb, &args[1..]).and_then(verb.run) {
-        Ok(()) => ExitCode::SUCCESS,
+    match parse(verb, &args[1..]).map(verb.run) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => fail(&e, e.exit_code()),
         Err(code) => code,
     }
 }
@@ -359,10 +359,10 @@ fn fail(e: &dyn std::fmt::Display, code: u8) -> ExitCode {
 }
 
 /// The server address of a client verb; absent is exit 5.
-fn addr(cli: &Cli) -> Result<&str, ExitCode> {
+fn addr(cli: &Cli) -> Result<&str, LabError> {
     if cli.addr.is_empty() {
-        eprintln!("mb-lab: no server address (pass --addr host:port or set MB_ADDR)");
-        return Err(ExitCode::from(exit_code::ENV_MISCONFIG));
+        let detail = "no server address (pass --addr host:port or set MB_ADDR)";
+        return Err(LabError::Misconfigured(detail.to_string()));
     }
     Ok(&cli.addr)
 }
@@ -370,21 +370,18 @@ fn addr(cli: &Cli) -> Result<&str, ExitCode> {
 /// Reads `MB_SEED` (decimal or `0x`-prefixed hex) into the supervise
 /// backoff/chaos seed; absent keeps the policy default. Then locates
 /// this very binary, which supervisors spawn as their workers.
-fn seed_and_worker(seed: &mut u64) -> Result<PathBuf, ExitCode> {
+fn seed_and_worker(seed: &mut u64) -> Result<PathBuf, LabError> {
     if let Ok(v) = std::env::var("MB_SEED") {
         let parsed = match v.strip_prefix("0x") {
             Some(hex) => u64::from_str_radix(hex, 16),
             None => v.parse(),
         };
         *seed = parsed.map_err(|_| {
-            eprintln!("mb-lab: bad MB_SEED '{v}': want decimal or 0xHEX");
-            ExitCode::from(exit_code::ENV_MISCONFIG)
+            LabError::Misconfigured(format!("bad MB_SEED '{v}': want decimal or 0xHEX"))
         })?;
     }
-    std::env::current_exe().map_err(|e| {
-        eprintln!("mb-lab: cannot locate own binary: {e}");
-        ExitCode::from(exit_code::ENV_MISCONFIG)
-    })
+    std::env::current_exe()
+        .map_err(|e| LabError::Misconfigured(format!("cannot locate own binary: {e}")))
 }
 
 fn cmd_list(_: Cli) -> Outcome {
@@ -406,16 +403,12 @@ fn cmd_list(_: Cli) -> Outcome {
 
 fn cmd_run(cli: Cli) -> Outcome {
     let name = &cli.operands[0];
-    let c = campaign::find(name).ok_or_else(|| {
-        eprintln!("mb-lab: unknown campaign '{name}' (try `mb-lab list`)");
-        ExitCode::from(exit_code::ENV_MISCONFIG)
-    })?;
+    let c = campaign::find(name).ok_or_else(|| LabError::UnknownCampaign(name.clone()))?;
     let opts = RunOptions {
         task_delay_ms: cli.policy.supervise.task_delay_ms,
         ..cli.run
     };
-    let outcome = driver::run_campaign_with(c.as_ref(), &cli.journal, &opts)
-        .map_err(|e| fail(&e, e.exit_code()))?;
+    let outcome = driver::run_campaign_with(c.as_ref(), &cli.journal, &opts)?;
     if outcome.recovered_torn_tail {
         eprintln!("mb-lab: dropped a torn journal tail (crash recovery)");
     }
@@ -466,8 +459,7 @@ fn cmd_supervise(mut cli: Cli) -> Outcome {
     let name = &cli.operands[0];
     let policy = &mut cli.policy.supervise;
     let worker_exe = seed_and_worker(&mut policy.seed)?;
-    let report = supervise::supervise(name, &cli.dir, &worker_exe, policy)
-        .map_err(|e| fail(&e, e.exit_code()))?;
+    let report = supervise::supervise(name, &cli.dir, &worker_exe, policy)?;
     let restarts: u32 = report.per_shard.iter().map(|s| s.crashes).sum();
     println!(
         "{name}: supervised {} shard(s): {} ({} restart(s), {} hang(s), {} chaos kill(s))",
@@ -493,8 +485,7 @@ fn cmd_supervise(mut cli: Cli) -> Outcome {
 
 fn cmd_serve(mut cli: Cli) -> Outcome {
     let worker_exe = seed_and_worker(&mut cli.sup().seed)?;
-    let summary =
-        serve::serve(&cli.dir, &worker_exe, &cli.policy).map_err(|e| fail(&e, e.exit_code()))?;
+    let summary = serve::serve(&cli.dir, &worker_exe, &cli.policy)?;
     println!(
         "mb-lab serve: exiting: {} job(s) known, {} done, {} failed, {} cancelled, \
          {} left for the next server",
@@ -505,8 +496,7 @@ fn cmd_serve(mut cli: Cli) -> Outcome {
 
 fn cmd_submit(cli: Cli) -> Outcome {
     let (campaign_name, shards) = (&cli.operands[0], cli.policy.supervise.shards);
-    let (job, queued) =
-        client::submit(addr(&cli)?, campaign_name, shards).map_err(|e| fail(&e, e.exit_code()))?;
+    let (job, queued) = client::submit(addr(&cli)?, campaign_name, shards)?;
     println!("submitted {job} ({campaign_name}, {shards} shard(s), queue depth {queued})");
     Ok(())
 }
@@ -528,8 +518,7 @@ fn print_job(s: &mb_lab::JobStatus) {
 }
 
 fn cmd_status(cli: Cli) -> Outcome {
-    let jobs = client::status(addr(&cli)?, cli.operands.first().map(String::as_str))
-        .map_err(|e| fail(&e, e.exit_code()))?;
+    let jobs = client::status(addr(&cli)?, cli.operands.first().map(String::as_str))?;
     jobs.iter().for_each(print_job);
     if cli.operands.is_empty() {
         println!("{} job(s)", jobs.len());
@@ -551,8 +540,7 @@ fn cmd_watch(cli: Cli) -> Outcome {
                 None => println!("{job}: {done}/{total} slot(s)"),
             }
         }
-    })
-    .map_err(|e| fail(&e, e.exit_code()))?;
+    })?;
     let detail = outcome.detail.as_deref();
     match (outcome.state, outcome.digest) {
         (JobState::Done, Some(d)) if outcome.checked => {
@@ -564,51 +552,42 @@ fn cmd_watch(cli: Cli) -> Outcome {
             detail.unwrap_or("digest withheld")
         ),
         (state, _) => {
-            return Err(fail(
-                &format!(
-                    "{job} ended {}: {}",
-                    state.as_str(),
-                    detail.unwrap_or("<no detail>")
-                ),
-                exit_code::FAILURE,
-            ))
+            let detail = detail.unwrap_or("<no detail>");
+            return Err(LabError::Failed(format!("{job} ended {}: {detail}", state.as_str())));
         }
     }
     Ok(())
 }
 
 fn cmd_cancel(cli: Cli) -> Outcome {
-    let snapshot = client::cancel(addr(&cli)?, &cli.operands[0]);
-    print_job(&snapshot.map_err(|e| fail(&e, e.exit_code()))?);
+    print_job(&client::cancel(addr(&cli)?, &cli.operands[0])?);
     Ok(())
 }
 
 fn cmd_fetch(cli: Cli) -> Outcome {
     let (job, out) = (&cli.operands[0], &cli.operands[1]);
-    let records =
-        client::fetch(addr(&cli)?, job, Path::new(out)).map_err(|e| fail(&e, e.exit_code()))?;
+    let records = client::fetch(addr(&cli)?, job, Path::new(out))?;
     println!("fetched {records} record(s) -> {out} (chain-verified)");
     Ok(())
 }
 
 fn cmd_ping(cli: Cli) -> Outcome {
     let addr = addr(&cli)?;
-    client::ping(addr).map_err(|e| fail(&e, e.exit_code()))?;
+    client::ping(addr)?;
     println!("{addr}: alive");
     Ok(())
 }
 
 fn cmd_shutdown(cli: Cli) -> Outcome {
     let addr = addr(&cli)?;
-    let running = client::shutdown(addr).map_err(|e| fail(&e, e.exit_code()))?;
+    let running = client::shutdown(addr)?;
     println!("{addr}: stopping ({running} job(s) draining)");
     Ok(())
 }
 
 fn cmd_export(cli: Cli) -> Outcome {
     let (journal_path, segment) = (&cli.operands[0], &cli.operands[1]);
-    let seg = transport::export_segment(Path::new(journal_path), cli.from, Path::new(segment))
-        .map_err(|e| fail(&e, e.exit_code()))?;
+    let seg = transport::export_segment(Path::new(journal_path), cli.from, Path::new(segment))?;
     let end = seg.from + seg.records.len();
     println!(
         "exported {} record(s) [{}..{end}] of {journal_path} -> {segment}",
@@ -620,8 +599,7 @@ fn cmd_export(cli: Cli) -> Outcome {
 
 fn cmd_ingest(cli: Cli) -> Outcome {
     let (journal_path, segment) = (&cli.operands[0], &cli.operands[1]);
-    let out = transport::ingest_segment(Path::new(journal_path), Path::new(segment))
-        .map_err(|e| fail(&e, e.exit_code()))?;
+    let out = transport::ingest_segment(Path::new(journal_path), Path::new(segment))?;
     println!(
         "ingested {segment} -> {journal_path}: {} appended, {} duplicate(s) verified",
         out.appended, out.duplicates
@@ -632,7 +610,7 @@ fn cmd_ingest(cli: Cli) -> Outcome {
 fn cmd_merge(cli: Cli) -> Outcome {
     let out = Path::new(&cli.operands[0]);
     let inputs: Vec<PathBuf> = cli.operands[1..].iter().map(PathBuf::from).collect();
-    let merged = journal::merge(out, &inputs).map_err(|e| fail(&e, e.exit_code()))?;
+    let merged = journal::merge(out, &inputs)?;
     println!(
         "merged {} shard(s) -> {} ({} records, campaign {})",
         inputs.len(),
@@ -644,31 +622,20 @@ fn cmd_merge(cli: Cli) -> Outcome {
 }
 
 fn cmd_digest(cli: Cli) -> Outcome {
-    let loaded =
-        journal::Journal::load(Path::new(&cli.operands[0])).map_err(|e| fail(&e, e.exit_code()))?;
-    let digest = driver::digest_journal(&loaded).map_err(|e| fail(&e, e.exit_code()))?;
+    let loaded = journal::Journal::load(Path::new(&cli.operands[0]))?;
+    let digest = driver::digest_journal(&loaded)?;
     let campaign_name = &loaded.header.campaign;
     println!("{campaign_name}: digest {digest:#018x}");
     if let Some(want) = cli.expect.filter(|&want| want != digest) {
-        return Err(fail(
-            &format!("digest mismatch: got {digest:#018x}, expected {want:#018x}"),
-            exit_code::FAILURE,
-        ));
+        return Err(LabError::DigestMismatch { got: digest, want });
     }
     if cli.check {
         match campaign::find(campaign_name).and_then(|c| c.pinned_digest()) {
             Some(want) if want == digest => println!("pinned digest check: ok"),
-            Some(want) => {
-                return Err(fail(
-                    &format!("pinned digest mismatch: got {digest:#018x}, pinned {want:#018x}"),
-                    exit_code::FAILURE,
-                ))
-            }
+            Some(want) => return Err(LabError::DigestMismatch { got: digest, want }),
             None => {
-                return Err(fail(
-                    &format!("campaign '{campaign_name}' has no pinned digest"),
-                    exit_code::FAILURE,
-                ))
+                let detail = format!("campaign '{campaign_name}' has no pinned digest");
+                return Err(LabError::Failed(detail));
             }
         }
     }

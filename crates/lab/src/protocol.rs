@@ -22,7 +22,7 @@
 //! and transport layers already pin.
 //!
 //! The failure contract mirrors the rest of the workspace: a frame
-//! that cannot be parsed is a typed [`ProtocolError`] (never a
+//! that cannot be parsed is a typed [`LabError`] (never a
 //! panic), the server answers it with `err code=<exit code>` and the
 //! client process exits with that same code — wire faults are
 //! [`exit_code::PROTOCOL`] (6), an unreachable or load-shedding
@@ -32,7 +32,8 @@
 //! [`exit_code::UNAVAILABLE`]: mb_simcore::error::exit_code::UNAVAILABLE
 
 use crate::codec::{self, FieldError, Fields};
-use std::fmt;
+use crate::error::LabError;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, Read, Write};
 
 /// The version token every frame must lead with.
@@ -48,77 +49,6 @@ pub const MAX_NAME_BYTES: usize = 64;
 
 /// Most shards one submission may ask for.
 pub const MAX_SHARDS: u32 = 4096;
-
-/// Everything that can go wrong on the wire.
-#[derive(Debug)]
-pub enum ProtocolError {
-    /// Underlying socket/stream failure.
-    Io(std::io::Error),
-    /// The frame's leading token is not [`PROTOCOL_VERSION`].
-    VersionSkew {
-        /// The token actually found.
-        found: String,
-    },
-    /// The frame parsed as a line but not as a frame: unknown verb,
-    /// missing/duplicate/unknown field, malformed value, bare token.
-    BadFrame {
-        /// Human-readable description of the violation.
-        detail: String,
-    },
-    /// The line exceeded [`MAX_FRAME_BYTES`] before its terminator.
-    Oversized {
-        /// The configured cap.
-        limit: usize,
-    },
-    /// The stream ended mid-frame (bytes after the last terminator).
-    Truncated {
-        /// Unterminated bytes left at EOF.
-        got: usize,
-    },
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::Io(e) => write!(f, "protocol I/O error: {e}"),
-            ProtocolError::VersionSkew { found } => write!(
-                f,
-                "protocol version skew: found '{found}', this build speaks '{PROTOCOL_VERSION}'"
-            ),
-            ProtocolError::BadFrame { detail } => write!(f, "malformed frame: {detail}"),
-            ProtocolError::Oversized { limit } => {
-                write!(f, "frame exceeds the {limit}-byte line cap")
-            }
-            ProtocolError::Truncated { got } => {
-                write!(f, "stream truncated mid-frame ({got} unterminated byte(s))")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-impl From<std::io::Error> for ProtocolError {
-    fn from(e: std::io::Error) -> Self {
-        ProtocolError::Io(e)
-    }
-}
-
-impl ProtocolError {
-    /// The exit code (and on-wire `err code=`) for this fault: socket
-    /// failures mean the peer is unavailable, everything else is a
-    /// wire-format fault.
-    pub fn exit_code(&self) -> u8 {
-        use mb_simcore::error::exit_code;
-        match self {
-            ProtocolError::Io(_) => exit_code::UNAVAILABLE,
-            ProtocolError::VersionSkew { .. }
-            | ProtocolError::BadFrame { .. }
-            | ProtocolError::Oversized { .. }
-            | ProtocolError::Truncated { .. } => exit_code::PROTOCOL,
-        }
-    }
-}
 
 /// Lifecycle of one submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,27 +66,24 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Every state next to its on-wire token.
+    const TOKENS: [(JobState, &'static str); 5] = [
+        (JobState::Queued, "queued"),
+        (JobState::Running, "running"),
+        (JobState::Done, "done"),
+        (JobState::Failed, "failed"),
+        (JobState::Cancelled, "cancelled"),
+    ];
+
     /// The on-wire token.
     pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
+        let found = Self::TOKENS.iter().find(|(s, _)| *s == self);
+        found.expect("every state has a token").1
     }
 
     /// Parses the on-wire token.
     pub fn parse(text: &str) -> Option<JobState> {
-        match text {
-            "queued" => Some(JobState::Queued),
-            "running" => Some(JobState::Running),
-            "done" => Some(JobState::Done),
-            "failed" => Some(JobState::Failed),
-            "cancelled" => Some(JobState::Cancelled),
-            _ => None,
-        }
+        Self::TOKENS.iter().find(|(_, t)| *t == text).map(|(s, _)| *s)
     }
 
     /// Whether the job can no longer change state.
@@ -289,17 +216,40 @@ pub enum Reply {
     },
 }
 
+/// One frame verb's schema: its required keys, then its optional keys,
+/// each in canonical order. [`Request::render`]/[`Request::parse`] and
+/// [`Reply::render`]/[`Reply::parse`] all read frames through these
+/// tables, so each frame's canonical form is written down once.
+type Schema = (&'static str, &'static [&'static str], &'static [&'static str]);
 
-fn bad(detail: impl Into<String>) -> ProtocolError {
-    ProtocolError::BadFrame {
+/// Every request verb.
+const REQUESTS: &[Schema] = &[
+    ("submit", &["campaign", "shards"], &[]),
+    ("status", &[], &["job"]),
+    ("watch", &["job"], &[]),
+    ("cancel", &["job"], &[]),
+    ("fetch", &["job"], &[]),
+    ("ping", &[], &[]),
+    ("shutdown", &[], &[]),
+];
+
+/// Every reply verb.
+const REPLIES: &[Schema] = &[
+    ("submitted", &["job", "queued"], &[]),
+    ("busy", &["queued", "cap"], &[]),
+    ("err", &["code", "msg"], &[]),
+    ("job", &["id", "campaign", "shards", "state", "done", "total"], &["digest"]),
+    ("end", &["count"], &[]),
+    ("progress", &["job", "done", "total"], &["eta_ms"]),
+    ("done", &["job", "state"], &["digest", "checked", "detail"]),
+    ("segment", &["lines"], &[]),
+    ("pong", &[], &[]),
+    ("stopping", &["running"], &[]),
+];
+
+fn bad(detail: impl Into<String>) -> LabError {
+    LabError::BadFrame {
         detail: detail.into(),
-    }
-}
-
-/// Every field-level rejection is a malformed frame.
-impl From<FieldError<'_>> for ProtocolError {
-    fn from(e: FieldError<'_>) -> Self {
-        bad(e.to_string())
     }
 }
 
@@ -318,195 +268,178 @@ fn digest(text: &str) -> Option<u64> {
     text.strip_prefix("0x").and_then(codec::hex)
 }
 
-/// Strips and checks the version token, returning `(verb, rest)`.
-fn split_verb(line: &str) -> Result<(&str, &str), ProtocolError> {
-    let line = line.strip_suffix('\r').unwrap_or(line);
-    let rest = codec::strip_version(line, PROTOCOL_VERSION).map_err(|found| {
-        ProtocolError::VersionSkew {
-            found: found.to_string(),
+/// Appends the canonical frame of `verb` from `table` to `out`:
+/// `values` holds one entry per schema key, required keys first, and
+/// `None` leaves an optional key out.
+fn render(mut out: String, table: &[Schema], verb: &str, values: &[Option<String>]) -> String {
+    let (_, required, optional) = table
+        .iter()
+        .find(|(v, ..)| *v == verb)
+        .expect("frames render with a verb of their own table");
+    let _ = write!(out, "{PROTOCOL_VERSION} {verb}");
+    for (key, value) in required.iter().chain(*optional).zip(values) {
+        if let Some(value) = value {
+            let _ = write!(out, " {key}={value}");
         }
-    })?;
-    let rest = rest.trim_start_matches(' ');
-    let (verb, fields) = rest.split_once(' ').unwrap_or((rest, ""));
+    }
+    out
+}
+
+/// Parses one frame line against `table` (`side` names it in errors):
+/// strips and checks the version token, looks the verb up, splits its
+/// fields, then hands verb and fields to `build`.
+fn parse<'a, T>(
+    table: &[Schema],
+    side: &str,
+    line: &'a str,
+    build: impl FnOnce(&str, &Fields<'a>) -> Result<T, FieldError<'a>>,
+) -> Result<T, LabError> {
+    let line = line.strip_suffix('\r').unwrap_or(line);
+    let rest = codec::strip_version(line, PROTOCOL_VERSION)
+        .map_err(|found| LabError::VersionSkew {
+            expected: PROTOCOL_VERSION,
+            found: found.to_string(),
+        })?
+        .trim_start_matches(' ');
+    // Free text is folded onto one line before it is rendered, so a
+    // line terminator inside a frame could never render back.
+    if rest.contains(['\n', '\r']) {
+        return Err(bad("line terminator inside a frame"));
+    }
+    let (verb, rest) = rest.split_once(' ').unwrap_or((rest, ""));
     if verb.is_empty() {
         return Err(bad("frame has no verb"));
     }
-    Ok((verb, fields))
+    let Some((verb, required, optional)) = table.iter().find(|(v, ..)| *v == verb) else {
+        return Err(bad(format!("unknown {side} verb '{verb}'")));
+    };
+    Fields::split(rest, required, optional)
+        .and_then(|fields| build(verb, &fields))
+        .map_err(|e| bad(e.to_string()))
 }
 
 impl Request {
     /// Renders the canonical frame (no terminator).
     pub fn render(&self) -> String {
-        match self {
-            Request::Submit { campaign, shards } => {
-                format!("{PROTOCOL_VERSION} submit campaign={campaign} shards={shards}")
-            }
-            Request::Status { job: None } => format!("{PROTOCOL_VERSION} status"),
-            Request::Status { job: Some(job) } => format!("{PROTOCOL_VERSION} status job={job}"),
-            Request::Watch { job } => format!("{PROTOCOL_VERSION} watch job={job}"),
-            Request::Cancel { job } => format!("{PROTOCOL_VERSION} cancel job={job}"),
-            Request::Fetch { job } => format!("{PROTOCOL_VERSION} fetch job={job}"),
-            Request::Ping => format!("{PROTOCOL_VERSION} ping"),
-            Request::Shutdown => format!("{PROTOCOL_VERSION} shutdown"),
-        }
+        let some = |value: &dyn fmt::Display| Some(value.to_string());
+        let (verb, values) = match self {
+            Request::Submit { campaign, shards } => ("submit", vec![some(campaign), some(shards)]),
+            Request::Status { job } => ("status", vec![job.clone()]),
+            Request::Watch { job } => ("watch", vec![some(job)]),
+            Request::Cancel { job } => ("cancel", vec![some(job)]),
+            Request::Fetch { job } => ("fetch", vec![some(job)]),
+            Request::Ping => ("ping", vec![]),
+            Request::Shutdown => ("shutdown", vec![]),
+        };
+        render(String::new(), REQUESTS, verb, &values)
     }
 
     /// Parses one frame line.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::VersionSkew`] or [`ProtocolError::BadFrame`];
-    /// never panics on any input.
-    pub fn parse(line: &str) -> Result<Request, ProtocolError> {
-        let (verb, rest) = split_verb(line)?;
-        match verb {
-            "submit" => {
-                let f = Fields::split(rest, &["campaign", "shards"], &[])?;
-                let campaign = f.get_with("campaign", name)?.to_string();
-                let shards: u64 = f.value("shards")?;
-                if shards == 0 || shards > u64::from(MAX_SHARDS) {
-                    return Err(bad(format!("shards must be 1..={MAX_SHARDS}, got {shards}")));
-                }
-                Ok(Request::Submit {
-                    campaign,
-                    shards: shards as u32,
-                })
-            }
-            "status" => {
-                let f = Fields::split(rest, &[], &["job"])?;
-                Ok(Request::Status {
+    /// [`LabError::VersionSkew`] or [`LabError::BadFrame`]; never
+    /// panics on any input.
+    pub fn parse(line: &str) -> Result<Request, LabError> {
+        parse(REQUESTS, "request", line, |verb, f| {
+            let job = || f.get_with("job", name).map(str::to_string);
+            Ok(match verb {
+                "submit" => Request::Submit {
+                    campaign: f.get_with("campaign", name)?.to_string(),
+                    shards: f.get_with("shards", |v| {
+                        v.parse().ok().filter(|n| (1..=MAX_SHARDS).contains(n))
+                    })?,
+                },
+                "status" => Request::Status {
                     job: f.opt_with("job", name)?.map(str::to_string),
-                })
-            }
-            "watch" | "cancel" | "fetch" => {
-                let f = Fields::split(rest, &["job"], &[])?;
-                let job = f.get_with("job", name)?.to_string();
-                Ok(match verb {
-                    "watch" => Request::Watch { job },
-                    "cancel" => Request::Cancel { job },
-                    _ => Request::Fetch { job },
-                })
-            }
-            "ping" => {
-                Fields::split(rest, &[], &[])?;
-                Ok(Request::Ping)
-            }
-            "shutdown" => {
-                Fields::split(rest, &[], &[])?;
-                Ok(Request::Shutdown)
-            }
-            other => Err(bad(format!("unknown request verb '{other}'"))),
-        }
+                },
+                "watch" => Request::Watch { job: job()? },
+                "cancel" => Request::Cancel { job: job()? },
+                "fetch" => Request::Fetch { job: job()? },
+                "ping" => Request::Ping,
+                // The table admits no other verb.
+                _ => Request::Shutdown,
+            })
+        })
     }
 }
 
 impl Reply {
     /// Renders the canonical frame (no terminator).
     pub fn render(&self) -> String {
-        match self {
-            Reply::Submitted { job, queued } => {
-                format!("{PROTOCOL_VERSION} submitted job={job} queued={queued}")
-            }
-            Reply::Busy { queued, cap } => {
-                format!("{PROTOCOL_VERSION} busy queued={queued} cap={cap}")
-            }
-            Reply::Err { code, msg } => {
-                format!("{PROTOCOL_VERSION} err code={code} msg={}", sanitize(msg))
-            }
-            Reply::Job(s) => {
-                let mut out = format!(
-                    "{PROTOCOL_VERSION} job id={} campaign={} shards={} state={} done={} total={}",
-                    s.job,
-                    s.campaign,
-                    s.shards,
-                    s.state.as_str(),
-                    s.done,
-                    s.total
-                );
-                if let Some(d) = s.digest {
-                    out.push_str(&format!(" digest={d:#018x}"));
-                }
-                out
-            }
-            Reply::End { count } => format!("{PROTOCOL_VERSION} end count={count}"),
+        let some = |value: &dyn fmt::Display| Some(value.to_string());
+        let hex = |d: &u64| format!("{d:#018x}");
+        let (verb, values) = match self {
+            Reply::Submitted { job, queued } => ("submitted", vec![some(job), some(queued)]),
+            Reply::Busy { queued, cap } => ("busy", vec![some(queued), some(cap)]),
+            Reply::Err { code, msg } => ("err", vec![some(code), Some(sanitize(msg))]),
+            Reply::Job(s) => (
+                "job",
+                vec![
+                    some(&s.job),
+                    some(&s.campaign),
+                    some(&s.shards),
+                    some(&s.state.as_str()),
+                    some(&s.done),
+                    some(&s.total),
+                    s.digest.as_ref().map(hex),
+                ],
+            ),
+            Reply::End { count } => ("end", vec![some(count)]),
             Reply::Progress {
                 job,
                 done,
                 total,
                 eta_ms,
-            } => {
-                let mut out =
-                    format!("{PROTOCOL_VERSION} progress job={job} done={done} total={total}");
-                if let Some(eta) = eta_ms {
-                    out.push_str(&format!(" eta_ms={eta}"));
-                }
-                out
-            }
+            } => (
+                "progress",
+                vec![some(job), some(done), some(total), eta_ms.map(|e| e.to_string())],
+            ),
             Reply::Done {
                 job,
                 state,
                 digest,
                 checked,
                 detail,
-            } => {
-                let mut out = format!("{PROTOCOL_VERSION} done job={job} state={}", state.as_str());
-                if let Some(d) = digest {
-                    out.push_str(&format!(" digest={d:#018x} checked={checked}"));
-                }
-                if let Some(detail) = detail {
-                    out.push_str(&format!(" detail={}", sanitize(detail)));
-                }
-                out
-            }
-            Reply::Segment { lines } => format!("{PROTOCOL_VERSION} segment lines={lines}"),
-            Reply::Pong => format!("{PROTOCOL_VERSION} pong"),
-            Reply::Stopping { running } => {
-                format!("{PROTOCOL_VERSION} stopping running={running}")
-            }
-        }
+            } => (
+                "done",
+                vec![
+                    some(job),
+                    some(&state.as_str()),
+                    digest.as_ref().map(hex),
+                    digest.map(|_| checked.to_string()),
+                    detail.as_deref().map(sanitize),
+                ],
+            ),
+            Reply::Segment { lines } => ("segment", vec![some(lines)]),
+            Reply::Pong => ("pong", vec![]),
+            Reply::Stopping { running } => ("stopping", vec![some(running)]),
+        };
+        render(String::new(), REPLIES, verb, &values)
     }
 
     /// Parses one frame line.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::VersionSkew`] or [`ProtocolError::BadFrame`];
-    /// never panics on any input.
-    pub fn parse(line: &str) -> Result<Reply, ProtocolError> {
-        let (verb, rest) = split_verb(line)?;
-        match verb {
-            "submitted" => {
-                let f = Fields::split(rest, &["job", "queued"], &[])?;
-                Ok(Reply::Submitted {
+    /// [`LabError::VersionSkew`] or [`LabError::BadFrame`]; never
+    /// panics on any input.
+    pub fn parse(line: &str) -> Result<Reply, LabError> {
+        parse(REPLIES, "reply", line, |verb, f| {
+            Ok(match verb {
+                "submitted" => Reply::Submitted {
                     job: f.get_with("job", name)?.to_string(),
                     queued: f.value("queued")?,
-                })
-            }
-            "busy" => {
-                let f = Fields::split(rest, &["queued", "cap"], &[])?;
-                Ok(Reply::Busy {
+                },
+                "busy" => Reply::Busy {
                     queued: f.value("queued")?,
                     cap: f.value("cap")?,
-                })
-            }
-            "err" => {
-                let f = Fields::split(rest, &["code", "msg"], &[])?;
-                let code: usize = f.value("code")?;
-                if code == 0 || code > 255 {
-                    return Err(bad(format!("err code {code} outside 1..=255")));
-                }
-                Ok(Reply::Err {
-                    code: code as u8,
-                    msg: f.get("msg").expect("required").to_string(),
-                })
-            }
-            "job" => {
-                let f = Fields::split(
-                    rest,
-                    &["id", "campaign", "shards", "state", "done", "total"],
-                    &["digest"],
-                )?;
-                Ok(Reply::Job(JobStatus {
+                },
+                "err" => Reply::Err {
+                    code: f.get_with("code", |v| v.parse().ok().filter(|&c: &u8| c != 0))?,
+                    msg: f.get_with("msg", Some)?.to_string(),
+                },
+                "job" => Reply::Job(JobStatus {
                     job: f.get_with("id", name)?.to_string(),
                     campaign: f.get_with("campaign", name)?.to_string(),
                     shards: f.value("shards")?,
@@ -514,51 +447,44 @@ impl Reply {
                     done: f.value("done")?,
                     total: f.value("total")?,
                     digest: f.opt_with("digest", digest)?,
-                }))
-            }
-            "end" => {
-                let f = Fields::split(rest, &["count"], &[])?;
-                Ok(Reply::End {
+                }),
+                "end" => Reply::End {
                     count: f.value("count")?,
-                })
-            }
-            "progress" => {
-                let f = Fields::split(rest, &["job", "done", "total"], &["eta_ms"])?;
-                Ok(Reply::Progress {
+                },
+                "progress" => Reply::Progress {
                     job: f.get_with("job", name)?.to_string(),
                     done: f.value("done")?,
                     total: f.value("total")?,
                     eta_ms: f.opt_with("eta_ms", |v| v.parse().ok())?,
-                })
-            }
-            "done" => {
-                let f = Fields::split(rest, &["job", "state"], &["digest", "checked", "detail"])?;
-                Ok(Reply::Done {
-                    job: f.get_with("job", name)?.to_string(),
-                    state: f.get_with("state", JobState::parse)?,
-                    digest: f.opt_with("digest", digest)?,
-                    checked: f.opt_with("checked", |v| v.parse().ok())?.unwrap_or(false),
-                    detail: f.get("detail").map(str::to_string),
-                })
-            }
-            "segment" => {
-                let f = Fields::split(rest, &["lines"], &[])?;
-                Ok(Reply::Segment {
+                },
+                "done" => {
+                    let digest = f.opt_with("digest", digest)?;
+                    // `checked` qualifies a digest; alone it would not
+                    // render back.
+                    if digest.is_none() && f.get("checked").is_some() {
+                        return Err(FieldError::Requires {
+                            key: "checked",
+                            needs: "digest",
+                        });
+                    }
+                    Reply::Done {
+                        job: f.get_with("job", name)?.to_string(),
+                        state: f.get_with("state", JobState::parse)?,
+                        digest,
+                        checked: f.opt_with("checked", |v| v.parse().ok())?.unwrap_or(false),
+                        detail: f.get("detail").map(str::to_string),
+                    }
+                }
+                "segment" => Reply::Segment {
                     lines: f.value("lines")?,
-                })
-            }
-            "pong" => {
-                Fields::split(rest, &[], &[])?;
-                Ok(Reply::Pong)
-            }
-            "stopping" => {
-                let f = Fields::split(rest, &["running"], &[])?;
-                Ok(Reply::Stopping {
+                },
+                "pong" => Reply::Pong,
+                // The table admits no other verb.
+                _ => Reply::Stopping {
                     running: f.value("running")?,
-                })
-            }
-            other => Err(bad(format!("unknown reply verb '{other}'"))),
-        }
+                },
+            })
+        })
     }
 }
 
@@ -572,25 +498,26 @@ fn sanitize(text: &str) -> String {
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Oversized`] past the cap,
-/// [`ProtocolError::Truncated`] on EOF mid-line, or the underlying
-/// [`ProtocolError::Io`].
-pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<Option<String>, ProtocolError> {
+/// [`LabError::Oversized`] past the cap,
+/// [`LabError::Truncated`] on EOF mid-line, or the underlying
+/// [`LabError::Socket`].
+pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<Option<String>, LabError> {
     let mut buf = Vec::new();
     let n = reader
         .by_ref()
         .take(MAX_FRAME_BYTES as u64 + 1)
-        .read_until(b'\n', &mut buf)?;
+        .read_until(b'\n', &mut buf)
+        .map_err(LabError::Socket)?;
     if n == 0 {
         return Ok(None);
     }
     if buf.last() != Some(&b'\n') {
         if buf.len() > MAX_FRAME_BYTES {
-            return Err(ProtocolError::Oversized {
+            return Err(LabError::Oversized {
                 limit: MAX_FRAME_BYTES,
             });
         }
-        return Err(ProtocolError::Truncated { got: buf.len() });
+        return Err(LabError::Truncated { got: buf.len() });
     }
     buf.pop();
     String::from_utf8(buf)
@@ -602,78 +529,11 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<Option<String>, Protocol
 ///
 /// # Errors
 ///
-/// The underlying [`ProtocolError::Io`].
-pub fn write_frame<W: Write>(writer: &mut W, frame: &str) -> Result<(), ProtocolError> {
-    writer.write_all(frame.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::BufReader;
-
-    #[test]
-    fn requests_round_trip_canonically() {
-        let frames = [
-            Request::Submit {
-                campaign: "fig3-quick".to_string(),
-                shards: 2,
-            },
-            Request::Status { job: None },
-            Request::Status {
-                job: Some("j1".to_string()),
-            },
-            Request::Watch {
-                job: "j1".to_string(),
-            },
-            Request::Ping,
-            Request::Shutdown,
-        ];
-        for frame in frames {
-            let line = frame.render();
-            assert_eq!(Request::parse(&line).expect("round trip"), frame, "{line}");
-        }
-    }
-
-    #[test]
-    fn tail_fields_keep_their_spaces() {
-        let reply = Reply::Err {
-            code: 6,
-            msg: "bare token 'x' (want key=value)".to_string(),
-        };
-        let line = reply.render();
-        assert_eq!(Reply::parse(&line).expect("round trip"), reply);
-    }
-
-    #[test]
-    fn version_skew_and_bare_tokens_are_typed() {
-        assert!(matches!(
-            Request::parse("mbsrv0 ping"),
-            Err(ProtocolError::VersionSkew { .. })
-        ));
-        assert!(matches!(
-            Request::parse("mbsrv1 submit fig3-quick"),
-            Err(ProtocolError::BadFrame { .. })
-        ));
-    }
-
-    #[test]
-    fn read_frame_enforces_the_line_cap() {
-        let long = vec![b'a'; MAX_FRAME_BYTES + 10];
-        let mut r = BufReader::new(&long[..]);
-        assert!(matches!(
-            read_frame(&mut r),
-            Err(ProtocolError::Oversized { .. })
-        ));
-        let mut r = BufReader::new(&b"mbsrv1 ping"[..]);
-        assert!(matches!(
-            read_frame(&mut r),
-            Err(ProtocolError::Truncated { got: 11 })
-        ));
-        let mut r = BufReader::new(&b""[..]);
-        assert!(matches!(read_frame(&mut r), Ok(None)));
-    }
+/// The underlying [`LabError::Socket`].
+pub fn write_frame<W: Write>(writer: &mut W, frame: &str) -> Result<(), LabError> {
+    writer
+        .write_all(frame.as_bytes())
+        .and_then(|()| writer.write_all(b"\n"))
+        .and_then(|()| writer.flush())
+        .map_err(LabError::Socket)
 }

@@ -40,12 +40,12 @@
 
 use crate::campaign;
 use crate::codec::Fields;
-use crate::lock::{LockError, PathLock};
+use crate::error::LabError;
+use crate::lock::PathLock;
 use crate::protocol::{self, JobState, JobStatus, Reply, Request};
-use crate::supervise::{self, SuperviseError, SupervisePolicy};
+use crate::supervise::{self, SupervisePolicy};
 use crate::transport;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
 use std::fs;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -75,49 +75,6 @@ impl Default for ServePolicy {
             queue_cap: 8,
             workers: 2,
             supervise: SupervisePolicy::default(),
-        }
-    }
-}
-
-/// Everything that can keep the server from running.
-#[derive(Debug)]
-pub enum ServeError {
-    /// Bind/listen/data-dir failure.
-    Io(std::io::Error),
-    /// The data dir is owned by a live server.
-    Lock(LockError),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Io(e) => write!(f, "serve I/O error: {e}"),
-            ServeError::Lock(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<std::io::Error> for ServeError {
-    fn from(e: std::io::Error) -> Self {
-        ServeError::Io(e)
-    }
-}
-
-impl From<LockError> for ServeError {
-    fn from(e: LockError) -> Self {
-        ServeError::Lock(e)
-    }
-}
-
-impl ServeError {
-    /// Exit code under the workspace contract: both variants are
-    /// environment problems (exit 5).
-    pub fn exit_code(&self) -> u8 {
-        match self {
-            ServeError::Io(_) => mb_simcore::error::exit_code::ENV_MISCONFIG,
-            ServeError::Lock(e) => e.exit_code(),
         }
     }
 }
@@ -326,13 +283,9 @@ fn rescan(dir: &Path) -> std::io::Result<(ServerState, usize)> {
 ///
 /// # Errors
 ///
-/// [`ServeError::Lock`] when the data dir is owned by a live server,
-/// or [`ServeError::Io`] on bind/listen/data-dir failure.
-pub fn serve(
-    dir: &Path,
-    worker_exe: &Path,
-    policy: &ServePolicy,
-) -> Result<ServeSummary, ServeError> {
+/// [`LabError::Locked`] when the data dir is owned by a live server,
+/// or [`LabError::Io`] on bind/listen/data-dir failure.
+pub fn serve(dir: &Path, worker_exe: &Path, policy: &ServePolicy) -> Result<ServeSummary, LabError> {
     fs::create_dir_all(jobs_root(dir))?;
     let _lock = PathLock::acquire(&dir.join("serve.lock"))?;
 
@@ -454,7 +407,7 @@ fn run_job(shared: &Shared, id: &str) {
                 .then(|| format!("{} slot(s) quarantined", report.quarantined.len()));
             (JobState::Done, report.digest, report.digest_checked, detail)
         }
-        Err(SuperviseError::Cancelled) => (
+        Err(LabError::Cancelled) => (
             JobState::Cancelled,
             None,
             false,
@@ -518,7 +471,7 @@ fn send(writer: &mut TcpStream, reply: &Reply) {
     let _ = protocol::write_frame(writer, &reply.render());
 }
 
-fn send_err(writer: &mut TcpStream, e: &protocol::ProtocolError) {
+fn send_err(writer: &mut TcpStream, e: &LabError) {
     send(
         writer,
         &Reply::Err {
@@ -528,28 +481,19 @@ fn send_err(writer: &mut TcpStream, e: &protocol::ProtocolError) {
     );
 }
 
-fn send_typed_err(writer: &mut TcpStream, code: u8, msg: impl Into<String>) {
-    send(
-        writer,
-        &Reply::Err {
-            code,
-            msg: msg.into(),
-        },
-    );
+fn unknown_job(id: &str) -> LabError {
+    LabError::Misconfigured(format!("unknown job '{id}'"))
 }
 
 fn handle_submit(shared: &Shared, writer: &mut TcpStream, campaign_name: &str, shards: u32) {
-    use mb_simcore::error::exit_code;
     if shared.shutdown.load(Ordering::Relaxed) {
-        send_typed_err(writer, exit_code::UNAVAILABLE, "server is shutting down");
+        let msg = "server is shutting down".to_string();
+        let code = mb_simcore::error::exit_code::UNAVAILABLE;
+        send(writer, &Reply::Err { code, msg });
         return;
     }
     let Some(c) = campaign::find(campaign_name) else {
-        send_typed_err(
-            writer,
-            exit_code::ENV_MISCONFIG,
-            format!("unknown campaign '{campaign_name}' (try `mb-lab list`)"),
-        );
+        send_err(writer, &LabError::UnknownCampaign(campaign_name.to_string()));
         return;
     };
     let total = c.task_labels().len();
@@ -566,11 +510,7 @@ fn handle_submit(shared: &Shared, writer: &mut TcpStream, campaign_name: &str, s
             // Persist identity before acknowledging: an acknowledged
             // job must survive a SIGKILL landing right after.
             if let Err(e) = persist_meta(&shared.dir, &id, campaign_name, shards) {
-                send_typed_err(
-                    writer,
-                    exit_code::ENV_MISCONFIG,
-                    format!("cannot persist job: {e}"),
-                );
+                send_err(writer, &LabError::Io(e));
                 return;
             }
             st.jobs.insert(
@@ -619,11 +559,10 @@ fn snapshot(shared: &Shared, id: &str) -> Option<JobStatus> {
 }
 
 fn handle_status(shared: &Shared, writer: &mut TcpStream, job: Option<&str>) {
-    use mb_simcore::error::exit_code;
     match job {
         Some(id) => match snapshot(shared, id) {
             Some(s) => send(writer, &Reply::Job(s)),
-            None => send_typed_err(writer, exit_code::ENV_MISCONFIG, format!("unknown job '{id}'")),
+            None => send_err(writer, &unknown_job(id)),
         },
         None => {
             let ids: Vec<String> = {
@@ -643,7 +582,6 @@ fn handle_status(shared: &Shared, writer: &mut TcpStream, job: Option<&str>) {
 }
 
 fn handle_watch(shared: &Shared, writer: &mut TcpStream, id: &str) {
-    use mb_simcore::error::exit_code;
     let poll = std::time::Duration::from_millis(shared.policy.supervise.poll_ms.max(1));
     loop {
         let terminal = {
@@ -651,11 +589,7 @@ fn handle_watch(shared: &Shared, writer: &mut TcpStream, id: &str) {
             match st.jobs.get(id) {
                 None => {
                     drop(st);
-                    send_typed_err(
-                        writer,
-                        exit_code::ENV_MISCONFIG,
-                        format!("unknown job '{id}'"),
-                    );
+                    send_err(writer, &unknown_job(id));
                     return;
                 }
                 Some(e) if e.state.is_terminal() => Some(done_frame(id, e)),
@@ -697,13 +631,12 @@ fn handle_watch(shared: &Shared, writer: &mut TcpStream, id: &str) {
 }
 
 fn handle_cancel(shared: &Shared, writer: &mut TcpStream, id: &str) {
-    use mb_simcore::error::exit_code;
     let outcome = {
         let mut st = shared.state.lock().expect("server state mutex");
         match st.jobs.get_mut(id) {
             None => {
                 drop(st);
-                send_typed_err(writer, exit_code::ENV_MISCONFIG, format!("unknown job '{id}'"));
+                send_err(writer, &unknown_job(id));
                 return;
             }
             Some(e) if e.state == JobState::Queued => {
@@ -729,43 +662,36 @@ fn handle_cancel(shared: &Shared, writer: &mut TcpStream, id: &str) {
     }
     match snapshot(shared, id) {
         Some(s) => send(writer, &Reply::Job(s)),
-        None => send_typed_err(writer, exit_code::ENV_MISCONFIG, format!("unknown job '{id}'")),
+        None => send_err(writer, &unknown_job(id)),
     }
 }
 
 fn handle_fetch(shared: &Shared, writer: &mut TcpStream, id: &str) {
-    use mb_simcore::error::exit_code;
     let state = {
         let st = shared.state.lock().expect("server state mutex");
         match st.jobs.get(id) {
             None => {
                 drop(st);
-                send_typed_err(writer, exit_code::ENV_MISCONFIG, format!("unknown job '{id}'"));
+                send_err(writer, &unknown_job(id));
                 return;
             }
             Some(e) => e.state,
         }
     };
     if state != JobState::Done {
-        send_typed_err(
-            writer,
-            exit_code::FAILURE,
-            format!("job '{id}' is {}, nothing to fetch", state.as_str()),
-        );
+        let detail = format!("job '{id}' is {}, nothing to fetch", state.as_str());
+        send_err(writer, &LabError::Failed(detail));
         return;
     }
     // Reuse the PR-7 transport verbatim: export the merged journal as
     // one chain-verified mbseg1 segment and stream its lines.
     let jdir = job_dir(&shared.dir, id);
     let seg_path = jdir.join("fetch.seg");
-    if let Err(e) = transport::export_segment(&jdir.join("merged.journal"), 0, &seg_path) {
-        send_typed_err(writer, e.exit_code(), e.to_string());
-        return;
-    }
-    let text = match fs::read_to_string(&seg_path) {
+    let exported = transport::export_segment(&jdir.join("merged.journal"), 0, &seg_path);
+    let text = match exported.and_then(|_| Ok(fs::read_to_string(&seg_path)?)) {
         Ok(t) => t,
         Err(e) => {
-            send_typed_err(writer, exit_code::ENV_MISCONFIG, format!("cannot read segment: {e}"));
+            send_err(writer, &e);
             return;
         }
     };

@@ -38,12 +38,12 @@
 
 use crate::campaign::{self, Campaign};
 use crate::driver::Shard;
-use crate::journal::{self, Journal, JournalError};
-use crate::transport::{self, TransportError};
+use crate::error::LabError;
+use crate::journal::{self, Journal};
+use crate::transport;
 use mb_simcore::json::json_string;
 use mb_simcore::rng::{Rng, SplitMix64};
 use montblanc::report::CampaignAccounting;
-use std::fmt;
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -100,153 +100,6 @@ impl Default for SupervisePolicy {
             task_delay_ms: 0,
             chaos_kills: 0,
         }
-    }
-}
-
-/// Everything that can end a supervised family abnormally.
-#[derive(Debug)]
-pub enum SuperviseError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// Journal verification or merge failure.
-    Journal(JournalError),
-    /// Segment export/ingest failure.
-    Transport(TransportError),
-    /// The campaign name is not in the registry.
-    UnknownCampaign(String),
-    /// A worker died with a non-retryable exit code (journal
-    /// corruption or environment misconfiguration): restarting would
-    /// reproduce it, so the family aborts.
-    WorkerUnretryable {
-        /// The shard whose worker died.
-        shard: u32,
-        /// The worker's exit code.
-        code: u8,
-        /// Last stderr line, for the postmortem.
-        detail: String,
-    },
-    /// A shard burned through its crash-restart budget.
-    RestartsExhausted {
-        /// The shard that kept dying.
-        shard: u32,
-        /// Crash count since its last quarantine.
-        crashes: u32,
-    },
-    /// The family-wide poll budget ran out.
-    PollBudgetExhausted {
-        /// The configured budget.
-        max_polls: u64,
-    },
-    /// The merged digest disagrees with the campaign's pin.
-    DigestMismatch {
-        /// Digest of the merged, fully measured campaign.
-        got: u64,
-        /// The pinned digest.
-        pinned: u64,
-    },
-    /// The family directory is already owned by a live supervisor —
-    /// two supervisors double-spawning workers against the same
-    /// journals is exactly the corruption the lockfile exists to stop.
-    Lock(crate::lock::LockError),
-    /// A `quarantine.txt` line is not `slot shard crashes`: the fence
-    /// file is corrupt, and guessing would re-run a poison slot.
-    BadQuarantine {
-        /// 1-based line number of the malformed line.
-        line_number: usize,
-    },
-    /// The family was cancelled via [`supervise_cancellable`]'s flag;
-    /// workers were killed, journals are intact, and a later run may
-    /// resume from them.
-    Cancelled,
-}
-
-impl fmt::Display for SuperviseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SuperviseError::Io(e) => write!(f, "supervise I/O error: {e}"),
-            SuperviseError::Journal(e) => write!(f, "{e}"),
-            SuperviseError::Transport(e) => write!(f, "{e}"),
-            SuperviseError::UnknownCampaign(name) => {
-                write!(f, "unknown campaign '{name}' (try `mb-lab list`)")
-            }
-            SuperviseError::WorkerUnretryable {
-                shard,
-                code,
-                detail,
-            } => write!(
-                f,
-                "shard {shard} worker died unretryably (exit {code}): {detail}"
-            ),
-            SuperviseError::RestartsExhausted { shard, crashes } => {
-                write!(f, "shard {shard} exhausted its restart budget ({crashes} crashes)")
-            }
-            SuperviseError::PollBudgetExhausted { max_polls } => {
-                write!(f, "family exceeded its poll budget of {max_polls} polls")
-            }
-            SuperviseError::DigestMismatch { got, pinned } => write!(
-                f,
-                "merged digest mismatch: got {got:#018x}, pinned {pinned:#018x}"
-            ),
-            SuperviseError::Lock(e) => write!(f, "{e}"),
-            SuperviseError::BadQuarantine { line_number } => write!(
-                f,
-                "quarantine.txt line {line_number} is not `slot shard crashes`: fence file corrupt"
-            ),
-            SuperviseError::Cancelled => {
-                write!(f, "family cancelled; journals intact, resumable")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SuperviseError {}
-
-impl From<std::io::Error> for SuperviseError {
-    fn from(e: std::io::Error) -> Self {
-        SuperviseError::Io(e)
-    }
-}
-
-impl From<JournalError> for SuperviseError {
-    fn from(e: JournalError) -> Self {
-        SuperviseError::Journal(e)
-    }
-}
-
-impl From<TransportError> for SuperviseError {
-    fn from(e: TransportError) -> Self {
-        SuperviseError::Transport(e)
-    }
-}
-
-impl SuperviseError {
-    /// Process exit code for this error, following the workspace
-    /// contract (see [`mb_simcore::error::exit_code`]): a worker's
-    /// non-retryable code is forwarded verbatim, structural failures
-    /// delegate to their layer, and the never-converged states
-    /// (restarts or polls exhausted, digest mismatch) are the generic
-    /// failure.
-    pub fn exit_code(&self) -> u8 {
-        use mb_simcore::error::exit_code;
-        match self {
-            SuperviseError::Io(_) => exit_code::ENV_MISCONFIG,
-            SuperviseError::Journal(e) => e.exit_code(),
-            SuperviseError::Transport(e) => e.exit_code(),
-            SuperviseError::UnknownCampaign(_) => exit_code::ENV_MISCONFIG,
-            SuperviseError::BadQuarantine { .. } => exit_code::CORRUPT,
-            SuperviseError::WorkerUnretryable { code, .. } => *code,
-            SuperviseError::RestartsExhausted { .. }
-            | SuperviseError::PollBudgetExhausted { .. }
-            | SuperviseError::DigestMismatch { .. }
-            | SuperviseError::Cancelled => exit_code::FAILURE,
-            SuperviseError::Lock(e) => e.exit_code(),
-        }
-    }
-}
-
-impl From<crate::lock::LockError> for SuperviseError {
-    fn from(e: crate::lock::LockError) -> Self {
-        SuperviseError::Lock(e)
     }
 }
 
@@ -434,7 +287,7 @@ fn quarantine_path(dir: &Path) -> PathBuf {
 /// per fenced slot) so a restarted *supervisor* keeps earlier fences.
 /// A line that is not exactly three numbers is corruption, never
 /// skipped: a dropped fence would re-run its poison slot.
-fn load_quarantine(dir: &Path) -> Result<Vec<QuarantineRecord>, SuperviseError> {
+fn load_quarantine(dir: &Path) -> Result<Vec<QuarantineRecord>, LabError> {
     let path = quarantine_path(dir);
     if !path.exists() {
         return Ok(Vec::new());
@@ -443,7 +296,7 @@ fn load_quarantine(dir: &Path) -> Result<Vec<QuarantineRecord>, SuperviseError> 
         .lines()
         .enumerate()
         .map(|(i, line)| {
-            parse_fence(line).ok_or(SuperviseError::BadQuarantine { line_number: i + 1 })
+            parse_fence(line).ok_or(LabError::BadQuarantine { line_number: i + 1 })
         })
         .collect()
 }
@@ -461,7 +314,7 @@ fn parse_fence(line: &str) -> Option<QuarantineRecord> {
 
 /// Persists the quarantine set via tmp + rename, so a crash mid-write
 /// leaves the previous fence file whole rather than a torn one.
-fn persist_quarantine(dir: &Path, records: &[QuarantineRecord]) -> Result<(), SuperviseError> {
+fn persist_quarantine(dir: &Path, records: &[QuarantineRecord]) -> Result<(), LabError> {
     let mut text = String::new();
     for q in records {
         text.push_str(&format!("{} {} {}\n", q.slot, q.shard, q.crashes));
@@ -481,7 +334,7 @@ fn spawn_worker(
     shard: u32,
     policy: &SupervisePolicy,
     skip: &[usize],
-) -> Result<Child, SuperviseError> {
+) -> Result<Child, LabError> {
     let wdir = worker_dir(dir, shard);
     fs::create_dir_all(&wdir)?;
     let stderr = fs::File::create(wdir.join("attempt.stderr"))?;
@@ -536,7 +389,7 @@ fn shard_complete(
     policy: &SupervisePolicy,
     tasks: usize,
     quarantined: &[usize],
-) -> Result<bool, SuperviseError> {
+) -> Result<bool, LabError> {
     let path = worker_journal(dir, shard);
     if !path.exists() {
         return Ok(owned_slots(tasks, shard, policy.shards).is_empty());
@@ -569,36 +422,36 @@ fn chaos_schedule(policy: &SupervisePolicy) -> Vec<(u64, u32)> {
 ///
 /// # Errors
 ///
-/// Any [`SuperviseError`]; the family directory is left intact for
+/// Any [`LabError`]; the family directory is left intact for
 /// postmortem (worker journals, per-attempt stderr, quarantine file).
 pub fn supervise(
     campaign_name: &str,
     dir: &Path,
     worker_exe: &Path,
     policy: &SupervisePolicy,
-) -> Result<SuperviseReport, SuperviseError> {
+) -> Result<SuperviseReport, LabError> {
     supervise_cancellable(campaign_name, dir, worker_exe, policy, None)
 }
 
 /// [`supervise`] with a cooperative cancellation flag: when `cancel`
 /// flips to `true` the supervisor kills every live worker at the next
-/// poll and returns [`SuperviseError::Cancelled`]. Journals stay
+/// poll and returns [`LabError::Cancelled`]. Journals stay
 /// intact, so a later run (or a restarted server) resumes the family
 /// from where the cancellation landed. The serve layer owns the flag;
 /// passing `None` is exactly [`supervise`].
 ///
 /// # Errors
 ///
-/// As [`supervise`], plus [`SuperviseError::Cancelled`].
+/// As [`supervise`], plus [`LabError::Cancelled`].
 pub fn supervise_cancellable(
     campaign_name: &str,
     dir: &Path,
     worker_exe: &Path,
     policy: &SupervisePolicy,
     cancel: Option<&std::sync::atomic::AtomicBool>,
-) -> Result<SuperviseReport, SuperviseError> {
+) -> Result<SuperviseReport, LabError> {
     let campaign: Box<dyn Campaign> = campaign::find(campaign_name)
-        .ok_or_else(|| SuperviseError::UnknownCampaign(campaign_name.to_string()))?;
+        .ok_or_else(|| LabError::UnknownCampaign(campaign_name.to_string()))?;
     let tasks = campaign.task_labels().len();
     fs::create_dir_all(dir)?;
     // Sole ownership of the family dir for the whole run: two
@@ -632,10 +485,10 @@ pub fn supervise_cancellable(
     let mut poll = 0u64;
     let result = loop {
         if cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed)) {
-            break Err(SuperviseError::Cancelled);
+            break Err(LabError::Cancelled);
         }
         if poll >= policy.max_polls {
-            break Err(SuperviseError::PollBudgetExhausted {
+            break Err(LabError::PollBudgetExhausted {
                 max_polls: policy.max_polls,
             });
         }
@@ -672,7 +525,7 @@ pub fn supervise_cancellable(
         }
 
         let mut all_done = true;
-        let mut fatal: Option<SuperviseError> = None;
+        let mut fatal: Option<LabError> = None;
         for w in workers.iter_mut() {
             if w.done {
                 continue;
@@ -733,7 +586,7 @@ pub fn supervise_cancellable(
                                 {
                                     // Deterministically reproducible:
                                     // restarting cannot help.
-                                    fatal = Some(SuperviseError::WorkerUnretryable {
+                                    fatal = Some(LabError::WorkerUnretryable {
                                         shard: w.shard,
                                         code: c as u8,
                                         detail,
@@ -786,7 +639,7 @@ pub fn supervise_cancellable(
                 }
             } else if poll >= w.ready_at_poll {
                 if w.crashes_since_fence > policy.max_restarts {
-                    fatal = Some(SuperviseError::RestartsExhausted {
+                    fatal = Some(LabError::RestartsExhausted {
                         shard: w.shard,
                         crashes: w.crashes_since_fence,
                     });
@@ -872,7 +725,7 @@ pub fn supervise_cancellable(
         if let Some(pinned) = campaign.pinned_digest() {
             digest_checked = true;
             if d != pinned {
-                digest_error = Some(SuperviseError::DigestMismatch { got: d, pinned });
+                digest_error = Some(LabError::DigestMismatch { got: d, want: pinned });
             }
         }
     }
@@ -968,7 +821,7 @@ mod tests {
         for torn in ["5 1 3\n9 0", "5 1 3\nnine 0 2\n", "5 1 3 7\n", "\n"] {
             fs::write(quarantine_path(&dir), torn).expect("tear");
             let err = load_quarantine(&dir).expect_err(torn);
-            assert!(matches!(err, SuperviseError::BadQuarantine { .. }), "{torn:?}: {err}");
+            assert!(matches!(err, LabError::BadQuarantine { .. }), "{torn:?}: {err}");
             assert_eq!(err.exit_code(), mb_simcore::error::exit_code::CORRUPT);
         }
         let _ = fs::remove_dir_all(&dir);

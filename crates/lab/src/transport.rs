@@ -28,143 +28,26 @@
 //!   reordered segment fails closed before a single record lands.
 //! * The `end` trailer doubles as the truncation sentinel: a segment
 //!   cut short in flight is missing it (or carries fewer records than
-//!   `count`) and is rejected wholesale as [`TransportError::TornSegment`]
+//!   `count`) and is rejected wholesale as [`LabError::TornSegment`]
 //!   — ingest is all-or-nothing, never a partial splice.
 //!
 //! Ingest is **idempotent**: re-uploading a segment the replica already
 //! holds verifies the overlap against the replica's own chain and
 //! applies nothing; uploading a segment whose `from` lies beyond the
-//! replica's end is a [`TransportError::Gap`] (arrived out of order —
+//! replica's end is a [`LabError::Gap`] (arrived out of order —
 //! retry after the earlier segment lands); anything that disagrees with
 //! the replica's chain is a hard error. Uploading the same set of
 //! segments in any valid order, any number of times, converges every
 //! replica to a byte-identical copy of the source journal.
 
 use crate::codec::{self, ChainError};
-use crate::journal::{Journal, JournalError, JournalHeader};
-use std::convert::Infallible;
-use std::fmt;
+use crate::error::LabError;
+use crate::journal::{Journal, JournalHeader};
 use std::fs;
 use std::path::Path;
 
 /// Format version token leading every segment header.
 pub const SEGMENT_VERSION: &str = "mbseg1";
-
-/// Everything that can go wrong exporting or ingesting a segment.
-#[derive(Debug)]
-pub enum TransportError {
-    /// Underlying filesystem failure.
-    Io(std::io::Error),
-    /// The source or destination journal failed verification.
-    Journal(JournalError),
-    /// The segment's version token is not [`SEGMENT_VERSION`].
-    VersionSkew {
-        /// The token actually found.
-        found: String,
-    },
-    /// The segment header could not be parsed.
-    BadSegment {
-        /// What failed to parse.
-        detail: String,
-    },
-    /// The segment was cut short in flight: missing `end` trailer,
-    /// fewer records than `count`, or trailing bytes past the trailer.
-    /// Rejected wholesale — re-upload the full segment.
-    TornSegment {
-        /// What is missing or extra.
-        detail: String,
-    },
-    /// A carried record's chain does not re-derive — the segment was
-    /// tampered with, records were reordered, or it disagrees with the
-    /// destination's history at the splice point.
-    ChainBreak {
-        /// Zero-based index of the first bad record within the segment
-        /// (`count` means the `end` trailer itself disagreed).
-        record: usize,
-    },
-    /// The segment starts past the destination's end: an earlier
-    /// segment has not arrived yet. Retry after it lands.
-    Gap {
-        /// Records the destination currently holds.
-        have: usize,
-        /// Offset the segment wants to splice at.
-        from: usize,
-    },
-    /// An export was asked for a window outside the source journal.
-    BadRange {
-        /// Requested start offset.
-        from: usize,
-        /// Records the source journal holds.
-        len: usize,
-    },
-}
-
-impl fmt::Display for TransportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportError::Io(e) => write!(f, "transport I/O error: {e}"),
-            TransportError::Journal(e) => write!(f, "transport journal error: {e}"),
-            TransportError::VersionSkew { found } => write!(
-                f,
-                "segment version skew: found '{found}', this build reads '{SEGMENT_VERSION}'"
-            ),
-            TransportError::BadSegment { detail } => {
-                write!(f, "unparseable segment: {detail}")
-            }
-            TransportError::TornSegment { detail } => {
-                write!(f, "torn segment rejected: {detail}")
-            }
-            TransportError::ChainBreak { record } => write!(
-                f,
-                "segment digest chain broken at record {record}: tampered, reordered or \
-                 divergent from the destination"
-            ),
-            TransportError::Gap { have, from } => write!(
-                f,
-                "segment starts at record {from} but destination holds {have}: an earlier \
-                 segment is missing, retry after it arrives"
-            ),
-            TransportError::BadRange { from, len } => {
-                write!(f, "export window starts at record {from} past journal end {len}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TransportError {}
-
-impl From<std::io::Error> for TransportError {
-    fn from(e: std::io::Error) -> Self {
-        TransportError::Io(e)
-    }
-}
-
-impl From<JournalError> for TransportError {
-    fn from(e: JournalError) -> Self {
-        TransportError::Journal(e)
-    }
-}
-
-impl TransportError {
-    /// Process exit code for this error, following the same contract
-    /// as [`JournalError::exit_code`]: anything that means "the bytes
-    /// are bad" is corruption (3), anything that means "these files do
-    /// not belong together / arrived in the wrong order" is a
-    /// misconfiguration of the transfer (5).
-    pub fn exit_code(&self) -> u8 {
-        use mb_simcore::error::exit_code;
-        match self {
-            TransportError::VersionSkew { .. }
-            | TransportError::BadSegment { .. }
-            | TransportError::TornSegment { .. }
-            | TransportError::ChainBreak { .. } => exit_code::CORRUPT,
-            TransportError::Journal(e) => e.exit_code(),
-            TransportError::Io(_)
-            | TransportError::Gap { .. }
-            | TransportError::BadRange { .. } => exit_code::ENV_MISCONFIG,
-        }
-    }
-}
 
 /// The framing of one parsed segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,21 +79,21 @@ pub struct IngestOutcome {
 /// segment file at `out`: the segment header, the verified byte range
 /// of those record lines, then the `end` trailer. `from == len` is a
 /// valid empty segment (a heartbeat upload); `from > len` is
-/// [`TransportError::BadRange`].
+/// [`LabError::BadRange`].
 ///
 /// # Errors
 ///
-/// [`TransportError::Journal`] when the source fails verification,
-/// [`TransportError::BadRange`] for an out-of-range window, plus I/O.
+/// Any journal error when the source fails verification,
+/// [`LabError::BadRange`] for an out-of-range window, plus I/O.
 pub fn export_segment(
     journal_path: &Path,
     from: usize,
     out: &Path,
-) -> Result<Segment, TransportError> {
+) -> Result<Segment, LabError> {
     let journal = Journal::load(journal_path)?;
     let len = journal.records.len();
     if from > len {
-        return Err(TransportError::BadRange { from, len });
+        return Err(LabError::BadRange { from, len });
     }
     // Journals are append-only, so the verified prefix just loaded is
     // still the file's prefix: skip its header and first `from` lines.
@@ -238,37 +121,30 @@ pub fn export_segment(
 ///
 /// # Errors
 ///
-/// [`TransportError::TornSegment`] for any truncation,
-/// [`TransportError::ChainBreak`] when the chain does not re-derive,
-/// [`TransportError::BadSegment`] / [`TransportError::VersionSkew`]
-/// for framing damage, plus I/O.
-pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
-    let raw = String::from_utf8(fs::read(path)?).map_err(|_| TransportError::BadSegment {
+/// [`LabError::TornSegment`] for any truncation,
+/// [`LabError::ChainBreak`] when the chain does not re-derive,
+/// [`LabError::BadSegment`] / [`LabError::BadHeader`] /
+/// [`LabError::VersionSkew`] for framing damage, plus I/O.
+pub fn load_segment(path: &Path) -> Result<Segment, LabError> {
+    let raw = String::from_utf8(fs::read(path)?).map_err(|_| LabError::BadSegment {
         detail: "segment is not UTF-8".to_string(),
     })?;
     // A valid segment ends with a newline-terminated `end` line; any
     // unterminated tail means the upload was cut short.
     if !raw.is_empty() && !raw.ends_with('\n') {
-        return Err(TransportError::TornSegment {
+        return Err(LabError::TornSegment {
             detail: "unterminated final line".to_string(),
         });
     }
     let lines: Vec<&str> = raw.split_terminator('\n').collect();
     let Some((&header_line, body)) = lines.split_first() else {
-        return Err(TransportError::TornSegment {
+        return Err(LabError::TornSegment {
             detail: "empty file".to_string(),
         });
     };
     let (header, fields) =
-        JournalHeader::parse(header_line, SEGMENT_VERSION, &["from", "count", "chain"]).map_err(
-            |e| match e {
-                JournalError::VersionSkew { found } => TransportError::VersionSkew { found },
-                e => TransportError::BadSegment {
-                    detail: e.to_string(),
-                },
-            },
-        )?;
-    let bad = |e: codec::FieldError| TransportError::BadSegment {
+        JournalHeader::parse(header_line, SEGMENT_VERSION, &["from", "count", "chain"])?;
+    let bad = |e: codec::FieldError| LabError::BadSegment {
         detail: format!("{e} in header '{header_line}'"),
     };
     let from = fields.value("from").map_err(bad)?;
@@ -279,15 +155,15 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
         .split_last()
         .and_then(|(end, records)| Some((end.strip_prefix("end ")?, records)))
     else {
-        return Err(TransportError::TornSegment {
+        return Err(LabError::TornSegment {
             detail: format!("missing end trailer ({count} records promised)"),
         });
     };
-    let chain_after = codec::hex(end_hex).ok_or_else(|| TransportError::BadSegment {
+    let chain_after = codec::hex(end_hex).ok_or_else(|| LabError::BadSegment {
         detail: format!("unparseable end trailer 'end {end_hex}'"),
     })?;
     if record_lines.len() != count {
-        return Err(TransportError::TornSegment {
+        return Err(LabError::TornSegment {
             detail: format!("{} records present, header promises {count}", record_lines.len()),
         });
     }
@@ -295,17 +171,17 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
     let mut records = Vec::with_capacity(count);
     let chain = codec::verify_chain(chain_before, record_lines.iter().copied(), |r| {
         records.push((r.slot, r.values().collect(), r.chain));
-        Ok::<(), Infallible>(())
+        Ok(())
     })
     .map_err(|e| match e {
-        ChainError::Unparseable(i) => TransportError::BadSegment {
+        ChainError::Unparseable(i) => LabError::BadSegment {
             detail: format!("unparseable record {i}"),
         },
-        ChainError::Broken(i) => TransportError::ChainBreak { record: i },
-        ChainError::Rejected(never) => match never {},
+        ChainError::Broken(i) => LabError::ChainBreak { record: i },
+        ChainError::Rejected(e) => e,
     })?;
     if chain_after != chain {
-        return Err(TransportError::ChainBreak { record: count });
+        return Err(LabError::ChainBreak { record: count });
     }
 
     Ok(Segment {
@@ -324,12 +200,11 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
 ///
 /// # Errors
 ///
-/// Any [`load_segment`] error; [`JournalError::HeaderMismatch`] (as
-/// [`TransportError::Journal`]) when segment and replica identify
-/// different journals; [`TransportError::Gap`] when the segment starts
-/// past the replica's end; [`TransportError::ChainBreak`] when the
+/// Any [`load_segment`] error; [`LabError::HeaderMismatch`] when
+/// segment and replica identify different journals; [`LabError::Gap`] when the segment starts
+/// past the replica's end; [`LabError::ChainBreak`] when the
 /// overlap disagrees with the replica's history.
-pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome, TransportError> {
+pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome, LabError> {
     let segment = load_segment(segment_path)?;
     let mut journal = if dest.exists() {
         let journal = Journal::load(dest)?;
@@ -341,7 +216,7 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
 
     let have = journal.records.len();
     if segment.from > have {
-        return Err(TransportError::Gap {
+        return Err(LabError::Gap {
             have,
             from: segment.from,
         });
@@ -352,7 +227,7 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
     // equality (the chain commits to slot and payload bits).
     let mut chain = journal.chain_at(segment.from);
     if chain != segment.chain_before {
-        return Err(TransportError::ChainBreak { record: 0 });
+        return Err(LabError::ChainBreak { record: 0 });
     }
     let mut outcome = IngestOutcome {
         appended: 0,
@@ -372,7 +247,7 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
             outcome.appended += 1;
         }
         if chain != *seg_chain {
-            return Err(TransportError::ChainBreak { record: i });
+            return Err(LabError::ChainBreak { record: i });
         }
     }
     Ok(outcome)
@@ -475,7 +350,7 @@ mod tests {
         let dest = dir.join("replica.journal");
         // Tail first: rejected as a gap, replica untouched.
         match ingest_segment(&dest, &tail) {
-            Err(TransportError::Gap { have: 0, from: 4 }) => {}
+            Err(LabError::Gap { have: 0, from: 4 }) => {}
             other => panic!("expected Gap, got {other:?}"),
         }
         assert!(!dest.exists() || Journal::load(&dest).expect("dest").records.is_empty());
@@ -502,14 +377,14 @@ mod tests {
         fs::write(&seg, no_trailer).expect("write");
         assert!(matches!(
             ingest_segment(&dir.join("a.journal"), &seg),
-            Err(TransportError::TornSegment { .. })
+            Err(LabError::TornSegment { .. })
         ));
 
         // Cut mid-line (no final newline).
         fs::write(&seg, &full[..full.len() - 7]).expect("write");
         assert!(matches!(
             ingest_segment(&dir.join("b.journal"), &seg),
-            Err(TransportError::TornSegment { .. })
+            Err(LabError::TornSegment { .. })
         ));
 
         // Drop one record line: count disagrees.
@@ -519,7 +394,7 @@ mod tests {
         fs::write(&seg, dropped).expect("write");
         assert!(matches!(
             ingest_segment(&dir.join("c.journal"), &seg),
-            Err(TransportError::TornSegment { .. })
+            Err(LabError::TornSegment { .. })
         ));
     }
 
@@ -535,7 +410,7 @@ mod tests {
         fs::write(&seg, tampered).expect("write");
         assert!(matches!(
             load_segment(&seg),
-            Err(TransportError::ChainBreak { record: 1 })
+            Err(LabError::ChainBreak { record: 1 })
         ));
     }
 
@@ -559,10 +434,10 @@ mod tests {
         .expect("create");
         assert!(matches!(
             ingest_segment(&other, &seg),
-            Err(TransportError::Journal(JournalError::HeaderMismatch {
+            Err(LabError::HeaderMismatch {
                 field: "campaign",
                 ..
-            }))
+            })
         ));
     }
 
@@ -581,7 +456,7 @@ mod tests {
         journal.append(0, &[99.0, 99.5]).expect("append");
         assert!(matches!(
             ingest_segment(&dest, &seg),
-            Err(TransportError::ChainBreak { .. })
+            Err(LabError::ChainBreak { .. })
         ));
         // And the replica kept its own record.
         assert_eq!(Journal::load(&dest).expect("reload").records.len(), 1);
@@ -598,7 +473,7 @@ mod tests {
         // Against a fresh replica it is a gap (nothing to splice onto)…
         assert!(matches!(
             ingest_segment(&dir.join("fresh.journal"), &seg),
-            Err(TransportError::Gap { .. })
+            Err(LabError::Gap { .. })
         ));
         // …against a caught-up replica it is a verified no-op.
         let full = dir.join("full.seg");
@@ -610,7 +485,7 @@ mod tests {
         // Out-of-range export is refused.
         assert!(matches!(
             export_segment(&src, 3, &dir.join("oob.seg")),
-            Err(TransportError::BadRange { from: 3, len: 2 })
+            Err(LabError::BadRange { from: 3, len: 2 })
         ));
     }
 }

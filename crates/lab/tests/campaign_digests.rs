@@ -199,12 +199,12 @@ fn paper_campaigns_are_registered_with_distinct_seeds_and_pins() {
 
 /// A journal record whose payload is narrower than the campaign's slot
 /// width (here: a faulted record missing its resilience counters) must
-/// surface as [`JournalError::BadPayload`] from both the driver and the
+/// surface as [`LabError::BadPayload`] from both the driver and the
 /// digest path — never as a `copy_from_slice` panic inside `finalize`.
 #[test]
 fn short_payload_is_a_journal_error_not_a_finalize_panic() {
     use mb_lab::driver::expected_header;
-    use mb_lab::journal::JournalError;
+    use mb_lab::LabError;
 
     let dir = scratch("short-payload");
     let campaign = find("fig3-faulted-quick").expect("registered campaign");
@@ -221,7 +221,7 @@ fn short_payload_is_a_journal_error_not_a_finalize_panic() {
     assert!(
         matches!(
             run,
-            Err(JournalError::BadPayload {
+            Err(LabError::BadPayload {
                 slot: 0,
                 got: 2,
                 expected: 6
@@ -233,7 +233,7 @@ fn short_payload_is_a_journal_error_not_a_finalize_panic() {
     let loaded = Journal::load(&path).expect("journal itself verifies");
     let digest = digest_journal(&loaded);
     assert!(
-        matches!(digest, Err(JournalError::BadPayload { slot: 0, .. })),
+        matches!(digest, Err(LabError::BadPayload { slot: 0, .. })),
         "digest path accepted a short payload: {digest:?}"
     );
     let _ = fs::remove_dir_all(&dir);

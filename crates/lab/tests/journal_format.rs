@@ -4,7 +4,8 @@
 //! violations must all fail loudly, never silently skip records.
 
 use mb_lab::driver::Shard;
-use mb_lab::journal::{merge, Journal, JournalError, JournalHeader, MISSING_LISTED};
+use mb_lab::journal::{merge, Journal, JournalHeader, MISSING_LISTED};
+use mb_lab::LabError;
 use mb_lab::transport::{export_segment, ingest_segment};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -118,7 +119,7 @@ fn chain_mismatch_is_a_hard_error() {
     assert_ne!(text, tampered, "fixture must actually change a byte");
     fs::write(&path, tampered).expect("write");
     match Journal::load(&path) {
-        Err(JournalError::ChainMismatch { line_number }) => assert_eq!(line_number, 3),
+        Err(LabError::ChainMismatch { line_number }) => assert_eq!(line_number, 3),
         other => panic!("tampered journal must fail with ChainMismatch, got {other:?}"),
     }
 
@@ -127,7 +128,7 @@ fn chain_mismatch_is_a_hard_error() {
     lines.swap(1, 3);
     fs::write(&path, format!("{}\n", lines.join("\n"))).expect("write");
     match Journal::load(&path) {
-        Err(JournalError::ChainMismatch { line_number }) => assert_eq!(line_number, 2),
+        Err(LabError::ChainMismatch { line_number }) => assert_eq!(line_number, 2),
         other => panic!("reordered journal must fail with ChainMismatch, got {other:?}"),
     }
 }
@@ -141,7 +142,7 @@ fn version_skew_is_a_hard_error() {
     let text = fs::read_to_string(&path).expect("read");
     fs::write(&path, text.replace("mblab1 ", "mblab2 ")).expect("write");
     match Journal::load(&path) {
-        Err(JournalError::VersionSkew { found }) => assert_eq!(found, "mblab2"),
+        Err(LabError::VersionSkew { found, .. }) => assert_eq!(found, "mblab2"),
         other => panic!("version skew must be fatal, got {other:?}"),
     }
 }
@@ -152,11 +153,11 @@ fn foreign_campaign_header_is_rejected_on_open() {
     let path = dir.join("f.journal");
     Journal::create(&path, header("demo", 0, 1)).expect("create");
     match Journal::open_or_create(&path, header("other", 0, 1)) {
-        Err(JournalError::HeaderMismatch { field, .. }) => assert_eq!(field, "campaign"),
+        Err(LabError::HeaderMismatch { field, .. }) => assert_eq!(field, "campaign"),
         other => panic!("campaign mismatch must be fatal, got {other:?}"),
     }
     match Journal::open_or_create(&path, header("demo", 0, 2)) {
-        Err(JournalError::HeaderMismatch { field, .. }) => assert_eq!(field, "shard"),
+        Err(LabError::HeaderMismatch { field, .. }) => assert_eq!(field, "shard"),
         other => panic!("shard mismatch must be fatal, got {other:?}"),
     }
 }
@@ -169,15 +170,15 @@ fn append_enforces_slot_ownership_and_uniqueness() {
     let mut j = Journal::create(&path, header("demo", 1, 2)).expect("create");
     j.append(1, &[1.0]).expect("owned slot");
     match j.append(2, &[2.0]) {
-        Err(JournalError::ForeignSlot { slot: 2 }) => {}
+        Err(LabError::ForeignSlot { slot: 2 }) => {}
         other => panic!("unowned slot must be rejected, got {other:?}"),
     }
     match j.append(8, &[2.0]) {
-        Err(JournalError::ForeignSlot { slot: 8 }) => {}
+        Err(LabError::ForeignSlot { slot: 8 }) => {}
         other => panic!("out-of-range slot must be rejected, got {other:?}"),
     }
     match j.append(1, &[3.0]) {
-        Err(JournalError::DuplicateSlot { slot: 1 }) => {}
+        Err(LabError::DuplicateSlot { slot: 1 }) => {}
         other => panic!("duplicate slot must be rejected, got {other:?}"),
     }
 }
@@ -200,19 +201,19 @@ fn merge_validates_the_shard_family() {
 
     // Slot 7 missing: incomplete.
     match merge(&out, &[a.clone(), b.clone()]) {
-        Err(JournalError::IncompleteMerge { missing }) => assert_eq!(missing, vec![7]),
+        Err(LabError::IncompleteMerge { missing }) => assert_eq!(missing, vec![7]),
         other => panic!("incomplete merge must be fatal, got {other:?}"),
     }
     jb.append(7, &[7.0]).expect("append");
 
     // Wrong family size.
     match merge(&out, std::slice::from_ref(&a)) {
-        Err(JournalError::BadShardFamily { .. }) => {}
+        Err(LabError::BadShardFamily { .. }) => {}
         other => panic!("1 input for /2 must be fatal, got {other:?}"),
     }
     // Duplicate shard index.
     match merge(&out, &[a.clone(), a.clone()]) {
-        Err(JournalError::BadShardFamily { .. }) => {}
+        Err(LabError::BadShardFamily { .. }) => {}
         other => panic!("duplicate shard must be fatal, got {other:?}"),
     }
 
@@ -239,7 +240,7 @@ fn merge_rejects_mixed_campaigns() {
         jb.append(s, &[0.0]).expect("append");
     }
     match merge(&dir.join("m.journal"), &[a, b]) {
-        Err(JournalError::BadShardFamily { detail }) => {
+        Err(LabError::BadShardFamily { detail }) => {
             assert!(detail.contains("elsewhere"), "{detail}");
         }
         other => panic!("mixed campaigns must be fatal, got {other:?}"),
@@ -263,7 +264,7 @@ fn header_task_count_never_sizes_an_allocation() {
     assert_eq!(loaded.completed_slots(), vec![3]);
 
     match merge(&dir.join("m.journal"), std::slice::from_ref(&path)) {
-        Err(JournalError::IncompleteMerge { missing }) => {
+        Err(LabError::IncompleteMerge { missing }) => {
             assert_eq!(missing.len(), MISSING_LISTED);
             assert_eq!(&missing[..4], &[0, 1, 2, 4]);
         }
@@ -322,10 +323,10 @@ fn non_canonical_record_spellings_are_bad_records() {
     for spelling in ["r 07 ", "r +7 ", "r 7  "] {
         fs::write(&path, text.replacen("r 7 ", spelling, 1)).expect("write");
         match Journal::load(&path) {
-            Err(JournalError::BadRecord { line_number: 2 }) => {}
+            Err(LabError::BadRecord { line_number: 2 }) => {}
             other => panic!("'{spelling}' must be a bad record, got {other:?}"),
         }
     }
     fs::write(&path, text.replace("3ff0000000000000", "3FF0000000000000")).expect("write");
-    assert!(matches!(Journal::load(&path), Err(JournalError::BadRecord { line_number: 2 })));
+    assert!(matches!(Journal::load(&path), Err(LabError::BadRecord { line_number: 2 })));
 }

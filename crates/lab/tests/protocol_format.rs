@@ -3,12 +3,14 @@
 //! compatibility surface, exactly like the journal and segment
 //! headers), a rejection table where every malformed frame is a
 //! *typed* error, and a proptest sweep proving the parsers never
-//! panic on arbitrary input.
+//! panic on arbitrary input and that every frame they accept renders
+//! back to itself.
 
 use mb_lab::protocol::{
-    read_frame, write_frame, JobState, JobStatus, ProtocolError, Reply, Request,
-    MAX_FRAME_BYTES,
+    read_frame, write_frame, JobState, JobStatus, Reply, Request, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
+use mb_lab::LabError;
 use proptest::prelude::*;
 use std::io::BufReader;
 
@@ -198,7 +200,7 @@ fn malformed_frames_are_typed_rejections() {
     ];
     for line in version_skew {
         assert!(
-            matches!(Request::parse(line), Err(ProtocolError::VersionSkew { .. })),
+            matches!(Request::parse(line), Err(LabError::VersionSkew { .. })),
             "'{line}' must be version skew, got {:?}",
             Request::parse(line)
         );
@@ -225,7 +227,7 @@ fn malformed_frames_are_typed_rejections() {
     ];
     for line in bad_frames {
         assert!(
-            matches!(Request::parse(line), Err(ProtocolError::BadFrame { .. })),
+            matches!(Request::parse(line), Err(LabError::BadFrame { .. })),
             "'{line}' must be a bad frame, got {:?}",
             Request::parse(line)
         );
@@ -239,11 +241,12 @@ fn malformed_frames_are_typed_rejections() {
         "mbsrv1 done job=j1 state=done digest=d0d5f716d0b30356 checked=true",
         "mbsrv1 done job=j1 state=done digest=0xnothex checked=true",
         "mbsrv1 done job=j1 state=done checked=maybe",
+        "mbsrv1 done job=j1 state=done checked=true",
         "mbsrv1 segment lines=-3",
     ];
     for line in bad_replies {
         assert!(
-            matches!(Reply::parse(line), Err(ProtocolError::BadFrame { .. })),
+            matches!(Reply::parse(line), Err(LabError::BadFrame { .. })),
             "'{line}' must be a bad frame, got {:?}",
             Reply::parse(line)
         );
@@ -257,7 +260,7 @@ fn oversized_truncated_and_binary_streams_are_typed() {
     let mut r = BufReader::new(&long[..]);
     assert!(matches!(
         read_frame(&mut r),
-        Err(ProtocolError::Oversized { limit }) if limit == MAX_FRAME_BYTES
+        Err(LabError::Oversized { limit }) if limit == MAX_FRAME_BYTES
     ));
 
     // Exactly at the cap *with* terminator: fine.
@@ -271,7 +274,7 @@ fn oversized_truncated_and_binary_streams_are_typed() {
     let mut r = BufReader::new(&b"mbsrv1 pin"[..]);
     assert!(matches!(
         read_frame(&mut r),
-        Err(ProtocolError::Truncated { got: 10 })
+        Err(LabError::Truncated { got: 10 })
     ));
 
     // Clean EOF between frames is not an error.
@@ -282,7 +285,7 @@ fn oversized_truncated_and_binary_streams_are_typed() {
     let mut r = BufReader::new(&[0xff, 0xfe, b'\n'][..]);
     assert!(matches!(
         read_frame(&mut r),
-        Err(ProtocolError::BadFrame { .. })
+        Err(LabError::BadFrame { .. })
     ));
 }
 
@@ -311,15 +314,43 @@ fn write_then_read_is_identity_for_every_golden_frame() {
 #[test]
 fn exit_codes_follow_the_workspace_contract() {
     use mb_simcore::error::exit_code;
-    let skew = ProtocolError::VersionSkew {
+    let skew = LabError::VersionSkew {
+        expected: PROTOCOL_VERSION,
         found: "mbsrv2".to_string(),
     };
     assert_eq!(skew.exit_code(), exit_code::PROTOCOL);
-    let io = ProtocolError::Io(std::io::Error::new(
+    let io = LabError::Socket(std::io::Error::new(
         std::io::ErrorKind::ConnectionRefused,
         "refused",
     ));
     assert_eq!(io.exit_code(), exit_code::UNAVAILABLE);
+}
+
+/// Whenever a parser accepts `line`, the frame it yields renders to a
+/// line that parses back to the same frame.
+fn assert_round_trips(line: &str) {
+    if let Ok(request) = Request::parse(line) {
+        let again = Request::parse(&request.render()).ok();
+        assert_eq!(again, Some(request), "request {line:?}");
+    }
+    if let Ok(reply) = Reply::parse(line) {
+        let again = Reply::parse(&reply.render()).ok();
+        assert_eq!(again, Some(reply), "reply {line:?}");
+    }
+}
+
+/// Accepted frames that once failed to render back: `checked` without
+/// a `digest` (rendering drops it) and free text holding a line
+/// terminator (rendering folds it).
+#[test]
+fn accepted_frames_render_back_to_themselves() {
+    for line in [
+        "mbsrv1 done job=j1 state=done checked=true",
+        "mbsrv1 err code=6 msg=two\rlines",
+        "mbsrv1 done job=j1 state=failed detail=two\nlines",
+    ] {
+        assert_round_trips(line);
+    }
 }
 
 proptest! {
@@ -331,24 +362,27 @@ proptest! {
     #[test]
     fn parsers_never_panic_on_arbitrary_text(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let line = String::from_utf8_lossy(&bytes);
-        let _ = Request::parse(&line);
-        let _ = Reply::parse(&line);
+        assert_round_trips(&line);
     }
 
-    /// A canonical frame with one byte flipped still must never panic,
-    /// and must either parse or fail typed — this walks the boundary
-    /// cases (separators, the version token, digit edges) much harder
-    /// than fully random text does.
+    /// A canonical request or reply with one byte flipped still must
+    /// never panic, must either parse or fail typed, and must render
+    /// back to itself when it parses — this walks the boundary cases
+    /// (separators, the version token, digit edges) much harder than
+    /// fully random text does.
     #[test]
-    fn mutated_golden_frames_never_panic(idx in 0usize..13, pos in 0usize..60, byte in any::<u8>()) {
-        let (_, golden) = &golden_replies()[idx];
-        let mut bytes = golden.as_bytes().to_vec();
+    fn mutated_golden_frames_never_panic(idx in 0usize..21, pos in 0usize..100, byte in any::<u8>()) {
+        let goldens: Vec<&str> = golden_requests()
+            .iter()
+            .map(|(_, g)| *g)
+            .chain(golden_replies().iter().map(|(_, g)| *g))
+            .collect();
+        let mut bytes = goldens[idx].as_bytes().to_vec();
         if pos < bytes.len() {
             bytes[pos] = byte;
         }
         if let Ok(line) = String::from_utf8(bytes) {
-            let _ = Reply::parse(&line);
-            let _ = Request::parse(&line);
+            assert_round_trips(&line);
         }
     }
 

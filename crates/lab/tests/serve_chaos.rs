@@ -115,6 +115,21 @@ fn sigkill_mid_campaign_then_restart_resumes_to_the_pinned_digest() {
     // segment and check it against the registry pin end to end.
     let seg = dir.join("resumed.seg");
     client::fetch(&addr, &job, &seg).expect("fetch resumed segment");
+
+    // A segment fetch that cannot write its local file is a filesystem
+    // failure (exit 5), not an unavailable server (exit 7, retry).
+    let output = Command::new(env!("CARGO_BIN_EXE_mb-lab"))
+        .args(["fetch", &job])
+        .arg(dir.join("no-such-dir").join("x.seg"))
+        .args(["--addr", &addr])
+        .output()
+        .expect("run mb-lab fetch");
+    assert_eq!(
+        output.status.code(),
+        Some(5),
+        "a local write failure must exit 5\nstderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
     client::shutdown(&addr).expect("shutdown");
     let _ = server.wait();
     let _ = fs::remove_dir_all(&dir);

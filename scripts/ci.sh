@@ -99,7 +99,9 @@ echo "==> mb-lab exit-code contract (CLI + chaos suites)"
 # The documented exit taxonomy (2 usage / 3 corruption / 4 slot panic /
 # 5 env misconfig / 6 protocol / 7 unavailable) and the chaos harnesses
 # are tier-1, but name them explicitly so a contract regression fails
-# loudly here, not as one line in the workspace wall of dots.
+# loudly here, not as one line in the workspace wall of dots. The lib
+# tests hold the one LabError exit-code table.
+cargo test --release -p mb-lab --lib --quiet
 cargo test --release -p mb-lab --test cli --test supervise_chaos --quiet
 cargo test --release -p mb-lab \
     --test protocol_format --test serve_soak --test serve_chaos --quiet
