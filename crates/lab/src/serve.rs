@@ -36,7 +36,10 @@
 //! re-verifies everything), and the ETA is a mean-slot-cost estimate —
 //! elapsed wall time over slots completed this run, extrapolated to the
 //! remainder. Wall clock here is reporting-only and never feeds a
-//! decision or a measurement.
+//! decision or a measurement. Heartbeats go out every
+//! [`SupervisePolicy::poll_ms`], but `watch` ends as soon as the job
+//! does: the worker pool notifies a `job_done` condvar when it writes a
+//! terminal state, and the watcher waits on it between heartbeats.
 
 use crate::campaign;
 use crate::codec::Fields;
@@ -125,6 +128,9 @@ struct Shared {
     addr: SocketAddr,
     state: Mutex<ServerState>,
     work_ready: Condvar,
+    /// Notified whenever a job reaches a terminal state, so `watch`
+    /// ends at completion instead of at its next heartbeat.
+    job_done: Condvar,
     shutdown: AtomicBool,
 }
 
@@ -309,6 +315,7 @@ pub fn serve(dir: &Path, worker_exe: &Path, policy: &ServePolicy) -> Result<Serv
         addr,
         state: Mutex::new(state),
         work_ready: Condvar::new(),
+        job_done: Condvar::new(),
         shutdown: AtomicBool::new(false),
     });
 
@@ -426,6 +433,7 @@ fn run_job(shared: &Shared, id: &str) {
         entry.detail = detail;
         done_frame(id, entry)
     };
+    shared.job_done.notify_all();
     if let Err(e) = persist_outcome(&shared.dir, id, &frame) {
         eprintln!("mb-lab serve: cannot persist outcome of {id}: {e}");
     }
@@ -583,50 +591,53 @@ fn handle_status(shared: &Shared, writer: &mut TcpStream, job: Option<&str>) {
 
 fn handle_watch(shared: &Shared, writer: &mut TcpStream, id: &str) {
     let poll = std::time::Duration::from_millis(shared.policy.supervise.poll_ms.max(1));
+    let mut st = shared.state.lock().expect("server state mutex");
     loop {
-        let terminal = {
-            let st = shared.state.lock().expect("server state mutex");
-            match st.jobs.get(id) {
-                None => {
-                    drop(st);
-                    send_err(writer, &unknown_job(id));
-                    return;
-                }
-                Some(e) if e.state.is_terminal() => Some(done_frame(id, e)),
-                Some(e) => {
-                    let started = e.started;
-                    let done_at_start = e.done_at_start;
-                    let total = e.total;
-                    drop(st);
-                    let done = scan_done(&job_dir(&shared.dir, id));
-                    // Mean observed slot cost × remaining slots.
-                    // Advisory.
-                    let eta_ms = started.and_then(|t0| {
-                        let fresh = done.saturating_sub(done_at_start);
-                        if fresh == 0 || done >= total {
-                            return None;
-                        }
-                        let elapsed = t0.elapsed().as_millis() as u64; // mb-check: allow(wall-clock-in-model)
-                        Some(elapsed * (total - done) as u64 / fresh as u64)
-                    });
-                    let frame = Reply::Progress {
-                        job: id.to_string(),
-                        done,
-                        total,
-                        eta_ms,
-                    };
-                    if protocol::write_frame(writer, &frame.render()).is_err() {
-                        return; // client went away
-                    }
-                    None
-                }
+        let (started, done_at_start, total) = match st.jobs.get(id) {
+            None => {
+                drop(st);
+                send_err(writer, &unknown_job(id));
+                return;
             }
+            Some(e) if e.state.is_terminal() => {
+                let frame = done_frame(id, e);
+                drop(st);
+                send(writer, &frame);
+                return;
+            }
+            Some(e) => (e.started, e.done_at_start, e.total),
         };
-        if let Some(frame) = terminal {
-            send(writer, &frame);
-            return;
+        drop(st);
+        let done = scan_done(&job_dir(&shared.dir, id));
+        // Mean observed slot cost × remaining slots. Advisory.
+        let eta_ms = started.and_then(|t0| {
+            let fresh = done.saturating_sub(done_at_start);
+            if fresh == 0 || done >= total {
+                return None;
+            }
+            let elapsed = t0.elapsed().as_millis() as u64; // mb-check: allow(wall-clock-in-model)
+            Some(elapsed * (total - done) as u64 / fresh as u64)
+        });
+        let frame = Reply::Progress {
+            job: id.to_string(),
+            done,
+            total,
+            eta_ms,
+        };
+        if protocol::write_frame(writer, &frame.render()).is_err() {
+            return; // client went away
         }
-        std::thread::sleep(poll);
+        // Next heartbeat after one poll interval, or at once when the
+        // job ends: the state is re-checked under the lock the
+        // notifier takes, so a completion in between is not missed.
+        st = shared.state.lock().expect("server state mutex");
+        st = shared
+            .job_done
+            .wait_timeout_while(st, poll, |st| {
+                st.jobs.get(id).is_some_and(|e| !e.state.is_terminal())
+            })
+            .expect("server state mutex")
+            .0;
     }
 }
 
@@ -644,6 +655,7 @@ fn handle_cancel(shared: &Shared, writer: &mut TcpStream, id: &str) {
                 e.detail = Some("cancelled while queued".to_string());
                 let frame = done_frame(id, e);
                 st.queue.retain(|q| q != id);
+                shared.job_done.notify_all();
                 Some(frame)
             }
             Some(e) if e.state == JobState::Running => {

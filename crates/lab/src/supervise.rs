@@ -27,6 +27,16 @@
 //!   `--skip-slots`, and the campaign degrades to "complete minus
 //!   quarantined" instead of wedging or failing family-wide.
 //!
+//! The loop is event-driven. Each worker's stdout is a pipe that a
+//! small reader thread copies into `attempt.stdout`; at EOF the reader
+//! rings the family's `Doorbell` with `(shard, attempt)`, and the
+//! loop, which waits on that doorbell instead of sleeping, reaps the
+//! exit at once. A *poll* is a full [`SupervisePolicy::poll_ms`]
+//! interval in which no worker exited. Only polls advance the poll
+//! counter, the hang detector's stale count, the backoff's
+//! `ready_at_poll` and the chaos schedule, so every threshold keeps its
+//! meaning in poll intervals, while an exit costs no wait at all.
+//!
 //! On completion every worker journal is exported as a transport
 //! segment and ingested into a collector replica (one segment is
 //! deliberately re-ingested to exercise idempotency on every run),
@@ -48,6 +58,9 @@ use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Knobs for one supervised family, beyond the campaign itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +68,8 @@ pub struct SupervisePolicy {
     /// Worker (shard) count.
     pub shards: u32,
     /// Poll interval — the supervisor's only temporal knob. Every
-    /// other threshold below counts polls, not milliseconds.
+    /// other threshold below counts polls (intervals that ended with no
+    /// worker exit), not milliseconds; an exit wakes the loop at once.
     pub poll_ms: u64,
     /// Consecutive polls without journal byte growth before a running
     /// worker is declared hung and killed.
@@ -239,10 +253,43 @@ impl SuperviseReport {
     }
 }
 
+/// Where a family's stdout readers report worker exits: each reader
+/// rings `(shard, attempt)` when its worker's stdout reaches EOF, and
+/// the supervisor loop waits here instead of sleeping out the poll.
+#[derive(Default)]
+struct Doorbell {
+    rung: Mutex<Vec<(u32, u32)>>,
+    bell: Condvar,
+}
+
+impl Doorbell {
+    fn ring(&self, shard: u32, attempt: u32) {
+        self.rung
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((shard, attempt));
+        self.bell.notify_one();
+    }
+
+    /// Waits up to `timeout` for a ring and takes every pending one;
+    /// an empty result means the interval passed without an exit.
+    fn wait(&self, timeout: Duration) -> Vec<(u32, u32)> {
+        let rung = self.rung.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut rung, _) = self
+            .bell
+            .wait_timeout_while(rung, timeout, |r| r.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *rung)
+    }
+}
+
 /// Supervisor-side view of one worker.
 struct WorkerState {
     shard: u32,
     child: Option<Child>,
+    /// The thread copying the live attempt's stdout; joined when the
+    /// attempt is reaped, so no reader outlives its worker.
+    reader: Option<JoinHandle<()>>,
     /// Worker spawns so far.
     attempts: u32,
     /// Abnormal exits (including hang kills) since the last quarantine
@@ -260,6 +307,26 @@ struct WorkerState {
     last_failed_slot: Option<usize>,
     fail_streak: u32,
     done: bool,
+}
+
+impl WorkerState {
+    /// Forgets the reaped attempt and joins its stdout reader, which is
+    /// at EOF once the worker has exited.
+    fn reaped(&mut self) {
+        self.child = None;
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+
+    /// SIGKILLs the live attempt, if any, and reaps it.
+    fn kill(&mut self) {
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        self.reaped();
+    }
 }
 
 /// The slots shard `i` of `n` owns under the modulo partition.
@@ -325,20 +392,23 @@ fn persist_quarantine(dir: &Path, records: &[QuarantineRecord]) -> Result<(), La
     Ok(())
 }
 
-/// Spawns (or respawns) the worker for `shard`, resuming from its
-/// journal and skipping every quarantined slot.
+/// Spawns (or respawns) `w`'s worker, resuming from its journal and
+/// skipping every quarantined slot, with a reader thread that copies
+/// its stdout into `attempt.stdout` and rings `doorbell` at EOF.
 fn spawn_worker(
     worker_exe: &Path,
     campaign_name: &str,
     dir: &Path,
-    shard: u32,
     policy: &SupervisePolicy,
     skip: &[usize],
-) -> Result<Child, LabError> {
+    w: &mut WorkerState,
+    doorbell: &Arc<Doorbell>,
+) -> Result<(), LabError> {
+    let shard = w.shard;
     let wdir = worker_dir(dir, shard);
     fs::create_dir_all(&wdir)?;
     let stderr = fs::File::create(wdir.join("attempt.stderr"))?;
-    let stdout = fs::File::create(wdir.join("attempt.stdout"))?;
+    let mut stdout = fs::File::create(wdir.join("attempt.stdout"))?;
     let mut cmd = Command::new(worker_exe);
     cmd.arg("run")
         .arg(campaign_name)
@@ -351,7 +421,7 @@ fn spawn_worker(
         .env_remove("MB_SHARD")
         .env_remove("MB_MAX_SLOTS")
         .stdin(Stdio::null())
-        .stdout(Stdio::from(stdout))
+        .stdout(Stdio::piped())
         .stderr(Stdio::from(stderr));
     if policy.task_delay_ms > 0 {
         cmd.arg("--task-delay-ms").arg(policy.task_delay_ms.to_string());
@@ -360,7 +430,38 @@ fn spawn_worker(
         let list: Vec<String> = skip.iter().map(usize::to_string).collect();
         cmd.arg("--skip-slots").arg(list.join(","));
     }
-    Ok(cmd.spawn()?)
+    let mut child = cmd.spawn()?;
+    let mut pipe = child.stdout.take().expect("worker stdout is piped");
+    let attempt = w.attempts + 1;
+    let bell = Arc::clone(doorbell);
+    // One short-lived copier per attempt: the pipe's EOF is the exit
+    // event, and the small stack keeps a family's footprint flat.
+    let reader = std::thread::Builder::new() // mb-check: allow(rogue-threads)
+        .stack_size(64 * 1024)
+        .spawn(move || {
+            // Drain to EOF even if the file write fails, so a ring
+            // always means the worker's stdout closed.
+            if std::io::copy(&mut pipe, &mut stdout).is_err() {
+                let _ = std::io::copy(&mut pipe, &mut std::io::sink());
+            }
+            bell.ring(shard, attempt);
+        });
+    let reader = match reader {
+        Ok(reader) => reader,
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(e.into());
+        }
+    };
+    w.child = Some(child);
+    w.reader = Some(reader);
+    w.attempts = attempt;
+    w.stale_polls = 0;
+    w.last_journal_len = fs::metadata(worker_journal(dir, shard))
+        .map(|m| m.len())
+        .unwrap_or(0);
+    Ok(())
 }
 
 /// Last stderr line of the worker's most recent attempt.
@@ -464,6 +565,7 @@ pub fn supervise_cancellable(
         .map(|shard| WorkerState {
             shard,
             child: None,
+            reader: None,
             attempts: 0,
             crashes_since_fence: 0,
             crashes_total: 0,
@@ -482,6 +584,11 @@ pub fn supervise_cancellable(
     chaos.reverse(); // pop() delivers in schedule order
     let mut chaos_delivered = 0u32;
 
+    let doorbell = Arc::new(Doorbell::default());
+    // `(shard, attempt)` exits rung since the last pass, and whether
+    // this pass follows a quiet interval (a poll) rather than a ring.
+    let mut rung: Vec<(u32, u32)> = Vec::new();
+    let mut tick = true;
     let mut poll = 0u64;
     let result = loop {
         if cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed)) {
@@ -509,31 +616,33 @@ pub fn supervise_cancellable(
                 workers.iter().position(|w| w.child.is_some())
             };
             if let Some(idx) = target {
-                if let Some(child) = workers[idx].child.as_mut() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    workers[idx].child = None;
-                    chaos_delivered += 1;
-                    eprintln!(
-                        "mb-lab supervise: chaos kill #{chaos_delivered} -> shard {} (poll {poll})",
-                        workers[idx].shard
-                    );
-                    // An abnormal death like any other: backoff applies.
-                    crashed(&mut workers[idx], poll, policy, None);
-                }
+                workers[idx].kill();
+                chaos_delivered += 1;
+                eprintln!(
+                    "mb-lab supervise: chaos kill #{chaos_delivered} -> shard {} (poll {poll})",
+                    workers[idx].shard
+                );
+                // An abnormal death like any other: backoff applies.
+                crashed(&mut workers[idx], poll, policy, None);
             }
         }
 
-        let mut all_done = true;
         let mut fatal: Option<LabError> = None;
-        for w in workers.iter_mut() {
-            if w.done {
-                continue;
-            }
-            all_done = false;
-
+        for w in workers.iter_mut().filter(|w| !w.done) {
             if let Some(child) = w.child.as_mut() {
-                match child.try_wait()? {
+                let status = if rung.contains(&(w.shard, w.attempts)) {
+                    // Its stdout hit EOF, so the worker is exiting:
+                    // `wait` returns at once, where `try_wait` could
+                    // still race the exit and see it running.
+                    Some(child.wait()?)
+                } else if tick {
+                    child.try_wait()?
+                } else {
+                    // A ring for someone else: heartbeats wait for the
+                    // interval, so a wake-up never counts as a poll.
+                    continue;
+                };
+                match status {
                     None => {
                         // Running: clock-free progress heartbeat.
                         let len = fs::metadata(worker_journal(dir, w.shard))
@@ -545,9 +654,7 @@ pub fn supervise_cancellable(
                         } else {
                             w.stale_polls += 1;
                             if w.stale_polls >= policy.hang_polls {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                w.child = None;
+                                w.kill();
                                 w.hangs += 1;
                                 eprintln!(
                                     "mb-lab supervise: shard {} hung ({} stale polls), killed",
@@ -558,7 +665,7 @@ pub fn supervise_cancellable(
                         }
                     }
                     Some(status) => {
-                        w.child = None;
+                        w.reaped();
                         let code = status.code();
                         if status.success() {
                             if shard_complete(dir, w.shard, policy, tasks, &quarantined_slots)? {
@@ -647,39 +754,36 @@ pub fn supervise_cancellable(
                 }
                 // (Re)spawn, resuming from the journal and skipping
                 // every currently fenced slot.
-                let child = spawn_worker(
+                spawn_worker(
                     worker_exe,
                     campaign_name,
                     dir,
-                    w.shard,
                     policy,
                     &quarantined_slots,
+                    w,
+                    &doorbell,
                 )?;
-                w.child = Some(child);
-                w.attempts += 1;
-                w.stale_polls = 0;
-                w.last_journal_len = fs::metadata(worker_journal(dir, w.shard))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
             }
         }
         if let Some(e) = fatal {
             break Err(e);
         }
-        if all_done {
+        // Checked after the pass, so the family ends with its last
+        // reap rather than one interval later.
+        if workers.iter().all(|w| w.done) {
             break Ok(());
         }
-        poll += 1;
-        std::thread::sleep(std::time::Duration::from_millis(policy.poll_ms));
+        rung = doorbell.wait(Duration::from_millis(policy.poll_ms));
+        tick = rung.is_empty();
+        if tick {
+            poll += 1;
+        }
     };
 
     // Kill any survivors before reporting a family failure.
     if result.is_err() {
         for w in workers.iter_mut() {
-            if let Some(child) = w.child.as_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+            w.kill();
         }
     }
     result?;

@@ -14,7 +14,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mb-lab-soak-{}-{name}", std::process::id()));
@@ -230,6 +230,35 @@ fn cancel_is_effective_for_queued_jobs_and_idempotent() {
     client::cancel(&addr, &running).expect("cancel running job");
     let outcome = client::watch(&addr, &running, |_, _, _| {}).expect("watch cancelled job");
     assert_eq!(outcome.state, JobState::Cancelled, "{:?}", outcome.detail);
+
+    client::shutdown(&addr).expect("shutdown");
+    server.join().expect("server thread");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn watch_ends_at_completion_not_at_the_next_heartbeat() {
+    // A 5 s poll interval paces both the supervisor and the watch
+    // heartbeats. A quick job runs in well under a second, so a watch
+    // that returns within one interval proves that worker exits wake
+    // the supervisor and job completion wakes the watch; with sleep
+    // polling it takes at least two intervals.
+    let dir = scratch("wake");
+    let mut policy = ServePolicy::default();
+    policy.supervise.poll_ms = 5000;
+    let (addr, server) = start_server(&dir, policy);
+
+    let started = Instant::now();
+    let (job, _) = client::submit(&addr, "fig3-quick", 2).expect("submit");
+    let outcome = client::watch(&addr, &job, |_, _, _| {}).expect("watch to the terminal frame");
+    let elapsed = started.elapsed();
+    assert_eq!(outcome.state, JobState::Done, "{job}: {:?}", outcome.detail);
+    assert_eq!(outcome.digest, Some(FIG3_QUICK_DIGEST), "{job} missed the pin");
+    assert!(outcome.checked, "{job} digest must be registry-checked");
+    assert!(
+        elapsed < Duration::from_millis(5000),
+        "watch took {elapsed:?}, at least one 5 s poll interval"
+    );
 
     client::shutdown(&addr).expect("shutdown");
     server.join().expect("server thread");

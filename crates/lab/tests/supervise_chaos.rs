@@ -197,6 +197,72 @@ fn poison_slot_is_quarantined_and_the_family_still_completes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn hung_worker_is_killed_after_its_stale_polls_and_the_budget_ends_the_family() {
+    // One shard whose slots each sleep 400 ms: its journal stops
+    // growing for far longer than 5 polls of 10 ms, so the hang
+    // detector kills it, the restart hangs again, and the second kill
+    // exhausts a restart budget of 1. Exit wake-ups must not weaken
+    // this: stale polls count interval timeouts only.
+    let dir = scratch("hang");
+    let output = mb_lab()
+        .args(["supervise", "fig3-quick", "--dir"])
+        .arg(&dir)
+        .args([
+            "--shards",
+            "1",
+            "--poll-ms",
+            "10",
+            "--hang-polls",
+            "5",
+            "--task-delay-ms",
+            "400",
+            "--max-restarts",
+            "1",
+        ])
+        .output()
+        .expect("run mb-lab supervise");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "a wedged family fails: {stderr}");
+    assert!(
+        stderr.contains("hung (5 stale polls), killed"),
+        "the hang detector must fire after exactly 5 stale polls: {stderr}"
+    );
+    assert!(
+        stderr.contains("exhausted its restart budget"),
+        "repeated hangs must spend the restart budget: {stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn worker_exits_wake_the_supervisor_without_waiting_out_a_poll() {
+    // With a 5 s poll interval, a sleeping supervisor would take at
+    // least two intervals (it learned of exits at its next poll, then
+    // slept once more). Exits ring the doorbell instead, so the family
+    // converges inside the first interval and counts no poll at all.
+    let dir = scratch("wake");
+    let output = mb_lab()
+        .args(["supervise", "fig3-quick", "--dir"])
+        .arg(&dir)
+        .args(["--shards", "2", "--poll-ms", "5000"])
+        .output()
+        .expect("run mb-lab supervise");
+    assert_success(&output, "supervised run with a 5 s poll");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("pinned digest check: ok"),
+        "the family must still verify the pin: {stdout}"
+    );
+    let report = fs::read_to_string(dir.join("report.json")).expect("report.json written");
+    assert!(
+        report.contains("\"polls\": 0,"),
+        "exits must wake the loop before the first poll ends: {report}"
+    );
+    assert_merged_matches_pin(&dir);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// `backoff_delay_ms` takes a single draw from a fresh SplitMix64
 /// state, so these values are bit-identical to every schedule earlier
 /// supervisors replayed.

@@ -94,6 +94,21 @@ echo "    supervise wall time: ${sup_elapsed_ms} ms (budget 60000 ms)"
 if [ "$sup_elapsed_ms" -ge 60000 ]; then
     echo "supervise smoke exceeded its 60 s wall-time budget"; exit 1
 fi
+# Worker exits wake the supervisor: with a 5 s poll interval a family
+# of quick shards must converge inside the first interval and count no
+# poll. A supervisor that sleeps out its polls takes at least 10 s.
+wake_start=$(date +%s%N)
+WAKE_OUT="$(target/release/mb-lab supervise fig3-quick --dir "$LAB_DIR/wake" \
+    --shards 2 --poll-ms 5000)"
+wake_elapsed_ms=$(( ($(date +%s%N) - wake_start) / 1000000 ))
+grep -q "pinned digest check: ok" <<<"$WAKE_OUT" \
+    || { echo "5 s-poll family missed the pin: $WAKE_OUT"; exit 1; }
+grep -q '"polls": 0,' "$LAB_DIR/wake/report.json" \
+    || { echo "5 s-poll family counted a poll: exits did not wake the supervisor"; exit 1; }
+echo "    5 s-poll supervise wall time: ${wake_elapsed_ms} ms (budget 5000 ms)"
+if [ "$wake_elapsed_ms" -ge 5000 ]; then
+    echo "5 s-poll supervise exceeded its 5 s wall-time budget"; exit 1
+fi
 
 echo "==> mb-lab exit-code contract (CLI + chaos suites)"
 # The documented exit taxonomy (2 usage / 3 corruption / 4 slot panic /
