@@ -63,7 +63,47 @@ pub struct ScalingSeries {
     pub points: Vec<ScalingPoint>,
 }
 
+impl ScalingPoint {
+    /// The point measured at `cores` in `time`; its speedup and
+    /// efficiency are set when it joins a series.
+    pub fn measured(cores: u32, time: SimTime) -> ScalingPoint {
+        ScalingPoint {
+            cores,
+            time,
+            speedup: 0.0,
+            efficiency: 0.0,
+        }
+    }
+}
+
+/// The one speedup normalisation of every scaling series: the first
+/// point sits on the ideal diagonal (speedup = its own core count),
+/// exactly how the paper normalises SPECFEM "versus a 4 core run".
+fn normalise<'a>(points: impl IntoIterator<Item = &'a mut ScalingPoint>) {
+    let mut baseline = None;
+    for p in points {
+        let (baseline_cores, baseline_time) = *baseline.get_or_insert((p.cores, p.time));
+        p.speedup = baseline_cores as f64 * baseline_time.as_secs_f64() / p.time.as_secs_f64();
+        p.efficiency = p.speedup / p.cores as f64;
+    }
+}
+
 impl ScalingSeries {
+    /// Builds a series from its [`ScalingPoint::measured`] points, in
+    /// core-count order, speedups normalised to the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is empty.
+    pub fn new(name: String, mut points: Vec<ScalingPoint>) -> ScalingSeries {
+        normalise(points.iter_mut());
+        ScalingSeries {
+            name,
+            baseline_cores: points.first().expect("need at least one point").cores,
+            points,
+        }
+    }
+
     /// The point measured at `cores`, if any.
     pub fn at(&self, cores: u32) -> Option<&ScalingPoint> {
         self.points.iter().find(|p| p.cores == cores)
@@ -129,7 +169,38 @@ pub struct ResilientSeries {
     pub failed: Vec<(u32, String)>,
 }
 
+/// How one point of a fault-injected sweep ended: its makespan,
+/// resilience counters and surviving ranks, or the error message of a
+/// task that died outright.
+pub type PointOutcome = Result<(SimTime, ResilienceStats, u32), String>;
+
 impl ResilientSeries {
+    /// Builds a series from one outcome per core count, in core-count
+    /// order. Completed points are normalised to the first *completed*
+    /// one; when none completed, the baseline is the first core count.
+    pub fn from_outcomes(name: String, outcomes: Vec<(u32, PointOutcome)>) -> ResilientSeries {
+        let first_cores = outcomes.first().map_or(0, |&(cores, _)| cores);
+        let mut points = Vec::new();
+        let mut failed = Vec::new();
+        for (cores, outcome) in outcomes {
+            match outcome {
+                Ok((time, stats, surviving_ranks)) => points.push(ResilientPoint {
+                    point: ScalingPoint::measured(cores, time),
+                    stats,
+                    surviving_ranks,
+                }),
+                Err(e) => failed.push((cores, e)),
+            }
+        }
+        normalise(points.iter_mut().map(|p| &mut p.point));
+        ResilientSeries {
+            name,
+            baseline_cores: points.first().map_or(first_cores, |p| p.point.cores),
+            points,
+            failed,
+        }
+    }
+
     /// The completed point measured at `cores`, if any.
     pub fn at(&self, cores: u32) -> Option<&ResilientPoint> {
         self.points.iter().find(|p| p.point.cores == cores)
@@ -335,9 +406,7 @@ impl ScalingStudy {
     }
 
     /// Runs the workload at each core count and builds the Figure 3
-    /// series. Speedups are normalised so the smallest measured count
-    /// sits on the ideal diagonal — exactly how the paper normalises
-    /// SPECFEM "versus a 4 core run".
+    /// series, normalised to the smallest count.
     ///
     /// Core counts are measured in parallel, one sweep task per point:
     /// each [`Self::execute`] call is a pure function of `(workload,
@@ -350,39 +419,15 @@ impl ScalingStudy {
     /// Panics if `core_counts` is empty, unsorted, or starts below the
     /// workload's minimum.
     pub fn run(&self, workload: &Workload, core_counts: &[u32]) -> ScalingSeries {
-        assert!(!core_counts.is_empty(), "need at least one core count");
-        assert!(
-            core_counts.windows(2).all(|w| w[0] < w[1]),
-            "core counts must be strictly increasing"
-        );
-        let baseline_cores = core_counts[0];
+        check_counts(core_counts);
         let tasks = core_counts
             .iter()
             .map(|&cores| (format!("{}@{}c", workload.name, cores), cores))
             .collect();
-        let times = mb_simcore::par::sweep_labeled(self.seed, tasks, |_, cores| {
-            self.execute(workload, cores, false).0
+        let points = mb_simcore::par::sweep_labeled(self.seed, tasks, |_, cores| {
+            ScalingPoint::measured(cores, self.execute(workload, cores, false).0)
         });
-        let baseline_time = times[0];
-        let points = core_counts
-            .iter()
-            .zip(&times)
-            .map(|(&cores, &time)| {
-                let speedup =
-                    baseline_cores as f64 * baseline_time.as_secs_f64() / time.as_secs_f64();
-                ScalingPoint {
-                    cores,
-                    time,
-                    speedup,
-                    efficiency: speedup / cores as f64,
-                }
-            })
-            .collect();
-        ScalingSeries {
-            name: workload.name.clone(),
-            baseline_cores,
-            points,
-        }
+        ScalingSeries::new(workload.name.clone(), points)
     }
 
     /// Crash-tolerant variant of [`Self::run`]: each point runs inside
@@ -396,11 +441,7 @@ impl ScalingStudy {
     ///
     /// Panics if `core_counts` is empty or unsorted.
     pub fn run_resilient(&self, workload: &Workload, core_counts: &[u32]) -> ResilientSeries {
-        assert!(!core_counts.is_empty(), "need at least one core count");
-        assert!(
-            core_counts.windows(2).all(|w| w[0] < w[1]),
-            "core counts must be strictly increasing"
-        );
+        check_counts(core_counts);
         let tasks = core_counts
             .iter()
             .map(|&cores| (format!("{}@{}c", workload.name, cores), cores))
@@ -409,50 +450,21 @@ impl ScalingStudy {
             let out = self.execute_outcome(workload, cores, false);
             (out.time, out.stats, out.surviving_ranks)
         });
-        let mut completed = Vec::new();
-        let mut failed = Vec::new();
-        for (&cores, slot) in core_counts.iter().zip(slots) {
-            match slot {
-                Ok(outcome) => completed.push((cores, outcome)),
-                Err(e) => failed.push((cores, e.to_string())),
-            }
-        }
-        let (baseline_cores, baseline_time) = match completed.first() {
-            Some(&(cores, (time, _, _))) => (cores, time),
-            None => {
-                // Every point died: still a report, not a panic.
-                return ResilientSeries {
-                    name: workload.name.clone(),
-                    baseline_cores: core_counts[0],
-                    points: Vec::new(),
-                    failed,
-                };
-            }
-        };
-        let points = completed
-            .into_iter()
-            .map(|(cores, (time, stats, surviving_ranks))| {
-                let speedup =
-                    baseline_cores as f64 * baseline_time.as_secs_f64() / time.as_secs_f64();
-                ResilientPoint {
-                    point: ScalingPoint {
-                        cores,
-                        time,
-                        speedup,
-                        efficiency: speedup / cores as f64,
-                    },
-                    stats,
-                    surviving_ranks,
-                }
-            })
+        let outcomes = core_counts
+            .iter()
+            .copied()
+            .zip(slots.into_iter().map(|slot| slot.map_err(|e| e.to_string())))
             .collect();
-        ResilientSeries {
-            name: workload.name.clone(),
-            baseline_cores,
-            points,
-            failed,
-        }
+        ResilientSeries::from_outcomes(workload.name.clone(), outcomes)
     }
+}
+
+fn check_counts(core_counts: &[u32]) {
+    assert!(!core_counts.is_empty(), "need at least one core count");
+    assert!(
+        core_counts.windows(2).all(|w| w[0] < w[1]),
+        "core counts must be strictly increasing"
+    );
 }
 
 #[cfg(test)]

@@ -9,11 +9,15 @@
 //! the real SPECFEM kernel, not assumed.
 
 use crate::platform::Platform;
-use mb_cluster::scaling::{FabricKind, ResilientSeries, ScalingSeries, ScalingStudy};
+use mb_cluster::scaling::{
+    FabricKind, ResilientSeries, ScalingOutcome, ScalingPoint, ScalingSeries, ScalingStudy,
+};
 use mb_cluster::workload::Workload;
 use mb_energy::{Energy, PowerModel, RetransmissionModel};
 use mb_faults::FaultConfig;
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
+use mb_mpi::ResilienceStats;
+use mb_simcore::time::SimTime;
 use std::sync::OnceLock;
 
 /// Which Figure 3 panel to reproduce.
@@ -102,13 +106,20 @@ pub fn tegra2_effective_gflops() -> f64 {
 
 /// The workload for one panel, with the measured core rate injected.
 pub fn workload(panel: Panel, iterations: u32) -> Workload {
-    let rate = tegra2_effective_gflops();
-    let w = match panel {
+    panel_workload(panel, iterations, tegra2_effective_gflops())
+}
+
+/// The one panel-to-[`Workload`] mapping every Figure 3 path uses. The
+/// slot measurers take the calibrated rate as an argument, so the
+/// one-time calibration stays off their hot path.
+fn panel_workload(panel: Panel, iterations: u32, core_gflops: f64) -> Workload {
+    match panel {
         Panel::Linpack => Workload::linpack_tibidabo(),
         Panel::Specfem => Workload::specfem_tibidabo(),
         Panel::BigDft => Workload::bigdft_tibidabo(),
-    };
-    w.with_core_gflops(rate).with_iterations(iterations)
+    }
+    .with_core_gflops(core_gflops)
+    .with_iterations(iterations)
 }
 
 /// The three panels of Figure 3.
@@ -124,31 +135,49 @@ pub struct Fig3Report {
     pub core_gflops: f64,
 }
 
-/// Runs the whole Figure 3 experiment on the commodity Tibidabo fabric.
-pub fn run(cfg: &Fig3Config) -> Fig3Report {
-    run_on(cfg, FabricKind::Tibidabo)
+impl Fig3Report {
+    /// The value stream the pinned Figure 3 digests fold: `[speedup,
+    /// efficiency]` per point, panels in slot order, then `core_gflops`.
+    pub fn digest_stream(&self) -> Vec<f64> {
+        [&self.linpack, &self.specfem, &self.bigdft]
+            .into_iter()
+            .flat_map(|s| s.points.iter().flat_map(|p| [p.speedup, p.efficiency]))
+            .chain([self.core_gflops])
+            .collect()
+    }
 }
 
-/// Runs Figure 3 on a chosen fabric (the upgraded variant is the §IV
-/// ablation).
-pub fn run_on(cfg: &Fig3Config, fabric: FabricKind) -> Fig3Report {
-    let study = ScalingStudy::new(fabric);
-    let core_gflops = tegra2_effective_gflops();
-    let make = |panel: Panel| {
-        
-        match panel {
-            Panel::Linpack => Workload::linpack_tibidabo(),
-            Panel::Specfem => Workload::specfem_tibidabo(),
-            Panel::BigDft => Workload::bigdft_tibidabo(),
-        }
-        .with_core_gflops(core_gflops)
-        .with_iterations(cfg.iterations)
-    };
+/// Runs the whole Figure 3 experiment on the commodity Tibidabo fabric:
+/// [`measure_scaling_slot`] over every slot on the sweep worker pool,
+/// folded by [`assemble`].
+pub fn run(cfg: &Fig3Config) -> Fig3Report {
+    let rate = tegra2_effective_gflops();
+    let times = mb_simcore::par::sweep_labeled(0, labeled_slots(cfg), |_, (panel, cores)| {
+        measure_scaling_slot(cfg, panel, cores, rate)
+    });
+    assemble(cfg, &times)
+}
+
+/// Folds healthy slot payloads — makespans in seconds, in
+/// [`scaling_slots`] order — into the report. Each panel is
+/// normalised to its first point.
+///
+/// # Panics
+///
+/// Panics unless there is exactly one payload per slot.
+pub fn assemble(cfg: &Fig3Config, times: &[f64]) -> Fig3Report {
+    let [linpack, specfem, bigdft] = by_panel(cfg, times.to_vec()).map(|(panel, points)| {
+        let points = points
+            .into_iter()
+            .map(|(cores, secs)| ScalingPoint::measured(cores, SimTime::from_secs_f64(secs)))
+            .collect();
+        ScalingSeries::new(workload(panel, cfg.iterations).name, points)
+    });
     Fig3Report {
-        linpack: study.run(&make(Panel::Linpack), &cfg.linpack_cores),
-        specfem: study.run(&make(Panel::Specfem), &cfg.specfem_cores),
-        bigdft: study.run(&make(Panel::BigDft), &cfg.bigdft_cores),
-        core_gflops,
+        linpack,
+        specfem,
+        bigdft,
+        core_gflops: tegra2_effective_gflops(),
     }
 }
 
@@ -210,6 +239,30 @@ impl Fig3FaultReport {
                 acc + s.total_energy(node, &retrans)
             })
     }
+
+    /// The value stream the pinned faulted Figure 3 digests fold: per
+    /// completed point `[speedup, efficiency, retries, timeouts,
+    /// skipped, crashed, surviving]`, panels in slot order, then
+    /// `core_gflops`.
+    pub fn digest_stream(&self) -> Vec<f64> {
+        [&self.linpack, &self.specfem, &self.bigdft]
+            .into_iter()
+            .flat_map(|s| {
+                s.points.iter().flat_map(|p| {
+                    [
+                        p.point.speedup,
+                        p.point.efficiency,
+                        p.stats.retries as f64,
+                        p.stats.timeouts as f64,
+                        p.stats.skipped_messages as f64,
+                        f64::from(p.stats.crashed_ranks),
+                        f64::from(p.surviving_ranks),
+                    ]
+                })
+            })
+            .chain([self.core_gflops])
+            .collect()
+    }
 }
 
 /// Runs Figure 3 on the commodity Tibidabo fabric with a deterministic
@@ -217,46 +270,103 @@ impl Fig3FaultReport {
 /// numbers are bit-identical to [`run`] (the plan is never installed);
 /// with real fault rates each panel completes degraded — crashed ranks
 /// drop out, dropped messages retransmit with backoff — instead of
-/// dying. Same seed, same config ⇒ same report, at any worker count.
+/// dying. Each slot runs inside `mb_simcore::par::sweep_contained`, so
+/// a point that dies outright lands in its series' `failed` list.
+/// Same seed, same config ⇒ same report, at any worker count.
 pub fn run_faulted(cfg: &Fig3Config, faults: FaultConfig) -> Fig3FaultReport {
-    let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(faults);
-    let core_gflops = tegra2_effective_gflops();
-    let make = |panel: Panel| {
-        match panel {
-            Panel::Linpack => Workload::linpack_tibidabo(),
-            Panel::Specfem => Workload::specfem_tibidabo(),
-            Panel::BigDft => Workload::bigdft_tibidabo(),
-        }
-        .with_core_gflops(core_gflops)
-        .with_iterations(cfg.iterations)
-    };
+    let rate = tegra2_effective_gflops();
+    let slots = mb_simcore::par::sweep_contained(0, labeled_slots(cfg), |_, (panel, cores)| {
+        measure_faulted_slot(cfg, faults, panel, cores, rate)
+    });
+    assemble_faulted(
+        cfg,
+        slots
+            .into_iter()
+            .map(|slot| slot.map_err(|e| e.to_string()))
+            .collect(),
+    )
+}
+
+/// Folds faulted slot payloads — one [`measure_faulted_slot`] result or
+/// task error per slot, in [`scaling_slots`] order — into the report.
+/// Each panel is normalised to its first completed point.
+///
+/// # Panics
+///
+/// Panics unless there is exactly one entry per slot.
+pub fn assemble_faulted(cfg: &Fig3Config, slots: Vec<Result<[f64; 6], String>>) -> Fig3FaultReport {
+    let [linpack, specfem, bigdft] = by_panel(cfg, slots).map(|(panel, points)| {
+        let outcomes = points
+            .into_iter()
+            .map(|(cores, slot)| {
+                let outcome = slot.map(|p| {
+                    let stats = ResilienceStats {
+                        retries: p[1] as u64,
+                        timeouts: p[2] as u64,
+                        skipped_messages: p[3] as u64,
+                        crashed_ranks: p[4] as u32,
+                    };
+                    (SimTime::from_secs_f64(p[0]), stats, p[5] as u32)
+                });
+                (cores, outcome)
+            })
+            .collect();
+        ResilientSeries::from_outcomes(workload(panel, cfg.iterations).name, outcomes)
+    });
     Fig3FaultReport {
-        linpack: study.run_resilient(&make(Panel::Linpack), &cfg.linpack_cores),
-        specfem: study.run_resilient(&make(Panel::Specfem), &cfg.specfem_cores),
-        bigdft: study.run_resilient(&make(Panel::BigDft), &cfg.bigdft_cores),
-        core_gflops,
+        linpack,
+        specfem,
+        bigdft,
+        core_gflops: tegra2_effective_gflops(),
     }
 }
 
 // --- Slot-level campaign API (mb-lab) -----------------------------------
 //
-// A persistent experiment driver cannot hold a half-finished
-// `Fig3Report` across a process restart; it persists *per-slot*
-// measurements and reassembles the report afterwards. These functions
-// expose exactly that decomposition: one slot per (panel, core count)
-// pair, in the canonical panel-major order, with a pure measurement
-// function and a finalizer whose output stream is bit-identical to the
-// values a monolithic [`run`] / [`run_faulted`] produces (the speedup
-// normalisation is the same f64 arithmetic on the same f64 times).
+// A persistent experiment driver cannot hold a half-finished report
+// across a process restart; it persists *per-slot* payloads and folds
+// them with `assemble` / `assemble_faulted` afterwards — the same fold
+// `run` / `run_faulted` apply to an in-process sweep. One slot per
+// (panel, core count) pair, in the canonical panel-major order.
 
 /// The campaign slots of a Figure 3 config, in canonical order:
 /// LINPACK counts, then SPECFEM, then BigDFT.
 pub fn scaling_slots(cfg: &Fig3Config) -> Vec<(Panel, u32)> {
-    let panel = |p: Panel, counts: &[u32]| counts.iter().map(|&c| (p, c)).collect::<Vec<_>>();
-    let mut slots = panel(Panel::Linpack, &cfg.linpack_cores);
-    slots.extend(panel(Panel::Specfem, &cfg.specfem_cores));
-    slots.extend(panel(Panel::BigDft, &cfg.bigdft_cores));
-    slots
+    panels(cfg)
+        .into_iter()
+        .flat_map(|(panel, counts)| counts.iter().map(move |&cores| (panel, cores)))
+        .collect()
+}
+
+/// Each panel with its core counts, in slot order.
+fn panels(cfg: &Fig3Config) -> [(Panel, &[u32]); 3] {
+    [
+        (Panel::Linpack, &cfg.linpack_cores),
+        (Panel::Specfem, &cfg.specfem_cores),
+        (Panel::BigDft, &cfg.bigdft_cores),
+    ]
+}
+
+/// Splits per-slot payloads (in slot order) into the three panels,
+/// pairing each with its core count.
+fn by_panel<T>(cfg: &Fig3Config, payloads: Vec<T>) -> [(Panel, Vec<(u32, T)>); 3] {
+    let slots: usize = panels(cfg).iter().map(|(_, counts)| counts.len()).sum();
+    assert_eq!(payloads.len(), slots, "one payload per slot");
+    let mut payloads = payloads.into_iter();
+    panels(cfg).map(|(panel, counts)| {
+        let points = counts
+            .iter()
+            .map(|&cores| (cores, payloads.next().expect("length checked above")))
+            .collect();
+        (panel, points)
+    })
+}
+
+fn labeled_slots(cfg: &Fig3Config) -> Vec<(String, (Panel, u32))> {
+    scaling_slots(cfg)
+        .into_iter()
+        .map(|(panel, cores)| (slot_label(panel, cores), (panel, cores)))
+        .collect()
 }
 
 /// Human-readable label of one campaign slot.
@@ -269,22 +379,12 @@ pub fn slot_label(panel: Panel, cores: u32) -> String {
     format!("{name}@{cores}c")
 }
 
-fn slot_workload(panel: Panel, core_gflops: f64, iterations: u32) -> Workload {
-    match panel {
-        Panel::Linpack => Workload::linpack_tibidabo(),
-        Panel::Specfem => Workload::specfem_tibidabo(),
-        Panel::BigDft => Workload::bigdft_tibidabo(),
-    }
-    .with_core_gflops(core_gflops)
-    .with_iterations(iterations)
-}
-
 /// Measures one healthy slot: the simulated makespan, in seconds — a
 /// pure function of `(panel, cores, core_gflops, iterations)`, so any
 /// shard or resumed process reproduces it bit for bit.
 pub fn measure_scaling_slot(cfg: &Fig3Config, panel: Panel, cores: u32, core_gflops: f64) -> f64 {
     let study = ScalingStudy::new(FabricKind::Tibidabo);
-    let w = slot_workload(panel, core_gflops, cfg.iterations);
+    let w = panel_workload(panel, cfg.iterations, core_gflops);
     study.execute(&w, cores, false).0.as_secs_f64()
 }
 
@@ -298,16 +398,8 @@ pub fn measure_faulted_slot(
     core_gflops: f64,
 ) -> [f64; 6] {
     let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(faults);
-    let w = slot_workload(panel, core_gflops, cfg.iterations);
-    let out = study.execute_outcome(&w, cores, false);
-    [
-        out.time.as_secs_f64(),
-        out.stats.retries as f64,
-        out.stats.timeouts as f64,
-        out.stats.skipped_messages as f64,
-        out.stats.crashed_ranks as f64,
-        f64::from(out.surviving_ranks),
-    ]
+    let w = panel_workload(panel, cfg.iterations, core_gflops);
+    faulted_payload(&study.execute_outcome(&w, cores, false))
 }
 
 /// The element-name table a Figure 3 slot at `cores` resolves
@@ -332,66 +424,19 @@ pub fn measure_planned_slot(
     core_gflops: f64,
 ) -> [f64; 6] {
     let study = ScalingStudy::new(FabricKind::Tibidabo);
-    let w = slot_workload(panel, core_gflops, cfg.iterations);
-    let out = study.execute_planned(&w, cores, plan, false);
+    let w = panel_workload(panel, cfg.iterations, core_gflops);
+    faulted_payload(&study.execute_planned(&w, cores, plan, false))
+}
+
+fn faulted_payload(out: &ScalingOutcome) -> [f64; 6] {
     [
         out.time.as_secs_f64(),
         out.stats.retries as f64,
         out.stats.timeouts as f64,
         out.stats.skipped_messages as f64,
-        out.stats.crashed_ranks as f64,
+        f64::from(out.stats.crashed_ranks),
         f64::from(out.surviving_ranks),
     ]
-}
-
-/// Per-panel speedup normalisation over slot times (seconds), in slot
-/// order: for each panel, `[speedup, efficiency]` per point — the same
-/// arithmetic `ScalingStudy::run` applies, on the same f64 values.
-fn normalize_panels(cfg: &Fig3Config, times: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(2 * times.len());
-    let mut offset = 0;
-    for counts in [&cfg.linpack_cores, &cfg.specfem_cores, &cfg.bigdft_cores] {
-        let baseline_cores = counts[0];
-        let baseline_time = times[offset];
-        for (i, &cores) in counts.iter().enumerate() {
-            let speedup = baseline_cores as f64 * baseline_time / times[offset + i];
-            out.push(speedup);
-            out.push(speedup / cores as f64);
-        }
-        offset += counts.len();
-    }
-    out
-}
-
-/// Reassembles the canonical healthy-campaign value stream from
-/// per-slot times: `[speedup, efficiency]` per point (panels in slot
-/// order) then `core_gflops` — the exact stream the pinned
-/// `FIG3_QUICK_DIGEST` folds.
-pub fn scaling_stream(cfg: &Fig3Config, core_gflops: f64, times: &[f64]) -> Vec<f64> {
-    assert_eq!(times.len(), scaling_slots(cfg).len(), "one time per slot");
-    let mut out = normalize_panels(cfg, times);
-    out.push(core_gflops);
-    out
-}
-
-/// Reassembles the canonical faulted-campaign value stream from
-/// [`measure_faulted_slot`] payloads: per point `[speedup, efficiency,
-/// retries, timeouts, skipped, crashed, surviving]`, then `core_gflops`
-/// — the exact stream the pinned `FIG3_FAULTED_QUICK_DIGEST` folds.
-/// Requires every slot to have completed (a degraded-but-completed
-/// point is complete; only an outright task death is not).
-pub fn faulted_stream(cfg: &Fig3Config, core_gflops: f64, slots: &[[f64; 6]]) -> Vec<f64> {
-    assert_eq!(slots.len(), scaling_slots(cfg).len(), "one payload per slot");
-    let times: Vec<f64> = slots.iter().map(|s| s[0]).collect();
-    let norms = normalize_panels(cfg, &times);
-    let mut out = Vec::with_capacity(7 * slots.len() + 1);
-    for (i, payload) in slots.iter().enumerate() {
-        out.push(norms[2 * i]);
-        out.push(norms[2 * i + 1]);
-        out.extend_from_slice(&payload[1..]);
-    }
-    out.push(core_gflops);
-    out
 }
 
 #[cfg(test)]
@@ -450,22 +495,17 @@ mod tests {
 
     #[test]
     fn slot_decomposition_is_bit_identical_to_monolithic_run() {
+        // `run` folds makespans that went through f64 seconds; the
+        // cluster crate's own series sweep keeps every `SimTime` whole.
+        // The two must agree on every field, times included.
         let cfg = Fig3Config::quick();
         let r = run(&cfg);
-        let rate = tegra2_effective_gflops();
-        let times: Vec<f64> = scaling_slots(&cfg)
+        let study = ScalingStudy::new(FabricKind::Tibidabo);
+        for ((panel, counts), series) in panels(&cfg)
             .into_iter()
-            .map(|(panel, cores)| measure_scaling_slot(&cfg, panel, cores, rate))
-            .collect();
-        let stream = scaling_stream(&cfg, rate, &times);
-        let expect: Vec<f64> = [&r.linpack, &r.specfem, &r.bigdft]
-            .into_iter()
-            .flat_map(|s| s.points.iter().flat_map(|p| [p.speedup, p.efficiency]))
-            .chain([r.core_gflops])
-            .collect();
-        assert_eq!(stream.len(), expect.len());
-        for (i, (a, b)) in stream.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "stream value {i}: {a} vs {b}");
+            .zip([&r.linpack, &r.specfem, &r.bigdft])
+        {
+            assert_eq!(&study.run(&workload(panel, cfg.iterations), counts), series);
         }
     }
 
@@ -534,36 +574,19 @@ mod tests {
 
     #[test]
     fn faulted_slot_decomposition_is_bit_identical() {
+        // As above, against the cluster crate's contained series sweep:
+        // times, counters and survivors all survive the f64 payloads.
         let cfg = Fig3Config::quick();
         let r = run_faulted(&cfg, FaultConfig::light());
-        let rate = tegra2_effective_gflops();
-        let slots: Vec<[f64; 6]> = scaling_slots(&cfg)
+        let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
+        for ((panel, counts), series) in panels(&cfg)
             .into_iter()
-            .map(|(panel, cores)| {
-                measure_faulted_slot(&cfg, FaultConfig::light(), panel, cores, rate)
-            })
-            .collect();
-        let stream = faulted_stream(&cfg, rate, &slots);
-        let expect: Vec<f64> = [&r.linpack, &r.specfem, &r.bigdft]
-            .into_iter()
-            .flat_map(|s| {
-                s.points.iter().flat_map(|p| {
-                    [
-                        p.point.speedup,
-                        p.point.efficiency,
-                        p.stats.retries as f64,
-                        p.stats.timeouts as f64,
-                        p.stats.skipped_messages as f64,
-                        p.stats.crashed_ranks as f64,
-                        f64::from(p.surviving_ranks),
-                    ]
-                })
-            })
-            .chain([r.core_gflops])
-            .collect();
-        assert_eq!(stream.len(), expect.len());
-        for (i, (a, b)) in stream.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "stream value {i}: {a} vs {b}");
+            .zip([&r.linpack, &r.specfem, &r.bigdft])
+        {
+            assert_eq!(
+                &study.run_resilient(&workload(panel, cfg.iterations), counts),
+                series
+            );
         }
     }
 

@@ -139,50 +139,59 @@ impl Fig5Report {
             })
             .collect()
     }
-}
 
-/// Runs the Figure 5 experiment on the Snowball model.
-///
-/// The stateful parts of the protocol — the randomised plan, the RT
-/// anomaly window and the page allocator (whose `ReuseLast` policy
-/// depends on allocation order) — are walked serially in sequence
-/// order to bind each measurement to its `(seq, size, page table)`.
-/// The measurements themselves are then independent and fan out over
-/// `mb_simcore::par::sweep_labeled`, one fresh executor per task;
-/// `run_model` resets its executor on entry, so a fresh executor is
-/// bit-identical to the reset-and-reuse of a serial run.
-pub fn run(cfg: &Fig5Config) -> Fig5Report {
-    let prelude = Prelude::new(cfg);
-    let tasks = prelude
-        .slots
-        .iter()
-        .map(|&(seq, size, _)| (format!("seq{seq}-{size}B"), seq))
-        .collect();
-    let samples = mb_simcore::par::sweep_labeled(cfg.seed, tasks, |_, seq| {
-        prelude.measure(cfg, seq)
-    });
-    Fig5Report {
-        samples,
-        config: cfg.clone(),
+    /// The value stream the pinned Figure 5 digests fold: every
+    /// bandwidth sample, in sequence order.
+    pub fn digest_stream(&self) -> Vec<f64> {
+        self.samples.iter().map(|s| s.bandwidth_gbps).collect()
     }
 }
 
-/// The stateful, *serially walked* part of the Figure 5 protocol: the
-/// randomised measurement plan, the RT anomaly window and the
-/// order-dependent page allocations, bound to each sequence position.
-/// Recomputing it is cheap and deterministic, which is what lets a
-/// campaign slot (or a shard on another host) reproduce measurement
-/// `seq` bit for bit without running its predecessors.
-struct Prelude {
+/// Runs the Figure 5 experiment on the Snowball model: every slot of a
+/// [`SlotMeasurer`] on the sweep worker pool, folded by
+/// [`SlotMeasurer::assemble`]. The measurements are independent, one
+/// fresh executor per task; `run_model` resets its executor on entry,
+/// so a fresh executor is bit-identical to the reset-and-reuse of a
+/// serial run.
+pub fn run(cfg: &Fig5Config) -> Fig5Report {
+    let measurer = SlotMeasurer::new(cfg);
+    let tasks = slot_labels(cfg).into_iter().zip(0..).collect();
+    let bandwidths =
+        mb_simcore::par::sweep_labeled(cfg.seed, tasks, |_, seq| measurer.measure(seq));
+    measurer.assemble(&bandwidths)
+}
+
+/// Labels of every campaign slot, in sequence order, e.g.
+/// `"seq7-12288B"`. Walks the randomised plan only — no page tables.
+pub fn slot_labels(cfg: &Fig5Config) -> Vec<String> {
+    let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
+    plan.iter()
+        .enumerate()
+        .map(|(seq, m)| format!("seq{seq}-{}B", m.level))
+        .collect()
+}
+
+/// The Figure 5 slot measurer. It walks the stateful part of the
+/// protocol once — the randomised measurement plan, the RT anomaly
+/// window and the order-dependent page allocations, bound to each
+/// sequence position — then measures any slot on its own and folds
+/// slot payloads into the report. Building it is cheap and
+/// deterministic, which is what lets a campaign slot (or a shard on
+/// another host) reproduce measurement `seq` bit for bit without
+/// running its predecessors; sharing one across the paper grid's 2 100
+/// slots keeps the campaign linear in the grid size.
+pub struct SlotMeasurer {
+    cfg: Fig5Config,
     platform: Platform,
     anomaly: RtAnomalyModel,
     data: Vec<u8>,
-    /// `(seq, array_bytes, page_table)` per measurement, in order.
-    slots: Vec<(usize, usize, mb_mem::pages::PageTable)>,
+    /// `(array_bytes, page_table)` per measurement, in sequence order.
+    slots: Vec<(usize, mb_mem::pages::PageTable)>,
 }
 
-impl Prelude {
-    fn new(cfg: &Fig5Config) -> Self {
+impl SlotMeasurer {
+    /// Walks the serial prelude for `cfg` once.
+    pub fn new(cfg: &Fig5Config) -> SlotMeasurer {
         let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
         let anomaly = RtAnomalyModel::new(
             plan.len(),
@@ -196,102 +205,63 @@ impl Prelude {
         let mut allocator =
             PageAllocator::new(PagePolicy::ReuseLast, 4096, 1 << 18, cfg.seed ^ 0xB);
         let max_size = cfg.sizes.iter().copied().max().expect("non-empty sizes");
-        let data = make_buffer(max_size, cfg.seed);
         let slots = plan
             .iter()
-            .enumerate()
-            .map(|(seq, m)| (seq, m.level, allocator.allocate(m.level)))
+            .map(|m| (m.level, allocator.allocate(m.level)))
             .collect();
-        Prelude {
-            platform: Platform::snowball(),
-            anomaly,
-            data,
-            slots,
-        }
-    }
-
-    fn measure(&self, cfg: &Fig5Config, seq: usize) -> Fig5Sample {
-        let (_, size, ref table) = self.slots[seq];
-        let mut exec = self.platform.exec(1);
-        exec.set_page_table(Some(table.clone()));
-        let mb_cfg = MembenchConfig {
-            sweeps: cfg.sweeps,
-            ..MembenchConfig::figure5(size)
-        };
-        let result = run_model(&mb_cfg, &self.data, &mut exec);
-        Fig5Sample {
-            seq,
-            array_bytes: size,
-            bandwidth_gbps: result.bandwidth_gbps() / self.anomaly.slowdown_at(seq),
-            degraded: self.anomaly.is_degraded(seq),
-        }
-    }
-}
-
-/// Number of campaign slots (measurements) a config produces.
-pub fn slot_count(cfg: &Fig5Config) -> usize {
-    cfg.sizes.len() * cfg.reps as usize
-}
-
-/// Human-readable label of campaign slot `seq`.
-pub fn slot_label(cfg: &Fig5Config, seq: usize) -> String {
-    let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
-    let size = plan
-        .iter()
-        .map(|m| m.level)
-        .nth(seq)
-        .expect("seq in range");
-    format!("seq{seq}-{size}B")
-}
-
-/// Labels of every campaign slot, in sequence order. Walks the
-/// randomised plan once, so labelling the paper grid's 2 100 slots is
-/// O(n) rather than the O(n²) of calling [`slot_label`] per slot.
-pub fn slot_labels(cfg: &Fig5Config) -> Vec<String> {
-    let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
-    plan.iter()
-        .enumerate()
-        .map(|(seq, m)| format!("seq{seq}-{}B", m.level))
-        .collect()
-}
-
-/// Reusable slot measurer: builds the serial prelude (plan, anomaly
-/// window, order-dependent page allocations) once and then measures any
-/// slot bit-identically to [`measure_slot`]. A campaign driving the
-/// paper grid measures 2 100 slots; recomputing the 2 100-entry prelude
-/// per slot would make the decomposition quadratic in the grid size.
-pub struct SlotMeasurer {
-    cfg: Fig5Config,
-    prelude: Prelude,
-}
-
-impl SlotMeasurer {
-    /// Builds the prelude for `cfg` once.
-    pub fn new(cfg: &Fig5Config) -> SlotMeasurer {
         SlotMeasurer {
             cfg: cfg.clone(),
-            prelude: Prelude::new(cfg),
+            platform: Platform::snowball(),
+            anomaly,
+            data: make_buffer(max_size, cfg.seed),
+            slots,
         }
     }
 
     /// Number of slots this measurer can measure.
     pub fn slot_count(&self) -> usize {
-        self.prelude.slots.len()
+        self.slots.len()
     }
 
-    /// Measures slot `seq` — bit-identical to the sample a monolithic
-    /// [`run`] produces at that sequence position.
+    /// Measures slot `seq`: the effective bandwidth in GB/s after the
+    /// scheduler's interference.
     pub fn measure(&self, seq: usize) -> f64 {
-        self.prelude.measure(&self.cfg, seq).bandwidth_gbps
+        let (size, ref table) = self.slots[seq];
+        let mut exec = self.platform.exec(1);
+        exec.set_page_table(Some(table.clone()));
+        let mb_cfg = MembenchConfig {
+            sweeps: self.cfg.sweeps,
+            ..MembenchConfig::figure5(size)
+        };
+        let result = run_model(&mb_cfg, &self.data, &mut exec);
+        result.bandwidth_gbps() / self.anomaly.slowdown_at(seq)
     }
-}
 
-/// Measures campaign slot `seq` alone: replays the serial prelude
-/// (plan, anomaly window, allocation order) and runs the one
-/// measurement — bit-identical to the sample a monolithic [`run`]
-/// produces at that sequence position.
-pub fn measure_slot(cfg: &Fig5Config, seq: usize) -> f64 {
-    SlotMeasurer::new(cfg).measure(seq)
+    /// Folds one [`Self::measure`] payload per slot, in sequence order,
+    /// into the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one payload per slot.
+    pub fn assemble(&self, bandwidths: &[f64]) -> Fig5Report {
+        assert_eq!(bandwidths.len(), self.slot_count(), "one payload per slot");
+        let samples = self
+            .slots
+            .iter()
+            .zip(bandwidths)
+            .enumerate()
+            .map(|(seq, (&(array_bytes, _), &bandwidth_gbps))| Fig5Sample {
+                seq,
+                array_bytes,
+                bandwidth_gbps,
+                degraded: self.anomaly.is_degraded(seq),
+            })
+            .collect();
+        Fig5Report {
+            samples,
+            config: self.cfg.clone(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -349,18 +319,27 @@ mod tests {
 
     #[test]
     fn slot_decomposition_is_bit_identical_to_monolithic_run() {
+        // The sweep gives every slot a fresh executor; one executor
+        // reused across the whole sequence in order (the paper's serial
+        // protocol) must measure the same bits, so `run_model`'s reset
+        // leaves nothing behind.
         let cfg = Fig5Config::quick();
         let r = run(&cfg);
-        assert_eq!(r.samples.len(), slot_count(&cfg));
-        // Spot-check a spread of slots, including both anomaly modes.
-        for seq in [0, 1, 7, slot_count(&cfg) / 2, slot_count(&cfg) - 1] {
-            let lone = measure_slot(&cfg, seq);
+        let m = SlotMeasurer::new(&cfg);
+        let mut exec = m.platform.exec(1);
+        for (seq, &(size, ref table)) in m.slots.iter().enumerate() {
+            exec.set_page_table(Some(table.clone()));
+            let mb_cfg = MembenchConfig {
+                sweeps: cfg.sweeps,
+                ..MembenchConfig::figure5(size)
+            };
+            let bw = run_model(&mb_cfg, &m.data, &mut exec).bandwidth_gbps()
+                / m.anomaly.slowdown_at(seq);
             assert_eq!(
-                lone.to_bits(),
+                bw.to_bits(),
                 r.samples[seq].bandwidth_gbps.to_bits(),
-                "slot {seq} diverged from the monolithic run"
+                "slot {seq} diverged from the serial run"
             );
-            assert!(slot_label(&cfg, seq).starts_with(&format!("seq{seq}-")));
         }
     }
 
@@ -375,11 +354,11 @@ mod tests {
     fn slot_measurer_reuse_matches_fresh_preludes() {
         let cfg = Fig5Config::quick();
         let measurer = SlotMeasurer::new(&cfg);
-        assert_eq!(measurer.slot_count(), slot_count(&cfg));
-        for seq in [0, 3, slot_count(&cfg) - 1] {
+        assert_eq!(measurer.slot_count(), cfg.sizes.len() * cfg.reps as usize);
+        for seq in [0, 3, measurer.slot_count() - 1] {
             assert_eq!(
                 measurer.measure(seq).to_bits(),
-                measure_slot(&cfg, seq).to_bits(),
+                SlotMeasurer::new(&cfg).measure(seq).to_bits(),
                 "slot {seq}: shared-prelude measurement diverged"
             );
         }
@@ -387,11 +366,13 @@ mod tests {
 
     #[test]
     fn slot_labels_match_per_slot_labels() {
+        // Labels walk the plan alone; the measurer's prelude binds the
+        // same sizes to the same sequence positions.
         let cfg = Fig5Config::quick();
         let labels = slot_labels(&cfg);
-        assert_eq!(labels.len(), slot_count(&cfg));
-        for seq in [0, 1, slot_count(&cfg) / 2, slot_count(&cfg) - 1] {
-            assert_eq!(labels[seq], slot_label(&cfg, seq));
+        let sizes = SlotMeasurer::new(&cfg).assemble(&vec![0.0; labels.len()]);
+        for s in &sizes.samples {
+            assert_eq!(labels[s.seq], format!("seq{}-{}B", s.seq, s.array_bytes));
         }
     }
 }

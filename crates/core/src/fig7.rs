@@ -6,9 +6,11 @@
 //! "roughly convex"; the cache-access counter shows a staircase (at
 //! unroll 9 on Nehalem, 5 on Tegra2); and the beneficial *sweet spot*
 //! range is wider on Nehalem than on Tegra2, which is the paper's case
-//! for systematic auto-tuning. Here each unroll variant of the real
-//! magicfilter kernel is costed on both machine models; the tuner's
-//! analysis extracts minimum, sweet-spot range and staircases.
+//! for systematic auto-tuning. Here every unroll variant of the real
+//! magicfilter kernel is costed on both machine models — one slot per
+//! `(machine, unroll)` pair, the exhaustive exploration the paper calls
+//! for — and the fold over the slots applies the tuner's analysis:
+//! minimum, sweet-spot range and staircases.
 
 use crate::platform::Platform;
 use mb_cpu::counters::Counter;
@@ -16,9 +18,6 @@ use mb_cpu::exec_model::ModelExec;
 use mb_cpu::ops::Exec;
 use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
 use mb_tuner::analysis::{staircase_steps, sweet_spot, SweetSpot};
-use mb_tuner::search::ExhaustiveSearch;
-use mb_tuner::space::ParameterSpace;
-use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the Figure 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,6 +83,21 @@ pub struct Fig7Report {
     pub tegra2: Fig7Panel,
 }
 
+impl Fig7Report {
+    /// The value stream the pinned Figure 7 digests fold: `[cycles,
+    /// cache_accesses]` per point, Nehalem's points then Tegra2's.
+    pub fn digest_stream(&self) -> Vec<f64> {
+        [&self.nehalem, &self.tegra2]
+            .into_iter()
+            .flat_map(|p| {
+                p.points
+                    .iter()
+                    .flat_map(|pt| [pt.cycles as f64, pt.cache_accesses as f64])
+            })
+            .collect()
+    }
+}
+
 /// Costs one unroll variant of the magicfilter on `exec` ("compiling for
 /// the target"): the unroll degree feeds the MLP hint and, beyond the
 /// target's register budget, spill traffic — the same conventions as
@@ -124,55 +138,51 @@ pub fn measure_variant(
     }
 }
 
-fn sweep(platform: &Platform, cfg: &Fig7Config) -> Fig7Panel {
-    let e = cfg.grid_edge;
-    let grid = Grid3::random(e, e, e, 0xF167);
-    // Drive the sweep through the tuner so the experiment *is* an
-    // auto-tuning run, as in the paper — the parallel exhaustive search
-    // costs every variant on the sweep worker pool, each on a fresh
-    // executor (`measure_variant` resets its executor on entry, so this
-    // is bit-identical to reusing one serially).
-    let space =
-        ParameterSpace::new().with_parameter("unroll", (1..=cfg.max_unroll as i64).collect());
-    let measured_cell: Mutex<Vec<Fig7Point>> = Mutex::new(Vec::new());
-    let _result = ExhaustiveSearch::new().tune_par(&space, |p| {
-        let unroll = space.value("unroll", p) as u32;
-        let mut exec = platform.exec(1);
-        let mut ws = MagicfilterWorkspace::new();
-        let point = measure_variant(&grid, unroll, &mut exec, &mut ws);
-        measured_cell
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(point);
-        point.cycles as f64
-    });
-    // Each unroll degree is measured exactly once, so sorting restores
-    // the deterministic order regardless of worker interleaving.
-    let mut measured = measured_cell
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    measured.sort_by_key(|p| p.unroll);
-    let cycles_sweep: Vec<(i64, f64)> = measured
-        .iter()
-        .map(|p| (p.unroll as i64, p.cycles as f64))
+/// Runs the Figure 7 experiment on both machines: [`measure_slot`]
+/// over every slot on the sweep worker pool, folded by [`assemble`].
+/// Each slot costs its variant on a fresh executor; `measure_variant`
+/// resets its executor on entry, so this is bit-identical to reusing
+/// one serially.
+pub fn run(cfg: &Fig7Config) -> Fig7Report {
+    let tasks = (0..slot_count(cfg))
+        .map(|slot| (slot_label(cfg, slot), slot))
         .collect();
-    let access_sweep: Vec<(i64, f64)> = measured
-        .iter()
-        .map(|p| (p.unroll as i64, p.cache_accesses as f64))
-        .collect();
-    Fig7Panel {
-        machine: platform.name.clone(),
-        sweet: sweet_spot(&cycles_sweep, cfg.tolerance),
-        staircases: staircase_steps(&access_sweep, 0.10),
-        points: measured,
-    }
+    let payloads = mb_simcore::par::sweep_labeled(0, tasks, |_, slot| measure_slot(cfg, slot));
+    assemble(cfg, &payloads)
 }
 
-/// Runs the Figure 7 experiment on both machines.
-pub fn run(cfg: &Fig7Config) -> Fig7Report {
+/// Folds one [`measure_slot`] payload per slot, in slot order, into the
+/// report: each machine's points, then the auto-tuning analysis of its
+/// curves (sweet spot of the cycles, staircases of the cache accesses).
+///
+/// # Panics
+///
+/// Panics unless there is exactly one payload per slot.
+pub fn assemble(cfg: &Fig7Config, payloads: &[[f64; 2]]) -> Fig7Report {
+    assert_eq!(payloads.len(), slot_count(cfg), "one payload per slot");
+    let (nehalem, tegra2) = payloads.split_at(cfg.max_unroll as usize);
+    let panel = |platform: Platform, payloads: &[[f64; 2]]| {
+        // Payload `i` is unroll `i + 1`; column 0 the cycles, 1 the accesses.
+        let curve = |col: usize| -> Vec<(i64, f64)> {
+            (1..).zip(payloads.iter().map(|p| p[col])).collect()
+        };
+        Fig7Panel {
+            machine: platform.name,
+            points: (1..)
+                .zip(payloads)
+                .map(|(unroll, &[cycles, cache_accesses])| Fig7Point {
+                    unroll,
+                    cycles: cycles as u64,
+                    cache_accesses: cache_accesses as u64,
+                })
+                .collect(),
+            sweet: sweet_spot(&curve(0), cfg.tolerance),
+            staircases: staircase_steps(&curve(1), 0.10),
+        }
+    };
     Fig7Report {
-        nehalem: sweep(&Platform::xeon_x5550(), cfg),
-        tegra2: sweep(&Platform::tegra2_node(), cfg),
+        nehalem: panel(Platform::xeon_x5550(), nehalem),
+        tegra2: panel(Platform::tegra2_node(), tegra2),
     }
 }
 
@@ -204,9 +214,9 @@ pub fn slot_label(cfg: &Fig7Config, slot: usize) -> String {
 }
 
 /// Measures campaign slot `slot` alone and returns
-/// `[cycles, cache_accesses]` as f64 — the exact pair the monolithic
-/// [`run`] contributes to the digest stream at that position (slot
-/// order *is* digest order: Nehalem's points then Tegra2's).
+/// `[cycles, cache_accesses]` as f64 — the pair its point contributes
+/// to the digest stream (slot order *is* digest order: Nehalem's points
+/// then Tegra2's).
 pub fn measure_slot(cfg: &Fig7Config, slot: usize) -> [f64; 2] {
     let (platform, unroll) = slot_machine(cfg, slot);
     let e = cfg.grid_edge;
@@ -297,22 +307,28 @@ mod tests {
 
     #[test]
     fn slot_decomposition_is_bit_identical_to_monolithic_run() {
+        // Every slot costs its variant on a fresh executor and
+        // workspace; one of each reused across a machine's whole sweep
+        // (the serial tuning loop) must count the same cycles and
+        // accesses.
         let cfg = Fig7Config::quick();
         let r = run(&cfg);
-        let points: Vec<&Fig7Point> = r
-            .nehalem
-            .points
-            .iter()
-            .chain(r.tegra2.points.iter())
-            .collect();
-        assert_eq!(points.len(), slot_count(&cfg));
-        for slot in [0, 1, 11, 12, 16, 23] {
-            let [cycles, accesses] = measure_slot(&cfg, slot);
-            assert_eq!(cycles as u64, points[slot].cycles, "slot {slot} cycles");
-            assert_eq!(
-                accesses as u64, points[slot].cache_accesses,
-                "slot {slot} accesses"
-            );
+        let e = cfg.grid_edge;
+        let grid = Grid3::random(e, e, e, 0xF167);
+        for (platform, panel) in [
+            (Platform::xeon_x5550(), &r.nehalem),
+            (Platform::tegra2_node(), &r.tegra2),
+        ] {
+            let mut exec = platform.exec(1);
+            let mut ws = MagicfilterWorkspace::new();
+            for point in &panel.points {
+                let serial = measure_variant(&grid, point.unroll, &mut exec, &mut ws);
+                assert_eq!(
+                    &serial, point,
+                    "{} diverged from the serial sweep",
+                    panel.machine
+                );
+            }
         }
         assert_eq!(slot_label(&cfg, 8), "nehalem-u9");
         assert_eq!(slot_label(&cfg, 16), "tegra2-u5");

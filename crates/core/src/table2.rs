@@ -105,6 +105,15 @@ pub struct Table2Report {
 }
 
 impl Table2Report {
+    /// The value stream the pinned Table II digests fold: `[snowball,
+    /// xeon, ratio, energy_ratio]` per row.
+    pub fn digest_stream(&self) -> Vec<f64> {
+        self.rows
+            .iter()
+            .flat_map(|row| [row.snowball, row.xeon, row.ratio, row.energy_ratio])
+            .collect()
+    }
+
     /// The row for a given benchmark name.
     pub fn row(&self, benchmark: &str) -> Option<&Table2Row> {
         self.rows.iter().find(|r| r.benchmark == benchmark)
@@ -236,56 +245,67 @@ fn run_hpl_blocked(cfg: &Table2Config, platform: &Platform) -> f64 {
 /// One row's recipe: name, unit, direction, and the kernel runner.
 type RowSpec = (&'static str, &'static str, bool, fn(&Table2Config, &Platform) -> f64);
 
-/// The paper's five rows, in its order. The LINPACK row runs the
+/// Table II's rows: the paper's five in its order, then the two
+/// extension rows of [`run_extended`]. The LINPACK row runs the
 /// blocked HPL-style LU on both machines, as the paper did: "optimized
 /// for Intel architecture while the code remains unchanged [...] on the
 /// ARM platform".
-const PAPER_ROWS: [RowSpec; 5] = [
+const ROWS: [RowSpec; 7] = [
     ("LINPACK", "MFLOPS", true, run_hpl_blocked),
     ("CoreMark", "ops/s", true, run_coremark),
     ("StockFish", "nodes/s", true, run_stockfish),
     ("SPECFEM3D", "s", false, run_specfem),
     ("BigDFT", "s", false, run_bigdft),
-];
-
-/// The two extension rows of [`run_extended`].
-const EXTENSION_ROWS: [RowSpec; 2] = [
     ("SMMP-like (protein MC)", "sweeps/s", true, run_protein),
     ("LINPACK (unblocked dgefa)", "MFLOPS", true, run_linpack),
 ];
 
-/// Measures the given rows on both machines — one sweep task per
-/// (benchmark, machine) cell, so a five-row table fans out into ten
-/// independent model runs. Every kernel runner builds its own executor,
-/// so the cells are independent and the assembled rows (reduced in spec
-/// order) are bit-identical to a serial run.
-fn measure_rows(cfg: &Table2Config, specs: &[RowSpec]) -> Vec<Table2Row> {
-    let snowball = Platform::snowball();
-    let xeon = Platform::xeon_x5550();
-    let p_snow = snowball.power.nameplate();
-    let p_xeon = xeon.power.nameplate();
+/// How many of [`ROWS`] the paper's table has.
+const PAPER_ROWS: usize = 5;
 
-    let tasks = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &(name, ..))| {
-            [
-                (format!("{name}/snowball"), (i, false)),
-                (format!("{name}/xeon"), (i, true)),
-            ]
-        })
-        .collect();
-    let cells = mb_simcore::par::sweep_labeled(0, tasks, |_, (i, is_xeon)| {
-        let platform = if is_xeon { &xeon } else { &snowball };
-        (specs[i].3)(cfg, platform)
-    });
+/// Runs the full Table II experiment.
+pub fn run(cfg: &Table2Config) -> Table2Report {
+    sweep(cfg, PAPER_ROWS)
+}
 
-    specs
+/// Runs Table II plus two extension rows beyond the paper: a
+/// protein-folding Monte-Carlo kernel (the SMMP/PorFASI paradigm of
+/// Table I) and the unblocked dgefa LINPACK reference, which shows what
+/// cache blocking buys the headline row.
+pub fn run_extended(cfg: &Table2Config) -> Table2Report {
+    sweep(cfg, ROWS.len())
+}
+
+/// Measures the first `rows` rows on both machines — one sweep task per
+/// [`measure_cell`] cell, so a five-row table fans out into ten
+/// independent model runs — and folds them with [`assemble`]. Every
+/// kernel runner builds its own executor, so the cells are independent
+/// and the table is bit-identical to a serial run.
+fn sweep(cfg: &Table2Config, rows: usize) -> Table2Report {
+    let tasks = (0..2 * rows).map(|idx| (cell_label(idx), idx)).collect();
+    let cells = mb_simcore::par::sweep_labeled(0, tasks, |_, idx| measure_cell(cfg, idx));
+    assemble(cfg, &cells)
+}
+
+/// Folds cell payloads, in [`measure_cell`] order, into the table's
+/// first `cells.len() / 2` rows.
+///
+/// # Panics
+///
+/// Panics unless there are two cells per row and at most
+/// [`extended_cell_count`] cells.
+pub fn assemble(cfg: &Table2Config, cells: &[f64]) -> Table2Report {
+    assert!(
+        cells.len().is_multiple_of(2) && cells.len() <= extended_cell_count(),
+        "two cells per row"
+    );
+    let p_snow = Platform::snowball().power.nameplate();
+    let p_xeon = Platform::xeon_x5550().power.nameplate();
+    let rows = ROWS
         .iter()
-        .enumerate()
-        .map(|(i, &(benchmark, unit, higher_is_better, _))| {
-            let s = cells[2 * i];
-            let x = cells[2 * i + 1];
+        .zip(cells.chunks_exact(2))
+        .map(|(&(benchmark, unit, higher_is_better, _), cell)| {
+            let (s, x) = (cell[0], cell[1]);
             let ratio = if higher_is_better { x / s } else { s / x };
             Table2Row {
                 benchmark: benchmark.to_string(),
@@ -297,85 +317,34 @@ fn measure_rows(cfg: &Table2Config, specs: &[RowSpec]) -> Vec<Table2Row> {
                 energy_ratio: energy_ratio(ratio, p_snow, p_xeon),
             }
         })
-        .collect()
-}
-
-/// Runs the full Table II experiment.
-pub fn run(cfg: &Table2Config) -> Table2Report {
-    Table2Report {
-        rows: measure_rows(cfg, &PAPER_ROWS),
-        config: *cfg,
-    }
-}
-
-/// Runs Table II plus two extension rows beyond the paper: a
-/// protein-folding Monte-Carlo kernel (the SMMP/PorFASI paradigm of
-/// Table I) and a cache-blocked HPL-style LU (the "optimised for Intel"
-/// code path the paper's LINPACK row implies).
-pub fn run_extended(cfg: &Table2Config) -> Table2Report {
-    let mut report = run(cfg);
-    report.rows.extend(measure_rows(cfg, &EXTENSION_ROWS));
-    report
-}
-
-fn extended_specs() -> Vec<RowSpec> {
-    PAPER_ROWS
-        .iter()
-        .chain(EXTENSION_ROWS.iter())
-        .copied()
-        .collect()
+        .collect();
+    Table2Report { rows, config: *cfg }
 }
 
 /// Number of campaign cells in the extended table: one per
 /// `(row, machine)` pair, rows in [`run_extended`] order, Snowball
 /// before Xeon within a row.
 pub fn extended_cell_count() -> usize {
-    2 * (PAPER_ROWS.len() + EXTENSION_ROWS.len())
+    2 * ROWS.len()
 }
 
 /// Human-readable label of campaign cell `idx`, e.g. `"CoreMark/xeon"`.
 pub fn cell_label(idx: usize) -> String {
-    let (name, ..) = extended_specs()[idx / 2];
+    let (name, ..) = ROWS[idx / 2];
     let machine = if idx.is_multiple_of(2) { "snowball" } else { "xeon" };
     format!("{name}/{machine}")
 }
 
-/// Measures campaign cell `idx` alone — bit-identical to the value the
-/// monolithic [`run_extended`] sweep computes for that cell, since
-/// every kernel runner builds its own executor.
+/// Measures campaign cell `idx` alone: the row's metric on Snowball
+/// (even `idx`) or Xeon (odd `idx`).
 pub fn measure_cell(cfg: &Table2Config, idx: usize) -> f64 {
-    let (.., runner) = extended_specs()[idx / 2];
+    let (.., runner) = ROWS[idx / 2];
     let platform = if idx.is_multiple_of(2) {
         Platform::snowball()
     } else {
         Platform::xeon_x5550()
     };
     runner(cfg, &platform)
-}
-
-/// Reduces raw cell values (in [`measure_cell`] order) to the digest
-/// stream of the extended table: per row `[snowball, xeon, ratio,
-/// energy_ratio]`, with the same f64 arithmetic as the monolithic
-/// sweep's row assembly.
-pub fn extended_stream(cells: &[f64]) -> Vec<f64> {
-    let specs = extended_specs();
-    assert_eq!(
-        cells.len(),
-        2 * specs.len(),
-        "extended_stream needs one value per cell"
-    );
-    let p_snow = Platform::snowball().power.nameplate();
-    let p_xeon = Platform::xeon_x5550().power.nameplate();
-    specs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &(_, _, higher_is_better, _))| {
-            let s = cells[2 * i];
-            let x = cells[2 * i + 1];
-            let ratio = if higher_is_better { x / s } else { s / x };
-            [s, x, ratio, energy_ratio(ratio, p_snow, p_xeon)]
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -481,32 +450,13 @@ mod tests {
     }
 
     #[test]
-    fn cell_decomposition_is_bit_identical_to_monolithic_run() {
-        let cfg = Table2Config::quick();
-        let r = run_extended(&cfg);
-        assert_eq!(extended_cell_count(), 14);
-        let cells: Vec<f64> = (0..extended_cell_count())
-            .map(|idx| measure_cell(&cfg, idx))
-            .collect();
-        let stream = extended_stream(&cells);
-        let expected: Vec<f64> = r
-            .rows
-            .iter()
-            .flat_map(|row| [row.snowball, row.xeon, row.ratio, row.energy_ratio])
-            .collect();
-        assert_eq!(stream.len(), expected.len());
-        for (i, (a, b)) in stream.iter().zip(&expected).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "stream value {i} diverged");
-        }
-        assert_eq!(cell_label(0), "LINPACK/snowball");
-        assert_eq!(cell_label(3), "CoreMark/xeon");
-        assert_eq!(cell_label(13), "LINPACK (unblocked dgefa)/xeon");
-    }
-
-    #[test]
     fn extended_rows_behave() {
         let r = run_extended(&Table2Config::quick());
         assert_eq!(r.rows.len(), 7);
+        assert_eq!(extended_cell_count(), 14);
+        assert_eq!(cell_label(0), "LINPACK/snowball");
+        assert_eq!(cell_label(3), "CoreMark/xeon");
+        assert_eq!(cell_label(13), "LINPACK (unblocked dgefa)/xeon");
         // The Monte-Carlo kernel is integer work: its gap sits in the
         // CoreMark/StockFish band, far below LINPACK's.
         let mc = r.row("SMMP-like (protein MC)").expect("row").ratio;

@@ -15,26 +15,14 @@ pub fn digest(values: impl IntoIterator<Item = f64>) -> u64 {
         .fold(0u64, |h, v| h.rotate_left(7) ^ v.to_bits())
 }
 
-/// Digest of Figure 3 output (all three scaling panels) for an
-/// arbitrary config — the quick and paper grids pin the same stream.
-fn fig3_digest(cfg: &fig3::Fig3Config) -> u64 {
-    let r = fig3::run(cfg);
-    digest(
-        [&r.linpack, &r.specfem, &r.bigdft]
-            .into_iter()
-            .flat_map(|s| s.points.iter().flat_map(|p| [p.speedup, p.efficiency]))
-            .chain([r.core_gflops]),
-    )
-}
-
 /// Digest of Figure 3 quick-config output (all three scaling panels).
 pub fn fig3_quick() -> u64 {
-    fig3_digest(&fig3::Fig3Config::quick())
+    digest(fig3::run(&fig3::Fig3Config::quick()).digest_stream())
 }
 
 /// Digest of Figure 3 over the full paper grid.
 pub fn fig3_paper() -> u64 {
-    fig3_digest(&fig3::Fig3Config::paper())
+    digest(fig3::run(&fig3::Fig3Config::paper()).digest_stream())
 }
 
 /// Digest of the fault-injected Figure 3 quick run under
@@ -44,35 +32,12 @@ pub fn fig3_paper() -> u64 {
 /// generation, fabric fault windows, retry/backoff, crash degradation —
 /// replays bit-identically at any worker count and in both builds.
 pub fn fig3_faulted_quick() -> u64 {
-    fig3_faulted_digest(&fig3::Fig3Config::quick())
+    digest(fig3::run_faulted(&fig3::Fig3Config::quick(), FaultConfig::light()).digest_stream())
 }
 
-/// Digest of the fault-injected Figure 3 run over the full paper grid
-/// (see [`fig3_faulted_quick`] for the stream layout).
+/// Digest of the fault-injected Figure 3 run over the full paper grid.
 pub fn fig3_faulted_paper() -> u64 {
-    fig3_faulted_digest(&fig3::Fig3Config::paper())
-}
-
-fn fig3_faulted_digest(cfg: &fig3::Fig3Config) -> u64 {
-    let r = fig3::run_faulted(cfg, FaultConfig::light());
-    digest(
-        [&r.linpack, &r.specfem, &r.bigdft]
-            .into_iter()
-            .flat_map(|s| {
-                s.points.iter().flat_map(|p| {
-                    [
-                        p.point.speedup,
-                        p.point.efficiency,
-                        p.stats.retries as f64,
-                        p.stats.timeouts as f64,
-                        p.stats.skipped_messages as f64,
-                        p.stats.crashed_ranks as f64,
-                        p.surviving_ranks as f64,
-                    ]
-                })
-            })
-            .chain([r.core_gflops]),
-    )
+    digest(fig3::run_faulted(&fig3::Fig3Config::paper(), FaultConfig::light()).digest_stream())
 }
 
 /// Energy to solution of the fault-injected Figure 3 quick run, in
@@ -89,57 +54,32 @@ pub fn fig3_faulted_quick_joules() -> f64 {
 
 /// Digest of Figure 5 quick-config output (every bandwidth sample).
 pub fn fig5_quick() -> u64 {
-    fig5_digest(&fig5::Fig5Config::quick())
+    digest(fig5::run(&fig5::Fig5Config::quick()).digest_stream())
 }
 
 /// Digest of Figure 5 over the paper grid's 2 100 RT-anomaly samples.
 pub fn fig5_paper() -> u64 {
-    fig5_digest(&fig5::Fig5Config::paper())
-}
-
-fn fig5_digest(cfg: &fig5::Fig5Config) -> u64 {
-    let r = fig5::run(cfg);
-    digest(r.samples.iter().map(|s| s.bandwidth_gbps))
+    digest(fig5::run(&fig5::Fig5Config::paper()).digest_stream())
 }
 
 /// Digest of Figure 7 quick-config output (both unroll panels).
 pub fn fig7_quick() -> u64 {
-    fig7_digest(&fig7::Fig7Config::quick())
+    digest(fig7::run(&fig7::Fig7Config::quick()).digest_stream())
 }
 
 /// Digest of Figure 7 over the paper grid.
 pub fn fig7_paper() -> u64 {
-    fig7_digest(&fig7::Fig7Config::paper())
+    digest(fig7::run(&fig7::Fig7Config::paper()).digest_stream())
 }
 
-fn fig7_digest(cfg: &fig7::Fig7Config) -> u64 {
-    let r = fig7::run(cfg);
-    digest(
-        [&r.nehalem, &r.tegra2].into_iter().flat_map(|p| {
-            p.points
-                .iter()
-                .flat_map(|pt| [pt.cycles as f64, pt.cache_accesses as f64])
-        }),
-    )
-}
-
-/// Digest of Table II quick-config output (all ratio columns).
+/// Digest of extended Table II quick-config output (all ratio columns).
 pub fn table2_quick() -> u64 {
-    table2_digest(&table2::Table2Config::quick())
+    digest(table2::run_extended(&table2::Table2Config::quick()).digest_stream())
 }
 
 /// Digest of extended Table II over the paper config.
 pub fn table2_paper() -> u64 {
-    table2_digest(&table2::Table2Config::paper())
-}
-
-fn table2_digest(cfg: &table2::Table2Config) -> u64 {
-    let r = table2::run_extended(cfg);
-    digest(
-        r.rows
-            .iter()
-            .flat_map(|row| [row.snowball, row.xeon, row.ratio, row.energy_ratio]),
-    )
+    digest(table2::run_extended(&table2::Table2Config::paper()).digest_stream())
 }
 
 /// Pinned digests. `figure_digests.rs` guards them in the normal build;

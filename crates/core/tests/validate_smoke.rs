@@ -54,7 +54,7 @@ fn paper_grids_run_bit_identical_under_validation() {
 #[test]
 fn specfem_calibration_runs_once_per_process() {
     // The Tegra2 GFLOPS calibration is a pure deterministic measurement;
-    // campaigns, run_on and finalize must share one cached result. The
+    // slot measurers and the assemble folds must share one cached result. The
     // counter only exists under the validate feature.
     let a = montblanc::fig3::tegra2_effective_gflops();
     let b = montblanc::fig3::tegra2_effective_gflops();

@@ -2,13 +2,15 @@
 //!
 //! A [`Campaign`] is a sweep decomposed into *slots* — independent
 //! measurements, each a pure function of `(campaign config, slot
-//! index, slot seed)` — plus a finalizer that reassembles the per-slot
+//! index, slot seed)` — plus a finalizer that folds the per-slot
 //! payloads into the canonical value stream the figure's pinned digest
-//! folds. The decomposition leans on the slot APIs the figure runners
-//! expose (`fig3::measure_scaling_slot`, `fig5::measure_slot`, …),
-//! which are proven bit-identical to the monolithic runs by tests in
-//! `montblanc` itself; the registry's job is only to route slots and
-//! streams, never to do arithmetic of its own.
+//! folds. Each figure module has one measurement path: its slot
+//! measurer (`fig3::measure_scaling_slot`, `fig5::SlotMeasurer`, …),
+//! an `assemble` that folds slot payloads into the figure's report,
+//! and the report's `digest_stream`. The figure's own `run()` is that
+//! fold over an in-process sweep; a finalizer here is the same fold
+//! over journaled payloads, so the registry only routes slots and
+//! streams and does no arithmetic of its own.
 //!
 //! Every figure campaign comes in two grids: the `-quick` test
 //! configuration and the `-paper` grid behind the paper's headline
@@ -127,6 +129,16 @@ pub trait Campaign: Sync {
     }
 }
 
+/// Fixed-width slot payloads as arrays. The driver rejects a record of
+/// any other width before it reaches a finalizer
+/// ([`Campaign::payload_width`]).
+fn arrays<const N: usize>(slots: &[Vec<f64>]) -> Vec<[f64; N]> {
+    slots
+        .iter()
+        .map(|p| <[f64; N]>::try_from(p.as_slice()).expect("payload width checked by the driver"))
+        .collect()
+}
+
 /// Figure 3 strong scaling: one slot per `(panel, core count)` point.
 struct Fig3Scaling {
     grid: Grid,
@@ -170,9 +182,7 @@ impl Campaign for Fig3Scaling {
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        let cfg = self.config();
-        let times: Vec<f64> = slots.iter().map(|p| p[0]).collect();
-        fig3::scaling_stream(&cfg, fig3::tegra2_effective_gflops(), &times)
+        fig3::assemble(&self.config(), &slots.concat()).digest_stream()
     }
 
     fn pinned_digest(&self) -> Option<u64> {
@@ -223,16 +233,8 @@ impl Campaign for Fig3Faulted {
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        let cfg = self.config();
-        let payloads: Vec<[f64; 6]> = slots
-            .iter()
-            .map(|p| {
-                let mut a = [0.0; 6];
-                a.copy_from_slice(&p[..6]);
-                a
-            })
-            .collect();
-        fig3::faulted_stream(&cfg, fig3::tegra2_effective_gflops(), &payloads)
+        let payloads = arrays::<6>(slots).into_iter().map(Ok).collect();
+        fig3::assemble_faulted(&self.config(), payloads).digest_stream()
     }
 
     fn pinned_digest(&self) -> Option<u64> {
@@ -297,7 +299,7 @@ impl Campaign for Fig5Anomaly {
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        slots.iter().map(|p| p[0]).collect()
+        self.measurer().assemble(&slots.concat()).digest_stream()
     }
 
     fn pinned_digest(&self) -> Option<u64> {
@@ -345,12 +347,11 @@ impl Campaign for Fig7Tuning {
     }
 
     fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
-        let cfg = self.config();
-        fig7::measure_slot(&cfg, ctx.index).to_vec()
+        fig7::measure_slot(&self.config(), ctx.index).to_vec()
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        slots.iter().flat_map(|p| p.iter().copied()).collect()
+        fig7::assemble(&self.config(), &arrays::<2>(slots)).digest_stream()
     }
 
     fn pinned_digest(&self) -> Option<u64> {
@@ -396,13 +397,11 @@ impl Campaign for Table2Extended {
     }
 
     fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
-        let cfg = self.config();
-        vec![table2::measure_cell(&cfg, ctx.index)]
+        vec![table2::measure_cell(&self.config(), ctx.index)]
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        let cells: Vec<f64> = slots.iter().map(|p| p[0]).collect();
-        table2::extended_stream(&cells)
+        table2::assemble(&self.config(), &slots.concat()).digest_stream()
     }
 
     fn pinned_digest(&self) -> Option<u64> {

@@ -10,7 +10,8 @@
 //!   shard writes one record to per completed slot, with torn-tail
 //!   crash recovery and hard errors on version skew or chain breaks;
 //! * [`campaign`] — the registry binding campaign names to the slot
-//!   APIs of the figure runners and to their pinned digests;
+//!   measurers and `assemble` folds of the figure modules and to their
+//!   pinned digests;
 //! * [`driver`] — replay + [`mb_simcore::par::Checkpoint`] resume +
 //!   modulo sharding (`slot % N == i`) + journal merge;
 //! * [`transport`] — idempotent segment export/ingest between journal
@@ -40,9 +41,10 @@
 //!
 //! The determinism contract is the workspace-wide one: a campaign run
 //! killed at any instant and resumed, or split across any shard count
-//! and merged, reproduces the monolithic in-process sweep **bit for
-//! bit** — the integration tests prove it against the pinned figure
-//! digests under multiple `MB_THREADS` values.
+//! and merged, reproduces the figure's in-process `run()` **bit for
+//! bit** — both are the same `assemble` fold over the same slot
+//! payloads, and the integration tests prove it against the pinned
+//! figure digests under multiple `MB_THREADS` values.
 
 pub mod campaign;
 pub mod client;

@@ -238,3 +238,56 @@ fn short_payload_is_a_journal_error_not_a_finalize_panic() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Every quick figure campaign's journaled payloads — the f64 records
+/// `mb-lab` persists — fold into the very report the figure's own
+/// `run()` returns, compared whole. That covers what the digest
+/// streams leave out: the `SimTime` makespans `Fig3FaultReport::total_energy`
+/// charges and the `u64` counters of every `Fig7Point`, both rebuilt
+/// from f64 payloads.
+#[test]
+fn journaled_quick_payloads_assemble_to_the_run_reports() {
+    use mb_faults::FaultConfig;
+    use montblanc::{fig3, fig5, fig7, table2};
+
+    let dir = scratch("payload-roundtrip");
+    let payloads = |name: &str| -> Vec<Vec<f64>> {
+        let campaign = find(name).expect("registered campaign");
+        let path = dir.join(format!("{name}.journal"));
+        run_campaign(campaign.as_ref(), &path, Shard::solo(), 0).expect("solo run");
+        let mut records = Journal::load(&path).expect("journal verifies").records;
+        records.sort_by_key(|&(slot, _)| slot);
+        records.into_iter().map(|(_, payload)| payload).collect()
+    };
+    fn array<const N: usize>(payload: Vec<f64>) -> [f64; N] {
+        <[f64; N]>::try_from(payload).expect("fixed-width payload")
+    }
+
+    let cfg = fig3::Fig3Config::quick();
+    assert_eq!(fig3::assemble(&cfg, &payloads("fig3-quick").concat()), fig3::run(&cfg));
+    let faulted = payloads("fig3-faulted-quick")
+        .into_iter()
+        .map(|p| Ok(array::<6>(p)))
+        .collect();
+    assert_eq!(
+        fig3::assemble_faulted(&cfg, faulted),
+        fig3::run_faulted(&cfg, FaultConfig::light())
+    );
+
+    let cfg = fig5::Fig5Config::quick();
+    assert_eq!(
+        fig5::SlotMeasurer::new(&cfg).assemble(&payloads("fig5-quick").concat()),
+        fig5::run(&cfg)
+    );
+
+    let cfg = fig7::Fig7Config::quick();
+    let fig7_payloads: Vec<[f64; 2]> = payloads("fig7-quick").into_iter().map(array::<2>).collect();
+    assert_eq!(fig7::assemble(&cfg, &fig7_payloads), fig7::run(&cfg));
+
+    let cfg = table2::Table2Config::quick();
+    assert_eq!(
+        table2::assemble(&cfg, &payloads("table2-quick").concat()),
+        table2::run_extended(&cfg)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

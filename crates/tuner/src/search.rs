@@ -46,34 +46,13 @@ fn check(cost: f64) -> f64 {
 }
 
 /// Picks the winner from an evaluation log: the first minimum in
-/// evaluation order. Shared by the serial and parallel paths so both
-/// reduce identically.
+/// evaluation order.
 fn select_best(evaluations: &[(Point, f64)]) -> (Point, f64) {
     evaluations
         .iter()
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
         .map(|(p, c)| (p.clone(), *c))
         .expect("non-empty evaluation log")
-}
-
-/// Evaluates `points` in parallel through [`mb_simcore::par::sweep_labeled`]
-/// and reduces in evaluation order — bit-identical to evaluating the
-/// same points serially.
-fn evaluate_par(points: Vec<Point>, objective: impl Fn(&Point) -> f64 + Sync) -> TuneResult {
-    let tasks = points
-        .into_iter()
-        .map(|p| (format!("{p:?}"), p))
-        .collect::<Vec<_>>();
-    let evaluations = mb_simcore::par::sweep_labeled(0, tasks, |_, p| {
-        let c = check(objective(&p));
-        (p, c)
-    });
-    let (best_point, best_cost) = select_best(&evaluations);
-    TuneResult {
-        best_point,
-        best_cost,
-        evaluations,
-    }
 }
 
 /// Evaluates every point — the paper's "systematic exploration".
@@ -105,26 +84,6 @@ impl Tuner for ExhaustiveSearch {
             best_cost,
             evaluations,
         }
-    }
-}
-
-impl ExhaustiveSearch {
-    /// Parallel [`Tuner::tune`]: evaluates every point on the sweep
-    /// worker pool. Requires a shareable objective (`Fn + Sync`) and
-    /// returns a result bit-identical to the serial `tune` — same
-    /// evaluation log order, same tie-breaking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space is empty or the objective returns a
-    /// non-finite cost.
-    pub fn tune_par(
-        &self,
-        space: &ParameterSpace,
-        objective: impl Fn(&Point) -> f64 + Sync,
-    ) -> TuneResult {
-        assert!(space.cardinality() > 0, "cannot tune an empty space");
-        evaluate_par(space.points().collect(), objective)
     }
 }
 
@@ -169,35 +128,6 @@ impl Tuner for RandomSearch {
             best_cost,
             evaluations,
         }
-    }
-}
-
-impl RandomSearch {
-    /// Parallel [`Tuner::tune`]: pre-draws the same `budget` random
-    /// points the serial search would visit (point generation consumes
-    /// the RNG stream independently of the objective), then evaluates
-    /// them on the sweep worker pool. Bit-identical to the serial
-    /// `tune`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space is empty or the objective returns a
-    /// non-finite cost.
-    pub fn tune_par(
-        &self,
-        space: &ParameterSpace,
-        objective: impl Fn(&Point) -> f64 + Sync,
-    ) -> TuneResult {
-        assert!(space.cardinality() > 0, "cannot tune an empty space");
-        let mut rng = Xoshiro256::seed_from(self.seed);
-        let points: Vec<Point> = (0..self.budget)
-            .map(|_| {
-                (0..space.num_parameters())
-                    .map(|d| rng.gen_range(space.levels(d) as u64) as usize)
-                    .collect()
-            })
-            .collect();
-        evaluate_par(points, objective)
     }
 }
 
@@ -451,32 +381,6 @@ mod tests {
         assert_eq!(r1, r2);
         assert!(r1.evaluations.iter().all(|(p, _)| s.contains(p)));
         assert_eq!(r1.best_cost, 0.0);
-    }
-
-    #[test]
-    fn exhaustive_parallel_matches_serial() {
-        let s = ParameterSpace::new()
-            .with_parameter("x", (1..=12).collect())
-            .with_parameter("y", (1..=9).collect());
-        let f = |p: &Point| {
-            let x = s.value("x", p) as f64;
-            let y = s.value("y", p) as f64;
-            (x - 5.0).powi(2) + (y - 3.0).powi(2)
-        };
-        let serial = ExhaustiveSearch::new().tune(&s, f);
-        let parallel = ExhaustiveSearch::new().tune_par(&s, f);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn random_parallel_matches_serial() {
-        let s = ParameterSpace::new()
-            .with_parameter("a", vec![0, 1, 2])
-            .with_parameter("b", vec![5, 6]);
-        let f = |p: &Point| (p[0] * 3 + p[1]) as f64;
-        let serial = RandomSearch::new(40, 9).tune(&s, f);
-        let parallel = RandomSearch::new(40, 9).tune_par(&s, f);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

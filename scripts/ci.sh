@@ -39,6 +39,11 @@ cargo test --release -p montblanc --features validate --test validate_smoke --qu
 echo "==> fault-injection smoke (degraded-but-completed Figure 3)"
 cargo run --release -p mb-bench --bin fault_ablation -- --quick
 
+echo "==> figure renderer smoke (the bins that render the folded reports)"
+for bin in fig3_scaling fig5_rt_scheduling fig7_magicfilter table2_single_node; do
+    cargo run --release -q -p mb-bench --bin "$bin" -- --quick > /dev/null
+done
+
 echo "==> mb-lab 2-shard campaign smoke (shard, merge, pinned-digest check)"
 # Two sharded processes split the fig3-quick campaign, the merge stitches
 # their journals back into canonical slot order, and the digest gate
