@@ -206,16 +206,6 @@ impl ResilientSeries {
         self.points.iter().find(|p| p.point.cores == cores)
     }
 
-    /// Total retries across all completed points.
-    pub fn total_retries(&self) -> u64 {
-        self.points.iter().map(|p| p.stats.retries).sum()
-    }
-
-    /// Total crashed ranks across all completed points.
-    pub fn total_crashes(&self) -> u32 {
-        self.points.iter().map(|p| p.stats.crashed_ranks).sum()
-    }
-
     /// Summed [`ResilientPoint::energy`] over every completed point.
     pub fn total_energy(&self, node_power: Power, retrans: &RetransmissionModel) -> Energy {
         self.points
@@ -234,7 +224,7 @@ pub struct ScalingStudy {
     fabric: FabricKind,
     seed: u64,
     imbalance: f64,
-    faults: Option<FaultConfig>,
+    faults: FaultConfig,
 }
 
 impl ScalingStudy {
@@ -244,7 +234,7 @@ impl ScalingStudy {
             fabric,
             seed: 0x5CA1E,
             imbalance: 0.015,
-            faults: None,
+            faults: FaultConfig::none(),
         }
     }
 
@@ -255,36 +245,40 @@ impl ScalingStudy {
     }
 
     /// Injects faults, builder-style: every point draws a deterministic
-    /// [`FaultPlan`] from the study seed and its core count, and runs on
-    /// a resilient communicator ([`Comm::resilient`]). A zero-rate
-    /// config installs nothing — the study stays bit-identical to a
-    /// fault-free one.
+    /// [`FaultPlan`] from the study seed, its core count and its fabric,
+    /// and its communicator reacts to it ([`Comm::resilient`]). A
+    /// zero-rate config (the default) draws the empty plan, under which
+    /// the run is the fault-free one.
     pub fn with_faults(mut self, config: FaultConfig) -> Self {
-        self.faults = if config.is_zero() { None } else { Some(config) };
+        self.faults = config;
         self
     }
 
-    /// The fault plan a run at `ranks` cores would replay, if faults are
-    /// configured. Deterministic: same study, same plan.
-    pub fn fault_plan(&self, ranks: u32) -> Option<FaultPlan> {
-        self.faults.map(|cfg| {
-            let nodes = ranks.div_ceil(2) as usize;
-            let fabric = self.fabric.build(nodes, self.seed ^ u64::from(ranks));
-            let topo = fabric.network().fault_topology(ranks);
-            FaultPlan::generate(self.seed ^ FAULT_SEED_SALT ^ u64::from(ranks), &cfg, &topo)
-        })
+    /// The fabric every run at `ranks` cores is built on.
+    fn fabric(&self, ranks: u32) -> Fabric {
+        self.fabric.build(ranks.div_ceil(2) as usize, self.seed ^ u64::from(ranks))
+    }
+
+    /// The plan the study's fault config draws for a run at `ranks`
+    /// cores on `fabric`.
+    fn plan_on(&self, fabric: &Fabric, ranks: u32) -> FaultPlan {
+        let topo = fabric.network().fault_topology(ranks);
+        FaultPlan::generate(self.seed ^ FAULT_SEED_SALT ^ u64::from(ranks), &self.faults, &topo)
+    }
+
+    /// The fault plan a run at `ranks` cores replays (empty without
+    /// faults). Deterministic: same study, same plan.
+    pub fn fault_plan(&self, ranks: u32) -> FaultPlan {
+        self.plan_on(&self.fabric(ranks), ranks)
     }
 
     /// The element-name table of the fabric a run at `ranks` cores is
     /// built on — what name-addressed plans for
-    /// [`Self::execute_planned`] resolve against. Mirrors the fabric
-    /// construction of [`Self::fault_plan`] and
-    /// [`Self::execute_outcome`], so resolved indices aim at exactly
-    /// the elements those runs instantiate.
+    /// [`Self::execute_planned`] resolve against. Every run at `ranks`
+    /// builds the same fabric, so resolved indices aim at exactly the
+    /// elements those runs instantiate.
     pub fn element_names(&self, ranks: u32) -> mb_faults::ElementNames {
-        let nodes = ranks.div_ceil(2) as usize;
-        let fabric = self.fabric.build(nodes, self.seed ^ u64::from(ranks));
-        fabric.network().element_names()
+        self.fabric(ranks).network().element_names()
     }
 
     /// Executes `workload` on `ranks` cores; returns the simulated time
@@ -307,15 +301,13 @@ impl ScalingStudy {
     ///
     /// Panics if `ranks < workload.min_ranks`.
     pub fn execute_outcome(&self, workload: &Workload, ranks: u32, traced: bool) -> ScalingOutcome {
-        self.execute_with_plan(workload, ranks, traced, self.fault_plan(ranks))
+        self.execute_with_plan(workload, ranks, traced, |fabric| self.plan_on(fabric, ranks))
     }
 
     /// Runs `workload` under an *explicitly supplied* fault plan —
     /// typically one built from name-addressed faults resolved against
     /// [`Self::element_names`] — instead of the study's own generated
-    /// plan. An empty plan is never installed (same contract as
-    /// [`Self::with_faults`]), so the run stays bit-identical to a
-    /// fault-free one.
+    /// plan. Under the empty plan the run is the fault-free one.
     ///
     /// # Panics
     ///
@@ -327,20 +319,17 @@ impl ScalingStudy {
         plan: &FaultPlan,
         traced: bool,
     ) -> ScalingOutcome {
-        let plan = if plan.is_empty() {
-            None
-        } else {
-            Some(plan.clone())
-        };
-        self.execute_with_plan(workload, ranks, traced, plan)
+        self.execute_with_plan(workload, ranks, traced, |_| plan.clone())
     }
 
+    /// The one run body: builds the point's fabric once, installs the
+    /// plan `plan` draws for it, and replays `workload` on it.
     fn execute_with_plan(
         &self,
         workload: &Workload,
         ranks: u32,
         traced: bool,
-        plan: Option<FaultPlan>,
+        plan: impl FnOnce(&Fabric) -> FaultPlan,
     ) -> ScalingOutcome {
         assert!(
             ranks >= workload.min_ranks,
@@ -348,16 +337,13 @@ impl ScalingStudy {
             workload.name,
             workload.min_ranks
         );
-        let nodes = ranks.div_ceil(2) as usize;
-        let fabric = self.fabric.build(nodes, self.seed ^ u64::from(ranks));
+        let fabric = self.fabric(ranks);
+        let plan = plan(&fabric);
         let mut cfg = CommConfig::tibidabo(ranks);
         cfg.tracing = traced;
-        let mut comm = match plan {
-            None => Comm::new(fabric, cfg),
-            Some(plan) => match Comm::resilient(fabric, cfg, plan, RetryPolicy::tibidabo()) {
-                Ok(comm) => comm,
-                Err(e) => panic!("{e}"),
-            },
+        let mut comm = match Comm::resilient(fabric, cfg, plan, RetryPolicy::tibidabo()) {
+            Ok(comm) => comm,
+            Err(e) => panic!("{e}"),
         };
         let mut rng = Xoshiro256::seed_from(self.seed ^ 0xB0B ^ u64::from(ranks));
         let rate = workload.core_gflops * 1e9;
@@ -583,16 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_fault_config_is_bit_identical() {
-        let w = Workload::specfem_tibidabo().with_iterations(3);
-        let plain = ScalingStudy::new(FabricKind::Tibidabo).run(&w, &[4, 8, 16]);
-        let faulted = ScalingStudy::new(FabricKind::Tibidabo)
-            .with_faults(FaultConfig::none())
-            .run(&w, &[4, 8, 16]);
-        assert_eq!(plain, faulted);
-    }
-
-    #[test]
     fn crashes_degrade_but_complete() {
         let mut cfg = FaultConfig::none();
         cfg.rank_crash_probability = 1.0;
@@ -639,11 +615,12 @@ mod tests {
         let faulted = ScalingStudy::new(FabricKind::Tibidabo)
             .with_faults(FaultConfig::light())
             .run_resilient(&w, &counts);
-        assert!(faulted.total_retries() > 0, "light faults must retry");
+        let retries = faulted.points.iter().map(|p| p.stats.retries).sum();
+        assert!(retries > 0, "light faults must retry");
         let e_with = faulted.total_energy(node, &retrans);
         let e_without = faulted.total_energy(node, &time_only);
         let surcharge = retrans.surcharge(
-            faulted.total_retries(),
+            retries,
             faulted.points.iter().map(|p| p.stats.timeouts).sum(),
         );
         assert!(surcharge.joules() > 0.0);
@@ -667,29 +644,29 @@ mod tests {
     fn fault_plan_replays_identically() {
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
         assert_eq!(study.fault_plan(16), study.fault_plan(16));
-        assert!(ScalingStudy::new(FabricKind::Tibidabo).fault_plan(16).is_none());
+        assert!(ScalingStudy::new(FabricKind::Tibidabo).fault_plan(16).is_empty());
     }
 
     #[test]
     fn planned_execution_matches_generated_plan_bit_for_bit() {
         // Handing execute_planned the very plan the faulted study would
         // generate must reproduce execute_outcome exactly: the plan is
-        // the *whole* difference between the two paths.
+        // the *whole* difference between the two paths. Light faults
+        // draw no fault at 8 cores, so every non-root rank is set to
+        // crash inside the ~0.5 s run: the plan must bite.
         let w = Workload::specfem_tibidabo().with_iterations(3);
-        let faulted = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
-        let plan = faulted.fault_plan(8).expect("faults configured");
+        let mut cfg = FaultConfig::light();
+        cfg.rank_crash_probability = 1.0;
+        cfg.horizon = SimTime::from_millis(400);
+        let faulted = ScalingStudy::new(FabricKind::Tibidabo).with_faults(cfg);
+        let plan = faulted.fault_plan(8);
         let plain = ScalingStudy::new(FabricKind::Tibidabo);
         let a = faulted.execute_outcome(&w, 8, false);
         let b = plain.execute_planned(&w, 8, &plan, false);
+        assert!(a.surviving_ranks < 8, "the plan must crash a rank: {:?}", a.stats);
         assert_eq!(a.time, b.time);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.surviving_ranks, b.surviving_ranks);
-        // And an empty plan is never installed: bit-identical to the
-        // plain run.
-        let empty = FaultPlan::from_faults(1, Vec::new());
-        let c = plain.execute_planned(&w, 8, &empty, false);
-        assert_eq!(c.time, plain.execute_outcome(&w, 8, false).time);
-        assert_eq!(c.stats, ResilienceStats::default());
     }
 
     #[test]

@@ -212,17 +212,11 @@ impl Fig3FaultReport {
     }
 
     /// Summed resilience counters across all panels and points.
-    pub fn total_stats(&self) -> mb_mpi::ResilienceStats {
-        let mut total = mb_mpi::ResilienceStats::default();
-        for s in [&self.linpack, &self.specfem, &self.bigdft] {
-            for p in &s.points {
-                total.retries += p.stats.retries;
-                total.timeouts += p.stats.timeouts;
-                total.skipped_messages += p.stats.skipped_messages;
-                total.crashed_ranks += p.stats.crashed_ranks;
-            }
-        }
-        total
+    pub fn total_stats(&self) -> ResilienceStats {
+        [&self.linpack, &self.specfem, &self.bigdft]
+            .into_iter()
+            .flat_map(|s| s.points.iter().map(|p| p.stats))
+            .sum()
     }
 
     /// Energy to solution of the whole faulted campaign on Tibidabo:
@@ -266,11 +260,11 @@ impl Fig3FaultReport {
 }
 
 /// Runs Figure 3 on the commodity Tibidabo fabric with a deterministic
-/// fault plan injected at every point. With [`FaultConfig::none`] the
-/// numbers are bit-identical to [`run`] (the plan is never installed);
-/// with real fault rates each panel completes degraded — crashed ranks
-/// drop out, dropped messages retransmit with backoff — instead of
-/// dying. Each slot runs inside `mb_simcore::par::sweep_contained`, so
+/// fault plan injected at every point. With [`FaultConfig::none`] every
+/// plan is empty and the points are [`run`]'s, bit for bit (the two
+/// differ only in their fold); with real fault rates each panel
+/// completes degraded — crashed ranks drop out, dropped messages
+/// retransmit with backoff — instead of dying. Each slot runs inside `mb_simcore::par::sweep_contained`, so
 /// a point that dies outright lands in its series' `failed` list.
 /// Same seed, same config ⇒ same report, at any worker count.
 pub fn run_faulted(cfg: &Fig3Config, faults: FaultConfig) -> Fig3FaultReport {
@@ -381,11 +375,10 @@ pub fn slot_label(panel: Panel, cores: u32) -> String {
 
 /// Measures one healthy slot: the simulated makespan, in seconds — a
 /// pure function of `(panel, cores, core_gflops, iterations)`, so any
-/// shard or resumed process reproduces it bit for bit.
+/// shard or resumed process reproduces it bit for bit. It is the
+/// faulted slot under [`FaultConfig::none`], whose plan is empty.
 pub fn measure_scaling_slot(cfg: &Fig3Config, panel: Panel, cores: u32, core_gflops: f64) -> f64 {
-    let study = ScalingStudy::new(FabricKind::Tibidabo);
-    let w = panel_workload(panel, cfg.iterations, core_gflops);
-    study.execute(&w, cores, false).0.as_secs_f64()
+    measure_faulted_slot(cfg, FaultConfig::none(), panel, cores, core_gflops)[0]
 }
 
 /// Measures one fault-injected slot under `faults`, returning
@@ -398,8 +391,7 @@ pub fn measure_faulted_slot(
     core_gflops: f64,
 ) -> [f64; 6] {
     let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(faults);
-    let w = panel_workload(panel, cfg.iterations, core_gflops);
-    faulted_payload(&study.execute_outcome(&w, cores, false))
+    measure_slot(cfg, panel, core_gflops, |w| study.execute_outcome(w, cores, false))
 }
 
 /// The element-name table a Figure 3 slot at `cores` resolves
@@ -424,11 +416,19 @@ pub fn measure_planned_slot(
     core_gflops: f64,
 ) -> [f64; 6] {
     let study = ScalingStudy::new(FabricKind::Tibidabo);
-    let w = panel_workload(panel, cfg.iterations, core_gflops);
-    faulted_payload(&study.execute_planned(&w, cores, plan, false))
+    measure_slot(cfg, panel, core_gflops, |w| study.execute_planned(w, cores, plan, false))
 }
 
-fn faulted_payload(out: &ScalingOutcome) -> [f64; 6] {
+/// The one slot body: runs `panel`'s workload through `execute` and
+/// flattens the outcome into the `[secs, retries, timeouts, skipped,
+/// crashed, surviving]` payload.
+fn measure_slot(
+    cfg: &Fig3Config,
+    panel: Panel,
+    core_gflops: f64,
+    execute: impl FnOnce(&Workload) -> ScalingOutcome,
+) -> [f64; 6] {
+    let out = execute(&panel_workload(panel, cfg.iterations, core_gflops));
     [
         out.time.as_secs_f64(),
         out.stats.retries as f64,
@@ -487,10 +487,10 @@ mod tests {
         ] {
             assert!(r.failed.is_empty());
             for (a, b) in s.points.iter().zip(&r.points) {
-                assert_eq!(a, &b.point, "zero-fault plan must install nothing");
+                assert_eq!(a, &b.point, "an empty plan must leave every point as the healthy run has it");
             }
         }
-        assert_eq!(faulted.total_stats(), mb_mpi::ResilienceStats::default());
+        assert_eq!(faulted.total_stats(), ResilienceStats::default());
     }
 
     #[test]

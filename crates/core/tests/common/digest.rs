@@ -5,7 +5,7 @@
 //! bit-identical to the unvalidated build — the ISSUE's acceptance gate.
 
 use mb_faults::FaultConfig;
-use montblanc::{fig3, fig5, fig7, table2};
+use montblanc::{ablation, fig3, fig4, fig5, fig7, table2};
 
 /// Folds a stream of `f64`s into one order-sensitive 64-bit digest.
 /// Uses `to_bits`, so any change in any bit of any value changes it.
@@ -50,6 +50,51 @@ pub fn fig3_faulted_quick_joules() -> f64 {
     fig3::run_faulted(&fig3::Fig3Config::quick(), FaultConfig::light())
         .total_energy()
         .joules()
+}
+
+/// Digest of the Figure 4 quick run: both makespans in ns, every
+/// traced message's send and receive ns and bytes, in trace order, then
+/// the `all_to_all_v` total and delayed counts. Pins the traced
+/// transfer path and the delay analysis over it bit for bit.
+pub fn fig4_quick() -> u64 {
+    let r = fig4::run(&fig4::Fig4Config::quick());
+    let ns = |t: mb_simcore::time::SimTime| t.as_nanos() as f64;
+    digest(
+        [ns(r.commodity_time), ns(r.upgraded_time)]
+            .into_iter()
+            .chain(
+                r.trace
+                    .comms()
+                    .iter()
+                    .flat_map(|c| [ns(c.send_time), ns(c.recv_time), c.bytes as f64]),
+            )
+            .chain([r.alltoallv_total() as f64, r.alltoallv_delayed() as f64]),
+    )
+}
+
+/// Digest of the quick collective and switch-upgrade ablations: per
+/// tree-vs-ring cell `[bytes, tree ns, ring ns]` for
+/// `collective_algorithms(16, ..)` over the quick payloads, then per
+/// row `[cores, commodity ns, bonded ns, upgraded ns]` for
+/// `switch_upgrade(&[16, 36], 2)`.
+pub fn ablation_quick() -> u64 {
+    let ns = |t: mb_simcore::time::SimTime| t.as_nanos() as f64;
+    let collectives = ablation::collective_algorithms(16, &[64, 64 * 1024, 4 << 20]);
+    let upgrades = ablation::switch_upgrade(&[16, 36], 2);
+    digest(
+        collectives
+            .iter()
+            .flat_map(|a| a.cells.iter())
+            .flat_map(|c| [c.bytes as f64, ns(c.tree), ns(c.ring)])
+            .chain(upgrades.iter().flat_map(|r| {
+                [
+                    f64::from(r.cores),
+                    ns(r.commodity),
+                    ns(r.bonded),
+                    ns(r.upgraded),
+                ]
+            })),
+    )
 }
 
 /// Digest of Figure 5 quick-config output (every bandwidth sample).
@@ -97,6 +142,10 @@ pub const FIG3_FAULTED_QUICK_DIGEST: u64 = 0x8ce8_a81a_59cb_2163;
 /// campaign's energy to solution including retransmissions
 /// (≈ 150 115.41 J for the quick grids under light faults).
 pub const FIG3_FAULTED_QUICK_JOULES_BITS: u64 = 0x4102_531b_4c71_b00a;
+/// Pinned digest of [`fig4_quick`].
+pub const FIG4_QUICK_DIGEST: u64 = 0xf8f8_b32c_bbd3_9b79;
+/// Pinned digest of [`ablation_quick`].
+pub const ABLATION_QUICK_DIGEST: u64 = 0xb729_7caf_41e2_3e57;
 /// Pinned digest of [`fig3_paper`] — the full paper grid behind the
 /// figure. The `mb-lab` campaign registry mirrors all five paper
 /// constants; `campaign_digests.rs` asserts the mirrors stay equal.

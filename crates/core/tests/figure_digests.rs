@@ -69,6 +69,27 @@ fn table2_quick_output_is_pinned() {
     );
 }
 
+#[test]
+fn fig4_quick_output_is_pinned() {
+    assert_eq!(
+        digest::fig4_quick(),
+        digest::FIG4_QUICK_DIGEST,
+        "Figure 4 quick output changed bit-identity; if intentional, \
+         re-pin FIG4_QUICK_DIGEST in tests/common/digest.rs"
+    );
+}
+
+#[test]
+fn ablation_quick_output_is_pinned() {
+    assert_eq!(
+        digest::ablation_quick(),
+        digest::ABLATION_QUICK_DIGEST,
+        "collective/switch-upgrade ablation output changed bit-identity; \
+         if intentional, re-pin ABLATION_QUICK_DIGEST in \
+         tests/common/digest.rs"
+    );
+}
+
 // The paper grids are the figures as published; their pins gate the
 // `-paper` campaigns in `mb-lab` (whose registry mirrors these
 // constants). They cost seconds rather than milliseconds, so they live

@@ -38,6 +38,8 @@ fn figures_run_bit_identical_under_validation() {
         digest::fig3_faulted_quick_joules().to_bits(),
         digest::FIG3_FAULTED_QUICK_JOULES_BITS
     );
+    assert_eq!(digest::fig4_quick(), digest::FIG4_QUICK_DIGEST);
+    assert_eq!(digest::ablation_quick(), digest::ABLATION_QUICK_DIGEST);
 }
 
 #[test]

@@ -26,8 +26,8 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// No faults at all: generates an empty plan, which consumers treat
-    /// as "no plan installed" — the zero-overhead path.
+    /// No faults at all: generates an empty plan, whose every query
+    /// answers "healthy" — a run under it is the fault-free run.
     pub fn none() -> Self {
         FaultConfig {
             link_down_probability: 0.0,

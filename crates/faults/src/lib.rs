@@ -19,10 +19,11 @@
 //! deterministic, a faulted experiment replays bit-identically at any
 //! worker count.
 //!
-//! The zero-fault case is free by construction: [`FaultConfig::none`]
-//! generates an empty plan, empty plans are never installed, and every
-//! consumer's fault path is gated on plan presence — no extra RNG draws,
-//! no float round-trips, so unfaulted digests are unchanged.
+//! There is one path, and the zero-fault case is that path with an
+//! empty plan: [`FaultConfig::none`] generates no faults, and every
+//! query on an empty plan answers "healthy" — a drop probability of
+//! `0.0` (so no RNG draw), factors of exactly `1.0` (so no float
+//! round-trip), no crash — so unfaulted digests are unchanged.
 //!
 //! # Examples
 //!
@@ -33,7 +34,7 @@
 //! let plan = FaultPlan::generate(0xFA017, &FaultConfig::light(), &topo);
 //! // Replay is bit-identical: the plan is a pure function of its inputs.
 //! assert_eq!(plan, FaultPlan::generate(0xFA017, &FaultConfig::light(), &topo));
-//! // Zero-fault configs yield empty plans — the free path.
+//! // Zero-fault configs yield empty plans — the healthy run.
 //! assert!(FaultPlan::generate(0xFA017, &FaultConfig::none(), &topo).is_empty());
 //! ```
 

@@ -19,9 +19,10 @@ const RANK_CRASH_SALT: u64 = 0x11AB_1E5D_0F0F_0005;
 /// Pure function of `(seed, config, topology)`; replaying generation
 /// with the same inputs yields a bit-identical plan (property-tested in
 /// `tests/plan_props.rs`). Queries are read-only linear scans — plans
-/// hold a handful of faults, and consumers gate the scan on having a
-/// plan installed at all, keeping the zero-fault path free.
-#[derive(Debug, Clone, PartialEq)]
+/// hold a handful of faults, so on the empty plan (the [`Default`], and
+/// what [`FaultConfig::none`] generates) every query is a scan of
+/// nothing that answers "healthy".
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<Fault>,
@@ -122,13 +123,14 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// True when nothing is scheduled; consumers skip installation.
+    /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
 
     /// If the directed link is down at `t`, the end of its outage
     /// window (when queued traffic may proceed).
+    #[inline]
     pub fn link_blocked_until(&self, link: u32, t: SimTime) -> Option<SimTime> {
         self.faults.iter().find_map(|f| match f {
             Fault::LinkDown { link: l, window } if *l == link && window.contains(t) => {
@@ -140,6 +142,7 @@ impl FaultPlan {
 
     /// Bandwidth multiplier for the directed link at `t`; `1.0` when
     /// healthy.
+    #[inline]
     pub fn link_degrade_factor(&self, link: u32, t: SimTime) -> f64 {
         self.faults
             .iter()
@@ -156,6 +159,7 @@ impl FaultPlan {
 
     /// Per-message drop probability at the switch at `t`; `0.0` when
     /// healthy.
+    #[inline]
     pub fn switch_drop_probability(&self, switch: u32, t: SimTime) -> f64 {
         self.faults
             .iter()
@@ -171,6 +175,7 @@ impl FaultPlan {
     }
 
     /// Compute-time multiplier for the host at `t`; `1.0` when healthy.
+    #[inline]
     pub fn straggler_factor(&self, host: u32, t: SimTime) -> f64 {
         self.faults
             .iter()
@@ -186,6 +191,7 @@ impl FaultPlan {
     }
 
     /// When (if ever) the rank crashes.
+    #[inline]
     pub fn crash_time(&self, rank: u32) -> Option<SimTime> {
         self.faults.iter().find_map(|f| match f {
             Fault::RankCrash { rank: r, at } if *r == rank => Some(*at),

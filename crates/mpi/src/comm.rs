@@ -1,6 +1,6 @@
 //! The communicator: ranks, clocks, point-to-point and collectives.
 
-use crate::resilience::{Resilience, ResilienceStats, RetryPolicy};
+use crate::resilience::{ResilienceStats, RetryPolicy};
 use mb_faults::FaultPlan;
 use mb_net::fabric::Fabric;
 use mb_net::graph::NodeId;
@@ -53,6 +53,11 @@ impl CommConfig {
 /// style is "program order per rank": the experiment code calls
 /// collective/point-to-point methods and the communicator resolves the
 /// timing through the fabric.
+///
+/// Every communicator reacts to the fault plan its fabric carries
+/// (see [`crate::resilience`]). With the empty plan every rank stays
+/// alive, no message drops and every counter stays zero, so a healthy
+/// run is simply a run under the empty plan.
 #[derive(Debug)]
 pub struct Comm {
     fabric: Fabric,
@@ -61,33 +66,48 @@ pub struct Comm {
     clock: Vec<SimTime>,
     trace: Trace,
     next_op: u64,
-    // `None` on the healthy path: every fault check is gated on this, so
-    // a communicator without a plan runs the exact pre-fault code.
-    resilience: Option<Resilience>,
+    // The reaction to the fabric's fault plan (the plan itself lives
+    // only in the fabric): retransmission policy, the plan's rank
+    // crashes as `(rank, at)` in rank order (so a liveness refresh
+    // visits only the ranks that can die), liveness per rank and the
+    // degradation counters.
+    policy: RetryPolicy,
+    crashes: Vec<(u32, SimTime)>,
+    alive: Vec<bool>,
+    stats: ResilienceStats,
 }
 
 impl Comm {
-    /// Creates a communicator over `fabric`.
+    /// Creates a fault-free communicator over `fabric`: any plan the
+    /// fabric carries is replaced by the empty one.
     ///
     /// # Panics
     ///
     /// Panics if the fabric has too few hosts for
     /// `ranks / ranks_per_host`, or if `ranks` or `ranks_per_host` is
-    /// zero. Use [`Comm::try_new`] to get the condition as a value.
+    /// zero. Use [`Comm::resilient`] to get the condition as a value.
     pub fn new(fabric: Fabric, cfg: CommConfig) -> Self {
-        match Comm::try_new(fabric, cfg) {
+        match Comm::resilient(fabric, cfg, FaultPlan::default(), RetryPolicy::default()) {
             Ok(c) => c,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// [`Comm::new`] returning configuration mismatches as values.
+    /// Creates a fault-tolerant communicator: the plan is installed into
+    /// the fabric (link/switch faults, rank crashes, stragglers), and
+    /// dropped messages are retransmitted under `policy`. Under an empty
+    /// plan the communicator is the fault-free one of [`Comm::new`].
     ///
     /// # Errors
     ///
     /// [`MbError::InvalidConfig`] if `ranks` or `ranks_per_host` is zero
     /// or the fabric has too few hosts.
-    pub fn try_new(fabric: Fabric, cfg: CommConfig) -> MbResult<Self> {
+    pub fn resilient(
+        fabric: Fabric,
+        cfg: CommConfig,
+        plan: FaultPlan,
+        policy: RetryPolicy,
+    ) -> MbResult<Self> {
         if cfg.ranks == 0 {
             return Err(MbError::InvalidConfig {
                 what: "need at least one rank".to_string(),
@@ -99,7 +119,7 @@ impl Comm {
             });
         }
         let hosts_needed = cfg.ranks.div_ceil(cfg.ranks_per_host) as usize;
-        let fabric_hosts = fabric.network().hosts().to_vec();
+        let fabric_hosts = fabric.network().hosts();
         if fabric_hosts.len() < hosts_needed {
             return Err(MbError::InvalidConfig {
                 what: format!(
@@ -112,72 +132,41 @@ impl Comm {
         let hosts = (0..cfg.ranks)
             .map(|r| fabric_hosts[(r / cfg.ranks_per_host) as usize])
             .collect();
+        let crashes = (0..cfg.ranks)
+            .filter_map(|r| plan.crash_time(r).map(|at| (r, at)))
+            .collect();
         Ok(Comm {
-            fabric,
+            fabric: fabric.with_faults(plan),
             cfg,
             hosts,
             clock: vec![SimTime::ZERO; cfg.ranks as usize],
             trace: Trace::new(cfg.ranks),
             next_op: 0,
-            resilience: None,
+            policy,
+            crashes,
+            alive: vec![true; cfg.ranks as usize],
+            stats: ResilienceStats::default(),
         })
     }
 
-    /// Creates a fault-tolerant communicator: the plan is installed into
-    /// the fabric (link/switch faults) and kept for crash/straggler
-    /// queries, and dropped messages are retransmitted under `policy`.
-    /// An empty plan installs nothing — the communicator is then
-    /// bit-identical to [`Comm::try_new`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Comm::try_new`].
-    pub fn resilient(
-        fabric: Fabric,
-        cfg: CommConfig,
-        plan: FaultPlan,
-        policy: RetryPolicy,
-    ) -> MbResult<Self> {
-        let install = !plan.is_empty();
-        let fabric = fabric.with_faults(plan.clone());
-        let mut comm = Comm::try_new(fabric, cfg)?;
-        if install {
-            comm.resilience = Some(Resilience {
-                plan,
-                policy,
-                alive: vec![true; cfg.ranks as usize],
-                stats: ResilienceStats::default(),
-            });
-        }
-        Ok(comm)
-    }
-
-    /// Resilience counters (all zero when no fault plan is installed).
+    /// Resilience counters (all zero under the empty plan).
     pub fn resilience_stats(&self) -> ResilienceStats {
-        self.resilience
-            .as_ref()
-            .map(|r| r.stats)
-            .unwrap_or_default()
+        self.stats
     }
 
-    /// Whether the rank is still alive (always true without a plan).
+    /// Whether the rank is still alive (always true under the empty
+    /// plan).
     ///
     /// # Panics
     ///
     /// Panics if the rank is out of range.
     pub fn is_alive(&self, rank: u32) -> bool {
-        self.resilience
-            .as_ref()
-            .map(|r| r.alive[rank as usize])
-            .unwrap_or(true)
+        self.alive[rank as usize]
     }
 
     /// Number of ranks still alive.
     pub fn surviving_ranks(&self) -> u32 {
-        match &self.resilience {
-            Some(r) => r.alive.iter().filter(|a| **a).count() as u32,
-            None => self.cfg.ranks,
-        }
+        self.alive.iter().filter(|a| **a).count() as u32
     }
 
     /// Number of ranks.
@@ -216,66 +205,59 @@ impl Comm {
 
     /// Marks `rank` dead if its crash time has passed its clock.
     fn refresh_crash(&mut self, rank: u32) {
-        let Some(res) = &mut self.resilience else {
-            return;
-        };
-        if !res.alive[rank as usize] {
+        let r = rank as usize;
+        if !self.alive[r] {
             return;
         }
-        if let Some(at) = res.plan.crash_time(rank) {
-            if self.clock[rank as usize] >= at {
-                res.alive[rank as usize] = false;
-                res.stats.crashed_ranks += 1;
+        if let Some(&(_, at)) = self.crashes.iter().find(|&&(c, _)| c == rank) {
+            if self.clock[r] >= at {
+                self.alive[r] = false;
+                self.stats.crashed_ranks += 1;
                 if self.cfg.tracing {
-                    self.trace
-                        .push_event(rank, self.clock[rank as usize], "rank_crash", rank as u64);
+                    self.trace.push_event(rank, self.clock[r], "rank_crash", rank as u64);
                 }
             }
         }
     }
 
-    /// Refreshes every rank's liveness; true when anyone is dead.
-    /// Always false without a plan (no per-rank scan at all).
-    fn any_rank_dead(&mut self) -> bool {
-        if self.resilience.is_none() {
-            return false;
+    /// Refreshes every rank's liveness.
+    fn refresh_crashes(&mut self) {
+        for i in 0..self.crashes.len() {
+            self.refresh_crash(self.crashes[i].0);
         }
-        for r in 0..self.cfg.ranks {
-            self.refresh_crash(r);
-        }
-        self.resilience
-            .as_ref()
-            .is_some_and(|res| res.alive.iter().any(|a| !a))
     }
 
-    /// Surviving ranks in rank order (all ranks without a plan).
+    /// Refreshes every rank's liveness; true when anyone is dead.
+    fn any_rank_dead(&mut self) -> bool {
+        self.refresh_crashes();
+        self.alive.contains(&false)
+    }
+
+    /// Surviving ranks in rank order.
     fn alive_ranks(&self) -> Vec<u32> {
         (0..self.cfg.ranks).filter(|&r| self.is_alive(r)).collect()
     }
 
-    /// Advances one rank's clock by a computation phase. Under a fault
-    /// plan, a straggler window multiplies the duration and a crashed
-    /// rank stops computing entirely.
+    /// Advances one rank's clock by a computation phase. A straggler
+    /// window multiplies the duration, and a crashed rank stops
+    /// computing entirely.
     ///
     /// # Panics
     ///
     /// Panics if the rank is out of range.
     pub fn compute(&mut self, rank: u32, duration: SimTime) {
         let start = self.clock[rank as usize];
-        let mut duration = duration;
-        if self.resilience.is_some() {
-            self.refresh_crash(rank);
-            let res = self.resilience.as_ref().expect("checked above");
-            if !res.alive[rank as usize] {
-                return;
-            }
-            let host = rank / self.cfg.ranks_per_host;
-            let factor = res.plan.straggler_factor(host, start);
-            if factor != 1.0 {
-                duration =
-                    SimTime::from_nanos((duration.as_nanos() as f64 * factor).round() as u64);
-            }
+        self.refresh_crash(rank);
+        if !self.alive[rank as usize] {
+            return;
         }
+        let host = rank / self.cfg.ranks_per_host;
+        let factor = self.fabric.fault_plan().straggler_factor(host, start);
+        let duration = if factor != 1.0 {
+            SimTime::from_nanos((duration.as_nanos() as f64 * factor).round() as u64)
+        } else {
+            duration
+        };
         self.clock[rank as usize] += duration;
         if self.cfg.tracing {
             self.trace
@@ -292,117 +274,94 @@ impl Comm {
 
     /// Core transfer primitive: departs at the sender's clock, arrives
     /// per the fabric (or the intra-node copy model), both endpoints pay
-    /// the software overhead. Returns the receive-complete time. The
-    /// *sender's* clock advances past the send overhead only (eager
-    /// protocol); the receiver's clock is pushed to the arrival.
+    /// the software overhead. The *sender's* clock advances past the
+    /// send overhead only (eager protocol); the receiver's clock is
+    /// pushed to the arrival. A message with a crashed endpoint is
+    /// skipped, and one that times out (see [`Comm::deliver`]) never
+    /// advances its receiver.
     fn transfer(&mut self, src: u32, dst: u32, bytes: u64, coll: Option<(CollectiveKind, u64)>) {
-        if self.resilience.is_some() {
-            self.transfer_resilient(src, dst, bytes, coll);
+        self.refresh_crash(src);
+        self.refresh_crash(dst);
+        if !self.alive[src as usize] || !self.alive[dst as usize] {
+            self.stats.skipped_messages += 1;
             return;
         }
         let depart = self.clock[src as usize] + self.cfg.per_message_overhead;
-        let (src_host, dst_host) = (self.hosts[src as usize], self.hosts[dst as usize]);
-        let arrive = if src_host == dst_host {
-            depart + SimTime::from_secs_f64(bytes as f64 / self.cfg.intra_node_bw)
-        } else {
-            self.fabric.send(src_host, dst_host, bytes, depart)
-        };
-        let recv_done = arrive + self.cfg.per_message_overhead;
-        self.clock[src as usize] = depart;
-        self.clock[dst as usize] = self.clock[dst as usize].max(recv_done);
-        if self.cfg.tracing {
-            self.trace.push_comm(CommRecord {
-                src,
-                dst,
-                send_time: depart,
-                recv_time: recv_done,
-                bytes,
-                collective: coll,
-            });
-        }
-    }
-
-    /// [`Comm::transfer`] under an installed fault plan: skips messages
-    /// with a crashed endpoint and retransmits dropped ones with bounded
-    /// backoff; an exhausted budget abandons the message (the receiver
-    /// simply never advances for it).
-    fn transfer_resilient(
-        &mut self,
-        src: u32,
-        dst: u32,
-        bytes: u64,
-        coll: Option<(CollectiveKind, u64)>,
-    ) {
-        self.refresh_crash(src);
-        self.refresh_crash(dst);
-        {
-            let res = self.resilience.as_mut().expect("resilient path");
-            if !res.alive[src as usize] || !res.alive[dst as usize] {
-                res.stats.skipped_messages += 1;
-                return;
-            }
-        }
-        let depart = self.clock[src as usize] + self.cfg.per_message_overhead;
-        let (src_host, dst_host) = (self.hosts[src as usize], self.hosts[dst as usize]);
-        let (arrive, sender_done) = if src_host == dst_host {
-            let a = depart + SimTime::from_secs_f64(bytes as f64 / self.cfg.intra_node_bw);
-            (Some(a), depart)
-        } else {
-            self.send_with_retry(src, dst, src_host, dst_host, bytes, depart)
-        };
+        let (arrive, sender_done) = self.deliver(src, dst, bytes, depart);
         self.clock[src as usize] = sender_done;
         if let Some(arrive) = arrive {
             let recv_done = arrive + self.cfg.per_message_overhead;
             self.clock[dst as usize] = self.clock[dst as usize].max(recv_done);
-            if self.cfg.tracing {
-                self.trace.push_comm(CommRecord {
-                    src,
-                    dst,
-                    send_time: depart,
-                    recv_time: recv_done,
-                    bytes,
-                    collective: coll,
-                });
-            }
+            self.record(src, dst, depart, recv_done, bytes, coll);
         }
     }
 
-    /// Sends over the fabric, retransmitting dropped messages per the
-    /// retry policy. Returns `(arrival, sender-done time)`; arrival is
-    /// `None` when the retry budget is exhausted (an `mpi_timeout`).
-    fn send_with_retry(
+    /// Moves one message departing at `depart`: an intra-node copy, or a
+    /// fabric send whose drops are retransmitted with bounded backoff per
+    /// the retry policy. Returns `(arrival, sender-done time)`; arrival
+    /// is `None` when the retry budget is exhausted (an `mpi_timeout`:
+    /// the message is abandoned).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric has no route between the ranks' hosts.
+    fn deliver(
         &mut self,
         src: u32,
         dst: u32,
-        src_host: NodeId,
-        dst_host: NodeId,
         bytes: u64,
         depart: SimTime,
     ) -> (Option<SimTime>, SimTime) {
-        let policy = self.resilience.as_ref().expect("resilient path").policy;
+        let (src_host, dst_host) = (self.hosts[src as usize], self.hosts[dst as usize]);
+        if src_host == dst_host {
+            let arrive = depart + SimTime::from_secs_f64(bytes as f64 / self.cfg.intra_node_bw);
+            return (Some(arrive), depart);
+        }
         let mut attempt = 0u32;
         let mut when = depart;
         loop {
             match self.fabric.try_send(src_host, dst_host, bytes, when) {
                 Ok(arrive) => return (Some(arrive), when),
-                Err(_) => {
-                    let res = self.resilience.as_mut().expect("resilient path");
-                    if attempt >= policy.max_retries {
-                        res.stats.timeouts += 1;
+                Err(MbError::Dropped { .. }) => {
+                    if attempt >= self.policy.max_retries {
+                        self.stats.timeouts += 1;
                         if self.cfg.tracing {
                             self.trace.push_event(src, when, "mpi_timeout", dst as u64);
                         }
                         return (None, when);
                     }
-                    res.stats.retries += 1;
+                    self.stats.retries += 1;
                     if self.cfg.tracing {
                         self.trace
                             .push_event(src, when, "mpi_retry", (attempt + 1) as u64);
                     }
-                    when += policy.backoff_before(attempt);
+                    when += self.policy.backoff_before(attempt);
                     attempt += 1;
                 }
+                Err(e) => panic!("{e}"),
             }
+        }
+    }
+
+    /// Records one delivered message in the trace, if tracing.
+    fn record(
+        &mut self,
+        src: u32,
+        dst: u32,
+        send_time: SimTime,
+        recv_time: SimTime,
+        bytes: u64,
+        collective: Option<(CollectiveKind, u64)>,
+    ) {
+        if self.cfg.tracing {
+            self.trace.push_comm(CommRecord {
+                src,
+                dst,
+                send_time,
+                recv_time,
+                bytes,
+                collective,
+            });
         }
     }
 
@@ -431,6 +390,10 @@ impl Comm {
         self.exchange_tagged(messages, None);
     }
 
+    /// [`Comm::exchange`] with a collective tag on every message.
+    /// Messages touching a crashed rank are skipped, and a timed-out
+    /// message never advances its receiver; crashed ranks' clocks stay
+    /// frozen.
     fn exchange_tagged(
         &mut self,
         messages: &[(u32, u32, u64)],
@@ -441,96 +404,30 @@ impl Comm {
             assert!(src < n && dst < n, "rank range");
             assert!(src != dst, "exchange messages must cross ranks");
         }
-        if self.resilience.is_some() {
-            self.exchange_resilient(messages, coll);
-            return;
-        }
+        self.refresh_crashes();
         let entry: Vec<SimTime> = self.clock.clone();
         let mut sends_posted = vec![0u64; n as usize];
         let mut recv_latest: Vec<SimTime> = entry.clone();
         let mut send_latest: Vec<SimTime> = entry.clone();
         for &(src, dst, bytes) in messages {
-            let depart = entry[src as usize]
-                + self.cfg.per_message_overhead * (sends_posted[src as usize] + 1);
-            sends_posted[src as usize] += 1;
-            send_latest[src as usize] = send_latest[src as usize].max(depart);
-            let (src_host, dst_host) = (self.hosts[src as usize], self.hosts[dst as usize]);
-            let arrive = if src_host == dst_host {
-                depart + SimTime::from_secs_f64(bytes as f64 / self.cfg.intra_node_bw)
-            } else {
-                self.fabric.send(src_host, dst_host, bytes, depart)
-            };
-            let recv_done = arrive + self.cfg.per_message_overhead;
-            recv_latest[dst as usize] = recv_latest[dst as usize].max(recv_done);
-            if self.cfg.tracing {
-                self.trace.push_comm(CommRecord {
-                    src,
-                    dst,
-                    send_time: depart,
-                    recv_time: recv_done,
-                    bytes,
-                    collective: coll,
-                });
-            }
-        }
-        for r in 0..n as usize {
-            self.clock[r] = send_latest[r].max(recv_latest[r]);
-        }
-    }
-
-    /// [`Comm::exchange_tagged`] under a fault plan: messages touching a
-    /// crashed rank are skipped, dropped messages retransmit with
-    /// backoff, and timed-out messages never advance their receiver.
-    /// Crashed ranks' clocks stay frozen.
-    fn exchange_resilient(
-        &mut self,
-        messages: &[(u32, u32, u64)],
-        coll: Option<(CollectiveKind, u64)>,
-    ) {
-        let n = self.cfg.ranks;
-        for r in 0..n {
-            self.refresh_crash(r);
-        }
-        let entry: Vec<SimTime> = self.clock.clone();
-        let mut sends_posted = vec![0u64; n as usize];
-        let mut recv_latest: Vec<SimTime> = entry.clone();
-        let mut send_latest: Vec<SimTime> = entry.clone();
-        for &(src, dst, bytes) in messages {
-            if !self.is_alive(src) || !self.is_alive(dst) {
-                let res = self.resilience.as_mut().expect("resilient path");
-                res.stats.skipped_messages += 1;
+            if !self.alive[src as usize] || !self.alive[dst as usize] {
+                self.stats.skipped_messages += 1;
                 continue;
             }
             let depart = entry[src as usize]
                 + self.cfg.per_message_overhead * (sends_posted[src as usize] + 1);
             sends_posted[src as usize] += 1;
-            let (src_host, dst_host) = (self.hosts[src as usize], self.hosts[dst as usize]);
-            let (arrive, sender_done) = if src_host == dst_host {
-                let a = depart + SimTime::from_secs_f64(bytes as f64 / self.cfg.intra_node_bw);
-                (Some(a), depart)
-            } else {
-                self.send_with_retry(src, dst, src_host, dst_host, bytes, depart)
-            };
+            let (arrive, sender_done) = self.deliver(src, dst, bytes, depart);
             send_latest[src as usize] = send_latest[src as usize].max(sender_done);
             if let Some(arrive) = arrive {
                 let recv_done = arrive + self.cfg.per_message_overhead;
                 recv_latest[dst as usize] = recv_latest[dst as usize].max(recv_done);
-                if self.cfg.tracing {
-                    self.trace.push_comm(CommRecord {
-                        src,
-                        dst,
-                        send_time: depart,
-                        recv_time: recv_done,
-                        bytes,
-                        collective: coll,
-                    });
-                }
+                self.record(src, dst, depart, recv_done, bytes, coll);
             }
         }
-        for r in 0..n {
-            if self.is_alive(r) {
-                let i = r as usize;
-                self.clock[i] = send_latest[i].max(recv_latest[i]);
+        for r in 0..n as usize {
+            if self.alive[r] {
+                self.clock[r] = send_latest[r].max(recv_latest[r]);
             }
         }
     }
@@ -593,14 +490,14 @@ impl Comm {
             return;
         }
         let id = self.bump_op();
-        // Healthy chain: root, root+1, …; under crashes the chain
+        // The chain root, root+1, … over the survivors: under crashes it
         // re-closes around the dead ranks so the payload still reaches
         // every survivor.
-        let chain: Vec<u32> = if self.any_rank_dead() {
-            (0..n).map(|i| (root + i) % n).filter(|&r| self.is_alive(r)).collect()
-        } else {
-            (0..n).map(|i| (root + i) % n).collect()
-        };
+        self.refresh_crashes();
+        let chain: Vec<u32> = (0..n)
+            .map(|i| (root + i) % n)
+            .filter(|&r| self.is_alive(r))
+            .collect();
         if chain.len() < 2 {
             return;
         }
@@ -649,24 +546,20 @@ impl Comm {
         }
     }
 
-    /// The ring schedule: healthy, every rank sends to its successor for
-    /// `p−1` steps; under crashes the ring re-closes around the
-    /// survivors and runs `survivors−1` steps.
+    /// The ring schedule: every survivor sends to its successor among
+    /// the survivors for `survivors−1` steps — with every rank alive,
+    /// rank `r` to `r+1` for `p−1` steps; under crashes the ring
+    /// re-closes around the gap.
     fn ring_schedule(&mut self, bytes: u64) -> (Vec<(u32, u32, u64)>, u32) {
-        let n = self.cfg.ranks;
-        if self.any_rank_dead() {
-            let alive = self.alive_ranks();
-            if alive.len() < 2 {
-                return (Vec::new(), 0);
-            }
-            let msgs = (0..alive.len())
-                .map(|i| (alive[i], alive[(i + 1) % alive.len()], bytes))
-                .collect();
-            (msgs, alive.len() as u32 - 1)
-        } else {
-            let msgs = (0..n).map(|r| (r, (r + 1) % n, bytes)).collect();
-            (msgs, n - 1)
+        self.refresh_crashes();
+        let alive = self.alive_ranks();
+        if alive.len() < 2 {
+            return (Vec::new(), 0);
         }
+        let msgs = (0..alive.len())
+            .map(|i| (alive[i], alive[(i + 1) % alive.len()], bytes))
+            .collect();
+        (msgs, alive.len() as u32 - 1)
     }
 
     /// All-gather via the ring algorithm: in each of `p−1` steps every
@@ -1063,41 +956,14 @@ mod tests {
 
     #[test]
     fn try_new_surfaces_config_errors_as_values() {
-        let err = Comm::try_new(tibidabo_fabric(2), CommConfig::tibidabo(16)).unwrap_err();
-        assert!(err.to_string().contains("fabric has"), "{err}");
-        let err = Comm::try_new(tibidabo_fabric(2), CommConfig::tibidabo(0)).unwrap_err();
-        assert!(err.to_string().contains("at least one rank"), "{err}");
-    }
-
-    #[test]
-    fn resilient_with_empty_plan_is_bit_identical() {
-        use mb_faults::{FaultConfig, FaultPlan};
-        let workload = |c: &mut Comm| {
-            c.compute_all(SimTime::from_micros(200));
-            c.bcast(0, 256 * 1024);
-            c.allreduce_ring(1 << 20);
-            c.exchange(&[(0, 5, 40_000), (5, 0, 40_000), (2, 7, 40_000)]);
-            c.alltoall(8192);
-            c.barrier();
+        // `Comm::resilient` is the fallible constructor.
+        let try_new = |cfg| {
+            Comm::resilient(tibidabo_fabric(2), cfg, FaultPlan::default(), RetryPolicy::tibidabo())
         };
-        let mut plain = comm(4, 8);
-        workload(&mut plain);
-        let fabric = tibidabo_fabric(4);
-        let topo = fabric.network().fault_topology(8);
-        let empty = FaultPlan::generate(1, &FaultConfig::none(), &topo);
-        let mut res = Comm::resilient(
-            fabric,
-            CommConfig::tibidabo(8),
-            empty,
-            RetryPolicy::tibidabo(),
-        )
-        .unwrap();
-        workload(&mut res);
-        for r in 0..8 {
-            assert_eq!(plain.clock(r), res.clock(r), "rank {r} diverged");
-        }
-        assert_eq!(res.resilience_stats(), ResilienceStats::default());
-        assert_eq!(res.surviving_ranks(), 8);
+        let err = try_new(CommConfig::tibidabo(16)).unwrap_err();
+        assert!(err.to_string().contains("fabric has"), "{err}");
+        let err = try_new(CommConfig::tibidabo(0)).unwrap_err();
+        assert!(err.to_string().contains("at least one rank"), "{err}");
     }
 
     #[test]

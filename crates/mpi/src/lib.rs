@@ -16,8 +16,10 @@
 //! * optional tracing: every message becomes an `mb-trace`
 //!   [`mb_trace::record::CommRecord`], collectives tagged with an op id,
 //!   compute phases recorded as states — ready for the Figure 4 analysis;
-//! * fault tolerance ([`resilience`]): [`comm::Comm::resilient`]
-//!   installs an `mb-faults` plan — dropped messages retransmit with
+//! * fault tolerance ([`resilience`]): every communicator runs one
+//!   fault-aware path, and [`comm::Comm::resilient`] installs the
+//!   `mb-faults` plan it reacts to (`Comm::new` installs the empty
+//!   one) — dropped messages retransmit with
 //!   bounded exponential backoff, crashed ranks drop out and collectives
 //!   shrink to the survivors, every retry/timeout/crash emitted as a
 //!   trace event so delay analysis can attribute stalls to faults.

@@ -1,8 +1,9 @@
-//! Retry policy, resilience bookkeeping and degraded-mode state.
+//! Retry policy and resilience counters.
 //!
-//! Installed into a [`crate::Comm`] by [`crate::Comm::resilient`]. The
-//! communicator reacts to injected faults the way a production MPI-like
-//! runtime on flaky hardware must:
+//! Every [`crate::Comm`] reacts to the fault plan its fabric carries
+//! (installed by [`crate::Comm::resilient`]; [`crate::Comm::new`]
+//! installs the empty plan, under which nothing below ever fires) the
+//! way a production MPI-like runtime on flaky hardware must:
 //!
 //! * dropped messages are retransmitted with bounded exponential
 //!   backoff ([`RetryPolicy`]), each attempt visible as an `mpi_retry`
@@ -15,7 +16,6 @@
 //! * everything is counted in [`ResilienceStats`] so experiment reports
 //!   can state *how degraded* a completed run was.
 
-use mb_faults::FaultPlan;
 use mb_simcore::time::SimTime;
 
 /// Bounded exponential backoff for retransmissions.
@@ -55,7 +55,8 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Counters describing how degraded a completed run was.
+/// Counters describing how degraded a completed run was. They add up
+/// across runs: `Sum` folds a campaign's per-point counters into one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResilienceStats {
     /// Retransmissions performed.
@@ -68,14 +69,15 @@ pub struct ResilienceStats {
     pub crashed_ranks: u32,
 }
 
-/// Per-communicator resilience state (plan copy for crash/straggler
-/// queries, liveness map, counters).
-#[derive(Debug)]
-pub(crate) struct Resilience {
-    pub(crate) plan: FaultPlan,
-    pub(crate) policy: RetryPolicy,
-    pub(crate) alive: Vec<bool>,
-    pub(crate) stats: ResilienceStats,
+impl std::iter::Sum for ResilienceStats {
+    fn sum<I: Iterator<Item = ResilienceStats>>(iter: I) -> Self {
+        iter.fold(ResilienceStats::default(), |a, b| ResilienceStats {
+            retries: a.retries + b.retries,
+            timeouts: a.timeouts + b.timeouts,
+            skipped_messages: a.skipped_messages + b.skipped_messages,
+            crashed_ranks: a.crashed_ranks + b.crashed_ranks,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -133,11 +133,9 @@ pub struct Fabric {
     stats: FabricStats,
     rng: Xoshiro256,
     seed: u64,
-    // Injected faults; `None` keeps the hot path free of fault checks
-    // (empty plans are never installed). Switch ordinals are precomputed
-    // because plans address switches by creation order, not NodeId.
-    faults: Option<FaultPlan>,
-    switch_ordinals: BTreeMap<NodeId, u32>,
+    // Injected faults; empty unless a plan is installed, and an empty
+    // plan's queries are neutral (no RNG draw, no float round-trip).
+    faults: FaultPlan,
 }
 
 impl Fabric {
@@ -153,8 +151,7 @@ impl Fabric {
             stats: FabricStats::default(),
             rng: Xoshiro256::seed_from(seed),
             seed,
-            faults: None,
-            switch_ordinals: BTreeMap::new(),
+            faults: FaultPlan::default(),
         }
     }
 
@@ -166,29 +163,18 @@ impl Fabric {
         self
     }
 
-    /// Installs a fault plan, builder-style. Empty plans are discarded,
-    /// so a zero-fault fabric takes the exact same code path (and
-    /// produces the exact same bits) as one that never heard of faults.
+    /// Installs a fault plan, builder-style. An empty plan is neutral:
+    /// it never draws from the hiccup stream or stretches a transfer, so
+    /// the fabric produces the same bits as one that never heard of
+    /// faults.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        if plan.is_empty() {
-            self.faults = None;
-            self.switch_ordinals.clear();
-        } else {
-            self.switch_ordinals = self
-                .network
-                .switches()
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, i as u32))
-                .collect();
-            self.faults = Some(plan);
-        }
+        self.faults = plan;
         self
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
+    /// The installed fault plan (empty when none was installed).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.faults
     }
 
     /// The underlying network.
@@ -267,23 +253,19 @@ impl Fabric {
                 .unwrap_or(SimTime::ZERO);
             let mut start = head_available.max(free);
             self.stats.queueing_ns += start.saturating_sub(head_available).as_nanos();
-            if let Some(plan) = &self.faults {
-                // An outage holds the message at the hop until the link
-                // comes back; the wait is attributed to the fault, not
-                // to congestion queueing.
-                if let Some(until) = plan.link_blocked_until(link_id.0, start) {
-                    self.stats.fault_stall_ns += until.saturating_sub(start).as_nanos();
-                    start = start.max(until);
-                }
+            // An outage holds the message at the hop until the link comes
+            // back; the wait is attributed to the fault, not to
+            // congestion queueing.
+            if let Some(until) = self.faults.link_blocked_until(link_id.0, start) {
+                self.stats.fault_stall_ns += until.saturating_sub(start).as_nanos();
+                start = start.max(until);
             }
             let mut tx = link.spec.transmit_time(bytes);
             let mut chunk_tx = link.spec.transmit_time(chunk);
-            if let Some(plan) = &self.faults {
-                let factor = plan.link_degrade_factor(link_id.0, start);
-                if factor != 1.0 {
-                    tx = scale_by_inverse(tx, factor);
-                    chunk_tx = scale_by_inverse(chunk_tx, factor);
-                }
+            let factor = self.faults.link_degrade_factor(link_id.0, start);
+            if factor != 1.0 {
+                tx = scale_by_inverse(tx, factor);
+                chunk_tx = scale_by_inverse(chunk_tx, factor);
             }
             if retransmit {
                 tx = tx * 2;
@@ -297,22 +279,19 @@ impl Fabric {
 
             // Buffer accounting at the receiving switch.
             let to = link.to;
-            if self.network.is_switch(to) {
-                if let Some(plan) = &self.faults {
-                    // A faulted switch eats the message outright. The
-                    // draw comes from the fabric's seeded stream and only
-                    // happens inside an active drop window, so runs
-                    // without fault windows never consume it.
-                    let ordinal = self.switch_ordinals.get(&to).copied().unwrap_or(0);
-                    let p = plan.switch_drop_probability(ordinal, arrival);
-                    if p > 0.0 && self.rng.gen_bool(p) {
-                        self.stats.fault_drops += 1;
-                        return Err(MbError::Dropped {
-                            src: src.0,
-                            dst: dst.0,
-                            at_ns: arrival.as_nanos(),
-                        });
-                    }
+            if let Some(ordinal) = self.network.switch_ordinal(to) {
+                // A faulted switch eats the message outright. The draw
+                // comes from the fabric's seeded stream and only happens
+                // inside an active drop window, so runs without fault
+                // windows never consume it.
+                let p = self.faults.switch_drop_probability(ordinal, arrival);
+                if p > 0.0 && self.rng.gen_bool(p) {
+                    self.stats.fault_drops += 1;
+                    return Err(MbError::Dropped {
+                        src: src.0,
+                        dst: dst.0,
+                        at_ns: arrival.as_nanos(),
+                    });
                 }
                 if let Some(model) = self.switch_model {
                     if model.hiccup_probability > 0.0
@@ -349,8 +328,9 @@ impl Fabric {
     }
 }
 
-/// Stretches a duration by `1 / factor` (fault path only: the zero-fault
-/// path never round-trips times through floats).
+/// Stretches a duration by `1 / factor` (degraded links only: a healthy
+/// link's factor is exactly `1.0`, so its times never round-trip through
+/// floats).
 fn scale_by_inverse(t: SimTime, factor: f64) -> SimTime {
     SimTime::from_nanos((t.as_nanos() as f64 / factor).round() as u64)
 }
@@ -476,23 +456,6 @@ mod tests {
         f.reset();
         let b = f.send(h[0], h[1], 1000, SimTime::ZERO);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_fault_try_send_matches_send_bitwise() {
-        use mb_faults::{FaultConfig, FaultPlan};
-        let (mut plain, h) = star(4, Some(SwitchModel::commodity_gbe()));
-        let topo = plain.network().fault_topology(4);
-        let empty = FaultPlan::generate(9, &FaultConfig::none(), &topo);
-        let (faulted, _) = star(4, Some(SwitchModel::commodity_gbe()));
-        let mut faulted = faulted.with_faults(empty);
-        assert!(faulted.fault_plan().is_none(), "empty plans are discarded");
-        for i in 1..4 {
-            let a = plain.send(h[0], h[i], 700_000, SimTime::ZERO);
-            let b = faulted.try_send(h[0], h[i], 700_000, SimTime::ZERO).unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(plain.stats(), faulted.stats());
     }
 
     #[test]

@@ -72,7 +72,8 @@ impl LinkSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeKind {
     Host,
-    Switch,
+    /// A switch and its creation-order ordinal among the switches.
+    Switch(u32),
 }
 
 /// A directed link record.
@@ -113,7 +114,7 @@ impl Network {
         self.adjacency.push(Vec::new());
         match kind {
             NodeKind::Host => self.hosts.push(id),
-            NodeKind::Switch => self.switches.push(id),
+            NodeKind::Switch(_) => self.switches.push(id),
         }
         id
     }
@@ -125,7 +126,7 @@ impl Network {
 
     /// Adds a switch.
     pub fn add_switch(&mut self) -> NodeId {
-        self.add_node(NodeKind::Switch)
+        self.add_node(NodeKind::Switch(self.switches.len() as u32))
     }
 
     /// Connects two nodes with a full-duplex link (two directed links of
@@ -182,7 +183,16 @@ impl Network {
 
     /// Whether the node is a switch.
     pub fn is_switch(&self, id: NodeId) -> bool {
-        matches!(self.kinds[id.0 as usize], NodeKind::Switch)
+        self.switch_ordinal(id).is_some()
+    }
+
+    /// The switch's creation-order ordinal — how fault plans and the
+    /// name table address it — or `None` for a host.
+    pub(crate) fn switch_ordinal(&self, id: NodeId) -> Option<u32> {
+        match self.kinds[id.0 as usize] {
+            NodeKind::Switch(ordinal) => Some(ordinal),
+            NodeKind::Host => None,
+        }
     }
 
     /// Shortest-path route (fewest hops; BFS with deterministic
@@ -258,17 +268,15 @@ impl Network {
     ///
     /// Panics if the id is out of range.
     pub fn node_name(&self, id: NodeId) -> String {
-        // Both per-kind lists are ascending (ids are handed out in
-        // creation order), so the ordinal is a binary search away.
+        // The host list is ascending (ids are handed out in creation
+        // order), so a host's ordinal is a binary search away; a switch
+        // carries its own.
         match self.kinds[id.0 as usize] {
             NodeKind::Host => {
                 let i = self.hosts.binary_search(&id).expect("host is listed");
                 format!("host{i}")
             }
-            NodeKind::Switch => {
-                let j = self.switches.binary_search(&id).expect("switch is listed");
-                format!("sw{j}")
-            }
+            NodeKind::Switch(j) => format!("sw{j}"),
         }
     }
 

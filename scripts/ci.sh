@@ -40,7 +40,7 @@ echo "==> fault-injection smoke (degraded-but-completed Figure 3)"
 cargo run --release -p mb-bench --bin fault_ablation -- --quick
 
 echo "==> figure renderer smoke (the bins that render the folded reports)"
-for bin in fig3_scaling fig5_rt_scheduling fig7_magicfilter table2_single_node; do
+for bin in fig3_scaling fig4_bigdft_trace fig5_rt_scheduling fig7_magicfilter table2_single_node ablations; do
     cargo run --release -q -p mb-bench --bin "$bin" -- --quick > /dev/null
 done
 
