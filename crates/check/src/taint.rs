@@ -356,6 +356,7 @@ pub const HOT_ROOTS: &[&str] = &[
     "montblanc::fig3::measure_scaling_slot",
     "montblanc::fig3::measure_faulted_slot",
     "montblanc::fig5::SlotMeasurer::measure",
+    "montblanc::fig7::SlotMeasurer::measure",
     "montblanc::fig7::measure_slot",
     "montblanc::table2::measure_cell",
 ];

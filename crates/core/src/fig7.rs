@@ -14,10 +14,12 @@
 
 use crate::platform::Platform;
 use mb_cpu::counters::Counter;
-use mb_cpu::exec_model::ModelExec;
+use mb_cpu::exec_model::{Checkpoint, ModelExec};
 use mb_cpu::ops::Exec;
-use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
+use mb_kernels::magicfilter::{apply_loop_groups, loop_bookkeeping, Grid3, MagicfilterWorkspace};
 use mb_tuner::analysis::{staircase_steps, sweet_spot, SweetSpot};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the Figure 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,10 +100,23 @@ impl Fig7Report {
     }
 }
 
+/// Slot labels of the sweep's machines, in slot order.
+const MACHINES: [&str; 2] = ["nehalem", "tegra2"];
+
+/// The platform of machine `machine` (an index into [`MACHINES`]).
+fn platform(machine: usize) -> Platform {
+    match machine {
+        0 => Platform::xeon_x5550(),
+        _ => Platform::tegra2_node(),
+    }
+}
+
 /// Costs one unroll variant of the magicfilter on `exec` ("compiling for
 /// the target"): the unroll degree feeds the MLP hint and, beyond the
 /// target's register budget, spill traffic — the same conventions as
-/// `mb_kernels::membench::run_model`.
+/// `mb_kernels::membench::run_model`. This is the slow oracle of
+/// [`SlotMeasurer::measure`]: it streams the whole kernel through a
+/// reset executor.
 pub fn measure_variant(
     grid: &Grid3,
     unroll: u32,
@@ -109,24 +124,27 @@ pub fn measure_variant(
     ws: &mut MagicfilterWorkspace,
 ) -> Fig7Point {
     exec.reset();
+    ws.apply(grid, unroll, exec);
+    finish_variant(grid, unroll, exec)
+}
+
+/// The part of a variant that follows the kernel: the unroll degree's
+/// hints and register spills, then the counters.
+fn finish_variant(grid: &Grid3, unroll: u32, exec: &mut ModelExec) -> Fig7Point {
     exec.set_mlp_hint(unroll);
     exec.set_prefetch_hint(0.8); // regular but transposing pattern
-    ws.apply(grid, unroll, exec);
-    let spills = unroll.saturating_sub(exec.model().unroll_register_limit);
+    let spills = unroll.saturating_sub(exec.model().unroll_register_limit) as u64;
     if spills > 0 {
         // The unrolled accumulators spill inside the 16-tap loop: one
         // stack round-trip per excess register per tap per group —
         // 3 passes × (points / unroll) groups × 16 taps.
-        let groups = (3 * grid.len() as u64) / unroll as u64;
+        let taps = (3 * grid.len() as u64) / unroll as u64 * 16;
         let stack_base = (grid.len() as u64 * 8 + 8192) & !4095;
-        for g in 0..groups {
-            for _tap in 0..16u32 {
-                for s in 0..spills as u64 {
-                    let addr = stack_base + (s % 16) * 8;
-                    exec.store(addr, 8);
-                    exec.load(addr, 8);
-                    let _ = g;
-                }
+        for _ in 0..taps {
+            for s in 0..spills {
+                let addr = stack_base + (s % 16) * 8;
+                exec.store(addr, 8);
+                exec.load(addr, 8);
             }
         }
     }
@@ -138,22 +156,32 @@ pub fn measure_variant(
     }
 }
 
-/// Runs the Figure 7 experiment on both machines: [`measure_slot`]
-/// over every slot on the sweep worker pool, folded by [`assemble`].
-/// Each slot costs its variant on a fresh executor; `measure_variant`
-/// resets its executor on entry, so this is bit-identical to reusing
-/// one serially.
+/// Runs the Figure 7 experiment on both machines: one
+/// [`SlotMeasurer`] over every slot, folded by [`assemble`]. Each
+/// machine's variants are one sweep on the worker pool, so the workers
+/// share that machine's prelude and build it once.
 pub fn run(cfg: &Fig7Config) -> Fig7Report {
-    let tasks = (0..slot_count(cfg))
-        .map(|slot| (slot_label(cfg, slot), slot))
-        .collect();
-    let payloads = mb_simcore::par::sweep_labeled(0, tasks, |_, slot| measure_slot(cfg, slot));
-    assemble(cfg, &payloads)
+    assemble(cfg, &sweep(cfg, &SlotMeasurer::new(cfg)))
 }
 
-/// Folds one [`measure_slot`] payload per slot, in slot order, into the
-/// report: each machine's points, then the auto-tuning analysis of its
-/// curves (sweet spot of the cycles, staircases of the cache accesses).
+/// Measures every slot with `measurer`, one machine's slots after the
+/// other's.
+fn sweep(cfg: &Fig7Config, measurer: &SlotMeasurer) -> Vec<[f64; 2]> {
+    let per_machine = cfg.max_unroll as usize;
+    (0..MACHINES.len())
+        .flat_map(|machine| {
+            let tasks = (machine * per_machine..(machine + 1) * per_machine)
+                .map(|slot| (slot_label(cfg, slot), slot))
+                .collect();
+            mb_simcore::par::sweep_labeled(0, tasks, |_, slot| measurer.measure(slot))
+        })
+        .collect()
+}
+
+/// Folds one [`SlotMeasurer::measure`] payload per slot, in slot order,
+/// into the report: each machine's points, then the auto-tuning analysis
+/// of its curves (sweet spot of the cycles, staircases of the cache
+/// accesses).
 ///
 /// # Panics
 ///
@@ -181,50 +209,113 @@ pub fn assemble(cfg: &Fig7Config, payloads: &[[f64; 2]]) -> Fig7Report {
         }
     };
     Fig7Report {
-        nehalem: panel(Platform::xeon_x5550(), nehalem),
-        tegra2: panel(Platform::tegra2_node(), tegra2),
+        nehalem: panel(platform(0), nehalem),
+        tegra2: panel(platform(1), tegra2),
     }
 }
 
 /// Number of campaign slots: one per `(machine, unroll)` variant,
 /// Nehalem first (slots `0..max_unroll`), then Tegra2.
 pub fn slot_count(cfg: &Fig7Config) -> usize {
-    2 * cfg.max_unroll as usize
+    MACHINES.len() * cfg.max_unroll as usize
 }
 
-fn slot_machine(cfg: &Fig7Config, slot: usize) -> (Platform, u32) {
-    let unroll = (slot % cfg.max_unroll as usize) as u32 + 1;
-    let platform = if slot < cfg.max_unroll as usize {
-        Platform::xeon_x5550()
-    } else {
-        Platform::tegra2_node()
-    };
-    (platform, unroll)
+/// The machine index (into `MACHINES`) and unroll degree of `slot`.
+fn slot_machine(cfg: &Fig7Config, slot: usize) -> (usize, u32) {
+    let per_machine = cfg.max_unroll as usize;
+    (slot / per_machine, (slot % per_machine) as u32 + 1)
 }
 
 /// Human-readable label of campaign slot `slot`, e.g. `"nehalem-u9"`.
 pub fn slot_label(cfg: &Fig7Config, slot: usize) -> String {
-    let machine = if slot < cfg.max_unroll as usize {
-        "nehalem"
-    } else {
-        "tegra2"
-    };
-    let unroll = (slot % cfg.max_unroll as usize) + 1;
-    format!("{machine}-u{unroll}")
+    let (machine, unroll) = slot_machine(cfg, slot);
+    format!("{}-u{unroll}", MACHINES[machine])
 }
 
 /// Measures campaign slot `slot` alone and returns
 /// `[cycles, cache_accesses]` as f64 — the pair its point contributes
 /// to the digest stream (slot order *is* digest order: Nehalem's points
-/// then Tegra2's).
+/// then Tegra2's). A one-shot [`SlotMeasurer`]; sweeps share one.
 pub fn measure_slot(cfg: &Fig7Config, slot: usize) -> [f64; 2] {
-    let (platform, unroll) = slot_machine(cfg, slot);
-    let e = cfg.grid_edge;
-    let grid = Grid3::random(e, e, e, 0xF167);
-    let mut exec = platform.exec(1);
-    let mut ws = MagicfilterWorkspace::new();
-    let point = measure_variant(&grid, unroll, &mut exec, &mut ws);
-    [point.cycles as f64, point.cache_accesses as f64]
+    SlotMeasurer::new(cfg).measure(slot)
+}
+
+/// The Figure 7 slot measurer. The variants of one machine stream the
+/// same magicfilter accesses, FMAs and stores in the same order; only the
+/// loop bookkeeping (integer sums), the hints and the spill traffic
+/// after the kernel depend on the unroll degree. So the measurer costs a
+/// machine's stream once — its *prelude* — checkpoints the executor, and
+/// measures each variant by rolling the executor back in place, adding
+/// the variant's bookkeeping and finishing it as [`measure_variant`]
+/// does, bit for bit.
+///
+/// One executor is live at a time, for the machine measured last: a slot
+/// of the other machine drops it before building its own prelude, which
+/// keeps the resident set to one machine's touched cache pages. Slots
+/// measured in slot order build one prelude per machine; any order gives
+/// the same payloads.
+pub struct SlotMeasurer {
+    cfg: Fig7Config,
+    grid: Grid3,
+    live: Mutex<Option<Prelude>>,
+    preludes: AtomicUsize,
+}
+
+/// A machine's executor after the magicfilter stream, and its checkpoint.
+struct Prelude {
+    machine: usize,
+    exec: ModelExec,
+    checkpoint: Checkpoint,
+}
+
+impl SlotMeasurer {
+    /// Builds the grid every variant filters; preludes are built on
+    /// demand.
+    pub fn new(cfg: &Fig7Config) -> SlotMeasurer {
+        let e = cfg.grid_edge;
+        SlotMeasurer {
+            cfg: *cfg,
+            grid: Grid3::random(e, e, e, 0xF167),
+            live: Mutex::new(None),
+            preludes: AtomicUsize::new(0),
+        }
+    }
+
+    /// Measures slot `slot`: `[cycles, cache_accesses]` of its variant.
+    pub fn measure(&self, slot: usize) -> [f64; 2] {
+        let (machine, unroll) = slot_machine(&self.cfg, slot);
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        if live.as_ref().is_none_or(|p| p.machine != machine) {
+            // Drop the other machine's executor before allocating this one.
+            *live = None;
+            *live = Some(self.prelude(machine));
+        }
+        let Prelude { exec, checkpoint, .. } = live.as_mut().expect("prelude built above");
+        exec.rollback(checkpoint);
+        loop_bookkeeping(apply_loop_groups(&self.grid, unroll), exec);
+        let point = finish_variant(&self.grid, unroll, exec);
+        [point.cycles as f64, point.cache_accesses as f64]
+    }
+
+    /// Preludes built so far.
+    #[cfg(test)]
+    fn preludes(&self) -> usize {
+        self.preludes.load(Ordering::Relaxed)
+    }
+
+    /// Costs `machine`'s magicfilter stream on a fresh executor and
+    /// checkpoints it.
+    fn prelude(&self, machine: usize) -> Prelude {
+        self.preludes.fetch_add(1, Ordering::Relaxed);
+        let mut exec = platform(machine).exec(1);
+        MagicfilterWorkspace::new().apply_stream(&self.grid, &mut exec);
+        let checkpoint = exec.checkpoint();
+        Prelude {
+            machine,
+            exec,
+            checkpoint,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -307,10 +398,9 @@ mod tests {
 
     #[test]
     fn slot_decomposition_is_bit_identical_to_monolithic_run() {
-        // Every slot costs its variant on a fresh executor and
-        // workspace; one of each reused across a machine's whole sweep
-        // (the serial tuning loop) must count the same cycles and
-        // accesses.
+        // One executor and workspace reused across a machine's whole
+        // sweep (the serial tuning loop) must count the same cycles and
+        // accesses as the measurer's slots.
         let cfg = Fig7Config::quick();
         let r = run(&cfg);
         let e = cfg.grid_edge;
@@ -332,5 +422,56 @@ mod tests {
         }
         assert_eq!(slot_label(&cfg, 8), "nehalem-u9");
         assert_eq!(slot_label(&cfg, 16), "tegra2-u5");
+    }
+
+    #[test]
+    fn rolled_back_variants_match_the_oracle_in_any_order() {
+        // Every quick-grid slot, measured in slot order, in reverse and
+        // with the machines interleaved, against `measure_variant` on a
+        // fresh executor. The paper grid is covered by its pin.
+        let cfg = Fig7Config::quick();
+        let e = cfg.grid_edge;
+        let grid = Grid3::random(e, e, e, 0xF167);
+        let oracle: Vec<[f64; 2]> = (0..slot_count(&cfg))
+            .map(|slot| {
+                let (machine, unroll) = slot_machine(&cfg, slot);
+                let mut exec = platform(machine).exec(1);
+                let p = measure_variant(&grid, unroll, &mut exec, &mut MagicfilterWorkspace::new());
+                [p.cycles as f64, p.cache_accesses as f64]
+            })
+            .collect();
+        let n = slot_count(&cfg);
+        let per = cfg.max_unroll as usize;
+        let in_order: Vec<usize> = (0..n).collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let interleaved: Vec<usize> = (0..per).flat_map(|u| [u, per + u]).collect();
+        for (name, order, preludes) in [
+            ("slot order", in_order, 2),
+            ("reversed", reversed, 2),
+            ("interleaved", interleaved, n),
+        ] {
+            let measurer = SlotMeasurer::new(&cfg);
+            for &slot in &order {
+                let got = measurer.measure(slot);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    oracle[slot].map(f64::to_bits),
+                    "{name}: slot {} diverged from the oracle",
+                    slot_label(&cfg, slot)
+                );
+            }
+            assert_eq!(measurer.preludes(), preludes, "{name}: preludes built");
+        }
+    }
+
+    #[test]
+    fn run_builds_one_prelude_per_machine_at_any_thread_count() {
+        let cfg = Fig7Config::quick();
+        for threads in [1, 4] {
+            let measurer = SlotMeasurer::new(&cfg);
+            let payloads = mb_simcore::par::with_threads(threads, || sweep(&cfg, &measurer));
+            assert_eq!(payloads.len(), slot_count(&cfg));
+            assert_eq!(measurer.preludes(), MACHINES.len(), "{threads} threads");
+        }
     }
 }

@@ -39,8 +39,18 @@
 //! and when a page table is installed), so the chunk's trailing accesses
 //! are TLB hits on the same page and L1 last-line-memo hits, charged in
 //! closed form. The result is bit-identical to reporting each access.
+//!
+//! ## Checkpoints
+//!
+//! [`ModelExec::checkpoint`] captures the sink's state after a run and
+//! [`ModelExec::rollback`] returns to it in place, so many variants that
+//! share a long prefix pay for the prefix once (Figure 7's unroll sweep
+//! replays one magicfilter stream per machine). The hierarchy is kept as
+//! a compact image of its valid ways; a rollback clears only the cache
+//! pages in use and allocates nothing. `tests/checkpoint_equivalence.rs`
+//! holds it to a fresh sink fed the prefix and the variant.
 
-use mb_mem::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
+use mb_mem::hierarchy::{Hierarchy, HierarchyConfig, HierarchyImage, HitLevel};
 use mb_mem::pages::PageTable;
 use mb_mem::tlb::{Tlb, TlbConfig};
 use mb_simcore::time::{Cycles, SimTime};
@@ -100,7 +110,16 @@ pub struct ModelExec {
     sample_rate: u32,
     page_table: Option<PageTable>,
 
-    // Accumulators.
+    tally: Tally,
+    mlp_hint: u32,
+    prefetch_hint: f64,
+}
+
+/// The evidence a [`ModelExec`] accumulates between [`ModelExec::reset`]
+/// and [`ModelExec::finish`], apart from the hierarchy and TLB state and
+/// the hints.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
     counts: OpCounts,
     flop_cycles: f64,
     access_index: u64,
@@ -112,6 +131,18 @@ pub struct ModelExec {
     sampled_l2_misses: u64,
     sampled_tlb_misses: u64,
     wide_accesses: u64,
+}
+
+/// The whole mutable state of a [`ModelExec`] at one point — the
+/// hierarchy image, the TLB, every accumulator and both hints — taken
+/// by [`ModelExec::checkpoint`] and rolled back to by
+/// [`ModelExec::rollback`]. The model, sample rate and page table are
+/// configuration and are not part of it.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    hierarchy: HierarchyImage,
+    tlb: Tlb,
+    tally: Tally,
     mlp_hint: u32,
     prefetch_hint: f64,
 }
@@ -160,17 +191,7 @@ impl ModelExec {
             memory_fill_cost,
             sample_rate,
             page_table: None,
-            counts: OpCounts::default(),
-            flop_cycles: 0.0,
-            access_index: 0,
-            sampled_accesses: 0,
-            sampled_latency: 0,
-            sampled_fill_cycles: 0.0,
-            sampled_l1_misses: 0,
-            sampled_l2_accesses: 0,
-            sampled_l2_misses: 0,
-            sampled_tlb_misses: 0,
-            wide_accesses: 0,
+            tally: Tally::default(),
             mlp_hint: default_mlp,
             prefetch_hint: 0.0,
         }
@@ -306,10 +327,10 @@ impl ModelExec {
             "mem_access({addr:#x}): {bytes} B outside 1..=4096"
         );
         if bytes >= 16 {
-            self.wide_accesses += 1;
+            self.tally.wide_accesses += 1;
         }
         if self.sample_run(1).1 {
-            self.sampled_accesses += 1;
+            self.tally.sampled_accesses += 1;
             let tlb_hit = self.tlb.access(addr);
             let (lvl, lat) = self.hierarchy.access(self.route(addr));
             self.charge(tlb_hit, lvl, lat, is_store);
@@ -322,13 +343,13 @@ impl ModelExec {
     /// window is simulated (window 0 of every `sample_rate`).
     #[inline]
     fn sample_run(&mut self, n: u64) -> (u64, bool) {
-        let index = self.access_index;
+        let index = self.tally.access_index;
         if self.sample_rate == 1 {
-            self.access_index += n;
+            self.tally.access_index += n;
             return (n, true);
         }
         let taken = n.min(SAMPLE_WINDOW - index % SAMPLE_WINDOW);
-        self.access_index += taken;
+        self.tally.access_index += taken;
         let window = index / SAMPLE_WINDOW;
         (taken, window.is_multiple_of(self.sample_rate as u64))
     }
@@ -338,11 +359,11 @@ impl ModelExec {
     /// are TLB hits (a page spans at least one line) and L1
     /// last-line-memo hits at the L1 latency.
     fn line_run(&mut self, addr: u64, k: u64, is_store: bool) {
-        self.sampled_accesses += k;
+        self.tally.sampled_accesses += k;
         let tlb_hit = self.tlb.access_run(addr, k);
         let (lvl, lat) = self.hierarchy.access_run(self.route(addr), k);
         if !is_store {
-            self.sampled_latency += (k - 1) * self.l1_latency;
+            self.tally.sampled_latency += (k - 1) * self.l1_latency;
         }
         self.charge(tlb_hit, lvl, lat, is_store);
     }
@@ -352,35 +373,35 @@ impl ModelExec {
     #[inline]
     fn charge(&mut self, tlb_hit: bool, lvl: HitLevel, lat: u64, is_store: bool) {
         if !tlb_hit {
-            self.sampled_tlb_misses += 1;
-            self.sampled_latency += self.tlb_miss_penalty_cycles;
+            self.tally.sampled_tlb_misses += 1;
+            self.tally.sampled_latency += self.tlb_miss_penalty_cycles;
         }
         // Stores retire through the write buffer on both target cores:
         // they cost issue slots and fill bandwidth but never stall the
         // pipeline on a miss. Loads pay the full latency.
         if !is_store {
-            self.sampled_latency += lat;
+            self.tally.sampled_latency += lat;
         }
         // L1 is probed first, so anything but an L1 hit is an L1 miss
         // (and an L2 access).
         match lvl {
             HitLevel::Cache(0) => return,
-            HitLevel::Cache(i) => self.sampled_fill_cycles += self.fill_cost[i],
-            HitLevel::Memory => self.sampled_fill_cycles += self.memory_fill_cost,
+            HitLevel::Cache(i) => self.tally.sampled_fill_cycles += self.fill_cost[i],
+            HitLevel::Memory => self.tally.sampled_fill_cycles += self.memory_fill_cost,
         }
-        self.sampled_l1_misses += 1;
-        self.sampled_l2_accesses += 1;
+        self.tally.sampled_l1_misses += 1;
+        self.tally.sampled_l2_accesses += 1;
         if lvl != HitLevel::Cache(1) {
-            self.sampled_l2_misses += 1;
+            self.tally.sampled_l2_misses += 1;
         }
     }
 
     /// Scale factor from sampled events to estimated totals.
     fn scale(&self) -> f64 {
-        if self.sampled_accesses == 0 {
+        if self.tally.sampled_accesses == 0 {
             1.0
         } else {
-            self.access_index as f64 / self.sampled_accesses as f64
+            self.tally.access_index as f64 / self.tally.sampled_accesses as f64
         }
     }
 
@@ -396,27 +417,27 @@ impl ModelExec {
         // Branches occupy issue slots like simple ALU ops do; their
         // *misprediction* cost is charged separately below.
         let int_cycles =
-            (self.counts.int_ops + self.counts.branches) as f64 / m.int_ops_per_cycle;
-        let compute = self.flop_cycles + int_cycles;
+            (self.tally.counts.int_ops + self.tally.counts.branches) as f64 / m.int_ops_per_cycle;
+        let compute = self.tally.flop_cycles + int_cycles;
 
         // --- memory ---
-        let wide_extra = self.wide_accesses as f64 * (m.mem_penalty_128bit - 1.0);
-        let issue = (self.access_index as f64 + wide_extra) / m.mem_issue_per_cycle;
-        let est_total_latency = self.sampled_latency as f64 * scale;
-        let est_baseline = self.access_index as f64 * self.l1_latency as f64;
+        let wide_extra = self.tally.wide_accesses as f64 * (m.mem_penalty_128bit - 1.0);
+        let issue = (self.tally.access_index as f64 + wide_extra) / m.mem_issue_per_cycle;
+        let est_total_latency = self.tally.sampled_latency as f64 * scale;
+        let est_baseline = self.tally.access_index as f64 * self.l1_latency as f64;
         let stall_raw = (est_total_latency - est_baseline).max(0.0);
         let prefetch_hidden = (self.prefetch_hint * m.prefetch_efficiency).clamp(0.0, 1.0);
         let mlp = m.effective_mlp(self.mlp_hint);
         let stall = stall_raw * (1.0 - prefetch_hidden) / mlp;
         // Line-transfer occupancy is pure bandwidth: neither prefetching
         // nor MLP makes the wires wider.
-        let fill = self.sampled_fill_cycles * scale;
+        let fill = self.tally.sampled_fill_cycles * scale;
         let memory = issue.max(fill) + stall;
 
         // --- branches ---
-        let predictable = self.counts.branches - self.counts.unpredictable_branches;
+        let predictable = self.tally.counts.branches - self.tally.counts.unpredictable_branches;
         let expected_misses = predictable as f64 * (1.0 - m.predictable_accuracy)
-            + self.counts.unpredictable_branches as f64 * (1.0 - m.unpredictable_accuracy);
+            + self.tally.counts.unpredictable_branches as f64 * (1.0 - m.unpredictable_accuracy);
         let branch = expected_misses * m.branch_miss_penalty_cycles as f64;
 
         // --- combine ---
@@ -432,39 +453,39 @@ impl ModelExec {
         counters.set(Counter::TotalCycles, cycles.get());
         counters.set(
             Counter::TotalInstructions,
-            self.counts.flop_instructions
-                + self.counts.int_ops
-                + self.counts.loads
-                + self.counts.stores
-                + self.counts.branches,
+            self.tally.counts.flop_instructions
+                + self.tally.counts.int_ops
+                + self.tally.counts.loads
+                + self.tally.counts.stores
+                + self.tally.counts.branches,
         );
-        counters.set(Counter::FpOps, self.counts.total_flops());
-        counters.set(Counter::L1DataAccesses, self.access_index);
+        counters.set(Counter::FpOps, self.tally.counts.total_flops());
+        counters.set(Counter::L1DataAccesses, self.tally.access_index);
         counters.set(
             Counter::L1DataMisses,
-            (self.sampled_l1_misses as f64 * scale) as u64,
+            (self.tally.sampled_l1_misses as f64 * scale) as u64,
         );
         counters.set(
             Counter::L2DataAccesses,
-            (self.sampled_l2_accesses as f64 * scale) as u64,
+            (self.tally.sampled_l2_accesses as f64 * scale) as u64,
         );
         counters.set(
             Counter::L2DataMisses,
-            (self.sampled_l2_misses as f64 * scale) as u64,
+            (self.tally.sampled_l2_misses as f64 * scale) as u64,
         );
         counters.set(
             Counter::TlbDataMisses,
-            (self.sampled_tlb_misses as f64 * scale) as u64,
+            (self.tally.sampled_tlb_misses as f64 * scale) as u64,
         );
         counters.set(Counter::BranchMispredictions, expected_misses as u64);
-        counters.set(Counter::Loads, self.counts.loads);
-        counters.set(Counter::Stores, self.counts.stores);
+        counters.set(Counter::Loads, self.tally.counts.loads);
+        counters.set(Counter::Stores, self.tally.counts.stores);
 
         ExecReport {
             cycles,
             time,
             counters,
-            counts: self.counts,
+            counts: self.tally.counts,
             compute_cycles: compute,
             memory_cycles: memory,
             branch_cycles: branch,
@@ -476,17 +497,40 @@ impl ModelExec {
     pub fn reset(&mut self) {
         self.hierarchy.reset();
         self.tlb.reset();
-        self.counts = OpCounts::default();
-        self.flop_cycles = 0.0;
-        self.access_index = 0;
-        self.sampled_accesses = 0;
-        self.sampled_latency = 0;
-        self.sampled_fill_cycles = 0.0;
-        self.sampled_l1_misses = 0;
-        self.sampled_l2_accesses = 0;
-        self.sampled_l2_misses = 0;
-        self.sampled_tlb_misses = 0;
-        self.wide_accesses = 0;
+        self.tally = Tally::default();
+    }
+
+    /// Captures the sink's whole mutable state for [`ModelExec::rollback`].
+    /// The hierarchy part is a compact image of its valid ways, so a
+    /// checkpoint of a run that touched a small working set is small
+    /// however large the last-level cache is.
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            hierarchy: self.hierarchy.image(),
+            tlb: self.tlb.clone(),
+            tally: self.tally,
+            mlp_hint: self.mlp_hint,
+            prefetch_hint: self.prefetch_hint,
+        }
+    }
+
+    /// Rolls the sink back, in place, to `checkpoint`: every operation
+    /// reported afterwards costs exactly what it would have cost right
+    /// after the checkpoint was taken, and [`ModelExec::finish`] reports
+    /// what a fresh sink fed the checkpointed run plus those operations
+    /// reports. Allocates nothing and writes only pages the sink has
+    /// already touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checkpoint` was taken from a sink of another memory
+    /// geometry.
+    pub fn rollback(&mut self, checkpoint: &Checkpoint) {
+        self.hierarchy.restore(&checkpoint.hierarchy);
+        self.tlb.restore(&checkpoint.tlb);
+        self.tally = checkpoint.tally;
+        self.mlp_hint = checkpoint.mlp_hint;
+        self.prefetch_hint = checkpoint.prefetch_hint;
     }
 }
 
@@ -496,36 +540,36 @@ impl Exec for ModelExec {
         assert!(lanes >= 1, "flop({kind:?}, {prec:?}) with zero lanes");
         let flops = kind.flops() * lanes as u64;
         match prec {
-            Precision::F64 => self.counts.flops_f64 += flops,
-            Precision::F32 => self.counts.flops_f32 += flops,
+            Precision::F64 => self.tally.counts.flops_f64 += flops,
+            Precision::F32 => self.tally.counts.flops_f32 += flops,
         }
-        self.counts.flop_instructions += 1;
+        self.tally.counts.flop_instructions += 1;
         let rate = self.model.flop_rate(prec, lanes);
-        self.flop_cycles += flops as f64 / rate;
+        self.tally.flop_cycles += flops as f64 / rate;
         if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.counts.long_latency_flops += lanes as u64;
-            self.flop_cycles += self.model.long_latency_penalty_cycles * lanes as f64;
+            self.tally.counts.long_latency_flops += lanes as u64;
+            self.tally.flop_cycles += self.model.long_latency_penalty_cycles * lanes as f64;
         }
     }
 
     fn int_ops(&mut self, n: u64) {
-        self.counts.int_ops += n;
+        self.tally.counts.int_ops += n;
     }
 
     fn load(&mut self, addr: u64, bytes: u32) {
-        self.counts.add_mem(1, bytes, false);
+        self.tally.counts.add_mem(1, bytes, false);
         self.mem_access(addr, bytes, false);
     }
 
     fn store(&mut self, addr: u64, bytes: u32) {
-        self.counts.add_mem(1, bytes, true);
+        self.tally.counts.add_mem(1, bytes, true);
         self.mem_access(addr, bytes, true);
     }
 
     fn branch(&mut self, predictable: bool) {
-        self.counts.branches += 1;
+        self.tally.counts.branches += 1;
         if !predictable {
-            self.counts.unpredictable_branches += 1;
+            self.tally.counts.unpredictable_branches += 1;
         }
     }
 
@@ -536,22 +580,22 @@ impl Exec for ModelExec {
         // float orderings are each deterministic.)
         let flops = kind.flops() * lanes as u64;
         match prec {
-            Precision::F64 => self.counts.flops_f64 += flops * n,
-            Precision::F32 => self.counts.flops_f32 += flops * n,
+            Precision::F64 => self.tally.counts.flops_f64 += flops * n,
+            Precision::F32 => self.tally.counts.flops_f32 += flops * n,
         }
-        self.counts.flop_instructions += n;
+        self.tally.counts.flop_instructions += n;
         let rate = self.model.flop_rate(prec, lanes);
-        self.flop_cycles += n as f64 * (flops as f64 / rate);
+        self.tally.flop_cycles += n as f64 * (flops as f64 / rate);
         if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.counts.long_latency_flops += lanes as u64 * n;
-            self.flop_cycles += self.model.long_latency_penalty_cycles * (lanes as u64 * n) as f64;
+            self.tally.counts.long_latency_flops += lanes as u64 * n;
+            self.tally.flop_cycles += self.model.long_latency_penalty_cycles * (lanes as u64 * n) as f64;
         }
     }
 
     fn branch_run(&mut self, n: u64, predictable: bool) {
-        self.counts.branches += n;
+        self.tally.counts.branches += n;
         if !predictable {
-            self.counts.unpredictable_branches += n;
+            self.tally.counts.unpredictable_branches += n;
         }
     }
 
@@ -561,9 +605,9 @@ impl Exec for ModelExec {
             (1..=4096).contains(&bytes),
             "mem_run({base:#x}): {bytes} B outside 1..=4096"
         );
-        self.counts.add_mem(n, bytes, is_store);
+        self.tally.counts.add_mem(n, bytes, is_store);
         if bytes >= 16 {
-            self.wide_accesses += n;
+            self.tally.wide_accesses += n;
         }
         let line = self.l1_line_bytes;
         let mut i = 0;

@@ -118,10 +118,19 @@ pub fn magicfilter_pass<E: Exec>(
     unroll: u32,
     exec: &mut E,
 ) {
+    assert!(unroll >= 1, "unroll degree must be at least 1");
+    convolve(input, n, ndat, out, exec);
+    loop_bookkeeping(loop_groups(n, ndat, unroll), exec);
+}
+
+/// The body of [`magicfilter_pass`]: per output point, 16 tap loads, one
+/// batched FMA report and the transposed store, in `(i, j)` order. The
+/// unroll degree does not change this stream — an unrolled group runs
+/// its `unroll` points one after the other, each with an accumulator of
+/// its own — only how many loop groups it is cut into.
+fn convolve<E: Exec>(input: &[f64], n: usize, ndat: usize, out: &mut [f64], exec: &mut E) {
     assert_eq!(input.len(), n * ndat, "input size mismatch");
     assert_eq!(out.len(), n * ndat, "output size mismatch");
-    assert!(unroll >= 1, "unroll degree must be at least 1");
-    let u = unroll as usize;
     let in_base = 0u64;
     let out_base = (n * ndat * 8) as u64;
     for i in 0..n {
@@ -131,26 +140,51 @@ pub fn magicfilter_pass<E: Exec>(
         for (t, l) in (LOWFIL..=UPFIL).enumerate() {
             rows[t] = ((i as i64 + l).rem_euclid(n as i64)) as usize;
         }
-        let mut j = 0usize;
-        while j < ndat {
-            let jmax = (j + u).min(ndat);
-            // Unrolled body: `jmax - j` independent accumulators.
-            for jj in j..jmax {
-                let mut acc = 0.0f64;
-                for (t, &row) in rows.iter().enumerate() {
-                    exec.load(in_base + ((row * ndat + jj) * 8) as u64, 8);
-                    acc += MAGIC_FILTER[t] * input[row * ndat + jj];
-                }
-                // One batched report for the 16 uniform taps.
-                exec.flop_run(FlopKind::Fma, Precision::F64, 1, rows.len() as u64);
-                exec.store(out_base + ((jj * n + i) * 8) as u64, 8);
-                out[jj * n + i] = acc;
+        for j in 0..ndat {
+            let mut acc = 0.0f64;
+            for (t, &row) in rows.iter().enumerate() {
+                exec.load(in_base + ((row * ndat + j) * 8) as u64, 8);
+                acc += MAGIC_FILTER[t] * input[row * ndat + j];
             }
-            exec.int_ops(2); // loop bookkeeping per group
-            exec.branch(true);
-            j = jmax;
+            // One batched report for the 16 uniform taps.
+            exec.flop_run(FlopKind::Fma, Precision::F64, 1, rows.len() as u64);
+            exec.store(out_base + ((j * n + i) * 8) as u64, 8);
+            out[j * n + i] = acc;
         }
     }
+}
+
+/// Loop groups of one pass over an `(n, ndat)` view unrolled by
+/// `unroll`: each of the `n` rows cuts its `ndat` points into
+/// `⌈ndat / unroll⌉` groups, the last one short when `unroll` does not
+/// divide `ndat`.
+pub fn loop_groups(n: usize, ndat: usize, unroll: u32) -> u64 {
+    n as u64 * ndat.div_ceil(unroll as usize) as u64
+}
+
+/// Loop groups of the three passes of [`MagicfilterWorkspace::apply`]
+/// on `grid`: the sum of [`loop_groups`] over the three views.
+pub fn apply_loop_groups(grid: &Grid3, unroll: u32) -> u64 {
+    pass_views(grid)
+        .into_iter()
+        .map(|(n, ndat)| loop_groups(n, ndat, unroll))
+        .sum()
+}
+
+/// Reports the bookkeeping of `groups` loop groups: two integer ops (index
+/// and bound) and one taken branch per group. Sinks tally both as
+/// order-free integer sums, so reporting them in one batch costs exactly
+/// what one report per group costs.
+pub fn loop_bookkeeping<E: Exec>(groups: u64, exec: &mut E) {
+    exec.int_ops(2 * groups);
+    exec.branch_run(groups, true);
+}
+
+/// The `(n, ndat)` views of the three passes over `grid`: each pass
+/// convolves along the first axis and leaves it last.
+fn pass_views(grid: &Grid3) -> [(usize, usize); 3] {
+    let (d0, d1, d2) = (grid.d0, grid.d1, grid.d2);
+    [(d0, d1 * d2), (d1, d2 * d0), (d2, d0 * d1)]
 }
 
 /// Reusable ping-pong buffers for [`magicfilter_3d`]. Slot measurers
@@ -177,18 +211,30 @@ impl MagicfilterWorkspace {
     ///
     /// Panics if `unroll` is zero.
     pub fn apply<E: Exec>(&mut self, grid: &Grid3, unroll: u32, exec: &mut E) -> &[f64] {
-        let (d0, d1, d2) = (grid.d0, grid.d1, grid.d2);
-        let total = d0 * d1 * d2;
+        assert!(unroll >= 1, "unroll degree must be at least 1");
+        self.apply_stream(grid, exec);
+        loop_bookkeeping(apply_loop_groups(grid, unroll), exec);
+        &self.buf_a
+    }
+
+    /// [`apply`](Self::apply) without the loop bookkeeping: every load,
+    /// FMA report and store of the three passes, in the same order, and
+    /// the same result. This is the part of `apply` that no unroll
+    /// degree changes; `apply(grid, u, exec)` is this stream followed by
+    /// [`loop_bookkeeping`] of [`apply_loop_groups`]`(grid, u)`.
+    pub fn apply_stream<E: Exec>(&mut self, grid: &Grid3, exec: &mut E) -> &[f64] {
+        let total = grid.len();
         self.buf_a.clear();
         self.buf_a.resize(total, 0.0);
         self.buf_b.clear();
         self.buf_b.resize(total, 0.0);
+        let [(n1, ndat1), (n2, ndat2), (n3, ndat3)] = pass_views(grid);
         // Pass 1: view (d0, d1·d2) → (d1·d2, d0), i.e. shape (d1, d2, d0).
-        magicfilter_pass(&grid.data, d0, d1 * d2, &mut self.buf_a, unroll, exec);
+        convolve(&grid.data, n1, ndat1, &mut self.buf_a, exec);
         // Pass 2: view (d1, d2·d0) → shape (d2, d0, d1).
-        magicfilter_pass(&self.buf_a, d1, d2 * d0, &mut self.buf_b, unroll, exec);
+        convolve(&self.buf_a, n2, ndat2, &mut self.buf_b, exec);
         // Pass 3: view (d2, d0·d1) → shape (d0, d1, d2): home again.
-        magicfilter_pass(&self.buf_b, d2, d0 * d1, &mut self.buf_a, unroll, exec);
+        convolve(&self.buf_b, n3, ndat3, &mut self.buf_a, exec);
         &self.buf_a
     }
 
@@ -311,6 +357,50 @@ mod tests {
         // 16 loads + 1 store per point per pass.
         assert_eq!(count.counts().loads, 3 * 16 * 64);
         assert_eq!(count.counts().stores, 3 * 64);
+    }
+
+    #[test]
+    fn loop_groups_count_the_bookkeeping_apply_reports() {
+        // Non-cubic shapes whose pass views (5·7 = 35, 7·3 = 21, 3·5 =
+        // 15; 4·9 = 36, 9·11 = 99, 11·4 = 44) leave short last groups
+        // for most unroll degrees.
+        for (d0, d1, d2) in [(3, 5, 7), (11, 4, 9)] {
+            let g = Grid3::random(d0, d1, d2, 5);
+            for u in 1..=12u32 {
+                let mut count = CountingExec::new();
+                let _ = magicfilter_3d(&g, u, &mut count);
+                let c = count.counts();
+                // An independent count: walk each row's groups.
+                let walked: u64 = pass_views(&g)
+                    .iter()
+                    .map(|&(n, ndat)| n as u64 * (0..ndat).step_by(u as usize).count() as u64)
+                    .sum();
+                let groups = apply_loop_groups(&g, u);
+                assert_eq!(groups, walked, "{d0}x{d1}x{d2} u{u}");
+                assert_eq!(c.int_ops / 2, groups, "{d0}x{d1}x{d2} u{u}: int ops");
+                assert_eq!(c.branches, groups, "{d0}x{d1}x{d2} u{u}: branches");
+                let mut pass = CountingExec::new();
+                let mut out = vec![0.0; g.len()];
+                magicfilter_pass(&g.data, d0, d1 * d2, &mut out, u, &mut pass);
+                assert_eq!(pass.counts().branches, loop_groups(d0, d1 * d2, u));
+            }
+        }
+    }
+
+    #[test]
+    fn apply_is_its_stream_plus_the_bookkeeping() {
+        let g = Grid3::random(6, 5, 7, 11);
+        let mut ws = MagicfilterWorkspace::new();
+        let mut stream = CountingExec::new();
+        let streamed = ws.apply_stream(&g, &mut stream).to_vec();
+        for u in [1, 4, 9] {
+            let mut whole = CountingExec::new();
+            let applied = ws.apply(&g, u, &mut whole).to_vec();
+            assert_eq!(applied, streamed, "u{u}: same result");
+            let mut rest = stream;
+            loop_bookkeeping(apply_loop_groups(&g, u), &mut rest);
+            assert_eq!(whole.counts(), rest.counts(), "u{u}: same counts");
+        }
     }
 
     #[test]

@@ -132,6 +132,29 @@ impl AccessResult {
     }
 }
 
+/// A valid way in an image: `(slot, tag, stamp)`, the slot being
+/// `set * associativity + way`.
+pub(crate) type WayImage = (usize, u64, u64);
+
+/// One cache's share of a [`crate::hierarchy::HierarchyImage`]: its
+/// clock, statistics, RNG and last-line memo, plus the ranges its valid
+/// ways and non-zero PLRU words occupy in the image's shared buffers.
+#[derive(Debug, Clone)]
+pub(crate) struct CacheImage {
+    /// Geometry of the cache the image was taken from.
+    cfg: CacheConfig,
+    ways: std::ops::Range<usize>,
+    plru: std::ops::Range<usize>,
+    stats: CacheStats,
+    clock: u64,
+    rng: Xoshiro256,
+    last_line: Option<u64>,
+}
+
+/// Stamp and PLRU words per chunk that [`Cache::restore`] tests for zero
+/// before clearing: one 4 KiB page.
+const RESTORE_CHUNK: usize = 512;
+
 /// A set-associative cache.
 ///
 /// Addresses are byte addresses; the cache extracts set index and tag
@@ -366,6 +389,66 @@ impl Cache {
     pub fn contains(&self, addr: u64) -> bool {
         let (base, tag) = self.base_and_tag(addr >> self.line_shift);
         self.find(base, tag).is_some()
+    }
+
+    /// Appends the valid ways to `ways` and the non-zero PLRU words
+    /// `(set, bits)` to `plru`, and returns the rest of the state. The
+    /// image is compact: a cache that touched few of its sets costs few
+    /// entries, however large it is.
+    pub(crate) fn image(&self, ways: &mut Vec<WayImage>, plru: &mut Vec<(usize, u64)>) -> CacheImage {
+        let first_way = ways.len();
+        ways.extend(
+            (0..self.stamps.len())
+                .filter(|&i| self.stamps[i] != 0)
+                .map(|i| (i, self.tags[i], self.stamps[i])),
+        );
+        let first_word = plru.len();
+        plru.extend(self.plru.iter().copied().enumerate().filter(|&(_, w)| w != 0));
+        CacheImage {
+            cfg: self.cfg,
+            ways: first_way..ways.len(),
+            plru: first_word..plru.len(),
+            stats: self.stats,
+            clock: self.clock,
+            rng: self.rng,
+            last_line: self.last_line,
+        }
+    }
+
+    /// Rolls the cache back to `image` in place, `ways` and `plru` being
+    /// the buffers [`Cache::image`] appended to. Only the stamp and PLRU
+    /// chunks holding a non-zero word are cleared, so the pages of a
+    /// large, sparsely used cache that were never touched stay untouched
+    /// (and out of the resident set). Invalid ways keep stale tags, which
+    /// no lookup reads: a way is valid exactly when its stamp is
+    /// non-zero. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image was taken from a cache of another geometry.
+    pub(crate) fn restore(&mut self, image: &CacheImage, ways: &[WayImage], plru: &[(usize, u64)]) {
+        assert_eq!(image.cfg, self.cfg, "cache image of another geometry");
+        for chunk in self.stamps.chunks_mut(RESTORE_CHUNK) {
+            if chunk.iter().any(|&s| s != 0) {
+                chunk.fill(0);
+            }
+        }
+        for chunk in self.plru.chunks_mut(RESTORE_CHUNK) {
+            if chunk.iter().any(|&w| w != 0) {
+                chunk.fill(0);
+            }
+        }
+        for &(slot, tag, stamp) in &ways[image.ways.clone()] {
+            self.tags[slot] = tag;
+            self.stamps[slot] = stamp;
+        }
+        for &(set, bits) in &plru[image.plru.clone()] {
+            self.plru[set] = bits;
+        }
+        self.stats = image.stats;
+        self.clock = image.clock;
+        self.rng = image.rng;
+        self.last_line = image.last_line;
     }
 }
 

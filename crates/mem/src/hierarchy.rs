@@ -13,7 +13,7 @@
 //! * [`HierarchyConfig::snowball_a9500`] — 32 KB L1 / 512 KB shared L2;
 //! * [`HierarchyConfig::tegra2`] — 32 KB L1 / 1 MB shared L2.
 
-use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
+use crate::cache::{Cache, CacheConfig, CacheImage, CacheStats, Replacement, WayImage};
 
 /// One level of the hierarchy: geometry plus hit latency in cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -264,6 +264,64 @@ impl Hierarchy {
         self.total_cycles = 0;
         self.accesses = 0;
     }
+
+    /// A compact image of the hierarchy's state for [`Hierarchy::restore`]:
+    /// every level's valid ways, non-zero PLRU words, clock, statistics,
+    /// RNG and last-line memo, plus the hierarchy's own counters. Its size
+    /// follows the lines resident, not the capacity.
+    pub fn image(&self) -> HierarchyImage {
+        let mut ways = Vec::new();
+        let mut plru = Vec::new();
+        let caches = self
+            .levels
+            .iter()
+            .map(|(cache, _)| cache.image(&mut ways, &mut plru))
+            .collect();
+        HierarchyImage {
+            caches,
+            ways,
+            plru,
+            memory_accesses: self.memory_accesses,
+            total_cycles: self.total_cycles,
+            accesses: self.accesses,
+        }
+    }
+
+    /// Rolls the hierarchy back, in place, to the state `image` was taken
+    /// in: every later access then behaves exactly as it would have from
+    /// that state. Clears only the stamp and PLRU pages in use, so it
+    /// writes only pages the hierarchy has already touched, and allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image was taken from a hierarchy of another geometry.
+    pub fn restore(&mut self, image: &HierarchyImage) {
+        assert_eq!(
+            image.caches.len(),
+            self.levels.len(),
+            "hierarchy image of another geometry"
+        );
+        for ((cache, _), level) in self.levels.iter_mut().zip(&image.caches) {
+            cache.restore(level, &image.ways, &image.plru);
+        }
+        self.memory_accesses = image.memory_accesses;
+        self.total_cycles = image.total_cycles;
+        self.accesses = image.accesses;
+    }
+}
+
+/// The state of a [`Hierarchy`] at one point, taken by
+/// [`Hierarchy::image`] and rolled back to by [`Hierarchy::restore`]. The
+/// valid ways and PLRU words of all levels share two buffers.
+#[derive(Debug, Clone)]
+pub struct HierarchyImage {
+    caches: Vec<CacheImage>,
+    ways: Vec<WayImage>,
+    plru: Vec<(usize, u64)>,
+    memory_accesses: u64,
+    total_cycles: u64,
+    accesses: u64,
 }
 
 #[cfg(test)]

@@ -166,6 +166,22 @@ impl Tlb {
         self.hits = 0;
         self.misses = 0;
     }
+
+    /// Copies `from`'s contents, hints and counters into this TLB in
+    /// place — a rollback to a clone taken earlier. Allocates nothing: a
+    /// TLB built by [`Tlb::new`] holds room for every entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` has another configuration.
+    pub fn restore(&mut self, from: &Tlb) {
+        assert_eq!(self.cfg, from.cfg, "TLB image of another configuration");
+        self.entries.clone_from(&from.entries);
+        self.hints.copy_from_slice(&from.hints);
+        self.clock = from.clock;
+        self.hits = from.hits;
+        self.misses = from.misses;
+    }
 }
 
 #[cfg(test)]

@@ -59,6 +59,21 @@ cargo run --release -p mb-lab --bin mb-lab -- \
 cargo run --release -p mb-lab --bin mb-lab -- \
     digest "$LAB_DIR/merged.journal" --expect 0xd0d5f716d0b30356 --check
 
+echo "==> mb-lab 2-shard fig7 smoke (checkpointed preludes out of slot order)"
+# The Figure 7 measurer costs each machine's magicfilter stream once and
+# rolls every variant back from a checkpoint. Shard 1 starts at slot 1,
+# not 0, and each shard switches machine mid-run, so both shards build
+# their preludes from a slot an in-order sweep never starts at; the
+# merged journal must still reproduce the pinned digest.
+cargo run --release -p mb-lab --bin mb-lab -- \
+    run fig7-quick --journal "$LAB_DIR/fig7-shard0.journal" --shard 0/2
+MB_SHARD=1/2 cargo run --release -p mb-lab --bin mb-lab -- \
+    run fig7-quick --journal "$LAB_DIR/fig7-shard1.journal"
+cargo run --release -p mb-lab --bin mb-lab -- \
+    merge "$LAB_DIR/fig7-merged.journal" "$LAB_DIR/fig7-shard0.journal" "$LAB_DIR/fig7-shard1.journal"
+cargo run --release -p mb-lab --bin mb-lab -- \
+    digest "$LAB_DIR/fig7-merged.journal" --expect 0xa5a1d2922006e451 --check
+
 echo "==> mb-lab truncated paper-shard smoke (--max-slots, then complete + merge)"
 # The same pipeline over a *paper* grid: both fig5-paper shards first run
 # a --max-slots-truncated prefix (the deterministic front-to-back walk CI
@@ -130,14 +145,15 @@ cargo test --release -p mb-lab \
 # transport::load_segment.
 cargo test --release -p mb-lab --test journal_format --test codec_fuzz --quiet
 
-echo "==> mem fast-path oracles (Cache, Tlb and ModelExec::mem_run against their slow references)"
+echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run and rollback against their slow references)"
 # The cache, TLB and page-table fast paths must match the plain-scan
-# implementations kept in these suites on every access, and a batched
-# `mem_run` must cost exactly what its per-access expansion costs; name
-# them so a broken fast path fails loudly here, not as one dot in the
-# workspace run.
+# implementations kept in these suites on every access, a batched
+# `mem_run` must cost exactly what its per-access expansion costs, and a
+# rolled-back `ModelExec` must report what a fresh one fed the same
+# stream reports; name them so a broken fast path fails loudly here,
+# not as one dot in the workspace run.
 cargo test --release -p mb-mem --test cache_equivalence --test tlb_equivalence --quiet
-cargo test --release -p mb-cpu --test mem_run_equivalence --quiet
+cargo test --release -p mb-cpu --test mem_run_equivalence --test checkpoint_equivalence --quiet
 
 echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resume)"
 # The always-on service end to end: start a server, submit fig3-quick
