@@ -15,7 +15,7 @@
 use crate::platform::Platform;
 use mb_cpu::counters::Counter;
 use mb_cpu::exec_model::{Checkpoint, ModelExec};
-use mb_cpu::ops::Exec;
+use mb_cpu::ops::{Exec, Stream};
 use mb_kernels::magicfilter::{apply_loop_groups, loop_bookkeeping, Grid3, MagicfilterWorkspace};
 use mb_tuner::analysis::{staircase_steps, sweet_spot, SweetSpot};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -133,26 +133,50 @@ pub fn measure_variant(
 fn finish_variant(grid: &Grid3, unroll: u32, exec: &mut ModelExec) -> Fig7Point {
     exec.set_mlp_hint(unroll);
     exec.set_prefetch_hint(0.8); // regular but transposing pattern
-    let spills = unroll.saturating_sub(exec.model().unroll_register_limit) as u64;
-    if spills > 0 {
-        // The unrolled accumulators spill inside the 16-tap loop: one
-        // stack round-trip per excess register per tap per group —
-        // 3 passes × (points / unroll) groups × 16 taps.
-        let taps = (3 * grid.len() as u64) / unroll as u64 * 16;
-        let stack_base = (grid.len() as u64 * 8 + 8192) & !4095;
-        for _ in 0..taps {
-            for s in 0..spills {
-                let addr = stack_base + (s % 16) * 8;
-                exec.store(addr, 8);
-                exec.load(addr, 8);
-            }
-        }
-    }
+    let limit = exec.model().unroll_register_limit;
+    spill(grid, unroll, limit, exec);
     let report = exec.finish();
     Fig7Point {
         unroll,
         cycles: report.counters.get(Counter::TotalCycles),
         cache_accesses: report.counters.get(Counter::L1DataAccesses),
+    }
+}
+
+/// Stack slots the spilled accumulators cycle through.
+const SPILL_SLOTS: usize = 16;
+
+/// Reports the register spills of unroll degree `unroll` on a target of
+/// `limit` registers. The unrolled accumulators beyond it spill inside the
+/// 16-tap loop: one stack round trip (a store, then a reload) per excess
+/// register per tap per group — 3 passes × (points / unroll) groups ×
+/// 16 taps — register `s` going to stack slot `s % 16`. Every tap makes
+/// the same round trips, so they are one lockstep run of stride-0
+/// streams, a tap per iteration.
+fn spill<E: Exec>(grid: &Grid3, unroll: u32, limit: u32, exec: &mut E) {
+    let spills = unroll.saturating_sub(limit) as usize;
+    if spills == 0 {
+        return;
+    }
+    let taps = (3 * grid.len() as u64) / unroll as u64 * 16;
+    let stack_base = (grid.len() as u64 * 8 + 8192) & !4095;
+    let slots: [Stream; 2 * SPILL_SLOTS] = std::array::from_fn(|i| {
+        let addr = stack_base + (i / 2) as u64 * 8;
+        match i % 2 {
+            0 => Stream::store(addr, 0, 8),
+            _ => Stream::load(addr, 0, 8),
+        }
+    });
+    // Past 16 excess registers a tap goes round every slot `laps` times
+    // before the first `rest`.
+    let (laps, rest) = (spills / SPILL_SLOTS, spills % SPILL_SLOTS);
+    if laps == 0 {
+        exec.lockstep_run(&slots[..2 * rest], &[], taps);
+    } else {
+        for _ in 0..taps {
+            exec.lockstep_run(&slots, &[], laps as u64);
+            exec.lockstep_run(&slots[..2 * rest], &[], 1);
+        }
     }
 }
 
@@ -249,23 +273,30 @@ pub fn measure_slot(cfg: &Fig7Config, slot: usize) -> [f64; 2] {
 /// the variant's bookkeeping and finishing it as [`measure_variant`]
 /// does, bit for bit.
 ///
-/// One executor is live at a time, for the machine measured last: a slot
-/// of the other machine drops it before building its own prelude, which
-/// keeps the resident set to one machine's touched cache pages. Slots
-/// measured in slot order build one prelude per machine; any order gives
-/// the same payloads.
+/// Each machine's prelude is streamed once, by the first of its slots,
+/// and its checkpoint kept. One executor is live at a time, for the
+/// machine measured last: a slot of the other machine drops it, then
+/// streams that machine's prelude or, if it has been streamed already,
+/// rolls a fresh executor back to its checkpoint. That keeps the
+/// resident set to one machine's touched cache pages (plus the compact
+/// checkpoints), and any slot order — the workers of a parallel sweep
+/// take the lock in no fixed order — streams two preludes and gives the
+/// same payloads.
 pub struct SlotMeasurer {
     cfg: Fig7Config,
     grid: Grid3,
-    live: Mutex<Option<Prelude>>,
+    state: Mutex<Machines>,
     preludes: AtomicUsize,
 }
 
-/// A machine's executor after the magicfilter stream, and its checkpoint.
-struct Prelude {
-    machine: usize,
-    exec: ModelExec,
-    checkpoint: Checkpoint,
+/// What a [`SlotMeasurer`] keeps between slots.
+#[derive(Default)]
+struct Machines {
+    /// Per machine, the executor's state after its magicfilter stream,
+    /// once streamed.
+    checkpoints: [Option<Checkpoint>; MACHINES.len()],
+    /// The live executor and the machine it models.
+    live: Option<(usize, ModelExec)>,
 }
 
 impl SlotMeasurer {
@@ -276,7 +307,7 @@ impl SlotMeasurer {
         SlotMeasurer {
             cfg: *cfg,
             grid: Grid3::random(e, e, e, 0xF167),
-            live: Mutex::new(None),
+            state: Mutex::new(Machines::default()),
             preludes: AtomicUsize::new(0),
         }
     }
@@ -284,37 +315,34 @@ impl SlotMeasurer {
     /// Measures slot `slot`: `[cycles, cache_accesses]` of its variant.
     pub fn measure(&self, slot: usize) -> [f64; 2] {
         let (machine, unroll) = slot_machine(&self.cfg, slot);
-        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
-        if live.as_ref().is_none_or(|p| p.machine != machine) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let Machines { checkpoints, live } = &mut *state;
+        if live.as_ref().is_none_or(|(m, _)| *m != machine) {
             // Drop the other machine's executor before allocating this one.
             *live = None;
-            *live = Some(self.prelude(machine));
+            let mut exec = platform(machine).exec(1);
+            if checkpoints[machine].is_none() {
+                self.preludes.fetch_add(1, Ordering::Relaxed);
+                MagicfilterWorkspace::new().apply_stream(&self.grid, &mut exec);
+                checkpoints[machine] = Some(exec.checkpoint());
+            }
+            *live = Some((machine, exec));
         }
-        let Prelude { exec, checkpoint, .. } = live.as_mut().expect("prelude built above");
-        exec.rollback(checkpoint);
+        let (_, exec) = live.as_mut().expect("executor set up above");
+        exec.rollback(
+            checkpoints[machine]
+                .as_ref()
+                .expect("prelude streamed above"),
+        );
         loop_bookkeeping(apply_loop_groups(&self.grid, unroll), exec);
         let point = finish_variant(&self.grid, unroll, exec);
         [point.cycles as f64, point.cache_accesses as f64]
     }
 
-    /// Preludes built so far.
+    /// Preludes streamed so far.
     #[cfg(test)]
     fn preludes(&self) -> usize {
         self.preludes.load(Ordering::Relaxed)
-    }
-
-    /// Costs `machine`'s magicfilter stream on a fresh executor and
-    /// checkpoints it.
-    fn prelude(&self, machine: usize) -> Prelude {
-        self.preludes.fetch_add(1, Ordering::Relaxed);
-        let mut exec = platform(machine).exec(1);
-        MagicfilterWorkspace::new().apply_stream(&self.grid, &mut exec);
-        let checkpoint = exec.checkpoint();
-        Prelude {
-            machine,
-            exec,
-            checkpoint,
-        }
     }
 }
 
@@ -445,10 +473,10 @@ mod tests {
         let in_order: Vec<usize> = (0..n).collect();
         let reversed: Vec<usize> = (0..n).rev().collect();
         let interleaved: Vec<usize> = (0..per).flat_map(|u| [u, per + u]).collect();
-        for (name, order, preludes) in [
-            ("slot order", in_order, 2),
-            ("reversed", reversed, 2),
-            ("interleaved", interleaved, n),
+        for (name, order) in [
+            ("slot order", in_order),
+            ("reversed", reversed),
+            ("interleaved", interleaved),
         ] {
             let measurer = SlotMeasurer::new(&cfg);
             for &slot in &order {
@@ -460,7 +488,38 @@ mod tests {
                     slot_label(&cfg, slot)
                 );
             }
-            assert_eq!(measurer.preludes(), preludes, "{name}: preludes built");
+            assert_eq!(
+                measurer.preludes(),
+                MACHINES.len(),
+                "{name}: preludes streamed"
+            );
+        }
+    }
+
+    #[test]
+    fn spill_runs_match_the_per_access_round_trips() {
+        // The per-access round trips are the oracle, past 16 spilled
+        // registers too, where a tap goes round the stack slots again.
+        let grid = Grid3::random(6, 6, 6, 1);
+        let limit = 4;
+        for unroll in [5, 12, 20, 21, 44] {
+            let mut batched = Platform::tegra2_node().exec(1);
+            let mut single = batched.clone();
+            spill(&grid, unroll, limit, &mut batched);
+            let taps = (3 * grid.len() as u64) / unroll as u64 * 16;
+            let stack_base = (grid.len() as u64 * 8 + 8192) & !4095;
+            for _ in 0..taps {
+                for s in 0..(unroll - limit) as u64 {
+                    let addr = stack_base + (s % 16) * 8;
+                    single.store(addr, 8);
+                    single.load(addr, 8);
+                }
+            }
+            assert!(
+                batched.checkpoint() == single.checkpoint(),
+                "unroll {unroll}"
+            );
+            assert_eq!(batched.finish(), single.finish(), "unroll {unroll}");
         }
     }
 

@@ -40,6 +40,25 @@
 //! are TLB hits on the same page and L1 last-line-memo hits, charged in
 //! closed form. The result is bit-identical to reporting each access.
 //!
+//! ## Lockstep runs
+//!
+//! [`Exec::lockstep_run`] reports `n` iterations of a loop body — `k`
+//! streams of loads and stores advancing by fixed strides, plus the
+//! body's flops — in one call. `ModelExec` skips unsampled windows in
+//! one step and costs a simulated window in two passes, the TLB's and
+//! the caches', which keep separate state and add up their charges. Each
+//! pass cuts the bodies into windows in which every stream stays on one
+//! page (TLB) or one L1 line (caches) and looks up the first body of
+//! each access by access. Once every page or line it touched is seen to
+//! be still resident, the later bodies are all hits that change no
+//! residency: all but the last are counted in closed form and the last
+//! is replayed into the slots the first body left, which leaves every
+//! clock, stamp, PLRU bit, hint and memo where per-access lookups would.
+//! A window that fails the check goes on access by access. The flops'
+//! cycles are summed in one step only when no partial sum can round, so
+//! the result is bit-identical to reporting each operation;
+//! `tests/lockstep_equivalence.rs` holds it to the per-access expansion.
+//!
 //! ## Checkpoints
 //!
 //! [`ModelExec::checkpoint`] captures the sink's state after a run and
@@ -57,10 +76,71 @@ use mb_simcore::time::{Cycles, SimTime};
 
 use crate::arch::{CoreModel, Overlap};
 use crate::counters::{Counter, CounterSet};
-use crate::ops::{Exec, FlopKind, OpCounts, Precision};
+use crate::ops::{Exec, Flop, FlopKind, OpCounts, Precision, Stream};
 
 /// Size of a simulated window when sampling (accesses).
 const SAMPLE_WINDOW: u64 = 1024;
+
+/// Most streams a lockstep body may have for its later bodies to be
+/// charged in closed form: the first body's TLB and L1 slots are noted
+/// on the stack. Longer bodies are costed access by access.
+const MAX_BODY: usize = 32;
+
+/// The exponent of the lowest set bit of a finite, non-negative `x`:
+/// `x` is an odd multiple of `2^grain(x)`. `i32::MAX` for zero, which is
+/// a multiple of every power of two.
+fn grain(x: f64) -> i32 {
+    if x == 0.0 {
+        return i32::MAX;
+    }
+    let bits = x.to_bits();
+    let (exponent, fraction) = ((bits >> 52) as i32 & 0x7ff, bits & ((1 << 52) - 1));
+    let (mantissa, scale) = match exponent {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << 52, exponent - 1075),
+    };
+    scale + mantissa.trailing_zeros() as i32
+}
+
+/// The two passes of a lockstep window: the TLB sees virtual addresses,
+/// the caches physical ones.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Tlb,
+    Caches,
+}
+
+/// How many bodies from `body` on keep every stream within the `grain`
+/// bytes (a power of two) it touches in `body` — or, for `None`, the
+/// most any such window can hold. At least 1, and `u64::MAX` when no
+/// stream moves. An L1 line lies in one page and one page-table frame,
+/// so a line window keeps the physical line fixed too.
+fn window(streams: &[Stream], grain: u64, body: Option<u64>) -> u64 {
+    let mut bodies = u64::MAX;
+    for s in streams.iter().filter(|s| s.stride != 0) {
+        let room = body.map_or(grain, |b| grain - (s.addr(b) & (grain - 1)));
+        // `(room - 1) / stride + 1`, without a division in the common
+        // cases.
+        let stay = if s.stride >= room {
+            1
+        } else if s.stride.is_power_of_two() {
+            ((room - 1) >> s.stride.trailing_zeros()) + 1
+        } else {
+            (room - 1) / s.stride + 1
+        };
+        bodies = bodies.min(stay);
+    }
+    bodies
+}
+
+/// The physical address of `addr` under `table`: translated inside its
+/// span, unchanged outside it or without a table.
+fn route(table: &Option<PageTable>, addr: u64) -> u64 {
+    match table {
+        Some(t) if (addr as usize) < t.span_bytes() => t.translate(addr),
+        _ => addr,
+    }
+}
 
 /// The final verdict of a modelled run.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +183,7 @@ pub struct ModelExec {
     tlb_miss_penalty_cycles: u64,
     l1_latency: u64,
     l1_line_bytes: u64,
+    page_bytes: u64,
     /// Per cache level: `(line_bytes / fill_bytes_per_cycle)` — transfer
     /// cycles one line fetched *from* that level occupies.
     fill_cost: Vec<f64>,
@@ -118,7 +199,7 @@ pub struct ModelExec {
 /// The evidence a [`ModelExec`] accumulates between [`ModelExec::reset`]
 /// and [`ModelExec::finish`], apart from the hierarchy and TLB state and
 /// the hints.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Tally {
     counts: OpCounts,
     flop_cycles: f64,
@@ -137,8 +218,9 @@ struct Tally {
 /// hierarchy image, the TLB, every accumulator and both hints — taken
 /// by [`ModelExec::checkpoint`] and rolled back to by
 /// [`ModelExec::rollback`]. The model, sample rate and page table are
-/// configuration and are not part of it.
-#[derive(Debug, Clone)]
+/// configuration and are not part of it. Two checkpoints are equal
+/// exactly when the sinks they were taken from are in the same state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     hierarchy: HierarchyImage,
     tlb: Tlb,
@@ -187,6 +269,7 @@ impl ModelExec {
             tlb_miss_penalty_cycles,
             l1_latency,
             l1_line_bytes: l1_line_bytes as u64,
+            page_bytes: tlb.page_bytes as u64,
             fill_cost,
             memory_fill_cost,
             sample_rate,
@@ -305,17 +388,19 @@ impl ModelExec {
         &self.model
     }
 
+    /// The simulated cache hierarchy. Its statistics count the sampled
+    /// accesses only.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+
+    /// The simulated TLB, which sees the sampled accesses only.
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
+    }
+
     fn route(&self, addr: u64) -> u64 {
-        match &self.page_table {
-            Some(t) => {
-                if (addr as usize) < t.span_bytes() {
-                    t.translate(addr)
-                } else {
-                    addr
-                }
-            }
-            None => addr,
-        }
+        route(&self.page_table, addr)
     }
 
     fn mem_access(&mut self, addr: u64, bytes: u32, is_store: bool) {
@@ -337,6 +422,196 @@ impl ModelExec {
         }
     }
 
+    /// Costs the accesses `t..end` of a lockstep run of `streams`, which
+    /// lie in one simulated sample window; access `t` is stream `t % k`
+    /// of body `t / k`, and `loads` of the `k` streams load. The TLB and
+    /// the caches keep separate state and their charges are sums, so each
+    /// takes its own pass over the accesses, in order.
+    fn lockstep_window(&mut self, streams: &[Stream], loads: u64, t: u64, end: u64) {
+        self.tally.sampled_accesses += end - t;
+        self.lockstep_pass(Pass::Tlb, streams, loads, t, end);
+        self.lockstep_pass(Pass::Caches, streams, loads, t, end);
+    }
+
+    /// One pass of [`ModelExec::lockstep_window`]. Whole bodies go by
+    /// windows: runs of bodies in which every stream stays on one page
+    /// (the TLB pass) or one L1 line (the caches pass). The first body of
+    /// a window is looked up access by access, noting the TLB or L1 slot
+    /// each access leaves its page or line in. If every one is still
+    /// there after the body, every later body of the window hits and
+    /// changes no residency, so they are charged in closed form (see
+    /// [`ModelExec::repeat_hits`]). Otherwise the window goes on access
+    /// by access. Bodies the sample window's edges cut go access by
+    /// access too.
+    fn lockstep_pass(&mut self, pass: Pass, streams: &[Stream], loads: u64, t: u64, end: u64) {
+        let k = streams.len();
+        let (mut body, first) = (t / k as u64, (t % k as u64) as usize);
+        let mut left = end - t;
+        if first != 0 {
+            let cut = (k - first).min(left as usize);
+            for s in &streams[first..first + cut] {
+                self.lookup(pass, s, body);
+            }
+            left -= cut as u64;
+            body += 1;
+        }
+        let (mut whole, last) = (left / k as u64, (left % k as u64) as usize);
+        let grain = match pass {
+            Pass::Tlb => self.page_bytes,
+            Pass::Caches => self.l1_line_bytes,
+        };
+        if k > MAX_BODY || window(streams, grain, None) < 2 {
+            // Too long a body, or no window holds two bodies.
+            for b in body..body + whole {
+                for s in streams {
+                    self.lookup(pass, s, b);
+                }
+            }
+            body += whole;
+            whole = 0;
+        }
+        // A body of no more streams than the TLB has entries, or (under
+        // LRU) than an L1 set has ways, cannot evict its own pages or
+        // lines.
+        let kept = match pass {
+            Pass::Tlb => self.tlb.keeps(k),
+            Pass::Caches => self.hierarchy.l1_keeps(k),
+        };
+        let mut slots = [0; MAX_BODY];
+        let slots = &mut slots[..k.min(MAX_BODY)];
+        while whole > 0 {
+            let bodies = window(streams, grain, Some(body)).min(whole);
+            for (s, slot) in streams.iter().zip(slots.iter_mut()) {
+                *slot = self.lookup(pass, s, body);
+            }
+            if bodies >= 2 && (kept || self.held(pass, streams, slots, body)) {
+                self.repeat_hits(pass, streams, slots, loads, body, bodies - 1);
+            } else {
+                for b in body + 1..body + bodies {
+                    for s in streams {
+                        self.lookup(pass, s, b);
+                    }
+                }
+            }
+            body += bodies;
+            whole -= bodies;
+        }
+        for s in &streams[..last] {
+            self.lookup(pass, s, body);
+        }
+    }
+
+    /// Looks up stream `s`'s access of body `body` in the TLB or the
+    /// caches, charges it, and returns the TLB or L1 slot it leaves its
+    /// page or line in.
+    #[inline]
+    fn lookup(&mut self, pass: Pass, s: &Stream, body: u64) -> usize {
+        let addr = s.addr(body);
+        match pass {
+            Pass::Tlb => {
+                let hit = self.tlb.access(addr);
+                self.charge_tlb(hit);
+                self.tlb.hinted_slot(addr)
+            }
+            Pass::Caches => {
+                let (lvl, lat) = self.hierarchy.access(self.route(addr));
+                self.charge_level(lvl, lat, s.is_store);
+                self.hierarchy.l1_last_slot()
+            }
+        }
+    }
+
+    /// Whether every TLB or L1 slot `body`'s accesses left their pages or
+    /// lines in still holds them.
+    fn held(&self, pass: Pass, streams: &[Stream], slots: &[usize], body: u64) -> bool {
+        streams.iter().zip(slots).all(|(s, &slot)| {
+            let addr = s.addr(body);
+            match pass {
+                Pass::Tlb => self.tlb.holds(slot, addr),
+                Pass::Caches => self.hierarchy.l1_holds(slot, self.route(addr)),
+            }
+        })
+    }
+
+    /// Charges `reps` repetitions of `body`, just looked up, whose pages
+    /// or lines all still sit in the TLB or L1 `slots` it left them in:
+    /// every access hits, in L1 at the L1 latency for the `loads` loads
+    /// of a body. The TLB or L1 counts all but the last repetition in
+    /// closed form — its clock advances by the accesses, or the non-memo
+    /// touches, of each — and replays the last to leave every stamp,
+    /// hint, PLRU bit and the last-line memo where the repetitions would.
+    /// The L1 memo holds the body's last line, so every repetition has
+    /// the same memo hits.
+    fn repeat_hits(
+        &mut self,
+        pass: Pass,
+        streams: &[Stream],
+        slots: &[usize],
+        loads: u64,
+        body: u64,
+        reps: u64,
+    ) {
+        let addrs = streams
+            .iter()
+            .map(|s| s.addr(body))
+            .zip(slots.iter().copied());
+        match pass {
+            Pass::Tlb => self.tlb.repeat_hits(addrs, reps),
+            Pass::Caches => {
+                let table = &self.page_table;
+                let lines = addrs.map(|(a, slot)| (route(table, a), slot));
+                self.hierarchy.repeat_l1_hits(lines, reps);
+                self.tally.sampled_latency += reps * loads * self.l1_latency;
+            }
+        }
+    }
+
+    /// The cycles one flop instruction adds to the compute total: its
+    /// issue share and, for divides and square roots, the long-latency
+    /// penalty, which is added after it.
+    #[inline]
+    fn flop_cost(&self, kind: FlopKind, prec: Precision, lanes: u32) -> (f64, Option<f64>) {
+        let flops = kind.flops() * lanes as u64;
+        let issue = flops as f64 / self.model.flop_rate(prec, lanes);
+        let penalty = matches!(kind, FlopKind::Div | FlopKind::Sqrt)
+            .then(|| self.model.long_latency_penalty_cycles * lanes as f64);
+        (issue, penalty)
+    }
+
+    /// Tallies `n` instructions of each of `flops` as a lockstep body
+    /// reports them. The counts are closed form. The cycle total must be
+    /// bit-identical to `n` bodies of `flop` calls, each adding its
+    /// costs to it in turn, for any flop rate. When the total and every
+    /// cost are multiples of one power of two `2^e` and the sum stays
+    /// below `2^(52+e)`, no partial sum rounds, so the sum is taken in
+    /// one step (the presets' rates are all powers of two); otherwise
+    /// the costs are added one at a time, in body order.
+    fn lockstep_flops(&mut self, flops: &[Flop], n: u64) {
+        for f in flops {
+            self.tally.counts.add_flops(f.kind, f.prec, f.lanes, n);
+        }
+        let (mut body, mut unit) = (0.0, grain(self.tally.flop_cycles));
+        for f in flops {
+            let (issue, penalty) = self.flop_cost(f.kind, f.prec, f.lanes);
+            body += issue + penalty.unwrap_or(0.0);
+            unit = unit.min(grain(issue)).min(penalty.map_or(i32::MAX, grain));
+        }
+        let total = self.tally.flop_cycles + n as f64 * body;
+        if n < 1 << 52 && total < 2f64.powi(unit.saturating_add(52)) {
+            self.tally.flop_cycles = total;
+            return;
+        }
+        for _ in 0..n {
+            for f in flops {
+                let (issue, penalty) = self.flop_cost(f.kind, f.prec, f.lanes);
+                self.tally.flop_cycles += issue;
+                if let Some(penalty) = penalty {
+                    self.tally.flop_cycles += penalty;
+                }
+            }
+        }
+    }
+
     /// Advances the access index over the next `n` accesses, stopping
     /// early at the end of the current sample window when sampling.
     /// Returns how many accesses it advanced over and whether their
@@ -350,8 +625,14 @@ impl ModelExec {
         }
         let taken = n.min(SAMPLE_WINDOW - index % SAMPLE_WINDOW);
         self.tally.access_index += taken;
-        let window = index / SAMPLE_WINDOW;
-        (taken, window.is_multiple_of(self.sample_rate as u64))
+        let (window, rate) = (index / SAMPLE_WINDOW, self.sample_rate as u64);
+        // A mask instead of a division for the usual power-of-two rates.
+        let sampled = if rate.is_power_of_two() {
+            window & (rate - 1) == 0
+        } else {
+            window.is_multiple_of(rate)
+        };
+        (taken, sampled)
     }
 
     /// Costs `k` sampled accesses to the L1 line of `addr`, `addr`
@@ -372,10 +653,22 @@ impl ModelExec {
     /// lookups.
     #[inline]
     fn charge(&mut self, tlb_hit: bool, lvl: HitLevel, lat: u64, is_store: bool) {
-        if !tlb_hit {
+        self.charge_tlb(tlb_hit);
+        self.charge_level(lvl, lat, is_store);
+    }
+
+    /// Charges the outcome of a TLB lookup.
+    #[inline]
+    fn charge_tlb(&mut self, hit: bool) {
+        if !hit {
             self.tally.sampled_tlb_misses += 1;
             self.tally.sampled_latency += self.tlb_miss_penalty_cycles;
         }
+    }
+
+    /// Charges the outcome of a hierarchy lookup.
+    #[inline]
+    fn charge_level(&mut self, lvl: HitLevel, lat: u64, is_store: bool) {
         // Stores retire through the write buffer on both target cores:
         // they cost issue slots and fill bandwidth but never stall the
         // pipeline on a miss. Loads pay the full latency.
@@ -538,16 +831,11 @@ impl Exec for ModelExec {
     fn flop(&mut self, kind: FlopKind, prec: Precision, lanes: u32) {
         #[cfg(feature = "validate")]
         assert!(lanes >= 1, "flop({kind:?}, {prec:?}) with zero lanes");
+        self.tally.counts.add_flops(kind, prec, lanes, 1);
         let flops = kind.flops() * lanes as u64;
-        match prec {
-            Precision::F64 => self.tally.counts.flops_f64 += flops,
-            Precision::F32 => self.tally.counts.flops_f32 += flops,
-        }
-        self.tally.counts.flop_instructions += 1;
         let rate = self.model.flop_rate(prec, lanes);
         self.tally.flop_cycles += flops as f64 / rate;
         if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.tally.counts.long_latency_flops += lanes as u64;
             self.tally.flop_cycles += self.model.long_latency_penalty_cycles * lanes as f64;
         }
     }
@@ -578,16 +866,11 @@ impl Exec for ModelExec {
         // calls. (The cycle total accumulates as `n·(flops/rate)` rather
         // than n separate adds, which is the same real number; the two
         // float orderings are each deterministic.)
+        self.tally.counts.add_flops(kind, prec, lanes, n);
         let flops = kind.flops() * lanes as u64;
-        match prec {
-            Precision::F64 => self.tally.counts.flops_f64 += flops * n,
-            Precision::F32 => self.tally.counts.flops_f32 += flops * n,
-        }
-        self.tally.counts.flop_instructions += n;
         let rate = self.model.flop_rate(prec, lanes);
         self.tally.flop_cycles += n as f64 * (flops as f64 / rate);
         if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.tally.counts.long_latency_flops += lanes as u64 * n;
             self.tally.flop_cycles += self.model.long_latency_penalty_cycles * (lanes as u64 * n) as f64;
         }
     }
@@ -631,6 +914,39 @@ impl Exec for ModelExec {
                 self.line_run(addr, k, is_store);
                 i += k;
             }
+        }
+    }
+
+    fn lockstep_run(&mut self, streams: &[Stream], flops: &[Flop], n: u64) {
+        for s in streams {
+            #[cfg(feature = "validate")]
+            assert!(
+                (1..=4096).contains(&s.bytes),
+                "lockstep_run({:#x}): {} B outside 1..=4096",
+                s.base,
+                s.bytes
+            );
+            self.tally.counts.add_mem(n, s.bytes, s.is_store);
+            if s.bytes >= 16 {
+                self.tally.wide_accesses += n;
+            }
+        }
+        #[cfg(feature = "validate")]
+        for f in flops {
+            assert!(f.lanes >= 1, "lockstep_run: {f:?} with zero lanes");
+        }
+        self.lockstep_flops(flops, n);
+        let total = n
+            .checked_mul(streams.len() as u64)
+            .expect("a lockstep run of at most 2^64 accesses");
+        let loads = streams.iter().filter(|s| !s.is_store).count() as u64;
+        let mut t = 0;
+        while t < total {
+            let (taken, sampled) = self.sample_run(total - t);
+            if sampled {
+                self.lockstep_window(streams, loads, t, t + taken);
+            }
+            t += taken;
         }
     }
 }

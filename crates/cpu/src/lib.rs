@@ -67,6 +67,6 @@ pub use arch::{CoreModel, Overlap};
 pub use gpu::GpuModel;
 pub use counters::{Counter, CounterSet};
 pub use exec_model::{ExecReport, ModelExec};
-pub use ops::{CountingExec, Exec, FlopKind, NullExec, OpCounts, Precision};
+pub use ops::{CountingExec, Exec, Flop, FlopKind, NullExec, OpCounts, Precision, Stream};
 #[cfg(feature = "validate")]
 pub use validate::{Region, ValidatingExec};

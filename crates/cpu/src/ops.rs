@@ -118,6 +118,90 @@ pub trait Exec {
             addr = addr.wrapping_add(stride);
         }
     }
+
+    /// Reports `n` iterations of a loop body whose `streams` advance in
+    /// lockstep — equivalent to calling, for each iteration `i` in turn,
+    /// [`Exec::load`] or [`Exec::store`] at every stream's
+    /// [`Stream::addr`]`(i)` in slice order and then [`Exec::flop`] for
+    /// every entry of `flops` in slice order. Sinks with a cheaper form
+    /// override it; kernels should prefer it for loops whose streams
+    /// stay on one cache line for several iterations.
+    fn lockstep_run(&mut self, streams: &[Stream], flops: &[Flop], n: u64) {
+        for i in 0..n {
+            for s in streams {
+                if s.is_store {
+                    self.store(s.addr(i), s.bytes);
+                } else {
+                    self.load(s.addr(i), s.bytes);
+                }
+            }
+            for f in flops {
+                self.flop(f.kind, f.prec, f.lanes);
+            }
+        }
+    }
+}
+
+/// One memory stream of a [`Exec::lockstep_run`] loop body: iteration
+/// `i` accesses `bytes` at `base + i·stride` (wrapping).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stream {
+    /// Address of the first iteration's access.
+    pub base: u64,
+    /// Bytes between consecutive iterations' accesses (0 for a fixed
+    /// address such as a spill slot).
+    pub stride: u64,
+    /// Access width in bytes.
+    pub bytes: u32,
+    /// Whether the access is a store (else a load).
+    pub is_store: bool,
+}
+
+impl Stream {
+    /// A stream of loads.
+    pub const fn load(base: u64, stride: u64, bytes: u32) -> Self {
+        Stream {
+            base,
+            stride,
+            bytes,
+            is_store: false,
+        }
+    }
+
+    /// A stream of stores.
+    pub const fn store(base: u64, stride: u64, bytes: u32) -> Self {
+        Stream {
+            base,
+            stride,
+            bytes,
+            is_store: true,
+        }
+    }
+
+    /// The address iteration `i` accesses.
+    #[inline]
+    pub fn addr(&self, i: u64) -> u64 {
+        self.base.wrapping_add(i.wrapping_mul(self.stride))
+    }
+}
+
+/// One flop instruction of a [`Exec::lockstep_run`] loop body — the
+/// arguments of one [`Exec::flop`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flop {
+    /// Operation kind.
+    pub kind: FlopKind,
+    /// Precision.
+    pub prec: Precision,
+    /// SIMD lanes.
+    pub lanes: u32,
+}
+
+impl Flop {
+    /// A flop instruction of `lanes` lanes.
+    pub const fn new(kind: FlopKind, prec: Precision, lanes: u32) -> Self {
+        Flop { kind, prec, lanes }
+    }
 }
 
 /// A sink that ignores everything — kernels run at native speed.
@@ -150,6 +234,8 @@ impl Exec for NullExec {
     fn branch_run(&mut self, _n: u64, _predictable: bool) {}
     #[inline(always)]
     fn mem_run(&mut self, _base: u64, _stride: u64, _n: u64, _bytes: u32, _is_store: bool) {}
+    #[inline(always)]
+    fn lockstep_run(&mut self, _streams: &[Stream], _flops: &[Flop], _n: u64) {}
 }
 
 /// Aggregated operation counts — a workload characterisation.
@@ -220,6 +306,20 @@ impl OpCounts {
         self.unpredictable_branches += other.unpredictable_branches;
     }
 
+    /// Tallies `n` flop instructions of `kind` over `lanes` lanes.
+    #[inline]
+    pub(crate) fn add_flops(&mut self, kind: FlopKind, prec: Precision, lanes: u32, n: u64) {
+        let flops = kind.flops() * lanes as u64 * n;
+        match prec {
+            Precision::F64 => self.flops_f64 += flops,
+            Precision::F32 => self.flops_f32 += flops,
+        }
+        self.flop_instructions += n;
+        if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
+            self.long_latency_flops += lanes as u64 * n;
+        }
+    }
+
     /// Tallies `n` loads (or stores) of `bytes` each.
     pub(crate) fn add_mem(&mut self, n: u64, bytes: u32, is_store: bool) {
         if is_store {
@@ -257,15 +357,7 @@ impl CountingExec {
 
 impl Exec for CountingExec {
     fn flop(&mut self, kind: FlopKind, prec: Precision, lanes: u32) {
-        let f = kind.flops() * lanes as u64;
-        match prec {
-            Precision::F64 => self.counts.flops_f64 += f,
-            Precision::F32 => self.counts.flops_f32 += f,
-        }
-        self.counts.flop_instructions += 1;
-        if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.counts.long_latency_flops += lanes as u64;
-        }
+        self.counts.add_flops(kind, prec, lanes, 1);
     }
 
     fn int_ops(&mut self, n: u64) {
@@ -288,15 +380,7 @@ impl Exec for CountingExec {
     }
 
     fn flop_run(&mut self, kind: FlopKind, prec: Precision, lanes: u32, n: u64) {
-        let f = kind.flops() * lanes as u64 * n;
-        match prec {
-            Precision::F64 => self.counts.flops_f64 += f,
-            Precision::F32 => self.counts.flops_f32 += f,
-        }
-        self.counts.flop_instructions += n;
-        if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.counts.long_latency_flops += lanes as u64 * n;
-        }
+        self.counts.add_flops(kind, prec, lanes, n);
     }
 
     fn branch_run(&mut self, n: u64, predictable: bool) {
@@ -308,6 +392,15 @@ impl Exec for CountingExec {
 
     fn mem_run(&mut self, _base: u64, _stride: u64, n: u64, bytes: u32, is_store: bool) {
         self.counts.add_mem(n, bytes, is_store);
+    }
+
+    fn lockstep_run(&mut self, streams: &[Stream], flops: &[Flop], n: u64) {
+        for s in streams {
+            self.counts.add_mem(n, s.bytes, s.is_store);
+        }
+        for f in flops {
+            self.flop_run(f.kind, f.prec, f.lanes, n);
+        }
     }
 }
 
@@ -360,6 +453,10 @@ impl<A: Exec, B: Exec> Exec for TeeExec<'_, A, B> {
     fn mem_run(&mut self, base: u64, stride: u64, n: u64, bytes: u32, is_store: bool) {
         self.a.mem_run(base, stride, n, bytes, is_store);
         self.b.mem_run(base, stride, n, bytes, is_store);
+    }
+    fn lockstep_run(&mut self, streams: &[Stream], flops: &[Flop], n: u64) {
+        self.a.lockstep_run(streams, flops, n);
+        self.b.lockstep_run(streams, flops, n);
     }
 }
 
@@ -472,12 +569,108 @@ mod tests {
         assert_eq!(b.counts().store_bytes, 400);
     }
 
+    /// Forwards every report to a `CountingExec` but keeps the trait's
+    /// default `lockstep_run`.
+    struct PerOp(CountingExec);
+
+    impl Exec for PerOp {
+        fn flop(&mut self, kind: FlopKind, prec: Precision, lanes: u32) {
+            self.0.flop(kind, prec, lanes);
+        }
+        fn int_ops(&mut self, n: u64) {
+            self.0.int_ops(n);
+        }
+        fn load(&mut self, addr: u64, bytes: u32) {
+            self.0.load(addr, bytes);
+        }
+        fn store(&mut self, addr: u64, bytes: u32) {
+            self.0.store(addr, bytes);
+        }
+        fn branch(&mut self, predictable: bool) {
+            self.0.branch(predictable);
+        }
+    }
+
+    const ROW: [Stream; 3] = [
+        Stream::load(0x100, 16, 16),
+        Stream::load(0x900, 16, 16),
+        Stream::store(0x900, 16, 16),
+    ];
+    const BODY_FLOPS: [Flop; 2] = [
+        Flop::new(FlopKind::Fma, Precision::F64, 2),
+        Flop::new(FlopKind::Div, Precision::F32, 4),
+    ];
+
+    #[test]
+    fn counting_lockstep_run_equals_the_per_access_expansion() {
+        let mut closed = CountingExec::new();
+        let mut expanded = PerOp(CountingExec::new());
+        for (streams, flops, n) in [
+            (&ROW[..], &BODY_FLOPS[..], 1000),
+            (&ROW[1..], &[][..], 7),
+            (&[][..], &BODY_FLOPS[..1], 5),
+            (&ROW[..], &BODY_FLOPS[..], 0),
+        ] {
+            closed.lockstep_run(streams, flops, n);
+            expanded.lockstep_run(streams, flops, n);
+            assert_eq!(closed, expanded.0);
+        }
+        assert_eq!(closed.counts().loads, 2000 + 7);
+        assert_eq!(closed.counts().long_latency_flops, 4 * 1000);
+    }
+
+    #[test]
+    fn default_lockstep_run_reports_each_body_in_order() {
+        // Each body's accesses in stream order, then its flops.
+        #[derive(Default)]
+        struct Log(Vec<(char, u64)>);
+        impl Exec for Log {
+            fn flop(&mut self, _: FlopKind, _: Precision, lanes: u32) {
+                self.0.push(('f', lanes as u64));
+            }
+            fn int_ops(&mut self, _: u64) {}
+            fn load(&mut self, addr: u64, _: u32) {
+                self.0.push(('l', addr));
+            }
+            fn store(&mut self, addr: u64, _: u32) {
+                self.0.push(('s', addr));
+            }
+            fn branch(&mut self, _: bool) {}
+        }
+        let mut log = Log::default();
+        log.lockstep_run(&ROW, &BODY_FLOPS[..1], 2);
+        assert_eq!(
+            log.0,
+            [
+                ('l', 0x100),
+                ('l', 0x900),
+                ('s', 0x900),
+                ('f', 2),
+                ('l', 0x110),
+                ('l', 0x910),
+                ('s', 0x910),
+                ('f', 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn tee_forwards_lockstep_run_to_both() {
+        let (mut a, mut b) = (CountingExec::new(), CountingExec::new());
+        TeeExec::new(&mut a, &mut b).lockstep_run(&ROW, &BODY_FLOPS, 10);
+        let mut expanded = PerOp(CountingExec::new());
+        expanded.lockstep_run(&ROW, &BODY_FLOPS, 10);
+        assert_eq!(a, expanded.0);
+        assert_eq!(b, expanded.0);
+    }
+
     #[test]
     fn null_exec_is_inert() {
         let mut e = NullExec;
         e.flop(FlopKind::Sqrt, Precision::F32, 16);
         e.load(0, 4);
         e.mem_run(0, 4, 1 << 40, 4, false);
+        e.lockstep_run(&ROW, &BODY_FLOPS, 1 << 40);
         // Nothing to assert beyond "it compiles and runs" (at once).
     }
 }

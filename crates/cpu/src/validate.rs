@@ -7,11 +7,11 @@
 //! * **Region containment** — every load/store falls inside a declared
 //!   address region (the membench array, its spill slots, …). An access
 //!   outside is the simulation analogue of a wild pointer.
-//! * **Batch/per-op consistency** — `flop_run`/`branch_run`/`mem_run`
-//!   totals must equal the sum of the equivalent per-op calls. The
-//!   wrapper tallies both forms independently (expanding a bounded
-//!   prefix of each batch op by op) and cross-checks after every batch
-//!   call.
+//! * **Batch/per-op consistency** — `flop_run`/`branch_run`/`mem_run`/
+//!   `lockstep_run` totals must equal the sum of the equivalent per-op
+//!   calls. The wrapper tallies both forms independently (expanding a
+//!   bounded prefix of each batch op by op) and cross-checks after every
+//!   batch call.
 //! * **Operand sanity** — zero-byte or over-4096-byte accesses, runs
 //!   whose addresses overflow, zero-lane flops and other degenerate
 //!   operands are flagged at the first offending call.
@@ -26,7 +26,7 @@
 //! the acceptance gate exercised by `crates/core/tests/validate_smoke.rs`.
 
 use crate::exec_model::{ExecReport, ModelExec};
-use crate::ops::{CountingExec, Exec, FlopKind, OpCounts, Precision};
+use crate::ops::{CountingExec, Exec, Flop, FlopKind, OpCounts, Precision, Stream};
 
 /// How many ops of each batch call are replayed one by one for the
 /// batch/per-op cross-check; the remainder is added in closed form.
@@ -280,6 +280,38 @@ impl<E: Exec> Exec for ValidatingExec<E> {
         self.check_batch("mem_run");
         self.inner.mem_run(base, stride, n, bytes, is_store);
     }
+
+    fn lockstep_run(&mut self, streams: &[Stream], flops: &[Flop], n: u64) {
+        // Each stream is a run of its own, so this checks every access.
+        for s in streams {
+            let what = if s.is_store {
+                "lockstep store stream"
+            } else {
+                "lockstep load stream"
+            };
+            self.check_region(what, s.base, s.bytes, n, s.stride);
+        }
+        self.closed.lockstep_run(streams, flops, n);
+        let replay = n.min(EXPAND_CAP);
+        for i in 0..replay {
+            for s in streams {
+                if s.is_store {
+                    self.replayed.store(s.addr(i), s.bytes);
+                } else {
+                    self.replayed.load(s.addr(i), s.bytes);
+                }
+            }
+            for f in flops {
+                self.replayed.flop(f.kind, f.prec, f.lanes);
+            }
+        }
+        if n > replay {
+            // Counts do not depend on the addresses.
+            self.replayed.lockstep_run(streams, flops, n - replay);
+        }
+        self.check_batch("lockstep_run");
+        self.inner.lockstep_run(streams, flops, n);
+    }
 }
 
 impl ValidatingExec<ModelExec> {
@@ -406,6 +438,44 @@ mod tests {
         // An empty run touches nothing.
         v.mem_run(0, 8, 0, 8, false);
         assert_eq!(v.violations().len(), 2);
+    }
+
+    #[test]
+    fn lockstep_run_checks_every_stream_over_the_whole_run() {
+        let mut v = ValidatingExec::new(CountingExec::new());
+        v.declare_region("array", 0x1000, 4096);
+        let fma = [Flop::new(FlopKind::Fma, Precision::F64, 2)];
+        let row = [Stream::load(0x1000, 16, 16), Stream::store(0x1800, 16, 16)];
+        v.lockstep_run(&row, &fma, 128); // both streams end at a region edge
+        v.lockstep_run(&[Stream::store(0x1ff8, 0, 8)], &[], 1000); // a spill slot
+        v.assert_clean();
+        v.lockstep_run(&row, &fma, 129); // the store stream runs one past
+        v.lockstep_run(&[Stream::load(0x1000, 8, 0)], &[], 3);
+        v.lockstep_run(&[Stream::load(0xff8, 8, 8)], &[], 0); // empty: fine
+        assert_eq!(v.violations().len(), 2, "{:?}", v.violations());
+        assert!(v.violations()[0]
+            .contains("lockstep store stream of 2064 B at 0x1800 outside every declared region"));
+        assert!(v.violations()[1].contains("lockstep load stream of 0 B at 0x1000"));
+    }
+
+    #[test]
+    fn lockstep_run_forwards_verbatim_and_cross_checks() {
+        let fma = [Flop::new(FlopKind::Fma, Precision::F64, 2)];
+        let row = [
+            Stream::load(0, 16, 16),
+            Stream::load(0x800, 16, 16),
+            Stream::store(0x800, 16, 16),
+        ];
+        let mut v = ValidatingExec::new(ModelExec::snowball());
+        v.declare_region("matrix", 0, 1 << 20);
+        v.lockstep_run(&row, &fma, EXPAND_CAP + 77);
+        let report = v.finish();
+        v.assert_clean();
+        let mut bare = ModelExec::snowball();
+        bare.lockstep_run(&row, &fma, EXPAND_CAP + 77);
+        assert_eq!(report, bare.finish());
+        assert_eq!(report.counts.loads, 2 * (EXPAND_CAP + 77));
+        assert_eq!(report.counts, *v.shadow_counts());
     }
 
     #[test]

@@ -10,8 +10,54 @@
 //! get (NEON is single precision only), which is the root of Table II's
 //! 38.7× LINPACK gap.
 
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use mb_cpu::ops::{Exec, Flop, FlopKind, Precision, Stream};
 use mb_simcore::rng::{Rng, Xoshiro256};
+
+/// The pivot search's compare.
+pub(crate) const CMP: Flop = Flop::new(FlopKind::Cmp, Precision::F64, 1);
+/// A scalar update or solve step.
+pub(crate) const FMA: Flop = Flop::new(FlopKind::Fma, Precision::F64, 1);
+/// A 2-lane (SSE2-style) update over two consecutive columns.
+pub(crate) const FMA2: Flop = Flop::new(FlopKind::Fma, Precision::F64, 2);
+
+/// The streams of a row update `y[j] -= m·x[j]` over byte addresses `x`
+/// and `y`, `bytes` per element group: load `x`, load `y`, store `y`.
+pub(crate) fn daxpy(x: u64, y: u64, bytes: u32) -> [Stream; 3] {
+    let stride = bytes as u64;
+    [
+        Stream::load(x, stride, bytes),
+        Stream::load(y, stride, bytes),
+        Stream::store(y, stride, bytes),
+    ]
+}
+
+/// Reports column `col` of an `n × n` row-major f64 matrix at byte
+/// address `base`, rows `rows`, as one strided load run with one `flop`
+/// per element.
+pub(crate) fn column<E: Exec>(
+    exec: &mut E,
+    base: u64,
+    n: usize,
+    col: usize,
+    rows: std::ops::Range<usize>,
+    flop: Flop,
+) {
+    let first = base + ((rows.start * n + col) * 8) as u64;
+    let count = rows.len() as u64;
+    exec.lockstep_run(&[Stream::load(first, (n * 8) as u64, 8)], &[flop], count);
+}
+
+/// Reports swapping rows `k` and `p` of an `n × n` row-major f64 matrix
+/// at byte address `base`: a load of row `k` and a store to row `p` per
+/// element.
+pub(crate) fn row_swap<E: Exec>(exec: &mut E, base: u64, n: usize, k: usize, p: usize) {
+    let row = |r: usize| base + (r * n * 8) as u64;
+    exec.lockstep_run(
+        &[Stream::load(row(k), 8, 8), Stream::store(row(p), 8, 8)],
+        &[],
+        n as u64,
+    );
+}
 
 /// A LINPACK problem instance: `A·x = b` with a dense random matrix.
 #[derive(Debug, Clone)]
@@ -79,10 +125,9 @@ impl Linpack {
             // Pivot search in column k.
             let mut p = k;
             let mut max = self.a[k * n + k].abs();
+            column(exec, base, n, k, k + 1..n, CMP);
+            exec.branch_run((n - k - 1) as u64, false);
             for i in (k + 1)..n {
-                exec.load(base + ((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Cmp, Precision::F64, 1);
-                exec.branch(false);
                 let v = self.a[i * n + k].abs();
                 if v > max {
                     max = v;
@@ -92,10 +137,9 @@ impl Linpack {
             assert!(max != 0.0, "singular matrix");
             self.pivots[k] = p;
             if p != k {
+                row_swap(exec, base, n, k, p);
                 for j in 0..n {
                     self.a.swap(k * n + j, p * n + j);
-                    exec.load(base + ((k * n + j) * 8) as u64, 8);
-                    exec.store(base + ((p * n + j) * 8) as u64, 8);
                 }
                 self.b.swap(k, p);
             }
@@ -106,22 +150,21 @@ impl Linpack {
                 let m = self.a[i * n + k] / pivot;
                 self.a[i * n + k] = m;
                 // daxpy over the trailing row: report as 2-lane FMAs
-                // (SSE2-style vectorisation over consecutive columns).
+                // (SSE2-style vectorisation over consecutive columns),
+                // one lockstep run per row plus a scalar tail.
+                let pairs = (n - k - 1) / 2;
+                let x = base + ((k * n + k + 1) * 8) as u64;
+                let y = base + ((i * n + k + 1) * 8) as u64;
+                exec.lockstep_run(&daxpy(x, y, 16), &[FMA2], pairs as u64);
                 let mut j = k + 1;
                 while j + 1 < n {
-                    exec.load(base + ((k * n + j) * 8) as u64, 16);
-                    exec.load(base + ((i * n + j) * 8) as u64, 16);
-                    exec.flop(FlopKind::Fma, Precision::F64, 2);
-                    exec.store(base + ((i * n + j) * 8) as u64, 16);
                     self.a[i * n + j] -= m * self.a[k * n + j];
                     self.a[i * n + j + 1] -= m * self.a[k * n + j + 1];
                     j += 2;
                 }
                 if j < n {
-                    exec.load(base + ((k * n + j) * 8) as u64, 8);
-                    exec.load(base + ((i * n + j) * 8) as u64, 8);
-                    exec.flop(FlopKind::Fma, Precision::F64, 1);
-                    exec.store(base + ((i * n + j) * 8) as u64, 8);
+                    let tail = (pairs * 16) as u64;
+                    exec.lockstep_run(&daxpy(x + tail, y + tail, 8), &[FMA], 1);
                     self.a[i * n + j] -= m * self.a[k * n + j];
                 }
                 exec.branch(true);
@@ -142,9 +185,8 @@ impl Linpack {
         let mut x = self.b.clone();
         // Forward elimination with the stored multipliers.
         for k in 0..n {
+            column(exec, 0, n, k, k + 1..n, FMA);
             for i in (k + 1)..n {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
                 x[i] -= self.a[i * n + k] * x[k];
             }
         }
@@ -152,9 +194,8 @@ impl Linpack {
         for k in (0..n).rev() {
             exec.flop(FlopKind::Div, Precision::F64, 1);
             x[k] /= self.a[k * n + k];
+            column(exec, 0, n, k, 0..k, FMA);
             for i in 0..k {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
                 x[i] -= self.a[i * n + k] * x[k];
             }
         }

@@ -11,8 +11,8 @@
 //! flops, but far fewer memory misses — the difference between LINPACK
 //! and HPL efficiency on both machines.
 
-use crate::linpack::Linpack;
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use crate::linpack::{column, daxpy, row_swap, Linpack, CMP, FMA, FMA2};
+use mb_cpu::ops::{Exec, FlopKind, Precision, Stream};
 use mb_simcore::rng::{Rng, Xoshiro256};
 
 /// A blocked LU instance.
@@ -81,10 +81,9 @@ impl BlockedLu {
             for k in k0..k0 + kb {
                 let mut p = k;
                 let mut max = self.a[k * n + k].abs();
+                column(exec, 0, n, k, k + 1..n, CMP);
+                exec.branch_run((n - k - 1) as u64, false);
                 for i in (k + 1)..n {
-                    exec.load(((i * n + k) * 8) as u64, 8);
-                    exec.flop(FlopKind::Cmp, Precision::F64, 1);
-                    exec.branch(false);
                     let v = self.a[i * n + k].abs();
                     if v > max {
                         max = v;
@@ -94,10 +93,9 @@ impl BlockedLu {
                 assert!(max != 0.0, "singular matrix");
                 self.pivots[k] = p;
                 if p != k {
+                    row_swap(exec, 0, n, k, p);
                     for j in 0..n {
                         self.a.swap(k * n + j, p * n + j);
-                        exec.load(((k * n + j) * 8) as u64, 8);
-                        exec.store(((p * n + j) * 8) as u64, 8);
                     }
                     self.x_rhs.swap(k, p);
                 }
@@ -108,10 +106,8 @@ impl BlockedLu {
                     self.a[i * n + k] = m;
                     // Update only the remaining panel columns here; the
                     // trailing matrix waits for the blocked GEMM.
+                    row_update(exec, n, k, i, k + 1..k0 + kb);
                     for j in (k + 1)..(k0 + kb) {
-                        exec.load(((k * n + j) * 8) as u64, 8);
-                        exec.flop(FlopKind::Fma, Precision::F64, 1);
-                        exec.store(((i * n + j) * 8) as u64, 8);
                         self.a[i * n + j] -= m * self.a[k * n + j];
                     }
                     exec.branch(true);
@@ -126,10 +122,8 @@ impl BlockedLu {
                 for i in (k + 1)..rest {
                     let m = self.a[i * n + k];
                     exec.load(((i * n + k) * 8) as u64, 8);
+                    row_update(exec, n, k, i, rest..n);
                     for j in rest..n {
-                        exec.load(((k * n + j) * 8) as u64, 8);
-                        exec.flop(FlopKind::Fma, Precision::F64, 1);
-                        exec.store(((i * n + j) * 8) as u64, 8);
                         self.a[i * n + j] -= m * self.a[k * n + j];
                     }
                     exec.branch(true);
@@ -152,22 +146,21 @@ impl BlockedLu {
                             let m = self.a[i * n + k];
                             exec.load(((i * n + k) * 8) as u64, 8);
                             // 2-lane FMA over the contiguous j row, as
-                            // the vectorised GEMM microkernel does.
+                            // the vectorised GEMM microkernel does: one
+                            // lockstep run plus a scalar tail.
+                            let pairs = (jmax - jj) / 2;
+                            let x = ((k * n + jj) * 8) as u64;
+                            let y = ((i * n + jj) * 8) as u64;
+                            exec.lockstep_run(&daxpy(x, y, 16), &[FMA2], pairs as u64);
                             let mut j = jj;
                             while j + 1 < jmax {
-                                exec.load(((k * n + j) * 8) as u64, 16);
-                                exec.load(((i * n + j) * 8) as u64, 16);
-                                exec.flop(FlopKind::Fma, Precision::F64, 2);
-                                exec.store(((i * n + j) * 8) as u64, 16);
                                 self.a[i * n + j] -= m * self.a[k * n + j];
                                 self.a[i * n + j + 1] -= m * self.a[k * n + j + 1];
                                 j += 2;
                             }
                             if j < jmax {
-                                exec.load(((k * n + j) * 8) as u64, 8);
-                                exec.load(((i * n + j) * 8) as u64, 8);
-                                exec.flop(FlopKind::Fma, Precision::F64, 1);
-                                exec.store(((i * n + j) * 8) as u64, 8);
+                                let tail = (pairs * 16) as u64;
+                                exec.lockstep_run(&daxpy(x + tail, y + tail, 8), &[FMA], 1);
                                 self.a[i * n + j] -= m * self.a[k * n + j];
                             }
                             exec.branch(true);
@@ -192,18 +185,16 @@ impl BlockedLu {
         let n = self.n;
         let mut x = self.x_rhs.clone();
         for k in 0..n {
+            column(exec, 0, n, k, k + 1..n, FMA);
             for i in (k + 1)..n {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
                 x[i] -= self.a[i * n + k] * x[k];
             }
         }
         for k in (0..n).rev() {
             exec.flop(FlopKind::Div, Precision::F64, 1);
             x[k] /= self.a[k * n + k];
+            column(exec, 0, n, k, 0..k, FMA);
             for i in 0..k {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
                 x[i] -= self.a[i * n + k] * x[k];
             }
         }
@@ -230,6 +221,18 @@ impl BlockedLu {
         let x_inf = x.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
         r_inf / (a_inf * x_inf * n as f64 * f64::EPSILON)
     }
+}
+
+/// Reports the scalar update of row `i` by pivot row `k` over columns
+/// `cols` of an `n × n` row-major f64 matrix at address 0: a load of row
+/// `k`, an FMA and a store to row `i` per column.
+fn row_update<E: Exec>(exec: &mut E, n: usize, k: usize, i: usize, cols: std::ops::Range<usize>) {
+    let at = |r: usize| ((r * n + cols.start) * 8) as u64;
+    exec.lockstep_run(
+        &[Stream::load(at(k), 8, 8), Stream::store(at(i), 8, 8)],
+        &[FMA],
+        cols.len() as u64,
+    );
 }
 
 /// Runs both variants on the same matrix and returns their (unblocked,

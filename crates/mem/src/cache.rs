@@ -139,7 +139,7 @@ pub(crate) type WayImage = (usize, u64, u64);
 /// One cache's share of a [`crate::hierarchy::HierarchyImage`]: its
 /// clock, statistics, RNG and last-line memo, plus the ranges its valid
 /// ways and non-zero PLRU words occupy in the image's shared buffers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CacheImage {
     /// Geometry of the cache the image was taken from.
     cfg: CacheConfig,
@@ -149,6 +149,7 @@ pub(crate) struct CacheImage {
     clock: u64,
     rng: Xoshiro256,
     last_line: Option<u64>,
+    last_slot: usize,
 }
 
 /// Stamp and PLRU words per chunk that [`Cache::restore`] tests for zero
@@ -202,6 +203,8 @@ pub struct Cache {
     /// is resident and most recent in its set; `None` when there was none
     /// since construction or `reset`.
     last_line: Option<u64>,
+    /// The slot holding `last_line` (0 while there is none).
+    last_slot: usize,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `num_sets - 1`.
@@ -236,6 +239,7 @@ impl Cache {
             },
             plru_levels,
             last_line: None,
+            last_slot: 0,
             cfg,
         }
     }
@@ -262,6 +266,7 @@ impl Cache {
         self.stats = CacheStats::default();
         self.clock = 0;
         self.last_line = None;
+        self.last_slot = 0;
     }
 
     /// The first slot index of the set holding `line`, and its tag.
@@ -300,6 +305,7 @@ impl Cache {
             self.stats.hits += 1;
             self.stamps[base + w] = self.clock;
             self.touch_plru(base, w);
+            self.last_slot = base + w;
             return AccessResult::Hit;
         }
 
@@ -331,6 +337,7 @@ impl Cache {
         self.tags[base + way] = tag;
         self.stamps[base + way] = self.clock;
         self.touch_plru(base, way);
+        self.last_slot = base + way;
         AccessResult::Miss { evicted }
     }
 
@@ -342,6 +349,78 @@ impl Cache {
         debug_assert!(n == 0 || self.last_line.is_some(), "no line to repeat");
         self.stats.accesses += n;
         self.stats.hits += n;
+    }
+
+    /// The slot (`set * associativity + way`) holding the line of the
+    /// previous access.
+    #[inline]
+    pub(crate) fn last_slot(&self) -> usize {
+        self.last_slot
+    }
+
+    /// Whether any `lines` lines accessed in a row are all still resident
+    /// afterwards: true under LRU for at most `associativity` of them
+    /// (see `Hierarchy::l1_keeps`).
+    #[inline]
+    pub(crate) fn keeps(&self, lines: usize) -> bool {
+        self.cfg.replacement == Replacement::Lru && lines <= self.cfg.associativity
+    }
+
+    /// Whether `slot`, a slot of the set of `addr`'s line, holds that
+    /// line.
+    #[inline]
+    pub(crate) fn holds(&self, slot: usize, addr: u64) -> bool {
+        let (_, tag) = self.base_and_tag(addr >> self.line_shift);
+        self.tags[slot] == tag && self.stamps[slot] != 0
+    }
+
+    /// Accesses `accesses` — `(addr, slot)` pairs, each slot holding its
+    /// address's line — `reps` times over, as `reps` passes of
+    /// [`Cache::access`] over the addresses would when the memo already
+    /// holds the line of the last one. Hits evict nothing and draw no
+    /// random number, so every pass touches the same ways in the same
+    /// order: all but the last pass are counted in closed form (the
+    /// statistics, and the clock by the pass's non-memo touches), and the
+    /// last is replayed touch by touch, which writes each touched way's
+    /// final stamp and PLRU bits.
+    pub(crate) fn repeat_hits<I>(&mut self, accesses: I, reps: u64)
+    where
+        I: ExactSizeIterator<Item = (u64, usize)> + Clone,
+    {
+        if reps == 0 {
+            return;
+        }
+        let shift = self.line_shift;
+        debug_assert_eq!(
+            self.last_line,
+            accesses.clone().last().map(|(a, _)| a >> shift),
+            "the memo must hold the body's last line"
+        );
+        let n = reps * accesses.len() as u64;
+        self.stats.accesses += n;
+        self.stats.hits += n;
+        if reps > 1 {
+            let mut prev = self.last_line;
+            let mut touches = 0;
+            for line in accesses.clone().map(|(a, _)| a >> shift) {
+                touches += u64::from(prev != Some(line));
+                prev = Some(line);
+            }
+            self.clock += (reps - 1) * touches;
+        }
+        let way_mask = (1 << self.plru_levels) - 1;
+        for (addr, slot) in accesses {
+            let line = addr >> shift;
+            if self.last_line == Some(line) {
+                continue;
+            }
+            self.last_line = Some(line);
+            self.last_slot = slot;
+            self.clock += 1;
+            self.stamps[slot] = self.clock;
+            let way = slot & way_mask;
+            self.touch_plru(slot - way, way);
+        }
     }
 
     /// Marks `way` most-recently-used in the PLRU tree of the set starting
@@ -412,6 +491,7 @@ impl Cache {
             clock: self.clock,
             rng: self.rng,
             last_line: self.last_line,
+            last_slot: self.last_slot,
         }
     }
 
@@ -449,6 +529,7 @@ impl Cache {
         self.clock = image.clock;
         self.rng = image.rng;
         self.last_line = image.last_line;
+        self.last_slot = image.last_slot;
     }
 }
 

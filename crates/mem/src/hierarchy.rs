@@ -217,6 +217,50 @@ impl Hierarchy {
         first
     }
 
+    /// The L1 slot (`set * associativity + way`) holding the line of the
+    /// previous access.
+    #[inline]
+    pub fn l1_last_slot(&self) -> usize {
+        self.levels[0].0.last_slot()
+    }
+
+    /// Whether L1 slot `slot`, one of the set of `addr`'s line, holds
+    /// that line.
+    #[inline]
+    pub fn l1_holds(&self, slot: usize, addr: u64) -> bool {
+        self.levels[0].0.holds(slot, addr)
+    }
+
+    /// Whether any `lines` lines accessed in a row are all still in L1
+    /// afterwards, whatever was resident before. That holds under LRU
+    /// for at most `associativity` lines: a miss evicts the least recent
+    /// way of its set, and while fewer than `associativity` ways hold
+    /// lines of the row, that is a way the row has not touched. (The
+    /// line a row may start on with a memo hit is the most recent of its
+    /// set, so it outlives every other way the row has not touched.)
+    pub fn l1_keeps(&self, lines: usize) -> bool {
+        self.levels[0].0.keeps(lines)
+    }
+
+    /// Accesses `accesses` — `(addr, slot)` pairs, each L1 slot holding
+    /// its address's line — `reps` times over, exactly as `reps` passes
+    /// of [`Hierarchy::access`] over the addresses would when the L1
+    /// last-line memo already holds the line of the last one. Every
+    /// access is an L1 hit at the L1 latency, so no other level is
+    /// probed; L1 counts all but the last pass in closed form and
+    /// replays the last one to write each touched way's final stamp and
+    /// PLRU bits (see `Cache::repeat_hits`).
+    pub fn repeat_l1_hits<I>(&mut self, accesses: I, reps: u64)
+    where
+        I: ExactSizeIterator<Item = (u64, usize)> + Clone,
+    {
+        let n = reps * accesses.len() as u64;
+        let (l1, l1_latency) = &mut self.levels[0];
+        l1.repeat_hits(accesses, reps);
+        self.accesses += n;
+        self.total_cycles += n * *l1_latency;
+    }
+
     /// Statistics of cache level `i` (0 = L1).
     ///
     /// # Panics
@@ -313,8 +357,10 @@ impl Hierarchy {
 
 /// The state of a [`Hierarchy`] at one point, taken by
 /// [`Hierarchy::image`] and rolled back to by [`Hierarchy::restore`]. The
-/// valid ways and PLRU words of all levels share two buffers.
-#[derive(Debug, Clone)]
+/// valid ways and PLRU words of all levels share two buffers. Two
+/// images are equal exactly when the hierarchies they were taken from
+/// are in the same state.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyImage {
     caches: Vec<CacheImage>,
     ways: Vec<WayImage>,

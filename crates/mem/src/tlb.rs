@@ -49,7 +49,7 @@ impl TlbConfig {
 /// assert!(tlb.access(0xFFF));     // same page: hit
 /// assert!(!tlb.access(0x1000));   // next page: miss
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     cfg: TlbConfig,
     /// `log2(page_bytes)`.
@@ -147,6 +147,56 @@ impl Tlb {
             self.hits += rest;
         }
         first
+    }
+
+    /// The entry slot the hint of `vaddr`'s page points at — right
+    /// after an access to the page, the slot holding it.
+    #[inline]
+    pub fn hinted_slot(&self, vaddr: u64) -> usize {
+        self.hints[((vaddr >> self.page_shift) & self.hint_mask) as usize]
+    }
+
+    /// Whether entry slot `slot` holds the page of `vaddr`.
+    #[inline]
+    pub fn holds(&self, slot: usize, vaddr: u64) -> bool {
+        self.entries
+            .get(slot)
+            .is_some_and(|e| e.0 == vaddr >> self.page_shift)
+    }
+
+    /// Whether any `pages` pages accessed in a row are all still
+    /// resident afterwards: a miss evicts the least recent entry, which
+    /// is one the row has not touched while it has touched fewer pages
+    /// than there are entries.
+    pub fn keeps(&self, pages: usize) -> bool {
+        pages <= self.cfg.entries
+    }
+
+    /// Looks up `accesses` — `(vaddr, slot)` pairs, each entry slot
+    /// holding its address's page — `reps` times over: the outcome of
+    /// `reps` passes of [`Tlb::access`] over the addresses, all hits.
+    /// All but the last pass are counted in closed form (the clock and
+    /// `hits`); the last is replayed, which writes each touched entry's
+    /// final stamp and hint.
+    pub fn repeat_hits<I>(&mut self, accesses: I, reps: u64)
+    where
+        I: ExactSizeIterator<Item = (u64, usize)>,
+    {
+        if reps == 0 {
+            return;
+        }
+        let n = accesses.len() as u64;
+        self.clock += (reps - 1) * n;
+        self.hits += reps * n;
+        for (vaddr, slot) in accesses {
+            debug_assert!(
+                self.holds(slot, vaddr),
+                "repeat_hits on a page not in its slot"
+            );
+            self.clock += 1;
+            self.entries[slot].1 = self.clock;
+            self.hints[((vaddr >> self.page_shift) & self.hint_mask) as usize] = slot;
+        }
     }
 
     /// Hits so far.
