@@ -94,8 +94,7 @@ fn main() {
     );
 
     if let Some(path) = mb_bench::csv_path("fault_ablation") {
-        let mut csv =
-            String::from("rate,mean_efficiency,retries,timeouts,skipped,crashed_ranks\n");
+        let mut csv = String::from("rate,mean_efficiency,retries,timeouts,skipped,crashed_ranks\n");
         for row in &rows {
             let s = row.report.total_stats();
             csv.push_str(&format!(

@@ -28,10 +28,7 @@ fn main() {
         .iter()
         .map(|e| (e.year as f64, e.sum_gflops.log10()))
         .collect();
-    println!(
-        "{}",
-        ascii_plot(&pts, 60, 12, "log10(sum GFLOPS) vs year")
-    );
+    println!("{}", ascii_plot(&pts, 60, 12, "log10(sum GFLOPS) vs year"));
 
     for series in [Series::First, Series::Last, Series::Sum] {
         let r = fit_trend(&data, series);

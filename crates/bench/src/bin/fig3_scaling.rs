@@ -7,7 +7,10 @@ use montblanc::fig3::{run, Fig3Config};
 use montblanc::report::{ascii_plot, TextTable};
 
 fn print_series(label: &str, s: &ScalingSeries) {
-    println!("--- {label}: {} (baseline {} cores) ---", s.name, s.baseline_cores);
+    println!(
+        "--- {label}: {} (baseline {} cores) ---",
+        s.name, s.baseline_cores
+    );
     let mut t = TextTable::new(vec![
         "cores".into(),
         "time (s)".into(),
@@ -28,7 +31,10 @@ fn print_series(label: &str, s: &ScalingSeries) {
         .iter()
         .map(|p| (p.cores as f64, p.speedup))
         .collect();
-    println!("{}", ascii_plot(&pts, 60, 12, "speedup vs cores (ideal = diagonal)"));
+    println!(
+        "{}",
+        ascii_plot(&pts, 60, 12, "speedup vs cores (ideal = diagonal)")
+    );
 }
 
 fn main() {

@@ -52,7 +52,12 @@ fn main() {
         .collect();
     println!(
         "{}",
-        ascii_plot(&pts_b, 64, 14, "panel (b): bandwidth GB/s vs sequence index")
+        ascii_plot(
+            &pts_b,
+            64,
+            14,
+            "panel (b): bandwidth GB/s vs sequence index"
+        )
     );
 
     let degraded: Vec<usize> = r

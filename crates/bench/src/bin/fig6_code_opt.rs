@@ -24,7 +24,11 @@ fn print_panel(label: &str, p: &Fig6Panel) {
     println!(
         "best configuration: {}b elements, {} ({:.3} GB/s)\n",
         best.elem_bits,
-        if best.unrolled { "unrolled" } else { "not unrolled" },
+        if best.unrolled {
+            "unrolled"
+        } else {
+            "not unrolled"
+        },
         best.bandwidth_gbps
     );
 }

@@ -161,10 +161,9 @@ struct Parser<'s> {
 /// Keywords that can never head a call path (path-head keywords
 /// `crate`/`super`/`self`/`Self` are handled separately).
 const STMT_KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "dyn", "else", "enum",
-    "extern", "false", "for", "if", "in", "let", "loop", "match", "move", "mut", "pub",
-    "ref", "return", "static", "struct", "true", "type", "union", "unsafe", "where",
-    "while",
+    "as", "async", "await", "box", "break", "const", "continue", "dyn", "else", "enum", "extern",
+    "false", "for", "if", "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return",
+    "static", "struct", "true", "type", "union", "unsafe", "where", "while",
 ];
 
 impl<'s> Parser<'s> {
@@ -197,10 +196,7 @@ impl<'s> Parser<'s> {
 
     /// Raw token index of the `k`-th significant token from the cursor.
     fn raw_idx(&self, k: usize) -> usize {
-        self.sig
-            .get(self.i + k)
-            .copied()
-            .unwrap_or(self.toks.len())
+        self.sig.get(self.i + k).copied().unwrap_or(self.toks.len())
     }
 
     fn in_test_scope(&self) -> bool {
@@ -280,12 +276,8 @@ impl<'s> Parser<'s> {
             match self.peek(0) {
                 Some("[") => depth += 1,
                 Some("]") => depth -= 1,
-                Some("test") if self.peek_kind(0) == Some(TokenKind::Ident) => {
-                    saw_test = true
-                }
-                Some("not") if self.peek_kind(0) == Some(TokenKind::Ident) => {
-                    saw_not = true
-                }
+                Some("test") if self.peek_kind(0) == Some(TokenKind::Ident) => saw_test = true,
+                Some("not") if self.peek_kind(0) == Some(TokenKind::Ident) => saw_not = true,
                 _ => {}
             }
             self.i += 1;
@@ -342,8 +334,7 @@ impl<'s> Parser<'s> {
                 Some("::") => self.i += 1,
                 Some("as") => {
                     self.i += 1;
-                    if let (Some(TokenKind::Ident), Some(alias)) =
-                        (self.peek_kind(0), self.peek(0))
+                    if let (Some(TokenKind::Ident), Some(alias)) = (self.peek_kind(0), self.peek(0))
                     {
                         out.push(UseEntry {
                             alias: strip_raw(alias).to_string(),
@@ -474,9 +465,10 @@ impl<'s> Parser<'s> {
                     }));
                     path.push(name.clone());
                     let in_impl = matches!(
-                        self.scopes.iter().rev().find(|s| {
-                            matches!(s.kind, ScopeKind::Mod(_) | ScopeKind::Type(_))
-                        }),
+                        self.scopes
+                            .iter()
+                            .rev()
+                            .find(|s| { matches!(s.kind, ScopeKind::Mod(_) | ScopeKind::Type(_)) }),
                         Some(Scope {
                             kind: ScopeKind::Type(_),
                             ..
@@ -560,7 +552,11 @@ impl<'s> Parser<'s> {
         }
         let call = match self.peek(0) {
             Some("(") => Some(Call {
-                kind: if after_dot { CallKind::Method } else { CallKind::Path },
+                kind: if after_dot {
+                    CallKind::Method
+                } else {
+                    CallKind::Path
+                },
                 segments,
                 line,
             }),
@@ -743,8 +739,9 @@ mod tests {
         };
         assert!(find(CallKind::Path, "new"));
         assert!(
-            calls.iter().any(|c| c.segments
-                == ["fig5".to_string(), "SlotMeasurer".into(), "new".into()]),
+            calls
+                .iter()
+                .any(|c| c.segments == ["fig5".to_string(), "SlotMeasurer".into(), "new".into()]),
             "{calls:?}"
         );
         assert!(find(CallKind::Method, "iter"));
@@ -761,9 +758,7 @@ mod tests {
 
     #[test]
     fn self_type_calls_resolve_to_impl_type() {
-        let p = parse_src(
-            "struct W; impl W { fn a() { Self::b(); self.c(); } fn b() {} }\n",
-        );
+        let p = parse_src("struct W; impl W { fn a() { Self::b(); self.c(); } fn b() {} }\n");
         let calls = &p.fns[0].calls;
         assert!(calls
             .iter()

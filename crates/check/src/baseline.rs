@@ -66,11 +66,8 @@ impl Baseline {
     pub fn contains(&self, f: &Finding) -> bool {
         // BTreeSet<(String,...)> lookups need owned keys; the set is
         // small (tens of entries), so the clone cost is irrelevant.
-        self.entries.contains(&(
-            f.rule.clone(),
-            f.file.clone(),
-            context_of(f).to_string(),
-        ))
+        self.entries
+            .contains(&(f.rule.clone(), f.file.clone(), context_of(f).to_string()))
     }
 
     /// Number of accepted entries.
@@ -94,13 +91,7 @@ impl Baseline {
 pub fn render(findings: &[Finding]) -> String {
     let mut keys: Vec<(String, String, String)> = findings
         .iter()
-        .map(|f| {
-            (
-                f.rule.clone(),
-                f.file.clone(),
-                context_of(f).to_string(),
-            )
-        })
+        .map(|f| (f.rule.clone(), f.file.clone(), context_of(f).to_string()))
         .collect();
     keys.sort();
     keys.dedup();
@@ -136,22 +127,34 @@ mod tests {
     #[test]
     fn round_trips_through_render_and_parse() {
         let findings = vec![
-            finding("hot-alloc", "crates/core/src/fig5.rs", 40, "montblanc::fig5::go"),
-            finding("hot-alloc", "crates/core/src/fig5.rs", 40, "montblanc::fig5::go"),
+            finding(
+                "hot-alloc",
+                "crates/core/src/fig5.rs",
+                40,
+                "montblanc::fig5::go",
+            ),
+            finding(
+                "hot-alloc",
+                "crates/core/src/fig5.rs",
+                40,
+                "montblanc::fig5::go",
+            ),
             finding("determinism-taint", "crates/net/src/x.rs", 7, ""),
         ];
         let text = render(&findings);
         let baseline = Baseline::parse(&text).expect("valid baseline");
         assert_eq!(baseline.len(), 2, "duplicates collapse");
         assert!(baseline.contains(&findings[0]));
-        assert!(baseline.contains(&findings[2]), "message is the fallback context");
+        assert!(
+            baseline.contains(&findings[2]),
+            "message is the fallback context"
+        );
     }
 
     #[test]
     fn line_drift_does_not_unbaseline() {
         let accepted = finding("hot-alloc", "a.rs", 40, "x::f");
-        let baseline = Baseline::parse(&render(std::slice::from_ref(&accepted)))
-            .expect("valid");
+        let baseline = Baseline::parse(&render(std::slice::from_ref(&accepted))).expect("valid");
         let drifted = finding("hot-alloc", "a.rs", 97, "x::f");
         assert!(baseline.contains(&drifted));
         let other_fn = finding("hot-alloc", "a.rs", 40, "x::g");
@@ -162,8 +165,7 @@ mod tests {
     fn split_partitions_new_from_accepted() {
         let a = finding("hot-alloc", "a.rs", 1, "x::f");
         let b = finding("hot-alloc", "b.rs", 2, "x::g");
-        let baseline = Baseline::parse(&render(std::slice::from_ref(&a)))
-            .expect("valid");
+        let baseline = Baseline::parse(&render(std::slice::from_ref(&a))).expect("valid");
         let all = vec![a.clone(), b.clone()];
         let (new, old) = baseline.split(&all);
         assert_eq!(new.len(), 1);

@@ -132,10 +132,7 @@ impl Graph {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| {
-                n.path == suffix
-                    || n.path.ends_with(&format!("::{suffix}"))
-            })
+            .filter(|(_, n)| n.path == suffix || n.path.ends_with(&format!("::{suffix}")))
             .map(|(id, _)| id)
             .collect()
     }
@@ -152,10 +149,7 @@ impl Graph {
             CallKind::Macro => Vec::new(),
             CallKind::Method => {
                 let name = call.segments.last().map(String::as_str).unwrap_or("");
-                self.methods_by_name
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_default()
+                self.methods_by_name.get(name).cloned().unwrap_or_default()
             }
             CallKind::Path => {
                 let mut segs = call.segments.clone();
@@ -199,9 +193,7 @@ impl Graph {
                         .nodes
                         .iter()
                         .enumerate()
-                        .filter(|(_, n)| {
-                            n.in_impl && n.path.ends_with(&format!("::{tail}"))
-                        })
+                        .filter(|(_, n)| n.in_impl && n.path.ends_with(&format!("::{tail}")))
                         .map(|(id, _)| id)
                         .collect();
                     if !hits.is_empty() {
@@ -335,12 +327,7 @@ mod tests {
 
     #[test]
     fn resolves_cross_crate_use_calls() {
-        let a = parse_file(
-            "crates/a/src/lib.rs",
-            "a",
-            &[],
-            "pub fn helper() {}\n",
-        );
+        let a = parse_file("crates/a/src/lib.rs", "a", &[], "pub fn helper() {}\n");
         let b = parse_file(
             "crates/b/src/lib.rs",
             "b",
@@ -373,12 +360,7 @@ mod tests {
 
     #[test]
     fn resolves_crate_super_self_prefixes() {
-        let lib = parse_file(
-            "crates/a/src/lib.rs",
-            "a",
-            &[],
-            "pub fn root() {}\n",
-        );
+        let lib = parse_file("crates/a/src/lib.rs", "a", &[], "pub fn root() {}\n");
         let deep = parse_file(
             "crates/a/src/m/n.rs",
             "a",
@@ -386,12 +368,7 @@ mod tests {
             "fn here() {}\n\
              fn f() { crate::root(); super::sibling(); self::here(); }\n",
         );
-        let sib = parse_file(
-            "crates/a/src/m.rs",
-            "a",
-            &["m"],
-            "pub fn sibling() {}\n",
-        );
+        let sib = parse_file("crates/a/src/m.rs", "a", &["m"], "pub fn sibling() {}\n");
         let g = Graph::build(&[lib, deep, sib]);
         assert!(edge(&g, "a::m::n::f", "a::root"));
         assert!(edge(&g, "a::m::n::f", "a::m::sibling"));
@@ -430,12 +407,15 @@ mod tests {
         assert!(edge(&g, "b::call", "b::B::go"));
         // But free functions of the same name are not method targets.
         let c = parse_file("crates/c/src/lib.rs", "c", &[], "fn go() {}\n");
-        let g2 = Graph::build(&[c, parse_file(
-            "crates/d/src/lib.rs",
-            "d",
-            &[],
-            "fn call(x: &X) { x.go(); }\n",
-        )]);
+        let g2 = Graph::build(&[
+            c,
+            parse_file(
+                "crates/d/src/lib.rs",
+                "d",
+                &[],
+                "fn call(x: &X) { x.go(); }\n",
+            ),
+        ]);
         let caller = g2.lookup_path("d::call")[0];
         assert!(g2.edges[caller].is_empty());
     }

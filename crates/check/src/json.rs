@@ -29,10 +29,7 @@ impl Value {
     /// Member lookup on objects; `None` elsewhere.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Obj(members) => members
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v),
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -111,10 +108,7 @@ impl<'s> P<'s> {
     }
 
     fn ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -292,11 +286,15 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = parse(r#"{"a":[1,2.5,-3e2],"b":{"c":"x","d":null},"e":true}"#)
-            .expect("valid JSON");
-        assert_eq!(v.get("a").and_then(Value::as_arr).map(<[Value]>::len), Some(3));
+        let v = parse(r#"{"a":[1,2.5,-3e2],"b":{"c":"x","d":null},"e":true}"#).expect("valid JSON");
         assert_eq!(
-            v.get("a").and_then(Value::as_arr).and_then(|a| a[2].as_num()),
+            v.get("a").and_then(Value::as_arr).map(<[Value]>::len),
+            Some(3)
+        );
+        assert_eq!(
+            v.get("a")
+                .and_then(Value::as_arr)
+                .and_then(|a| a[2].as_num()),
             Some(-300.0)
         );
         assert_eq!(

@@ -169,9 +169,7 @@ impl<'s> Lexer<'s> {
                 self.char_literal();
                 TokenKind::Literal
             }
-            b'r' if self.peek(1) == Some(b'#')
-                && self.peek(2).is_some_and(is_ident_start) =>
-            {
+            b'r' if self.peek(1) == Some(b'#') && self.peek(2).is_some_and(is_ident_start) => {
                 // Raw identifier `r#match`.
                 self.bump();
                 self.bump();
@@ -316,9 +314,7 @@ impl<'s> Lexer<'s> {
         }
         self.bump(); // opening quote
         while self.pos < self.src.len() {
-            if self.peek(0) == Some(b'"')
-                && (1..=hashes).all(|k| self.peek(k) == Some(b'#'))
-            {
+            if self.peek(0) == Some(b'"') && (1..=hashes).all(|k| self.peek(k) == Some(b'#')) {
                 for _ in 0..=hashes {
                     self.bump();
                 }

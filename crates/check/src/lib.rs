@@ -254,11 +254,7 @@ impl Workspace {
 /// with dashes mapped to underscores, else the directory name likewise
 /// (so Cargo-less fixture trees still parse). `examples/` files are
 /// each their own crate, named after the file stem.
-fn crate_rust_name(
-    root: &Path,
-    rel: &str,
-    cache: &mut BTreeMap<String, String>,
-) -> String {
+fn crate_rust_name(root: &Path, rel: &str, cache: &mut BTreeMap<String, String>) -> String {
     if let Some(stem) = rel
         .strip_prefix("examples/")
         .and_then(|r| r.strip_suffix(".rs"))
@@ -379,7 +375,10 @@ mod tests {
             module_path_of("crates/net/src/fabric/router.rs"),
             vec!["fabric", "router"]
         );
-        assert_eq!(module_path_of("crates/net/src/fabric/mod.rs"), vec!["fabric"]);
+        assert_eq!(
+            module_path_of("crates/net/src/fabric/mod.rs"),
+            vec!["fabric"]
+        );
         assert!(module_path_of("crates/net/tests/smoke.rs").is_empty());
         assert!(module_path_of("examples/quickstart.rs").is_empty());
     }
@@ -413,8 +412,14 @@ mod tests {
 
     #[test]
     fn file_classes_classify_by_tree() {
-        assert_eq!(FileClass::classify("crates/net/src/graph.rs"), FileClass::Lib);
-        assert_eq!(FileClass::classify("crates/net/tests/smoke.rs"), FileClass::Test);
+        assert_eq!(
+            FileClass::classify("crates/net/src/graph.rs"),
+            FileClass::Lib
+        );
+        assert_eq!(
+            FileClass::classify("crates/net/tests/smoke.rs"),
+            FileClass::Test
+        );
         assert_eq!(
             FileClass::classify("crates/bench/benches/kernels.rs"),
             FileClass::Bench
@@ -444,7 +449,10 @@ mod tests {
             ws.enclosing_fn("crates/x/src/lib.rs", 2),
             Some("mb_x::outer".to_string())
         );
-        assert_eq!(ws.enclosing_fn("crates/x/src/lib.rs", 4), Some("mb_x::later".to_string()));
+        assert_eq!(
+            ws.enclosing_fn("crates/x/src/lib.rs", 4),
+            Some("mb_x::later".to_string())
+        );
         assert_eq!(ws.enclosing_fn("crates/x/src/lib.rs", 999), None);
     }
 }

@@ -108,8 +108,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     };
 
-    let baseline_file =
-        baseline_path.unwrap_or_else(|| root.join(baseline::BASELINE_FILE));
+    let baseline_file = baseline_path.unwrap_or_else(|| root.join(baseline::BASELINE_FILE));
     if write_baseline {
         let text = baseline::render(&findings);
         let entries = baseline::Baseline::parse(&text).map_or(0, |b| b.len());
@@ -162,9 +161,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 fn load_baseline(path: &Path) -> Result<Baseline, String> {
     match std::fs::read_to_string(path) {
         Ok(text) => Baseline::parse(&text),
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-            Ok(Baseline::default())
-        }
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
         Err(err) => Err(err.to_string()),
     }
 }
@@ -203,7 +200,10 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         }
     };
     let analysis = ws.taint();
-    print!("{}", taint::explain(&ws.files, &ws.graph, &analysis, &query));
+    print!(
+        "{}",
+        taint::explain(&ws.files, &ws.graph, &analysis, &query)
+    );
     ExitCode::SUCCESS
 }
 
@@ -266,7 +266,10 @@ fn cmd_validate_sarif(args: &[String]) -> ExitCode {
     };
     let errors = validate_sarif(&doc, &schema);
     if errors.is_empty() {
-        println!("mb-check: {} conforms to the SARIF snapshot", file.display());
+        println!(
+            "mb-check: {} conforms to the SARIF snapshot",
+            file.display()
+        );
         ExitCode::SUCCESS
     } else {
         for e in &errors {

@@ -212,8 +212,7 @@ mod tests {
     }
 
     fn schema() -> Value {
-        json::parse(include_str!("../schema/sarif-required.json"))
-            .expect("schema snapshot parses")
+        json::parse(include_str!("../schema/sarif-required.json")).expect("schema snapshot parses")
     }
 
     #[test]
@@ -255,7 +254,10 @@ mod tests {
             result.get("ruleId").and_then(Value::as_str),
             Some("unwrap-in-lib")
         );
-        let loc = &result.get("locations").and_then(Value::as_arr).expect("loc")[0];
+        let loc = &result
+            .get("locations")
+            .and_then(Value::as_arr)
+            .expect("loc")[0];
         let phys = loc.get("physicalLocation").expect("physical");
         assert_eq!(
             phys.get("artifactLocation")
@@ -288,8 +290,7 @@ mod tests {
             "missing tool must be reported: {errors:?}"
         );
         let bad_version =
-            json::parse("{\"$schema\":\"x\",\"version\":\"9.9\",\"runs\":[]}")
-                .expect("json");
+            json::parse("{\"$schema\":\"x\",\"version\":\"9.9\",\"runs\":[]}").expect("json");
         let errors = validate_sarif(&bad_version, &schema());
         assert!(errors.iter().any(|e| e.contains("2.1.0")), "{errors:?}");
     }
@@ -308,7 +309,10 @@ mod tests {
             .filter_map(|r| r.get("id").and_then(Value::as_str))
             .collect();
         for result in run.get("results").and_then(Value::as_arr).expect("results") {
-            let id = result.get("ruleId").and_then(Value::as_str).expect("ruleId");
+            let id = result
+                .get("ruleId")
+                .and_then(Value::as_str)
+                .expect("ruleId");
             assert!(declared.contains(&id), "{id} not declared");
         }
     }

@@ -204,17 +204,15 @@ const QUANTITY_WORDS: [&str; 10] = [
 
 /// Name segments accepted as unit suffixes.
 const UNIT_SEGMENTS: [&str; 24] = [
-    "ns", "us", "ms", "secs", "s", "cycles", "cycle", "joules", "j", "watts", "w", "bps",
-    "kbps", "mbps", "gbps", "hz", "khz", "mhz", "ghz", "bytes", "flops", "ops", "ratio",
-    "factor",
+    "ns", "us", "ms", "secs", "s", "cycles", "cycle", "joules", "j", "watts", "w", "bps", "kbps",
+    "mbps", "gbps", "hz", "khz", "mhz", "ghz", "bytes", "flops", "ops", "ratio", "factor",
 ];
 
 /// Primitive numeric types the `unit-suffix` rule cares about. Wrapper
 /// types like `SimTime` carry their unit in the type, so only bare
 /// primitives are suspect.
 const NUMERIC_TYPES: [&str; 13] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "f32",
-    "f64",
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "f32", "f64",
 ];
 
 /// Runs every line rule over one parsed file. `rel_path` is the
@@ -260,9 +258,7 @@ fn fire(rule: RuleId, ctx: &FileContext, code: &str) -> Option<String> {
             if ctx.krate == "bench" || ctx.krate == "check" {
                 return None;
             }
-            let token = ["HashMap", "HashSet"]
-                .iter()
-                .find(|t| has_token(code, t))?;
+            let token = ["HashMap", "HashSet"].iter().find(|t| has_token(code, t))?;
             Some(format!(
                 "{token} in model code: iteration order is nondeterministic; \
                  use BTreeMap/BTreeSet or a sorted collect"
@@ -376,10 +372,7 @@ pub fn digest_pin_findings(files: &[crate::FileAnalysis]) -> Vec<Finding> {
                 continue;
             }
             let text = tok.text(&campaign.source);
-            let Some(name) = text
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-            else {
+            let Some(name) = text.strip_prefix('"').and_then(|s| s.strip_suffix('"')) else {
                 continue;
             };
             // Campaign names are kebab-case words; anything else in a
@@ -520,7 +513,9 @@ mod tests {
         let findings = check_snippet("crates/net/src/graph.rs", src);
         for f in &findings {
             assert!(
-                !RuleId::from_name(&f.rule).expect("known rule").is_workspace_rule(),
+                !RuleId::from_name(&f.rule)
+                    .expect("known rule")
+                    .is_workspace_rule(),
                 "workspace rule {} fired as a line rule",
                 f.rule
             );
@@ -569,7 +564,11 @@ let mut rng = thread_rng();
             assert_eq!(f[0].rule, "unseeded-rng");
         }
         // The same file as library code trips all three.
-        let f = check_file("crates/net/src/smoke.rs", &SourceFile::parse(src), FileClass::Lib);
+        let f = check_file(
+            "crates/net/src/smoke.rs",
+            &SourceFile::parse(src),
+            FileClass::Lib,
+        );
         assert_eq!(f.len(), 3);
     }
 
@@ -636,8 +635,7 @@ mod tests {
 
     #[test]
     fn suppression_silences_a_rule() {
-        let src =
-            "use std::collections::HashMap; // mb-check: allow(hashmap-iter-order)\n";
+        let src = "use std::collections::HashMap; // mb-check: allow(hashmap-iter-order)\n";
         assert!(check_snippet("crates/net/src/graph.rs", src).is_empty());
         // But not a different rule.
         let src2 = "let x = foo.unwrap(); // mb-check: allow(hashmap-iter-order)\n";

@@ -265,8 +265,16 @@ mod tests {
     fn strips_string_and_char_literals() {
         let c = codes(r#"let s = "thread_rng"; let c = 'x'; let l: &'static str = s;"#);
         assert!(!c[0].contains("thread_rng"));
-        assert!(!c[0].contains('x') || c[0].contains("&'static"), "{:?}", c[0]);
-        assert!(c[0].contains("&'static str"), "lifetimes survive: {:?}", c[0]);
+        assert!(
+            !c[0].contains('x') || c[0].contains("&'static"),
+            "{:?}",
+            c[0]
+        );
+        assert!(
+            c[0].contains("&'static str"),
+            "lifetimes survive: {:?}",
+            c[0]
+        );
     }
 
     #[test]
@@ -366,6 +374,9 @@ fn name() -> &'static str {
     fn directive_in_code_position_is_ignored() {
         let src = "let s = \"mb-check: allow(unwrap-in-lib)\"; x.unwrap();\n";
         let f = SourceFile::parse(src);
-        assert!(!f.lines[0].allows("unwrap-in-lib"), "strings are not comments");
+        assert!(
+            !f.lines[0].allows("unwrap-in-lib"),
+            "strings are not comments"
+        );
     }
 }

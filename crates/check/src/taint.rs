@@ -229,10 +229,7 @@ fn direct_sources(
     let sig: Vec<usize> = (body.0..body.1.min(file.tokens.len()))
         .filter(|&i| {
             !nested.iter().any(|&(s, e)| i >= s && i < e)
-                && matches!(
-                    file.tokens[i].kind,
-                    TokenKind::Ident | TokenKind::PathSep
-                )
+                && matches!(file.tokens[i].kind, TokenKind::Ident | TokenKind::PathSep)
         })
         .collect();
     let text = |k: usize| -> &str { file.tokens[sig[k]].text(&file.source) };
@@ -242,9 +239,7 @@ fn direct_sources(
             continue;
         }
         let t = text(k);
-        let prev_path = |name: &str| {
-            k >= 2 && text(k - 1) == "::" && text(k - 2) == name
-        };
+        let prev_path = |name: &str| k >= 2 && text(k - 1) == "::" && text(k - 2) == name;
         let next_is_sep = k + 1 < sig.len() && text(k + 1) == "::";
         let hit = match t {
             "Instant" | "SystemTime" => Some(SourceKind::WallClock),
@@ -324,10 +319,7 @@ pub fn findings(files: &[FileAnalysis], graph: &Graph, analysis: &TaintAnalysis)
             )
         } else {
             let path = analysis.path_to_source(node_id);
-            let route: Vec<&str> = path
-                .iter()
-                .map(|&n| graph.nodes[n].name.as_str())
-                .collect();
+            let route: Vec<&str> = path.iter().map(|&n| graph.nodes[n].name.as_str()).collect();
             format!(
                 "`{}` transitively reaches {} (`{}` in {}:{}) via {}",
                 node.path,
@@ -390,9 +382,7 @@ fn alloc_label(kind: CallKind, segments: &[String]) -> Option<String> {
             match (ty, last) {
                 ("Vec", "new" | "with_capacity")
                 | ("Box", "new")
-                | ("String", "new" | "from" | "with_capacity") => {
-                    Some(format!("{ty}::{last}"))
-                }
+                | ("String", "new" | "from" | "with_capacity") => Some(format!("{ty}::{last}")),
                 _ => None,
             }
         }
@@ -511,21 +501,10 @@ pub fn explain(
                 for (depth, &hop) in path.iter().enumerate() {
                     let n = &graph.nodes[hop];
                     let marker = if depth == 0 { "sink  " } else { "calls " };
-                    let _ = writeln!(
-                        out,
-                        "  {}{} ({}:{})",
-                        marker,
-                        n.path,
-                        n.file,
-                        n.line
-                    );
+                    let _ = writeln!(out, "  {}{} ({}:{})", marker, n.path, n.file, n.line);
                 }
                 let file = &files[graph.nodes[src.node].file_idx];
-                let _ = writeln!(
-                    out,
-                    "  source `{}` at {}:{}",
-                    src.token, file.rel, src.line
-                );
+                let _ = writeln!(out, "  source `{}` at {}:{}", src.token, file.rel, src.line);
             }
         }
     }

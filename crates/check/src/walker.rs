@@ -115,7 +115,9 @@ mod tests {
             "integration tests are scanned"
         );
         assert!(
-            as_str.iter().any(|p| p == "crates/core/tests/common/digest.rs"),
+            as_str
+                .iter()
+                .any(|p| p == "crates/core/tests/common/digest.rs"),
             "the digest fixture is scanned (digest-pin needs it)"
         );
     }

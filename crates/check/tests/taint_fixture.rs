@@ -50,8 +50,9 @@ fn taint_covers_v1_sources_plus_transitive_callers() {
 
     // v1 coverage: the wall-clock line rule still fires at the source.
     assert!(
-        findings.iter().any(|f| f.rule == "wall-clock-in-model"
-            && f.file == "crates/alpha/src/clock.rs"),
+        findings
+            .iter()
+            .any(|f| f.rule == "wall-clock-in-model" && f.file == "crates/alpha/src/clock.rs"),
         "line rule lost at the source:\n{:#?}",
         findings
     );
@@ -67,10 +68,20 @@ fn taint_covers_v1_sources_plus_transitive_callers() {
         "mb_beta::Runner::run",
         "mb_beta::drive",
     ] {
-        assert!(tainted.contains(&expect), "missing taint on {expect}: {tainted:?}");
+        assert!(
+            tainted.contains(&expect),
+            "missing taint on {expect}: {tainted:?}"
+        );
     }
-    for clean in ["mb_alpha::clock::constant", "mb_alpha::model::pure_model", "mb_beta::idle"] {
-        assert!(!tainted.contains(&clean), "{clean} must stay clean: {tainted:?}");
+    for clean in [
+        "mb_alpha::clock::constant",
+        "mb_alpha::model::pure_model",
+        "mb_beta::idle",
+    ] {
+        assert!(
+            !tainted.contains(&clean),
+            "{clean} must stay clean: {tainted:?}"
+        );
     }
 
     // The transitive finding lands in a file with zero line findings.

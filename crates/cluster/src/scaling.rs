@@ -208,9 +208,9 @@ impl ResilientSeries {
 
     /// Summed [`ResilientPoint::energy`] over every completed point.
     pub fn total_energy(&self, node_power: Power, retrans: &RetransmissionModel) -> Energy {
-        self.points
-            .iter()
-            .fold(Energy::default(), |acc, p| acc + p.energy(node_power, retrans))
+        self.points.iter().fold(Energy::default(), |acc, p| {
+            acc + p.energy(node_power, retrans)
+        })
     }
 }
 
@@ -256,14 +256,19 @@ impl ScalingStudy {
 
     /// The fabric every run at `ranks` cores is built on.
     fn fabric(&self, ranks: u32) -> Fabric {
-        self.fabric.build(ranks.div_ceil(2) as usize, self.seed ^ u64::from(ranks))
+        self.fabric
+            .build(ranks.div_ceil(2) as usize, self.seed ^ u64::from(ranks))
     }
 
     /// The plan the study's fault config draws for a run at `ranks`
     /// cores on `fabric`.
     fn plan_on(&self, fabric: &Fabric, ranks: u32) -> FaultPlan {
         let topo = fabric.network().fault_topology(ranks);
-        FaultPlan::generate(self.seed ^ FAULT_SEED_SALT ^ u64::from(ranks), &self.faults, &topo)
+        FaultPlan::generate(
+            self.seed ^ FAULT_SEED_SALT ^ u64::from(ranks),
+            &self.faults,
+            &topo,
+        )
     }
 
     /// The fault plan a run at `ranks` cores replays (empty without
@@ -301,7 +306,9 @@ impl ScalingStudy {
     ///
     /// Panics if `ranks < workload.min_ranks`.
     pub fn execute_outcome(&self, workload: &Workload, ranks: u32, traced: bool) -> ScalingOutcome {
-        self.execute_with_plan(workload, ranks, traced, |fabric| self.plan_on(fabric, ranks))
+        self.execute_with_plan(workload, ranks, traced, |fabric| {
+            self.plan_on(fabric, ranks)
+        })
     }
 
     /// Runs `workload` under an *explicitly supplied* fault plan —
@@ -439,7 +446,11 @@ impl ScalingStudy {
         let outcomes = core_counts
             .iter()
             .copied()
-            .zip(slots.into_iter().map(|slot| slot.map_err(|e| e.to_string())))
+            .zip(
+                slots
+                    .into_iter()
+                    .map(|slot| slot.map_err(|e| e.to_string())),
+            )
             .collect();
         ResilientSeries::from_outcomes(workload.name.clone(), outcomes)
     }
@@ -504,7 +515,9 @@ mod tests {
     #[test]
     fn upgraded_fabric_helps_bigdft() {
         let w = Workload::bigdft_tibidabo();
-        let slow = ScalingStudy::new(FabricKind::Tibidabo).execute(&w, 36, false).0;
+        let slow = ScalingStudy::new(FabricKind::Tibidabo)
+            .execute(&w, 36, false)
+            .0;
         let bonded = ScalingStudy::new(FabricKind::TibidaboBonded(4))
             .execute(&w, 36, false)
             .0;
@@ -516,7 +529,10 @@ mod tests {
         // raw uplink bandwidth — consistent with the paper proposing a
         // switch *replacement* rather than extra links.
         let rel = (bonded.as_secs_f64() - slow.as_secs_f64()).abs() / slow.as_secs_f64();
-        assert!(rel < 0.10, "bonding should be near-neutral: {bonded} vs {slow}");
+        assert!(
+            rel < 0.10,
+            "bonding should be near-neutral: {bonded} vs {slow}"
+        );
         assert!(fast < slow, "upgraded {fast} vs commodity {slow}");
         assert!(fast < bonded, "upgraded {fast} vs bonded {bonded}");
     }
@@ -541,8 +557,12 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let w = Workload::specfem_tibidabo().with_iterations(3);
-        let a = ScalingStudy::new(FabricKind::Tibidabo).execute(&w, 8, false).0;
-        let b = ScalingStudy::new(FabricKind::Tibidabo).execute(&w, 8, false).0;
+        let a = ScalingStudy::new(FabricKind::Tibidabo)
+            .execute(&w, 8, false)
+            .0;
+        let b = ScalingStudy::new(FabricKind::Tibidabo)
+            .execute(&w, 8, false)
+            .0;
         assert_eq!(a, b);
         let c = ScalingStudy::new(FabricKind::Tibidabo)
             .with_seed(99)
@@ -578,7 +598,11 @@ mod tests {
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(cfg);
         let w = Workload::specfem_tibidabo().with_iterations(5);
         let out = study.execute_outcome(&w, 8, false);
-        assert!(out.surviving_ranks < 8, "survivors: {}", out.surviving_ranks);
+        assert!(
+            out.surviving_ranks < 8,
+            "survivors: {}",
+            out.surviving_ranks
+        );
         assert!(out.surviving_ranks >= 1, "rank 0 never crashes");
         assert_eq!(out.stats.crashed_ranks, 8 - out.surviving_ranks);
         assert!(out.stats.skipped_messages > 0);
@@ -635,8 +659,8 @@ mod tests {
             .with_faults(FaultConfig::none())
             .run_resilient(&w, &counts);
         let p0 = &clean.points[0];
-        let expect = Power::from_watts(node.watts() * f64::from(p0.node_count()))
-            .over(p0.point.time);
+        let expect =
+            Power::from_watts(node.watts() * f64::from(p0.node_count())).over(p0.point.time);
         assert_eq!(p0.energy(node, &retrans), expect);
     }
 
@@ -644,7 +668,9 @@ mod tests {
     fn fault_plan_replays_identically() {
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
         assert_eq!(study.fault_plan(16), study.fault_plan(16));
-        assert!(ScalingStudy::new(FabricKind::Tibidabo).fault_plan(16).is_empty());
+        assert!(ScalingStudy::new(FabricKind::Tibidabo)
+            .fault_plan(16)
+            .is_empty());
     }
 
     #[test]
@@ -663,7 +689,11 @@ mod tests {
         let plain = ScalingStudy::new(FabricKind::Tibidabo);
         let a = faulted.execute_outcome(&w, 8, false);
         let b = plain.execute_planned(&w, 8, &plan, false);
-        assert!(a.surviving_ranks < 8, "the plan must crash a rank: {:?}", a.stats);
+        assert!(
+            a.surviving_ranks < 8,
+            "the plan must crash a rank: {:?}",
+            a.stats
+        );
         assert_eq!(a.time, b.time);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.surviving_ranks, b.surviving_ranks);
@@ -691,10 +721,13 @@ mod tests {
         let s = study.run_resilient(&w, &[2, 4, 16]);
         assert_eq!(s.failed.len(), 1);
         assert_eq!(s.failed[0].0, 2);
-        assert!(s.failed[0].1.contains("needs at least"), "{}", s.failed[0].1);
+        assert!(
+            s.failed[0].1.contains("needs at least"),
+            "{}",
+            s.failed[0].1
+        );
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.baseline_cores, 4);
         assert!(s.at(16).expect("ran at 16").point.speedup > 1.0);
     }
 }
-

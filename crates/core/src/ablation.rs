@@ -279,11 +279,7 @@ mod tests {
     #[test]
     fn page_policy_ordering() {
         let rows = page_policies(8);
-        let get = |p: PagePolicy| {
-            rows.iter()
-                .find(|r| r.policy == p)
-                .expect("row present")
-        };
+        let get = |p: PagePolicy| rows.iter().find(|r| r.policy == p).expect("row present");
         let contiguous = get(PagePolicy::Contiguous);
         let random = get(PagePolicy::Random);
         // Contiguous frames: fastest and perfectly reproducible.

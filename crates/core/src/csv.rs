@@ -153,7 +153,7 @@ mod tests {
         let f7 = crate::fig7::run(&crate::fig7::Fig7Config::quick());
         let csv = fig7_csv(&f7);
         assert_eq!(csv.lines().count(), 25); // header + 2 × 12 unrolls
-        // Every data row has exactly 4 fields (no stray separators).
+                                             // Every data row has exactly 4 fields (no stray separators).
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), 4, "{line}");
         }

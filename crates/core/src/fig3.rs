@@ -391,7 +391,9 @@ pub fn measure_faulted_slot(
     core_gflops: f64,
 ) -> [f64; 6] {
     let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(faults);
-    measure_slot(cfg, panel, core_gflops, |w| study.execute_outcome(w, cores, false))
+    measure_slot(cfg, panel, core_gflops, |w| {
+        study.execute_outcome(w, cores, false)
+    })
 }
 
 /// The element-name table a Figure 3 slot at `cores` resolves
@@ -416,7 +418,9 @@ pub fn measure_planned_slot(
     core_gflops: f64,
 ) -> [f64; 6] {
     let study = ScalingStudy::new(FabricKind::Tibidabo);
-    measure_slot(cfg, panel, core_gflops, |w| study.execute_planned(w, cores, plan, false))
+    measure_slot(cfg, panel, core_gflops, |w| {
+        study.execute_planned(w, cores, plan, false)
+    })
 }
 
 /// The one slot body: runs `panel`'s workload through `execute` and
@@ -487,7 +491,10 @@ mod tests {
         ] {
             assert!(r.failed.is_empty());
             for (a, b) in s.points.iter().zip(&r.points) {
-                assert_eq!(a, &b.point, "an empty plan must leave every point as the healthy run has it");
+                assert_eq!(
+                    a, &b.point,
+                    "an empty plan must leave every point as the healthy run has it"
+                );
             }
         }
         assert_eq!(faulted.total_stats(), ResilienceStats::default());
@@ -529,8 +536,7 @@ mod tests {
                 continue; // e.g. specfem@48c exists only in the quick grid
             }
             shared += 1;
-            let quick_payload =
-                measure_scaling_slot(&quick_at_paper_iters, panel, cores, rate);
+            let quick_payload = measure_scaling_slot(&quick_at_paper_iters, panel, cores, rate);
             let paper_payload = measure_scaling_slot(&paper, panel, cores, rate);
             assert_eq!(
                 quick_payload.to_bits(),
@@ -556,7 +562,10 @@ mod tests {
                 );
             }
         }
-        assert!(shared >= 6, "only {shared} shared grid points — grids drifted apart");
+        assert!(
+            shared >= 6,
+            "only {shared} shared grid points — grids drifted apart"
+        );
     }
 
     #[test]

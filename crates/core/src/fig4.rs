@@ -118,10 +118,7 @@ mod tests {
         let r = run(&Fig4Config::quick());
         // At least one delayed op names the ranks it delayed (the
         // paper's "all the nodes ... or only part of them").
-        let any_named = r
-            .analysis
-            .delayed()
-            .any(|op| !op.delayed_ranks.is_empty());
+        let any_named = r.analysis.delayed().any(|op| !op.delayed_ranks.is_empty());
         assert!(any_named);
     }
 

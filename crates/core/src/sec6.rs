@@ -99,9 +99,17 @@ pub fn efficiency_ladder() -> (Vec<EfficiencyRung>, f64) {
         });
     };
     let xeon = Platform::xeon_x5550();
-    push("Xeon X5550 (DP peak)", xeon.peak_gflops_f64(), xeon.power.nameplate());
+    push(
+        "Xeon X5550 (DP peak)",
+        xeon.peak_gflops_f64(),
+        xeon.power.nameplate(),
+    );
     let snow = Platform::snowball();
-    push("Snowball (DP peak)", snow.peak_gflops_f64(), snow.power.nameplate());
+    push(
+        "Snowball (DP peak)",
+        snow.peak_gflops_f64(),
+        snow.power.nameplate(),
+    );
     let tegra = Platform::tegra2_node();
     push(
         "Tibidabo node (DP peak)",
@@ -134,7 +142,10 @@ mod tests {
             "offload should pay off: {:?}",
             specfem.speedup()
         );
-        assert!(bigdft.gpu_time.is_none(), "DP code cannot use the Tegra3 GPU");
+        assert!(
+            bigdft.gpu_time.is_none(),
+            "DP code cannot use the Tegra3 GPU"
+        );
     }
 
     #[test]

@@ -243,7 +243,12 @@ fn run_hpl_blocked(cfg: &Table2Config, platform: &Platform) -> f64 {
 }
 
 /// One row's recipe: name, unit, direction, and the kernel runner.
-type RowSpec = (&'static str, &'static str, bool, fn(&Table2Config, &Platform) -> f64);
+type RowSpec = (
+    &'static str,
+    &'static str,
+    bool,
+    fn(&Table2Config, &Platform) -> f64,
+);
 
 /// Table II's rows: the paper's five in its order, then the two
 /// extension rows of [`run_extended`]. The LINPACK row runs the
@@ -331,7 +336,11 @@ pub fn extended_cell_count() -> usize {
 /// Human-readable label of campaign cell `idx`, e.g. `"CoreMark/xeon"`.
 pub fn cell_label(idx: usize) -> String {
     let (name, ..) = ROWS[idx / 2];
-    let machine = if idx.is_multiple_of(2) { "snowball" } else { "xeon" };
+    let machine = if idx.is_multiple_of(2) {
+        "snowball"
+    } else {
+        "xeon"
+    };
     format!("{name}/{machine}")
 }
 

@@ -167,7 +167,11 @@ mod tests {
     #[test]
     fn growth_is_exponential() {
         let r = fit_trend(&history(), Series::Sum);
-        assert!(r.fit.r2 > 0.98, "log-linear fit should be tight: {}", r.fit.r2);
+        assert!(
+            r.fit.r2 > 0.98,
+            "log-linear fit should be tight: {}",
+            r.fit.r2
+        );
         // The list total historically doubles roughly every year.
         assert!(
             (0.8..1.5).contains(&r.doubling_time_years),

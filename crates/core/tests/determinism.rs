@@ -63,7 +63,9 @@ fn faulted_fig3_serial_parallel_chaos_identical() {
     let faults = FaultConfig::light();
     let serial = with_threads(1, || fig3::run_faulted(&cfg, faults));
     let parallel = with_threads(4, || fig3::run_faulted(&cfg, faults));
-    let chaos = with_threads(4, || with_chaos(0xC4A05, || fig3::run_faulted(&cfg, faults)));
+    let chaos = with_threads(4, || {
+        with_chaos(0xC4A05, || fig3::run_faulted(&cfg, faults))
+    });
     assert_eq!(serial, parallel);
     assert_eq!(serial, chaos);
     // And the faults really fired: degraded, not silently fault-free.

@@ -74,8 +74,20 @@ fn named_and_index_addressed_plans_digest_identically() {
             "{}: resolved plan diverged from the index spelling",
             fig3::slot_label(panel, cores)
         );
-        named_stream.extend(fig3::measure_planned_slot(&cfg, &named_plan, panel, cores, rate));
-        index_stream.extend(fig3::measure_planned_slot(&cfg, &index_plan, panel, cores, rate));
+        named_stream.extend(fig3::measure_planned_slot(
+            &cfg,
+            &named_plan,
+            panel,
+            cores,
+            rate,
+        ));
+        index_stream.extend(fig3::measure_planned_slot(
+            &cfg,
+            &index_plan,
+            panel,
+            cores,
+            rate,
+        ));
         healthy_stream.push(fig3::measure_scaling_slot(&cfg, panel, cores, rate));
     }
     assert_eq!(

@@ -47,7 +47,10 @@ fn paper_grids_run_bit_identical_under_validation() {
     // Same pins as figure_digests.rs for the full paper() grids — the
     // sanitizer build must reproduce the published figures bit for bit.
     assert_eq!(digest::fig3_paper(), digest::FIG3_PAPER_DIGEST);
-    assert_eq!(digest::fig3_faulted_paper(), digest::FIG3_FAULTED_PAPER_DIGEST);
+    assert_eq!(
+        digest::fig3_faulted_paper(),
+        digest::FIG3_FAULTED_PAPER_DIGEST
+    );
     assert_eq!(digest::fig5_paper(), digest::FIG5_PAPER_DIGEST);
     assert_eq!(digest::fig7_paper(), digest::FIG7_PAPER_DIGEST);
     assert_eq!(digest::table2_paper(), digest::TABLE2_PAPER_DIGEST);

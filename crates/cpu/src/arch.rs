@@ -102,7 +102,7 @@ impl CoreModel {
             f32_simd_flops_per_cycle: 8.0, // 4-wide SSE
             long_latency_penalty_cycles: 20.0,
             int_ops_per_cycle: 3.0,
-            mem_issue_per_cycle: 1.5, // 1 load + 1 store every other cycle
+            mem_issue_per_cycle: 1.5,   // 1 load + 1 store every other cycle
             max_outstanding_misses: 10, // line-fill buffers
             branch_miss_penalty_cycles: 17,
             predictable_accuracy: 0.995,

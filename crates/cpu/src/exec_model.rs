@@ -871,7 +871,8 @@ impl Exec for ModelExec {
         let rate = self.model.flop_rate(prec, lanes);
         self.tally.flop_cycles += n as f64 * (flops as f64 / rate);
         if matches!(kind, FlopKind::Div | FlopKind::Sqrt) {
-            self.tally.flop_cycles += self.model.long_latency_penalty_cycles * (lanes as u64 * n) as f64;
+            self.tally.flop_cycles +=
+                self.model.long_latency_penalty_cycles * (lanes as u64 * n) as f64;
         }
     }
 
@@ -1247,8 +1248,14 @@ mod tests {
         let warm = sweep(8 * 1024, 1).counters;
         let both = sweep(8 * 1024, 2).counters;
         assert_eq!(both.get(Counter::L1DataAccesses), 2 * 2048);
-        assert_eq!(both.get(Counter::L1DataMisses), warm.get(Counter::L1DataMisses));
-        assert_eq!(both.get(Counter::TlbDataMisses), warm.get(Counter::TlbDataMisses));
+        assert_eq!(
+            both.get(Counter::L1DataMisses),
+            warm.get(Counter::L1DataMisses)
+        );
+        assert_eq!(
+            both.get(Counter::TlbDataMisses),
+            warm.get(Counter::TlbDataMisses)
+        );
     }
 
     #[test]

@@ -143,8 +143,12 @@ mod tests {
     #[test]
     fn dp_offload_refused_on_sp_parts() {
         let gpu = GpuModel::tegra3_gpu();
-        assert!(gpu.offload_time(1e9, Precision::F64, 1 << 20, 1 << 20).is_none());
-        assert!(gpu.offload_time(1e9, Precision::F32, 1 << 20, 1 << 20).is_some());
+        assert!(gpu
+            .offload_time(1e9, Precision::F64, 1 << 20, 1 << 20)
+            .is_none());
+        assert!(gpu
+            .offload_time(1e9, Precision::F32, 1 << 20, 1 << 20)
+            .is_some());
     }
 
     #[test]
@@ -174,7 +178,9 @@ mod tests {
     #[test]
     fn launch_overhead_floors_latency() {
         let gpu = GpuModel::mali_t604();
-        let t = gpu.offload_time(0.0, Precision::F32, 0, 0).expect("supported");
+        let t = gpu
+            .offload_time(0.0, Precision::F32, 0, 0)
+            .expect("supported");
         assert_eq!(t, gpu.launch_overhead);
     }
 }

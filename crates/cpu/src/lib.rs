@@ -64,9 +64,9 @@ pub mod ops;
 pub mod validate;
 
 pub use arch::{CoreModel, Overlap};
-pub use gpu::GpuModel;
 pub use counters::{Counter, CounterSet};
 pub use exec_model::{ExecReport, ModelExec};
+pub use gpu::GpuModel;
 pub use ops::{CountingExec, Exec, Flop, FlopKind, NullExec, OpCounts, Precision, Stream};
 #[cfg(feature = "validate")]
 pub use validate::{Region, ValidatingExec};

@@ -275,7 +275,8 @@ impl<E: Exec> Exec for ValidatingExec<E> {
             addr = addr.wrapping_add(stride);
         }
         if n > replay {
-            self.replayed.mem_run(addr, stride, n - replay, bytes, is_store);
+            self.replayed
+                .mem_run(addr, stride, n - replay, bytes, is_store);
         }
         self.check_batch("mem_run");
         self.inner.mem_run(base, stride, n, bytes, is_store);
@@ -332,7 +333,10 @@ impl ValidatingExec<ModelExec> {
             }
         }
         if report.time.as_secs_f64() < 0.0 || !report.time.as_secs_f64().is_finite() {
-            self.violate(format!("report time = {} (negative or non-finite)", report.time));
+            self.violate(format!(
+                "report time = {} (negative or non-finite)",
+                report.time
+            ));
         }
         if report.counts != *self.closed.counts() {
             self.violate(format!(

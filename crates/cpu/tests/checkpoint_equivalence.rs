@@ -41,7 +41,11 @@ fn machine(m: usize, sample_rate: u32) -> ModelExec {
         2 => ModelExec::snowball(),
         _ => ModelExec::new(
             CoreModel::cortex_a9_tegra2(),
-            small_hierarchy(if m == 3 { Replacement::PseudoLru } else { Replacement::Random }),
+            small_hierarchy(if m == 3 {
+                Replacement::PseudoLru
+            } else {
+                Replacement::Random
+            }),
             TlbConfig::new(8, 4096),
             40,
             1,

@@ -224,8 +224,7 @@ impl RetransmissionModel {
     /// exhausted budgets.
     pub fn surcharge(&self, retries: u64, timeouts: u64) -> Energy {
         Energy::from_joules(
-            self.per_retry.joules() * retries as f64
-                + self.per_timeout.joules() * timeouts as f64,
+            self.per_retry.joules() * retries as f64 + self.per_timeout.joules() * timeouts as f64,
         )
     }
 }

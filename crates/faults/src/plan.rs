@@ -68,8 +68,7 @@ impl FaultPlan {
 
         let mut rng = SplitMix64::new(seed ^ SWITCH_DROP_SALT);
         for switch in 0..topology.switches {
-            if config.switch_drop_probability > 0.0
-                && rng.gen_bool(config.switch_drop_probability)
+            if config.switch_drop_probability > 0.0 && rng.gen_bool(config.switch_drop_probability)
             {
                 let window = draw_window(&mut rng, horizon);
                 // 5–35% of traversing messages dropped while active.

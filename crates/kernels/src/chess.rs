@@ -329,8 +329,7 @@ impl Board {
                 Kind::Knight => {
                     for (dr, df) in KNIGHT_OFFSETS {
                         if let Some(to) = Self::offset(from, dr, df) {
-                            if !matches!(self.squares[to as usize], Some(q) if q.color == p.color)
-                            {
+                            if !matches!(self.squares[to as usize], Some(q) if q.color == p.color) {
                                 out.push(Move {
                                     from,
                                     to,
@@ -343,8 +342,7 @@ impl Board {
                 Kind::King => {
                     for (dr, df) in KING_OFFSETS {
                         if let Some(to) = Self::offset(from, dr, df) {
-                            if !matches!(self.squares[to as usize], Some(q) if q.color == p.color)
-                            {
+                            if !matches!(self.squares[to as usize], Some(q) if q.color == p.color) {
                                 out.push(Move {
                                     from,
                                     to,
@@ -493,10 +491,7 @@ impl Searcher {
     /// least valuable attacker as tiebreak; quiet moves last.
     fn move_score(board: &Board, m: Move) -> i32 {
         let victim = board.at(m.to).map(|p| p.kind.value()).unwrap_or(0);
-        let attacker = board
-            .at(m.from)
-            .map(|p| p.kind.value())
-            .unwrap_or(0);
+        let attacker = board.at(m.from).map(|p| p.kind.value()).unwrap_or(0);
         if victim == 0 {
             0
         } else {
@@ -779,7 +774,11 @@ mod tests {
         // middlegame position where captures exist.
         let mut b = Board::initial();
         for (from, to) in [(12u8, 28u8), (51, 35), (28, 35)] {
-            b = b.apply(Move { from, to, promotion: None });
+            b = b.apply(Move {
+                from,
+                to,
+                promotion: None,
+            });
         }
         let mut ordered = Searcher::new();
         let v1 = ordered.search(&b, 3, -100_000, 100_000, &mut NullExec);

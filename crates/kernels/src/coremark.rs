@@ -175,8 +175,12 @@ impl CoreMark {
             .map(|_| rng.next_u64() as i32 % 1000)
             .collect();
         let n = self.matrix_n;
-        let a: Vec<i32> = (0..n * n).map(|_| (rng.next_u64() % 32) as i32 - 16).collect();
-        let b: Vec<i32> = (0..n * n).map(|_| (rng.next_u64() % 32) as i32 - 16).collect();
+        let a: Vec<i32> = (0..n * n)
+            .map(|_| (rng.next_u64() % 32) as i32 - 16)
+            .collect();
+        let b: Vec<i32> = (0..n * n)
+            .map(|_| (rng.next_u64() % 32) as i32 - 16)
+            .collect();
         let input: Vec<u8> = (0..self.input_len)
             .map(|_| {
                 let c = rng.gen_range(62) as u8;
@@ -289,7 +293,10 @@ mod tests {
         let mut c_big = CountingExec::new();
         let _ = big.run(&mut c_big);
         let ratio = c_big.counts().int_ops as f64 / c_small.counts().int_ops as f64;
-        assert!((ratio - 2.0).abs() < 0.1, "work should scale, ratio {ratio}");
+        assert!(
+            (ratio - 2.0).abs() < 0.1,
+            "work should scale, ratio {ratio}"
+        );
         assert_eq!(big.operations(), 4);
     }
 

@@ -276,7 +276,10 @@ mod tests {
 
     #[test]
     fn nominal_flops_formula() {
-        assert_eq!(Linpack::nominal_flops(100), 2 * 100 * 100 * 100 / 3 + 20_000);
+        assert_eq!(
+            Linpack::nominal_flops(100),
+            2 * 100 * 100 * 100 / 3 + 20_000
+        );
     }
 
     #[test]

@@ -304,19 +304,14 @@ mod tests {
         let mut count = CountingExec::new();
         lu.factorize(&mut count);
         let _ = lu.solve(&mut count);
-        let ratio =
-            count.counts().flops_f64 as f64 / Linpack::nominal_flops(n) as f64;
-        assert!(
-            (0.85..1.2).contains(&ratio),
-            "blocked flops ratio {ratio}"
-        );
+        let ratio = count.counts().flops_f64 as f64 / Linpack::nominal_flops(n) as f64;
+        assert!((0.85..1.2).contains(&ratio), "blocked flops ratio {ratio}");
     }
 
     #[test]
     fn blocking_reduces_misses_when_matrix_exceeds_l1() {
         // 160×160 f64 = 200 KB: larger than both 32 KB L1s.
-        let (unblocked, blocked) =
-            blocking_ablation(160, 32, 11, ModelExec::snowball);
+        let (unblocked, blocked) = blocking_ablation(160, 32, 11, ModelExec::snowball);
         assert!(
             blocked * 2 < unblocked,
             "blocking should at least halve L1 misses: {blocked} vs {unblocked}"

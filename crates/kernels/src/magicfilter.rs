@@ -60,7 +60,12 @@ impl Grid3 {
     /// # Panics
     ///
     /// Panics if any extent is zero.
-    pub fn from_fn(d0: usize, d1: usize, d2: usize, mut f: impl FnMut(usize, usize, usize) -> f64) -> Self {
+    pub fn from_fn(
+        d0: usize,
+        d1: usize,
+        d2: usize,
+        mut f: impl FnMut(usize, usize, usize) -> f64,
+    ) -> Self {
         assert!(d0 > 0 && d1 > 0 && d2 > 0, "grid extents must be positive");
         let mut data = Vec::with_capacity(d0 * d1 * d2);
         for i0 in 0..d0 {

@@ -332,8 +332,7 @@ mod tests {
         let data = make_buffer(50 * 1024, 4);
         let mut exec = ModelExec::nehalem();
         let mut bw = |elem: usize, unrolled: bool| {
-            run_model(&MembenchConfig::figure6(elem, unrolled), &data, &mut exec)
-                .bandwidth_gbps()
+            run_model(&MembenchConfig::figure6(elem, unrolled), &data, &mut exec).bandwidth_gbps()
         };
         let b32 = bw(4, false);
         let b32u = bw(4, true);
@@ -354,8 +353,7 @@ mod tests {
         let data = make_buffer(50 * 1024, 5);
         let mut exec = ModelExec::snowball();
         let mut bw = |elem: usize, unrolled: bool| {
-            run_model(&MembenchConfig::figure6(elem, unrolled), &data, &mut exec)
-                .bandwidth_gbps()
+            run_model(&MembenchConfig::figure6(elem, unrolled), &data, &mut exec).bandwidth_gbps()
         };
         let b32 = bw(4, false);
         let b64 = bw(8, false);

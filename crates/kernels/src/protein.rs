@@ -58,11 +58,7 @@ impl HpModel {
             })
             .collect();
         let positions: Vec<Pos> = (0..sequence.len() as i32).map(|i| (i, 0)).collect();
-        let occupied = positions
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i))
-            .collect();
+        let occupied = positions.iter().enumerate().map(|(i, &p)| (p, i)).collect();
         HpModel {
             sequence,
             positions,
@@ -316,10 +312,10 @@ mod tests {
             hot.sweep(10.0, &mut NullExec);
             cold.sweep(0.05, &mut NullExec);
         }
-        let hot_rate = (hot.acceptance().0 - acc_hot0) as f64
-            / (hot.acceptance().1 - att_hot0) as f64;
-        let cold_rate = (cold.acceptance().0 - acc_cold0) as f64
-            / (cold.acceptance().1 - att_cold0) as f64;
+        let hot_rate =
+            (hot.acceptance().0 - acc_hot0) as f64 / (hot.acceptance().1 - att_hot0) as f64;
+        let cold_rate =
+            (cold.acceptance().0 - acc_cold0) as f64 / (cold.acceptance().1 - att_cold0) as f64;
         assert!(
             hot_rate > cold_rate,
             "hot {hot_rate} should accept more than cold {cold_rate}"

@@ -289,8 +289,7 @@ impl Specfem {
             exec.flop(FlopKind::Add, Precision::F64, 1);
             exec.flop(FlopKind::Div, Precision::F64, 1);
             exec.store((i * 8) as u64, 8);
-            let next =
-                2.0 * self.u[i] - self.u_prev[i] + dt2 * self.force[i] / self.mass[i];
+            let next = 2.0 * self.u[i] - self.u_prev[i] + dt2 * self.force[i] / self.mass[i];
             self.u_prev[i] = std::mem::replace(&mut self.u[i], next);
         }
         // Dirichlet ends.
@@ -384,7 +383,10 @@ mod tests {
         let s = Specfem::new(SpecfemConfig::table2());
         for i in 0..NGLL {
             let row_sum: f64 = s.k_elem[i].iter().sum();
-            assert!(row_sum.abs() < 1e-3, "K·1 should vanish, row {i}: {row_sum}");
+            assert!(
+                row_sum.abs() < 1e-3,
+                "K·1 should vanish, row {i}: {row_sum}"
+            );
         }
     }
 

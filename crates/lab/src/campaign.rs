@@ -146,7 +146,8 @@ struct Fig3Scaling {
 
 impl Fig3Scaling {
     fn config(&self) -> fig3::Fig3Config {
-        self.grid.pick(fig3::Fig3Config::quick(), fig3::Fig3Config::paper())
+        self.grid
+            .pick(fig3::Fig3Config::quick(), fig3::Fig3Config::paper())
     }
 }
 
@@ -238,7 +239,10 @@ impl Campaign for Fig3Faulted {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(self.grid.pick(FIG3_FAULTED_QUICK_DIGEST, FIG3_FAULTED_PAPER_DIGEST))
+        Some(
+            self.grid
+                .pick(FIG3_FAULTED_QUICK_DIGEST, FIG3_FAULTED_PAPER_DIGEST),
+        )
     }
 
     fn payload_width(&self) -> Option<usize> {
@@ -265,7 +269,8 @@ impl Fig5Anomaly {
     }
 
     fn config(&self) -> fig5::Fig5Config {
-        self.grid.pick(fig5::Fig5Config::quick(), fig5::Fig5Config::paper())
+        self.grid
+            .pick(fig5::Fig5Config::quick(), fig5::Fig5Config::paper())
     }
 
     fn measurer(&self) -> &fig5::SlotMeasurer {
@@ -328,7 +333,8 @@ impl Fig7Tuning {
     }
 
     fn config(&self) -> fig7::Fig7Config {
-        self.grid.pick(fig7::Fig7Config::quick(), fig7::Fig7Config::paper())
+        self.grid
+            .pick(fig7::Fig7Config::quick(), fig7::Fig7Config::paper())
     }
 
     fn measurer(&self) -> &fig7::SlotMeasurer {
@@ -384,7 +390,8 @@ struct Table2Extended {
 
 impl Table2Extended {
     fn config(&self) -> table2::Table2Config {
-        self.grid.pick(table2::Table2Config::quick(), table2::Table2Config::paper())
+        self.grid
+            .pick(table2::Table2Config::quick(), table2::Table2Config::paper())
     }
 }
 
@@ -510,11 +517,7 @@ impl Campaign for Selftest {
         // fractions of the slot seed and its index mix.
         let frac = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
         let mixed = ctx.seed ^ (ctx.index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        vec![
-            frac(ctx.seed),
-            frac(mixed),
-            ctx.index as f64 + 0.5,
-        ]
+        vec![frac(ctx.seed), frac(mixed), ctx.index as f64 + 0.5]
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {

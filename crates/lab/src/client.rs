@@ -49,8 +49,7 @@ impl Session {
 
     /// Reads one reply frame; EOF and `err`/`busy` replies are typed.
     fn reply(&mut self) -> Result<Reply, LabError> {
-        let line = protocol::read_frame(&mut self.reader)?
-            .ok_or(LabError::Truncated { got: 0 })?;
+        let line = protocol::read_frame(&mut self.reader)?.ok_or(LabError::Truncated { got: 0 })?;
         match Reply::parse(&line)? {
             Reply::Err { code, msg } => Err(LabError::Server { code, msg }),
             Reply::Busy { queued, cap } => Err(LabError::Busy { queued, cap }),
@@ -60,8 +59,7 @@ impl Session {
 
     /// Reads one raw (non-frame) line, as used by segment streaming.
     fn raw_line(&mut self) -> Result<String, LabError> {
-        protocol::read_frame(&mut self.reader)?
-            .ok_or(LabError::Truncated { got: 0 })
+        protocol::read_frame(&mut self.reader)?.ok_or(LabError::Truncated { got: 0 })
     }
 }
 
@@ -81,7 +79,9 @@ pub fn submit(addr: &str, campaign: &str, shards: u32) -> Result<(String, usize)
     )?;
     match s.reply()? {
         Reply::Submitted { job, queued } => Ok((job, queued)),
-        other => Err(LabError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected {
+            got: other.render(),
+        }),
     }
 }
 
@@ -100,7 +100,9 @@ pub fn status(addr: &str, job: Option<&str>) -> Result<Vec<JobStatus>, LabError>
     match job {
         Some(_) => match s.reply()? {
             Reply::Job(snapshot) => Ok(vec![snapshot]),
-            other => Err(LabError::Unexpected { got: other.render() }),
+            other => Err(LabError::Unexpected {
+                got: other.render(),
+            }),
         },
         None => {
             let mut all = Vec::new();
@@ -115,7 +117,11 @@ pub fn status(addr: &str, job: Option<&str>) -> Result<Vec<JobStatus>, LabError>
                         }
                         return Ok(all);
                     }
-                    other => return Err(LabError::Unexpected { got: other.render() }),
+                    other => {
+                        return Err(LabError::Unexpected {
+                            got: other.render(),
+                        })
+                    }
                 }
             }
         }
@@ -155,7 +161,10 @@ pub fn watch(
     loop {
         match s.reply()? {
             Reply::Progress {
-                done, total, eta_ms, ..
+                done,
+                total,
+                eta_ms,
+                ..
             } => on_progress(done, total, eta_ms),
             Reply::Done {
                 state,
@@ -171,7 +180,11 @@ pub fn watch(
                     detail,
                 })
             }
-            other => return Err(LabError::Unexpected { got: other.render() }),
+            other => {
+                return Err(LabError::Unexpected {
+                    got: other.render(),
+                })
+            }
         }
     }
 }
@@ -193,7 +206,9 @@ pub fn cancel(addr: &str, job: &str) -> Result<JobStatus, LabError> {
     )?;
     match s.reply()? {
         Reply::Job(snapshot) => Ok(snapshot),
-        other => Err(LabError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected {
+            got: other.render(),
+        }),
     }
 }
 
@@ -214,7 +229,11 @@ pub fn fetch(addr: &str, job: &str, out: &Path) -> Result<usize, LabError> {
     )?;
     let lines = match s.reply()? {
         Reply::Segment { lines } => lines,
-        other => return Err(LabError::Unexpected { got: other.render() }),
+        other => {
+            return Err(LabError::Unexpected {
+                got: other.render(),
+            })
+        }
     };
     let mut text = String::new();
     for _ in 0..lines {
@@ -237,7 +256,9 @@ pub fn ping(addr: &str) -> Result<(), LabError> {
     let mut s = Session::open(addr, &Request::Ping)?;
     match s.reply()? {
         Reply::Pong => Ok(()),
-        other => Err(LabError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected {
+            got: other.render(),
+        }),
     }
 }
 
@@ -251,6 +272,8 @@ pub fn shutdown(addr: &str) -> Result<usize, LabError> {
     let mut s = Session::open(addr, &Request::Shutdown)?;
     match s.reply()? {
         Reply::Stopping { running } => Ok(running),
-        other => Err(LabError::Unexpected { got: other.render() }),
+        other => Err(LabError::Unexpected {
+            got: other.render(),
+        }),
     }
 }

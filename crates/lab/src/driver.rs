@@ -333,7 +333,10 @@ pub fn digest_journal(journal: &Journal) -> Result<u64, LabError> {
     journal
         .check_header(&expected_header(campaign.as_ref(), journal.header.shard))
         .map_err(|e| LabError::BadShardFamily {
-            detail: format!("journal disagrees with registered campaign '{}': {e}", campaign.name()),
+            detail: format!(
+                "journal disagrees with registered campaign '{}': {e}",
+                campaign.name()
+            ),
         })?;
     check_payload_widths(campaign.as_ref(), &journal.records)?;
     let mut slots: Vec<Option<Vec<f64>>> = vec![None; journal.header.tasks];

@@ -28,12 +28,19 @@ pub enum LabError {
     /// A journal, segment or frame leads with a version token other than
     /// the `expected` one this build reads: exit 6 for an `mbsrv1` frame,
     /// 3 for a file.
-    VersionSkew { expected: &'static str, found: String },
+    VersionSkew {
+        expected: &'static str,
+        found: String,
+    },
     /// A journal or segment header line that does not parse.
     BadHeader { line: String },
     /// A healthy journal whose header `field` disagrees with the
     /// invocation (campaign, seed, task count or shard assignment).
-    HeaderMismatch { field: &'static str, found: String, expected: String },
+    HeaderMismatch {
+        field: &'static str,
+        found: String,
+        expected: String,
+    },
     /// A fully terminated journal record at this 1-based line that does
     /// not parse.
     BadRecord { line_number: usize },
@@ -47,7 +54,11 @@ pub enum LabError {
     ForeignSlot { slot: usize },
     /// A record whose payload width disagrees with the campaign's
     /// fixed-width slots — caught before a finalizer can slice it.
-    BadPayload { slot: usize, got: usize, expected: usize },
+    BadPayload {
+        slot: usize,
+        got: usize,
+        expected: usize,
+    },
     /// A campaign slot panicked inside the contained sweep. Every slot
     /// before it is journaled, so a supervisor may restart and resume.
     SlotFailed { slot: usize, detail: String },
@@ -93,7 +104,11 @@ pub enum LabError {
     Misconfigured(String),
     /// A worker that died with a code restarting cannot fix; the code is
     /// forwarded.
-    WorkerUnretryable { shard: u32, code: u8, detail: String },
+    WorkerUnretryable {
+        shard: u32,
+        code: u8,
+        detail: String,
+    },
     /// A shard that burned through its crash-restart budget.
     RestartsExhausted { shard: u32, crashes: u32 },
     /// A family that ran out of its poll budget.
@@ -115,11 +130,21 @@ impl fmt::Display for LabError {
             LabError::Io(e) => write!(f, "I/O error: {e}"),
             LabError::Socket(e) => write!(f, "protocol I/O error: {e}"),
             LabError::VersionSkew { expected, found } => {
-                write!(f, "version skew: found '{found}', this build reads '{expected}'")
+                write!(
+                    f,
+                    "version skew: found '{found}', this build reads '{expected}'"
+                )
             }
             LabError::BadHeader { line } => write!(f, "unparseable header: '{line}'"),
-            LabError::HeaderMismatch { field, found, expected } => {
-                write!(f, "journal header mismatch: {field} is '{found}', expected '{expected}'")
+            LabError::HeaderMismatch {
+                field,
+                found,
+                expected,
+            } => {
+                write!(
+                    f,
+                    "journal header mismatch: {field} is '{found}', expected '{expected}'"
+                )
             }
             LabError::BadRecord { line_number } => {
                 write!(f, "unparseable journal record at line {line_number}")
@@ -130,9 +155,16 @@ impl fmt::Display for LabError {
             ),
             LabError::DuplicateSlot { slot } => write!(f, "journal records slot {slot} twice"),
             LabError::ForeignSlot { slot } => {
-                write!(f, "journal records slot {slot}, which is out of range or unowned")
+                write!(
+                    f,
+                    "journal records slot {slot}, which is out of range or unowned"
+                )
             }
-            LabError::BadPayload { slot, got, expected } => write!(
+            LabError::BadPayload {
+                slot,
+                got,
+                expected,
+            } => write!(
                 f,
                 "journal records a {got}-value payload for slot {slot}, campaign slots are \
                  {expected} values wide"
@@ -144,8 +176,16 @@ impl fmt::Display for LabError {
                 write!(f, "merge inputs are not one shard family: {detail}")
             }
             LabError::IncompleteMerge { missing } => {
-                let at_least = if missing.len() >= MISSING_LISTED { "at least " } else { "" };
-                write!(f, "merge is missing {at_least}{} slot(s): {missing:?}", missing.len())
+                let at_least = if missing.len() >= MISSING_LISTED {
+                    "at least "
+                } else {
+                    ""
+                };
+                write!(
+                    f,
+                    "merge is missing {at_least}{} slot(s): {missing:?}",
+                    missing.len()
+                )
             }
             LabError::BadSegment { detail } => write!(f, "unparseable segment: {detail}"),
             LabError::TornSegment { detail } => write!(f, "torn segment rejected: {detail}"),
@@ -160,7 +200,10 @@ impl fmt::Display for LabError {
                  segment is missing, retry after it arrives"
             ),
             LabError::BadRange { from, len } => {
-                write!(f, "export window starts at record {from} past journal end {len}")
+                write!(
+                    f,
+                    "export window starts at record {from} past journal end {len}"
+                )
             }
             LabError::Locked { path, pid } => write!(
                 f,
@@ -183,11 +226,21 @@ impl fmt::Display for LabError {
                 write!(f, "unknown campaign '{name}' (try `mb-lab list`)")
             }
             LabError::Misconfigured(detail) | LabError::Failed(detail) => write!(f, "{detail}"),
-            LabError::WorkerUnretryable { shard, code, detail } => {
-                write!(f, "shard {shard} worker died unretryably (exit {code}): {detail}")
+            LabError::WorkerUnretryable {
+                shard,
+                code,
+                detail,
+            } => {
+                write!(
+                    f,
+                    "shard {shard} worker died unretryably (exit {code}): {detail}"
+                )
             }
             LabError::RestartsExhausted { shard, crashes } => {
-                write!(f, "shard {shard} exhausted its restart budget ({crashes} crashes)")
+                write!(
+                    f,
+                    "shard {shard} exhausted its restart budget ({crashes} crashes)"
+                )
             }
             LabError::PollBudgetExhausted { max_polls } => {
                 write!(f, "family exceeded its poll budget of {max_polls} polls")

@@ -94,8 +94,8 @@ impl JournalHeader {
         let bad = |_| LabError::BadHeader {
             line: line.to_string(),
         };
-        let fields = Fields::split(rest, &["campaign", "seed", "tasks", "shard"], extra)
-            .map_err(bad)?;
+        let fields =
+            Fields::split(rest, &["campaign", "seed", "tasks", "shard"], extra).map_err(bad)?;
         let header = JournalHeader {
             campaign: fields.get_with("campaign", Some).map_err(bad)?.to_string(),
             seed: fields.get_with("seed", codec::hex).map_err(bad)?,
@@ -160,9 +160,7 @@ impl Journal {
         let mut lines: Vec<&str> = raw[..complete].split_terminator('\n').collect();
         let Some(&header_line) = lines.first() else {
             // Even the header line is incomplete: unrecoverable.
-            return Err(LabError::BadHeader {
-                line: raw.clone(),
-            });
+            return Err(LabError::BadHeader { line: raw.clone() });
         };
         let (header, _) = JournalHeader::parse(header_line, FORMAT_VERSION, &[])?;
         // A malformed final line with nothing after it is a torn write
@@ -237,7 +235,11 @@ impl Journal {
         let (field, found, want) = if h.campaign != expected.campaign {
             ("campaign", h.campaign.clone(), expected.campaign.clone())
         } else if h.seed != expected.seed {
-            ("seed", format!("{:016x}", h.seed), format!("{:016x}", expected.seed))
+            (
+                "seed",
+                format!("{:016x}", h.seed),
+                format!("{:016x}", expected.seed),
+            )
         } else if h.tasks != expected.tasks {
             ("tasks", h.tasks.to_string(), expected.tasks.to_string())
         } else if h.shard != expected.shard {
@@ -387,9 +389,10 @@ pub fn merge_allowing(
             shard: Shard { index, count: n },
             ..first.clone()
         };
-        j.check_header(&member).map_err(|e| LabError::BadShardFamily {
-            detail: format!("'{}': {e}", j.path.display()),
-        })?;
+        j.check_header(&member)
+            .map_err(|e| LabError::BadShardFamily {
+                detail: format!("'{}': {e}", j.path.display()),
+            })?;
         if std::mem::replace(&mut seen_shard[index as usize], true) {
             return Err(LabError::BadShardFamily {
                 detail: format!("shard {index}/{n} appears twice"),
@@ -400,7 +403,11 @@ pub fn merge_allowing(
     // Per-journal loads already rejected foreign/duplicate slots.
     let slots: BTreeMap<usize, &[f64]> = shards
         .iter()
-        .flat_map(|j| j.records.iter().map(|(slot, payload)| (*slot, payload.as_slice())))
+        .flat_map(|j| {
+            j.records
+                .iter()
+                .map(|(slot, payload)| (*slot, payload.as_slice()))
+        })
         .collect();
     let missing: Vec<usize> = (0..first.tasks)
         .filter(|i| !slots.contains_key(i) && !allow_missing.contains(i))

@@ -553,7 +553,10 @@ fn cmd_watch(cli: Cli) -> Outcome {
         ),
         (state, _) => {
             let detail = detail.unwrap_or("<no detail>");
-            return Err(LabError::Failed(format!("{job} ended {}: {detail}", state.as_str())));
+            return Err(LabError::Failed(format!(
+                "{job} ended {}: {detail}",
+                state.as_str()
+            )));
         }
     }
     Ok(())

@@ -83,12 +83,18 @@ impl JobState {
 
     /// Parses the on-wire token.
     pub fn parse(text: &str) -> Option<JobState> {
-        Self::TOKENS.iter().find(|(_, t)| *t == text).map(|(s, _)| *s)
+        Self::TOKENS
+            .iter()
+            .find(|(_, t)| *t == text)
+            .map(|(s, _)| *s)
     }
 
     /// Whether the job can no longer change state.
     pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Done | JobState::Failed | JobState::Cancelled)
+        matches!(
+            self,
+            JobState::Done | JobState::Failed | JobState::Cancelled
+        )
     }
 }
 
@@ -220,7 +226,11 @@ pub enum Reply {
 /// each in canonical order. [`Request::render`]/[`Request::parse`] and
 /// [`Reply::render`]/[`Reply::parse`] all read frames through these
 /// tables, so each frame's canonical form is written down once.
-type Schema = (&'static str, &'static [&'static str], &'static [&'static str]);
+type Schema = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+);
 
 /// Every request verb.
 const REQUESTS: &[Schema] = &[
@@ -238,7 +248,11 @@ const REPLIES: &[Schema] = &[
     ("submitted", &["job", "queued"], &[]),
     ("busy", &["queued", "cap"], &[]),
     ("err", &["code", "msg"], &[]),
-    ("job", &["id", "campaign", "shards", "state", "done", "total"], &["digest"]),
+    (
+        "job",
+        &["id", "campaign", "shards", "state", "done", "total"],
+        &["digest"],
+    ),
     ("end", &["count"], &[]),
     ("progress", &["job", "done", "total"], &["eta_ms"]),
     ("done", &["job", "state"], &["digest", "checked", "detail"]),
@@ -393,7 +407,12 @@ impl Reply {
                 eta_ms,
             } => (
                 "progress",
-                vec![some(job), some(done), some(total), eta_ms.map(|e| e.to_string())],
+                vec![
+                    some(job),
+                    some(done),
+                    some(total),
+                    eta_ms.map(|e| e.to_string()),
+                ],
             ),
             Reply::Done {
                 job,

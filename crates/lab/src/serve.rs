@@ -189,7 +189,10 @@ fn scan_done(jdir: &Path) -> usize {
 /// rename) *before* the submission is acknowledged.
 fn persist_meta(dir: &Path, id: &str, campaign: &str, shards: u32) -> std::io::Result<()> {
     fs::create_dir_all(job_dir(dir, id))?;
-    fs::write(meta_path(dir, id), format!("campaign={campaign} shards={shards}\n"))
+    fs::write(
+        meta_path(dir, id),
+        format!("campaign={campaign} shards={shards}\n"),
+    )
 }
 
 /// Persists a terminal state as the rendered `done` frame, so the
@@ -291,13 +294,20 @@ fn rescan(dir: &Path) -> std::io::Result<(ServerState, usize)> {
 ///
 /// [`LabError::Locked`] when the data dir is owned by a live server,
 /// or [`LabError::Io`] on bind/listen/data-dir failure.
-pub fn serve(dir: &Path, worker_exe: &Path, policy: &ServePolicy) -> Result<ServeSummary, LabError> {
+pub fn serve(
+    dir: &Path,
+    worker_exe: &Path,
+    policy: &ServePolicy,
+) -> Result<ServeSummary, LabError> {
     fs::create_dir_all(jobs_root(dir))?;
     let _lock = PathLock::acquire(&dir.join("serve.lock"))?;
 
     let (state, resumed) = rescan(dir)?;
     if resumed > 0 {
-        eprintln!("mb-lab serve: resuming {resumed} unfinished job(s) from {}", dir.display());
+        eprintln!(
+            "mb-lab serve: resuming {resumed} unfinished job(s) from {}",
+            dir.display()
+        );
     }
 
     let listener = TcpListener::bind(&policy.bind)?;
@@ -368,10 +378,7 @@ fn worker_loop(shared: &Shared) {
                 if let Some(id) = st.queue.pop_front() {
                     break id;
                 }
-                st = shared
-                    .work_ready
-                    .wait(st)
-                    .expect("server state mutex");
+                st = shared.work_ready.wait(st).expect("server state mutex");
             }
         };
         run_job(shared, &id);
@@ -394,7 +401,11 @@ fn run_job(shared: &Shared, id: &str) {
         // Reporting-only: feeds the watch ETA, never a decision.
         entry.started = Some(std::time::Instant::now()); // mb-check: allow(wall-clock-in-model)
         entry.done_at_start = scan_done(&jdir);
-        let picked = (entry.campaign.clone(), entry.shards, Arc::clone(&entry.cancel));
+        let picked = (
+            entry.campaign.clone(),
+            entry.shards,
+            Arc::clone(&entry.cancel),
+        );
         st.running += 1;
         picked
     };
@@ -464,7 +475,9 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         }
     };
     match request {
-        Request::Submit { campaign, shards } => handle_submit(shared, &mut writer, &campaign, shards),
+        Request::Submit { campaign, shards } => {
+            handle_submit(shared, &mut writer, &campaign, shards)
+        }
         Request::Status { job } => handle_status(shared, &mut writer, job.as_deref()),
         Request::Watch { job } => handle_watch(shared, &mut writer, &job),
         Request::Cancel { job } => handle_cancel(shared, &mut writer, &job),
@@ -501,7 +514,10 @@ fn handle_submit(shared: &Shared, writer: &mut TcpStream, campaign_name: &str, s
         return;
     }
     let Some(c) = campaign::find(campaign_name) else {
-        send_err(writer, &LabError::UnknownCampaign(campaign_name.to_string()));
+        send_err(
+            writer,
+            &LabError::UnknownCampaign(campaign_name.to_string()),
+        );
         return;
     };
     let total = c.task_labels().len();

@@ -127,9 +127,7 @@ const CHAOS_SALT: u64 = 0xC4A0_5C4E_D01E_5EED;
 /// produce the same delay — and bounded by `cap` for every input.
 pub fn backoff_delay_ms(seed: u64, shard: u32, attempt: u32, base_ms: u64, cap_ms: u64) -> u64 {
     let shift = attempt.min(32);
-    let nominal = base_ms
-        .saturating_mul(1u64 << shift)
-        .min(cap_ms);
+    let nominal = base_ms.saturating_mul(1u64 << shift).min(cap_ms);
     let draw = SplitMix64::new(seed ^ BACKOFF_SALT ^ (u64::from(shard) << 32) ^ u64::from(attempt))
         .next_u64();
     // Jitter scales the delay into [nominal/2, nominal]: desynchronizes
@@ -202,7 +200,10 @@ impl SuperviseReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"campaign\": {},\n", json_string(&self.campaign)));
+        out.push_str(&format!(
+            "  \"campaign\": {},\n",
+            json_string(&self.campaign)
+        ));
         out.push_str(&format!("  \"shards\": {},\n", self.shards));
         out.push_str(&format!("  \"polls\": {},\n", self.polls));
         out.push_str(&format!("  \"chaos_kills\": {},\n", self.chaos_kills));
@@ -218,7 +219,11 @@ impl SuperviseReport {
                 s.hangs,
                 backoff.join(", "),
                 s.records,
-                if i + 1 < self.per_shard.len() { "," } else { "" }
+                if i + 1 < self.per_shard.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         out.push_str("  ],\n");
@@ -229,7 +234,11 @@ impl SuperviseReport {
                 q.slot,
                 q.shard,
                 q.crashes,
-                if i + 1 < self.quarantined.len() { "," } else { "" }
+                if i + 1 < self.quarantined.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         out.push_str("  ],\n");
@@ -241,8 +250,14 @@ impl SuperviseReport {
             self.accounting.quarantined,
             self.accounting.outstanding()
         ));
-        out.push_str(&format!("  \"transport_appended\": {},\n", self.transport_appended));
-        out.push_str(&format!("  \"transport_duplicates\": {},\n", self.transport_duplicates));
+        out.push_str(&format!(
+            "  \"transport_appended\": {},\n",
+            self.transport_appended
+        ));
+        out.push_str(&format!(
+            "  \"transport_duplicates\": {},\n",
+            self.transport_duplicates
+        ));
         match self.digest {
             Some(d) => out.push_str(&format!("  \"digest\": \"{d:#018x}\",\n")),
             None => out.push_str("  \"digest\": null,\n"),
@@ -362,9 +377,7 @@ fn load_quarantine(dir: &Path) -> Result<Vec<QuarantineRecord>, LabError> {
     fs::read_to_string(&path)?
         .lines()
         .enumerate()
-        .map(|(i, line)| {
-            parse_fence(line).ok_or(LabError::BadQuarantine { line_number: i + 1 })
-        })
+        .map(|(i, line)| parse_fence(line).ok_or(LabError::BadQuarantine { line_number: i + 1 }))
         .collect()
 }
 
@@ -424,7 +437,8 @@ fn spawn_worker(
         .stdout(Stdio::piped())
         .stderr(Stdio::from(stderr));
     if policy.task_delay_ms > 0 {
-        cmd.arg("--task-delay-ms").arg(policy.task_delay_ms.to_string());
+        cmd.arg("--task-delay-ms")
+            .arg(policy.task_delay_ms.to_string());
     }
     if !skip.is_empty() {
         let list: Vec<String> = skip.iter().map(usize::to_string).collect();
@@ -814,9 +828,9 @@ pub fn supervise_cancellable(
     }
 
     let quarantined_slots: Vec<usize> = quarantine.iter().map(|q| q.slot).collect();
-    let merged = journal::merge_allowing(&dir.join("merged.journal"), &collected, &quarantined_slots)?;
-    let accounting =
-        CampaignAccounting::new(tasks, &merged.completed_slots(), &quarantined_slots);
+    let merged =
+        journal::merge_allowing(&dir.join("merged.journal"), &collected, &quarantined_slots)?;
+    let accounting = CampaignAccounting::new(tasks, &merged.completed_slots(), &quarantined_slots);
 
     // Integrity gate: a fully measured campaign must reproduce its
     // pinned digest bit for bit; a degraded one records coverage only.
@@ -829,7 +843,10 @@ pub fn supervise_cancellable(
         if let Some(pinned) = campaign.pinned_digest() {
             digest_checked = true;
             if d != pinned {
-                digest_error = Some(LabError::DigestMismatch { got: d, want: pinned });
+                digest_error = Some(LabError::DigestMismatch {
+                    got: d,
+                    want: pinned,
+                });
             }
         }
     }
@@ -918,14 +935,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mb-lab-quarantine-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("scratch dir");
-        let fence = |slot, shard, crashes| QuarantineRecord { slot, shard, crashes };
+        let fence = |slot, shard, crashes| QuarantineRecord {
+            slot,
+            shard,
+            crashes,
+        };
         let fences = vec![fence(5, 1, 3), fence(9, 0, 2)];
         persist_quarantine(&dir, &fences).expect("persist");
         assert_eq!(load_quarantine(&dir).expect("load"), fences);
         for torn in ["5 1 3\n9 0", "5 1 3\nnine 0 2\n", "5 1 3 7\n", "\n"] {
             fs::write(quarantine_path(&dir), torn).expect("tear");
             let err = load_quarantine(&dir).expect_err(torn);
-            assert!(matches!(err, LabError::BadQuarantine { .. }), "{torn:?}: {err}");
+            assert!(
+                matches!(err, LabError::BadQuarantine { .. }),
+                "{torn:?}: {err}"
+            );
             assert_eq!(err.exit_code(), mb_simcore::error::exit_code::CORRUPT);
         }
         let _ = fs::remove_dir_all(&dir);
@@ -954,7 +978,10 @@ mod tests {
         let b = chaos_schedule(&policy);
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
-        assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "strictly later polls");
+        assert!(
+            a.windows(2).all(|w| w[0].0 < w[1].0),
+            "strictly later polls"
+        );
         assert!(a.iter().all(|&(_, v)| v < policy.shards));
     }
 

@@ -85,11 +85,7 @@ pub struct IngestOutcome {
 ///
 /// Any journal error when the source fails verification,
 /// [`LabError::BadRange`] for an out-of-range window, plus I/O.
-pub fn export_segment(
-    journal_path: &Path,
-    from: usize,
-    out: &Path,
-) -> Result<Segment, LabError> {
+pub fn export_segment(journal_path: &Path, from: usize, out: &Path) -> Result<Segment, LabError> {
     let journal = Journal::load(journal_path)?;
     let len = journal.records.len();
     if from > len {
@@ -98,15 +94,28 @@ pub fn export_segment(
     // Journals are append-only, so the verified prefix just loaded is
     // still the file's prefix: skip its header and first `from` lines.
     let raw = fs::read_to_string(journal_path)?;
-    let verified = raw.get(..journal.verified_len() as usize).unwrap_or_default();
-    let skip: usize = verified.split_inclusive('\n').take(from + 1).map(str::len).sum();
+    let verified = raw
+        .get(..journal.verified_len() as usize)
+        .unwrap_or_default();
+    let skip: usize = verified
+        .split_inclusive('\n')
+        .take(from + 1)
+        .map(str::len)
+        .sum();
     let head = format!(
         "{SEGMENT_VERSION} {} from={from} count={} chain={:016x}",
         journal.header,
         len - from,
         journal.chain_at(from)
     );
-    fs::write(out, format!("{head}\n{}end {:016x}\n", &verified[skip..], journal.chain()))?;
+    fs::write(
+        out,
+        format!(
+            "{head}\n{}end {:016x}\n",
+            &verified[skip..],
+            journal.chain()
+        ),
+    )?;
     // Re-verify what went out: the slice must chain from the splice
     // point to the journal's end, or the file changed under us.
     load_segment(out).inspect_err(|_| {
@@ -164,7 +173,10 @@ pub fn load_segment(path: &Path) -> Result<Segment, LabError> {
     })?;
     if record_lines.len() != count {
         return Err(LabError::TornSegment {
-            detail: format!("{} records present, header promises {count}", record_lines.len()),
+            detail: format!(
+                "{} records present, header promises {count}",
+                record_lines.len()
+            ),
         });
     }
 
@@ -260,10 +272,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "mb-lab-transport-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("mb-lab-transport-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("scratch dir");
         dir
@@ -318,7 +328,9 @@ mod tests {
         {
             let mut journal = Journal::load(&src).expect("load src");
             for slot in 3..6 {
-                journal.append(slot, &[slot as f64, 0.5 + slot as f64]).expect("append");
+                journal
+                    .append(slot, &[slot as f64, 0.5 + slot as f64])
+                    .expect("append");
             }
         }
         let incr = dir.join("incr.seg");

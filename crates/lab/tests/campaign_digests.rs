@@ -42,7 +42,10 @@ fn registry_pins_mirror_the_core_fixtures() {
     assert_eq!(campaign::FIG5_PAPER_DIGEST, fixture::FIG5_PAPER_DIGEST);
     assert_eq!(campaign::FIG7_PAPER_DIGEST, fixture::FIG7_PAPER_DIGEST);
     assert_eq!(campaign::TABLE2_PAPER_DIGEST, fixture::TABLE2_PAPER_DIGEST);
-    assert_eq!(campaign::TOP500_TRENDS_DIGEST, fixture::TOP500_TRENDS_DIGEST);
+    assert_eq!(
+        campaign::TOP500_TRENDS_DIGEST,
+        fixture::TOP500_TRENDS_DIGEST
+    );
 }
 
 #[test]
@@ -135,7 +138,10 @@ fn fig3_resume_after_partial_run_reproduces_the_pinned_digest() {
                 run_campaign(campaign.as_ref(), &path, Shard::solo(), 0).expect("resumed run");
             (out.replayed, out.digest.expect("solo runs finalize"))
         });
-        assert_eq!(replayed, 4, "resume must replay exactly the surviving records");
+        assert_eq!(
+            replayed, 4,
+            "resume must replay exactly the surviving records"
+        );
         assert_eq!(
             digest,
             fixture::FIG3_QUICK_DIGEST,
@@ -209,9 +215,8 @@ fn short_payload_is_a_journal_error_not_a_finalize_panic() {
     let dir = scratch("short-payload");
     let campaign = find("fig3-faulted-quick").expect("registered campaign");
     let path = dir.join("short.journal");
-    let mut journal =
-        Journal::create(&path, expected_header(campaign.as_ref(), Shard::solo()))
-            .expect("create journal");
+    let mut journal = Journal::create(&path, expected_header(campaign.as_ref(), Shard::solo()))
+        .expect("create journal");
     // Two of the six faulted counters — the shape a truncated or
     // hand-edited record would present.
     journal.append(0, &[1.0, 2.0]).expect("journal append");
@@ -264,7 +269,10 @@ fn journaled_quick_payloads_assemble_to_the_run_reports() {
     }
 
     let cfg = fig3::Fig3Config::quick();
-    assert_eq!(fig3::assemble(&cfg, &payloads("fig3-quick").concat()), fig3::run(&cfg));
+    assert_eq!(
+        fig3::assemble(&cfg, &payloads("fig3-quick").concat()),
+        fig3::run(&cfg)
+    );
     let faulted = payloads("fig3-faulted-quick")
         .into_iter()
         .map(|p| Ok(array::<6>(p)))

@@ -144,7 +144,11 @@ fn corrupt_journal_exits_3() {
     // code, not quietly recompute over bad records.
     let text = fs::read_to_string(&journal).expect("read journal");
     let mut lines: Vec<String> = text.lines().map(String::from).collect();
-    let victim = lines.iter().position(|l| l.starts_with("r ")).expect("a record line") + 2;
+    let victim = lines
+        .iter()
+        .position(|l| l.starts_with("r "))
+        .expect("a record line")
+        + 2;
     let tampered = lines[victim].clone();
     let last = tampered.chars().last().expect("nonempty record");
     let flipped = if last == '0' { '1' } else { '0' };
@@ -231,7 +235,10 @@ fn bounded_run_truncates_then_completes() {
         "bounded run must stop at the bound: {stdout}"
     );
     assert_eq!(
-        stdout.lines().filter(|l| l.trim_start().starts_with("slot ")).count(),
+        stdout
+            .lines()
+            .filter(|l| l.trim_start().starts_with("slot "))
+            .count(),
         6,
         "--times must print one wall-time line per executed slot: {stdout}"
     );
@@ -375,7 +382,11 @@ fn usage_is_generated_for_every_verb_and_exits_2() {
         .args(["export", "a.journal", "a.seg", "--to", "3"])
         .output()
         .expect("run mb-lab with an unknown flag");
-    assert_eq!(output.status.code(), Some(2), "an unknown flag is a usage error");
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "an unknown flag is a usage error"
+    );
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use mb_lab::driver::Shard;
 use mb_lab::journal::{merge, Journal, JournalHeader, MISSING_LISTED};
-use mb_lab::LabError;
 use mb_lab::transport::{export_segment, ingest_segment};
+use mb_lab::LabError;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -33,7 +33,8 @@ fn header_and_records_round_trip() {
     let dir = scratch("roundtrip");
     let path = dir.join("a.journal");
     let mut j = Journal::create(&path, header("demo", 0, 1)).expect("create");
-    j.append(3, &[1.5, -0.25, f64::MIN_POSITIVE]).expect("append");
+    j.append(3, &[1.5, -0.25, f64::MIN_POSITIVE])
+        .expect("append");
     j.append(0, &[42.0]).expect("append");
     j.append(7, &[]).expect("empty payloads are legal");
 
@@ -280,7 +281,9 @@ fn header_task_count_never_sizes_an_allocation() {
 }
 
 fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 /// Segments are byte slices of their journal: `selftest-1of3.from*.seg`
@@ -292,7 +295,10 @@ fn fixture(name: &str) -> PathBuf {
 fn exported_segments_match_the_pinned_fixtures_and_ingest() {
     let dir = scratch("segment-fixtures");
     let source = fixture("selftest-1of3.journal");
-    for (from, name) in [(0, "selftest-1of3.from0.seg"), (2, "selftest-1of3.from2.seg")] {
+    for (from, name) in [
+        (0, "selftest-1of3.from0.seg"),
+        (2, "selftest-1of3.from2.seg"),
+    ] {
         let out = dir.join(name);
         export_segment(&source, from, &out).expect("export");
         assert_eq!(
@@ -304,7 +310,10 @@ fn exported_segments_match_the_pinned_fixtures_and_ingest() {
     let replica = dir.join("replica.journal");
     let full = ingest_segment(&replica, &fixture("selftest-1of3.from0.seg")).expect("ingest");
     assert_eq!((full.appended, full.duplicates), (5, 0));
-    assert_eq!(fs::read(&replica).expect("replica"), fs::read(&source).expect("source"));
+    assert_eq!(
+        fs::read(&replica).expect("replica"),
+        fs::read(&source).expect("source")
+    );
     let tail = ingest_segment(&replica, &fixture("selftest-1of3.from2.seg")).expect("re-ingest");
     assert_eq!((tail.appended, tail.duplicates), (0, 3));
 }
@@ -328,5 +337,8 @@ fn non_canonical_record_spellings_are_bad_records() {
         }
     }
     fs::write(&path, text.replace("3ff0000000000000", "3FF0000000000000")).expect("write");
-    assert!(matches!(Journal::load(&path), Err(LabError::BadRecord { line_number: 2 })));
+    assert!(matches!(
+        Journal::load(&path),
+        Err(LabError::BadRecord { line_number: 2 })
+    ));
 }

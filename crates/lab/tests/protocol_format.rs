@@ -7,8 +7,7 @@
 //! back to itself.
 
 use mb_lab::protocol::{
-    read_frame, write_frame, JobState, JobStatus, Reply, Request, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, JobState, JobStatus, Reply, Request, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use mb_lab::LabError;
 use proptest::prelude::*;
@@ -141,15 +140,9 @@ fn golden_replies() -> Vec<(Reply, &'static str)> {
             },
             "mbsrv1 done job=j2 state=failed detail=journal header mismatch",
         ),
-        (
-            Reply::Segment { lines: 11 },
-            "mbsrv1 segment lines=11",
-        ),
+        (Reply::Segment { lines: 11 }, "mbsrv1 segment lines=11"),
         (Reply::Pong, "mbsrv1 pong"),
-        (
-            Reply::Stopping { running: 1 },
-            "mbsrv1 stopping running=1",
-        ),
+        (Reply::Stopping { running: 1 }, "mbsrv1 stopping running=1"),
     ]
 }
 
@@ -283,10 +276,7 @@ fn oversized_truncated_and_binary_streams_are_typed() {
 
     // Non-UTF-8 bytes are a typed bad frame, never a panic.
     let mut r = BufReader::new(&[0xff, 0xfe, b'\n'][..]);
-    assert!(matches!(
-        read_frame(&mut r),
-        Err(LabError::BadFrame { .. })
-    ));
+    assert!(matches!(read_frame(&mut r), Err(LabError::BadFrame { .. })));
 }
 
 #[test]

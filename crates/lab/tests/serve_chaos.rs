@@ -168,8 +168,7 @@ fn corrupt_journal_is_a_typed_job_failure_not_a_server_crash() {
             .collect();
         if records.len() >= 2 {
             lines.swap(records[0], records[1]);
-            fs::write(&journal, format!("{}\n", lines.join("\n")))
-                .expect("corrupt shard journal");
+            fs::write(&journal, format!("{}\n", lines.join("\n"))).expect("corrupt shard journal");
             corrupted = true;
             break;
         }

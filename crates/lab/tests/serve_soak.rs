@@ -88,7 +88,10 @@ fn concurrent_submissions_converge_to_the_pinned_digest_bit_for_bit() {
 
     // Distinct jobs, identical results: the fetched segments must be
     // byte-identical — same campaign, same slots, same chain.
-    assert_ne!(fetched[0].0, fetched[1].0, "every submission gets its own job");
+    assert_ne!(
+        fetched[0].0, fetched[1].0,
+        "every submission gets its own job"
+    );
     assert_eq!(
         fetched[0].1, fetched[1].1,
         "concurrent families must produce byte-identical segments"
@@ -123,7 +126,8 @@ fn queue_overflow_is_a_typed_busy_reply() {
         thread::sleep(Duration::from_millis(25));
     }
 
-    let (_second, queued) = client::submit(&addr, "selftest", 1).expect("second submit fills the queue");
+    let (_second, queued) =
+        client::submit(&addr, "selftest", 1).expect("second submit fills the queue");
     assert_eq!(queued, 1, "second job must sit in the queue");
 
     // The queue is at its bound: the third submission must be refused
@@ -143,7 +147,10 @@ fn queue_overflow_is_a_typed_busy_reply() {
     BufReader::new(&raw)
         .read_line(&mut line)
         .expect("raw busy reply");
-    assert_eq!(line, "mbsrv1 busy queued=1 cap=1\n", "golden busy frame drifted");
+    assert_eq!(
+        line, "mbsrv1 busy queued=1 cap=1\n",
+        "golden busy frame drifted"
+    );
 
     // Backpressure is load shedding, not damage: the queued jobs still
     // drain to completion afterwards.
@@ -187,7 +194,9 @@ fn malformed_frames_hurt_only_their_own_connection() {
     let flood = vec![b'a'; 8192];
     raw.write_all(&flood).expect("send oversized frame");
     let mut line = String::new();
-    BufReader::new(&raw).read_line(&mut line).expect("read reply");
+    BufReader::new(&raw)
+        .read_line(&mut line)
+        .expect("read reply");
     assert!(
         line.starts_with("mbsrv1 err code=6"),
         "oversized frame must be a typed rejection, got: {line}"
@@ -253,7 +262,11 @@ fn watch_ends_at_completion_not_at_the_next_heartbeat() {
     let outcome = client::watch(&addr, &job, |_, _, _| {}).expect("watch to the terminal frame");
     let elapsed = started.elapsed();
     assert_eq!(outcome.state, JobState::Done, "{job}: {:?}", outcome.detail);
-    assert_eq!(outcome.digest, Some(FIG3_QUICK_DIGEST), "{job} missed the pin");
+    assert_eq!(
+        outcome.digest,
+        Some(FIG3_QUICK_DIGEST),
+        "{job} missed the pin"
+    );
     assert!(outcome.checked, "{job} digest must be registry-checked");
     assert!(
         elapsed < Duration::from_millis(5000),

@@ -24,10 +24,8 @@ static CASE: AtomicUsize = AtomicUsize::new(0);
 
 fn scratch() -> PathBuf {
     let case = CASE.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "mb-lab-shard-props-{}-{case}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("mb-lab-shard-props-{}-{case}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -115,8 +113,8 @@ proptest! {
 fn shards_owning_zero_slots_leave_header_only_journals_that_merge() {
     let dir = scratch();
     let n = (SELFTEST_TASKS + 8) as u32;
-    let solo = run_campaign(&Selftest, &dir.join("solo.journal"), Shard::solo(), 0)
-        .expect("solo run");
+    let solo =
+        run_campaign(&Selftest, &dir.join("solo.journal"), Shard::solo(), 0).expect("solo run");
     let paths: Vec<PathBuf> = (0..n)
         .map(|i| dir.join(format!("shard{i}.journal")))
         .collect();
@@ -127,7 +125,10 @@ fn shards_owning_zero_slots_leave_header_only_journals_that_merge() {
         };
         let out = run_campaign(&Selftest, path, shard, 0).expect("shard run");
         let expected = usize::from(i < SELFTEST_TASKS);
-        assert_eq!(out.executed, expected, "shard {i}/{n} owns at most one slot");
+        assert_eq!(
+            out.executed, expected,
+            "shard {i}/{n} owns at most one slot"
+        );
         let journal = Journal::load(path).expect("every shard journal verifies");
         assert_eq!(journal.records.len(), expected);
         if i >= SELFTEST_TASKS {
@@ -150,8 +151,8 @@ fn shards_owning_zero_slots_leave_header_only_journals_that_merge() {
 #[test]
 fn bounded_runs_converge_to_the_unbounded_digest() {
     let dir = scratch();
-    let solo = run_campaign(&Selftest, &dir.join("solo.journal"), Shard::solo(), 0)
-        .expect("solo run");
+    let solo =
+        run_campaign(&Selftest, &dir.join("solo.journal"), Shard::solo(), 0).expect("solo run");
     let path = dir.join("bounded.journal");
     let opts = RunOptions {
         max_slots: Some(5),

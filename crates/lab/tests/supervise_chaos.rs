@@ -169,7 +169,14 @@ fn poison_slot_is_quarantined_and_the_family_still_completes() {
     let output = mb_lab()
         .args(["supervise", "selftest", "--dir"])
         .arg(&dir)
-        .args(["--shards", "2", "--poll-ms", "10", "--poison-threshold", "2"])
+        .args([
+            "--shards",
+            "2",
+            "--poll-ms",
+            "10",
+            "--poison-threshold",
+            "2",
+        ])
         .env("MB_SELFTEST_POISON", "5")
         .output()
         .expect("run mb-lab supervise");
@@ -223,7 +230,11 @@ fn hung_worker_is_killed_after_its_stale_polls_and_the_budget_ends_the_family() 
         .output()
         .expect("run mb-lab supervise");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "a wedged family fails: {stderr}");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "a wedged family fails: {stderr}"
+    );
     assert!(
         stderr.contains("hung (5 stale polls), killed"),
         "the hang detector must fire after exactly 5 stale polls: {stderr}"

@@ -474,7 +474,11 @@ impl Cache {
     /// `(set, bits)` to `plru`, and returns the rest of the state. The
     /// image is compact: a cache that touched few of its sets costs few
     /// entries, however large it is.
-    pub(crate) fn image(&self, ways: &mut Vec<WayImage>, plru: &mut Vec<(usize, u64)>) -> CacheImage {
+    pub(crate) fn image(
+        &self,
+        ways: &mut Vec<WayImage>,
+        plru: &mut Vec<(usize, u64)>,
+    ) -> CacheImage {
         let first_way = ways.len();
         ways.extend(
             (0..self.stamps.len())
@@ -482,7 +486,13 @@ impl Cache {
                 .map(|i| (i, self.tags[i], self.stamps[i])),
         );
         let first_word = plru.len();
-        plru.extend(self.plru.iter().copied().enumerate().filter(|&(_, w)| w != 0));
+        plru.extend(
+            self.plru
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, w)| w != 0),
+        );
         CacheImage {
             cfg: self.cfg,
             ways: first_way..ways.len(),

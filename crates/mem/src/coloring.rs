@@ -85,10 +85,7 @@ pub fn analyse(table: &PageTable, cache: &CacheConfig) -> ColourAnalysis {
     }
     let ideal = table.num_pages() as f64 / colours as f64;
     let max = histogram.iter().copied().max().unwrap_or(0) as f64;
-    let overflow_pages: f64 = histogram
-        .iter()
-        .map(|&c| (c as f64 - ideal).max(0.0))
-        .sum();
+    let overflow_pages: f64 = histogram.iter().map(|&c| (c as f64 - ideal).max(0.0)).sum();
     ColourAnalysis {
         num_colours: colours,
         histogram,

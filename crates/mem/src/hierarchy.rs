@@ -119,7 +119,11 @@ impl HierarchyConfig {
     ///
     /// Panics if the configuration has no levels.
     pub fn l1_line_bytes(&self) -> usize {
-        self.levels.first().expect("hierarchy has levels").cache.line_bytes
+        self.levels
+            .first()
+            .expect("hierarchy has levels")
+            .cache
+            .line_bytes
     }
 }
 

@@ -229,7 +229,8 @@ impl Topology {
 
     /// Number of processing units.
     pub fn num_pus(&self) -> usize {
-        self.root.count_kind(&|k| matches!(k, ObjectKind::Pu { .. }))
+        self.root
+            .count_kind(&|k| matches!(k, ObjectKind::Pu { .. }))
     }
 
     /// Number of cache objects at `level`.

@@ -214,7 +214,8 @@ impl Comm {
                 self.alive[r] = false;
                 self.stats.crashed_ranks += 1;
                 if self.cfg.tracing {
-                    self.trace.push_event(rank, self.clock[r], "rank_crash", rank as u64);
+                    self.trace
+                        .push_event(rank, self.clock[r], "rank_crash", rank as u64);
                 }
             }
         }
@@ -958,7 +959,12 @@ mod tests {
     fn try_new_surfaces_config_errors_as_values() {
         // `Comm::resilient` is the fallible constructor.
         let try_new = |cfg| {
-            Comm::resilient(tibidabo_fabric(2), cfg, FaultPlan::default(), RetryPolicy::tibidabo())
+            Comm::resilient(
+                tibidabo_fabric(2),
+                cfg,
+                FaultPlan::default(),
+                RetryPolicy::tibidabo(),
+            )
         };
         let err = try_new(CommConfig::tibidabo(16)).unwrap_err();
         assert!(err.to_string().contains("fabric has"), "{err}");

@@ -172,7 +172,10 @@ mod tests {
         let bonded = load(tibidabo_fabric_bonded(60, 4));
         let upgraded = load(tibidabo_fabric_upgraded(60));
         assert!(bonded < single, "bonding must help: {bonded} vs {single}");
-        assert!(upgraded < bonded, "the full upgrade still wins: {upgraded} vs {bonded}");
+        assert!(
+            upgraded < bonded,
+            "the full upgrade still wins: {upgraded} vs {bonded}"
+        );
     }
 
     #[test]

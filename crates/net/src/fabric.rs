@@ -294,8 +294,7 @@ impl Fabric {
                     });
                 }
                 if let Some(model) = self.switch_model {
-                    if model.hiccup_probability > 0.0
-                        && self.rng.gen_bool(model.hiccup_probability)
+                    if model.hiccup_probability > 0.0 && self.rng.gen_bool(model.hiccup_probability)
                     {
                         self.stats.hiccups += 1;
                         head_available += model.hiccup_delay;
@@ -304,8 +303,7 @@ impl Fabric {
                     }
                     let state = self.buffers.entry(to).or_default();
                     let dt = arrival.saturating_sub(state.last_update).as_secs_f64();
-                    state.queued_bytes =
-                        (state.queued_bytes - dt * model.drain_bps / 8.0).max(0.0);
+                    state.queued_bytes = (state.queued_bytes - dt * model.drain_bps / 8.0).max(0.0);
                     state.last_update = arrival;
                     let burst = bytes.min(BURST_WINDOW_BYTES);
                     if state.queued_bytes + burst as f64 > model.buffer_bytes as f64 {
@@ -389,7 +387,10 @@ mod tests {
         // switch→receiver link serialises them.
         let t1 = f.send(h[0], h[2], 1_000_000, SimTime::ZERO);
         let t2 = f.send(h[1], h[2], 1_000_000, SimTime::ZERO);
-        assert!(t2.as_secs_f64() > t1.as_secs_f64() + 0.007, "{t1} then {t2}");
+        assert!(
+            t2.as_secs_f64() > t1.as_secs_f64() + 0.007,
+            "{t1} then {t2}"
+        );
         assert!(f.stats().queueing_ns > 0);
     }
 
@@ -501,7 +502,9 @@ mod tests {
             }],
         );
         let mut degraded = f.with_faults(plan);
-        let slow = degraded.try_send(h[0], h[1], 1_000_000, SimTime::ZERO).unwrap();
+        let slow = degraded
+            .try_send(h[0], h[1], 1_000_000, SimTime::ZERO)
+            .unwrap();
         let (mut clean, h2) = star(2, None);
         let fast = clean.send(h2[0], h2[1], 1_000_000, SimTime::ZERO);
         // 1 MB at 10% of GbE on the delivery hop: ~80 ms vs ~8 ms.

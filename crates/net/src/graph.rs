@@ -456,10 +456,7 @@ mod tests {
         assert_eq!(net.node_name(sw), "sw0");
         assert_eq!(names.link_index("host1", "sw0"), Ok(2));
         assert_eq!(names.link_index("sw0", "host1"), Ok(3));
-        assert_eq!(
-            names.links()[0],
-            ("host0".to_string(), "sw0".to_string())
-        );
+        assert_eq!(names.links()[0], ("host0".to_string(), "sw0".to_string()));
     }
 
     #[test]

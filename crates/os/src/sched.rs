@@ -226,8 +226,18 @@ mod tests {
     #[test]
     fn fair_tasks_share_cpu() {
         let mut rq = RunQueue::new(ms(1));
-        rq.spawn(Task::new(TaskId(1), Policy::Fair { nice: 0 }, ms(10), ms(0)));
-        rq.spawn(Task::new(TaskId(2), Policy::Fair { nice: 0 }, ms(10), ms(0)));
+        rq.spawn(Task::new(
+            TaskId(1),
+            Policy::Fair { nice: 0 },
+            ms(10),
+            ms(0),
+        ));
+        rq.spawn(Task::new(
+            TaskId(2),
+            Policy::Fair { nice: 0 },
+            ms(10),
+            ms(0),
+        ));
         let out = rq.run_to_completion();
         // Equal weights: both finish near the end, interleaved.
         let c1 = out.completion[&TaskId(1)];
@@ -235,19 +245,25 @@ mod tests {
         assert!(c1.saturating_sub(c2).max(c2.saturating_sub(c1)) <= ms(1));
         assert_eq!(out.makespan, ms(20));
         // The quantum log alternates (fair interleaving).
-        let switches = out
-            .quantum_log
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count();
+        let switches = out.quantum_log.windows(2).filter(|w| w[0] != w[1]).count();
         assert!(switches >= 15, "expected interleaving, got {switches}");
     }
 
     #[test]
     fn nice_changes_share() {
         let mut rq = RunQueue::new(ms(1));
-        rq.spawn(Task::new(TaskId(1), Policy::Fair { nice: -5 }, ms(30), ms(0)));
-        rq.spawn(Task::new(TaskId(2), Policy::Fair { nice: 5 }, ms(30), ms(0)));
+        rq.spawn(Task::new(
+            TaskId(1),
+            Policy::Fair { nice: -5 },
+            ms(30),
+            ms(0),
+        ));
+        rq.spawn(Task::new(
+            TaskId(2),
+            Policy::Fair { nice: 5 },
+            ms(30),
+            ms(0),
+        ));
         let out = rq.run_to_completion();
         // The high-weight task finishes much earlier.
         assert!(out.completion[&TaskId(1)] < out.completion[&TaskId(2)]);
@@ -256,7 +272,12 @@ mod tests {
     #[test]
     fn rt_preempts_fair_and_runs_to_completion() {
         let mut rq = RunQueue::new(ms(1));
-        rq.spawn(Task::new(TaskId(1), Policy::Fair { nice: 0 }, ms(50), ms(0)));
+        rq.spawn(Task::new(
+            TaskId(1),
+            Policy::Fair { nice: 0 },
+            ms(50),
+            ms(0),
+        ));
         rq.spawn(Task::new(
             TaskId(2),
             Policy::RealTimeFifo { priority: 10 },
@@ -292,7 +313,12 @@ mod tests {
     fn late_arrival_waits() {
         let mut rq = RunQueue::new(ms(1));
         rq.spawn(Task::new(TaskId(1), Policy::Fair { nice: 0 }, ms(5), ms(0)));
-        rq.spawn(Task::new(TaskId(2), Policy::Fair { nice: 0 }, ms(5), ms(100)));
+        rq.spawn(Task::new(
+            TaskId(2),
+            Policy::Fair { nice: 0 },
+            ms(5),
+            ms(100),
+        ));
         let out = rq.run_to_completion();
         assert_eq!(out.completion[&TaskId(1)], ms(5));
         assert_eq!(out.completion[&TaskId(2)], ms(105));

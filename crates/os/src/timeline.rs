@@ -77,10 +77,7 @@ impl Timeline {
     /// The largest slowdown across tasks — the victim's-eye view of the
     /// policy.
     pub fn worst_slowdown(&self) -> f64 {
-        self.tasks
-            .values()
-            .map(|m| m.slowdown)
-            .fold(1.0, f64::max)
+        self.tasks.values().map(|m| m.slowdown).fold(1.0, f64::max)
     }
 
     /// Renders the quantum-ownership strip: one character per quantum,
@@ -127,7 +124,12 @@ pub fn benchmark_with_noise(
     let mut rq = RunQueue::new(quantum);
     let bench_id = TaskId(0);
     let mut arrivals = BTreeMap::new();
-    rq.spawn(Task::new(bench_id, benchmark_policy, benchmark_burst, SimTime::ZERO));
+    rq.spawn(Task::new(
+        bench_id,
+        benchmark_policy,
+        benchmark_burst,
+        SimTime::ZERO,
+    ));
     arrivals.insert(bench_id, SimTime::ZERO);
     for (i, &(arrival, burst)) in noise_tasks.iter().enumerate() {
         let id = TaskId(i as u32 + 1);
@@ -171,12 +173,8 @@ mod tests {
 
     #[test]
     fn fair_benchmark_shares_and_waits() {
-        let (fair, timeline) = benchmark_with_noise(
-            Policy::Fair { nice: 0 },
-            ms(20),
-            &noise(),
-            ms(1),
-        );
+        let (fair, timeline) =
+            benchmark_with_noise(Policy::Fair { nice: 0 }, ms(20), &noise(), ms(1));
         assert!(fair.waiting > SimTime::ZERO);
         assert!(fair.slowdown > 1.5, "slowdown {}", fair.slowdown);
         // While several tasks contend (the first 40 quanta), nobody
@@ -191,7 +189,10 @@ mod tests {
             longest = longest.max(run);
             prev = Some(id);
         }
-        assert!(longest < 10, "monopoly of {longest} quanta under contention");
+        assert!(
+            longest < 10,
+            "monopoly of {longest} quanta under contention"
+        );
     }
 
     #[test]

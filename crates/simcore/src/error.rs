@@ -114,7 +114,10 @@ impl fmt::Display for MbError {
                 write!(f, "message {src}->{dst} dropped at {at_ns} ns")
             }
             MbError::Timeout { src, dst, attempts } => {
-                write!(f, "rank {src} timed out sending to rank {dst} after {attempts} attempts")
+                write!(
+                    f,
+                    "rank {src} timed out sending to rank {dst} after {attempts} attempts"
+                )
             }
             MbError::RankCrashed { rank } => write!(f, "rank {rank} crashed"),
             MbError::InvalidConfig { what } => f.write_str(what),
@@ -160,8 +163,12 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("rank 3") && s.contains("rank 7") && s.contains("5 attempts"));
-        assert!(MbError::RankCrashed { rank: 12 }.to_string().contains("rank 12"));
-        assert!(MbError::NoRoute { src: 1, dst: 2 }.to_string().contains("no route"));
+        assert!(MbError::RankCrashed { rank: 12 }
+            .to_string()
+            .contains("rank 12"));
+        assert!(MbError::NoRoute { src: 1, dst: 2 }
+            .to_string()
+            .contains("no route"));
     }
 
     #[test]
@@ -183,7 +190,10 @@ mod tests {
         };
         assert_eq!(panic.exit_code(), exit_code::SLOT_PANIC);
         assert_eq!(cfg.exit_code(), exit_code::ENV_MISCONFIG);
-        assert_eq!(MbError::RankCrashed { rank: 1 }.exit_code(), exit_code::FAILURE);
+        assert_eq!(
+            MbError::RankCrashed { rank: 1 }.exit_code(),
+            exit_code::FAILURE
+        );
         // The codes themselves are the documented contract.
         let all = [
             exit_code::FAILURE,

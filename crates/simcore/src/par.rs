@@ -260,8 +260,9 @@ where
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let mut chaos_rng = chaos
-                .map(|c| SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            let mut chaos_rng = chaos.map(|c| {
+                SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            });
             let (slots, results, seeds) = (&slots, &results, &seeds);
             let (next, aborted, failure, f) = (&next, &aborted, &failure, &f);
             scope.spawn(move || loop {
@@ -387,8 +388,9 @@ where
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let mut chaos_rng = chaos
-                .map(|c| SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            let mut chaos_rng = chaos.map(|c| {
+                SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            });
             let (slots, results) = (&slots, &results);
             let (next, contain) = (&next, &contain);
             scope.spawn(move || loop {
@@ -637,8 +639,9 @@ mod tests {
         };
         let plain = with_threads(4, || sweep(9, (0..64).collect(), work));
         for chaos in [0u64, 1, 0xDEAD_BEEF] {
-            let perturbed =
-                with_chaos(chaos, || with_threads(4, || sweep(9, (0..64).collect(), work)));
+            let perturbed = with_chaos(chaos, || {
+                with_threads(4, || sweep(9, (0..64).collect(), work))
+            });
             assert_eq!(perturbed, plain);
         }
     }
@@ -668,9 +671,7 @@ mod tests {
     fn harness_catches_schedule_dependence() {
         // A result that leaks the worker count is the canonical
         // determinism bug; the harness must flag it.
-        let caught = std::panic::catch_unwind(|| {
-            assert_schedule_independent(1, 2, thread_count)
-        });
+        let caught = std::panic::catch_unwind(|| assert_schedule_independent(1, 2, thread_count));
         let payload = caught.expect_err("harness must flag thread_count leak");
         assert!(
             panic_text(payload.as_ref()).contains("schedule dependence"),
@@ -728,7 +729,11 @@ mod tests {
     #[test]
     fn checkpoint_resumes_only_failed_slots() {
         use std::sync::atomic::AtomicUsize;
-        let tasks = || (0..12u64).map(|i| (format!("cp-{i}"), i)).collect::<Vec<_>>();
+        let tasks = || {
+            (0..12u64)
+                .map(|i| (format!("cp-{i}"), i))
+                .collect::<Vec<_>>()
+        };
         // First pass: even slots fail.
         let mut cp = sweep_checkpoint(0xCAFE, tasks(), |ctx, x| {
             if x % 2 == 0 {
@@ -857,9 +862,7 @@ mod tests {
             with_threads(4, || {
                 sweep_labeled(
                     0,
-                    (0..16)
-                        .map(|i| (format!("size-{}", 100 * i), i))
-                        .collect(),
+                    (0..16).map(|i| (format!("size-{}", 100 * i), i)).collect(),
                     |_, i: i32| {
                         if i == 11 {
                             panic!("bad measurement");

@@ -409,11 +409,15 @@ mod tests {
         let total: SimTime = (1..=4).map(SimTime::from_nanos).sum();
         assert_eq!(total.as_nanos(), 10);
         assert_eq!(
-            SimTime::from_nanos(3).max(SimTime::from_nanos(7)).as_nanos(),
+            SimTime::from_nanos(3)
+                .max(SimTime::from_nanos(7))
+                .as_nanos(),
             7
         );
         assert_eq!(
-            SimTime::from_nanos(3).min(SimTime::from_nanos(7)).as_nanos(),
+            SimTime::from_nanos(3)
+                .min(SimTime::from_nanos(7))
+                .as_nanos(),
             3
         );
     }
@@ -465,6 +469,9 @@ mod tests {
     fn no_overflow_on_long_simulations() {
         // 1e12 cycles at 1 GHz = 1000 s; exercises the u128 path.
         let f = Frequency::from_ghz(1.0);
-        assert_eq!(f.cycles_to_time(1_000_000_000_000), SimTime::from_secs(1000));
+        assert_eq!(
+            f.cycles_to_time(1_000_000_000_000),
+            SimTime::from_secs(1000)
+        );
     }
 }

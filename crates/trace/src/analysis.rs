@@ -92,7 +92,10 @@ impl DelayAnalysis {
         // Median duration per kind.
         let mut durations: BTreeMap<CollectiveKind, Vec<f64>> = BTreeMap::new();
         for ((kind, _), g) in &groups {
-            let d = g.end.expect("has end").saturating_sub(g.start.expect("has start"));
+            let d = g
+                .end
+                .expect("has end")
+                .saturating_sub(g.start.expect("has start"));
             durations.entry(*kind).or_default().push(d.as_secs_f64());
         }
         let medians: BTreeMap<CollectiveKind, f64> = durations

@@ -40,8 +40,8 @@ pub mod validate;
 pub mod writer;
 
 pub use analysis::{CollectiveReport, DelayAnalysis};
-pub use record::{CollectiveKind, CommRecord, EventRecord, StateKind, StateRecord};
 pub use reader::parse_prv;
+pub use record::{CollectiveKind, CommRecord, EventRecord, StateKind, StateRecord};
 pub use trace::Trace;
 pub use validate::{trace_violations, validate_trace};
 pub use writer::{write_prv, write_prv_to};

@@ -61,9 +61,7 @@ pub fn parse_prv(text: &str) -> Result<Trace, ParsePrvError> {
         message: message.to_string(),
     };
     let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| err(1, "empty document"))?;
+    let (_, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
     let header_body = header
         .strip_prefix("#Paraver")
         .ok_or_else(|| err(1, "missing #Paraver header"))?;

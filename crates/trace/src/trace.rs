@@ -101,7 +101,11 @@ impl Trace {
         let s = self.states.iter().map(|s| s.end).max();
         let e = self.events.iter().map(|e| e.time).max();
         let c = self.comms.iter().map(|c| c.recv_time).max();
-        [s, e, c].into_iter().flatten().max().unwrap_or(SimTime::ZERO)
+        [s, e, c]
+            .into_iter()
+            .flatten()
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// State records of one rank, sorted by start time.

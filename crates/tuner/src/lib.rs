@@ -40,6 +40,8 @@ pub mod analysis;
 pub mod search;
 pub mod space;
 
-pub use analysis::{sweet_spot, staircase_steps, SweetSpot};
-pub use search::{ExhaustiveSearch, HillClimb, RandomSearch, SimulatedAnnealing, TuneResult, Tuner};
+pub use analysis::{staircase_steps, sweet_spot, SweetSpot};
+pub use search::{
+    ExhaustiveSearch, HillClimb, RandomSearch, SimulatedAnnealing, TuneResult, Tuner,
+};
 pub use space::{ParameterSpace, Point};

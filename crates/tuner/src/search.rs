@@ -36,8 +36,7 @@ pub trait Tuner {
     ///
     /// Implementations panic if the space is empty or the objective
     /// returns a non-finite cost.
-    fn tune(&mut self, space: &ParameterSpace, objective: impl FnMut(&Point) -> f64)
-        -> TuneResult;
+    fn tune(&mut self, space: &ParameterSpace, objective: impl FnMut(&Point) -> f64) -> TuneResult;
 }
 
 fn check(cost: f64) -> f64 {

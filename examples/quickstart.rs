@@ -16,10 +16,7 @@ fn main() {
     let mut lp = Linpack::new(64, 1);
     lp.factorize(&mut NullExec);
     let x = lp.solve(&mut NullExec);
-    println!(
-        "LU solve residual (should be O(1)): {:.3}",
-        lp.residual(&x)
-    );
+    println!("LU solve residual (should be O(1)): {:.3}", lp.residual(&x));
 
     // 2. The same kernel, costed on the two platforms of the paper.
     for platform in [Platform::snowball(), Platform::xeon_x5550()] {

@@ -36,7 +36,9 @@ fn main() {
 
     // The ablation: BigDFT at 36 cores on commodity vs upgraded switches.
     let w = fig3::workload(Panel::BigDft, cfg.iterations);
-    let commodity = ScalingStudy::new(FabricKind::Tibidabo).execute(&w, 36, false).0;
+    let commodity = ScalingStudy::new(FabricKind::Tibidabo)
+        .execute(&w, 36, false)
+        .0;
     let upgraded = ScalingStudy::new(FabricKind::TibidaboUpgraded)
         .execute(&w, 36, false)
         .0;
