@@ -6,14 +6,20 @@
 //! `SCHED_FIFO`. Two execution modes appear: a normal one and a degraded
 //! one ~5× slower, with the degraded measurements *consecutive* in
 //! sequence order (panels a and b). Physical pages are reallocated per
-//! measurement (the §V.A.1 reuse behaviour), so within-run noise is tiny.
+//! measurement, and within one run the OS hands the same frames back for
+//! the same size (the §V.A.1 reuse behaviour). So the repetitions of a
+//! size share a page table and measure identically: the model costs each
+//! `(array size, page table)` class once and only the anomaly window
+//! tells the repetitions apart.
 
 use crate::platform::Platform;
 use mb_kernels::membench::{make_buffer, run_model, MembenchConfig};
-use mb_mem::pages::{PageAllocator, PagePolicy};
+use mb_mem::pages::{PageAllocator, PagePolicy, PageTable};
 use mb_os::rt_anomaly::RtAnomalyModel;
 use mb_simcore::plan::MeasurementPlan;
 use mb_simcore::stats::Histogram;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Configuration of the Figure 5 experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,9 +155,10 @@ impl Fig5Report {
 
 /// Runs the Figure 5 experiment on the Snowball model: every slot of a
 /// [`SlotMeasurer`] on the sweep worker pool, folded by
-/// [`SlotMeasurer::assemble`]. The measurements are independent, one
-/// fresh executor per task; `run_model` resets its executor on entry,
-/// so a fresh executor is bit-identical to the reset-and-reuse of a
+/// [`SlotMeasurer::assemble`]. The measurements are independent: a
+/// task costs its slot's measurement class on a fresh executor, or reads
+/// it if another task already has, and `run_model` resets its executor
+/// on entry, so either is bit-identical to the reset-and-reuse of a
 /// serial run.
 pub fn run(cfg: &Fig5Config) -> Fig5Report {
     let measurer = SlotMeasurer::new(cfg);
@@ -171,6 +178,19 @@ pub fn slot_labels(cfg: &Fig5Config) -> Vec<String> {
         .collect()
 }
 
+/// Every slot's array size and page table, in sequence order. The
+/// allocator is stateful (`ReuseLast` makes table `seq` a function of
+/// allocation order), so this walk is serial.
+pub fn slot_tables(cfg: &Fig5Config) -> impl Iterator<Item = (usize, PageTable)> {
+    let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
+    let sizes: Vec<usize> = plan.iter().map(|m| m.level).collect();
+    // §V.A.1: within one run the OS hands the same frames back per size.
+    let mut allocator = PageAllocator::new(PagePolicy::ReuseLast, 4096, 1 << 18, cfg.seed ^ 0xB);
+    sizes
+        .into_iter()
+        .map(move |size| (size, allocator.allocate(size)))
+}
+
 /// The Figure 5 slot measurer. It walks the stateful part of the
 /// protocol once — the randomised measurement plan, the RT anomaly
 /// window and the order-dependent page allocations, bound to each
@@ -180,61 +200,91 @@ pub fn slot_labels(cfg: &Fig5Config) -> Vec<String> {
 /// another host) reproduce measurement `seq` bit for bit without
 /// running its predecessors; sharing one across the paper grid's 2 100
 /// slots keeps the campaign linear in the grid size.
+///
+/// Slots with equal `(array_bytes, page_table)` form a measurement
+/// class: the repetitions of a size get the same frames back, so the
+/// paper grid's 2 100 slots are 50 classes. Each class's bandwidth
+/// before the anomaly's division is costed once, by whichever slot asks
+/// first, and depends only on the class, the sweeps, the data and the
+/// platform. So every slot computes the same bits in any process, shard
+/// or worker order.
 pub struct SlotMeasurer {
     cfg: Fig5Config,
     platform: Platform,
     anomaly: RtAnomalyModel,
     data: Vec<u8>,
-    /// `(array_bytes, page_table)` per measurement, in sequence order.
-    slots: Vec<(usize, mb_mem::pages::PageTable)>,
+    /// `(array_bytes, page_table)` per class, in order of first slot.
+    classes: Vec<(usize, PageTable)>,
+    /// The class of each slot, in sequence order.
+    class_of: Vec<usize>,
+    /// Each class's bandwidth in GB/s before the anomaly's division.
+    /// Caching a divided value instead would make a slot depend on which
+    /// slot filled the class: `x / 5.0 * 5.0` is not `x` in general.
+    class_bandwidth: Vec<OnceLock<f64>>,
 }
 
 impl SlotMeasurer {
-    /// Walks the serial prelude for `cfg` once.
+    /// Walks the serial prelude for `cfg` once and groups its slots into
+    /// measurement classes.
     pub fn new(cfg: &Fig5Config) -> SlotMeasurer {
-        let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
+        let mut index: BTreeMap<(usize, usize, Vec<u64>), usize> = BTreeMap::new();
+        let mut classes = Vec::new();
+        let class_of: Vec<usize> = slot_tables(cfg)
+            .map(|(size, table)| {
+                let key = (size, table.page_bytes(), table.frames().to_vec());
+                *index.entry(key).or_insert_with(|| {
+                    classes.push((size, table));
+                    classes.len() - 1
+                })
+            })
+            .collect();
         let anomaly = RtAnomalyModel::new(
-            plan.len(),
+            class_of.len(),
             cfg.degraded_fraction,
             cfg.slowdown,
             cfg.seed ^ 0xA,
         );
-        // §V.A.1: within one run the OS hands the same frames back per
-        // size; `ReuseLast` makes table `seq` a function of allocation
-        // order, so the walk below must stay serial.
-        let mut allocator =
-            PageAllocator::new(PagePolicy::ReuseLast, 4096, 1 << 18, cfg.seed ^ 0xB);
         let max_size = cfg.sizes.iter().copied().max().expect("non-empty sizes");
-        let slots = plan
-            .iter()
-            .map(|m| (m.level, allocator.allocate(m.level)))
-            .collect();
         SlotMeasurer {
             cfg: cfg.clone(),
             platform: Platform::snowball(),
             anomaly,
             data: make_buffer(max_size, cfg.seed),
-            slots,
+            class_bandwidth: classes.iter().map(|_| OnceLock::new()).collect(),
+            classes,
+            class_of,
         }
     }
 
     /// Number of slots this measurer can measure.
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.class_of.len()
+    }
+
+    /// Number of distinct `(array_bytes, page_table)` measurement classes.
+    pub fn class_count(&self) -> usize {
+        self.classes.len()
     }
 
     /// Measures slot `seq`: the effective bandwidth in GB/s after the
     /// scheduler's interference.
     pub fn measure(&self, seq: usize) -> f64 {
-        let (size, ref table) = self.slots[seq];
-        let mut exec = self.platform.exec(1);
-        exec.set_page_table(Some(table.clone()));
-        let mb_cfg = MembenchConfig {
-            sweeps: self.cfg.sweeps,
-            ..MembenchConfig::figure5(size)
-        };
-        let result = run_model(&mb_cfg, &self.data, &mut exec);
-        result.bandwidth_gbps() / self.anomaly.slowdown_at(seq)
+        self.class_bandwidth(self.class_of[seq]) / self.anomaly.slowdown_at(seq)
+    }
+
+    /// The bandwidth of class `class` before the anomaly's division,
+    /// costed on a fresh executor by the first caller.
+    fn class_bandwidth(&self, class: usize) -> f64 {
+        *self.class_bandwidth[class].get_or_init(|| {
+            let (size, ref table) = self.classes[class];
+            let mut exec = self.platform.exec(1);
+            exec.set_page_table(Some(table.clone()));
+            let mb_cfg = MembenchConfig {
+                sweeps: self.cfg.sweeps,
+                ..MembenchConfig::figure5(size)
+            };
+            run_model(&mb_cfg, &self.data, &mut exec).bandwidth_gbps()
+        })
     }
 
     /// Folds one [`Self::measure`] payload per slot, in sequence order,
@@ -246,13 +296,13 @@ impl SlotMeasurer {
     pub fn assemble(&self, bandwidths: &[f64]) -> Fig5Report {
         assert_eq!(bandwidths.len(), self.slot_count(), "one payload per slot");
         let samples = self
-            .slots
+            .class_of
             .iter()
             .zip(bandwidths)
             .enumerate()
-            .map(|(seq, (&(array_bytes, _), &bandwidth_gbps))| Fig5Sample {
+            .map(|(seq, (&class, &bandwidth_gbps))| Fig5Sample {
                 seq,
-                array_bytes,
+                array_bytes: self.classes[class].0,
                 bandwidth_gbps,
                 degraded: self.anomaly.is_degraded(seq),
             })
@@ -319,16 +369,17 @@ mod tests {
 
     #[test]
     fn slot_decomposition_is_bit_identical_to_monolithic_run() {
-        // The sweep gives every slot a fresh executor; one executor
-        // reused across the whole sequence in order (the paper's serial
-        // protocol) must measure the same bits, so `run_model`'s reset
+        // The sweep costs each measurement class once on a fresh
+        // executor; one executor reused across the whole sequence in
+        // order (the paper's serial protocol), fed every slot's own page
+        // table, must measure the same bits, so `run_model`'s reset
         // leaves nothing behind.
         let cfg = Fig5Config::quick();
         let r = run(&cfg);
         let m = SlotMeasurer::new(&cfg);
         let mut exec = m.platform.exec(1);
-        for (seq, &(size, ref table)) in m.slots.iter().enumerate() {
-            exec.set_page_table(Some(table.clone()));
+        for (seq, (size, table)) in slot_tables(&cfg).enumerate() {
+            exec.set_page_table(Some(table));
             let mb_cfg = MembenchConfig {
                 sweeps: cfg.sweeps,
                 ..MembenchConfig::figure5(size)

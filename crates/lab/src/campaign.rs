@@ -255,6 +255,10 @@ impl Campaign for Fig3Faulted {
 /// order-dependent page allocations) is built once per process and
 /// shared across slots — the paper grid has 2 100 of them, and a
 /// per-slot prelude would make the campaign quadratic in the grid.
+/// Sharing it also shares its measurement classes: the 2 100 slots are
+/// 50 `(array size, page table)` classes, each costed by the first of
+/// its slots this process runs, so a shard or a resumed run reproduces
+/// every slot's bits whichever slot comes first.
 struct Fig5Anomaly {
     grid: Grid,
     measurer: OnceLock<fig5::SlotMeasurer>,

@@ -1,4 +1,4 @@
-//! # mb-simcore — discrete-event simulation engine
+//! # mb-simcore — simulation primitives
 //!
 //! Foundation crate of the Mont-Blanc DATE'13 reproduction. Every simulator
 //! in the workspace (caches, CPU cost models, Ethernet switches, the MPI
@@ -7,8 +7,6 @@
 //! * [`time`] — simulated time ([`SimTime`]), durations, cycles and
 //!   frequencies, with checked conversions between the cycle and wall-clock
 //!   domains.
-//! * [`event`] — a deterministic time-ordered event queue and a minimal
-//!   discrete-event engine.
 //! * [`rng`] — seedable, dependency-free pseudo-random generators
 //!   (SplitMix64 and xoshiro256++) so that *every* experiment in the
 //!   workspace is reproducible bit-for-bit.
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod event;
 pub mod json;
 pub mod par;
 pub mod plan;
@@ -51,7 +48,6 @@ pub mod stats;
 pub mod time;
 
 pub use error::{MbError, MbResult};
-pub use event::{Engine, EventQueue, Model, Schedule};
 pub use par::TaskCtx;
 pub use plan::MeasurementPlan;
 pub use rng::{Rng, SplitMix64, Xoshiro256};

@@ -3,6 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --check"
+# The workspace is rustfmt-clean; mbbench/ is its own workspace and is
+# not covered.
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -145,16 +150,19 @@ cargo test --release -p mb-lab \
 # transport::load_segment.
 cargo test --release -p mb-lab --test journal_format --test codec_fuzz --quiet
 
-echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run and rollback against their slow references)"
+echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, rollback and the Fig 5 class memo against their slow references)"
 # The cache, TLB and page-table fast paths must match the plain-scan
 # implementations kept in these suites on every access, a batched
 # `mem_run` or `lockstep_run` must cost exactly what its per-access
-# expansion costs, and a rolled-back `ModelExec` must report what a
-# fresh one fed the same stream reports; name them so a broken fast path
-# fails loudly here, not as one dot in the workspace run.
+# expansion costs, a rolled-back `ModelExec` must report what a
+# fresh one fed the same stream reports, and a Figure 5 slot read from
+# its measurement class must equal a fresh executor fed the slot's own
+# page table; name them so a broken fast path fails loudly here, not as
+# one dot in the workspace run.
 cargo test --release -p mb-mem --test cache_equivalence --test tlb_equivalence --quiet
 cargo test --release -p mb-cpu --test mem_run_equivalence --test checkpoint_equivalence \
     --test lockstep_equivalence --quiet
+cargo test --release -p montblanc --test fig5_classes --quiet
 
 echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resume)"
 # The always-on service end to end: start a server, submit fig3-quick

@@ -7,7 +7,6 @@ use mb_cpu::ops::{CountingExec, Exec, FlopKind, Precision};
 use mb_kernels::magicfilter::{magicfilter_3d, reference_3d, Grid3};
 use mb_mem::cache::{Cache, CacheConfig, Replacement};
 use mb_mem::pages::{PageAllocator, PagePolicy, PageTable};
-use mb_simcore::event::EventQueue;
 use mb_simcore::plan::MeasurementPlan;
 use mb_simcore::rng::{Rng, Xoshiro256};
 use mb_simcore::stats::{OnlineStats, Summary};
@@ -57,25 +56,6 @@ proptest! {
         frames.sort();
         frames.dedup();
         prop_assert_eq!(frames.len(), pages);
-    }
-
-    /// The event queue dequeues in non-decreasing time order and yields
-    /// exactly what was enqueued.
-    #[test]
-    fn event_queue_ordering(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut seen = vec![false; times.len()];
-        while let Some((t, i)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            prop_assert!(!seen[i]);
-            seen[i] = true;
-        }
-        prop_assert!(seen.iter().all(|&s| s));
     }
 
     /// A randomised measurement plan is a permutation of the full
