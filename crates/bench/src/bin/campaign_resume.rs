@@ -6,7 +6,7 @@
 //! crash actually saves.
 
 use mb_bench::header;
-use mb_lab::campaign::registry;
+use mb_lab::campaign::{find, registry};
 use mb_lab::driver::{run_campaign, Shard};
 use montblanc::report::TextTable;
 use std::fs;
@@ -50,8 +50,11 @@ fn main() {
         let cold = t0.elapsed();
 
         rewind_to(&path, slots / 2);
+        // A restarted process keeps no measurer memo from the cold run,
+        // so the resume gets a fresh campaign.
+        let restarted = find(campaign.name()).expect("registered campaign");
         let t1 = Instant::now();
-        run_campaign(campaign.as_ref(), &path, Shard::solo(), 0).expect("half resume");
+        run_campaign(restarted.as_ref(), &path, Shard::solo(), 0).expect("half resume");
         let resume = t1.elapsed();
 
         let t2 = Instant::now();

@@ -350,6 +350,7 @@ pub const HOT_ROOTS: &[&str] = &[
     "montblanc::fig5::SlotMeasurer::measure",
     "montblanc::fig7::SlotMeasurer::measure",
     "montblanc::fig7::measure_slot",
+    "montblanc::table2::SlotMeasurer::measure",
     "montblanc::table2::measure_cell",
 ];
 

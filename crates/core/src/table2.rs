@@ -9,15 +9,23 @@
 //! Multi-core scaling uses a fixed 95 % parallel efficiency for every
 //! benchmark on both machines (the paper's instances are all
 //! embarrassingly parallel at node scale).
+//!
+//! A kernel reports the same operation stream whichever machine costs
+//! it, so each row runs its kernel once, tee'd into both machines'
+//! executors: a five-row table is five kernel runs, each costed on two
+//! machine models. [`SlotMeasurer`] serves a campaign's
+//! `(row, machine)` cells from those row runs.
 
 use crate::platform::Platform;
 use mb_cpu::exec_model::ModelExec;
+use mb_cpu::ops::TeeExec;
 use mb_energy::energy_ratio;
 use mb_kernels::chess;
 use mb_kernels::coremark::CoreMark;
 use mb_kernels::linpack::Linpack;
 use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
+use std::sync::OnceLock;
 
 /// Parallel efficiency assumed when scaling single-core model times to
 /// the node's core count.
@@ -164,106 +172,128 @@ fn node_seconds(exec: &mut ModelExec, platform: &Platform) -> f64 {
 /// row-sequential taps); the branchy integer codes get none.
 const STREAMING_PREFETCH: f64 = 0.8;
 
-fn run_linpack(cfg: &Table2Config, platform: &Platform) -> f64 {
-    let mut exec = platform.exec(cfg.sample_rate);
-    exec.set_prefetch_hint(STREAMING_PREFETCH);
-    exec.set_mlp_hint(4);
-    let mut lp = Linpack::new(cfg.linpack_n, 42);
-    lp.factorize(&mut exec);
-    let _x = lp.solve(&mut exec);
-    let secs = node_seconds(&mut exec, platform);
-    // MFLOPS by the benchmark's nominal count, as LINPACK reports.
-    Linpack::nominal_flops(cfg.linpack_n) as f64 / secs / 1e6
+/// The sink a row's kernel reports to: both machines' executors at once.
+type Both<'a> = TeeExec<'a, ModelExec, ModelExec>;
+
+/// Runs the blocked LU and returns LINPACK's nominal flop count.
+fn run_hpl_blocked(cfg: &Table2Config, exec: &mut Both) -> f64 {
+    use mb_kernels::linpack_blocked::BlockedLu;
+    let nb = (cfg.linpack_n / 8).max(8);
+    let mut lu = BlockedLu::new(cfg.linpack_n, nb, 42);
+    lu.factorize(exec);
+    let _x = lu.solve(exec);
+    Linpack::nominal_flops(cfg.linpack_n) as f64
 }
 
-fn run_coremark(cfg: &Table2Config, platform: &Platform) -> f64 {
-    let mut exec = platform.exec(cfg.sample_rate);
+/// Runs CoreMark and returns its operation count.
+fn run_coremark(cfg: &Table2Config, exec: &mut Both) -> f64 {
     let cm = CoreMark {
         iterations: cfg.coremark_iterations,
         ..CoreMark::table2()
     };
-    let _crc = cm.run(&mut exec);
-    let secs = node_seconds(&mut exec, platform);
-    cm.operations() as f64 / secs
+    let _crc = cm.run(exec);
+    cm.operations() as f64
 }
 
-fn run_stockfish(cfg: &Table2Config, platform: &Platform) -> f64 {
-    let mut exec = platform.exec(cfg.sample_rate);
-    let nodes = chess::bench(cfg.chess_depth, &mut exec);
-    let secs = node_seconds(&mut exec, platform);
-    nodes as f64 / secs
+/// Runs the chess bench and returns the nodes it searched.
+fn run_stockfish(cfg: &Table2Config, exec: &mut Both) -> f64 {
+    chess::bench(cfg.chess_depth, exec) as f64
 }
 
-fn run_specfem(cfg: &Table2Config, platform: &Platform) -> f64 {
-    let mut exec = platform.exec(cfg.sample_rate);
-    exec.set_prefetch_hint(STREAMING_PREFETCH);
-    exec.set_mlp_hint(4);
+/// Runs the SPECFEM time steps and returns their count.
+fn run_specfem(cfg: &Table2Config, exec: &mut Both) -> f64 {
     let mut sim = Specfem::new(SpecfemConfig::table2());
-    sim.run(cfg.specfem_steps, &mut exec);
-    node_seconds(&mut exec, platform)
+    sim.run(cfg.specfem_steps, exec);
+    cfg.specfem_steps as f64
 }
 
-fn run_bigdft(cfg: &Table2Config, platform: &Platform) -> f64 {
-    let mut exec = platform.exec(cfg.sample_rate);
-    exec.set_prefetch_hint(STREAMING_PREFETCH);
-    exec.set_mlp_hint(4);
+/// Runs the iterated magicfilter and returns its iteration count.
+fn run_bigdft(cfg: &Table2Config, exec: &mut Both) -> f64 {
     let e = cfg.magicfilter_edge;
     let mut current = Grid3::random(e, e, e, 7);
     // Ping-pong the grid against one reusable workspace: the iterated
     // filter allocates nothing after the first pass.
     let mut ws = MagicfilterWorkspace::new();
     for _ in 0..cfg.magicfilter_iterations {
-        ws.apply(&current, 4, &mut exec);
+        ws.apply(&current, 4, exec);
         ws.swap_output(&mut current.data);
     }
-    node_seconds(&mut exec, platform)
+    cfg.magicfilter_iterations as f64
 }
 
-fn run_protein(cfg: &Table2Config, platform: &Platform) -> f64 {
+/// Runs the protein Monte-Carlo anneal and returns its sweep count.
+fn run_protein(cfg: &Table2Config, exec: &mut Both) -> f64 {
     use mb_kernels::protein::{HpModel, UNGER_MOULT_20};
-    let mut exec = platform.exec(cfg.sample_rate);
     let mut model = HpModel::new(UNGER_MOULT_20, 0x5331);
     let sweeps = 40 * cfg.coremark_iterations; // scale with the quick/paper knob
-    model.anneal(sweeps, 2.0, 0.995, &mut exec);
-    let secs = node_seconds(&mut exec, platform);
-    sweeps as f64 / secs
+    model.anneal(sweeps, 2.0, 0.995, exec);
+    sweeps as f64
 }
 
-fn run_hpl_blocked(cfg: &Table2Config, platform: &Platform) -> f64 {
-    use mb_kernels::linpack_blocked::BlockedLu;
-    let mut exec = platform.exec(cfg.sample_rate);
-    exec.set_prefetch_hint(STREAMING_PREFETCH);
-    exec.set_mlp_hint(4);
-    let nb = (cfg.linpack_n / 8).max(8);
-    let mut lu = BlockedLu::new(cfg.linpack_n, nb, 42);
-    lu.factorize(&mut exec);
-    let _x = lu.solve(&mut exec);
-    let secs = node_seconds(&mut exec, platform);
-    Linpack::nominal_flops(cfg.linpack_n) as f64 / secs / 1e6
+/// Runs unblocked dgefa and returns LINPACK's nominal flop count.
+fn run_linpack(cfg: &Table2Config, exec: &mut Both) -> f64 {
+    let mut lp = Linpack::new(cfg.linpack_n, 42);
+    lp.factorize(exec);
+    let _x = lp.solve(exec);
+    Linpack::nominal_flops(cfg.linpack_n) as f64
 }
 
-/// One row's recipe: name, unit, direction, and the kernel runner.
-type RowSpec = (
+/// How a row turns a kernel run into its metric.
+#[derive(Clone, Copy)]
+enum Metric {
+    /// A rate, larger is better: `work / seconds / per` (`per` is 1e6
+    /// for MFLOPS, else 1).
+    Rate { per: f64 },
+    /// The node seconds, smaller is better.
+    Seconds,
+}
+
+/// One row's recipe: name, unit, metric, whether the kernel streams
+/// (costed with MLP 4 and prefetch 0.8; the branchy integer codes get
+/// neither hint) and the kernel, which returns the work count a rate
+/// divides.
+type Row = (
     &'static str,
     &'static str,
+    Metric,
     bool,
-    fn(&Table2Config, &Platform) -> f64,
+    fn(&Table2Config, &mut Both) -> f64,
 );
+
+const MFLOPS: Metric = Metric::Rate { per: 1e6 };
+const PER_SECOND: Metric = Metric::Rate { per: 1.0 };
 
 /// Table II's rows: the paper's five in its order, then the two
 /// extension rows of [`run_extended`]. The LINPACK row runs the
 /// blocked HPL-style LU on both machines, as the paper did: "optimized
 /// for Intel architecture while the code remains unchanged [...] on the
 /// ARM platform".
-const ROWS: [RowSpec; 7] = [
-    ("LINPACK", "MFLOPS", true, run_hpl_blocked),
-    ("CoreMark", "ops/s", true, run_coremark),
-    ("StockFish", "nodes/s", true, run_stockfish),
-    ("SPECFEM3D", "s", false, run_specfem),
-    ("BigDFT", "s", false, run_bigdft),
-    ("SMMP-like (protein MC)", "sweeps/s", true, run_protein),
-    ("LINPACK (unblocked dgefa)", "MFLOPS", true, run_linpack),
+const ROWS: [Row; 7] = [
+    ("LINPACK", "MFLOPS", MFLOPS, true, run_hpl_blocked),
+    ("CoreMark", "ops/s", PER_SECOND, false, run_coremark),
+    ("StockFish", "nodes/s", PER_SECOND, false, run_stockfish),
+    ("SPECFEM3D", "s", Metric::Seconds, true, run_specfem),
+    ("BigDFT", "s", Metric::Seconds, true, run_bigdft),
+    (
+        "SMMP-like (protein MC)",
+        "sweeps/s",
+        PER_SECOND,
+        false,
+        run_protein,
+    ),
+    (
+        "LINPACK (unblocked dgefa)",
+        "MFLOPS",
+        MFLOPS,
+        true,
+        run_linpack,
+    ),
 ];
+
+/// The two machines, in cell order within a row.
+fn machines() -> [Platform; 2] {
+    [Platform::snowball(), Platform::xeon_x5550()]
+}
 
 /// How many of [`ROWS`] the paper's table has.
 const PAPER_ROWS: usize = 5;
@@ -281,15 +311,19 @@ pub fn run_extended(cfg: &Table2Config) -> Table2Report {
     sweep(cfg, ROWS.len())
 }
 
-/// Measures the first `rows` rows on both machines — one sweep task per
-/// [`measure_cell`] cell, so a five-row table fans out into ten
-/// independent model runs — and folds them with [`assemble`]. Every
-/// kernel runner builds its own executor, so the cells are independent
-/// and the table is bit-identical to a serial run.
+/// Measures the first `rows` rows — one sweep task per row, each
+/// running its kernel once for both machines (see [`SlotMeasurer`]) —
+/// and folds the cells with [`assemble`]. Every task builds its own
+/// executors, so the rows are independent and the table is
+/// bit-identical to a serial run.
 fn sweep(cfg: &Table2Config, rows: usize) -> Table2Report {
-    let tasks = (0..2 * rows).map(|idx| (cell_label(idx), idx)).collect();
-    let cells = mb_simcore::par::sweep_labeled(0, tasks, |_, idx| measure_cell(cfg, idx));
-    assemble(cfg, &cells)
+    let tasks = ROWS[..rows]
+        .iter()
+        .map(|&(name, ..)| name.to_string())
+        .zip(0..)
+        .collect();
+    let pairs = mb_simcore::par::sweep_labeled(0, tasks, |_, row| measure_row(cfg, row));
+    assemble(cfg, pairs.as_flattened())
 }
 
 /// Folds cell payloads, in [`measure_cell`] order, into the table's
@@ -304,13 +338,13 @@ pub fn assemble(cfg: &Table2Config, cells: &[f64]) -> Table2Report {
         cells.len().is_multiple_of(2) && cells.len() <= extended_cell_count(),
         "two cells per row"
     );
-    let p_snow = Platform::snowball().power.nameplate();
-    let p_xeon = Platform::xeon_x5550().power.nameplate();
+    let [p_snow, p_xeon] = machines().map(|platform| platform.power.nameplate());
     let rows = ROWS
         .iter()
         .zip(cells.chunks_exact(2))
-        .map(|(&(benchmark, unit, higher_is_better, _), cell)| {
+        .map(|(&(benchmark, unit, metric, ..), cell)| {
             let (s, x) = (cell[0], cell[1]);
+            let higher_is_better = matches!(metric, Metric::Rate { .. });
             let ratio = if higher_is_better { x / s } else { s / x };
             Table2Row {
                 benchmark: benchmark.to_string(),
@@ -345,15 +379,69 @@ pub fn cell_label(idx: usize) -> String {
 }
 
 /// Measures campaign cell `idx` alone: the row's metric on Snowball
-/// (even `idx`) or Xeon (odd `idx`).
+/// (even `idx`) or Xeon (odd `idx`). A one-shot [`SlotMeasurer`];
+/// campaigns share one.
 pub fn measure_cell(cfg: &Table2Config, idx: usize) -> f64 {
-    let (.., runner) = ROWS[idx / 2];
-    let platform = if idx.is_multiple_of(2) {
-        Platform::snowball()
-    } else {
-        Platform::xeon_x5550()
+    SlotMeasurer::new(cfg).measure(idx)
+}
+
+/// Measures row `row` on both machines from one run of its kernel:
+/// `[snowball, xeon]`. The kernel reports to both executors through a
+/// [`TeeExec`], and each machine's metric comes from its own
+/// [`ModelExec::finish`], as a run on that machine alone would give it:
+/// the operation stream a kernel reports does not depend on the sink.
+fn measure_row(cfg: &Table2Config, row: usize) -> [f64; 2] {
+    let (.., metric, streaming, kernel) = ROWS[row];
+    let exec = |platform: &Platform| {
+        let mut exec = platform.exec(cfg.sample_rate);
+        if streaming {
+            exec.set_prefetch_hint(STREAMING_PREFETCH);
+            exec.set_mlp_hint(4);
+        }
+        exec
     };
-    runner(cfg, &platform)
+    let [snowball, xeon] = machines();
+    let (mut on_snowball, mut on_xeon) = (exec(&snowball), exec(&xeon));
+    let work = kernel(cfg, &mut TeeExec::new(&mut on_snowball, &mut on_xeon));
+    let value = |exec: &mut ModelExec, platform: &Platform| {
+        let secs = node_seconds(exec, platform);
+        match metric {
+            Metric::Rate { per } => work / secs / per,
+            Metric::Seconds => secs,
+        }
+    };
+    [
+        value(&mut on_snowball, &snowball),
+        value(&mut on_xeon, &xeon),
+    ]
+}
+
+/// The Table II slot measurer: campaign cell `idx` is row `idx / 2` on
+/// Snowball (even `idx`) or Xeon (odd `idx`). A row's two cells come
+/// from one kernel run (see [`measure_row`]), kept in a `OnceLock` per
+/// row and filled by whichever of its cells is measured first. A row's
+/// values depend on the configuration alone, so every process, shard
+/// and slot order computes the same bits.
+pub struct SlotMeasurer {
+    cfg: Table2Config,
+    rows: [OnceLock<[f64; 2]>; ROWS.len()],
+}
+
+impl SlotMeasurer {
+    /// A measurer for `cfg`; rows are measured on demand.
+    pub fn new(cfg: &Table2Config) -> SlotMeasurer {
+        SlotMeasurer {
+            cfg: *cfg,
+            rows: Default::default(),
+        }
+    }
+
+    /// Measures campaign cell `idx`, running its row if no cell of the
+    /// row has been measured yet.
+    pub fn measure(&self, idx: usize) -> f64 {
+        let row = idx / 2;
+        self.rows[row].get_or_init(|| measure_row(&self.cfg, row))[idx % 2]
+    }
 }
 
 #[cfg(test)]

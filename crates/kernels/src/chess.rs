@@ -196,6 +196,13 @@ impl Board {
         }
     }
 
+    /// Whether squares `a` and `b` share a rank, file or diagonal.
+    fn aligned(a: u8, b: u8) -> bool {
+        let dr = (a / 8) as i32 - (b / 8) as i32;
+        let df = (a % 8) as i32 - (b % 8) as i32;
+        dr == 0 || df == 0 || dr.abs() == df.abs()
+    }
+
     /// Whether `sq` is attacked by any piece of `by`.
     pub fn attacked(&self, sq: u8, by: Color) -> bool {
         // Pawn attacks.
@@ -267,22 +274,23 @@ impl Board {
         }
     }
 
-    fn push_pawn_moves(&self, from: u8, out: &mut Vec<Move>) {
+    #[inline]
+    fn pawn_moves<F: FnMut(Move)>(&self, from: u8, out: &mut F) {
         let color = self.side;
         let dir = if color == Color::White { 1 } else { -1 };
         let start_rank = if color == Color::White { 1 } else { 6 };
         let last_rank = if color == Color::White { 7 } else { 0 };
-        let push_with_promos = |to: u8, out: &mut Vec<Move>| {
+        let push_with_promos = |to: u8, out: &mut F| {
             if to / 8 == last_rank {
                 for k in [Kind::Queen, Kind::Rook, Kind::Bishop, Kind::Knight] {
-                    out.push(Move {
+                    out(Move {
                         from,
                         to,
                         promotion: Some(k),
                     });
                 }
             } else {
-                out.push(Move {
+                out(Move {
                     from,
                     to,
                     promotion: None,
@@ -295,7 +303,7 @@ impl Board {
                 if from / 8 == start_rank {
                     if let Some(two) = Self::offset(from, 2 * dir, 0) {
                         if self.squares[two as usize].is_none() {
-                            out.push(Move {
+                            out(Move {
                                 from,
                                 to: two,
                                 promotion: None,
@@ -317,6 +325,14 @@ impl Board {
     /// Generates pseudo-legal moves for the side to move.
     pub fn pseudo_legal_moves(&self) -> Vec<Move> {
         let mut out = Vec::with_capacity(48);
+        self.each_pseudo_legal(|m| out.push(m));
+        out
+    }
+
+    /// Calls `out` on every pseudo-legal move of the side to move, in
+    /// [`Board::pseudo_legal_moves`] order, without collecting them.
+    #[inline]
+    fn each_pseudo_legal(&self, mut out: impl FnMut(Move)) {
         for from in 0..64u8 {
             let Some(p) = self.squares[from as usize] else {
                 continue;
@@ -325,12 +341,12 @@ impl Board {
                 continue;
             }
             match p.kind {
-                Kind::Pawn => self.push_pawn_moves(from, &mut out),
+                Kind::Pawn => self.pawn_moves(from, &mut out),
                 Kind::Knight => {
                     for (dr, df) in KNIGHT_OFFSETS {
                         if let Some(to) = Self::offset(from, dr, df) {
                             if !matches!(self.squares[to as usize], Some(q) if q.color == p.color) {
-                                out.push(Move {
+                                out(Move {
                                     from,
                                     to,
                                     promotion: None,
@@ -343,7 +359,7 @@ impl Board {
                     for (dr, df) in KING_OFFSETS {
                         if let Some(to) = Self::offset(from, dr, df) {
                             if !matches!(self.squares[to as usize], Some(q) if q.color == p.color) {
-                                out.push(Move {
+                                out(Move {
                                     from,
                                     to,
                                     promotion: None,
@@ -372,7 +388,7 @@ impl Board {
                         while let Some(to) = Self::offset(cur, dr, df) {
                             match self.squares[to as usize] {
                                 None => {
-                                    out.push(Move {
+                                    out(Move {
                                         from,
                                         to,
                                         promotion: None,
@@ -381,7 +397,7 @@ impl Board {
                                 }
                                 Some(q) => {
                                     if q.color != p.color {
-                                        out.push(Move {
+                                        out(Move {
                                             from,
                                             to,
                                             promotion: None,
@@ -395,7 +411,16 @@ impl Board {
                 }
             }
         }
-        out
+    }
+
+    /// How many pseudo-legal moves the side to move has. Kept out of
+    /// line: inlined into [`Board::evaluate`], the count ran slower than
+    /// collecting the moves into a `Vec`.
+    #[inline(never)]
+    fn mobility(&self) -> i32 {
+        let mut n = 0;
+        self.each_pseudo_legal(|_| n += 1);
+        n
     }
 
     /// Applies a move, returning the new position (the mover's king must
@@ -413,18 +438,30 @@ impl Board {
         b
     }
 
-    /// Generates fully legal moves.
+    /// Generates fully legal moves. The mover's king is found once per
+    /// position: a move leaves it where it was unless it is the king's
+    /// own move. Out of check, a move from a square on no rank, file or
+    /// diagonal through the king cannot expose it: it adds no attacker
+    /// and opens no ray to the king. So only king moves, moves from a
+    /// square on such a line and every move in check are played out and
+    /// tested.
     pub fn legal_moves(&self) -> Vec<Move> {
-        self.pseudo_legal_moves()
-            .into_iter()
-            .filter(|&m| {
-                let next = self.apply(m);
-                match next.king_square(self.side) {
-                    Some(k) => !next.attacked(k, next.side),
-                    None => false,
-                }
-            })
-            .collect()
+        let enemy = self.side.flip();
+        let king = self.king_square(self.side);
+        let in_check = king.is_some_and(|k| self.attacked(k, enemy));
+        let mut out = Vec::with_capacity(48);
+        self.each_pseudo_legal(|m| {
+            let legal = match king {
+                None => false,
+                Some(k) if k == m.from => !self.apply(m).attacked(m.to, enemy),
+                Some(k) if !in_check && !Self::aligned(k, m.from) => true,
+                Some(k) => !self.apply(m).attacked(k, enemy),
+            };
+            if legal {
+                out.push(m);
+            }
+        });
+        out
     }
 
     /// Perft: the number of leaf nodes of the legal-move tree at `depth`.
@@ -441,17 +478,16 @@ impl Board {
     /// Static evaluation from the side to move's perspective:
     /// material + a small mobility term.
     pub fn evaluate<E: Exec>(&self, exec: &mut E) -> i32 {
+        // One 2-byte load and one integer op per square.
+        exec.mem_run(0, 1, 64, 2, false);
+        exec.int_ops(64);
         let mut score = 0i32;
-        for (i, sq) in self.squares.iter().enumerate() {
-            exec.load(i as u64, 2);
-            exec.int_ops(1);
-            if let Some(p) = sq {
-                let v = p.kind.value();
-                score += if p.color == self.side { v } else { -v };
-            }
+        for p in self.squares.iter().flatten() {
+            let v = p.kind.value();
+            score += if p.color == self.side { v } else { -v };
         }
         // Mobility bonus.
-        let my_moves = self.pseudo_legal_moves().len() as i32;
+        let my_moves = self.mobility();
         exec.int_ops(my_moves as u64);
         score + 2 * my_moves
     }
@@ -522,9 +558,7 @@ impl Searcher {
             exec.int_ops(moves.len() as u64 * 2); // sort network cost
         }
         exec.int_ops(moves.len() as u64 * 6);
-        for _ in 0..moves.len() {
-            exec.load(0, 4);
-        }
+        exec.mem_run(0, 0, moves.len() as u64, 4, false);
         exec.branch_run(moves.len() as u64, false);
         if moves.is_empty() {
             // Checkmate or stalemate.
@@ -598,6 +632,73 @@ mod tests {
     #[ignore = "slow in debug builds; run with --release or --ignored"]
     fn perft_depth4() {
         assert_eq!(Board::initial().perft(4), 197_281);
+    }
+
+    /// A board with `pieces` on it and `side` to move.
+    fn setup(side: Color, pieces: &[(u8, Color, Kind)]) -> Board {
+        let mut b = Board::empty(side);
+        for &(sq, color, kind) in pieces {
+            b.set(sq, Some(Piece { color, kind }));
+        }
+        b
+    }
+
+    #[test]
+    fn legal_moves_match_a_king_search_per_move() {
+        // The reference plays every pseudo-legal move out and finds the
+        // mover's king on the child board.
+        fn reference(b: &Board) -> Vec<Move> {
+            b.pseudo_legal_moves()
+                .into_iter()
+                .filter(|&m| {
+                    let next = b.apply(m);
+                    next.king_square(b.side)
+                        .is_some_and(|k| !next.attacked(k, next.side))
+                })
+                .collect()
+        }
+        use Color::{Black, White};
+        use Kind::*;
+        // Pins on a file and a diagonal, out of check; then the same
+        // position in check from a queen on the open diagonal.
+        let pinned = [
+            (4, White, King),
+            (11, White, Bishop),
+            (20, White, Rook),
+            (14, White, Pawn),
+            (62, Black, King),
+            (25, Black, Bishop),
+            (60, Black, Rook),
+            (53, Black, Pawn),
+            (54, Black, Pawn),
+        ];
+        let mut checked = pinned.to_vec();
+        checked.push((31, Black, Queen));
+        let (pinned, checked) = (setup(White, &pinned), setup(White, &checked));
+        assert!(!pinned.in_check() && checked.in_check());
+        let mut middlegame = Board::initial();
+        for (from, to) in [(12u8, 28u8), (52, 36), (6, 21), (57, 42)] {
+            middlegame = middlegame.apply(Move {
+                from,
+                to,
+                promotion: None,
+            });
+        }
+        // Every position up to two plies from these roots.
+        let mut frontier = vec![Board::initial(), middlegame, pinned, checked];
+        let mut boards = frontier.clone();
+        for _ in 0..2 {
+            frontier = frontier
+                .iter()
+                .flat_map(|b| b.legal_moves().into_iter().map(|m| b.apply(m)))
+                .collect();
+            boards.extend_from_slice(&frontier);
+        }
+        let checks = boards.iter().filter(|b| b.in_check()).count();
+        assert!(checks > 20, "{checks} of {} boards in check", boards.len());
+        for b in &boards {
+            assert_eq!(b.legal_moves(), reference(b));
+        }
     }
 
     #[test]

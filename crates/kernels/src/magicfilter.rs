@@ -13,7 +13,7 @@
 //! cycle the axes back to the original orientation. The unroll degree of
 //! the `ndat` loop is the Figure 7 tuning parameter (1..=12).
 
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use mb_cpu::ops::{Exec, Flop, FlopKind, Precision, Stream};
 
 /// BigDFT's magic-filter coefficients for Daubechies-16 wavelets,
 /// indexed `l = -8..=7` (i.e. `MAGIC_FILTER[l + 8]`).
@@ -128,8 +128,13 @@ pub fn magicfilter_pass<E: Exec>(
     loop_bookkeeping(loop_groups(n, ndat, unroll), exec);
 }
 
-/// The body of [`magicfilter_pass`]: per output point, 16 tap loads, one
-/// batched FMA report and the transposed store, in `(i, j)` order. The
+/// Filter taps.
+const TAPS: usize = (UPFIL - LOWFIL + 1) as usize;
+
+/// The body of [`magicfilter_pass`]: per output point, 16 tap loads, the
+/// transposed store and 16 FMAs, in `(i, j)` order — one lockstep run
+/// of `ndat` bodies per row `i`, whose tap streams walk the 16 wrapped
+/// input rows and whose store stream walks output column `i`. The
 /// unroll degree does not change this stream — an unrolled group runs
 /// its `unroll` points one after the other, each with an accumulator of
 /// its own — only how many loop groups it is cut into.
@@ -138,22 +143,23 @@ fn convolve<E: Exec>(input: &[f64], n: usize, ndat: usize, out: &mut [f64], exec
     assert_eq!(out.len(), n * ndat, "output size mismatch");
     let in_base = 0u64;
     let out_base = (n * ndat * 8) as u64;
+    let fmas = [Flop::new(FlopKind::Fma, Precision::F64, 1); TAPS];
     for i in 0..n {
         // Precompute wrapped row indices for the 16 taps — a fixed
         // array, so the innermost row loop allocates nothing.
-        let mut rows = [0usize; (UPFIL - LOWFIL + 1) as usize];
+        let mut rows = [0usize; TAPS];
+        // The 16 tap loads, then the transposed store.
+        let mut streams = [Stream::store(out_base + (i * 8) as u64, (n * 8) as u64, 8); TAPS + 1];
         for (t, l) in (LOWFIL..=UPFIL).enumerate() {
             rows[t] = ((i as i64 + l).rem_euclid(n as i64)) as usize;
+            streams[t] = Stream::load(in_base + (rows[t] * ndat * 8) as u64, 8, 8);
         }
+        exec.lockstep_run(&streams, &fmas, ndat as u64);
         for j in 0..ndat {
             let mut acc = 0.0f64;
             for (t, &row) in rows.iter().enumerate() {
-                exec.load(in_base + ((row * ndat + j) * 8) as u64, 8);
                 acc += MAGIC_FILTER[t] * input[row * ndat + j];
             }
-            // One batched report for the 16 uniform taps.
-            exec.flop_run(FlopKind::Fma, Precision::F64, 1, rows.len() as u64);
-            exec.store(out_base + ((j * n + i) * 8) as u64, 8);
             out[j * n + i] = acc;
         }
     }

@@ -14,7 +14,7 @@
 //! loop, matching the SSE2 code the x86 compiler emits and the scalar
 //! VFP code the ARM build is stuck with.
 
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use mb_cpu::ops::{Exec, Flop, FlopKind, Precision, Stream};
 
 /// Polynomial degree of each element (degree 4 = 5 GLL points, the
 /// common SPECFEM choice).
@@ -245,7 +245,18 @@ impl Specfem {
 
     /// Computes the internal force `f = −K·u` (assembled per element)
     /// into the reusable `force` scratch, reporting operations.
+    ///
+    /// Each of an element's `NGLL` matvec rows loads the element's
+    /// displacements as two 16-byte pairs and an 8-byte tail (2-lane
+    /// FMAs and a scalar one), then loads, updates and stores its force
+    /// entry: one lockstep run of `NGLL` bodies per element.
     fn internal_force<E: Exec>(&mut self, exec: &mut E) {
+        const ROW_FLOPS: [Flop; 4] = [
+            Flop::new(FlopKind::Fma, Precision::F64, 2),
+            Flop::new(FlopKind::Fma, Precision::F64, 2),
+            Flop::new(FlopKind::Fma, Precision::F64, 1),
+            Flop::new(FlopKind::Add, Precision::F64, 1),
+        ];
         let n = self.u.len();
         self.force.clear();
         self.force.resize(n, 0.0);
@@ -254,23 +265,25 @@ impl Specfem {
             let mu = self.mu_scale[e];
             for i in 0..NGLL {
                 let mut acc = 0.0;
-                // 5-point matvec row, reported as 2-lane FMAs + tail.
                 let mut j = 0;
                 while j + 1 < NGLL {
-                    exec.load(((base + j) * 8) as u64, 16);
-                    exec.flop(FlopKind::Fma, Precision::F64, 2);
                     acc += self.k_elem[i][j] * self.u[base + j]
                         + self.k_elem[i][j + 1] * self.u[base + j + 1];
                     j += 2;
                 }
-                exec.load(((base + j) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
                 acc += self.k_elem[i][j] * self.u[base + j];
-                exec.load(((n + base + i) * 8) as u64, 8);
-                exec.store(((n + base + i) * 8) as u64, 8);
-                exec.flop(FlopKind::Add, Precision::F64, 1);
                 self.force[base + i] -= mu * acc;
             }
+            let addr = |k: usize| (k * 8) as u64;
+            let force = addr(n + base);
+            let rows = [
+                Stream::load(addr(base), 0, 16),
+                Stream::load(addr(base + 2), 0, 16),
+                Stream::load(addr(base + 4), 0, 8),
+                Stream::load(force, 8, 8),
+                Stream::store(force, 8, 8),
+            ];
+            exec.lockstep_run(&rows, &ROW_FLOPS, NGLL as u64);
             exec.branch(true);
         }
     }
@@ -283,12 +296,17 @@ impl Specfem {
         let n = self.u.len();
         self.internal_force(exec);
         let dt2 = self.dt * self.dt;
+        // Per point: load, FMA, add, divide, store.
+        exec.lockstep_run(
+            &[Stream::load(0, 8, 8), Stream::store(0, 8, 8)],
+            &[
+                Flop::new(FlopKind::Fma, Precision::F64, 1),
+                Flop::new(FlopKind::Add, Precision::F64, 1),
+                Flop::new(FlopKind::Div, Precision::F64, 1),
+            ],
+            n as u64,
+        );
         for i in 0..n {
-            exec.load((i * 8) as u64, 8);
-            exec.flop(FlopKind::Fma, Precision::F64, 1);
-            exec.flop(FlopKind::Add, Precision::F64, 1);
-            exec.flop(FlopKind::Div, Precision::F64, 1);
-            exec.store((i * 8) as u64, 8);
             let next = 2.0 * self.u[i] - self.u_prev[i] + dt2 * self.force[i] / self.mass[i];
             self.u_prev[i] = std::mem::replace(&mut self.u[i], next);
         }

@@ -79,6 +79,21 @@ cargo run --release -p mb-lab --bin mb-lab -- \
 cargo run --release -p mb-lab --bin mb-lab -- \
     digest "$LAB_DIR/fig7-merged.journal" --expect 0xa5a1d2922006e451 --check
 
+echo "==> mb-lab 2-shard table2 smoke (each shard owns one machine's cells)"
+# The Table II measurer runs each row's kernel once for both machines.
+# Under the modulo partition shard 0 owns every Snowball cell and shard
+# 1 every Xeon cell, so each shard runs every row and keeps one machine's
+# half; the merged journal must still reproduce the pinned digest.
+cargo run --release -p mb-lab --bin mb-lab -- \
+    run table2-quick --journal "$LAB_DIR/table2-shard0.journal" --shard 0/2
+MB_SHARD=1/2 cargo run --release -p mb-lab --bin mb-lab -- \
+    run table2-quick --journal "$LAB_DIR/table2-shard1.journal"
+cargo run --release -p mb-lab --bin mb-lab -- \
+    merge "$LAB_DIR/table2-merged.journal" "$LAB_DIR/table2-shard0.journal" \
+    "$LAB_DIR/table2-shard1.journal"
+cargo run --release -p mb-lab --bin mb-lab -- \
+    digest "$LAB_DIR/table2-merged.journal" --expect 0xe2a5d2bf61fbfbcf --check
+
 echo "==> mb-lab truncated paper-shard smoke (--max-slots, then complete + merge)"
 # The same pipeline over a *paper* grid: both fig5-paper shards first run
 # a --max-slots-truncated prefix (the deterministic front-to-back walk CI
@@ -150,19 +165,22 @@ cargo test --release -p mb-lab \
 # transport::load_segment.
 cargo test --release -p mb-lab --test journal_format --test codec_fuzz --quiet
 
-echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, rollback and the Fig 5 class memo against their slow references)"
+echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, rollback, the Fig 5 class memo, the Table II row runs and the batched kernel reports against their slow references)"
 # The cache, TLB and page-table fast paths must match the plain-scan
 # implementations kept in these suites on every access, a batched
 # `mem_run` or `lockstep_run` must cost exactly what its per-access
 # expansion costs, a rolled-back `ModelExec` must report what a
-# fresh one fed the same stream reports, and a Figure 5 slot read from
-# its measurement class must equal a fresh executor fed the slot's own
-# page table; name them so a broken fast path fails loudly here, not as
-# one dot in the workspace run.
+# fresh one fed the same stream reports, a Figure 5 slot read from its
+# measurement class must equal a fresh executor fed the slot's own page
+# table, a Table II cell read from its row's tee'd run must equal a
+# fresh executor of its own machine, and the kernels' batched reports
+# must expand to their per-access loops; name them so a broken fast
+# path fails loudly here, not as one dot in the workspace run.
 cargo test --release -p mb-mem --test cache_equivalence --test tlb_equivalence --quiet
 cargo test --release -p mb-cpu --test mem_run_equivalence --test checkpoint_equivalence \
     --test lockstep_equivalence --quiet
-cargo test --release -p montblanc --test fig5_classes --quiet
+cargo test --release -p montblanc --test fig5_classes --test table2_rows --quiet
+cargo test --release -p mb-kernels --test batched_reports --quiet
 
 echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resume)"
 # The always-on service end to end: start a server, submit fig3-quick
