@@ -52,16 +52,6 @@ impl Token {
     pub fn text<'s>(&self, source: &'s str) -> &'s str {
         &source[self.start..self.end]
     }
-
-    /// Whether this token is an identifier with exactly this text.
-    pub fn is_ident(&self, source: &str, word: &str) -> bool {
-        self.kind == TokenKind::Ident && self.text(source) == word
-    }
-
-    /// Whether this token is the punctuation character `c`.
-    pub fn is_punct(&self, source: &str, c: char) -> bool {
-        self.kind == TokenKind::Punct && self.text(source).starts_with(c)
-    }
 }
 
 /// Tokenizes `source` losslessly: the returned tokens tile the input.

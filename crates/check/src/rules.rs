@@ -10,7 +10,7 @@
 //!
 //! Three rules are *workspace* rules rather than line rules: they run
 //! over the cross-crate call graph ([`crate::taint`]) or over pairs of
-//! files ([`digest_pin_findings`]), so [`fire`] never triggers them —
+//! files ([`digest_pin_findings`]), so the per-line `fire` never triggers them —
 //! they exist in the registry for naming, `--list-rules`, SARIF rule
 //! metadata and `allow(...)` directives.
 

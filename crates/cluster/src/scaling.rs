@@ -417,7 +417,7 @@ impl ScalingStudy {
             .iter()
             .map(|&cores| (format!("{}@{}c", workload.name, cores), cores))
             .collect();
-        let points = mb_simcore::par::sweep_labeled(self.seed, tasks, |_, cores| {
+        let points = mb_simcore::par::sweep(tasks, |cores| {
             ScalingPoint::measured(cores, self.execute(workload, cores, false).0)
         });
         ScalingSeries::new(workload.name.clone(), points)
@@ -439,7 +439,7 @@ impl ScalingStudy {
             .iter()
             .map(|&cores| (format!("{}@{}c", workload.name, cores), cores))
             .collect();
-        let slots = mb_simcore::par::sweep_contained(self.seed, tasks, |_, cores| {
+        let slots = mb_simcore::par::sweep_contained(tasks, |cores| {
             let out = self.execute_outcome(workload, cores, false);
             (out.time, out.stats, out.surviving_ranks)
         });

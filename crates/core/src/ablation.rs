@@ -148,7 +148,7 @@ pub fn switch_upgrade(core_counts: &[u32], iterations: u32) -> Vec<UpgradeRow> {
                 .map(move |&fabric| (format!("bigdft@{cores}c/{fabric:?}"), (cores, fabric)))
         })
         .collect();
-    let cells = mb_simcore::par::sweep_labeled(0, tasks, |_, (cores, fabric)| {
+    let cells = mb_simcore::par::sweep(tasks, |(cores, fabric)| {
         ScalingStudy::new(fabric).execute(&w, cores, false).0
     });
     core_counts
@@ -198,7 +198,7 @@ pub fn page_policies(runs: u32) -> Vec<PolicyRow> {
             (0..runs).map(move |run| (format!("{policy:?}/run{run}"), (policy, run)))
         })
         .collect();
-    let bandwidths = mb_simcore::par::sweep_labeled(0, tasks, |_, (policy, run)| {
+    let bandwidths = mb_simcore::par::sweep(tasks, |(policy, run)| {
         let mut allocator = PageAllocator::new(policy, 4096, 1 << 18, 0xAB2 + run as u64);
         let table = allocator.allocate(size);
         let mut exec = platform.exec(1);

@@ -152,7 +152,7 @@ impl Fig3Report {
 /// folded by [`assemble`].
 pub fn run(cfg: &Fig3Config) -> Fig3Report {
     let rate = tegra2_effective_gflops();
-    let times = mb_simcore::par::sweep_labeled(0, labeled_slots(cfg), |_, (panel, cores)| {
+    let times = mb_simcore::par::sweep(labeled_slots(cfg), |(panel, cores)| {
         measure_scaling_slot(cfg, panel, cores, rate)
     });
     assemble(cfg, &times)
@@ -269,7 +269,7 @@ impl Fig3FaultReport {
 /// Same seed, same config ⇒ same report, at any worker count.
 pub fn run_faulted(cfg: &Fig3Config, faults: FaultConfig) -> Fig3FaultReport {
     let rate = tegra2_effective_gflops();
-    let slots = mb_simcore::par::sweep_contained(0, labeled_slots(cfg), |_, (panel, cores)| {
+    let slots = mb_simcore::par::sweep_contained(labeled_slots(cfg), |(panel, cores)| {
         measure_faulted_slot(cfg, faults, panel, cores, rate)
     });
     assemble_faulted(

@@ -163,8 +163,7 @@ impl Fig5Report {
 pub fn run(cfg: &Fig5Config) -> Fig5Report {
     let measurer = SlotMeasurer::new(cfg);
     let tasks = slot_labels(cfg).into_iter().zip(0..).collect();
-    let bandwidths =
-        mb_simcore::par::sweep_labeled(cfg.seed, tasks, |_, seq| measurer.measure(seq));
+    let bandwidths = mb_simcore::par::sweep(tasks, |seq| measurer.measure(seq));
     measurer.assemble(&bandwidths)
 }
 

@@ -197,7 +197,7 @@ fn sweep(cfg: &Fig7Config, measurer: &SlotMeasurer) -> Vec<[f64; 2]> {
             let tasks = (machine * per_machine..(machine + 1) * per_machine)
                 .map(|slot| (slot_label(cfg, slot), slot))
                 .collect();
-            mb_simcore::par::sweep_labeled(0, tasks, |_, slot| measurer.measure(slot))
+            mb_simcore::par::sweep(tasks, |slot| measurer.measure(slot))
         })
         .collect()
 }

@@ -322,7 +322,7 @@ fn sweep(cfg: &Table2Config, rows: usize) -> Table2Report {
         .map(|&(name, ..)| name.to_string())
         .zip(0..)
         .collect();
-    let pairs = mb_simcore::par::sweep_labeled(0, tasks, |_, row| measure_row(cfg, row));
+    let pairs = mb_simcore::par::sweep(tasks, |row| measure_row(cfg, row));
     assemble(cfg, pairs.as_flattened())
 }
 
@@ -418,7 +418,7 @@ fn measure_row(cfg: &Table2Config, row: usize) -> [f64; 2] {
 
 /// The Table II slot measurer: campaign cell `idx` is row `idx / 2` on
 /// Snowball (even `idx`) or Xeon (odd `idx`). A row's two cells come
-/// from one kernel run (see [`measure_row`]), kept in a `OnceLock` per
+/// from one kernel run (see `measure_row`), kept in a `OnceLock` per
 /// row and filled by whichever of its cells is measured first. A row's
 /// values depend on the configuration alone, so every process, shard
 /// and slot order computes the same bits.

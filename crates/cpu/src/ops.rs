@@ -348,11 +348,6 @@ impl CountingExec {
     pub fn counts(&self) -> &OpCounts {
         &self.counts
     }
-
-    /// Consumes the sink, returning the counts.
-    pub fn into_counts(self) -> OpCounts {
-        self.counts
-    }
 }
 
 impl Exec for CountingExec {

@@ -106,11 +106,6 @@ impl<E: Exec> ValidatingExec<E> {
         &self.inner
     }
 
-    /// The wrapped sink, mutably (e.g. to set `ModelExec` hints).
-    pub fn inner_mut(&mut self) -> &mut E {
-        &mut self.inner
-    }
-
     /// Unwraps, discarding validation state.
     pub fn into_inner(self) -> E {
         self.inner

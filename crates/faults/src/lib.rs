@@ -9,8 +9,8 @@
 //! experiment.
 //!
 //! A [`FaultPlan`] is generated up front from `(seed, FaultConfig,
-//! Topology)` — a pure function, same contract as
-//! `mb_simcore::par::derive_seeds` — and then threaded through the
+//! Topology)` — a pure function, so the same inputs always give the
+//! same plan — and then threaded through the
 //! stack: `mb-net` consults it per hop (link downtime/degradation,
 //! switch drop windows), `mb-mpi` consults it per operation (rank
 //! crashes, straggler slowdowns) and reacts with bounded

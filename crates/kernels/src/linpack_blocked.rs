@@ -62,11 +62,6 @@ impl BlockedLu {
         self.n
     }
 
-    /// Panel width.
-    pub fn block_size(&self) -> usize {
-        self.nb
-    }
-
     /// Factorises in place, reporting operations to `exec`.
     ///
     /// # Panics

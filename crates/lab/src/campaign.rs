@@ -2,9 +2,8 @@
 //!
 //! A [`Campaign`] is a sweep decomposed into *slots* — independent
 //! measurements, each a pure function of `(campaign config, slot
-//! index, slot seed)` — plus a finalizer that folds the per-slot
-//! payloads into the canonical value stream the figure's pinned digest
-//! folds. Each figure module has one measurement path: its slot
+//! index)` — plus a finalizer that folds the per-slot payloads into
+//! the canonical value stream the figure's pinned digest folds. Each figure module has one measurement path: its slot
 //! measurer (`fig3::measure_scaling_slot`, `fig5::SlotMeasurer`, …),
 //! an `assemble` that folds slot payloads into the figure's report,
 //! and the report's `digest_stream`. The figure's own `run()` is that
@@ -24,7 +23,7 @@
 //! the two sets stay equal.
 
 use mb_faults::FaultConfig;
-use mb_simcore::par::TaskCtx;
+use mb_simcore::rng::{Rng, SplitMix64};
 use montblanc::{fig3, fig5, fig7, table2, top500};
 use std::sync::OnceLock;
 
@@ -99,8 +98,8 @@ pub trait Campaign: Sync {
     /// One-line description for `mb-lab list`.
     fn description(&self) -> &'static str;
 
-    /// Experiment seed; slot seeds derive from it via
-    /// [`mb_simcore::par::slot_bindings`].
+    /// Experiment seed: the journal header's identity, so a journal
+    /// written under one seed can never resume under another.
     fn seed(&self) -> u64;
 
     /// Labels of every slot, in canonical slot order. The length is the
@@ -108,9 +107,9 @@ pub trait Campaign: Sync {
     fn task_labels(&self) -> Vec<String>;
 
     /// Measures one slot. Must be a pure function of the campaign
-    /// config and `ctx` so any shard or resumed process reproduces it
+    /// config and `slot` so any shard or resumed process reproduces it
     /// bit for bit.
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64>;
+    fn run_slot(&self, slot: usize) -> Vec<f64>;
 
     /// Reassembles completed slot payloads (in slot order) into the
     /// canonical value stream whose digest identifies the campaign.
@@ -175,9 +174,9 @@ impl Campaign for Fig3Scaling {
             .collect()
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
         let cfg = self.config();
-        let (panel, cores) = fig3::scaling_slots(&cfg)[ctx.index];
+        let (panel, cores) = fig3::scaling_slots(&cfg)[slot];
         let rate = fig3::tegra2_effective_gflops();
         vec![fig3::measure_scaling_slot(&cfg, panel, cores, rate)]
     }
@@ -226,9 +225,9 @@ impl Campaign for Fig3Faulted {
         Fig3Scaling { grid: self.grid }.task_labels()
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
         let cfg = self.config();
-        let (panel, cores) = fig3::scaling_slots(&cfg)[ctx.index];
+        let (panel, cores) = fig3::scaling_slots(&cfg)[slot];
         let rate = fig3::tegra2_effective_gflops();
         fig3::measure_faulted_slot(&cfg, FaultConfig::light(), panel, cores, rate).to_vec()
     }
@@ -303,8 +302,8 @@ impl Campaign for Fig5Anomaly {
         fig5::slot_labels(&self.config())
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
-        vec![self.measurer().measure(ctx.index)]
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
+        vec![self.measurer().measure(slot)]
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
@@ -370,8 +369,8 @@ impl Campaign for Fig7Tuning {
             .collect()
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
-        self.measurer().measure(ctx.index).to_vec()
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
+        self.measurer().measure(slot).to_vec()
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
@@ -437,8 +436,8 @@ impl Campaign for Table2Extended {
             .collect()
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
-        vec![self.measurer().measure(ctx.index)]
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
+        vec![self.measurer().measure(slot)]
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
@@ -477,8 +476,8 @@ impl Campaign for Top500Trends {
             .collect()
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
-        top500::measure_series(top500::all_series()[ctx.index])
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
+        top500::measure_series(top500::all_series()[slot])
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
@@ -491,9 +490,9 @@ impl Campaign for Top500Trends {
 }
 
 /// A cheap synthetic campaign for exercising the driver itself: each
-/// slot expands its SplitMix64-derived seed into three floats. Costs
-/// microseconds per slot, so kill/resume and shard proptests can churn
-/// through hundreds of runs.
+/// slot expands a SplitMix64 draw from the campaign seed into three
+/// floats. Costs microseconds per slot, so kill/resume and shard
+/// proptests can churn through hundreds of runs.
 pub struct Selftest;
 
 /// Task count of the [`Selftest`] campaign.
@@ -518,7 +517,7 @@ impl Campaign for Selftest {
         (0..SELFTEST_TASKS).map(|i| format!("slot{i}")).collect()
     }
 
-    fn run_slot(&self, ctx: TaskCtx) -> Vec<f64> {
+    fn run_slot(&self, slot: usize) -> Vec<f64> {
         // Deterministic poison hook for the quarantine machinery: when
         // MB_SELFTEST_POISON names this slot, the slot panics on every
         // attempt — the "crashes its worker K times in a row" case the
@@ -528,16 +527,22 @@ impl Campaign for Selftest {
         if let Ok(poison) = std::env::var("MB_SELFTEST_POISON") {
             if poison
                 .split(',')
-                .any(|p| p.trim().parse::<usize>() == Ok(ctx.index))
+                .any(|p| p.trim().parse::<usize>() == Ok(slot))
             {
-                panic!("poisoned slot {} (MB_SELFTEST_POISON)", ctx.index);
+                panic!("poisoned slot {slot} (MB_SELFTEST_POISON)");
             }
         }
-        // Three deterministic, finite values per slot: mantissa-spread
-        // fractions of the slot seed and its index mix.
+        // The slot's seed is the (slot + 1)-th SplitMix64 draw from the
+        // campaign seed. Three deterministic, finite values per slot:
+        // mantissa-spread fractions of that seed and its index mix.
+        let mut stream = SplitMix64::new(self.seed());
+        for _ in 0..slot {
+            stream.next_u64();
+        }
+        let seed = stream.next_u64();
         let frac = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
-        let mixed = ctx.seed ^ (ctx.index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        vec![frac(ctx.seed), frac(mixed), ctx.index as f64 + 0.5]
+        let mixed = seed ^ (slot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        vec![frac(seed), frac(mixed), slot as f64 + 0.5]
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {

@@ -1,18 +1,18 @@
-//! The persistent campaign driver: journal replay → checkpoint resume →
-//! shard-aware slot execution.
+//! The persistent campaign driver: journal replay → shard-aware
+//! execution of the missing slots.
 //!
 //! The lifecycle of one `mb-lab run`:
 //!
 //! 1. Open (or create) the shard's journal and verify its header
 //!    against the campaign registry — version skew, a different seed or
 //!    a foreign campaign are hard errors.
-//! 2. Feed every journaled slot into
-//!    [`mb_simcore::par::Checkpoint::from_slots`]; slots with no record
-//!    become "not yet run" failures.
-//! 3. [`Checkpoint::resume_slots`] reruns only the missing slots this
-//!    shard owns (`slot % N == i`), on the deterministic sweep pool,
-//!    appending each result to the journal the moment it completes —
-//!    so a `SIGKILL` at any instant loses at most the in-flight slots.
+//! 2. Place every journaled slot at its index; slots with no record are
+//!    missing.
+//! 3. [`mb_simcore::par::sweep_contained`] runs only the missing slots
+//!    this shard owns (`slot % N == i`), on the deterministic sweep
+//!    pool, appending each result to the journal the moment it
+//!    completes — so a `SIGKILL` at any instant loses at most the
+//!    in-flight slots.
 //!    [`RunOptions::max_slots`] bounds how many of those slots one
 //!    invocation attempts (in ascending slot order), so CI can smoke a
 //!    truncated paper shard deterministically; wall time per executed
@@ -25,7 +25,6 @@
 use crate::campaign::{digest, Campaign};
 use crate::error::LabError;
 use crate::journal::{Journal, JournalHeader};
-use mb_simcore::error::MbError;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -189,26 +188,15 @@ pub fn run_campaign_with(
     let replayed = journal.records.len();
     check_payload_widths(campaign, &journal.records)?;
 
-    // Journal records → positional slots; absent ⇒ "not yet run".
-    let mut slots: Vec<Result<Vec<f64>, MbError>> = (0..n)
-        .map(|i| {
-            Err(MbError::TaskFailed {
-                label: labels[i].clone(),
-                message: "not yet run".to_string(),
-            })
-        })
-        .collect();
+    // Journal records → positional slots; absent ⇒ missing.
+    let mut slots: Vec<Option<Vec<f64>>> = vec![None; n];
     for (slot, payload) in &journal.records {
-        slots[*slot] = Ok(payload.clone());
+        slots[*slot] = Some(payload.clone());
     }
 
-    let mut checkpoint = mb_simcore::par::Checkpoint::from_slots(campaign.seed(), slots);
-    let mut owned_missing: Vec<usize> = checkpoint
-        .missing()
-        .into_iter()
-        .filter(|&i| shard.owns(i))
+    let mut owned_missing: Vec<usize> = (0..n)
+        .filter(|&i| slots[i].is_none() && shard.owns(i))
         .collect();
-    owned_missing.sort_unstable();
     let before_skip = owned_missing.len();
     owned_missing.retain(|i| !opts.skip_slots.contains(i));
     let skipped = before_skip - owned_missing.len();
@@ -221,64 +209,55 @@ pub fn run_campaign_with(
         _ => 0,
     };
     let executed = owned_missing.len();
-    let mut attempted = vec![false; n];
-    for &i in &owned_missing {
-        attempted[i] = true;
-    }
 
     // The journal is shared across sweep workers; appends serialize on
     // the mutex, so record order is append order (not slot order) —
     // the chain only certifies integrity, the slot index carries
     // position. Slot wall times ride along under the same lock.
-    let journal = Mutex::new((journal, Vec::<(usize, f64)>::new()));
-    let tasks: Vec<(String, usize)> = labels
+    let journal = Mutex::new((journal, Vec::with_capacity(executed)));
+    let tasks: Vec<(String, usize)> = owned_missing
         .iter()
-        .enumerate()
-        .map(|(i, l)| (l.clone(), i))
+        .map(|&i| (labels[i].clone(), i))
         .collect();
-    checkpoint.resume_slots(tasks, &owned_missing, |ctx, _slot| {
+    let results = mb_simcore::par::sweep_contained(tasks, |slot| {
         if opts.task_delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(opts.task_delay_ms));
         }
         // Wall time is reporting-only: it never feeds a measurement or
         // a digest, so the determinism contract is untouched.
         let started = std::time::Instant::now(); // mb-check: allow(wall-clock-in-model)
-        let payload = campaign.run_slot(ctx);
+        let payload = campaign.run_slot(slot);
         let secs = started.elapsed().as_secs_f64(); // mb-check: allow(wall-clock-in-model)
         let mut shared = journal.lock().unwrap_or_else(PoisonError::into_inner);
         shared
             .0
-            .append(ctx.index, &payload)
+            .append(slot, &payload)
             .expect("journal append of a freshly measured, owned slot");
-        shared.1.push((ctx.index, secs));
+        shared.1.push((slot, secs));
         payload
     });
     let (_, mut slot_secs) = journal.into_inner().unwrap_or_else(PoisonError::into_inner);
     slot_secs.sort_unstable_by_key(|&(slot, _)| slot);
 
-    // A panicking slot surfaces as a TaskFailed entry; report the first
-    // among the slots this invocation actually attempted (slots beyond
-    // the bound or owned by other shards are legitimately "not yet run").
-    if let Some((slot, err)) = checkpoint
-        .failures()
-        .into_iter()
-        .find(|(i, _)| attempted[*i])
-    {
-        return Err(LabError::SlotFailed {
-            slot,
-            detail: err.to_string(),
-        });
+    // A panicking slot surfaces as a TaskFailed entry; report the
+    // lowest-indexed one (`owned_missing` is ascending).
+    for (slot, result) in owned_missing.into_iter().zip(results) {
+        match result {
+            Ok(payload) => slots[slot] = Some(payload),
+            Err(err) => {
+                return Err(LabError::SlotFailed {
+                    slot,
+                    detail: err.to_string(),
+                })
+            }
+        }
     }
 
-    let final_digest = if shard.count == 1 && checkpoint.is_complete() {
-        let payloads: Vec<Vec<f64>> = checkpoint
-            .into_slots()
+    let final_digest = if shard.count == 1 {
+        slots
             .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(|e| LabError::BadShardFamily {
-                detail: format!("incomplete solo run: {e}"),
-            })?;
-        Some(digest(campaign.finalize(&payloads)))
+            .collect::<Option<Vec<_>>>()
+            .map(|payloads| digest(campaign.finalize(&payloads)))
     } else {
         None
     };

@@ -53,7 +53,7 @@ pub const MISSING_LISTED: usize = 1024;
 pub struct JournalHeader {
     /// Campaign name the records belong to.
     pub campaign: String,
-    /// Experiment seed the campaign derives its slot seeds from.
+    /// The campaign's experiment seed, part of the journal's identity.
     pub seed: u64,
     /// Total slot count of the campaign (across all shards).
     pub tasks: usize,

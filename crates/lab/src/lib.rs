@@ -12,11 +12,12 @@
 //! * [`campaign`] — the registry binding campaign names to the slot
 //!   measurers and `assemble` folds of the figure modules and to their
 //!   pinned digests;
-//! * [`driver`] — replay + [`mb_simcore::par::Checkpoint`] resume +
+//! * [`driver`] — journal replay + a contained sweep
+//!   ([`mb_simcore::par::sweep_contained`]) over the missing slots +
 //!   modulo sharding (`slot % N == i`) + journal merge;
 //! * [`transport`] — idempotent segment export/ingest between journal
 //!   replicas, the stand-in for per-host uploads;
-//! * [`supervise`] — the shard-family babysitter: restart-on-crash
+//! * [`supervise`](mod@supervise) — the shard-family babysitter: restart-on-crash
 //!   with seeded bounded backoff, clock-free hang detection and
 //!   poison-slot quarantine, reporting a machine-readable
 //!   [`supervise::SuperviseReport`];
@@ -28,7 +29,7 @@
 //! * [`protocol`] — the versioned `mbsrv1` line protocol of the
 //!   service mode: typed frames, canonical renderings, hard typed
 //!   rejection of malformed/oversized/truncated input;
-//! * [`serve`] — the always-on campaign service: a TCP supervisor
+//! * [`serve`](mod@serve) — the always-on campaign service: a TCP supervisor
 //!   multiplexing many shard families over a bounded worker pool,
 //!   with typed `busy` backpressure, streaming `watch` progress and
 //!   resume-on-restart from persisted job state;

@@ -10,7 +10,7 @@
 //! The service contract, in order of importance:
 //!
 //! * **Determinism is untouched.** A job is exactly one
-//!   [`crate::supervise`] family run in-process; the server adds
+//!   [`crate::supervise()`] family run in-process; the server adds
 //!   scheduling and transport, never measurement. The same campaign
 //!   submitted by any number of interleaved clients converges to the
 //!   same pinned digest bit for bit.

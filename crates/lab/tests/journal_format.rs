@@ -3,7 +3,7 @@
 //! breaks, version skew, foreign campaigns and slot-ownership
 //! violations must all fail loudly, never silently skip records.
 
-use mb_lab::driver::Shard;
+use mb_lab::driver::{run_campaign, Shard};
 use mb_lab::journal::{merge, Journal, JournalHeader, MISSING_LISTED};
 use mb_lab::transport::{export_segment, ingest_segment};
 use mb_lab::LabError;
@@ -316,6 +316,27 @@ fn exported_segments_match_the_pinned_fixtures_and_ingest() {
     );
     let tail = ingest_segment(&replica, &fixture("selftest-1of3.from2.seg")).expect("re-ingest");
     assert_eq!((tail.appended, tail.duplicates), (0, 3));
+}
+
+/// A fresh `selftest` shard 1/3 run writes `selftest-1of3.journal` byte
+/// for byte: same header, same slot seeds (the (slot + 1)-th SplitMix64
+/// draw from the campaign seed), same payload bits, same chain. One
+/// worker appends its slots in ascending order, the fixture's order.
+#[test]
+fn fresh_selftest_shard_matches_the_pinned_journal() {
+    let dir = scratch("selftest-fresh");
+    let journal = dir.join("selftest-1of3.journal");
+    let campaign = mb_lab::campaign::find("selftest").expect("selftest is registered");
+    let shard = Shard { index: 1, count: 3 };
+    let outcome = mb_simcore::par::with_threads(1, || {
+        run_campaign(campaign.as_ref(), &journal, shard, 0).expect("selftest shard runs")
+    });
+    assert_eq!((outcome.replayed, outcome.executed), (0, 5));
+    assert_eq!(
+        fs::read(&journal).expect("fresh journal"),
+        fs::read(fixture("selftest-1of3.journal")).expect("fixture"),
+        "a fresh selftest shard drifted from the pinned journal"
+    );
 }
 
 /// Records parse only in their canonical rendering, so the bytes the

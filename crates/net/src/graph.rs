@@ -55,14 +55,6 @@ impl LinkSpec {
         }
     }
 
-    /// 100 Mb Ethernet (the Snowball's on-board NIC).
-    pub fn fast_ethernet() -> Self {
-        LinkSpec {
-            bandwidth_bps: 100e6,
-            latency: SimTime::from_micros(50),
-        }
-    }
-
     /// Serialisation time of `bytes` on this link.
     pub fn transmit_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs_f64(bytes as f64 * 8.0 / self.bandwidth_bps)

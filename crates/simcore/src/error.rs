@@ -5,7 +5,7 @@
 //! poisoned sweep task. Those are modelling inputs (the paper's clusters
 //! failed in exactly these ways), so they surface as typed [`MbError`]
 //! values that the resilience machinery (`mb-mpi` retries, `mb-cluster`
-//! degraded runs, `mb_simcore::par` checkpoints) can act on. Panics
+//! degraded runs, `mb_simcore::par` contained sweeps) can act on. Panics
 //! remain reserved for *contract violations*: out-of-range ranks,
 //! malformed configurations a caller could have checked, broken internal
 //! invariants.

@@ -18,9 +18,9 @@
 //!   failures (dropped messages, timeouts, crashed ranks) so library
 //!   crates reserve panics for genuine contract violations.
 //! * [`par`] — deterministic parallel sweep execution: scoped worker
-//!   pools whose results are bit-identical to a serial run, because every
-//!   task's RNG seed is pre-derived from the experiment seed and results
-//!   are reduced in input order.
+//!   pools whose results are bit-identical to a serial run, because tasks
+//!   are pure functions of their own inputs and results are reduced in
+//!   input order.
 //! * [`plan`] — randomised measurement plans. Section V.A.1 of the paper
 //!   shows that benchmarks on the ARM boards must be "thoroughly randomized
 //!   to avoid experimental bias"; [`plan::MeasurementPlan`] is that
@@ -48,7 +48,6 @@ pub mod stats;
 pub mod time;
 
 pub use error::{MbError, MbResult};
-pub use par::TaskCtx;
 pub use plan::MeasurementPlan;
 pub use rng::{Rng, SplitMix64, Xoshiro256};
 pub use stats::{Histogram, LinearFit, OnlineStats, Summary};

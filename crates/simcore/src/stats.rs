@@ -476,23 +476,6 @@ impl LinearFit {
     }
 }
 
-/// Geometric mean of a positive sample set.
-///
-/// # Panics
-///
-/// Panics if the slice is empty or contains non-positive values.
-pub fn geometric_mean(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "geometric mean of an empty set");
-    let log_sum: f64 = samples
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geometric mean requires positive samples");
-            x.ln()
-        })
-        .sum();
-    (log_sum / samples.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,11 +630,5 @@ mod tests {
     #[should_panic(expected = "log fit requires positive y values")]
     fn log_fit_rejects_non_positive() {
         let _ = LinearFit::fit_log(&[(0.0, 1.0), (1.0, 0.0)]);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-12);
     }
 }

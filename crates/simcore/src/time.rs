@@ -226,11 +226,6 @@ impl Cycles {
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
-
-    /// Cycle count as `f64`, for ratio computations.
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
 }
 
 impl fmt::Display for Cycles {
@@ -349,11 +344,6 @@ impl Frequency {
     pub fn time_to_cycles(self, t: SimTime) -> Cycles {
         let c = t.as_nanos() as u128 * self.0 as u128 / 1_000_000_000u128;
         Cycles::new(c as u64)
-    }
-
-    /// The duration of a single cycle, as fractional seconds.
-    pub fn period_secs(self) -> f64 {
-        1.0 / self.0 as f64
     }
 }
 

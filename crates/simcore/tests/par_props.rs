@@ -1,45 +1,36 @@
-//! Property tests for the parallel sweep engine: input ordering and
-//! per-task seed derivation are preserved at any worker count, so a
-//! parallel sweep is bit-identical to a serial one by construction.
+//! Property tests for the parallel sweep engine: input ordering is
+//! preserved at any worker count, so a parallel sweep is bit-identical
+//! to a serial one by construction.
 
-use mb_simcore::par::{derive_seeds, sweep, with_threads};
+use mb_simcore::par::{sweep, with_threads};
 use mb_simcore::rng::{Rng, SplitMix64};
 use proptest::prelude::*;
 
+/// `items` labelled by position.
+fn labelled(items: &[u64]) -> Vec<(String, u64)> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (format!("t{i}"), x))
+        .collect()
+}
+
 proptest! {
     #[test]
-    fn sweep_preserves_ordering_and_seeds(
+    fn sweep_preserves_input_ordering(
         items in prop::collection::vec(0u64..1_000_000, 0..64),
-        seed in 0u64..u64::MAX,
         threads in 1usize..9,
     ) {
-        // Each task records what it was handed; any reordering or seed
-        // mix-up is visible in the output.
-        let expect: Vec<(usize, u64, u64)> = {
-            let seeds = derive_seeds(seed, items.len());
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (i, seeds[i], x))
-                .collect()
-        };
+        // Each task echoes its label and input; any reordering or
+        // label mix-up is visible in the output.
+        let expect: Vec<(String, u64)> = labelled(&items);
         let got = with_threads(threads, || {
-            sweep(seed, items.clone(), |ctx, x| (ctx.index, ctx.seed, x))
+            sweep(
+                labelled(&items).into_iter().map(|(l, x)| (l.clone(), (l, x))).collect(),
+                |task| task,
+            )
         });
         prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn derived_seeds_follow_the_splitmix_stream(
-        seed in 0u64..u64::MAX,
-        n in 0usize..128,
-    ) {
-        let seeds = derive_seeds(seed, n);
-        prop_assert_eq!(seeds.len(), n);
-        let mut stream = SplitMix64::new(seed);
-        for (i, &s) in seeds.iter().enumerate() {
-            prop_assert_eq!(s, stream.next_u64(), "seed #{}", i);
-        }
     }
 
     #[test]
@@ -47,14 +38,14 @@ proptest! {
         items in prop::collection::vec(1u64..1_000, 1..48),
         seed in 0u64..u64::MAX,
     ) {
-        // A task with real per-task RNG use: results must not depend on
-        // the worker count.
-        let work = |ctx: mb_simcore::TaskCtx, x: u64| {
-            let mut rng = SplitMix64::new(ctx.seed);
+        // A task with real RNG use, seeded from its own input: results
+        // must not depend on the worker count.
+        let work = |x: u64| {
+            let mut rng = SplitMix64::new(seed ^ x);
             (0..x % 17).map(|_| rng.next_u64() % x.max(1)).sum::<u64>()
         };
-        let serial = with_threads(1, || sweep(seed, items.clone(), work));
-        let parallel = with_threads(7, || sweep(seed, items.clone(), work));
+        let serial = with_threads(1, || sweep(labelled(&items), work));
+        let parallel = with_threads(7, || sweep(labelled(&items), work));
         prop_assert_eq!(serial, parallel);
     }
 }

@@ -144,7 +144,7 @@ pub fn write_prv(trace: &Trace) -> Vec<u8> {
 }
 
 /// Streams the `.prv` encoding of `trace` into `out`, flushing in
-/// [`STREAM_CHUNK`]-sized batches. Produces bytes identical to
+/// 64 KiB batches. Produces bytes identical to
 /// [`write_prv`] without holding the whole trace text in memory.
 ///
 /// # Errors

@@ -17,6 +17,9 @@ cargo test --workspace --quiet
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> mb-check (call-graph determinism lints, SARIF + schema gate)"
 # The check itself: exits nonzero on any finding not in the reviewed
 # `.mb-check-baseline.json`, so new debt fails CI while grandfathered
