@@ -270,42 +270,6 @@ fn bfs(roots: &[usize], adj: &[Vec<usize>]) -> Vec<bool> {
     seen
 }
 
-/// Shortest path from any of `from` to `to` along forward edges, as a
-/// node-id chain (inclusive). Used by `explain` to print source→sink
-/// routes.
-pub fn shortest_path(graph: &Graph, from: &[usize], to: usize) -> Option<Vec<usize>> {
-    use std::collections::VecDeque;
-    let mut prev: Vec<Option<usize>> = vec![None; graph.nodes.len()];
-    let mut seen = vec![false; graph.nodes.len()];
-    let mut queue = VecDeque::new();
-    for &f in from {
-        if !seen[f] {
-            seen[f] = true;
-            queue.push_back(f);
-        }
-    }
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut path = vec![n];
-            let mut cur = n;
-            while let Some(p) = prev[cur] {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for &m in &graph.edges[n] {
-            if !seen[m] {
-                seen[m] = true;
-                prev[m] = Some(n);
-                queue.push_back(m);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,9 +420,6 @@ mod tests {
         assert!(fwd[c] && !fwd[lone]);
         let rev = reaches(&g, &[c]);
         assert!(rev[a] && !rev[lone]);
-        let path = shortest_path(&g, &[a], c).expect("path exists");
-        let names: Vec<&str> = path.iter().map(|&n| g.nodes[n].path.as_str()).collect();
-        assert_eq!(names, ["a::a", "a::b", "a::c"]);
     }
 
     #[test]

@@ -122,20 +122,6 @@ impl RuleId {
             }
         }
     }
-
-    /// Looks a rule up by name.
-    pub fn from_name(name: &str) -> Option<RuleId> {
-        ALL_RULES.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// Workspace rules run over the call graph / file pairs, not line by
-    /// line.
-    pub fn is_workspace_rule(self) -> bool {
-        matches!(
-            self,
-            RuleId::DeterminismTaint | RuleId::HotAlloc | RuleId::DigestPin
-        )
-    }
 }
 
 /// Crate-relative location facts the rules scope on.
@@ -498,24 +484,20 @@ mod tests {
     }
 
     #[test]
-    fn rule_names_round_trip() {
-        for rule in ALL_RULES {
-            assert_eq!(RuleId::from_name(rule.name()), Some(rule));
-        }
-        assert_eq!(RuleId::from_name("no-such-rule"), None);
-    }
-
-    #[test]
     fn workspace_rules_never_fire_line_by_line() {
         // A line that would trip several line rules still produces no
         // workspace-rule findings; those run over the call graph.
         let src = "let t = Instant::now(); let m = HashMap::new();\n";
         let findings = check_snippet("crates/net/src/graph.rs", src);
+        let workspace_rules = [
+            RuleId::DeterminismTaint,
+            RuleId::HotAlloc,
+            RuleId::DigestPin,
+        ]
+        .map(RuleId::name);
         for f in &findings {
             assert!(
-                !RuleId::from_name(&f.rule)
-                    .expect("known rule")
-                    .is_workspace_rule(),
+                !workspace_rules.contains(&f.rule.as_str()),
                 "workspace rule {} fired as a line rule",
                 f.rule
             );

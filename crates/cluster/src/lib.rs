@@ -10,23 +10,27 @@
 //!   update), SPECFEM (halo exchange + element kernel), BigDFT
 //!   (`all_to_all_v` transposition + convolution);
 //! * [`scaling`] — the strong-scaling runner: executes a workload
-//!   skeleton at each core count on a chosen fabric and reports time,
-//!   speedup and parallel efficiency (Figure 3), optionally tracing for
-//!   the Figure 4 analysis. With
+//!   skeleton at one core count on a chosen fabric, optionally tracing
+//!   for the Figure 4 analysis, and folds per-point times into a series
+//!   of speedups and parallel efficiencies (Figure 3). With
 //!   [`scaling::ScalingStudy::with_faults`] each point replays a
-//!   deterministic `mb-faults` plan and
-//!   [`scaling::ScalingStudy::run_resilient`] reports
-//!   degraded-but-completed results instead of dying.
+//!   deterministic `mb-faults` plan,
+//!   [`scaling::ScalingStudy::execute_outcome`] reports how degraded the
+//!   run was, and [`scaling::ResilientSeries`] keeps points that died
+//!   apart from the degraded-but-completed ones.
 //!
 //! # Examples
 //!
 //! ```
-//! use mb_cluster::scaling::{ScalingStudy, FabricKind};
+//! use mb_cluster::scaling::{FabricKind, ScalingPoint, ScalingSeries, ScalingStudy};
 //! use mb_cluster::workload::Workload;
 //!
 //! let study = ScalingStudy::new(FabricKind::Tibidabo);
-//! let series = study.run(&Workload::specfem_tibidabo(), &[4, 8, 16]);
-//! assert_eq!(series.points.len(), 3);
+//! let w = Workload::specfem_tibidabo().with_iterations(4);
+//! let points = [4, 8, 16]
+//!     .map(|cores| ScalingPoint::measured(cores, study.execute(&w, cores, false).0));
+//! let series = ScalingSeries::new(w.name.clone(), points.to_vec());
+//! assert_eq!(series.baseline_cores, 4);
 //! // Speedup grows with cores.
 //! assert!(series.points[2].speedup > series.points[0].speedup);
 //! ```

@@ -79,9 +79,19 @@ impl ScalingPoint {
 /// The one speedup normalisation of every scaling series: the first
 /// point sits on the ideal diagonal (speedup = its own core count),
 /// exactly how the paper normalises SPECFEM "versus a 4 core run".
+///
+/// # Panics
+///
+/// Panics unless the core counts are strictly increasing.
 fn normalise<'a>(points: impl IntoIterator<Item = &'a mut ScalingPoint>) {
     let mut baseline = None;
+    let mut previous = None;
     for p in points {
+        assert!(
+            previous < Some(p.cores),
+            "core counts must be strictly increasing"
+        );
+        previous = Some(p.cores);
         let (baseline_cores, baseline_time) = *baseline.get_or_insert((p.cores, p.time));
         p.speedup = baseline_cores as f64 * baseline_time.as_secs_f64() / p.time.as_secs_f64();
         p.efficiency = p.speedup / p.cores as f64;
@@ -94,7 +104,8 @@ impl ScalingSeries {
     ///
     /// # Panics
     ///
-    /// Panics if `points` is empty.
+    /// Panics if `points` is empty or its core counts are not strictly
+    /// increasing.
     pub fn new(name: String, mut points: Vec<ScalingPoint>) -> ScalingSeries {
         normalise(points.iter_mut());
         ScalingSeries {
@@ -178,6 +189,11 @@ impl ResilientSeries {
     /// Builds a series from one outcome per core count, in core-count
     /// order. Completed points are normalised to the first *completed*
     /// one; when none completed, the baseline is the first core count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the completed points' core counts are not strictly
+    /// increasing.
     pub fn from_outcomes(name: String, outcomes: Vec<(u32, PointOutcome)>) -> ResilientSeries {
         let first_cores = outcomes.first().map_or(0, |&(cores, _)| cores);
         let mut points = Vec::new();
@@ -199,11 +215,6 @@ impl ResilientSeries {
             points,
             failed,
         }
-    }
-
-    /// The completed point measured at `cores`, if any.
-    pub fn at(&self, cores: u32) -> Option<&ResilientPoint> {
-        self.points.iter().find(|p| p.point.cores == cores)
     }
 
     /// Summed [`ResilientPoint::energy`] over every completed point.
@@ -271,21 +282,6 @@ impl ScalingStudy {
         )
     }
 
-    /// The fault plan a run at `ranks` cores replays (empty without
-    /// faults). Deterministic: same study, same plan.
-    pub fn fault_plan(&self, ranks: u32) -> FaultPlan {
-        self.plan_on(&self.fabric(ranks), ranks)
-    }
-
-    /// The element-name table of the fabric a run at `ranks` cores is
-    /// built on — what name-addressed plans for
-    /// [`Self::execute_planned`] resolve against. Every run at `ranks`
-    /// builds the same fabric, so resolved indices aim at exactly the
-    /// elements those runs instantiate.
-    pub fn element_names(&self, ranks: u32) -> mb_faults::ElementNames {
-        self.fabric(ranks).network().element_names()
-    }
-
     /// Executes `workload` on `ranks` cores; returns the simulated time
     /// and, if `traced`, the execution trace.
     ///
@@ -306,38 +302,6 @@ impl ScalingStudy {
     ///
     /// Panics if `ranks < workload.min_ranks`.
     pub fn execute_outcome(&self, workload: &Workload, ranks: u32, traced: bool) -> ScalingOutcome {
-        self.execute_with_plan(workload, ranks, traced, |fabric| {
-            self.plan_on(fabric, ranks)
-        })
-    }
-
-    /// Runs `workload` under an *explicitly supplied* fault plan —
-    /// typically one built from name-addressed faults resolved against
-    /// [`Self::element_names`] — instead of the study's own generated
-    /// plan. Under the empty plan the run is the fault-free one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ranks < workload.min_ranks`.
-    pub fn execute_planned(
-        &self,
-        workload: &Workload,
-        ranks: u32,
-        plan: &FaultPlan,
-        traced: bool,
-    ) -> ScalingOutcome {
-        self.execute_with_plan(workload, ranks, traced, |_| plan.clone())
-    }
-
-    /// The one run body: builds the point's fabric once, installs the
-    /// plan `plan` draws for it, and replays `workload` on it.
-    fn execute_with_plan(
-        &self,
-        workload: &Workload,
-        ranks: u32,
-        traced: bool,
-        plan: impl FnOnce(&Fabric) -> FaultPlan,
-    ) -> ScalingOutcome {
         assert!(
             ranks >= workload.min_ranks,
             "{} needs at least {} ranks",
@@ -345,7 +309,7 @@ impl ScalingStudy {
             workload.min_ranks
         );
         let fabric = self.fabric(ranks);
-        let plan = plan(&fabric);
+        let plan = self.plan_on(&fabric, ranks);
         let mut cfg = CommConfig::tibidabo(ranks);
         cfg.tracing = traced;
         let mut comm = match Comm::resilient(fabric, cfg, plan, RetryPolicy::tibidabo()) {
@@ -397,53 +361,35 @@ impl ScalingStudy {
             surviving_ranks,
         }
     }
+}
 
-    /// Runs the workload at each core count and builds the Figure 3
-    /// series, normalised to the smallest count.
-    ///
-    /// Core counts are measured in parallel, one sweep task per point:
-    /// each [`Self::execute`] call is a pure function of `(workload,
-    /// ranks)` with its own internally seeded RNGs, and the speedup
-    /// normalisation happens afterwards in input order, so the series is
-    /// bit-identical to a serial run (see `mb_simcore::par`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core_counts` is empty, unsorted, or starts below the
-    /// workload's minimum.
-    pub fn run(&self, workload: &Workload, core_counts: &[u32]) -> ScalingSeries {
-        check_counts(core_counts);
-        let tasks = core_counts
-            .iter()
-            .map(|&cores| (format!("{}@{}c", workload.name, cores), cores))
-            .collect();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `workload`'s series over `counts`, one sweep task per point.
+    fn series(study: &ScalingStudy, workload: &Workload, counts: &[u32]) -> ScalingSeries {
+        let tasks = counts.iter().map(|&c| (format!("{c}c"), c)).collect();
         let points = mb_simcore::par::sweep(tasks, |cores| {
-            ScalingPoint::measured(cores, self.execute(workload, cores, false).0)
+            ScalingPoint::measured(cores, study.execute(workload, cores, false).0)
         });
         ScalingSeries::new(workload.name.clone(), points)
     }
 
-    /// Crash-tolerant variant of [`Self::run`]: each point runs inside
-    /// `mb_simcore::par::sweep_contained`, so a point that dies outright
-    /// (rather than merely degrading) is reported in
-    /// [`ResilientSeries::failed`] instead of aborting the whole series.
-    /// Speedups are normalised to the smallest core count that
-    /// completed. Deterministic at any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core_counts` is empty or unsorted.
-    pub fn run_resilient(&self, workload: &Workload, core_counts: &[u32]) -> ResilientSeries {
-        check_counts(core_counts);
-        let tasks = core_counts
-            .iter()
-            .map(|&cores| (format!("{}@{}c", workload.name, cores), cores))
-            .collect();
+    /// `workload`'s degraded-but-completed series over `counts`: each
+    /// point runs in a contained sweep task, so a point that panics
+    /// lands in [`ResilientSeries::failed`].
+    fn resilient_series(
+        study: &ScalingStudy,
+        workload: &Workload,
+        counts: &[u32],
+    ) -> ResilientSeries {
+        let tasks = counts.iter().map(|&c| (format!("{c}c"), c)).collect();
         let slots = mb_simcore::par::sweep_contained(tasks, |cores| {
-            let out = self.execute_outcome(workload, cores, false);
+            let out = study.execute_outcome(workload, cores, false);
             (out.time, out.stats, out.surviving_ranks)
         });
-        let outcomes = core_counts
+        let outcomes = counts
             .iter()
             .copied()
             .zip(
@@ -454,25 +400,12 @@ impl ScalingStudy {
             .collect();
         ResilientSeries::from_outcomes(workload.name.clone(), outcomes)
     }
-}
-
-fn check_counts(core_counts: &[u32]) {
-    assert!(!core_counts.is_empty(), "need at least one core count");
-    assert!(
-        core_counts.windows(2).all(|w| w[0] < w[1]),
-        "core counts must be strictly increasing"
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn specfem_scales_excellently() {
         let study = ScalingStudy::new(FabricKind::Tibidabo);
         let w = Workload::specfem_tibidabo().with_iterations(10);
-        let s = study.run(&w, &[4, 16, 64, 192]);
+        let s = series(&study, &w, &[4, 16, 64, 192]);
         let last = s.at(192).expect("ran at 192");
         assert!(
             last.efficiency > 0.8,
@@ -487,7 +420,7 @@ mod tests {
     fn linpack_scales_acceptably() {
         let study = ScalingStudy::new(FabricKind::Tibidabo);
         let w = Workload::linpack_tibidabo();
-        let s = study.run(&w, &[8, 32, 104]);
+        let s = series(&study, &w, &[8, 32, 104]);
         let last = s.at(104).expect("ran at 104");
         assert!(
             (0.55..0.95).contains(&last.efficiency),
@@ -501,7 +434,7 @@ mod tests {
     fn bigdft_efficiency_collapses() {
         let study = ScalingStudy::new(FabricKind::Tibidabo);
         let w = Workload::bigdft_tibidabo();
-        let s = study.run(&w, &[4, 16, 36]);
+        let s = series(&study, &w, &[4, 16, 36]);
         let small = s.at(4).expect("ran at 4");
         let large = s.at(36).expect("ran at 36");
         assert!(small.efficiency > 0.7, "4-core eff {}", small.efficiency);
@@ -576,16 +509,19 @@ mod tests {
         let study = ScalingStudy::new(FabricKind::Tibidabo);
         let w = Workload::specfem_tibidabo().with_iterations(4);
         let counts = [4u32, 8, 16, 32];
-        let parallel = mb_simcore::par::with_threads(4, || study.run(&w, &counts));
-        let serial = mb_simcore::par::with_threads(1, || study.run(&w, &counts));
+        let parallel = mb_simcore::par::with_threads(4, || series(&study, &w, &counts));
+        let serial = mb_simcore::par::with_threads(1, || series(&study, &w, &counts));
         assert_eq!(parallel, serial);
     }
 
     #[test]
     #[should_panic(expected = "core counts must be strictly increasing")]
     fn unsorted_counts_panic() {
-        let study = ScalingStudy::new(FabricKind::Tibidabo);
-        let _ = study.run(&Workload::bigdft_tibidabo(), &[8, 4]);
+        let t = SimTime::from_millis(1);
+        let _ = ScalingSeries::new(
+            "BigDFT".into(),
+            vec![ScalingPoint::measured(8, t), ScalingPoint::measured(4, t)],
+        );
     }
 
     #[test]
@@ -614,8 +550,8 @@ mod tests {
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
         let w = Workload::specfem_tibidabo().with_iterations(3);
         let counts = [4u32, 8, 16];
-        let parallel = mb_simcore::par::with_threads(4, || study.run_resilient(&w, &counts));
-        let serial = mb_simcore::par::with_threads(1, || study.run_resilient(&w, &counts));
+        let parallel = mb_simcore::par::with_threads(4, || resilient_series(&study, &w, &counts));
+        let serial = mb_simcore::par::with_threads(1, || resilient_series(&study, &w, &counts));
         assert_eq!(parallel, serial);
         assert!(parallel.failed.is_empty());
         assert_eq!(parallel.points.len(), 3);
@@ -636,9 +572,11 @@ mod tests {
             per_retry: Energy::default(),
             per_timeout: Energy::default(),
         };
-        let faulted = ScalingStudy::new(FabricKind::Tibidabo)
-            .with_faults(FaultConfig::light())
-            .run_resilient(&w, &counts);
+        let faulted = resilient_series(
+            &ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light()),
+            &w,
+            &counts,
+        );
         let retries = faulted.points.iter().map(|p| p.stats.retries).sum();
         assert!(retries > 0, "light faults must retry");
         let e_with = faulted.total_energy(node, &retrans);
@@ -655,9 +593,11 @@ mod tests {
         );
         // Zero counters ⇒ the surcharge term vanishes and energy is pure
         // nameplate-power × makespan × nodes.
-        let clean = ScalingStudy::new(FabricKind::Tibidabo)
-            .with_faults(FaultConfig::none())
-            .run_resilient(&w, &counts);
+        let clean = resilient_series(
+            &ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::none()),
+            &w,
+            &counts,
+        );
         let p0 = &clean.points[0];
         let expect =
             Power::from_watts(node.watts() * f64::from(p0.node_count())).over(p0.point.time);
@@ -666,50 +606,10 @@ mod tests {
 
     #[test]
     fn fault_plan_replays_identically() {
+        let plan = |study: ScalingStudy| study.plan_on(&study.fabric(16), 16);
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
-        assert_eq!(study.fault_plan(16), study.fault_plan(16));
-        assert!(ScalingStudy::new(FabricKind::Tibidabo)
-            .fault_plan(16)
-            .is_empty());
-    }
-
-    #[test]
-    fn planned_execution_matches_generated_plan_bit_for_bit() {
-        // Handing execute_planned the very plan the faulted study would
-        // generate must reproduce execute_outcome exactly: the plan is
-        // the *whole* difference between the two paths. Light faults
-        // draw no fault at 8 cores, so every non-root rank is set to
-        // crash inside the ~0.5 s run: the plan must bite.
-        let w = Workload::specfem_tibidabo().with_iterations(3);
-        let mut cfg = FaultConfig::light();
-        cfg.rank_crash_probability = 1.0;
-        cfg.horizon = SimTime::from_millis(400);
-        let faulted = ScalingStudy::new(FabricKind::Tibidabo).with_faults(cfg);
-        let plan = faulted.fault_plan(8);
-        let plain = ScalingStudy::new(FabricKind::Tibidabo);
-        let a = faulted.execute_outcome(&w, 8, false);
-        let b = plain.execute_planned(&w, 8, &plan, false);
-        assert!(
-            a.surviving_ranks < 8,
-            "the plan must crash a rank: {:?}",
-            a.stats
-        );
-        assert_eq!(a.time, b.time);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.surviving_ranks, b.surviving_ranks);
-    }
-
-    #[test]
-    fn element_names_address_the_executed_fabric() {
-        let study = ScalingStudy::new(FabricKind::Tibidabo);
-        let names = study.element_names(8);
-        // 8 ranks → 4 nodes → single leaf switch, duplex edge links.
-        assert_eq!(names.hosts().len(), 4);
-        assert_eq!(names.switches().len(), 1);
-        assert_eq!(names.links().len(), 8);
-        assert_eq!(names.link_index("host1", "sw0"), Ok(2));
-        // Same study, same table.
-        assert_eq!(names, study.element_names(8));
+        assert_eq!(plan(study), plan(study));
+        assert!(plan(ScalingStudy::new(FabricKind::Tibidabo)).is_empty());
     }
 
     #[test]
@@ -718,7 +618,7 @@ mod tests {
         let w = Workload::specfem_tibidabo().with_iterations(1);
         // 2 cores is below SPECFEM's minimum: that task panics, is
         // contained, and the rest of the series still completes.
-        let s = study.run_resilient(&w, &[2, 4, 16]);
+        let s = resilient_series(&study, &w, &[2, 4, 16]);
         assert_eq!(s.failed.len(), 1);
         assert_eq!(s.failed[0].0, 2);
         assert!(
@@ -728,6 +628,7 @@ mod tests {
         );
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.baseline_cores, 4);
-        assert!(s.at(16).expect("ran at 16").point.speedup > 1.0);
+        assert_eq!(s.points[1].point.cores, 16);
+        assert!(s.points[1].point.speedup > 1.0);
     }
 }

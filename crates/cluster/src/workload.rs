@@ -159,14 +159,6 @@ impl Workload {
         self
     }
 
-    /// Total flops of the full run (all iterations, all ranks).
-    pub fn total_flops(&self) -> f64 {
-        (0..self.iterations)
-            .flat_map(|it| self.phases(self.min_ranks.max(1), it))
-            .map(|p| p.flops_per_rank * self.min_ranks.max(1) as f64)
-            .sum()
-    }
-
     /// The phases of iteration `iter` when running on `ranks` ranks.
     ///
     /// # Panics
@@ -234,19 +226,6 @@ impl Workload {
                 phases
             }
         }
-    }
-
-    /// Serial compute time of one full run on one core at
-    /// [`Workload::core_gflops`], in seconds — the scaling baseline.
-    pub fn serial_time_secs(&self) -> f64 {
-        let mut total = 0.0;
-        let r = self.min_ranks.max(1);
-        for it in 0..self.iterations {
-            for p in self.phases(r, it) {
-                total += p.flops_per_rank * r as f64;
-            }
-        }
-        total / (self.core_gflops * 1e9)
     }
 }
 
@@ -347,7 +326,6 @@ mod tests {
             .with_iterations(2);
         assert_eq!(w.core_gflops, 0.5);
         assert_eq!(w.iterations, 2);
-        assert!(w.serial_time_secs() > 0.0);
     }
 
     #[test]

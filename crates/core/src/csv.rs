@@ -162,9 +162,13 @@ mod tests {
     #[test]
     fn scaling_csv_includes_all_series() {
         use mb_cluster::scaling::{FabricKind, ScalingStudy};
+        use mb_cluster::scaling::{ScalingPoint, ScalingSeries};
         use mb_cluster::workload::Workload;
         let study = ScalingStudy::new(FabricKind::Tibidabo);
-        let s = study.run(&Workload::bigdft_tibidabo().with_iterations(1), &[2, 8]);
+        let w = Workload::bigdft_tibidabo().with_iterations(1);
+        let points =
+            [2, 8].map(|cores| ScalingPoint::measured(cores, study.execute(&w, cores, false).0));
+        let s = ScalingSeries::new(w.name.clone(), points.to_vec());
         let csv = scaling_csv(&[&s]);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.contains("BigDFT"));

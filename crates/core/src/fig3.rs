@@ -9,9 +9,7 @@
 //! the real SPECFEM kernel, not assumed.
 
 use crate::platform::Platform;
-use mb_cluster::scaling::{
-    FabricKind, ResilientSeries, ScalingOutcome, ScalingPoint, ScalingSeries, ScalingStudy,
-};
+use mb_cluster::scaling::{FabricKind, ResilientSeries, ScalingPoint, ScalingSeries, ScalingStudy};
 use mb_cluster::workload::Workload;
 use mb_energy::{Energy, PowerModel, RetransmissionModel};
 use mb_faults::FaultConfig;
@@ -390,49 +388,13 @@ pub fn measure_faulted_slot(
     cores: u32,
     core_gflops: f64,
 ) -> [f64; 6] {
-    let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(faults);
-    measure_slot(cfg, panel, core_gflops, |w| {
-        study.execute_outcome(w, cores, false)
-    })
-}
-
-/// The element-name table a Figure 3 slot at `cores` resolves
-/// name-addressed faults against — the fabric
-/// [`measure_planned_slot`] instantiates for that slot.
-pub fn slot_element_names(cores: u32) -> mb_faults::ElementNames {
-    ScalingStudy::new(FabricKind::Tibidabo).element_names(cores)
-}
-
-/// Measures one slot under an explicitly supplied fault plan
-/// (typically resolved from name-addressed faults against
-/// [`slot_element_names`]), returning the same payload shape as
-/// [`measure_faulted_slot`]: `[secs, retries, timeouts, skipped,
-/// crashed, surviving]`. A pure function of its arguments — and, since
-/// a resolved named plan *is* an index plan, bit-identical to the same
-/// slot measured under the equivalent index-addressed plan.
-pub fn measure_planned_slot(
-    cfg: &Fig3Config,
-    plan: &mb_faults::FaultPlan,
-    panel: Panel,
-    cores: u32,
-    core_gflops: f64,
-) -> [f64; 6] {
-    let study = ScalingStudy::new(FabricKind::Tibidabo);
-    measure_slot(cfg, panel, core_gflops, |w| {
-        study.execute_planned(w, cores, plan, false)
-    })
-}
-
-/// The one slot body: runs `panel`'s workload through `execute` and
-/// flattens the outcome into the `[secs, retries, timeouts, skipped,
-/// crashed, surviving]` payload.
-fn measure_slot(
-    cfg: &Fig3Config,
-    panel: Panel,
-    core_gflops: f64,
-    execute: impl FnOnce(&Workload) -> ScalingOutcome,
-) -> [f64; 6] {
-    let out = execute(&panel_workload(panel, cfg.iterations, core_gflops));
+    let out = ScalingStudy::new(FabricKind::Tibidabo)
+        .with_faults(faults)
+        .execute_outcome(
+            &panel_workload(panel, cfg.iterations, core_gflops),
+            cores,
+            false,
+        );
     [
         out.time.as_secs_f64(),
         out.stats.retries as f64,
@@ -502,9 +464,10 @@ mod tests {
 
     #[test]
     fn slot_decomposition_is_bit_identical_to_monolithic_run() {
-        // `run` folds makespans that went through f64 seconds; the
-        // cluster crate's own series sweep keeps every `SimTime` whole.
-        // The two must agree on every field, times included.
+        // `run` folds makespans that went through f64 seconds; a series
+        // built straight from `ScalingStudy::execute` keeps every
+        // `SimTime` whole. The two must agree on every field, times
+        // included.
         let cfg = Fig3Config::quick();
         let r = run(&cfg);
         let study = ScalingStudy::new(FabricKind::Tibidabo);
@@ -512,7 +475,12 @@ mod tests {
             .into_iter()
             .zip([&r.linpack, &r.specfem, &r.bigdft])
         {
-            assert_eq!(&study.run(&workload(panel, cfg.iterations), counts), series);
+            let w = workload(panel, cfg.iterations);
+            let points = counts
+                .iter()
+                .map(|&cores| ScalingPoint::measured(cores, study.execute(&w, cores, false).0))
+                .collect();
+            assert_eq!(&ScalingSeries::new(w.name.clone(), points), series);
         }
     }
 
@@ -583,8 +551,9 @@ mod tests {
 
     #[test]
     fn faulted_slot_decomposition_is_bit_identical() {
-        // As above, against the cluster crate's contained series sweep:
-        // times, counters and survivors all survive the f64 payloads.
+        // As above, against a series built straight from
+        // `ScalingStudy::execute_outcome`: times, counters and survivors
+        // all survive the f64 payloads.
         let cfg = Fig3Config::quick();
         let r = run_faulted(&cfg, FaultConfig::light());
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_faults(FaultConfig::light());
@@ -592,11 +561,58 @@ mod tests {
             .into_iter()
             .zip([&r.linpack, &r.specfem, &r.bigdft])
         {
+            let w = workload(panel, cfg.iterations);
+            let outcomes = counts
+                .iter()
+                .map(|&cores| {
+                    let out = study.execute_outcome(&w, cores, false);
+                    (cores, Ok((out.time, out.stats, out.surviving_ranks)))
+                })
+                .collect();
             assert_eq!(
-                &study.run_resilient(&workload(panel, cfg.iterations), counts),
+                &ResilientSeries::from_outcomes(w.name.clone(), outcomes),
                 series
             );
         }
+    }
+
+    #[test]
+    fn assemble_faulted_sets_a_failed_slot_apart() {
+        // A slot whose task died lands in its panel's `failed` list; the
+        // panel's other points normalise to its first completed point.
+        let cfg = Fig3Config::quick();
+        let rate = tegra2_effective_gflops();
+        let mut slots: Vec<Result<[f64; 6], String>> = scaling_slots(&cfg)
+            .into_iter()
+            .map(|(panel, cores)| {
+                Ok(measure_faulted_slot(
+                    &cfg,
+                    FaultConfig::none(),
+                    panel,
+                    cores,
+                    rate,
+                ))
+            })
+            .collect();
+        // The first BigDFT slot (4 cores) dies.
+        let dead = cfg.linpack_cores.len() + cfg.specfem_cores.len();
+        slots[dead] = Err("sweep task 'bigdft@4c' panicked: boom".into());
+        let r = assemble_faulted(&cfg, slots);
+        assert_eq!(
+            r.bigdft.failed,
+            vec![(4, "sweep task 'bigdft@4c' panicked: boom".to_string())]
+        );
+        assert_eq!(r.bigdft.baseline_cores, 16);
+        let cores: Vec<u32> = r.bigdft.points.iter().map(|p| p.point.cores).collect();
+        assert_eq!(cores, [16, 36]);
+        let (first, last) = (&r.bigdft.points[0].point, &r.bigdft.points[1].point);
+        assert_eq!(first.speedup, 16.0);
+        assert_eq!(first.efficiency, 1.0);
+        let expect = 16.0 * first.time.as_secs_f64() / last.time.as_secs_f64();
+        assert_eq!(last.speedup, expect);
+        // The other panels are untouched.
+        assert!(r.linpack.failed.is_empty() && r.specfem.failed.is_empty());
+        assert_eq!(r.specfem.baseline_cores, 4);
     }
 
     #[test]

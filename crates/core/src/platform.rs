@@ -71,19 +71,6 @@ impl Platform {
         }
     }
 
-    /// The prospective Exynos 5 node of §VI.A.
-    pub fn exynos5_node() -> Self {
-        Platform {
-            name: "Exynos 5 Dual node".to_string(),
-            core: CoreModel::cortex_a15_exynos5(),
-            cores: 2,
-            hierarchy: HierarchyConfig::tegra2(), // same class of hierarchy
-            tlb: TlbConfig::new(32, 4096),
-            tlb_miss_penalty_cycles: 35,
-            power: PowerModel::exynos5_node(),
-        }
-    }
-
     /// A fresh single-core execution model for this platform, with the
     /// given cache-sampling rate (1 = exact).
     ///
@@ -150,7 +137,6 @@ mod tests {
         assert_eq!(snow.num_cores(), 2);
         let xeon = Platform::xeon_x5550().topology().expect("depicted");
         assert_eq!(xeon.num_cores(), 4);
-        assert!(Platform::exynos5_node().topology().is_none());
     }
 
     #[test]

@@ -185,22 +185,6 @@ impl CampaignAccounting {
         self.completed == self.total
     }
 
-    /// Every slot accounted for (measured or fenced): the degraded
-    /// terminal state a supervised campaign converges to when a poison
-    /// slot cannot be measured.
-    pub fn is_complete_minus_quarantined(&self) -> bool {
-        self.outstanding() == 0
-    }
-
-    /// Fraction of slots measured, in `[0, 1]`.
-    pub fn coverage(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.total as f64
-        }
-    }
-
     /// One-line human summary, e.g. `14/16 slots (2 quarantined: [5, 9])`.
     pub fn summary(&self) -> String {
         if self.quarantined.is_empty() {
@@ -261,19 +245,16 @@ mod tests {
     #[test]
     fn accounting_distinguishes_full_from_degraded_complete() {
         let full = CampaignAccounting::new(4, &[0, 1, 2, 3], &[]);
-        assert!(full.is_full() && full.is_complete_minus_quarantined());
+        assert!(full.is_full());
         assert_eq!(full.outstanding(), 0);
-        assert_eq!(full.coverage(), 1.0);
         assert_eq!(full.summary(), "4/4 slots");
 
         let degraded = CampaignAccounting::new(4, &[0, 2, 3], &[1]);
         assert!(!degraded.is_full());
-        assert!(degraded.is_complete_minus_quarantined());
         assert_eq!(degraded.outstanding(), 0);
         assert_eq!(degraded.summary(), "3/4 slots (1 quarantined: [1])");
 
         let running = CampaignAccounting::new(4, &[0], &[1]);
-        assert!(!running.is_complete_minus_quarantined());
         assert_eq!(running.outstanding(), 2);
     }
 

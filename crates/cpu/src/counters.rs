@@ -104,26 +104,6 @@ impl CounterSet {
         self.values.iter().map(|(&c, &v)| (c, v))
     }
 
-    /// Derived metric: instructions per cycle (0 when no cycles).
-    pub fn ipc(&self) -> f64 {
-        let cyc = self.get(Counter::TotalCycles);
-        if cyc == 0 {
-            0.0
-        } else {
-            self.get(Counter::TotalInstructions) as f64 / cyc as f64
-        }
-    }
-
-    /// Derived metric: L1 miss ratio (0 when no accesses).
-    pub fn l1_miss_ratio(&self) -> f64 {
-        let acc = self.get(Counter::L1DataAccesses);
-        if acc == 0 {
-            0.0
-        } else {
-            self.get(Counter::L1DataMisses) as f64 / acc as f64
-        }
-    }
-
     /// Merges another set by summing counters.
     pub fn merge(&mut self, other: &CounterSet) {
         for (c, v) in other.iter() {
@@ -158,18 +138,6 @@ mod tests {
     fn papi_names() {
         assert_eq!(Counter::TotalCycles.papi_name(), "PAPI_TOT_CYC");
         assert_eq!(Counter::L1DataAccesses.to_string(), "PAPI_L1_DCA");
-    }
-
-    #[test]
-    fn derived_metrics() {
-        let mut s = CounterSet::new();
-        assert_eq!(s.ipc(), 0.0);
-        s.set(Counter::TotalCycles, 100);
-        s.set(Counter::TotalInstructions, 250);
-        assert!((s.ipc() - 2.5).abs() < 1e-12);
-        s.set(Counter::L1DataAccesses, 1000);
-        s.set(Counter::L1DataMisses, 25);
-        assert!((s.l1_miss_ratio() - 0.025).abs() < 1e-12);
     }
 
     #[test]

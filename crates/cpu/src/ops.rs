@@ -276,21 +276,6 @@ impl OpCounts {
         self.loads + self.stores
     }
 
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.load_bytes + self.store_bytes
-    }
-
-    /// Arithmetic intensity: flops per byte moved (0 when no bytes).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let b = self.total_bytes();
-        if b == 0 {
-            0.0
-        } else {
-            self.total_flops() as f64 / b as f64
-        }
-    }
-
     /// Adds another tally into this one.
     pub fn merge(&mut self, other: &OpCounts) {
         self.flops_f64 += other.flops_f64;
@@ -496,19 +481,9 @@ mod tests {
         assert_eq!(c.load_bytes, 16);
         assert_eq!(c.store_bytes, 4);
         assert_eq!(c.memory_accesses(), 3);
-        assert_eq!(c.total_bytes(), 20);
+        assert_eq!(c.load_bytes + c.store_bytes, 20);
         assert_eq!(c.branches, 2);
         assert_eq!(c.unpredictable_branches, 1);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let mut e = CountingExec::new();
-        e.flop(FlopKind::Add, Precision::F64, 1);
-        e.load(0, 8);
-        assert!((e.counts().arithmetic_intensity() - 0.125).abs() < 1e-12);
-        let empty = OpCounts::default();
-        assert_eq!(empty.arithmetic_intensity(), 0.0);
     }
 
     #[test]

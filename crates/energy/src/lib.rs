@@ -165,12 +165,6 @@ impl PowerModel {
         PowerModel::new("Tegra2 node (Tibidabo)", Power::from_watts(8.5))
     }
 
-    /// The prospective Exynos 5 node of §VI.A: "a peak performance of
-    /// about a 100 GFLOPS for a power consumption of 5 Watts".
-    pub fn exynos5_node() -> Self {
-        PowerModel::new("Exynos 5 Dual node", Power::from_watts(5.0))
-    }
-
     /// Model name.
     pub fn name(&self) -> &str {
         &self.name
@@ -336,13 +330,6 @@ mod tests {
         // Today's (2012) best ≈ 2 GFLOPS/W → a factor of 25 improvement
         // is required, as the paper states.
         assert!((need / 2.0 - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exynos_perspective() {
-        // §VI.A: 100 GFLOPS at 5 W = 20 GFLOPS/W peak.
-        let eff = gflops_per_watt(100.0, PowerModel::exynos5_node().nameplate());
-        assert!((eff - 20.0).abs() < 1e-9);
     }
 
     #[test]

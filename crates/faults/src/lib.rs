@@ -17,7 +17,8 @@
 //! retry/backoff, and `mb-cluster` reports degraded-but-completed runs.
 //! Because the plan is immutable data and every consumer is itself
 //! deterministic, a faulted experiment replays bit-identically at any
-//! worker count.
+//! worker count. A hand-written scenario lists its faults by element
+//! index instead ([`FaultPlan::from_faults`]).
 //!
 //! There is one path, and the zero-fault case is that path with an
 //! empty plan: [`FaultConfig::none`] generates no faults, and every
@@ -43,10 +44,8 @@
 
 pub mod config;
 pub mod fault;
-pub mod names;
 pub mod plan;
 
 pub use config::FaultConfig;
 pub use fault::{Fault, FaultWindow, Topology};
-pub use names::{ElementNames, NameError, NamedFault};
 pub use plan::FaultPlan;

@@ -11,7 +11,7 @@
 //! flops, but far fewer memory misses — the difference between LINPACK
 //! and HPL efficiency on both machines.
 
-use crate::linpack::{column, daxpy, row_swap, Linpack, CMP, FMA, FMA2};
+use crate::linpack::{column, daxpy, row_swap, CMP, FMA, FMA2};
 use mb_cpu::ops::{Exec, FlopKind, Precision, Stream};
 use mb_simcore::rng::{Rng, Xoshiro256};
 
@@ -30,8 +30,8 @@ pub struct BlockedLu {
 
 impl BlockedLu {
     /// Creates an `n × n` instance with panel width `nb` (entries match
-    /// [`Linpack::new`]'s generator for the same seed, so the two
-    /// variants factorise the *same* matrix).
+    /// [`Linpack::new`](crate::linpack::Linpack::new)'s generator for
+    /// the same seed, so the two variants factorise the *same* matrix).
     ///
     /// # Panics
     ///
@@ -197,7 +197,7 @@ impl BlockedLu {
     }
 
     /// Normalised residual against the original system (see
-    /// [`Linpack::residual`]).
+    /// [`Linpack::residual`](crate::linpack::Linpack::residual)).
     ///
     /// # Panics
     ///
@@ -230,30 +230,11 @@ fn row_update<E: Exec>(exec: &mut E, n: usize, k: usize, i: usize, cols: std::op
     );
 }
 
-/// Runs both variants on the same matrix and returns their (unblocked,
-/// blocked) L1 miss counts on the given platform execution model — the
-/// blocking ablation's measurement.
-pub fn blocking_ablation(
-    n: usize,
-    nb: usize,
-    seed: u64,
-    mut make_exec: impl FnMut() -> mb_cpu::exec_model::ModelExec,
-) -> (u64, u64) {
-    use mb_cpu::counters::Counter;
-    let mut plain = Linpack::new(n, seed);
-    let mut exec = make_exec();
-    plain.factorize(&mut exec);
-    let unblocked = exec.finish().counters.get(Counter::L1DataMisses);
-    let mut blocked = BlockedLu::new(n, nb, seed);
-    let mut exec = make_exec();
-    blocked.factorize(&mut exec);
-    let blocked_misses = exec.finish().counters.get(Counter::L1DataMisses);
-    (unblocked, blocked_misses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linpack::Linpack;
+    use mb_cpu::counters::Counter;
     use mb_cpu::exec_model::ModelExec;
     use mb_cpu::ops::{CountingExec, NullExec};
 
@@ -306,7 +287,12 @@ mod tests {
     #[test]
     fn blocking_reduces_misses_when_matrix_exceeds_l1() {
         // 160×160 f64 = 200 KB: larger than both 32 KB L1s.
-        let (unblocked, blocked) = blocking_ablation(160, 32, 11, ModelExec::snowball);
+        let mut exec = ModelExec::snowball();
+        Linpack::new(160, 11).factorize(&mut exec);
+        let unblocked = exec.finish().counters.get(Counter::L1DataMisses);
+        let mut exec = ModelExec::snowball();
+        BlockedLu::new(160, 32, 11).factorize(&mut exec);
+        let blocked = exec.finish().counters.get(Counter::L1DataMisses);
         assert!(
             blocked * 2 < unblocked,
             "blocking should at least halve L1 misses: {blocked} vs {unblocked}"

@@ -198,7 +198,7 @@ fn pass_views(grid: &Grid3) -> [(usize, usize); 3] {
     [(d0, d1 * d2), (d1, d2 * d0), (d2, d0 * d1)]
 }
 
-/// Reusable ping-pong buffers for [`magicfilter_3d`]. Slot measurers
+/// Reusable ping-pong buffers of the full 3-D magicfilter. Slot measurers
 /// sweep the same grid across many unroll variants; holding one
 /// workspace hoists the two pass buffers out of that hot loop.
 #[derive(Debug, Clone, Default)]
@@ -258,29 +258,10 @@ impl MagicfilterWorkspace {
     }
 }
 
-/// Applies the full 3-D magicfilter: three transposing passes, returning
-/// a grid in the original orientation. One-shot wrapper over
-/// [`MagicfilterWorkspace::apply`] for callers outside the hot slot
-/// paths.
-///
-/// # Panics
-///
-/// Panics if `unroll` is zero.
-pub fn magicfilter_3d<E: Exec>(grid: &Grid3, unroll: u32, exec: &mut E) -> Grid3 {
-    let mut ws = MagicfilterWorkspace::new();
-    ws.apply(grid, unroll, exec);
-    Grid3 {
-        d0: grid.d0,
-        d1: grid.d1,
-        d2: grid.d2,
-        data: ws.buf_a,
-    }
-}
-
 /// Direct (no-transpose) reference: convolves each axis in place with
 /// explicit index arithmetic. O(16·N) per axis like the real kernel, but
 /// written for obviousness rather than speed. Used to validate
-/// [`magicfilter_3d`].
+/// [`MagicfilterWorkspace::apply`].
 pub fn reference_3d(grid: &Grid3) -> Grid3 {
     let conv_axis = |g: &Grid3, axis: usize| -> Grid3 {
         let dims = [g.d0, g.d1, g.d2];
@@ -315,6 +296,13 @@ mod tests {
     use super::*;
     use mb_cpu::ops::{CountingExec, NullExec};
 
+    /// The filtered grid, through a fresh workspace.
+    fn filtered<E: Exec>(grid: &Grid3, unroll: u32, exec: &mut E) -> Vec<f64> {
+        MagicfilterWorkspace::new()
+            .apply(grid, unroll, exec)
+            .to_vec()
+    }
+
     #[test]
     fn filter_sums_to_one() {
         // The magic filter is an interpolation filter: Σ fil ≈ 1, so a
@@ -326,8 +314,8 @@ mod tests {
     #[test]
     fn constant_field_is_invariant() {
         let g = Grid3::from_fn(6, 5, 4, |_, _, _| 2.5);
-        let out = magicfilter_3d(&g, 3, &mut NullExec);
-        for v in &out.data {
+        let out = filtered(&g, 3, &mut NullExec);
+        for v in &out {
             assert!((v - 2.5).abs() < 1e-9, "constant drifted to {v}");
         }
     }
@@ -335,9 +323,9 @@ mod tests {
     #[test]
     fn matches_reference_convolution() {
         let g = Grid3::random(9, 10, 11, 42);
-        let fast = magicfilter_3d(&g, 4, &mut NullExec);
+        let fast = filtered(&g, 4, &mut NullExec);
         let slow = reference_3d(&g);
-        for (a, b) in fast.data.iter().zip(&slow.data) {
+        for (a, b) in fast.iter().zip(&slow.data) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     }
@@ -345,10 +333,10 @@ mod tests {
     #[test]
     fn unroll_degree_does_not_change_result() {
         let g = Grid3::random(8, 8, 8, 7);
-        let r1 = magicfilter_3d(&g, 1, &mut NullExec);
+        let r1 = filtered(&g, 1, &mut NullExec);
         for u in 2..=12 {
-            let ru = magicfilter_3d(&g, u, &mut NullExec);
-            assert_eq!(r1.data, ru.data, "unroll {u} changed the numbers");
+            let ru = filtered(&g, u, &mut NullExec);
+            assert_eq!(r1, ru, "unroll {u} changed the numbers");
         }
     }
 
@@ -356,7 +344,7 @@ mod tests {
     fn flop_count_matches_nominal() {
         let g = Grid3::random(8, 6, 4, 3);
         let mut count = CountingExec::new();
-        let _ = magicfilter_3d(&g, 2, &mut count);
+        let _ = filtered(&g, 2, &mut count);
         assert_eq!(count.counts().flops_f64, nominal_flops(8, 6, 4));
     }
 
@@ -364,7 +352,7 @@ mod tests {
     fn loads_and_stores_accounted() {
         let g = Grid3::random(4, 4, 4, 9);
         let mut count = CountingExec::new();
-        let _ = magicfilter_3d(&g, 1, &mut count);
+        let _ = filtered(&g, 1, &mut count);
         // 16 loads + 1 store per point per pass.
         assert_eq!(count.counts().loads, 3 * 16 * 64);
         assert_eq!(count.counts().stores, 3 * 64);
@@ -379,7 +367,7 @@ mod tests {
             let g = Grid3::random(d0, d1, d2, 5);
             for u in 1..=12u32 {
                 let mut count = CountingExec::new();
-                let _ = magicfilter_3d(&g, u, &mut count);
+                let _ = filtered(&g, u, &mut count);
                 let c = count.counts();
                 // An independent count: walk each row's groups.
                 let walked: u64 = pass_views(&g)
@@ -442,7 +430,7 @@ mod tests {
     #[should_panic(expected = "unroll degree must be at least 1")]
     fn zero_unroll_panics() {
         let g = Grid3::random(4, 4, 4, 0);
-        let _ = magicfilter_3d(&g, 0, &mut NullExec);
+        let _ = filtered(&g, 0, &mut NullExec);
     }
 
     #[test]

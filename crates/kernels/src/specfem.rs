@@ -105,10 +105,8 @@ impl SpecfemConfig {
 #[derive(Debug, Clone)]
 pub struct Specfem {
     cfg: SpecfemConfig,
-    /// Element stiffness for unit shear modulus (uniform mesh).
+    /// Element stiffness (uniform mesh and medium).
     k_elem: [[f64; NGLL]; NGLL],
-    /// Per-element shear-modulus multiplier (1.0 = the configured μ).
-    mu_scale: Vec<f64>,
     /// Global diagonal (lumped) mass matrix.
     mass: Vec<f64>,
     /// Displacement at step n.
@@ -131,23 +129,6 @@ impl Specfem {
     /// Panics if any parameter is non-positive or `courant` is not in
     /// `(0, 1)`.
     pub fn new(cfg: SpecfemConfig) -> Self {
-        Specfem::with_mu_profile(cfg, None)
-    }
-
-    /// Like [`Specfem::new`], but with a *heterogeneous medium*: each
-    /// element's shear modulus is `cfg.shear_modulus × profile[e]`.
-    /// Real seismic models are exactly such layered media; SPECFEM3D's
-    /// selling point is handling them on unstructured meshes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid configuration, a profile of the wrong length,
-    /// or non-positive multipliers.
-    pub fn new_heterogeneous(cfg: SpecfemConfig, profile: Vec<f64>) -> Self {
-        Specfem::with_mu_profile(cfg, Some(profile))
-    }
-
-    fn with_mu_profile(cfg: SpecfemConfig, profile: Option<Vec<f64>>) -> Self {
         assert!(cfg.elements > 0, "need at least one element");
         assert!(
             cfg.length > 0.0 && cfg.density > 0.0 && cfg.shear_modulus > 0.0,
@@ -170,14 +151,6 @@ impl Specfem {
                 k_elem[i][j] = 2.0 * cfg.shear_modulus / h * acc;
             }
         }
-        let mu_scale = match profile {
-            Some(p) => {
-                assert_eq!(p.len(), cfg.elements, "profile length must match elements");
-                assert!(p.iter().all(|&m| m > 0.0), "moduli must be positive");
-                p
-            }
-            None => vec![1.0; cfg.elements],
-        };
         let n_glob = cfg.elements * DEGREE + 1;
         let mut mass = vec![0.0; n_glob];
         for e in 0..cfg.elements {
@@ -200,15 +173,12 @@ impl Specfem {
         // Fixed (Dirichlet) ends.
         u[0] = 0.0;
         u[n_glob - 1] = 0.0;
-        // Stability: dt = courant · (min GLL spacing) / c_max, where the
-        // stiffest element sets the fastest wave speed.
+        // Stability: dt = courant · (min GLL spacing) / c.
         let min_dx = h / 2.0 * (GLL_POINTS[1] - GLL_POINTS[0]).abs();
-        let max_mu = mu_scale.iter().copied().fold(1.0f64, f64::max);
-        let dt = cfg.courant * min_dx / (cfg.wave_speed() * max_mu.sqrt());
+        let dt = cfg.courant * min_dx / cfg.wave_speed();
         Specfem {
             cfg,
             k_elem,
-            mu_scale,
             mass,
             u_prev: u.clone(),
             force: vec![0.0; n_glob],
@@ -226,21 +196,6 @@ impl Specfem {
     /// Number of global degrees of freedom.
     pub fn dof(&self) -> usize {
         self.u.len()
-    }
-
-    /// The time step in seconds.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Steps taken so far.
-    pub fn steps_done(&self) -> u64 {
-        self.steps_done
-    }
-
-    /// Current displacement field.
-    pub fn displacement(&self) -> &[f64] {
-        &self.u
     }
 
     /// Computes the internal force `f = −K·u` (assembled per element)
@@ -262,7 +217,6 @@ impl Specfem {
         self.force.resize(n, 0.0);
         for e in 0..self.cfg.elements {
             let base = e * DEGREE;
-            let mu = self.mu_scale[e];
             for i in 0..NGLL {
                 let mut acc = 0.0;
                 let mut j = 0;
@@ -272,7 +226,7 @@ impl Specfem {
                     j += 2;
                 }
                 acc += self.k_elem[i][j] * self.u[base + j];
-                self.force[base + i] -= mu * acc;
+                self.force[base + i] -= acc;
             }
             let addr = |k: usize| (k * 8) as u64;
             let force = addr(n + base);
@@ -340,24 +294,15 @@ impl Specfem {
             let mut p = 0.0;
             for e in 0..self.cfg.elements {
                 let base = e * DEGREE;
-                let mu = self.mu_scale[e];
                 for i in 0..NGLL {
                     for j in 0..NGLL {
-                        p += 0.5 * mu * u[base + i] * self.k_elem[i][j] * u[base + j];
+                        p += 0.5 * u[base + i] * self.k_elem[i][j] * u[base + j];
                     }
                 }
             }
             p
         };
         kinetic + 0.5 * (pot(&self.u) + pot(&self.u_prev))
-    }
-
-    /// Nominal flops per time step (matvec + update), for scaling
-    /// studies.
-    pub fn flops_per_step(&self) -> u64 {
-        let matvec = self.cfg.elements as u64 * (NGLL as u64) * (2 * NGLL as u64 + 1);
-        let update = self.dof() as u64 * 4;
-        matvec + update
     }
 }
 
@@ -426,28 +371,28 @@ mod tests {
     fn wave_propagates_outward() {
         let mut s = Specfem::new(SpecfemConfig::table2());
         let mid = s.dof() / 2;
-        let initial_mid = s.displacement()[mid];
+        let initial_mid = s.u[mid];
         assert!(initial_mid > 0.9, "pulse starts at the centre");
         // After enough steps the pulse has split and moved away.
         let c = s.config().wave_speed();
         let quarter_domain_time = s.config().length / 4.0 / c;
-        let steps = (quarter_domain_time / s.dt()) as u32;
+        let steps = (quarter_domain_time / s.dt) as u32;
         s.run(steps, &mut NullExec);
         assert!(
-            s.displacement()[mid].abs() < 0.6,
+            s.u[mid].abs() < 0.6,
             "centre should have emptied: {}",
-            s.displacement()[mid]
+            s.u[mid]
         );
         // And the field is still bounded (stability).
-        assert!(s.displacement().iter().all(|v| v.abs() < 2.0));
+        assert!(s.u.iter().all(|v| v.abs() < 2.0));
     }
 
     #[test]
     fn dirichlet_ends_stay_zero() {
         let mut s = Specfem::new(SpecfemConfig::table2());
         s.run(200, &mut NullExec);
-        assert_eq!(s.displacement()[0], 0.0);
-        assert_eq!(*s.displacement().last().expect("non-empty"), 0.0);
+        assert_eq!(s.u[0], 0.0);
+        assert_eq!(*s.u.last().expect("non-empty"), 0.0);
     }
 
     #[test]
@@ -456,7 +401,9 @@ mod tests {
         let mut count = CountingExec::new();
         s.step(&mut count);
         let measured = count.counts().flops_f64;
-        let nominal = s.flops_per_step();
+        // Nominal flops per step: the element matvec plus the update.
+        let matvec = s.cfg.elements as u64 * (NGLL as u64) * (2 * NGLL as u64 + 1);
+        let nominal = matvec + s.dof() as u64 * 4;
         let ratio = measured as f64 / nominal as f64;
         assert!(
             (0.7..1.3).contains(&ratio),
@@ -468,74 +415,8 @@ mod tests {
     fn dof_and_dt() {
         let s = Specfem::new(SpecfemConfig::table2());
         assert_eq!(s.dof(), 64 * 4 + 1);
-        assert!(s.dt() > 0.0);
-        assert_eq!(s.steps_done(), 0);
-    }
-
-    #[test]
-    fn heterogeneous_homogeneous_profile_matches_uniform() {
-        let cfg = SpecfemConfig::table2();
-        let mut a = Specfem::new(cfg);
-        let mut b = Specfem::new_heterogeneous(cfg, vec![1.0; cfg.elements]);
-        a.run(50, &mut NullExec);
-        b.run(50, &mut NullExec);
-        assert_eq!(a.displacement(), b.displacement());
-    }
-
-    #[test]
-    fn heterogeneous_medium_conserves_energy() {
-        let cfg = SpecfemConfig::table2();
-        // A two-layer medium: the right half is 4x stiffer.
-        let profile: Vec<f64> = (0..cfg.elements)
-            .map(|e| if e < cfg.elements / 2 { 1.0 } else { 4.0 })
-            .collect();
-        let mut s = Specfem::new_heterogeneous(cfg, profile);
-        s.run(10, &mut NullExec);
-        let e0 = s.total_energy();
-        s.run(500, &mut NullExec);
-        let drift = ((s.total_energy() - e0) / e0).abs();
-        assert!(drift < 0.02, "heterogeneous drift {drift}");
-    }
-
-    #[test]
-    fn wave_travels_faster_in_stiff_half() {
-        // Pulse starts in the centre; the wavefront entering the stiff
-        // (4x mu => 2x speed) half reaches its quarter point first.
-        let cfg = SpecfemConfig::table2();
-        let profile: Vec<f64> = (0..cfg.elements)
-            .map(|e| if e < cfg.elements / 2 { 1.0 } else { 4.0 })
-            .collect();
-        let mut s = Specfem::new_heterogeneous(cfg, profile);
-        let n = s.dof();
-        let probe_soft = n / 4; // middle of the soft half
-        let probe_stiff = 3 * n / 4; // middle of the stiff half
-        let mut arrived_soft = None;
-        let mut arrived_stiff = None;
-        for step in 0..4000 {
-            s.step(&mut NullExec);
-            let u = s.displacement();
-            if arrived_soft.is_none() && u[probe_soft].abs() > 0.05 {
-                arrived_soft = Some(step);
-            }
-            if arrived_stiff.is_none() && u[probe_stiff].abs() > 0.05 {
-                arrived_stiff = Some(step);
-            }
-            if arrived_soft.is_some() && arrived_stiff.is_some() {
-                break;
-            }
-        }
-        let soft = arrived_soft.expect("wave reaches the soft probe");
-        let stiff = arrived_stiff.expect("wave reaches the stiff probe");
-        assert!(
-            stiff < soft,
-            "stiff-half front should arrive first: {stiff} vs {soft}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "profile length must match elements")]
-    fn wrong_profile_length_panics() {
-        let _ = Specfem::new_heterogeneous(SpecfemConfig::table2(), vec![1.0; 3]);
+        assert!(s.dt > 0.0);
+        assert_eq!(s.steps_done, 0);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl PageTable {
         (self.frames[page] << self.page_shift) | (offset & (self.page_bytes as u64 - 1))
     }
 
-    /// Whether the physical frames are consecutive.
-    pub fn is_contiguous(&self) -> bool {
-        self.frames.windows(2).all(|w| w[1] == w[0] + 1)
-    }
-
     /// The "colour" of each page with respect to a physically-indexed
     /// cache whose per-way span covers `colours` pages, i.e.
     /// `frame % colours`. Duplicated colours are the conflict-miss
@@ -155,11 +150,6 @@ impl PageAllocator {
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> PagePolicy {
-        self.policy
-    }
-
     /// Allocates a buffer of at least `bytes`, rounded up to whole pages.
     ///
     /// # Panics
@@ -196,12 +186,6 @@ impl PageAllocator {
         PageTable::new(self.page_bytes, frames)
     }
 
-    /// Forgets the reuse cache — models a fresh OS boot / new process,
-    /// i.e. the *between-runs* variability of the paper.
-    pub fn flush_reuse(&mut self) {
-        self.reuse_cache.clear();
-    }
-
     fn draw_random(&mut self, pages: usize) -> Vec<u64> {
         // Distinct frames via rejection; frame space is much larger than
         // any allocation so this terminates quickly.
@@ -226,7 +210,7 @@ mod tests {
         let mut a = PageAllocator::new(PagePolicy::Contiguous, 4096, 1024, 0);
         let t = a.allocate(3 * 4096 + 1); // rounds to 4 pages
         assert_eq!(t.num_pages(), 4);
-        assert!(t.is_contiguous());
+        assert!(t.frames().windows(2).all(|w| w[1] == w[0] + 1));
         assert_eq!(t.translate(0), t.frames()[0] * 4096);
         assert_eq!(t.translate(4096), (t.frames()[0] + 1) * 4096);
     }
@@ -266,7 +250,7 @@ mod tests {
         let t3 = a.allocate(16 * 1024);
         assert_eq!(t1.frames(), t2.frames(), "same size reuses frames");
         assert_ne!(&t1.frames()[..4], t3.frames(), "different size differs");
-        a.flush_reuse();
+        a.reuse_cache.clear();
         let t4 = a.allocate(32 * 1024);
         assert_ne!(t1.frames(), t4.frames(), "flush models a new run");
     }
@@ -291,7 +275,7 @@ mod tests {
         assert_eq!(t.translate(4095), 10 * 4096 + 4095);
         assert_eq!(t.translate(4096), 3 * 4096);
         assert_eq!(t.span_bytes(), 8192);
-        assert!(!t.is_contiguous());
+        assert_eq!(t.frames(), [10, 3]);
     }
 
     #[test]

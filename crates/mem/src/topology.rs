@@ -103,8 +103,7 @@ impl TopologyNode {
 /// use mb_mem::topology::Topology;
 ///
 /// let xeon = Topology::xeon_x5550();
-/// assert_eq!(xeon.num_cores(), 4);
-/// assert_eq!(xeon.num_pus(), 4); // hyperthreading disabled, as in §III.C
+/// assert_eq!(xeon.num_cores(), 4); // hyperthreading disabled, as in §III.C
 /// let art = xeon.render();
 /// assert!(art.contains("L3 (8192KB)"));
 /// ```
@@ -227,18 +226,6 @@ impl Topology {
             .count_kind(&|k| matches!(k, ObjectKind::Core { .. }))
     }
 
-    /// Number of processing units.
-    pub fn num_pus(&self) -> usize {
-        self.root
-            .count_kind(&|k| matches!(k, ObjectKind::Pu { .. }))
-    }
-
-    /// Number of cache objects at `level`.
-    pub fn num_caches(&self, level: u8) -> usize {
-        self.root
-            .count_kind(&|k| matches!(k, ObjectKind::Cache { level: l, .. } if *l == level))
-    }
-
     /// Renders the tree as indented ASCII, in the spirit of
     /// `lstopo --of txt` (Figure 2).
     pub fn render(&self) -> String {
@@ -269,14 +256,23 @@ impl fmt::Display for Topology {
 mod tests {
     use super::*;
 
+    fn pus(t: &Topology) -> usize {
+        t.root.count_kind(&|k| matches!(k, ObjectKind::Pu { .. }))
+    }
+
+    fn caches(t: &Topology, level: u8) -> usize {
+        t.root
+            .count_kind(&|k| matches!(k, ObjectKind::Cache { level: l, .. } if *l == level))
+    }
+
     #[test]
     fn xeon_shape_matches_figure_2a() {
         let t = Topology::xeon_x5550();
         assert_eq!(t.num_cores(), 4);
-        assert_eq!(t.num_pus(), 4);
-        assert_eq!(t.num_caches(3), 1);
-        assert_eq!(t.num_caches(2), 4);
-        assert_eq!(t.num_caches(1), 4);
+        assert_eq!(pus(&t), 4); // hyperthreading disabled, as in §III.C
+        assert_eq!(caches(&t, 3), 1);
+        assert_eq!(caches(&t, 2), 4);
+        assert_eq!(caches(&t, 1), 4);
         let art = t.render();
         assert!(art.contains("Machine (12GB)"));
         assert!(art.contains("L3 (8192KB)"));
@@ -289,9 +285,9 @@ mod tests {
     fn a9500_shape_matches_figure_2b() {
         let t = Topology::a9500();
         assert_eq!(t.num_cores(), 2);
-        assert_eq!(t.num_caches(2), 1);
-        assert_eq!(t.num_caches(1), 2);
-        assert_eq!(t.num_caches(3), 0);
+        assert_eq!(caches(&t, 2), 1);
+        assert_eq!(caches(&t, 1), 2);
+        assert_eq!(caches(&t, 3), 0);
         let art = t.render();
         assert!(art.contains("Machine (796MB)"));
         assert!(art.contains("L2 (512KB)"));

@@ -39,12 +39,6 @@ impl CommConfig {
             tracing: false,
         }
     }
-
-    /// Enables tracing, builder-style.
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
 }
 
 /// A simulated communicator over a fabric.
@@ -169,11 +163,6 @@ impl Comm {
         self.alive.iter().filter(|a| **a).count() as u32
     }
 
-    /// Number of ranks.
-    pub fn size(&self) -> u32 {
-        self.cfg.ranks
-    }
-
     /// The clock of one rank.
     ///
     /// # Panics
@@ -263,13 +252,6 @@ impl Comm {
         if self.cfg.tracing {
             self.trace
                 .push_state(rank, start, start + duration, StateKind::Compute);
-        }
-    }
-
-    /// Advances every rank's clock by the same computation phase.
-    pub fn compute_all(&mut self, duration: SimTime) {
-        for r in 0..self.cfg.ranks {
-            self.compute(r, duration);
         }
     }
 
@@ -531,22 +513,6 @@ impl Comm {
         self.binomial_from_root(0, bytes, Some((CollectiveKind::Allreduce, id)));
     }
 
-    /// Scatter: `root` sends a distinct `bytes`-sized block to every
-    /// other rank (linear, as small-message scatters are in practice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root` is out of range.
-    pub fn scatter(&mut self, root: u32, bytes: u64) {
-        assert!(root < self.cfg.ranks, "root out of range");
-        let id = self.bump_op();
-        for r in 0..self.cfg.ranks {
-            if r != root {
-                self.transfer(root, r, bytes, Some((CollectiveKind::Gather, id)));
-            }
-        }
-    }
-
     /// The ring schedule: every survivor sends to its successor among
     /// the survivors for `survivors−1` steps — with every rank alive,
     /// rank `r` to `r+1` for `p−1` steps; under crashes the ring
@@ -561,20 +527,6 @@ impl Comm {
             .map(|i| (alive[i], alive[(i + 1) % alive.len()], bytes))
             .collect();
         (msgs, alive.len() as u32 - 1)
-    }
-
-    /// All-gather via the ring algorithm: in each of `p−1` steps every
-    /// rank forwards the block it just received to its successor.
-    /// Bandwidth-optimal and uplink-friendly, like [`Comm::bcast_ring`].
-    pub fn allgather_ring(&mut self, bytes: u64) {
-        if self.cfg.ranks == 1 {
-            return;
-        }
-        let id = self.bump_op();
-        let (msgs, steps) = self.ring_schedule(bytes);
-        for _step in 0..steps {
-            self.exchange_tagged(&msgs, Some((CollectiveKind::Gather, id)));
-        }
     }
 
     /// Reduce-scatter via the ring algorithm: `p−1` steps, each rank
@@ -607,21 +559,6 @@ impl Comm {
         let (msgs, steps) = self.ring_schedule(block);
         for _step in 0..steps {
             self.exchange_tagged(&msgs, Some((CollectiveKind::Allreduce, id)));
-        }
-    }
-
-    /// Gather `bytes` from every rank to `root` (linear).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root` is out of range.
-    pub fn gather(&mut self, root: u32, bytes: u64) {
-        assert!(root < self.cfg.ranks, "root out of range");
-        let id = self.bump_op();
-        for r in 0..self.cfg.ranks {
-            if r != root {
-                self.transfer(r, root, bytes, Some((CollectiveKind::Gather, id)));
-            }
         }
     }
 
@@ -759,6 +696,20 @@ mod tests {
         Comm::new(tibidabo_fabric(nodes), CommConfig::tibidabo(ranks))
     }
 
+    fn traced(ranks: u32) -> CommConfig {
+        CommConfig {
+            tracing: true,
+            ..CommConfig::tibidabo(ranks)
+        }
+    }
+
+    /// Advances every rank's clock by the same computation phase.
+    fn compute_all(c: &mut Comm, duration: SimTime) {
+        for r in 0..c.cfg.ranks {
+            c.compute(r, duration);
+        }
+    }
+
     #[test]
     fn compute_advances_one_clock() {
         let mut c = comm(2, 4);
@@ -831,10 +782,7 @@ mod tests {
     #[test]
     fn alltoallv_synchronises_and_traces() {
         let ranks = 8u32;
-        let mut c = Comm::new(
-            tibidabo_fabric(4),
-            CommConfig::tibidabo(ranks).with_tracing(),
-        );
+        let mut c = Comm::new(tibidabo_fabric(4), traced(ranks));
         let m = vec![vec![4096u64; ranks as usize]; ranks as usize];
         c.alltoallv(&m);
         // All clocks equal after the collective.
@@ -857,10 +805,10 @@ mod tests {
         // the upgraded fabric should be faster.
         let ranks = 36u32;
         let run = |fabric| {
-            let mut c = Comm::new(fabric, CommConfig::tibidabo(ranks).with_tracing());
+            let mut c = Comm::new(fabric, traced(ranks));
             let m = vec![vec![16_384u64; ranks as usize]; ranks as usize];
             for _ in 0..12 {
-                c.compute_all(SimTime::from_micros(300));
+                compute_all(&mut c, SimTime::from_micros(300));
                 c.alltoallv(&m);
             }
             (c.max_clock(), c.into_trace())
@@ -877,28 +825,6 @@ mod tests {
             analysis.delayed_count(CollectiveKind::Alltoallv) >= 1,
             "expected at least one delayed all_to_all_v"
         );
-    }
-
-    #[test]
-    fn scatter_touches_everyone() {
-        let mut c = comm(4, 8);
-        c.scatter(2, 4096);
-        for r in 0..8 {
-            if r != 2 {
-                assert!(c.clock(r) > SimTime::ZERO, "rank {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_ring_advances_all_ranks_evenly() {
-        let mut c = comm(4, 8);
-        c.allgather_ring(8192);
-        let min = (0..8).map(|r| c.clock(r)).min().expect("ranks");
-        let max = c.max_clock();
-        assert!(min > SimTime::ZERO);
-        // Ring symmetry: completion spread stays small.
-        assert!(max.saturating_sub(min) < max / 2);
     }
 
     #[test]
@@ -936,7 +862,6 @@ mod tests {
     #[test]
     fn single_rank_collectives_are_free() {
         let mut c = Comm::new(tibidabo_fabric(1), CommConfig::tibidabo(1));
-        c.allgather_ring(1024);
         c.allreduce_ring(1024);
         c.bcast_ring(0, 1024);
         assert_eq!(c.max_clock(), SimTime::ZERO);
@@ -988,13 +913,8 @@ mod tests {
                 drop_probability: 1.0,
             }],
         );
-        let mut c = Comm::resilient(
-            tibidabo_fabric(2),
-            CommConfig::tibidabo(4).with_tracing(),
-            plan,
-            RetryPolicy::tibidabo(),
-        )
-        .unwrap();
+        let mut c =
+            Comm::resilient(tibidabo_fabric(2), traced(4), plan, RetryPolicy::tibidabo()).unwrap();
         c.p2p(0, 2, 1500);
         let stats = c.resilience_stats();
         assert!(stats.retries > 0, "expected retries: {stats:?}");
@@ -1025,13 +945,8 @@ mod tests {
                 drop_probability: 1.0,
             }],
         );
-        let mut c = Comm::resilient(
-            tibidabo_fabric(2),
-            CommConfig::tibidabo(4).with_tracing(),
-            plan,
-            RetryPolicy::tibidabo(),
-        )
-        .unwrap();
+        let mut c =
+            Comm::resilient(tibidabo_fabric(2), traced(4), plan, RetryPolicy::tibidabo()).unwrap();
         c.p2p(0, 2, 1500);
         let stats = c.resilience_stats();
         assert_eq!(stats.timeouts, 1, "{stats:?}");
@@ -1051,17 +966,12 @@ mod tests {
                 at: SimTime::from_micros(100),
             }],
         );
-        let mut c = Comm::resilient(
-            tibidabo_fabric(4),
-            CommConfig::tibidabo(8).with_tracing(),
-            plan,
-            RetryPolicy::tibidabo(),
-        )
-        .unwrap();
-        c.compute_all(SimTime::from_millis(1)); // pushes rank 3 past its crash
+        let mut c =
+            Comm::resilient(tibidabo_fabric(4), traced(8), plan, RetryPolicy::tibidabo()).unwrap();
+        compute_all(&mut c, SimTime::from_millis(1)); // pushes rank 3 past its crash
         c.bcast(0, 64 * 1024);
         c.allreduce(8192);
-        c.allgather_ring(4096);
+        c.allreduce_ring(4096);
         c.alltoall(2048);
         c.barrier();
         assert!(!c.is_alive(3));
@@ -1101,7 +1011,7 @@ mod tests {
             RetryPolicy::tibidabo(),
         )
         .unwrap();
-        c.compute_all(SimTime::from_millis(1));
+        compute_all(&mut c, SimTime::from_millis(1));
         assert_eq!(c.clock(0), SimTime::from_millis(1));
         assert_eq!(c.clock(2), SimTime::from_millis(3), "3× slowdown");
     }

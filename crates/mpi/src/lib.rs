@@ -11,7 +11,7 @@
 //! * point-to-point sends with eager-protocol semantics and per-message
 //!   software overhead;
 //! * collectives: `barrier`, `bcast` (binomial tree), `reduce`,
-//!   `allreduce`, `gather`, `alltoall` and `alltoallv` (linear exchange,
+//!   `allreduce`, `alltoall` and `alltoallv` (linear exchange,
 //!   the algorithm whose congestion Figure 4 exposes);
 //! * optional tracing: every message becomes an `mb-trace`
 //!   [`mb_trace::record::CommRecord`], collectives tagged with an op id,
@@ -33,7 +33,9 @@
 //!
 //! // 8 ranks on 4 Tegra2 nodes (2 cores per node).
 //! let mut comm = Comm::new(tibidabo_fabric(4), CommConfig::tibidabo(8));
-//! comm.compute_all(SimTime::from_micros(100));
+//! for rank in 0..8 {
+//!     comm.compute(rank, SimTime::from_micros(100));
+//! }
 //! comm.allreduce(8);
 //! assert!(comm.max_clock() > SimTime::from_micros(100));
 //! ```

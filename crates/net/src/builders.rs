@@ -112,7 +112,7 @@ mod tests {
             LinkSpec::gigabit_ethernet(),
         );
         assert_eq!(hosts.len(), 8);
-        assert_eq!(net.switches().len(), 1);
+        assert_eq!(net.fault_topology(0).switches, 1);
     }
 
     #[test]
@@ -125,7 +125,7 @@ mod tests {
         );
         assert_eq!(hosts.len(), 100);
         // 3 leaves + root.
-        assert_eq!(net.switches().len(), 4);
+        assert_eq!(net.fault_topology(0).switches, 4);
         // Same-leaf: 2 hops; cross-leaf: 4 hops.
         assert_eq!(net.route(hosts[0], hosts[1]).len(), 2);
         assert_eq!(net.route(hosts[0], hosts[99]).len(), 4);

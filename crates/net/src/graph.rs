@@ -154,16 +154,6 @@ impl Network {
         &self.hosts
     }
 
-    /// All switches, in creation order.
-    pub fn switches(&self) -> &[NodeId] {
-        &self.switches
-    }
-
-    /// Number of directed links.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Looks up a directed link.
     ///
     /// # Panics
@@ -173,13 +163,8 @@ impl Network {
         &self.links[id.0 as usize]
     }
 
-    /// Whether the node is a switch.
-    pub fn is_switch(&self, id: NodeId) -> bool {
-        self.switch_ordinal(id).is_some()
-    }
-
-    /// The switch's creation-order ordinal — how fault plans and the
-    /// name table address it — or `None` for a host.
+    /// The switch's creation-order ordinal — how fault plans address
+    /// it — or `None` for a host.
     pub(crate) fn switch_ordinal(&self, id: NodeId) -> Option<u32> {
         match self.kinds[id.0 as usize] {
             NodeKind::Switch(ordinal) => Some(ordinal),
@@ -249,47 +234,6 @@ impl Network {
         path.reverse();
         self.route_cache.insert((src, dst), path.clone());
         Ok(path)
-    }
-
-    /// Stable name of a node: `host{i}` / `sw{j}` where `i`/`j` is the
-    /// node's creation ordinal *within its kind* — the same ordinals
-    /// [`mb_faults::Fault`] addresses, so names survive topology growth
-    /// that raw [`NodeId`]s (which interleave kinds) do not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node_name(&self, id: NodeId) -> String {
-        // The host list is ascending (ids are handed out in creation
-        // order), so a host's ordinal is a binary search away; a switch
-        // carries its own.
-        match self.kinds[id.0 as usize] {
-            NodeKind::Host => {
-                let i = self.hosts.binary_search(&id).expect("host is listed");
-                format!("host{i}")
-            }
-            NodeKind::Switch(j) => format!("sw{j}"),
-        }
-    }
-
-    /// Exports this network's name table for name-addressed fault
-    /// plans ([`mb_faults::FaultPlan::from_named`]): host and switch
-    /// names in ordinal order, plus each directed link's endpoint-name
-    /// pair in link-index order.
-    pub fn element_names(&self) -> mb_faults::ElementNames {
-        let hosts = (0..self.hosts.len()).map(|i| format!("host{i}")).collect();
-        let switches = (0..self.switches.len()).map(|j| format!("sw{j}")).collect();
-        let links = self
-            .links
-            .iter()
-            .map(|l| (self.node_name(l.from), self.node_name(l.to)))
-            .collect();
-        match mb_faults::ElementNames::new(hosts, switches, links) {
-            Ok(names) => names,
-            // Unreachable by construction: generated names are unique
-            // and every link endpoint is a graph node.
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Summary of this network's addressable elements for
@@ -379,10 +323,10 @@ mod tests {
     fn hosts_and_switches_listed() {
         let (net, hosts, sw) = star(5);
         assert_eq!(net.hosts().len(), 5);
-        assert_eq!(net.switches(), &[sw]);
-        assert!(net.is_switch(sw));
-        assert!(!net.is_switch(hosts[0]));
-        assert_eq!(net.num_links(), 10);
+        assert_eq!(net.switches, [sw]);
+        assert_eq!(net.switch_ordinal(sw), Some(0));
+        assert_eq!(net.switch_ordinal(hosts[0]), None);
+        assert_eq!(net.links.len(), 10);
     }
 
     #[test]
@@ -418,37 +362,6 @@ mod tests {
         assert_eq!(topo.switches, 1);
         assert_eq!(topo.hosts, 4);
         assert_eq!(topo.ranks, 8);
-    }
-
-    #[test]
-    fn node_names_follow_per_kind_ordinals() {
-        // Interleave kinds so NodeId and per-kind ordinal diverge.
-        let mut net = Network::new();
-        let s0 = net.add_switch(); // NodeId 0
-        let h0 = net.add_host(); // NodeId 1
-        let s1 = net.add_switch(); // NodeId 2
-        let h1 = net.add_host(); // NodeId 3
-        assert_eq!(net.node_name(s0), "sw0");
-        assert_eq!(net.node_name(h0), "host0");
-        assert_eq!(net.node_name(s1), "sw1");
-        assert_eq!(net.node_name(h1), "host1");
-    }
-
-    #[test]
-    fn element_names_mirror_fault_topology() {
-        let (net, hosts, sw) = star(3);
-        let names = net.element_names();
-        let topo = net.fault_topology(6);
-        assert_eq!(names.hosts().len(), topo.hosts as usize);
-        assert_eq!(names.switches().len(), topo.switches as usize);
-        assert_eq!(names.links().len(), topo.links as usize);
-        // Link index round-trips through the endpoint-name pair: the
-        // duplex pair created for host1 occupies indices 2 and 3.
-        assert_eq!(net.node_name(hosts[1]), "host1");
-        assert_eq!(net.node_name(sw), "sw0");
-        assert_eq!(names.link_index("host1", "sw0"), Ok(2));
-        assert_eq!(names.link_index("sw0", "host1"), Ok(3));
-        assert_eq!(names.links()[0], ("host0".to_string(), "sw0".to_string()));
     }
 
     #[test]

@@ -4,14 +4,10 @@
 //! system* is a first-order performance factor: physical page allocation
 //! changes cache behaviour (modelled in `mb-mem`), and — surprisingly —
 //! **real-time scheduling** produces bimodal, degraded bandwidth
-//! (Figure 5). This crate models the OS pieces:
-//!
-//! * [`sched`] — a run-queue simulation with two scheduler policies: a
-//!   CFS-like fair scheduler and a fixed-priority FIFO (`SCHED_FIFO`)
-//!   real-time scheduler;
-//! * [`rt_anomaly`] — the Figure 5 pathology: a perturbation model in
-//!   which the RT scheduler enters a *degraded mode* for a contiguous
-//!   window of measurements, slowing them ~5×.
+//! (Figure 5). This crate models the scheduling half:
+//! [`rt_anomaly`], the Figure 5 pathology — a perturbation model in
+//! which the RT scheduler enters a *degraded mode* for a contiguous
+//! window of measurements, slowing them ~5×.
 //!
 //! # Examples
 //!
@@ -31,9 +27,5 @@
 #![warn(missing_docs)]
 
 pub mod rt_anomaly;
-pub mod sched;
-pub mod timeline;
 
 pub use rt_anomaly::RtAnomalyModel;
-pub use sched::{Policy, RunQueue, Task, TaskId};
-pub use timeline::{benchmark_with_noise, TaskMetrics, Timeline};

@@ -122,11 +122,6 @@ impl<L: Clone> MeasurementPlan<L> {
         self.reps
     }
 
-    /// Number of distinct levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels
-    }
-
     /// The seed the plan was shuffled with.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -165,7 +160,7 @@ mod tests {
     fn full_factorial_covers_everything_once() {
         let plan = MeasurementPlan::full_factorial(&[10usize, 20, 30], 4, 42);
         assert_eq!(plan.len(), 12);
-        assert_eq!(plan.num_levels(), 3);
+        assert_eq!(plan.levels, 3);
         assert_eq!(plan.reps(), 4);
         let pairs: HashSet<(usize, u32)> = plan.iter().map(|m| (m.level, m.rep)).collect();
         assert_eq!(pairs.len(), 12, "every (level, rep) pair unique");

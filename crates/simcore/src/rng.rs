@@ -174,12 +174,6 @@ impl Xoshiro256 {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
-
-    /// Derives an independent child generator; handy for giving each
-    /// simulated component its own stream.
-    pub fn fork(&mut self) -> Xoshiro256 {
-        Xoshiro256::seed_from(self.next_u64())
-    }
 }
 
 impl Rng for Xoshiro256 {
@@ -226,15 +220,6 @@ mod tests {
         let vc: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
-    }
-
-    #[test]
-    fn fork_gives_independent_stream() {
-        let mut parent = Xoshiro256::seed_from(99);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..4).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..4).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 ///     s.push(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
@@ -85,20 +85,6 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
-    /// Population (biased) variance.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest sample (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -107,16 +93,6 @@ impl OnlineStats {
     /// Largest sample (`-inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Half-width of the ~95 % confidence interval of the mean
-    /// (normal approximation, `1.96 · s/√n`; 0 for fewer than two samples).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.n as f64).sqrt()
-        }
     }
 
     /// Merges another accumulator into this one (parallel Welford).
@@ -247,11 +223,6 @@ impl Summary {
         self.quantile(0.5)
     }
 
-    /// Half-width of the ~95 % confidence interval of the mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        self.stats.ci95_half_width()
-    }
-
     /// Coefficient of variation (std-dev / mean); 0 when the mean is 0.
     pub fn cv(&self) -> f64 {
         let m = self.mean();
@@ -283,7 +254,7 @@ impl Summary {
 /// }
 /// assert_eq!(h.bin_count(0), 1);
 /// assert_eq!(h.bin_count(1), 2);
-/// assert_eq!(h.total(), 4);
+/// assert_eq!(h.bin_count(9), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -345,21 +316,6 @@ impl Histogram {
     pub fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// Total samples recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.below + self.above
-    }
-
-    /// Underflow count.
-    pub fn underflow(&self) -> u64 {
-        self.below
-    }
-
-    /// Overflow count.
-    pub fn overflow(&self) -> u64 {
-        self.above
     }
 
     /// Indices of local maxima ("modes") whose count is at least
@@ -453,17 +409,6 @@ impl LinearFit {
         LinearFit::fit(&logged)
     }
 
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-
-    /// Evaluates the exponential model at `x` (for fits made with
-    /// [`LinearFit::fit_log`]).
-    pub fn predict_exp(&self, x: f64) -> f64 {
-        self.predict(x).exp()
-    }
-
     /// For a log fit: the x at which the exponential model reaches `y`.
     ///
     /// # Panics
@@ -501,7 +446,6 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -570,11 +514,11 @@ mod tests {
         h.record(2.0);
         h.record(10.0);
         h.record(25.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.below, 1);
+        assert_eq!(h.above, 2);
         assert_eq!(h.bin_count(0), 2);
         assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.total(), 6);
+        assert_eq!(h.bins.iter().sum::<u64>() + h.below + h.above, 6);
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
     }
 
@@ -609,7 +553,7 @@ mod tests {
         assert!((f.slope - 3.0).abs() < 1e-12);
         assert!((f.intercept - 2.0).abs() < 1e-12);
         assert!((f.r2 - 1.0).abs() < 1e-12);
-        assert!((f.predict(100.0) - 302.0).abs() < 1e-9);
+        assert!((f.slope * 100.0 + f.intercept - 302.0).abs() < 1e-9);
     }
 
     #[test]
@@ -620,7 +564,7 @@ mod tests {
             .collect();
         let f = LinearFit::fit_log(&pts);
         assert!((f.slope - 0.4).abs() < 1e-9);
-        assert!((f.predict_exp(0.0) - 5.0).abs() < 1e-6);
+        assert!((f.intercept.exp() - 5.0).abs() < 1e-6);
         // Invert: where does the trend reach 5·e^4 (x = 10)?
         let x = f.solve_for_exp(5.0 * (4.0f64).exp());
         assert!((x - 10.0).abs() < 1e-6);

@@ -338,13 +338,6 @@ impl Frequency {
     pub fn cycles(self, cycles: Cycles) -> SimTime {
         self.cycles_to_time(cycles.get())
     }
-
-    /// Converts a wall-clock time to a cycle count at this frequency,
-    /// rounding down.
-    pub fn time_to_cycles(self, t: SimTime) -> Cycles {
-        let c = t.as_nanos() as u128 * self.0 as u128 / 1_000_000_000u128;
-        Cycles::new(c as u64)
-    }
 }
 
 impl fmt::Display for Frequency {
@@ -434,12 +427,11 @@ mod tests {
     fn frequency_conversions() {
         let f = Frequency::from_ghz(1.0);
         assert_eq!(f.cycles_to_time(1_000_000_000), SimTime::from_secs(1));
-        assert_eq!(f.time_to_cycles(SimTime::from_secs(1)).get(), 1_000_000_000);
         // round-trip at a non-integer frequency
         let f = Frequency::from_ghz(2.66);
         let c = 1_000_000u64;
         let t = f.cycles_to_time(c);
-        let back = f.time_to_cycles(t).get();
+        let back = (t.as_nanos() as u128 * f.0 as u128 / 1_000_000_000) as u64;
         assert!((back as i64 - c as i64).abs() <= 1);
     }
 

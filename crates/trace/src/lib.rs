@@ -43,5 +43,5 @@ pub use analysis::{CollectiveReport, DelayAnalysis};
 pub use reader::parse_prv;
 pub use record::{CollectiveKind, CommRecord, EventRecord, StateKind, StateRecord};
 pub use trace::Trace;
-pub use validate::{trace_violations, validate_trace};
-pub use writer::{write_prv, write_prv_to};
+pub use validate::trace_violations;
+pub use writer::write_prv;

@@ -125,13 +125,6 @@ pub struct CommRecord {
     pub collective: Option<(CollectiveKind, u64)>,
 }
 
-impl CommRecord {
-    /// End-to-end latency of the message.
-    pub fn latency(&self) -> SimTime {
-        self.recv_time.saturating_sub(self.send_time)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,19 +138,6 @@ mod tests {
             kind: StateKind::Compute,
         };
         assert_eq!(s.duration(), SimTime::from_micros(15));
-    }
-
-    #[test]
-    fn comm_latency() {
-        let c = CommRecord {
-            src: 0,
-            dst: 1,
-            send_time: SimTime::from_nanos(100),
-            recv_time: SimTime::from_nanos(350),
-            bytes: 1024,
-            collective: Some((CollectiveKind::Alltoallv, 7)),
-        };
-        assert_eq!(c.latency(), SimTime::from_nanos(250));
     }
 
     #[test]

@@ -120,28 +120,6 @@ impl Trace {
         v
     }
 
-    /// Total time rank `rank` spent in `kind` states.
-    pub fn time_in_state(&self, rank: u32, kind: StateKind) -> SimTime {
-        self.states
-            .iter()
-            .filter(|s| s.rank == rank && s.kind == kind)
-            .map(|s| s.duration())
-            .sum()
-    }
-
-    /// Fraction of the trace's wall-clock the average rank spends
-    /// computing — a quick efficiency indicator.
-    pub fn compute_fraction(&self) -> f64 {
-        let end = self.end_time().as_secs_f64();
-        if end == 0.0 {
-            return 0.0;
-        }
-        let total: f64 = (0..self.num_ranks)
-            .map(|r| self.time_in_state(r, StateKind::Compute).as_secs_f64())
-            .sum();
-        total / (end * self.num_ranks as f64)
-    }
-
     /// Merges another trace's records (ranks must match).
     ///
     /// # Panics
@@ -170,9 +148,19 @@ mod tests {
         t.push_state(0, us(0), us(10), StateKind::Compute);
         t.push_state(0, us(10), us(12), StateKind::Communicate);
         t.push_state(1, us(0), us(8), StateKind::Compute);
-        assert_eq!(t.time_in_state(0, StateKind::Compute), us(10));
-        assert_eq!(t.time_in_state(0, StateKind::Communicate), us(2));
-        assert_eq!(t.time_in_state(1, StateKind::Wait), SimTime::ZERO);
+        let rank0: Vec<_> = t
+            .rank_states(0)
+            .iter()
+            .map(|s| (s.kind, s.duration()))
+            .collect();
+        assert_eq!(
+            rank0,
+            [
+                (StateKind::Compute, us(10)),
+                (StateKind::Communicate, us(2))
+            ]
+        );
+        assert_eq!(t.rank_states(1).len(), 1);
         assert_eq!(t.end_time(), us(12));
     }
 
@@ -184,15 +172,6 @@ mod tests {
         let v = t.rank_states(0);
         assert_eq!(v[0].start, us(0));
         assert_eq!(v[1].start, us(5));
-    }
-
-    #[test]
-    fn compute_fraction() {
-        let mut t = Trace::new(2);
-        t.push_state(0, us(0), us(10), StateKind::Compute);
-        t.push_state(1, us(0), us(5), StateKind::Compute);
-        t.push_state(1, us(5), us(10), StateKind::Wait);
-        assert!((t.compute_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -247,6 +226,5 @@ mod tests {
     fn empty_trace_end_time_zero() {
         let t = Trace::new(3);
         assert_eq!(t.end_time(), SimTime::ZERO);
-        assert_eq!(t.compute_fraction(), 0.0);
     }
 }

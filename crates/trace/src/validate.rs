@@ -91,20 +91,6 @@ pub fn trace_violations(trace: &Trace) -> Vec<String> {
     out
 }
 
-/// [`trace_violations`] as a `Result` for `?`-style use.
-///
-/// # Errors
-///
-/// Returns the violation list when the trace is malformed.
-pub fn validate_trace(trace: &Trace) -> Result<(), Vec<String>> {
-    let v = trace_violations(trace);
-    if v.is_empty() {
-        Ok(())
-    } else {
-        Err(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +116,7 @@ mod tests {
             bytes: 4096,
             collective: None,
         });
-        assert_eq!(validate_trace(&t), Ok(()));
+        assert_eq!(trace_violations(&t), Vec::<String>::new());
     }
 
     #[test]

@@ -7,16 +7,10 @@
 //!
 //! Encoding is allocation-free per record: integers are formatted
 //! directly into the output buffer (no intermediate `format!` strings),
-//! so large traces build at memcpy speed. [`write_prv_to`] streams the
-//! same bytes through any [`std::io::Write`] sink, flushing in 64 KiB
-//! chunks so multi-gigabyte traces never materialise in memory.
+//! so large traces build at memcpy speed.
 
 use crate::record::{CollectiveKind, StateKind};
 use crate::trace::Trace;
-use std::io::{self, Write};
-
-/// Chunk size used by [`write_prv_to`] between flushes to the sink.
-const STREAM_CHUNK: usize = 64 * 1024;
 
 fn state_code(kind: StateKind) -> u32 {
     match kind {
@@ -143,55 +137,6 @@ pub fn write_prv(trace: &Trace) -> Vec<u8> {
     buf
 }
 
-/// Streams the `.prv` encoding of `trace` into `out`, flushing in
-/// 64 KiB batches. Produces bytes identical to
-/// [`write_prv`] without holding the whole trace text in memory.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the sink.
-///
-/// # Examples
-///
-/// ```
-/// use mb_trace::{write_prv, write_prv_to, Trace};
-/// use mb_trace::record::StateKind;
-/// use mb_simcore::time::SimTime;
-///
-/// let mut t = Trace::new(1);
-/// t.push_state(0, SimTime::ZERO, SimTime::from_nanos(5), StateKind::Compute);
-/// let mut streamed = Vec::new();
-/// write_prv_to(&t, &mut streamed).expect("write to Vec cannot fail");
-/// assert_eq!(streamed, write_prv(&t));
-/// ```
-pub fn write_prv_to<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(STREAM_CHUNK + 128);
-    encode_header(&mut buf, trace);
-    for s in trace.states() {
-        encode_state(&mut buf, s);
-        if buf.len() >= STREAM_CHUNK {
-            out.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    for e in trace.events() {
-        encode_event(&mut buf, e);
-        if buf.len() >= STREAM_CHUNK {
-            out.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    for c in trace.comms() {
-        encode_comm(&mut buf, c);
-        if buf.len() >= STREAM_CHUNK {
-            out.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    out.write_all(&buf)?;
-    out.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,34 +198,5 @@ mod tests {
             push_u64(&mut buf, v);
             assert_eq!(String::from_utf8(buf).expect("ascii"), v.to_string());
         }
-    }
-
-    #[test]
-    fn streamed_bytes_identical_to_vec() {
-        let mut t = Trace::new(4);
-        for r in 0..4u32 {
-            for i in 0..600u64 {
-                t.push_state(
-                    r,
-                    SimTime::from_nanos(i * 10),
-                    SimTime::from_nanos(i * 10 + 7),
-                    StateKind::Compute,
-                );
-                t.push_event(r, SimTime::from_nanos(i * 10 + 3), "ctr", i);
-            }
-        }
-        t.push_comm(CommRecord {
-            src: 3,
-            dst: 2,
-            send_time: SimTime::from_nanos(11),
-            recv_time: SimTime::from_nanos(19),
-            bytes: 4096,
-            collective: Some((CollectiveKind::Allreduce, 9)),
-        });
-        let mut streamed = Vec::new();
-        write_prv_to(&t, &mut streamed).expect("vec sink");
-        assert_eq!(streamed, write_prv(&t));
-        // Big enough to have crossed at least one chunk boundary.
-        assert!(streamed.len() > STREAM_CHUNK);
     }
 }

@@ -1,4 +1,4 @@
-//! Post-processing of tuning sweeps: sweet spots, convexity, staircases.
+//! Post-processing of tuning sweeps: sweet spots and staircases.
 //!
 //! Figure 7's reading: the cycles-vs-unroll curves are "roughly convex",
 //! the cache-access curves show "some sort of small staircase", and the
@@ -66,34 +66,6 @@ pub fn sweet_spot(sweep: &[(i64, f64)], tolerance: f64) -> SweetSpot {
     }
 }
 
-/// Whether a sweep is *roughly convex*: strictly decreasing-then-
-/// increasing, allowing relative wobble up to `slack` (e.g. `0.05` =
-/// 5 %).
-///
-/// # Panics
-///
-/// Panics if the sweep has fewer than three points or `slack` is
-/// negative.
-pub fn is_roughly_convex(sweep: &[(i64, f64)], slack: f64) -> bool {
-    assert!(sweep.len() >= 3, "need at least three points");
-    assert!(slack >= 0.0, "slack must be non-negative");
-    let best_idx = sweep
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("finite"))
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    // Left of the minimum: non-increasing within slack.
-    let left_ok = sweep[..=best_idx]
-        .windows(2)
-        .all(|w| w[1].1 <= w[0].1 * (1.0 + slack));
-    // Right of the minimum: non-decreasing within slack.
-    let right_ok = sweep[best_idx..]
-        .windows(2)
-        .all(|w| w[1].1 >= w[0].1 * (1.0 - slack));
-    left_ok && right_ok
-}
-
 /// Detects staircase steps: indices `i` where the value jumps by more
 /// than `threshold ×` relative to `sweep[i-1]`. Figure 7's cache-access
 /// curves step at unroll 9 (Nehalem) and unroll 5 (Tegra2).
@@ -148,21 +120,6 @@ mod tests {
         let s = sweet_spot(&sweep, 1.0);
         assert_eq!(s.best_x, 1);
         assert_eq!(s.range, (1, 1));
-    }
-
-    #[test]
-    fn convexity_detection() {
-        assert!(is_roughly_convex(&quad(6), 0.0));
-        // An upward wobble on the descending flank: within 5% slack it
-        // still counts as convex, with zero slack it does not.
-        // quad(6): x=2 costs 26; bump x=3 from 19 to 27 (3.8% above 26).
-        let mut wobbly = quad(6);
-        wobbly[2].1 = 27.0;
-        assert!(is_roughly_convex(&wobbly, 0.05));
-        assert!(!is_roughly_convex(&wobbly, 0.0));
-        // A W-shape fails.
-        let w = vec![(1, 5.0), (2, 1.0), (3, 4.0), (4, 0.5), (5, 6.0)];
-        assert!(!is_roughly_convex(&w, 0.05));
     }
 
     #[test]

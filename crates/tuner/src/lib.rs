@@ -7,12 +7,12 @@
 //!
 //! * [`space`] — discrete parameter spaces (e.g. unroll degree 1..=12,
 //!   element size {32, 64, 128}, unrolled {no, yes});
-//! * [`search`] — search strategies over a space: exhaustive, random and
-//!   hill-climbing, all deterministic from a seed;
+//! * [`search`] — search strategies over a space: exhaustive, and
+//!   hill climbing deterministic from a seed;
 //! * [`analysis`] — the Figure 7 post-processing: locate the optimum,
 //!   extract the *sweet-spot range* (the contiguous region within a
-//!   tolerance of the best), check rough convexity, and detect the
-//!   "staircase" jumps the paper sees in the cache-access counter.
+//!   tolerance of the best), and detect the "staircase" jumps the paper
+//!   sees in the cache-access counter.
 //!
 //! Section VI.B's two auto-tuning levels map directly onto usage:
 //! *platform-specific* (static) tuning runs a search once per machine
@@ -41,7 +41,5 @@ pub mod search;
 pub mod space;
 
 pub use analysis::{staircase_steps, sweet_spot, SweetSpot};
-pub use search::{
-    ExhaustiveSearch, HillClimb, RandomSearch, SimulatedAnnealing, TuneResult, Tuner,
-};
+pub use search::{ExhaustiveSearch, HillClimb, TuneResult, Tuner};
 pub use space::{ParameterSpace, Point};

@@ -240,4 +240,12 @@ echo "==> mbbench smoke (every workload once, on quick campaigns and four served
 # benchmark change to commit.
 bash mbbench/run.sh run --smoke
 
+echo "==> mbbench replay oracle (the benchmark's tests against the workspace API)"
+# mbbench's tests call workspace functions its binary does not, such as
+# fig7::measure_slot and table2::measure_cell, so a change to the
+# workspace API can break the benchmark's test build while the smoke
+# run above still passes. The test also checks that a recorded slot
+# stream replays to the direct run's report, bit for bit.
+cargo test --release --manifest-path mbbench/Cargo.toml --test replay_oracle --quiet
+
 echo "CI green."

