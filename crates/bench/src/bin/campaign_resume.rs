@@ -42,7 +42,7 @@ fn main() {
         if campaign.pinned_digest().is_none() || campaign.name().ends_with("-paper") {
             continue;
         }
-        let slots = campaign.task_labels().len();
+        let slots = campaign.slot_count();
         let path = dir.join(format!("{}.journal", campaign.name()));
 
         let t0 = Instant::now();

@@ -2,7 +2,7 @@
 //! the Xeon X5550: performance and energy, per benchmark.
 
 use mb_bench::{header, quick_mode};
-use montblanc::table2::{run_extended, Table2Config};
+use montblanc::table2::{run, Table2Config};
 
 fn main() {
     let cfg = if quick_mode() {
@@ -11,7 +11,7 @@ fn main() {
         Table2Config::paper()
     };
     header("Table II: Snowball (2 cores, 2.5 W) vs Xeon X5550 (4 cores, 95 W)");
-    let report = run_extended(&cfg);
+    let report = run(&cfg);
     println!("{}", report.render());
     if let Some(path) = mb_bench::csv_path("table2") {
         if std::fs::write(&path, montblanc::csv::table2_csv(&report)).is_ok() {

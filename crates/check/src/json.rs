@@ -1,8 +1,8 @@
 //! A minimal JSON reader.
 //!
 //! The workspace has no serialisation framework, so mb-check parses
-//! the JSON it needs — the finding baseline and SARIF documents under
-//! `validate-sarif` — with this hand-rolled recursive-descent parser.
+//! the JSON it needs — the finding baseline — with this hand-rolled
+//! recursive-descent parser.
 //! It accepts strict RFC 8259 JSON (no comments, no trailing commas)
 //! and keeps object keys in insertion order.
 

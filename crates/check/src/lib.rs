@@ -23,12 +23,11 @@
 //!   use-trees, call expressions);
 //! * [`graph`] — the cross-crate call graph and reachability;
 //! * [`taint`] — determinism taint and hot-path allocation analysis;
-//! * [`rules`] — the rule registry (seven line rules, three workspace
+//! * [`rules`] — the rule registry (seven line rules, two workspace
 //!   rules);
 //! * [`baseline`] — the accepted-findings baseline CI diffs against;
-//! * [`report`] — human, JSON and SARIF rendering;
-//! * [`json`] — the hand-rolled JSON reader backing baseline and
-//!   SARIF validation.
+//! * [`report`] — human and JSON rendering;
+//! * [`json`] — the hand-rolled JSON reader behind the baseline.
 //!
 //! Run it with `cargo run -p mb-check`; it exits nonzero when any
 //! non-baselined finding survives suppressions, and `scripts/ci.sh`
@@ -51,7 +50,7 @@ pub mod source;
 pub mod taint;
 pub mod walker;
 
-pub use report::{render_human, render_json, render_sarif, Finding};
+pub use report::{render_human, render_json, Finding};
 pub use rules::{check_file, RuleId, ALL_RULES};
 pub use source::SourceFile;
 
@@ -196,7 +195,7 @@ impl Workspace {
     }
 
     /// Runs every pass — line rules, determinism taint, hot-path
-    /// allocations, digest pinning — and returns the findings sorted
+    /// allocations — and returns the findings sorted
     /// and deduplicated, each annotated with its enclosing function
     /// symbol where one exists.
     pub fn check(&self) -> Vec<Finding> {
@@ -207,7 +206,6 @@ impl Workspace {
         let analysis = taint::analyze(&self.files, &self.graph);
         findings.extend(taint::findings(&self.files, &self.graph, &analysis));
         findings.extend(taint::hot_alloc_findings(&self.files, &self.graph));
-        findings.extend(rules::digest_pin_findings(&self.files));
         for finding in &mut findings {
             if finding.symbol.is_empty() {
                 if let Some(symbol) = self.enclosing_fn(&finding.file, finding.line) {

@@ -1,43 +1,34 @@
 //! The `mb-check` command-line interface.
 //!
 //! ```text
-//! mb-check [check] [--root <dir>] [--format human|json|sarif]
+//! mb-check [check] [--root <dir>] [--format human|json]
 //!          [--baseline <file>] [--write-baseline] [--list-rules]
 //! mb-check explain <fn> [--root <dir>]
-//! mb-check validate-sarif <file> [--schema <file>]
 //! ```
 //!
 //! `check` (the default) exits 0 when no finding survives suppressions
 //! and the baseline, 1 when new findings remain, 2 on usage or I/O
 //! errors. `explain` prints a function's taint verdict with the full
-//! source→sink call path. `validate-sarif` checks a SARIF file against
-//! the required-path schema snapshot shipped with the tool.
+//! source→sink call path.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mb_check::{
     baseline::{self, Baseline},
-    json, render_human, render_json, render_sarif,
-    report::validate_sarif,
-    taint, Workspace, ALL_RULES,
+    render_human, render_json, taint, Workspace, ALL_RULES,
 };
-
-/// The schema snapshot compiled into the binary, so `validate-sarif`
-/// works from any working directory.
-const SARIF_SCHEMA_SNAPSHOT: &str = include_str!("../schema/sarif-required.json");
 
 const USAGE: &str = "\
 mb-check: determinism lints for the Mont-Blanc simulator
 
-usage: mb-check [check] [--root <dir>] [--format human|json|sarif]
+usage: mb-check [check] [--root <dir>] [--format human|json]
                 [--baseline <file>] [--write-baseline] [--list-rules]
        mb-check explain <fn> [--root <dir>]
-       mb-check validate-sarif <file> [--schema <file>]
 
 Walks crates/*/{src,tests,benches} and examples/ under the root
 (default: .), runs the line rules plus the call-graph passes
-(determinism taint, hot-path allocations, digest pinning), and diffs
+(determinism taint, hot-path allocations), and diffs
 the findings against .mb-check-baseline.json when present. Suppress a
 finding with a `// mb-check: allow(<rule>)` comment on or above the
 line. Exit codes: 0 clean, 1 findings, 2 errors.";
@@ -47,12 +38,10 @@ fn main() -> ExitCode {
     let (cmd, rest) = match args.first().map(String::as_str) {
         Some("check") => ("check", &args[1..]),
         Some("explain") => ("explain", &args[1..]),
-        Some("validate-sarif") => ("validate-sarif", &args[1..]),
         _ => ("check", &args[..]),
     };
     match cmd {
         "explain" => cmd_explain(rest),
-        "validate-sarif" => cmd_validate_sarif(rest),
         _ => cmd_check(rest),
     }
 }
@@ -71,14 +60,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 None => return usage_error("--root needs a directory"),
             },
             "--format" => match it.next() {
-                Some(f) if ["human", "json", "sarif"].contains(&f.as_str()) => {
+                Some(f) if ["human", "json"].contains(&f.as_str()) => {
                     format = f.clone();
                 }
                 Some(f) => return usage_error(&format!("unknown format {f:?}")),
-                None => return usage_error("--format needs human|json|sarif"),
+                None => return usage_error("--format needs human|json"),
             },
-            // Compatibility alias from v1.
-            "--json" => format = "json".to_string(),
             "--baseline" => match it.next() {
                 Some(p) => baseline_path = Some(PathBuf::from(p)),
                 None => return usage_error("--baseline needs a file"),
@@ -136,7 +123,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
     match format.as_str() {
         "json" => print!("{}", render_json(&findings)),
-        "sarif" => print!("{}", render_sarif(&findings)),
         _ => {
             let new_owned: Vec<_> = new.iter().map(|f| (*f).clone()).collect();
             print!("{}", render_human(&new_owned));
@@ -205,78 +191,6 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         taint::explain(&ws.files, &ws.graph, &analysis, &query)
     );
     ExitCode::SUCCESS
-}
-
-/// `mb-check validate-sarif <file>` — schema-snapshot validation.
-fn cmd_validate_sarif(args: &[String]) -> ExitCode {
-    let mut file: Option<PathBuf> = None;
-    let mut schema_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--schema" => match it.next() {
-                Some(p) => schema_path = Some(PathBuf::from(p)),
-                None => return usage_error("--schema needs a file"),
-            },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if file.is_none() && !other.starts_with('-') => {
-                file = Some(PathBuf::from(other));
-            }
-            other => {
-                return usage_error(&format!("unknown argument {other:?} (try --help)"));
-            }
-        }
-    }
-    let Some(file) = file else {
-        return usage_error("validate-sarif needs a SARIF file");
-    };
-    let schema_text = match &schema_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("mb-check: {}: {err}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => SARIF_SCHEMA_SNAPSHOT.to_string(),
-    };
-    let schema = match json::parse(&schema_text) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("mb-check: schema: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let doc_text = match std::fs::read_to_string(&file) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("mb-check: {}: {err}", file.display());
-            return ExitCode::from(2);
-        }
-    };
-    let doc = match json::parse(&doc_text) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("mb-check: {}: not valid JSON: {err}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let errors = validate_sarif(&doc, &schema);
-    if errors.is_empty() {
-        println!(
-            "mb-check: {} conforms to the SARIF snapshot",
-            file.display()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for e in &errors {
-            eprintln!("mb-check: {}: {e}", file.display());
-        }
-        ExitCode::FAILURE
-    }
 }
 
 fn usage_error(message: &str) -> ExitCode {

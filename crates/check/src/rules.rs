@@ -8,11 +8,10 @@
 //! pure function of its explicit seeds, while the harness crates
 //! (`bench`, `check` itself) are allowed to touch the host.
 //!
-//! Three rules are *workspace* rules rather than line rules: they run
-//! over the cross-crate call graph ([`crate::taint`]) or over pairs of
-//! files ([`digest_pin_findings`]), so the per-line `fire` never triggers them —
-//! they exist in the registry for naming, `--list-rules`, SARIF rule
-//! metadata and `allow(...)` directives.
+//! Two rules are *workspace* rules rather than line rules: they run
+//! over the cross-crate call graph ([`crate::taint`]), so the per-line
+//! `fire` never triggers them — they exist in the registry for naming,
+//! `--list-rules` and `allow(...)` directives.
 
 use crate::report::Finding;
 use crate::source::SourceFile;
@@ -52,14 +51,10 @@ pub enum RuleId {
     /// measurer allocates (`Vec::new`, `vec![]`, `format!`, …) inside
     /// the measured region. See [`crate::taint::hot_alloc_findings`].
     HotAlloc,
-    /// Workspace rule: every campaign name registered in `crates/lab`
-    /// must have a matching pinned digest constant in the core digest
-    /// fixtures. See [`digest_pin_findings`].
-    DigestPin,
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [RuleId; 10] = [
+pub const ALL_RULES: [RuleId; 9] = [
     RuleId::HashmapIterOrder,
     RuleId::WallClockInModel,
     RuleId::UnseededRng,
@@ -69,7 +64,6 @@ pub const ALL_RULES: [RuleId; 10] = [
     RuleId::SilentCatch,
     RuleId::DeterminismTaint,
     RuleId::HotAlloc,
-    RuleId::DigestPin,
 ];
 
 impl RuleId {
@@ -85,7 +79,6 @@ impl RuleId {
             RuleId::SilentCatch => "silent-catch",
             RuleId::DeterminismTaint => "determinism-taint",
             RuleId::HotAlloc => "hot-alloc",
-            RuleId::DigestPin => "digest-pin",
         }
     }
 
@@ -116,9 +109,6 @@ impl RuleId {
             }
             RuleId::HotAlloc => {
                 "no allocation in functions reachable from registered slot measurers"
-            }
-            RuleId::DigestPin => {
-                "every registered campaign name has a pinned digest constant in the core fixtures"
             }
         }
     }
@@ -306,91 +296,8 @@ fn fire(rule: RuleId, ctx: &FileContext, code: &str) -> Option<String> {
             }
             silent_discard_violation(code)
         }
-        RuleId::DeterminismTaint | RuleId::HotAlloc | RuleId::DigestPin => None,
+        RuleId::DeterminismTaint | RuleId::HotAlloc => None,
     }
-}
-
-/// The `digest-pin` workspace rule: every campaign name string returned
-/// by a `fn name` in the lab registry must have a matching
-/// `<NAME>_DIGEST` constant in the core digest fixtures. The rule only
-/// runs when both files are in the scanned set, so partial checkouts
-/// and unit fixtures don't trip it.
-pub fn digest_pin_findings(files: &[crate::FileAnalysis]) -> Vec<Finding> {
-    use crate::lexer::TokenKind;
-    let campaign = files
-        .iter()
-        .find(|f| f.rel.ends_with("crates/lab/src/campaign.rs"));
-    let fixtures = files
-        .iter()
-        .find(|f| f.rel.ends_with("crates/core/tests/common/digest.rs"));
-    let (Some(campaign), Some(fixtures)) = (campaign, fixtures) else {
-        return Vec::new();
-    };
-
-    // Constant names declared in the fixture file: `const <IDENT>` pairs.
-    let mut consts = std::collections::BTreeSet::new();
-    let sig: Vec<&crate::lexer::Token> = fixtures
-        .tokens
-        .iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        })
-        .collect();
-    for pair in sig.windows(2) {
-        if pair[0].kind == TokenKind::Ident
-            && pair[0].text(&fixtures.source) == "const"
-            && pair[1].kind == TokenKind::Ident
-        {
-            consts.insert(pair[1].text(&fixtures.source).to_string());
-        }
-    }
-
-    let mut out = Vec::new();
-    for f in &campaign.ast.fns {
-        if f.name != "name" || f.is_test {
-            continue;
-        }
-        for tok in &campaign.tokens[f.body.0..f.body.1.min(campaign.tokens.len())] {
-            if tok.kind != TokenKind::Literal {
-                continue;
-            }
-            let text = tok.text(&campaign.source);
-            let Some(name) = text.strip_prefix('"').and_then(|s| s.strip_suffix('"')) else {
-                continue;
-            };
-            // Campaign names are kebab-case words; anything else in a
-            // `fn name` body (separators, format pieces) is not one.
-            if name.is_empty()
-                || !name
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-            {
-                continue;
-            }
-            if let Some(l) = campaign.lines.lines.get(tok.line.saturating_sub(1)) {
-                if l.in_test || l.allows("digest-pin") {
-                    continue;
-                }
-            }
-            let want = format!("{}_DIGEST", name.to_uppercase().replace('-', "_"));
-            if !consts.contains(&want) {
-                out.push(Finding {
-                    rule: RuleId::DigestPin.name().to_string(),
-                    file: campaign.rel.clone(),
-                    line: tok.line,
-                    message: format!(
-                        "campaign \"{name}\" has no pinned digest constant `{want}` in \
-                         crates/core/tests/common/digest.rs"
-                    ),
-                    symbol: f.path.clone(),
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Word-boundary token search: `HashMap` must not match `MyHashMapLike`
@@ -489,12 +396,7 @@ mod tests {
         // workspace-rule findings; those run over the call graph.
         let src = "let t = Instant::now(); let m = HashMap::new();\n";
         let findings = check_snippet("crates/net/src/graph.rs", src);
-        let workspace_rules = [
-            RuleId::DeterminismTaint,
-            RuleId::HotAlloc,
-            RuleId::DigestPin,
-        ]
-        .map(RuleId::name);
+        let workspace_rules = [RuleId::DeterminismTaint, RuleId::HotAlloc].map(RuleId::name);
         for f in &findings {
             assert!(
                 !workspace_rules.contains(&f.rule.as_str()),
@@ -657,53 +559,5 @@ mod tests {
 let label = \"thread_rng\";
 ";
         assert!(check_snippet("crates/net/src/graph.rs", src).is_empty());
-    }
-
-    #[test]
-    fn digest_pin_flags_unpinned_campaigns() {
-        let campaign_src = "\
-impl Campaign for A {
-    fn name(&self) -> &'static str {
-        match self.grid {
-            Grid::Quick => \"fig9-quick\",
-            Grid::Paper => \"fig9-paper\",
-        }
-    }
-    fn describe(&self) -> String {
-        format!(\"not a campaign NAME\")
-    }
-}
-impl Campaign for B {
-    fn name(&self) -> &'static str {
-        \"adhoc\" // mb-check: allow(digest-pin)
-    }
-}
-";
-        let fixture_src = "pub const FIG9_QUICK_DIGEST: u64 = 0x1;\n";
-        let files = vec![
-            crate::FileAnalysis::from_source(
-                "crates/lab/src/campaign.rs",
-                FileClass::Lib,
-                "mb_lab",
-                Vec::new(),
-                campaign_src.to_string(),
-            ),
-            crate::FileAnalysis::from_source(
-                "crates/core/tests/common/digest.rs",
-                FileClass::Test,
-                "montblanc",
-                Vec::new(),
-                fixture_src.to_string(),
-            ),
-        ];
-        let findings = digest_pin_findings(&files);
-        // fig9-quick is pinned; adhoc is allowed; fig9-paper is not.
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "digest-pin");
-        assert!(findings[0].message.contains("FIG9_PAPER_DIGEST"));
-        assert_eq!(findings[0].line, 5);
-
-        // Without the fixture file in the set, the rule stays quiet.
-        assert!(digest_pin_findings(&files[..1]).is_empty());
     }
 }

@@ -355,13 +355,13 @@ let w = y.unwrap();
         // code — the allow is trailing, not standalone.
         let src = "\
 fn name() -> &'static str {
-    \"adhoc\" // mb-check: allow(digest-pin)
+    \"adhoc\" // mb-check: allow(unit-suffix)
 }
 ";
         let f = SourceFile::parse(src);
         assert!(f.lines[1].has_code);
-        assert!(f.lines[1].allows("digest-pin"));
-        assert!(!f.lines[2].allows("digest-pin"));
+        assert!(f.lines[1].allows("unit-suffix"));
+        assert!(!f.lines[2].allows("unit-suffix"));
     }
 
     #[test]

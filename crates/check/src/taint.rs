@@ -345,7 +345,7 @@ pub fn findings(files: &[FileAnalysis], graph: &Graph, analysis: &TaintAnalysis)
 /// the allocation pass. Kernel inner loops are reachable from these, so
 /// rooting here covers them too.
 pub const HOT_ROOTS: &[&str] = &[
-    "montblanc::fig3::measure_scaling_slot",
+    "montblanc::fig3::SlotMeasurer::measure",
     "montblanc::fig3::measure_faulted_slot",
     "montblanc::fig5::SlotMeasurer::measure",
     "montblanc::fig7::SlotMeasurer::measure",

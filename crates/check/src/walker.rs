@@ -118,7 +118,7 @@ mod tests {
             as_str
                 .iter()
                 .any(|p| p == "crates/core/tests/common/digest.rs"),
-            "the digest fixture is scanned (digest-pin needs it)"
+            "shared test fixtures are scanned"
         );
     }
 

@@ -9,6 +9,7 @@
 //! the real SPECFEM kernel, not assumed.
 
 use crate::platform::Platform;
+use crate::sweep::{self, Grid, Sweep};
 use mb_cluster::scaling::{FabricKind, ResilientSeries, ScalingPoint, ScalingSeries, ScalingStudy};
 use mb_cluster::workload::Workload;
 use mb_energy::{Energy, PowerModel, RetransmissionModel};
@@ -146,14 +147,10 @@ impl Fig3Report {
 }
 
 /// Runs the whole Figure 3 experiment on the commodity Tibidabo fabric:
-/// [`measure_scaling_slot`] over every slot on the sweep worker pool,
-/// folded by [`assemble`].
+/// [`sweep::run`] over [`Healthy`], so every slot is measured on the
+/// sweep worker pool and folded by [`assemble`].
 pub fn run(cfg: &Fig3Config) -> Fig3Report {
-    let rate = tegra2_effective_gflops();
-    let times = mb_simcore::par::sweep(labeled_slots(cfg), |(panel, cores)| {
-        measure_scaling_slot(cfg, panel, cores, rate)
-    });
-    assemble(cfg, &times)
+    sweep::run::<Healthy>(cfg)
 }
 
 /// Folds healthy slot payloads — makespans in seconds, in
@@ -262,14 +259,14 @@ impl Fig3FaultReport {
 /// plan is empty and the points are [`run`]'s, bit for bit (the two
 /// differ only in their fold); with real fault rates each panel
 /// completes degraded — crashed ranks drop out, dropped messages
-/// retransmit with backoff — instead of dying. Each slot runs inside `mb_simcore::par::sweep_contained`, so
-/// a point that dies outright lands in its series' `failed` list.
-/// Same seed, same config ⇒ same report, at any worker count.
+/// retransmit with backoff — instead of dying. Each slot runs inside
+/// `mb_simcore::par::sweep_contained`, so a point that dies outright
+/// lands in its series' `failed` list. Same seed, same config ⇒ same
+/// report, at any worker count.
 pub fn run_faulted(cfg: &Fig3Config, faults: FaultConfig) -> Fig3FaultReport {
-    let rate = tegra2_effective_gflops();
-    let slots = mb_simcore::par::sweep_contained(labeled_slots(cfg), |(panel, cores)| {
-        measure_faulted_slot(cfg, faults, panel, cores, rate)
-    });
+    let measurer = SlotMeasurer::new(cfg, faults);
+    let tasks = labels(cfg).into_iter().zip(0..).collect();
+    let slots = mb_simcore::par::sweep_contained(tasks, |slot| measurer.measure(slot));
     assemble_faulted(
         cfg,
         slots
@@ -313,13 +310,13 @@ pub fn assemble_faulted(cfg: &Fig3Config, slots: Vec<Result<[f64; 6], String>>) 
     }
 }
 
-// --- Slot-level campaign API (mb-lab) -----------------------------------
+// --- Slot measurers ------------------------------------------------------
 //
-// A persistent experiment driver cannot hold a half-finished report
-// across a process restart; it persists *per-slot* payloads and folds
-// them with `assemble` / `assemble_faulted` afterwards — the same fold
-// `run` / `run_faulted` apply to an in-process sweep. One slot per
-// (panel, core count) pair, in the canonical panel-major order.
+// One slot per (panel, core count) pair, in the canonical panel-major
+// order. A persistent experiment driver cannot hold a half-finished
+// report across a process restart; it persists per-slot payloads and
+// folds them with `assemble` / `assemble_faulted` afterwards, the same
+// fold `run` / `run_faulted` apply to an in-process sweep.
 
 /// The campaign slots of a Figure 3 config, in canonical order:
 /// LINPACK counts, then SPECFEM, then BigDFT.
@@ -339,11 +336,15 @@ fn panels(cfg: &Fig3Config) -> [(Panel, &[u32]); 3] {
     ]
 }
 
+/// Number of slots of `cfg`: one per point of every panel.
+fn slot_count(cfg: &Fig3Config) -> usize {
+    panels(cfg).iter().map(|(_, counts)| counts.len()).sum()
+}
+
 /// Splits per-slot payloads (in slot order) into the three panels,
 /// pairing each with its core count.
 fn by_panel<T>(cfg: &Fig3Config, payloads: Vec<T>) -> [(Panel, Vec<(u32, T)>); 3] {
-    let slots: usize = panels(cfg).iter().map(|(_, counts)| counts.len()).sum();
-    assert_eq!(payloads.len(), slots, "one payload per slot");
+    assert_eq!(payloads.len(), slot_count(cfg), "one payload per slot");
     let mut payloads = payloads.into_iter();
     panels(cfg).map(|(panel, counts)| {
         let points = counts
@@ -354,29 +355,124 @@ fn by_panel<T>(cfg: &Fig3Config, payloads: Vec<T>) -> [(Panel, Vec<(u32, T)>); 3
     })
 }
 
-fn labeled_slots(cfg: &Fig3Config) -> Vec<(String, (Panel, u32))> {
+/// Every slot's label, in slot order, e.g. `"bigdft@36c"`.
+fn labels(cfg: &Fig3Config) -> Vec<String> {
     scaling_slots(cfg)
         .into_iter()
-        .map(|(panel, cores)| (slot_label(panel, cores), (panel, cores)))
+        .map(|(panel, cores)| {
+            let name = match panel {
+                Panel::Linpack => "linpack",
+                Panel::Specfem => "specfem",
+                Panel::BigDft => "bigdft",
+            };
+            format!("{name}@{cores}c")
+        })
         .collect()
 }
 
-/// Human-readable label of one campaign slot.
-pub fn slot_label(panel: Panel, cores: u32) -> String {
-    let name = match panel {
-        Panel::Linpack => "linpack",
-        Panel::Specfem => "specfem",
-        Panel::BigDft => "bigdft",
-    };
-    format!("{name}@{cores}c")
+/// The Figure 3 slot measurer under one fault configuration: the
+/// config's slots and the calibrated core rate, computed once.
+pub struct SlotMeasurer {
+    cfg: Fig3Config,
+    faults: FaultConfig,
+    slots: Vec<(Panel, u32)>,
+    rate: f64,
 }
 
-/// Measures one healthy slot: the simulated makespan, in seconds — a
-/// pure function of `(panel, cores, core_gflops, iterations)`, so any
-/// shard or resumed process reproduces it bit for bit. It is the
-/// faulted slot under [`FaultConfig::none`], whose plan is empty.
-pub fn measure_scaling_slot(cfg: &Fig3Config, panel: Panel, cores: u32, core_gflops: f64) -> f64 {
-    measure_faulted_slot(cfg, FaultConfig::none(), panel, cores, core_gflops)[0]
+impl SlotMeasurer {
+    /// A measurer for `cfg` under `faults`.
+    pub fn new(cfg: &Fig3Config, faults: FaultConfig) -> SlotMeasurer {
+        SlotMeasurer {
+            cfg: cfg.clone(),
+            faults,
+            slots: scaling_slots(cfg),
+            rate: tegra2_effective_gflops(),
+        }
+    }
+
+    /// Measures slot `slot` with [`measure_faulted_slot`].
+    pub fn measure(&self, slot: usize) -> [f64; 6] {
+        let (panel, cores) = self.slots[slot];
+        measure_faulted_slot(&self.cfg, self.faults, panel, cores, self.rate)
+    }
+}
+
+/// Figure 3 on the healthy fabric. A slot's payload is its simulated
+/// makespan in seconds: the faulted slot under [`FaultConfig::none`],
+/// whose plan is empty.
+pub struct Healthy(SlotMeasurer);
+
+impl Sweep for Healthy {
+    type Config = Fig3Config;
+    type Report = Fig3Report;
+    const WIDTH: Option<usize> = Some(1);
+
+    fn config(grid: Grid) -> Fig3Config {
+        grid.pick(Fig3Config::quick(), Fig3Config::paper())
+    }
+
+    fn slot_count(cfg: &Fig3Config) -> usize {
+        slot_count(cfg)
+    }
+
+    fn labels(cfg: &Fig3Config) -> Vec<String> {
+        labels(cfg)
+    }
+
+    fn measurer(cfg: &Fig3Config) -> Self {
+        Healthy(SlotMeasurer::new(cfg, FaultConfig::none()))
+    }
+
+    fn payload(&self, slot: usize) -> Vec<f64> {
+        vec![self.0.measure(slot)[0]]
+    }
+
+    fn report(&self, payloads: &[Vec<f64>]) -> Fig3Report {
+        assemble(&self.0.cfg, &payloads.concat())
+    }
+
+    fn digest_stream(report: &Fig3Report) -> Vec<f64> {
+        report.digest_stream()
+    }
+}
+
+/// Figure 3 under injected faults, `FaultConfig::light` on a grid. A
+/// slot's payload is its [`measure_faulted_slot`] result.
+pub struct Faulted(SlotMeasurer);
+
+impl Sweep for Faulted {
+    type Config = (Fig3Config, FaultConfig);
+    type Report = Fig3FaultReport;
+    const WIDTH: Option<usize> = Some(6);
+
+    fn config(grid: Grid) -> (Fig3Config, FaultConfig) {
+        (Healthy::config(grid), FaultConfig::light())
+    }
+
+    fn slot_count((cfg, _): &(Fig3Config, FaultConfig)) -> usize {
+        slot_count(cfg)
+    }
+
+    fn labels((cfg, _): &(Fig3Config, FaultConfig)) -> Vec<String> {
+        labels(cfg)
+    }
+
+    fn measurer((cfg, faults): &(Fig3Config, FaultConfig)) -> Self {
+        Faulted(SlotMeasurer::new(cfg, *faults))
+    }
+
+    fn payload(&self, slot: usize) -> Vec<f64> {
+        self.0.measure(slot).to_vec()
+    }
+
+    fn report(&self, payloads: &[Vec<f64>]) -> Fig3FaultReport {
+        let slots = payloads.iter().map(|p| Ok(sweep::fixed(p))).collect();
+        assemble_faulted(&self.0.cfg, slots)
+    }
+
+    fn digest_stream(report: &Fig3FaultReport) -> Vec<f64> {
+        report.digest_stream()
+    }
 }
 
 /// Measures one fault-injected slot under `faults`, returning
@@ -504,13 +600,11 @@ mod tests {
                 continue; // e.g. specfem@48c exists only in the quick grid
             }
             shared += 1;
-            let quick_payload = measure_scaling_slot(&quick_at_paper_iters, panel, cores, rate);
-            let paper_payload = measure_scaling_slot(&paper, panel, cores, rate);
+            let healthy = |cfg| measure_faulted_slot(cfg, FaultConfig::none(), panel, cores, rate);
             assert_eq!(
-                quick_payload.to_bits(),
-                paper_payload.to_bits(),
-                "{} diverged between the quick and paper grids",
-                slot_label(panel, cores)
+                healthy(&quick_at_paper_iters)[0].to_bits(),
+                healthy(&paper)[0].to_bits(),
+                "{panel:?}@{cores}c diverged between the quick and paper grids"
             );
             let faulted_quick = measure_faulted_slot(
                 &quick_at_paper_iters,
@@ -525,8 +619,7 @@ mod tests {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "faulted {} diverged between the quick and paper grids",
-                    slot_label(panel, cores)
+                    "faulted {panel:?}@{cores}c diverged between the quick and paper grids"
                 );
             }
         }

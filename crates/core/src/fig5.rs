@@ -13,6 +13,7 @@
 //! tells the repetitions apart.
 
 use crate::platform::Platform;
+use crate::sweep::{self, Grid, Sweep};
 use mb_kernels::membench::{make_buffer, run_model, MembenchConfig};
 use mb_mem::pages::{PageAllocator, PagePolicy, PageTable};
 use mb_os::rt_anomaly::RtAnomalyModel;
@@ -153,28 +154,15 @@ impl Fig5Report {
     }
 }
 
-/// Runs the Figure 5 experiment on the Snowball model: every slot of a
-/// [`SlotMeasurer`] on the sweep worker pool, folded by
-/// [`SlotMeasurer::assemble`]. The measurements are independent: a
-/// task costs its slot's measurement class on a fresh executor, or reads
-/// it if another task already has, and `run_model` resets its executor
-/// on entry, so either is bit-identical to the reset-and-reuse of a
-/// serial run.
+/// Runs the Figure 5 experiment on the Snowball model: [`sweep::run`]
+/// over a [`SlotMeasurer`], so every slot is measured on the sweep
+/// worker pool and folded by [`SlotMeasurer::assemble`]. The
+/// measurements are independent: a task costs its slot's measurement
+/// class on a fresh executor, or reads it if another task already has,
+/// and `run_model` resets its executor on entry, so either is
+/// bit-identical to the reset-and-reuse of a serial run.
 pub fn run(cfg: &Fig5Config) -> Fig5Report {
-    let measurer = SlotMeasurer::new(cfg);
-    let tasks = slot_labels(cfg).into_iter().zip(0..).collect();
-    let bandwidths = mb_simcore::par::sweep(tasks, |seq| measurer.measure(seq));
-    measurer.assemble(&bandwidths)
-}
-
-/// Labels of every campaign slot, in sequence order, e.g.
-/// `"seq7-12288B"`. Walks the randomised plan only — no page tables.
-pub fn slot_labels(cfg: &Fig5Config) -> Vec<String> {
-    let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
-    plan.iter()
-        .enumerate()
-        .map(|(seq, m)| format!("seq{seq}-{}B", m.level))
-        .collect()
+    sweep::run::<SlotMeasurer>(cfg)
 }
 
 /// Every slot's array size and page table, in sequence order. The
@@ -313,6 +301,47 @@ impl SlotMeasurer {
     }
 }
 
+/// One slot per measurement, in sequence order, each payload its
+/// bandwidth. A slot's label (e.g. `"seq7-12288B"`) walks the
+/// randomised plan only, with no page tables.
+impl Sweep for SlotMeasurer {
+    type Config = Fig5Config;
+    type Report = Fig5Report;
+    const WIDTH: Option<usize> = Some(1);
+
+    fn config(grid: Grid) -> Fig5Config {
+        grid.pick(Fig5Config::quick(), Fig5Config::paper())
+    }
+
+    fn slot_count(cfg: &Fig5Config) -> usize {
+        cfg.sizes.len() * cfg.reps as usize
+    }
+
+    fn labels(cfg: &Fig5Config) -> Vec<String> {
+        let plan = MeasurementPlan::full_factorial(&cfg.sizes, cfg.reps, cfg.seed);
+        plan.iter()
+            .enumerate()
+            .map(|(seq, m)| format!("seq{seq}-{}B", m.level))
+            .collect()
+    }
+
+    fn measurer(cfg: &Fig5Config) -> Self {
+        SlotMeasurer::new(cfg)
+    }
+
+    fn payload(&self, slot: usize) -> Vec<f64> {
+        vec![self.measure(slot)]
+    }
+
+    fn report(&self, payloads: &[Vec<f64>]) -> Fig5Report {
+        self.assemble(&payloads.concat())
+    }
+
+    fn digest_stream(report: &Fig5Report) -> Vec<f64> {
+        report.digest_stream()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +448,8 @@ mod tests {
         // Labels walk the plan alone; the measurer's prelude binds the
         // same sizes to the same sequence positions.
         let cfg = Fig5Config::quick();
-        let labels = slot_labels(&cfg);
+        let labels = SlotMeasurer::labels(&cfg);
+        assert_eq!(labels.len(), <SlotMeasurer as Sweep>::slot_count(&cfg));
         let sizes = SlotMeasurer::new(&cfg).assemble(&vec![0.0; labels.len()]);
         for s in &sizes.samples {
             assert_eq!(labels[s.seq], format!("seq{}-{}B", s.seq, s.array_bytes));

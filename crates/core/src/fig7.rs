@@ -13,6 +13,7 @@
 //! minimum, sweet-spot range and staircases.
 
 use crate::platform::Platform;
+use crate::sweep::{self, Grid, Sweep};
 use mb_cpu::counters::Counter;
 use mb_cpu::exec_model::{Checkpoint, ModelExec};
 use mb_cpu::ops::{Exec, Stream};
@@ -180,26 +181,12 @@ fn spill<E: Exec>(grid: &Grid3, unroll: u32, limit: u32, exec: &mut E) {
     }
 }
 
-/// Runs the Figure 7 experiment on both machines: one
-/// [`SlotMeasurer`] over every slot, folded by [`assemble`]. Each
-/// machine's variants are one sweep on the worker pool, so the workers
-/// share that machine's prelude and build it once.
+/// Runs the Figure 7 experiment on both machines: [`sweep::run`] over a
+/// [`SlotMeasurer`], so every slot is measured on the sweep worker pool
+/// and folded by [`assemble`]. The workers share one measurer, which
+/// streams each machine's prelude once.
 pub fn run(cfg: &Fig7Config) -> Fig7Report {
-    assemble(cfg, &sweep(cfg, &SlotMeasurer::new(cfg)))
-}
-
-/// Measures every slot with `measurer`, one machine's slots after the
-/// other's.
-fn sweep(cfg: &Fig7Config, measurer: &SlotMeasurer) -> Vec<[f64; 2]> {
-    let per_machine = cfg.max_unroll as usize;
-    (0..MACHINES.len())
-        .flat_map(|machine| {
-            let tasks = (machine * per_machine..(machine + 1) * per_machine)
-                .map(|slot| (slot_label(cfg, slot), slot))
-                .collect();
-            mb_simcore::par::sweep(tasks, |slot| measurer.measure(slot))
-        })
-        .collect()
+    sweep::run::<SlotMeasurer>(cfg)
 }
 
 /// Folds one [`SlotMeasurer::measure`] payload per slot, in slot order,
@@ -251,7 +238,7 @@ fn slot_machine(cfg: &Fig7Config, slot: usize) -> (usize, u32) {
 }
 
 /// Human-readable label of campaign slot `slot`, e.g. `"nehalem-u9"`.
-pub fn slot_label(cfg: &Fig7Config, slot: usize) -> String {
+fn slot_label(cfg: &Fig7Config, slot: usize) -> String {
     let (machine, unroll) = slot_machine(cfg, slot);
     format!("{}-u{unroll}", MACHINES[machine])
 }
@@ -343,6 +330,45 @@ impl SlotMeasurer {
     #[cfg(test)]
     fn preludes(&self) -> usize {
         self.preludes.load(Ordering::Relaxed)
+    }
+}
+
+/// One slot per `(machine, unroll)` variant, each payload its
+/// `[cycles, cache_accesses]`.
+impl Sweep for SlotMeasurer {
+    type Config = Fig7Config;
+    type Report = Fig7Report;
+    const WIDTH: Option<usize> = Some(2);
+
+    fn config(grid: Grid) -> Fig7Config {
+        grid.pick(Fig7Config::quick(), Fig7Config::paper())
+    }
+
+    fn slot_count(cfg: &Fig7Config) -> usize {
+        slot_count(cfg)
+    }
+
+    fn labels(cfg: &Fig7Config) -> Vec<String> {
+        (0..slot_count(cfg))
+            .map(|slot| slot_label(cfg, slot))
+            .collect()
+    }
+
+    fn measurer(cfg: &Fig7Config) -> Self {
+        SlotMeasurer::new(cfg)
+    }
+
+    fn payload(&self, slot: usize) -> Vec<f64> {
+        self.measure(slot).to_vec()
+    }
+
+    fn report(&self, payloads: &[Vec<f64>]) -> Fig7Report {
+        let payloads: Vec<[f64; 2]> = payloads.iter().map(|p| sweep::fixed(p)).collect();
+        assemble(&self.cfg, &payloads)
+    }
+
+    fn digest_stream(report: &Fig7Report) -> Vec<f64> {
+        report.digest_stream()
     }
 }
 
@@ -528,7 +554,10 @@ mod tests {
         let cfg = Fig7Config::quick();
         for threads in [1, 4] {
             let measurer = SlotMeasurer::new(&cfg);
-            let payloads = mb_simcore::par::with_threads(threads, || sweep(&cfg, &measurer));
+            let tasks = SlotMeasurer::labels(&cfg).into_iter().zip(0..).collect();
+            let payloads = mb_simcore::par::with_threads(threads, || {
+                mb_simcore::par::sweep(tasks, |slot| measurer.measure(slot))
+            });
             assert_eq!(payloads.len(), slot_count(&cfg));
             assert_eq!(measurer.preludes(), MACHINES.len(), "{threads} threads");
         }

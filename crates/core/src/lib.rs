@@ -22,6 +22,12 @@
 //! tests) and a `paper()` configuration (the full parameter grid, used by
 //! the `mb-bench` binaries).
 //!
+//! Figures 1, 3, 5 and 7 and Table II are each a [`sweep::Sweep`]: a
+//! slot measurer plus the fold of its payloads into the figure's
+//! report. The figure's in-process `run` is [`sweep::run`] over it, and
+//! the `mb-lab` campaigns drive the same measurer slot by slot through
+//! a journal. Their pinned digests live once, in [`pins`].
+//!
 //! # Examples
 //!
 //! ```
@@ -44,10 +50,12 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
+pub mod pins;
 pub mod platform;
 pub mod report;
 pub mod sec5a;
 pub mod sec6;
+pub mod sweep;
 pub mod table2;
 pub mod top500;
 

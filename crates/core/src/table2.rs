@@ -17,6 +17,7 @@
 //! `(row, machine)` cells from those row runs.
 
 use crate::platform::Platform;
+use crate::sweep::{self, Grid, Sweep};
 use mb_cpu::exec_model::ModelExec;
 use mb_cpu::ops::TeeExec;
 use mb_energy::energy_ratio;
@@ -264,7 +265,7 @@ const MFLOPS: Metric = Metric::Rate { per: 1e6 };
 const PER_SECOND: Metric = Metric::Rate { per: 1.0 };
 
 /// Table II's rows: the paper's five in its order, then the two
-/// extension rows of [`run_extended`]. The LINPACK row runs the
+/// extension rows (see [`PAPER_ROWS`]). The LINPACK row runs the
 /// blocked HPL-style LU on both machines, as the paper did: "optimized
 /// for Intel architecture while the code remains unchanged [...] on the
 /// ARM platform".
@@ -295,35 +296,19 @@ fn machines() -> [Platform; 2] {
     [Platform::snowball(), Platform::xeon_x5550()]
 }
 
-/// How many of [`ROWS`] the paper's table has.
-const PAPER_ROWS: usize = 5;
-
-/// Runs the full Table II experiment.
-pub fn run(cfg: &Table2Config) -> Table2Report {
-    sweep(cfg, PAPER_ROWS)
-}
-
-/// Runs Table II plus two extension rows beyond the paper: a
+/// How many of the report's rows the paper's table has: the first
+/// five. The last two are this reproduction's extensions, a
 /// protein-folding Monte-Carlo kernel (the SMMP/PorFASI paradigm of
 /// Table I) and the unblocked dgefa LINPACK reference, which shows what
 /// cache blocking buys the headline row.
-pub fn run_extended(cfg: &Table2Config) -> Table2Report {
-    sweep(cfg, ROWS.len())
-}
+pub const PAPER_ROWS: usize = 5;
 
-/// Measures the first `rows` rows — one sweep task per row, each
-/// running its kernel once for both machines (see [`SlotMeasurer`]) —
-/// and folds the cells with [`assemble`]. Every task builds its own
-/// executors, so the rows are independent and the table is
-/// bit-identical to a serial run.
-fn sweep(cfg: &Table2Config, rows: usize) -> Table2Report {
-    let tasks = ROWS[..rows]
-        .iter()
-        .map(|&(name, ..)| name.to_string())
-        .zip(0..)
-        .collect();
-    let pairs = mb_simcore::par::sweep(tasks, |row| measure_row(cfg, row));
-    assemble(cfg, pairs.as_flattened())
+/// Runs the extended Table II experiment: [`sweep::run`] over a
+/// [`SlotMeasurer`], so every `(row, machine)` cell is measured on the
+/// sweep worker pool and folded by [`assemble`]. Each row builds its
+/// own executors, so the table is bit-identical to a serial run.
+pub fn run(cfg: &Table2Config) -> Table2Report {
+    sweep::run::<SlotMeasurer>(cfg)
 }
 
 /// Folds cell payloads, in [`measure_cell`] order, into the table's
@@ -361,8 +346,8 @@ pub fn assemble(cfg: &Table2Config, cells: &[f64]) -> Table2Report {
 }
 
 /// Number of campaign cells in the extended table: one per
-/// `(row, machine)` pair, rows in [`run_extended`] order, Snowball
-/// before Xeon within a row.
+/// `(row, machine)` pair, rows in report order, Snowball before Xeon
+/// within a row.
 pub fn extended_cell_count() -> usize {
     2 * ROWS.len()
 }
@@ -444,6 +429,41 @@ impl SlotMeasurer {
     }
 }
 
+/// One slot per `(row, machine)` cell, each payload the cell's metric.
+impl Sweep for SlotMeasurer {
+    type Config = Table2Config;
+    type Report = Table2Report;
+    const WIDTH: Option<usize> = Some(1);
+
+    fn config(grid: Grid) -> Table2Config {
+        grid.pick(Table2Config::quick(), Table2Config::paper())
+    }
+
+    fn slot_count(_: &Table2Config) -> usize {
+        extended_cell_count()
+    }
+
+    fn labels(_: &Table2Config) -> Vec<String> {
+        (0..extended_cell_count()).map(cell_label).collect()
+    }
+
+    fn measurer(cfg: &Table2Config) -> Self {
+        SlotMeasurer::new(cfg)
+    }
+
+    fn payload(&self, slot: usize) -> Vec<f64> {
+        vec![self.measure(slot)]
+    }
+
+    fn report(&self, payloads: &[Vec<f64>]) -> Table2Report {
+        assemble(&self.cfg, &payloads.concat())
+    }
+
+    fn digest_stream(report: &Table2Report) -> Vec<f64> {
+        report.digest_stream()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,8 +475,8 @@ mod tests {
     #[test]
     fn xeon_wins_every_benchmark() {
         let r = report();
-        assert_eq!(r.rows.len(), 5);
-        for row in &r.rows {
+        assert_eq!(r.rows.len(), 7);
+        for row in &r.rows[..PAPER_ROWS] {
             assert!(row.ratio > 1.0, "{}: ratio {}", row.benchmark, row.ratio);
         }
     }
@@ -480,7 +500,7 @@ mod tests {
             linpack > coremark,
             "DP-SIMD gap must exceed the integer gap"
         );
-        for row in &r.rows {
+        for row in &r.rows[..PAPER_ROWS] {
             assert!(
                 row.ratio <= linpack + 1e-9,
                 "{} ratio {} should not exceed LINPACK's",
@@ -536,7 +556,7 @@ mod tests {
         let text = r.render();
         assert!(text.contains("LINPACK"));
         assert!(text.contains("Energy Ratio"));
-        assert_eq!(text.lines().count(), 7);
+        assert_eq!(text.lines().count(), 2 + r.rows.len());
     }
 
     #[test]
@@ -548,8 +568,7 @@ mod tests {
 
     #[test]
     fn extended_rows_behave() {
-        let r = run_extended(&Table2Config::quick());
-        assert_eq!(r.rows.len(), 7);
+        let r = report();
         assert_eq!(extended_cell_count(), 14);
         assert_eq!(cell_label(0), "LINPACK/snowball");
         assert_eq!(cell_label(3), "CoreMark/xeon");

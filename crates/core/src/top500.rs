@@ -8,6 +8,7 @@
 //! (Rmax, in GFLOPS) and refit the trend with
 //! [`mb_simcore::stats::LinearFit`].
 
+use crate::sweep::{Grid, Sweep};
 use mb_simcore::stats::LinearFit;
 
 /// One June TOP500 list snapshot (Rmax in GFLOPS).
@@ -124,7 +125,7 @@ pub fn all_series() -> [Series; 3] {
 }
 
 /// Short slot label of a series.
-pub fn series_label(series: Series) -> &'static str {
+fn series_label(series: Series) -> &'static str {
     match series {
         Series::First => "first",
         Series::Last => "last",
@@ -146,8 +147,49 @@ pub fn trend_stream(report: &TrendReport) -> Vec<f64> {
 
 /// Measures one campaign slot: fits the given series over the full
 /// history and returns its [`trend_stream`].
-pub fn measure_series(series: Series) -> Vec<f64> {
+fn measure_series(series: Series) -> Vec<f64> {
     trend_stream(&fit_trend(&history(), series))
+}
+
+/// The Figure 1 trend fits as a sweep: one slot per series of
+/// [`all_series`], each payload its [`trend_stream`]. The report is the
+/// streams concatenated in slot order. The fits have no grid, and
+/// their payloads are not declared fixed-width.
+pub struct Trends;
+
+impl Sweep for Trends {
+    type Config = ();
+    type Report = Vec<f64>;
+    const WIDTH: Option<usize> = None;
+
+    fn config(_: Grid) {}
+
+    fn slot_count(_: &()) -> usize {
+        all_series().len()
+    }
+
+    fn labels(_: &()) -> Vec<String> {
+        all_series()
+            .iter()
+            .map(|&s| series_label(s).to_string())
+            .collect()
+    }
+
+    fn measurer(_: &()) -> Self {
+        Trends
+    }
+
+    fn payload(&self, slot: usize) -> Vec<f64> {
+        measure_series(all_series()[slot])
+    }
+
+    fn report(&self, payloads: &[Vec<f64>]) -> Vec<f64> {
+        payloads.concat()
+    }
+
+    fn digest_stream(report: &Vec<f64>) -> Vec<f64> {
+        report.clone()
+    }
 }
 
 #[cfg(test)]

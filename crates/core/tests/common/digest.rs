@@ -2,18 +2,13 @@
 //! test build (`figure_digests.rs`) and the `validate`-feature build
 //! (`validate_smoke.rs`). Both assert the same pinned constants, so a
 //! green run under `--features validate` *proves* the sanitizer build is
-//! bit-identical to the unvalidated build — the ISSUE's acceptance gate.
+//! bit-identical to the unvalidated build. The campaign pins and the
+//! fold live in `montblanc::pins`; the pins only these tests check are
+//! here.
 
 use mb_faults::FaultConfig;
+use montblanc::pins::digest;
 use montblanc::{ablation, fig3, fig4, fig5, fig7, table2};
-
-/// Folds a stream of `f64`s into one order-sensitive 64-bit digest.
-/// Uses `to_bits`, so any change in any bit of any value changes it.
-pub fn digest(values: impl IntoIterator<Item = f64>) -> u64 {
-    values
-        .into_iter()
-        .fold(0u64, |h, v| h.rotate_left(7) ^ v.to_bits())
-}
 
 /// Digest of Figure 3 quick-config output (all three scaling panels).
 pub fn fig3_quick() -> u64 {
@@ -119,25 +114,14 @@ pub fn fig7_paper() -> u64 {
 
 /// Digest of extended Table II quick-config output (all ratio columns).
 pub fn table2_quick() -> u64 {
-    digest(table2::run_extended(&table2::Table2Config::quick()).digest_stream())
+    digest(table2::run(&table2::Table2Config::quick()).digest_stream())
 }
 
 /// Digest of extended Table II over the paper config.
 pub fn table2_paper() -> u64 {
-    digest(table2::run_extended(&table2::Table2Config::paper()).digest_stream())
+    digest(table2::run(&table2::Table2Config::paper()).digest_stream())
 }
 
-/// Pinned digests. `figure_digests.rs` guards them in the normal build;
-/// `validate_smoke.rs` re-asserts them with the sanitizer compiled in.
-pub const FIG3_QUICK_DIGEST: u64 = 0xd0d5_f716_d0b3_0356;
-/// See [`FIG3_QUICK_DIGEST`].
-pub const FIG5_QUICK_DIGEST: u64 = 0x206e_118a_c499_7a4c;
-/// See [`FIG3_QUICK_DIGEST`].
-pub const FIG7_QUICK_DIGEST: u64 = 0xa5a1_d292_2006_e451;
-/// See [`FIG3_QUICK_DIGEST`].
-pub const TABLE2_QUICK_DIGEST: u64 = 0xe2a5_d2bf_61fb_fbcf;
-/// Pinned digest of [`fig3_faulted_quick`].
-pub const FIG3_FAULTED_QUICK_DIGEST: u64 = 0x8ce8_a81a_59cb_2163;
 /// Pinned bit pattern of [`fig3_faulted_quick_joules`] — the faulted
 /// campaign's energy to solution including retransmissions
 /// (≈ 150 115.41 J for the quick grids under light faults).
@@ -146,19 +130,3 @@ pub const FIG3_FAULTED_QUICK_JOULES_BITS: u64 = 0x4102_531b_4c71_b00a;
 pub const FIG4_QUICK_DIGEST: u64 = 0xf8f8_b32c_bbd3_9b79;
 /// Pinned digest of [`ablation_quick`].
 pub const ABLATION_QUICK_DIGEST: u64 = 0xb729_7caf_41e2_3e57;
-/// Pinned digest of [`fig3_paper`] — the full paper grid behind the
-/// figure. The `mb-lab` campaign registry mirrors all five paper
-/// constants; `campaign_digests.rs` asserts the mirrors stay equal.
-pub const FIG3_PAPER_DIGEST: u64 = 0x622e_3c14_cb8e_59b9;
-/// Pinned digest of [`fig3_faulted_paper`].
-pub const FIG3_FAULTED_PAPER_DIGEST: u64 = 0x7c65_dc30_f714_ac45;
-/// Pinned digest of [`fig5_paper`].
-pub const FIG5_PAPER_DIGEST: u64 = 0xc49f_00d6_ca0a_c4ad;
-/// Pinned digest of [`fig7_paper`].
-pub const FIG7_PAPER_DIGEST: u64 = 0x9080_737c_78a9_66c3;
-/// Pinned digest of [`table2_paper`].
-pub const TABLE2_PAPER_DIGEST: u64 = 0x8bd9_f1e8_0879_d505;
-/// Pinned digest of the Figure 1 TOP500 trend-fit slot stream — the
-/// `top500-trends` campaign in the `mb-lab` registry mirrors this
-/// constant; `campaign_digests.rs` asserts the mirrors stay equal.
-pub const TOP500_TRENDS_DIGEST: u64 = 0xe0c5_c859_2a9b_23ef;

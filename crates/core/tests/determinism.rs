@@ -34,8 +34,8 @@ fn fig7_unroll_sweep_parallel_matches_serial() {
 #[test]
 fn table2_parallel_matches_serial() {
     let cfg = table2::Table2Config::quick();
-    let serial = with_threads(1, || table2::run_extended(&cfg));
-    let parallel = with_threads(4, || table2::run_extended(&cfg));
+    let serial = with_threads(1, || table2::run(&cfg));
+    let parallel = with_threads(4, || table2::run(&cfg));
     assert_eq!(serial, parallel);
 }
 

@@ -6,13 +6,15 @@
 #[path = "common/digest.rs"]
 mod digest;
 
+use montblanc::pins;
+
 #[test]
 fn fig3_quick_output_is_pinned() {
     assert_eq!(
         digest::fig3_quick(),
-        digest::FIG3_QUICK_DIGEST,
+        pins::FIG3_QUICK_DIGEST,
         "Figure 3 quick output changed bit-identity; if intentional, \
-         re-pin FIG3_QUICK_DIGEST in tests/common/digest.rs"
+         re-pin FIG3_QUICK_DIGEST in montblanc::pins"
     );
 }
 
@@ -20,9 +22,9 @@ fn fig3_quick_output_is_pinned() {
 fn fig5_quick_output_is_pinned() {
     assert_eq!(
         digest::fig5_quick(),
-        digest::FIG5_QUICK_DIGEST,
+        pins::FIG5_QUICK_DIGEST,
         "Figure 5 quick output changed bit-identity; if intentional, \
-         re-pin FIG5_QUICK_DIGEST in tests/common/digest.rs"
+         re-pin FIG5_QUICK_DIGEST in montblanc::pins"
     );
 }
 
@@ -30,9 +32,9 @@ fn fig5_quick_output_is_pinned() {
 fn fig7_quick_output_is_pinned() {
     assert_eq!(
         digest::fig7_quick(),
-        digest::FIG7_QUICK_DIGEST,
+        pins::FIG7_QUICK_DIGEST,
         "Figure 7 quick output changed bit-identity; if intentional, \
-         re-pin FIG7_QUICK_DIGEST in tests/common/digest.rs"
+         re-pin FIG7_QUICK_DIGEST in montblanc::pins"
     );
 }
 
@@ -40,10 +42,10 @@ fn fig7_quick_output_is_pinned() {
 fn fig3_faulted_quick_output_is_pinned() {
     assert_eq!(
         digest::fig3_faulted_quick(),
-        digest::FIG3_FAULTED_QUICK_DIGEST,
+        pins::FIG3_FAULTED_QUICK_DIGEST,
         "fault-injected Figure 3 quick output changed bit-identity; if \
          intentional, re-pin FIG3_FAULTED_QUICK_DIGEST in \
-         tests/common/digest.rs"
+         montblanc::pins"
     );
 }
 
@@ -63,9 +65,9 @@ fn fig3_faulted_quick_energy_is_pinned() {
 fn table2_quick_output_is_pinned() {
     assert_eq!(
         digest::table2_quick(),
-        digest::TABLE2_QUICK_DIGEST,
+        pins::TABLE2_QUICK_DIGEST,
         "Table II quick output changed bit-identity; if intentional, \
-         re-pin TABLE2_QUICK_DIGEST in tests/common/digest.rs"
+         re-pin TABLE2_QUICK_DIGEST in montblanc::pins"
     );
 }
 
@@ -91,18 +93,17 @@ fn ablation_quick_output_is_pinned() {
 }
 
 // The paper grids are the figures as published; their pins gate the
-// `-paper` campaigns in `mb-lab` (whose registry mirrors these
-// constants). They cost seconds rather than milliseconds, so they live
+// `-paper` campaigns in `mb-lab`, whose registry reads the same
+// `montblanc::pins` constants. They cost seconds rather than milliseconds, so they live
 // in their own tests instead of piggybacking on the quick pins.
 
 #[test]
 fn fig3_paper_output_is_pinned() {
     assert_eq!(
         digest::fig3_paper(),
-        digest::FIG3_PAPER_DIGEST,
+        pins::FIG3_PAPER_DIGEST,
         "Figure 3 paper-grid output changed bit-identity; if intentional, \
-         re-pin FIG3_PAPER_DIGEST in tests/common/digest.rs and the \
-         mb-lab registry mirror"
+         re-pin FIG3_PAPER_DIGEST in montblanc::pins"
     );
 }
 
@@ -110,10 +111,10 @@ fn fig3_paper_output_is_pinned() {
 fn fig3_faulted_paper_output_is_pinned() {
     assert_eq!(
         digest::fig3_faulted_paper(),
-        digest::FIG3_FAULTED_PAPER_DIGEST,
+        pins::FIG3_FAULTED_PAPER_DIGEST,
         "fault-injected Figure 3 paper-grid output changed bit-identity; \
          if intentional, re-pin FIG3_FAULTED_PAPER_DIGEST in \
-         tests/common/digest.rs and the mb-lab registry mirror"
+         montblanc::pins"
     );
 }
 
@@ -121,10 +122,9 @@ fn fig3_faulted_paper_output_is_pinned() {
 fn fig5_paper_output_is_pinned() {
     assert_eq!(
         digest::fig5_paper(),
-        digest::FIG5_PAPER_DIGEST,
+        pins::FIG5_PAPER_DIGEST,
         "Figure 5 paper-grid output changed bit-identity; if intentional, \
-         re-pin FIG5_PAPER_DIGEST in tests/common/digest.rs and the \
-         mb-lab registry mirror"
+         re-pin FIG5_PAPER_DIGEST in montblanc::pins"
     );
 }
 
@@ -132,10 +132,9 @@ fn fig5_paper_output_is_pinned() {
 fn fig7_paper_output_is_pinned() {
     assert_eq!(
         digest::fig7_paper(),
-        digest::FIG7_PAPER_DIGEST,
+        pins::FIG7_PAPER_DIGEST,
         "Figure 7 paper-grid output changed bit-identity; if intentional, \
-         re-pin FIG7_PAPER_DIGEST in tests/common/digest.rs and the \
-         mb-lab registry mirror"
+         re-pin FIG7_PAPER_DIGEST in montblanc::pins"
     );
 }
 
@@ -143,10 +142,10 @@ fn fig7_paper_output_is_pinned() {
 fn table2_paper_output_is_pinned() {
     assert_eq!(
         digest::table2_paper(),
-        digest::TABLE2_PAPER_DIGEST,
+        pins::TABLE2_PAPER_DIGEST,
         "extended Table II paper output changed bit-identity; if \
          intentional, re-pin TABLE2_PAPER_DIGEST in \
-         tests/common/digest.rs and the mb-lab registry mirror"
+         montblanc::pins"
     );
 }
 
@@ -158,10 +157,10 @@ fn top500_trend_stream_is_pinned() {
         .flat_map(|s| top500::trend_stream(&top500::fit_trend(&top500::history(), s)))
         .collect();
     assert_eq!(
-        digest::digest(stream),
-        digest::TOP500_TRENDS_DIGEST,
+        pins::digest(stream),
+        pins::TOP500_TRENDS_DIGEST,
         "Figure 1 TOP500 trend-fit stream changed bit-identity; if \
          intentional, re-pin TOP500_TRENDS_DIGEST in \
-         tests/common/digest.rs and the mb-lab registry mirror"
+         montblanc::pins"
     );
 }

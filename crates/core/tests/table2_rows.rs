@@ -117,10 +117,7 @@ fn every_quick_cell_matches_a_fresh_executor_per_machine_in_any_order() {
 fn row_sweep_and_one_shot_cells_assemble_the_reference_table() {
     let cfg = Table2Config::quick();
     let reference = reference_cells(&cfg);
-    assert_eq!(
-        table2::run_extended(&cfg),
-        table2::assemble(&cfg, &reference)
-    );
+    assert_eq!(table2::run(&cfg), table2::assemble(&cfg, &reference));
     // A one-shot cell runs its row for both machines and keeps its own.
     for idx in [4, 7] {
         assert_eq!(

@@ -3,7 +3,8 @@
 //!
 //! 1. Figure 3/5/7 and Table II quick configs complete with the model's
 //!    invariant asserts armed *and* reproduce the exact bit patterns
-//!    pinned by the normal build (`tests/common/digest.rs`) — the
+//!    pinned by the normal build (`montblanc::pins` and
+//!    `tests/common/digest.rs`) — the
 //!    sanitizer observes, never perturbs.
 //! 2. A real generated cluster trace (Figure 4) passes every `.prv`
 //!    invariant in `mb_trace::validate`.
@@ -20,19 +21,19 @@ use mb_cpu::exec_model::ModelExec;
 use mb_cpu::validate::ValidatingExec;
 use mb_kernels::membench::{self, MembenchConfig};
 use mb_trace::validate::trace_violations;
-use montblanc::fig4;
+use montblanc::{fig4, pins};
 
 #[test]
 fn figures_run_bit_identical_under_validation() {
     // Identical pins to figure_digests.rs in the normal build: a pass
     // here under --features validate proves bit-identity across builds.
-    assert_eq!(digest::fig3_quick(), digest::FIG3_QUICK_DIGEST);
-    assert_eq!(digest::fig5_quick(), digest::FIG5_QUICK_DIGEST);
-    assert_eq!(digest::fig7_quick(), digest::FIG7_QUICK_DIGEST);
-    assert_eq!(digest::table2_quick(), digest::TABLE2_QUICK_DIGEST);
+    assert_eq!(digest::fig3_quick(), pins::FIG3_QUICK_DIGEST);
+    assert_eq!(digest::fig5_quick(), pins::FIG5_QUICK_DIGEST);
+    assert_eq!(digest::fig7_quick(), pins::FIG7_QUICK_DIGEST);
+    assert_eq!(digest::table2_quick(), pins::TABLE2_QUICK_DIGEST);
     assert_eq!(
         digest::fig3_faulted_quick(),
-        digest::FIG3_FAULTED_QUICK_DIGEST
+        pins::FIG3_FAULTED_QUICK_DIGEST
     );
     assert_eq!(
         digest::fig3_faulted_quick_joules().to_bits(),
@@ -46,14 +47,14 @@ fn figures_run_bit_identical_under_validation() {
 fn paper_grids_run_bit_identical_under_validation() {
     // Same pins as figure_digests.rs for the full paper() grids — the
     // sanitizer build must reproduce the published figures bit for bit.
-    assert_eq!(digest::fig3_paper(), digest::FIG3_PAPER_DIGEST);
+    assert_eq!(digest::fig3_paper(), pins::FIG3_PAPER_DIGEST);
     assert_eq!(
         digest::fig3_faulted_paper(),
-        digest::FIG3_FAULTED_PAPER_DIGEST
+        pins::FIG3_FAULTED_PAPER_DIGEST
     );
-    assert_eq!(digest::fig5_paper(), digest::FIG5_PAPER_DIGEST);
-    assert_eq!(digest::fig7_paper(), digest::FIG7_PAPER_DIGEST);
-    assert_eq!(digest::table2_paper(), digest::TABLE2_PAPER_DIGEST);
+    assert_eq!(digest::fig5_paper(), pins::FIG5_PAPER_DIGEST);
+    assert_eq!(digest::fig7_paper(), pins::FIG7_PAPER_DIGEST);
+    assert_eq!(digest::table2_paper(), pins::TABLE2_PAPER_DIGEST);
 }
 
 #[test]

@@ -68,8 +68,7 @@ impl fmt::Display for Counter {
 /// ```
 /// use mb_cpu::counters::{Counter, CounterSet};
 /// let mut c = CounterSet::new();
-/// c.add(Counter::TotalCycles, 1000);
-/// c.add(Counter::TotalCycles, 500);
+/// c.set(Counter::TotalCycles, 1500);
 /// assert_eq!(c.get(Counter::TotalCycles), 1500);
 /// assert_eq!(c.get(Counter::L1DataMisses), 0);
 /// ```
@@ -94,21 +93,9 @@ impl CounterSet {
         self.values.insert(c, v);
     }
 
-    /// Adds to a counter.
-    pub fn add(&mut self, c: Counter, v: u64) {
-        *self.values.entry(c).or_insert(0) += v;
-    }
-
     /// Iterates over `(counter, value)` pairs in a stable order.
     pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
         self.values.iter().map(|(&c, &v)| (c, v))
-    }
-
-    /// Merges another set by summing counters.
-    pub fn merge(&mut self, other: &CounterSet) {
-        for (c, v) in other.iter() {
-            self.add(c, v);
-        }
     }
 }
 
@@ -126,11 +113,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn get_set_add() {
+    fn get_and_set() {
         let mut s = CounterSet::new();
         assert_eq!(s.get(Counter::FpOps), 0);
         s.set(Counter::FpOps, 10);
-        s.add(Counter::FpOps, 5);
+        s.set(Counter::FpOps, 15);
         assert_eq!(s.get(Counter::FpOps), 15);
     }
 
@@ -138,18 +125,6 @@ mod tests {
     fn papi_names() {
         assert_eq!(Counter::TotalCycles.papi_name(), "PAPI_TOT_CYC");
         assert_eq!(Counter::L1DataAccesses.to_string(), "PAPI_L1_DCA");
-    }
-
-    #[test]
-    fn merge_sums() {
-        let mut a = CounterSet::new();
-        a.set(Counter::Loads, 3);
-        let mut b = CounterSet::new();
-        b.set(Counter::Loads, 4);
-        b.set(Counter::Stores, 1);
-        a.merge(&b);
-        assert_eq!(a.get(Counter::Loads), 7);
-        assert_eq!(a.get(Counter::Stores), 1);
     }
 
     #[test]

@@ -95,16 +95,6 @@ impl Energy {
     pub fn joules(self) -> f64 {
         self.0
     }
-
-    /// Ratio against another energy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    pub fn ratio(self, other: Energy) -> f64 {
-        assert!(other.0 > 0.0, "cannot take a ratio against zero energy");
-        self.0 / other.0
-    }
 }
 
 impl fmt::Display for Energy {
@@ -319,7 +309,7 @@ mod tests {
         // SPECFEM3D row: 186.8 s on Snowball vs 23.5 s on Xeon.
         let e_snow = PowerModel::snowball().energy_over(SimTime::from_secs_f64(186.8));
         let e_xeon = PowerModel::xeon_x5550().energy_over(SimTime::from_secs_f64(23.5));
-        let ratio = e_snow.ratio(e_xeon);
+        let ratio = e_snow.joules() / e_xeon.joules();
         assert!((ratio - 0.21).abs() < 0.01, "ratio {ratio}");
     }
 
@@ -349,11 +339,5 @@ mod tests {
     #[should_panic(expected = "power must be >= 0")]
     fn negative_power_panics() {
         let _ = Power::from_watts(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot take a ratio against zero energy")]
-    fn zero_ratio_panics() {
-        let _ = Energy::from_joules(1.0).ratio(Energy::default());
     }
 }

@@ -3,13 +3,18 @@
 //! A [`Campaign`] is a sweep decomposed into *slots* — independent
 //! measurements, each a pure function of `(campaign config, slot
 //! index)` — plus a finalizer that folds the per-slot payloads into
-//! the canonical value stream the figure's pinned digest folds. Each figure module has one measurement path: its slot
-//! measurer (`fig3::measure_scaling_slot`, `fig5::SlotMeasurer`, …),
-//! an `assemble` that folds slot payloads into the figure's report,
-//! and the report's `digest_stream`. The figure's own `run()` is that
-//! fold over an in-process sweep; a finalizer here is the same fold
-//! over journaled payloads, so the registry only routes slots and
-//! streams and does no arithmetic of its own.
+//! the canonical value stream the campaign's pinned digest folds.
+//!
+//! Every figure campaign is one generic adapter over the figure's
+//! [`Sweep`] (`fig3::Healthy`, `fig3::Faulted`, `fig5::SlotMeasurer`,
+//! `fig7::SlotMeasurer`, `table2::SlotMeasurer`, `top500::Trends`): it
+//! routes slots to the sweep's payloads and folds journaled payloads
+//! with the sweep's fold and digest stream, the same fold the figure's
+//! in-process `run` applies, so the registry does no arithmetic of its
+//! own. [`registry`] is one table of `(name, description, seed, pin,
+//! grid)` rows. The pin is a plain `u64` read from [`montblanc::pins`],
+//! so a figure campaign without a pinned digest does not compile.
+//! [`Selftest`] is the one hand-written campaign.
 //!
 //! Every figure campaign comes in two grids: the `-quick` test
 //! configuration and the `-paper` grid behind the paper's headline
@@ -17,78 +22,12 @@
 //! sweep, Fig 7, Table II). The paper campaigns are the long-running
 //! sharded workload the driver was built for; `EXPERIMENTS.md` has the
 //! runbook.
-//!
-//! The pinned digests repeated here mirror the constants in
-//! `crates/core/tests/common/digest.rs`; `campaign_digests.rs` asserts
-//! the two sets stay equal.
 
-use mb_faults::FaultConfig;
 use mb_simcore::rng::{Rng, SplitMix64};
+use montblanc::pins;
+use montblanc::sweep::{Grid, Sweep};
 use montblanc::{fig3, fig5, fig7, table2, top500};
 use std::sync::OnceLock;
-
-/// Pinned digest of the `fig3-quick` campaign (mirrors
-/// `FIG3_QUICK_DIGEST` in the core test fixtures).
-pub const FIG3_QUICK_DIGEST: u64 = 0xd0d5_f716_d0b3_0356;
-/// Pinned digest of the `fig3-faulted-quick` campaign.
-pub const FIG3_FAULTED_QUICK_DIGEST: u64 = 0x8ce8_a81a_59cb_2163;
-/// Pinned digest of the `fig5-quick` campaign.
-pub const FIG5_QUICK_DIGEST: u64 = 0x206e_118a_c499_7a4c;
-/// Pinned digest of the `fig7-quick` campaign.
-pub const FIG7_QUICK_DIGEST: u64 = 0xa5a1_d292_2006_e451;
-/// Pinned digest of the `table2-quick` campaign.
-pub const TABLE2_QUICK_DIGEST: u64 = 0xe2a5_d2bf_61fb_fbcf;
-/// Pinned digest of the `fig3-paper` campaign (mirrors
-/// `FIG3_PAPER_DIGEST` in the core test fixtures).
-pub const FIG3_PAPER_DIGEST: u64 = 0x622e_3c14_cb8e_59b9;
-/// Pinned digest of the `fig3-faulted-paper` campaign.
-pub const FIG3_FAULTED_PAPER_DIGEST: u64 = 0x7c65_dc30_f714_ac45;
-/// Pinned digest of the `fig5-paper` campaign.
-pub const FIG5_PAPER_DIGEST: u64 = 0xc49f_00d6_ca0a_c4ad;
-/// Pinned digest of the `fig7-paper` campaign.
-pub const FIG7_PAPER_DIGEST: u64 = 0x9080_737c_78a9_66c3;
-/// Pinned digest of the `table2-paper` campaign.
-pub const TABLE2_PAPER_DIGEST: u64 = 0x8bd9_f1e8_0879_d505;
-/// Pinned digest of the `top500-trends` campaign (pinned here first —
-/// the trend fits had no digest guard before `mb-lab`).
-pub const TOP500_TRENDS_DIGEST: u64 = 0xe0c5_c859_2a9b_23ef;
-
-/// Folds a value stream into the workspace's order-sensitive 64-bit
-/// digest — the same fold the core test fixtures pin.
-pub fn digest(values: impl IntoIterator<Item = f64>) -> u64 {
-    values
-        .into_iter()
-        .fold(0u64, |h, v| h.rotate_left(7) ^ v.to_bits())
-}
-
-/// Which configuration grid a figure campaign drives: the fast test
-/// grid or the full grid behind the paper's plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Grid {
-    /// The `Config::quick()` test grid.
-    Quick,
-    /// The `Config::paper()` full grid.
-    Paper,
-}
-
-/// Seed salt distinguishing a paper campaign's journal family from its
-/// quick sibling — a paper shard can never resume into a quick journal.
-const PAPER_SEED_SALT: u64 = 0x9A9E12;
-
-impl Grid {
-    /// The one grid switch: `quick` on the quick grid, `paper` on the
-    /// paper grid.
-    fn pick<T>(self, quick: T, paper: T) -> T {
-        match self {
-            Grid::Quick => quick,
-            Grid::Paper => paper,
-        }
-    }
-
-    fn seed(self, base: u64) -> u64 {
-        self.pick(base, base ^ PAPER_SEED_SALT)
-    }
-}
 
 /// A sweep the driver can run slot by slot, persist, shard and resume.
 pub trait Campaign: Sync {
@@ -102,8 +41,11 @@ pub trait Campaign: Sync {
     /// written under one seed can never resume under another.
     fn seed(&self) -> u64;
 
-    /// Labels of every slot, in canonical slot order. The length is the
-    /// campaign's task count.
+    /// The campaign's task count, without formatting a label.
+    fn slot_count(&self) -> usize;
+
+    /// Labels of every slot, in canonical slot order; there are
+    /// [`Campaign::slot_count`] of them.
     fn task_labels(&self) -> Vec<String>;
 
     /// Measures one slot. Must be a pure function of the campaign
@@ -128,366 +70,90 @@ pub trait Campaign: Sync {
     }
 }
 
-/// Fixed-width slot payloads as arrays. The driver rejects a record of
-/// any other width before it reaches a finalizer
-/// ([`Campaign::payload_width`]).
-fn arrays<const N: usize>(slots: &[Vec<f64>]) -> Vec<[f64; N]> {
-    slots
-        .iter()
-        .map(|p| <[f64; N]>::try_from(p.as_slice()).expect("payload width checked by the driver"))
-        .collect()
-}
-
-/// Figure 3 strong scaling: one slot per `(panel, core count)` point.
-struct Fig3Scaling {
+/// A figure campaign: one row of [`registry`] over the figure's
+/// [`Sweep`]. The measurer is built by the first slot or fold this
+/// process runs and shared by the rest, so a sweep's per-process
+/// prelude (Fig 5's plan and page tables, Fig 7's magicfilter streams,
+/// Table II's row runs) is paid once, and a shard or resumed run still
+/// reproduces every slot's bits whichever slot comes first.
+struct Figure<S> {
+    name: &'static str,
+    description: &'static str,
+    seed: u64,
+    pin: u64,
     grid: Grid,
+    measurer: OnceLock<S>,
 }
 
-impl Fig3Scaling {
-    fn config(&self) -> fig3::Fig3Config {
-        self.grid
-            .pick(fig3::Fig3Config::quick(), fig3::Fig3Config::paper())
+impl<S: Sweep> Figure<S> {
+    fn config(&self) -> S::Config {
+        S::config(self.grid)
+    }
+
+    fn measurer(&self) -> &S {
+        self.measurer.get_or_init(|| S::measurer(&self.config()))
     }
 }
 
-impl Campaign for Fig3Scaling {
+impl<S: Sweep> Campaign for Figure<S> {
     fn name(&self) -> &'static str {
-        self.grid.pick("fig3-quick", "fig3-paper")
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        self.grid.pick(
-            "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), quick grid",
-            "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), full paper grid",
-        )
+        self.description
     }
 
     fn seed(&self) -> u64 {
-        self.grid.seed(0x5CA1E)
+        self.seed
+    }
+
+    fn slot_count(&self) -> usize {
+        S::slot_count(&self.config())
     }
 
     fn task_labels(&self) -> Vec<String> {
-        let cfg = self.config();
-        fig3::scaling_slots(&cfg)
-            .into_iter()
-            .map(|(panel, cores)| fig3::slot_label(panel, cores))
-            .collect()
+        S::labels(&self.config())
     }
 
     fn run_slot(&self, slot: usize) -> Vec<f64> {
-        let cfg = self.config();
-        let (panel, cores) = fig3::scaling_slots(&cfg)[slot];
-        let rate = fig3::tegra2_effective_gflops();
-        vec![fig3::measure_scaling_slot(&cfg, panel, cores, rate)]
+        self.measurer().payload(slot)
     }
 
     fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        fig3::assemble(&self.config(), &slots.concat()).digest_stream()
+        S::digest_stream(&self.measurer().report(slots))
     }
 
     fn pinned_digest(&self) -> Option<u64> {
-        Some(self.grid.pick(FIG3_QUICK_DIGEST, FIG3_PAPER_DIGEST))
+        Some(self.pin)
     }
 
     fn payload_width(&self) -> Option<usize> {
-        Some(1)
+        S::WIDTH
     }
 }
 
-/// Figure 3 under `FaultConfig::light`, with resilience counters.
-struct Fig3Faulted {
+/// One registry row: a figure campaign over sweep `S`.
+fn figure<S: Sweep + 'static>(
+    name: &'static str,
+    description: &'static str,
+    seed: u64,
+    pin: u64,
     grid: Grid,
+) -> Box<dyn Campaign> {
+    Box::new(Figure::<S> {
+        name,
+        description,
+        seed,
+        pin,
+        grid,
+        measurer: OnceLock::new(),
+    })
 }
 
-impl Fig3Faulted {
-    fn config(&self) -> fig3::Fig3Config {
-        Fig3Scaling { grid: self.grid }.config()
-    }
-}
-
-impl Campaign for Fig3Faulted {
-    fn name(&self) -> &'static str {
-        self.grid.pick("fig3-faulted-quick", "fig3-faulted-paper")
-    }
-
-    fn description(&self) -> &'static str {
-        self.grid.pick(
-            "Figure 3 scaling under light injected faults, with resilience counters",
-            "Figure 3 full paper grid under light injected faults, with resilience counters",
-        )
-    }
-
-    fn seed(&self) -> u64 {
-        self.grid.seed(0x5CA1E ^ 0xFA017)
-    }
-
-    fn task_labels(&self) -> Vec<String> {
-        Fig3Scaling { grid: self.grid }.task_labels()
-    }
-
-    fn run_slot(&self, slot: usize) -> Vec<f64> {
-        let cfg = self.config();
-        let (panel, cores) = fig3::scaling_slots(&cfg)[slot];
-        let rate = fig3::tegra2_effective_gflops();
-        fig3::measure_faulted_slot(&cfg, FaultConfig::light(), panel, cores, rate).to_vec()
-    }
-
-    fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        let payloads = arrays::<6>(slots).into_iter().map(Ok).collect();
-        fig3::assemble_faulted(&self.config(), payloads).digest_stream()
-    }
-
-    fn pinned_digest(&self) -> Option<u64> {
-        Some(
-            self.grid
-                .pick(FIG3_FAULTED_QUICK_DIGEST, FIG3_FAULTED_PAPER_DIGEST),
-        )
-    }
-
-    fn payload_width(&self) -> Option<usize> {
-        Some(6)
-    }
-}
-
-/// Figure 5 RT-anomaly bandwidth sweep: one slot per measurement in
-/// sequence order. The serial prelude (randomised plan, anomaly window,
-/// order-dependent page allocations) is built once per process and
-/// shared across slots — the paper grid has 2 100 of them, and a
-/// per-slot prelude would make the campaign quadratic in the grid.
-/// Sharing it also shares its measurement classes: the 2 100 slots are
-/// 50 `(array size, page table)` classes, each costed by the first of
-/// its slots this process runs, so a shard or a resumed run reproduces
-/// every slot's bits whichever slot comes first.
-struct Fig5Anomaly {
-    grid: Grid,
-    measurer: OnceLock<fig5::SlotMeasurer>,
-}
-
-impl Fig5Anomaly {
-    fn new(grid: Grid) -> Self {
-        Fig5Anomaly {
-            grid,
-            measurer: OnceLock::new(),
-        }
-    }
-
-    fn config(&self) -> fig5::Fig5Config {
-        self.grid
-            .pick(fig5::Fig5Config::quick(), fig5::Fig5Config::paper())
-    }
-
-    fn measurer(&self) -> &fig5::SlotMeasurer {
-        self.measurer
-            .get_or_init(|| fig5::SlotMeasurer::new(&self.config()))
-    }
-}
-
-impl Campaign for Fig5Anomaly {
-    fn name(&self) -> &'static str {
-        self.grid.pick("fig5-quick", "fig5-paper")
-    }
-
-    fn description(&self) -> &'static str {
-        self.grid.pick(
-            "Figure 5 Snowball bandwidth under the RT scheduling anomaly, quick grid",
-            "Figure 5 Snowball bandwidth under the RT anomaly, paper grid (50 sizes x 42 reps)",
-        )
-    }
-
-    fn seed(&self) -> u64 {
-        self.grid.seed(0xF165)
-    }
-
-    fn task_labels(&self) -> Vec<String> {
-        fig5::slot_labels(&self.config())
-    }
-
-    fn run_slot(&self, slot: usize) -> Vec<f64> {
-        vec![self.measurer().measure(slot)]
-    }
-
-    fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        self.measurer().assemble(&slots.concat()).digest_stream()
-    }
-
-    fn pinned_digest(&self) -> Option<u64> {
-        Some(self.grid.pick(FIG5_QUICK_DIGEST, FIG5_PAPER_DIGEST))
-    }
-
-    fn payload_width(&self) -> Option<usize> {
-        Some(1)
-    }
-}
-
-/// Figure 7 magicfilter auto-tuning: one slot per `(machine, unroll)`
-/// variant. One measurer per process costs each machine's magicfilter
-/// stream once and rolls every variant back from its checkpoint.
-struct Fig7Tuning {
-    grid: Grid,
-    measurer: OnceLock<fig7::SlotMeasurer>,
-}
-
-impl Fig7Tuning {
-    fn new(grid: Grid) -> Self {
-        Fig7Tuning {
-            grid,
-            measurer: OnceLock::new(),
-        }
-    }
-
-    fn config(&self) -> fig7::Fig7Config {
-        self.grid
-            .pick(fig7::Fig7Config::quick(), fig7::Fig7Config::paper())
-    }
-
-    fn measurer(&self) -> &fig7::SlotMeasurer {
-        self.measurer
-            .get_or_init(|| fig7::SlotMeasurer::new(&self.config()))
-    }
-}
-
-impl Campaign for Fig7Tuning {
-    fn name(&self) -> &'static str {
-        self.grid.pick("fig7-quick", "fig7-paper")
-    }
-
-    fn description(&self) -> &'static str {
-        self.grid.pick(
-            "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, quick grid",
-            "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid",
-        )
-    }
-
-    fn seed(&self) -> u64 {
-        self.grid.seed(0xF167)
-    }
-
-    fn task_labels(&self) -> Vec<String> {
-        let cfg = self.config();
-        (0..fig7::slot_count(&cfg))
-            .map(|slot| fig7::slot_label(&cfg, slot))
-            .collect()
-    }
-
-    fn run_slot(&self, slot: usize) -> Vec<f64> {
-        self.measurer().measure(slot).to_vec()
-    }
-
-    fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        fig7::assemble(&self.config(), &arrays::<2>(slots)).digest_stream()
-    }
-
-    fn pinned_digest(&self) -> Option<u64> {
-        Some(self.grid.pick(FIG7_QUICK_DIGEST, FIG7_PAPER_DIGEST))
-    }
-
-    fn payload_width(&self) -> Option<usize> {
-        Some(2)
-    }
-}
-
-/// Extended Table II: one slot per `(row, machine)` cell. One measurer
-/// per process runs each row's kernel once for both machines, by the
-/// first of its two cells this process runs, so a shard that owns one
-/// machine's cells still reproduces their bits.
-struct Table2Extended {
-    grid: Grid,
-    measurer: OnceLock<table2::SlotMeasurer>,
-}
-
-impl Table2Extended {
-    fn new(grid: Grid) -> Self {
-        Table2Extended {
-            grid,
-            measurer: OnceLock::new(),
-        }
-    }
-
-    fn config(&self) -> table2::Table2Config {
-        self.grid
-            .pick(table2::Table2Config::quick(), table2::Table2Config::paper())
-    }
-
-    fn measurer(&self) -> &table2::SlotMeasurer {
-        self.measurer
-            .get_or_init(|| table2::SlotMeasurer::new(&self.config()))
-    }
-}
-
-impl Campaign for Table2Extended {
-    fn name(&self) -> &'static str {
-        self.grid.pick("table2-quick", "table2-paper")
-    }
-
-    fn description(&self) -> &'static str {
-        self.grid.pick(
-            "Extended Table II single-node comparison (Snowball vs Xeon), quick config",
-            "Extended Table II single-node comparison (Snowball vs Xeon), paper config",
-        )
-    }
-
-    fn seed(&self) -> u64 {
-        self.grid.seed(0x7AB1E2)
-    }
-
-    fn task_labels(&self) -> Vec<String> {
-        (0..table2::extended_cell_count())
-            .map(table2::cell_label)
-            .collect()
-    }
-
-    fn run_slot(&self, slot: usize) -> Vec<f64> {
-        vec![self.measurer().measure(slot)]
-    }
-
-    fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        table2::assemble(&self.config(), &slots.concat()).digest_stream()
-    }
-
-    fn pinned_digest(&self) -> Option<u64> {
-        Some(self.grid.pick(TABLE2_QUICK_DIGEST, TABLE2_PAPER_DIGEST))
-    }
-
-    fn payload_width(&self) -> Option<usize> {
-        Some(1)
-    }
-}
-
-/// Figure 1 TOP500 trend fits: one slot per series.
-struct Top500Trends;
-
-impl Campaign for Top500Trends {
-    fn name(&self) -> &'static str {
-        "top500-trends"
-    }
-
-    fn description(&self) -> &'static str {
-        "Figure 1 TOP500 log-linear trend fits and exaflop projections"
-    }
-
-    fn seed(&self) -> u64 {
-        0x70500
-    }
-
-    fn task_labels(&self) -> Vec<String> {
-        top500::all_series()
-            .iter()
-            .map(|&s| top500::series_label(s).to_string())
-            .collect()
-    }
-
-    fn run_slot(&self, slot: usize) -> Vec<f64> {
-        top500::measure_series(top500::all_series()[slot])
-    }
-
-    fn finalize(&self, slots: &[Vec<f64>]) -> Vec<f64> {
-        slots.iter().flat_map(|p| p.iter().copied()).collect()
-    }
-
-    fn pinned_digest(&self) -> Option<u64> {
-        Some(TOP500_TRENDS_DIGEST)
-    }
-}
+/// Seed salt distinguishing a paper campaign's journal family from its
+/// quick sibling — a paper shard can never resume into a quick journal.
+const PAPER: u64 = 0x9A9E12;
 
 /// A cheap synthetic campaign for exercising the driver itself: each
 /// slot expands a SplitMix64 draw from the campaign seed into three
@@ -500,9 +166,7 @@ pub const SELFTEST_TASKS: usize = 16;
 
 impl Campaign for Selftest {
     fn name(&self) -> &'static str {
-        // Deliberately unpinned: selftest payloads are seed-derived
-        // sentinels, not figure data.
-        "selftest" // mb-check: allow(digest-pin)
+        "selftest"
     }
 
     fn description(&self) -> &'static str {
@@ -511,6 +175,10 @@ impl Campaign for Selftest {
 
     fn seed(&self) -> u64 {
         0x5E1F
+    }
+
+    fn slot_count(&self) -> usize {
+        SELFTEST_TASKS
     }
 
     fn task_labels(&self) -> Vec<String> {
@@ -550,6 +218,8 @@ impl Campaign for Selftest {
     }
 
     fn pinned_digest(&self) -> Option<u64> {
+        // Deliberately unpinned: selftest payloads are seed-derived
+        // sentinels, not figure data.
         None
     }
 
@@ -561,23 +231,92 @@ impl Campaign for Selftest {
 /// Every registered campaign, in listing order: quick grids, the five
 /// paper grids, then the unparameterised campaigns.
 pub fn registry() -> Vec<Box<dyn Campaign>> {
+    use Grid::{Paper, Quick};
+    const FAULTED: u64 = 0x5CA1E ^ 0xFA017;
     vec![
-        Box::new(Fig3Scaling { grid: Grid::Quick }),
-        Box::new(Fig3Faulted { grid: Grid::Quick }),
-        Box::new(Fig5Anomaly::new(Grid::Quick)),
-        Box::new(Fig7Tuning::new(Grid::Quick)),
-        Box::new(Table2Extended::new(Grid::Quick)),
-        Box::new(Fig3Scaling { grid: Grid::Paper }),
-        Box::new(Fig3Faulted { grid: Grid::Paper }),
-        Box::new(Fig5Anomaly::new(Grid::Paper)),
-        Box::new(Fig7Tuning::new(Grid::Paper)),
-        Box::new(Table2Extended::new(Grid::Paper)),
-        Box::new(Top500Trends),
+        figure::<fig3::Healthy>(
+            "fig3-quick",
+            "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), quick grid",
+            0x5CA1E,
+            pins::FIG3_QUICK_DIGEST,
+            Quick,
+        ),
+        figure::<fig3::Faulted>(
+            "fig3-faulted-quick",
+            "Figure 3 scaling under light injected faults, with resilience counters",
+            FAULTED,
+            pins::FIG3_FAULTED_QUICK_DIGEST,
+            Quick,
+        ),
+        figure::<fig5::SlotMeasurer>(
+            "fig5-quick",
+            "Figure 5 Snowball bandwidth under the RT scheduling anomaly, quick grid",
+            0xF165,
+            pins::FIG5_QUICK_DIGEST,
+            Quick,
+        ),
+        figure::<fig7::SlotMeasurer>(
+            "fig7-quick",
+            "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, quick grid",
+            0xF167,
+            pins::FIG7_QUICK_DIGEST,
+            Quick,
+        ),
+        figure::<table2::SlotMeasurer>(
+            "table2-quick",
+            "Extended Table II single-node comparison (Snowball vs Xeon), quick config",
+            0x7AB1E2,
+            pins::TABLE2_QUICK_DIGEST,
+            Quick,
+        ),
+        figure::<fig3::Healthy>(
+            "fig3-paper",
+            "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), full paper grid",
+            0x5CA1E ^ PAPER,
+            pins::FIG3_PAPER_DIGEST,
+            Paper,
+        ),
+        figure::<fig3::Faulted>(
+            "fig3-faulted-paper",
+            "Figure 3 full paper grid under light injected faults, with resilience counters",
+            FAULTED ^ PAPER,
+            pins::FIG3_FAULTED_PAPER_DIGEST,
+            Paper,
+        ),
+        figure::<fig5::SlotMeasurer>(
+            "fig5-paper",
+            "Figure 5 Snowball bandwidth under the RT anomaly, paper grid (50 sizes x 42 reps)",
+            0xF165 ^ PAPER,
+            pins::FIG5_PAPER_DIGEST,
+            Paper,
+        ),
+        figure::<fig7::SlotMeasurer>(
+            "fig7-paper",
+            "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid",
+            0xF167 ^ PAPER,
+            pins::FIG7_PAPER_DIGEST,
+            Paper,
+        ),
+        figure::<table2::SlotMeasurer>(
+            "table2-paper",
+            "Extended Table II single-node comparison (Snowball vs Xeon), paper config",
+            0x7AB1E2 ^ PAPER,
+            pins::TABLE2_PAPER_DIGEST,
+            Paper,
+        ),
+        figure::<top500::Trends>(
+            "top500-trends",
+            "Figure 1 TOP500 log-linear trend fits and exaflop projections",
+            0x70500,
+            pins::TOP500_TRENDS_DIGEST,
+            Quick,
+        ),
         Box::new(Selftest),
     ]
 }
 
-/// Looks a campaign up by name.
+/// Looks a campaign up by name. Builds no measurer and formats no
+/// label.
 pub fn find(name: &str) -> Option<Box<dyn Campaign>> {
     registry().into_iter().find(|c| c.name() == name)
 }

@@ -22,9 +22,10 @@
 //!    digest. A bounded run that leaves slots behind simply stops; the
 //!    next unbounded invocation completes it.
 
-use crate::campaign::{digest, Campaign};
+use crate::campaign::Campaign;
 use crate::error::LabError;
 use crate::journal::{Journal, JournalHeader};
+use montblanc::pins;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -128,7 +129,7 @@ pub fn expected_header(campaign: &dyn Campaign, shard: Shard) -> JournalHeader {
     JournalHeader {
         campaign: campaign.name().to_string(),
         seed: campaign.seed(),
-        tasks: campaign.task_labels().len(),
+        tasks: campaign.slot_count(),
         shard,
     }
 }
@@ -177,8 +178,7 @@ pub fn run_campaign_with(
     opts: &RunOptions,
 ) -> Result<RunOutcome, LabError> {
     let shard = opts.shard;
-    let labels = campaign.task_labels();
-    let n = labels.len();
+    let n = campaign.slot_count();
     // Exclusive ownership for the whole run: a second concurrent
     // writer would interleave appends and break the digest chain.
     // Held until this function returns (success or error).
@@ -215,6 +215,13 @@ pub fn run_campaign_with(
     // the chain only certifies integrity, the slot index carries
     // position. Slot wall times ride along under the same lock.
     let journal = Mutex::new((journal, Vec::with_capacity(executed)));
+    // Labels only name a failed slot; a run with nothing to execute
+    // never formats them.
+    let labels = if owned_missing.is_empty() {
+        Vec::new()
+    } else {
+        campaign.task_labels()
+    };
     let tasks: Vec<(String, usize)> = owned_missing
         .iter()
         .map(|&i| (labels[i].clone(), i))
@@ -257,7 +264,7 @@ pub fn run_campaign_with(
         slots
             .into_iter()
             .collect::<Option<Vec<_>>>()
-            .map(|payloads| digest(campaign.finalize(&payloads)))
+            .map(|payloads| pins::digest(campaign.finalize(&payloads)))
     } else {
         None
     };
@@ -334,5 +341,5 @@ pub fn digest_journal(journal: &Journal) -> Result<u64, LabError> {
         .into_iter()
         .map(|s| s.expect("missing slots rejected above"))
         .collect();
-    Ok(digest(campaign.finalize(&payloads)))
+    Ok(pins::digest(campaign.finalize(&payloads)))
 }

@@ -2,16 +2,16 @@
 //!
 //! Every figure and table of the reproduction is a deterministic sweep:
 //! an ordered list of independent slot measurements reduced into a
-//! value stream whose 64-bit digest is pinned in the test suite. This
+//! value stream whose 64-bit digest is pinned in `montblanc::pins`. This
 //! crate runs those sweeps as *campaigns* that survive process death
 //! and partition across processes:
 //!
 //! * [`journal`] — the append-only, digest-chained journal file each
 //!   shard writes one record to per completed slot, with torn-tail
 //!   crash recovery and hard errors on version skew or chain breaks;
-//! * [`campaign`] — the registry binding campaign names to the slot
-//!   measurers and `assemble` folds of the figure modules and to their
-//!   pinned digests;
+//! * [`campaign`] — the registry: one table of campaign rows, each an
+//!   adapter over a figure's `montblanc::sweep::Sweep` with its pinned
+//!   digest;
 //! * [`driver`] — journal replay + a contained sweep
 //!   ([`mb_simcore::par::sweep_contained`]) over the missing slots +
 //!   modulo sharding (`slot % N == i`) + journal merge;
@@ -43,8 +43,8 @@
 //! The determinism contract is the workspace-wide one: a campaign run
 //! killed at any instant and resumed, or split across any shard count
 //! and merged, reproduces the figure's in-process `run()` **bit for
-//! bit** — both are the same `assemble` fold over the same slot
-//! payloads, and the integration tests prove it against the pinned
+//! bit** — both are the same `Sweep` fold over the same slot payloads,
+//! and the integration tests prove it against the pinned
 //! figure digests under multiple `MB_THREADS` values.
 
 pub mod campaign;
@@ -59,7 +59,7 @@ pub mod serve;
 pub mod supervise;
 pub mod transport;
 
-pub use campaign::{digest, Campaign};
+pub use campaign::Campaign;
 pub use driver::{digest_journal, expected_header, run_campaign, RunOutcome, Shard};
 pub use error::LabError;
 pub use journal::{merge, merge_allowing, Journal, JournalHeader};

@@ -393,7 +393,7 @@ fn cmd_list(_: Cli) -> Outcome {
         println!(
             "{:<20} {:>3} tasks  {}  {}",
             c.name(),
-            c.task_labels().len(),
+            c.slot_count(),
             pinned,
             c.description()
         );

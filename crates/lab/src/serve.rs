@@ -244,7 +244,7 @@ fn rescan(dir: &Path) -> std::io::Result<(ServerState, usize)> {
             continue;
         };
         let total = campaign::find(campaign_name)
-            .map(|c| c.task_labels().len())
+            .map(|c| c.slot_count())
             .unwrap_or(0);
         let mut entry = JobEntry {
             campaign: campaign_name.to_string(),
@@ -520,7 +520,7 @@ fn handle_submit(shared: &Shared, writer: &mut TcpStream, campaign_name: &str, s
         );
         return;
     };
-    let total = c.task_labels().len();
+    let total = c.slot_count();
     let reply = {
         let mut st = shared.state.lock().expect("server state mutex");
         if st.queue.len() >= shared.policy.queue_cap {

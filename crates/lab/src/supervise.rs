@@ -567,7 +567,7 @@ pub fn supervise_cancellable(
 ) -> Result<SuperviseReport, LabError> {
     let campaign: Box<dyn Campaign> = campaign::find(campaign_name)
         .ok_or_else(|| LabError::UnknownCampaign(campaign_name.to_string()))?;
-    let tasks = campaign.task_labels().len();
+    let tasks = campaign.slot_count();
     fs::create_dir_all(dir)?;
     // Sole ownership of the family dir for the whole run: two
     // supervisors would double-spawn workers against the same

@@ -1,19 +1,14 @@
-//! Pins the campaign registry to the core test fixtures and proves the
-//! whole persistence pipeline — journal → checkpoint replay → shard
+//! Pins the campaign registry's identity and proves the whole
+//! persistence pipeline — journal → checkpoint replay → shard
 //! merge — reproduces the pinned figure digests bit for bit at more
-//! than one worker count. This is the ISSUE's acceptance gate run
-//! in-process; `kill_resume.rs` repeats it across a real `SIGKILL`.
+//! than one worker count, in process; `kill_resume.rs` repeats it
+//! across a real `SIGKILL`.
 
-// The core crate's test fixture, included by path so the two pinned
-// constant sets can never drift silently.
-#[path = "../../core/tests/common/digest.rs"]
-#[allow(dead_code)]
-mod fixture;
-
-use mb_lab::campaign::{self, find, registry};
+use mb_lab::campaign::{find, registry};
 use mb_lab::driver::{digest_journal, run_campaign, Shard};
 use mb_lab::journal::{merge, Journal};
 use mb_simcore::par::with_threads;
+use montblanc::pins;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -24,38 +19,8 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn registry_pins_mirror_the_core_fixtures() {
-    assert_eq!(campaign::FIG3_QUICK_DIGEST, fixture::FIG3_QUICK_DIGEST);
-    assert_eq!(
-        campaign::FIG3_FAULTED_QUICK_DIGEST,
-        fixture::FIG3_FAULTED_QUICK_DIGEST
-    );
-    assert_eq!(campaign::FIG5_QUICK_DIGEST, fixture::FIG5_QUICK_DIGEST);
-    assert_eq!(campaign::FIG7_QUICK_DIGEST, fixture::FIG7_QUICK_DIGEST);
-    assert_eq!(campaign::TABLE2_QUICK_DIGEST, fixture::TABLE2_QUICK_DIGEST);
-    assert_eq!(campaign::FIG3_PAPER_DIGEST, fixture::FIG3_PAPER_DIGEST);
-    assert_eq!(
-        campaign::FIG3_FAULTED_PAPER_DIGEST,
-        fixture::FIG3_FAULTED_PAPER_DIGEST
-    );
-    assert_eq!(campaign::FIG5_PAPER_DIGEST, fixture::FIG5_PAPER_DIGEST);
-    assert_eq!(campaign::FIG7_PAPER_DIGEST, fixture::FIG7_PAPER_DIGEST);
-    assert_eq!(campaign::TABLE2_PAPER_DIGEST, fixture::TABLE2_PAPER_DIGEST);
-    assert_eq!(
-        campaign::TOP500_TRENDS_DIGEST,
-        fixture::TOP500_TRENDS_DIGEST
-    );
-}
-
-#[test]
-fn registry_digest_fold_matches_the_fixture_fold() {
-    let stream = [0.0, -0.0, 1.5, f64::MIN_POSITIVE, 1e308];
-    assert_eq!(campaign::digest(stream), fixture::digest(stream));
-}
-
-/// The top500 campaign had no core fixture before `mb-lab`; its pin is
-/// anchored here against a direct (journal-free) trend fit instead.
+/// The top500 campaign's pin, anchored against a direct (journal-free)
+/// trend fit.
 #[test]
 fn top500_pin_matches_a_direct_trend_fit() {
     use montblanc::top500;
@@ -63,7 +28,7 @@ fn top500_pin_matches_a_direct_trend_fit() {
         .into_iter()
         .flat_map(|s| top500::trend_stream(&top500::fit_trend(&top500::history(), s)))
         .collect();
-    assert_eq!(campaign::digest(stream), campaign::TOP500_TRENDS_DIGEST);
+    assert_eq!(pins::digest(stream), pins::TOP500_TRENDS_DIGEST);
 }
 
 /// Runs `name` solo through the full journal pipeline and checks the
@@ -85,7 +50,7 @@ fn fig3_solo_run_reproduces_the_pinned_digest_at_two_thread_counts() {
         });
         assert_eq!(
             d,
-            fixture::FIG3_QUICK_DIGEST,
+            pins::FIG3_QUICK_DIGEST,
             "fig3-quick solo digest drifted at {threads} worker(s)"
         );
     }
@@ -115,7 +80,7 @@ fn fig3_three_way_shard_merge_reproduces_the_pinned_digest() {
         });
         assert_eq!(
             digest,
-            fixture::FIG3_QUICK_DIGEST,
+            pins::FIG3_QUICK_DIGEST,
             "3-way shard merge digest drifted at {threads} worker(s)"
         );
     }
@@ -144,7 +109,7 @@ fn fig3_resume_after_partial_run_reproduces_the_pinned_digest() {
         );
         assert_eq!(
             digest,
-            fixture::FIG3_QUICK_DIGEST,
+            pins::FIG3_QUICK_DIGEST,
             "resumed fig3-quick digest drifted at {threads} worker(s)"
         );
         let reloaded = Journal::load(&path).expect("journal verifies after resume");
@@ -197,7 +162,7 @@ fn paper_campaigns_are_registered_with_distinct_seeds_and_pins() {
         );
         assert_eq!(quick.payload_width(), paper.payload_width());
         assert!(
-            paper.task_labels().len() >= quick.task_labels().len(),
+            paper.slot_count() >= quick.slot_count(),
             "{figure}: the paper grid is the superset workload"
         );
     }
@@ -295,7 +260,90 @@ fn journaled_quick_payloads_assemble_to_the_run_reports() {
     let cfg = table2::Table2Config::quick();
     assert_eq!(
         table2::assemble(&cfg, &payloads("table2-quick").concat()),
-        table2::run_extended(&cfg)
+        table2::run(&cfg)
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A campaign's name, seed, slot count, payload width, pinned digest,
+/// label digest and description.
+type Identity = (
+    &'static str,
+    u64,
+    usize,
+    Option<usize>,
+    Option<u64>,
+    u64,
+    &'static str,
+);
+
+/// FNV-1a over the bytes of a campaign's labels joined by newlines.
+fn label_digest(labels: &[String]) -> u64 {
+    labels
+        .join("\n")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The identity of every registered campaign: name, seed, slot count,
+/// payload width, pinned digest, label-list digest and description, in
+/// listing order. Journals carry the name, seed and slot count in their
+/// header and the labels in `mb-lab list` and error reports, so none of
+/// these may move when the registry is rebuilt.
+#[test]
+fn registry_identity_is_pinned() {
+    #[rustfmt::skip]
+    let expected: [Identity; 12] = [
+        ("fig3-quick", 0x5ca1e, 9, Some(1), Some(0xd0d5_f716_d0b3_0356), 0xd8a4_b3d9_6e9e_0f33,
+         "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), quick grid"),
+        ("fig3-faulted-quick", 0xa6a09, 9, Some(6), Some(0x8ce8_a81a_59cb_2163), 0xd8a4_b3d9_6e9e_0f33,
+         "Figure 3 scaling under light injected faults, with resilience counters"),
+        ("fig5-quick", 0xf165, 48, Some(1), Some(0x206e_118a_c499_7a4c), 0x6f8a_4678_ebc3_618d,
+         "Figure 5 Snowball bandwidth under the RT scheduling anomaly, quick grid"),
+        ("fig7-quick", 0xf167, 24, Some(2), Some(0xa5a1_d292_2006_e451), 0xad1f_bae3_f5a6_e63b,
+         "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, quick grid"),
+        ("table2-quick", 0x7ab1e2, 14, Some(1), Some(0xe2a5_d2bf_61fb_fbcf), 0x6cf0_3e34_f48e_fd53,
+         "Extended Table II single-node comparison (Snowball vs Xeon), quick config"),
+        ("fig3-paper", 0x9f540c, 23, Some(1), Some(0x622e_3c14_cb8e_59b9), 0xc4b3_77cd_e801_c9b9,
+         "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), full paper grid"),
+        ("fig3-faulted-paper", 0x90f41b, 23, Some(6), Some(0x7c65_dc30_f714_ac45), 0xc4b3_77cd_e801_c9b9,
+         "Figure 3 full paper grid under light injected faults, with resilience counters"),
+        ("fig5-paper", 0x9a6f77, 2100, Some(1), Some(0xc49f_00d6_ca0a_c4ad), 0x7612_96bb_3b51_aa2b,
+         "Figure 5 Snowball bandwidth under the RT anomaly, paper grid (50 sizes x 42 reps)"),
+        ("fig7-paper", 0x9a6f75, 24, Some(2), Some(0x9080_737c_78a9_66c3), 0xad1f_bae3_f5a6_e63b,
+         "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid"),
+        ("table2-paper", 0xe02ff0, 14, Some(1), Some(0x8bd9_f1e8_0879_d505), 0x6cf0_3e34_f48e_fd53,
+         "Extended Table II single-node comparison (Snowball vs Xeon), paper config"),
+        ("top500-trends", 0x70500, 3, None, Some(0xe0c5_c859_2a9b_23ef), 0x4fe3_4be0_9879_6c60,
+         "Figure 1 TOP500 log-linear trend fits and exaflop projections"),
+        ("selftest", 0x5e1f, 16, Some(3), None, 0xbf03_a7e9_0fc8_9467,
+         "Synthetic driver-validation campaign (seed-derived payloads, instant slots)"),
+    ];
+    let got: Vec<Identity> = registry()
+        .iter()
+        .map(|c| {
+            let labels = c.task_labels();
+            (
+                c.name(),
+                c.seed(),
+                labels.len(),
+                c.payload_width(),
+                c.pinned_digest(),
+                label_digest(&labels),
+                c.description(),
+            )
+        })
+        .collect();
+    assert_eq!(got, expected);
+}
+
+/// `slot_count` is worked out from the config alone; it must agree
+/// with the labels every campaign formats.
+#[test]
+fn slot_count_matches_the_label_count() {
+    for c in registry() {
+        assert_eq!(c.slot_count(), c.task_labels().len(), "{}", c.name());
+    }
 }

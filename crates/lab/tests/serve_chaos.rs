@@ -6,9 +6,9 @@
 //! and a second server on a live data dir must be refused with the
 //! typed ownership error (exit 5).
 
-use mb_lab::campaign::FIG3_QUICK_DIGEST;
 use mb_lab::client;
 use mb_lab::protocol::JobState;
+use montblanc::pins::FIG3_QUICK_DIGEST;
 use std::fs;
 use std::os::unix::process::CommandExt;
 use std::path::{Path, PathBuf};

@@ -5,10 +5,10 @@
 //! queue answers overflow with a typed `busy` (never a hang, never a
 //! dropped job), and a malformed frame hurts only its own connection.
 
-use mb_lab::campaign::FIG3_QUICK_DIGEST;
 use mb_lab::client::{self, ClientError};
 use mb_lab::protocol::JobState;
 use mb_lab::serve::{self, ServePolicy};
+use montblanc::pins::FIG3_QUICK_DIGEST;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

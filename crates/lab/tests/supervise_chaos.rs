@@ -4,8 +4,8 @@
 //! worth having if the recovered campaign is bit-identical to an
 //! undisturbed one.
 
-use mb_lab::campaign::FIG3_QUICK_DIGEST;
 use mb_lab::supervise::backoff_delay_ms;
+use montblanc::pins::FIG3_QUICK_DIGEST;
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -94,26 +94,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl FromIterator<f64> for OnlineStats {
@@ -446,32 +426,6 @@ mod tests {
         s.push(42.0);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let all: OnlineStats = data.iter().copied().collect();
-        let left: OnlineStats = data[..37].iter().copied().collect();
-        let mut merged = left;
-        let right: OnlineStats = data[37..].iter().copied().collect();
-        merged.merge(&right);
-        assert_eq!(merged.count(), all.count());
-        assert!((merged.mean() - all.mean()).abs() < 1e-10);
-        assert!((merged.variance() - all.variance()).abs() < 1e-10);
-        assert_eq!(merged.min(), all.min());
-        assert_eq!(merged.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: OnlineStats = [1.0, 2.0].into_iter().collect();
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -119,18 +119,6 @@ impl Trace {
         v.sort_by_key(|s| s.start);
         v
     }
-
-    /// Merges another trace's records (ranks must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rank counts differ.
-    pub fn merge(&mut self, other: Trace) {
-        assert_eq!(self.num_ranks, other.num_ranks, "rank count mismatch");
-        self.states.extend(other.states);
-        self.events.extend(other.events);
-        self.comms.extend(other.comms);
-    }
 }
 
 #[cfg(test)]
@@ -189,16 +177,6 @@ mod tests {
         assert_eq!(t.events().len(), 1);
         assert_eq!(t.comms().len(), 1);
         assert_eq!(t.end_time(), us(3));
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Trace::new(2);
-        a.push_state(0, us(0), us(1), StateKind::Compute);
-        let mut b = Trace::new(2);
-        b.push_state(1, us(0), us(2), StateKind::Compute);
-        a.merge(b);
-        assert_eq!(a.states().len(), 2);
     }
 
     #[test]

@@ -20,19 +20,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> mb-check (call-graph determinism lints, SARIF + schema gate)"
+echo "==> mb-check (call-graph determinism lints, baseline gate)"
 # The check itself: exits nonzero on any finding not in the reviewed
 # `.mb-check-baseline.json`, so new debt fails CI while grandfathered
-# findings stay visible in the SARIF report. The SARIF document is then
-# validated against the checked-in required-path schema snapshot. Both
-# analysis runs must stay inside a 5 s wall-time budget.
-CHECK_DIR="$(mktemp -d)"
+# findings stay listed in the baseline. The analysis must stay inside a
+# 5 s wall-time budget.
 check_start=$(date +%s%N)
 cargo run --release -q -p mb-check -- check
-cargo run --release -q -p mb-check -- check --format sarif > "$CHECK_DIR/mb-check.sarif"
 check_elapsed_ms=$(( ($(date +%s%N) - check_start) / 1000000 ))
-cargo run --release -q -p mb-check -- validate-sarif "$CHECK_DIR/mb-check.sarif"
-rm -rf "$CHECK_DIR"
 echo "    mb-check wall time: ${check_elapsed_ms} ms (budget 5000 ms)"
 if [ "$check_elapsed_ms" -ge 5000 ]; then
     echo "mb-check exceeded its 5 s wall-time budget"; exit 1
@@ -158,9 +153,11 @@ echo "==> mb-lab exit-code contract (CLI + chaos suites)"
 # 5 env misconfig / 6 protocol / 7 unavailable) and the chaos harnesses
 # are tier-1, but name them explicitly so a contract regression fails
 # loudly here, not as one line in the workspace wall of dots. The lib
-# tests hold the one LabError exit-code table.
+# tests hold the one LabError exit-code table; campaign_digests pins
+# every registered campaign's identity (name, seed, slot count, payload
+# width, pin, labels) and its journaled digest.
 cargo test --release -p mb-lab --lib --quiet
-cargo test --release -p mb-lab --test cli --test supervise_chaos --quiet
+cargo test --release -p mb-lab --test cli --test supervise_chaos --test campaign_digests --quiet
 cargo test --release -p mb-lab \
     --test protocol_format --test serve_soak --test serve_chaos --quiet
 # The format contract and the one decoder fuzz surface: golden journal
