@@ -153,14 +153,14 @@ fn measure_series(series: Series) -> Vec<f64> {
 
 /// The Figure 1 trend fits as a sweep: one slot per series of
 /// [`all_series`], each payload its [`trend_stream`]. The report is the
-/// streams concatenated in slot order. The fits have no grid, and
-/// their payloads are not declared fixed-width.
+/// streams concatenated in slot order. The fits have no grid; every
+/// payload is the five values of a [`trend_stream`].
 pub struct Trends;
 
 impl Sweep for Trends {
     type Config = ();
     type Report = Vec<f64>;
-    const WIDTH: Option<usize> = None;
+    const WIDTH: Option<usize> = Some(5);
 
     fn config(_: Grid) {}
 

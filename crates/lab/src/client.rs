@@ -16,14 +16,16 @@
 //! * a local file [`fetch`] cannot write is [`LabError::Io`] → exit 5,
 //!   like every other filesystem failure.
 //!
-//! Fetched segments are raw `mbseg1` lines; [`fetch`] writes them to
-//! a file and chain-verifies with [`crate::transport::load_segment`]
-//! before reporting success, so a truncated or tampered wire transfer
-//! is a typed corruption error (exit 3), never a quietly short file.
+//! A fetch receives a job's merged journal as raw `mblab1` lines;
+//! [`fetch`] writes them to a file and verifies it with
+//! [`Journal::load`] before reporting success. A torn tail, or fewer
+//! records than the frame announced, fails the fetch, so a truncated
+//! or tampered wire transfer is a typed corruption error (exit 3),
+//! never a quietly short file.
 
 use crate::error::LabError;
+use crate::journal::Journal;
 use crate::protocol::{self, JobState, JobStatus, Reply, Request};
-use crate::transport;
 use std::fs;
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -55,11 +57,6 @@ impl Session {
             Reply::Busy { queued, cap } => Err(LabError::Busy { queued, cap }),
             other => Ok(other),
         }
-    }
-
-    /// Reads one raw (non-frame) line, as used by segment streaming.
-    fn raw_line(&mut self) -> Result<String, LabError> {
-        protocol::read_frame(&mut self.reader)?.ok_or(LabError::Truncated { got: 0 })
     }
 }
 
@@ -212,14 +209,15 @@ pub fn cancel(addr: &str, job: &str) -> Result<JobStatus, LabError> {
     }
 }
 
-/// Fetches a done job's merged journal as an `mbseg1` segment file at
-/// `out`, chain-verifying it before reporting the record count.
+/// Fetches a done job's merged journal into the journal file `out`,
+/// verifying it before reporting the record count.
 ///
 /// # Errors
 ///
-/// Any [`LabError`]; a segment that fails verification is a
-/// corruption error (exit 3) and the file is removed, and a local
-/// write failure is [`LabError::Io`] (exit 5).
+/// Any [`LabError`]. A file that fails [`Journal::load`], has a torn
+/// tail, or holds other than `lines - 1` records is a corruption error
+/// (exit 3) and is removed; a local write failure is [`LabError::Io`]
+/// (exit 5).
 pub fn fetch(addr: &str, job: &str, out: &Path) -> Result<usize, LabError> {
     let mut s = Session::open(
         addr,
@@ -237,14 +235,32 @@ pub fn fetch(addr: &str, job: &str, out: &Path) -> Result<usize, LabError> {
     };
     let mut text = String::new();
     for _ in 0..lines {
-        text.push_str(&s.raw_line()?);
-        text.push('\n');
+        // A stream cut short delivers fewer lines than announced: keep
+        // what arrived and let the verification below reject it.
+        match protocol::read_frame(&mut s.reader) {
+            Ok(Some(line)) => {
+                text.push_str(&line);
+                text.push('\n');
+            }
+            Ok(None) | Err(LabError::Truncated { .. }) => break,
+            Err(e) => return Err(e),
+        }
     }
     fs::write(out, &text)?;
-    let segment = transport::load_segment(out).inspect_err(|_| {
+    // `Journal::load` forgives a torn tail as crash recovery; a fetched
+    // file has no crash to recover from, so a short one fails closed.
+    let verified = Journal::load(out).and_then(|journal| {
+        let records = journal.records.len();
+        if journal.torn_tail || records + 1 != lines {
+            return Err(LabError::BadRecord {
+                line_number: records + 2,
+            });
+        }
+        Ok(records)
+    });
+    verified.inspect_err(|_| {
         let _ = fs::remove_file(out);
-    })?;
-    Ok(segment.records.len())
+    })
 }
 
 /// Liveness probe.

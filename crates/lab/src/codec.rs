@@ -1,8 +1,8 @@
 //! The one line codec behind every `mb-lab` text format.
 //!
-//! The journal (`mblab1`), the transport segment (`mbseg1`), the wire
-//! protocol (`mbsrv1`) and the persisted job identity (`job.meta`) are
-//! built from two line shapes, and this module owns both:
+//! The journal (`mblab1`), the wire protocol (`mbsrv1`) and the
+//! persisted job identity (`job.meta`) are built from two line shapes,
+//! and this module owns both:
 //!
 //! * a **field line** — a leading version token, then space-separated
 //!   `key=value` fields. [`Fields::split`] is the only `key=value`
@@ -14,15 +14,15 @@
 //!   slot: its index, its payload as comma-separated 16-digit hex `f64`
 //!   bit patterns, and the digest chain after it. [`render_record`]
 //!   writes one; [`verify_chain`] is the single loop that walks a run of
-//!   record lines and re-derives their chain, for journal and segment
-//!   loads alike.
+//!   record lines and re-derives their chain on every journal load.
 //!
 //! The chain is `chain_0 = fnv1a64(header line)` and
 //! `chain_{k+1} = mix64(chain_k ^ fnv1a64(body_k))`, where `body_k` is
 //! the record line up to (not including) its chain field. Records parse
 //! only in their canonical rendering, so the bytes the chain hashes are
-//! exactly the bytes [`render_record`] writes: a verified run of journal
-//! lines can be shipped as a byte slice and re-verified anywhere.
+//! exactly the bytes [`render_record`] writes: a journal's lines can be
+//! shipped verbatim (as `fetch` streams a merged journal) and
+//! re-verified anywhere.
 
 use crate::error::LabError;
 use std::fmt;

@@ -1,6 +1,6 @@
 //! The one error type of `mb-lab`.
 //!
-//! Every layer — journal, segment transport, ownership locks, the
+//! Every layer — journal, ownership locks, the
 //! `mbsrv1` wire, the client, the supervisor and the server — fails
 //! with a [`LabError`], and [`LabError::exit_code`] is the one place
 //! the workspace exit-code contract ([`mb_simcore::error::exit_code`])
@@ -25,14 +25,14 @@ pub enum LabError {
     Io(std::io::Error),
     /// Socket failure: connect, read or write on an `mbsrv1` stream.
     Socket(std::io::Error),
-    /// A journal, segment or frame leads with a version token other than
+    /// A journal or frame leads with a version token other than
     /// the `expected` one this build reads: exit 6 for an `mbsrv1` frame,
     /// 3 for a file.
     VersionSkew {
         expected: &'static str,
         found: String,
     },
-    /// A journal or segment header line that does not parse.
+    /// A journal header line that does not parse.
     BadHeader { line: String },
     /// A healthy journal whose header `field` disagrees with the
     /// invocation (campaign, seed, task count or shard assignment).
@@ -68,20 +68,6 @@ pub enum LabError {
     /// Slots with no record anywhere, ascending — at most the first
     /// [`MISSING_LISTED`].
     IncompleteMerge { missing: Vec<usize> },
-    /// A segment whose framing does not parse.
-    BadSegment { detail: String },
-    /// A segment cut short in flight (missing `end` trailer, fewer
-    /// records than `count`, an unterminated line): rejected whole.
-    TornSegment { detail: String },
-    /// A segment chain that does not re-derive at this zero-based record
-    /// (`count` means the `end` trailer), or that disagrees with the
-    /// destination's history.
-    ChainBreak { record: usize },
-    /// A segment starting past the destination's end: an earlier one has
-    /// not arrived yet.
-    Gap { have: usize, from: usize },
-    /// An export window starting past the source journal's end.
-    BadRange { from: usize, len: usize },
     /// A path owned by a live process (see [`crate::lock`]).
     Locked { path: PathBuf, pid: u32 },
     /// A line that is not a well-formed frame: unknown verb, a missing,
@@ -187,24 +173,6 @@ impl fmt::Display for LabError {
                     missing.len()
                 )
             }
-            LabError::BadSegment { detail } => write!(f, "unparseable segment: {detail}"),
-            LabError::TornSegment { detail } => write!(f, "torn segment rejected: {detail}"),
-            LabError::ChainBreak { record } => write!(
-                f,
-                "segment digest chain broken at record {record}: tampered, reordered or \
-                 divergent from the destination"
-            ),
-            LabError::Gap { have, from } => write!(
-                f,
-                "segment starts at record {from} but destination holds {have}: an earlier \
-                 segment is missing, retry after it arrives"
-            ),
-            LabError::BadRange { from, len } => {
-                write!(
-                    f,
-                    "export window starts at record {from} past journal end {len}"
-                )
-            }
             LabError::Locked { path, pid } => write!(
                 f,
                 "{} is already owned by live process {pid} \
@@ -285,17 +253,12 @@ impl LabError {
             | LabError::DuplicateSlot { .. }
             | LabError::ForeignSlot { .. }
             | LabError::BadPayload { .. }
-            | LabError::BadSegment { .. }
-            | LabError::TornSegment { .. }
-            | LabError::ChainBreak { .. }
             | LabError::BadQuarantine { .. } => exit_code::CORRUPT,
             LabError::SlotFailed { .. } => exit_code::SLOT_PANIC,
             LabError::Io(_)
             | LabError::HeaderMismatch { .. }
             | LabError::BadShardFamily { .. }
             | LabError::IncompleteMerge { .. }
-            | LabError::Gap { .. }
-            | LabError::BadRange { .. }
             | LabError::Locked { .. }
             | LabError::UnknownCampaign(_)
             | LabError::Misconfigured(_) => exit_code::ENV_MISCONFIG,
@@ -313,7 +276,6 @@ impl LabError {
 mod tests {
     use super::*;
     use crate::journal::FORMAT_VERSION;
-    use crate::transport::SEGMENT_VERSION;
     use exit_code::*;
 
     /// One row per variant (both version-skew classes): its exit code,
@@ -331,7 +293,6 @@ mod tests {
             (LabError::Io(io()), ENV_MISCONFIG, ""),
             (LabError::Socket(io()), UNAVAILABLE, ""),
             (skew(FORMAT_VERSION), CORRUPT, "found 'v0'"),
-            (skew(SEGMENT_VERSION), CORRUPT, ""),
             (skew(PROTOCOL_VERSION), PROTOCOL, ""),
             (LabError::BadHeader { line: text("h") }, CORRUPT, ""),
             (LabError::HeaderMismatch { field: "seed", found: text("1"), expected: text("2") }, ENV_MISCONFIG, ""),
@@ -344,11 +305,6 @@ mod tests {
             (LabError::SlotFailed { slot: 5, detail: text("boom") }, SLOT_PANIC, "slot 5 failed:"),
             (LabError::BadShardFamily { detail: text("d") }, ENV_MISCONFIG, ""),
             (LabError::IncompleteMerge { missing: vec![7] }, ENV_MISCONFIG, ""),
-            (LabError::BadSegment { detail: text("d") }, CORRUPT, ""),
-            (LabError::TornSegment { detail: text("d") }, CORRUPT, ""),
-            (LabError::ChainBreak { record: 0 }, CORRUPT, ""),
-            (LabError::Gap { have: 0, from: 4 }, ENV_MISCONFIG, ""),
-            (LabError::BadRange { from: 3, len: 2 }, ENV_MISCONFIG, ""),
             (LabError::Locked { path: PathBuf::from("j.lock"), pid: 1 }, ENV_MISCONFIG, "already owned by live process 1"),
             (LabError::BadFrame { detail: text("d") }, PROTOCOL, ""),
             (LabError::Oversized { limit: 4096 }, PROTOCOL, ""),
@@ -374,6 +330,6 @@ mod tests {
             .iter()
             .map(|(e, ..)| format!("{:?}", std::mem::discriminant(e)))
             .collect();
-        assert_eq!(variants.len(), 34, "one row per LabError variant");
+        assert_eq!(variants.len(), 29, "one row per LabError variant");
     }
 }

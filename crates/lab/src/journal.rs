@@ -36,7 +36,6 @@ use crate::codec::{self, ChainError, Fields};
 use crate::driver::Shard;
 use crate::error::LabError;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::fs;
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
@@ -61,48 +60,33 @@ pub struct JournalHeader {
     pub shard: Shard,
 }
 
-/// The identity fields, as a segment header repeats them after its own
-/// version token: `campaign=… seed=… tasks=… shard=i/N`.
-impl fmt::Display for JournalHeader {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "campaign={} seed={:016x} tasks={} shard={}",
-            self.campaign, self.seed, self.tasks, self.shard
-        )
-    }
-}
-
 impl JournalHeader {
     /// Renders the header line (without the trailing newline).
     pub(crate) fn render(&self) -> String {
-        format!("{FORMAT_VERSION} {self}")
+        format!(
+            "{FORMAT_VERSION} campaign={} seed={:016x} tasks={} shard={}",
+            self.campaign, self.seed, self.tasks, self.shard
+        )
     }
 
-    /// Parses a header line led by `version`: the identity fields plus
-    /// the `extra` keys a segment header frames its slice with, which
-    /// come back unconverted in the returned [`Fields`].
-    pub(crate) fn parse<'a>(
-        line: &'a str,
-        version: &'static str,
-        extra: &[&str],
-    ) -> Result<(JournalHeader, Fields<'a>), LabError> {
-        let rest = codec::strip_version(line, version).map_err(|found| LabError::VersionSkew {
-            expected: version,
-            found: found.to_string(),
-        })?;
+    /// Parses a journal header line.
+    pub(crate) fn parse(line: &str) -> Result<JournalHeader, LabError> {
+        let rest =
+            codec::strip_version(line, FORMAT_VERSION).map_err(|found| LabError::VersionSkew {
+                expected: FORMAT_VERSION,
+                found: found.to_string(),
+            })?;
         let bad = |_| LabError::BadHeader {
             line: line.to_string(),
         };
         let fields =
-            Fields::split(rest, &["campaign", "seed", "tasks", "shard"], extra).map_err(bad)?;
-        let header = JournalHeader {
+            Fields::split(rest, &["campaign", "seed", "tasks", "shard"], &[]).map_err(bad)?;
+        Ok(JournalHeader {
             campaign: fields.get_with("campaign", Some).map_err(bad)?.to_string(),
             seed: fields.get_with("seed", codec::hex).map_err(bad)?,
             tasks: fields.value("tasks").map_err(bad)?,
             shard: fields.get_with("shard", Shard::parse).map_err(bad)?,
-        };
-        Ok((header, fields))
+        })
     }
 }
 
@@ -162,7 +146,7 @@ impl Journal {
             // Even the header line is incomplete: unrecoverable.
             return Err(LabError::BadHeader { line: raw.clone() });
         };
-        let (header, _) = JournalHeader::parse(header_line, FORMAT_VERSION, &[])?;
+        let header = JournalHeader::parse(header_line)?;
         // A malformed final line with nothing after it is a torn write
         // too (the newline made it out but the body didn't finish):
         // drop it.
@@ -297,38 +281,6 @@ impl Journal {
     /// Path this journal persists to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The chain value after the first `count` records (in append
-    /// order); `count == 0` yields the header-seeded chain start.
-    /// Recomputed from verified records, so any `count` up to
-    /// `records.len()` is valid — the transport uses this to verify a
-    /// segment's splice point.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count > records.len()` — callers bound it first.
-    pub fn chain_at(&self, count: usize) -> u64 {
-        assert!(count <= self.records.len(), "chain_at past journal end");
-        let mut line = String::new();
-        let mut chain = codec::fnv1a64(self.header.render().as_bytes());
-        for (slot, payload) in &self.records[..count] {
-            line.clear();
-            chain = codec::render_record(&mut line, chain, *slot, payload);
-        }
-        chain
-    }
-
-    /// The chain value over the whole verified file (header + every
-    /// record) — the value the next append will mix against.
-    pub fn chain(&self) -> u64 {
-        self.chain
-    }
-
-    /// Byte length of the verified prefix: the header and every record
-    /// line, torn tail excluded.
-    pub(crate) fn verified_len(&self) -> u64 {
-        self.valid_len
     }
 }
 

@@ -15,11 +15,10 @@
 //! * [`driver`] — journal replay + a contained sweep
 //!   ([`mb_simcore::par::sweep_contained`]) over the missing slots +
 //!   modulo sharding (`slot % N == i`) + journal merge;
-//! * [`transport`] — idempotent segment export/ingest between journal
-//!   replicas, the stand-in for per-host uploads;
 //! * [`supervise`](mod@supervise) — the shard-family babysitter: restart-on-crash
 //!   with seeded bounded backoff, clock-free hang detection and
-//!   poison-slot quarantine, reporting a machine-readable
+//!   poison-slot quarantine, merging the worker journals into the
+//!   family's `merged.journal` and reporting a machine-readable
 //!   [`supervise::SuperviseReport`];
 //! * [`lock`] — pid-liveness ownership lockfiles so journals, family
 //!   dirs and server data dirs have exactly one live writer (typed
@@ -38,7 +37,11 @@
 //!   single digest-chain verification loop;
 //! * [`client`] — the client half: submit/status/watch/cancel/fetch
 //!   over the socket, mapping typed server errors back to the
-//!   documented exit codes.
+//!   documented exit codes; `fetch` receives a job's merged journal
+//!   line for line and verifies it as a journal.
+//!
+//! The journal is the only results format: on disk, between a
+//! supervisor's workers and its merge, and on the wire.
 //!
 //! The determinism contract is the workspace-wide one: a campaign run
 //! killed at any instant and resumed, or split across any shard count
@@ -57,7 +60,6 @@ pub mod lock;
 pub mod protocol;
 pub mod serve;
 pub mod supervise;
-pub mod transport;
 
 pub use campaign::Campaign;
 pub use driver::{digest_journal, expected_header, run_campaign, RunOutcome, Shard};
@@ -67,7 +69,6 @@ pub use lock::PathLock;
 pub use protocol::{JobState, JobStatus, Reply, Request};
 pub use serve::{serve, ServePolicy, ServeSummary};
 pub use supervise::{supervise, supervise_cancellable, SupervisePolicy, SuperviseReport};
-pub use transport::{export_segment, ingest_segment, IngestOutcome};
 
 /// [`LabError`] under the name callers of the journal API match on.
 pub type JournalError = LabError;

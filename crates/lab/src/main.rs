@@ -18,7 +18,8 @@
 //! | 0    | success                                                  |
 //! | 1    | generic failure (e.g. digest mismatch under `--check`)   |
 //! | 2    | usage: unknown flag, missing operand, malformed value    |
-//! | 3    | journal/segment corruption (chain break, version skew, …)|
+//! | 3    | journal corruption (chain break, version skew, a cut or  |
+//! |      | tampered fetch, …)                                       |
 //! | 4    | a campaign slot panicked (restartable, maybe poisoned)   |
 //! | 5    | env/shard misconfiguration (bad `MB_*`, wrong campaign, a |
 //! |      | data dir/journal owned by a live process, …)             |
@@ -38,7 +39,7 @@
 use mb_lab::driver::{RunOptions, Shard};
 use mb_lab::serve::ServePolicy;
 use mb_lab::supervise::SupervisePolicy;
-use mb_lab::{campaign, client, driver, journal, serve, supervise, transport, JobState, LabError};
+use mb_lab::{campaign, client, driver, journal, serve, supervise, JobState, LabError};
 use mb_simcore::error::exit_code;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -57,7 +58,6 @@ struct Cli {
     run: RunOptions,
     times: bool,
     policy: ServePolicy,
-    from: usize,
     expect: Option<u64>,
     check: bool,
 }
@@ -147,20 +147,12 @@ const POISON: Flag = flag("--poison-threshold", "k", |c, v| {
 const MAX_RESTARTS: Flag = flag("--max-restarts", "n", |c, v| {
     put(&mut c.sup().max_restarts, v)
 });
-const BACKOFF_BASE: Flag = flag("--backoff-base-ms", "d", |c, v| {
-    put(&mut c.sup().backoff_base_ms, v)
-});
-const BACKOFF_CAP: Flag = flag("--backoff-cap-ms", "d", |c, v| {
-    put(&mut c.sup().backoff_cap_ms, v)
-});
-const MAX_POLLS: Flag = flag("--max-polls", "n", |c, v| put(&mut c.sup().max_polls, v));
 const CHAOS_KILLS: Flag = flag("--chaos-kills", "n", |c, v| {
     put(&mut c.sup().chaos_kills, v)
 });
 const BIND: Flag = flag("--bind", "host:port", |c, v| put(&mut c.policy.bind, v));
 const QUEUE_CAP: Flag = flag("--queue-cap", "n", |c, v| put(&mut c.policy.queue_cap, v));
 const WORKERS: Flag = flag("--workers", "n", |c, v| put(&mut c.policy.workers, v));
-const FROM: Flag = flag("--from", "k", |c, v| put(&mut c.from, v));
 const EXPECT: Flag = flag("--expect", "0xHEX", |c, v| {
     set(
         &mut c.expect,
@@ -220,9 +212,6 @@ const VERBS: &[Verb] = &[
             HANG_POLLS,
             POISON,
             MAX_RESTARTS,
-            BACKOFF_BASE,
-            BACKOFF_CAP,
-            MAX_POLLS,
             TASK_DELAY,
             CHAOS_KILLS,
         ],
@@ -239,11 +228,9 @@ const VERBS: &[Verb] = &[
     verb("status", "[job]", (0, 1), &[ADDR], cmd_status),
     verb("watch", "<job>", (1, 1), &[ADDR], cmd_watch),
     verb("cancel", "<job>", (1, 1), &[ADDR], cmd_cancel),
-    verb("fetch", "<job> <segment>", (2, 2), &[ADDR], cmd_fetch),
+    verb("fetch", "<job> <journal>", (2, 2), &[ADDR], cmd_fetch),
     verb("ping", "", (0, 0), &[ADDR], cmd_ping),
     verb("shutdown", "", (0, 0), &[ADDR], cmd_shutdown),
-    verb("export", "<journal> <segment>", (2, 2), &[FROM], cmd_export),
-    verb("ingest", "<journal> <segment>", (2, 2), &[], cmd_ingest),
     verb("merge", "<out> <in>...", (2, usize::MAX), &[], cmd_merge),
     verb("digest", "<journal>", (1, 1), &[EXPECT, CHECK], cmd_digest),
 ];
@@ -585,28 +572,6 @@ fn cmd_shutdown(cli: Cli) -> Outcome {
     let addr = addr(&cli)?;
     let running = client::shutdown(addr)?;
     println!("{addr}: stopping ({running} job(s) draining)");
-    Ok(())
-}
-
-fn cmd_export(cli: Cli) -> Outcome {
-    let (journal_path, segment) = (&cli.operands[0], &cli.operands[1]);
-    let seg = transport::export_segment(Path::new(journal_path), cli.from, Path::new(segment))?;
-    let end = seg.from + seg.records.len();
-    println!(
-        "exported {} record(s) [{}..{end}] of {journal_path} -> {segment}",
-        seg.records.len(),
-        seg.from
-    );
-    Ok(())
-}
-
-fn cmd_ingest(cli: Cli) -> Outcome {
-    let (journal_path, segment) = (&cli.operands[0], &cli.operands[1]);
-    let out = transport::ingest_segment(Path::new(journal_path), Path::new(segment))?;
-    println!(
-        "ingested {segment} -> {journal_path}: {} appended, {} duplicate(s) verified",
-        out.appended, out.duplicates
-    );
     Ok(())
 }
 

@@ -19,7 +19,12 @@
 //! newline. Everything else is machine-checked: names are
 //! `[a-z0-9_-]{1,64}`, counters are decimal, digests are
 //! `0x`-prefixed 16-digit hex — exactly the renderings the journal
-//! and transport layers already pin.
+//! already pins.
+//!
+//! One reply is not all frames: `segment lines=N` announces that the
+//! next `N` lines are a job's merged journal, streamed verbatim (its
+//! `mblab1` header, then one record line per slot). The client verifies
+//! them as a journal, not as frames.
 //!
 //! The failure contract mirrors the rest of the workspace: a frame
 //! that cannot be parsed is a typed [`LabError`] (never a
@@ -123,7 +128,7 @@ pub enum Request {
         /// Job to cancel.
         job: String,
     },
-    /// Stream the job's merged journal as one `mbseg1` segment.
+    /// Stream the job's merged journal.
     Fetch {
         /// Job whose results to fetch.
         job: String,
@@ -208,9 +213,10 @@ pub enum Reply {
         /// Postmortem / degradation note (runs to end of line).
         detail: Option<String>,
     },
-    /// Header before `lines` raw `mbseg1` lines follow verbatim.
+    /// Header before the `lines` lines of a merged journal follow
+    /// verbatim.
     Segment {
-        /// Raw segment lines that follow this frame.
+        /// Raw journal lines that follow this frame.
         lines: usize,
     },
     /// Answer to `ping`.

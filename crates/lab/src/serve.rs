@@ -47,7 +47,6 @@ use crate::error::LabError;
 use crate::lock::PathLock;
 use crate::protocol::{self, JobState, JobStatus, Reply, Request};
 use crate::supervise::{self, SupervisePolicy};
-use crate::transport;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io::BufReader;
@@ -711,15 +710,13 @@ fn handle_fetch(shared: &Shared, writer: &mut TcpStream, id: &str) {
         send_err(writer, &LabError::Failed(detail));
         return;
     }
-    // Reuse the PR-7 transport verbatim: export the merged journal as
-    // one chain-verified mbseg1 segment and stream its lines.
-    let jdir = job_dir(&shared.dir, id);
-    let seg_path = jdir.join("fetch.seg");
-    let exported = transport::export_segment(&jdir.join("merged.journal"), 0, &seg_path);
-    let text = match exported.and_then(|_| Ok(fs::read_to_string(&seg_path)?)) {
+    // Stream the merged journal's lines verbatim; the client verifies
+    // them as a journal. Reads only, so concurrent fetches of one job
+    // share nothing.
+    let text = match fs::read_to_string(job_dir(&shared.dir, id).join("merged.journal")) {
         Ok(t) => t,
         Err(e) => {
-            send_err(writer, &e);
+            send_err(writer, &LabError::Io(e));
             return;
         }
     };

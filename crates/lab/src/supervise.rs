@@ -37,20 +37,18 @@
 //! `ready_at_poll` and the chaos schedule, so every threshold keeps its
 //! meaning in poll intervals, while an exit costs no wait at all.
 //!
-//! On completion every worker journal is exported as a transport
-//! segment and ingested into a collector replica (one segment is
-//! deliberately re-ingested to exercise idempotency on every run),
-//! the replicas are merged — [`crate::journal::merge_allowing`] when
-//! slots are quarantined — and, for a fully measured campaign with a
-//! pinned digest, the merged digest is checked against the pin. The
-//! whole run is summarized in a machine-readable [`SuperviseReport`]
-//! (`report.json` in the family directory).
+//! On completion the worker journals are merged in place into
+//! `merged.journal` by [`crate::journal::merge_allowing`], which lets
+//! quarantined slots be absent and verifies every input journal on the
+//! way in, and, for a fully measured campaign with a pinned digest, the
+//! merged digest is checked against the pin. The whole run is
+//! summarized in a machine-readable [`SuperviseReport`] (`report.json`
+//! in the family directory).
 
 use crate::campaign::{self, Campaign};
 use crate::driver::Shard;
 use crate::error::LabError;
 use crate::journal::{self, Journal};
-use crate::transport;
 use mb_simcore::json::json_string;
 use mb_simcore::rng::{Rng, SplitMix64};
 use montblanc::report::CampaignAccounting;
@@ -80,14 +78,6 @@ pub struct SupervisePolicy {
     /// Crash-restarts per shard (since its last quarantine) before the
     /// family is declared failed.
     pub max_restarts: u32,
-    /// Backoff before restart attempt `k` is nominally
-    /// `backoff_base_ms << k`…
-    pub backoff_base_ms: u64,
-    /// …clamped to this cap (jitter can halve it, never exceed it).
-    pub backoff_cap_ms: u64,
-    /// Total poll budget for the family — the configurable bound that
-    /// keeps a pathological family from spinning forever.
-    pub max_polls: u64,
     /// Seed for the backoff jitter and the chaos-kill schedule
     /// (`MB_SEED` in the CLI).
     pub seed: u64,
@@ -107,15 +97,20 @@ impl Default for SupervisePolicy {
             hang_polls: 2400,
             poison_threshold: 3,
             max_restarts: 16,
-            backoff_base_ms: 25,
-            backoff_cap_ms: 2000,
-            max_polls: 2_000_000,
             seed: 0x5EED,
             task_delay_ms: 0,
             chaos_kills: 0,
         }
     }
 }
+
+/// Backoff before restart attempt `k` is nominally `BACKOFF_BASE_MS << k`…
+const BACKOFF_BASE_MS: u64 = 25;
+/// …clamped to this cap (jitter can halve it, never exceed it).
+const BACKOFF_CAP_MS: u64 = 2000;
+/// Total poll budget for a family: the bound that keeps a pathological
+/// family from spinning forever.
+const MAX_POLLS: u64 = 2_000_000;
 
 const BACKOFF_SALT: u64 = 0xBAC0_FF5A_17D0_0D1E;
 const CHAOS_SALT: u64 = 0xC4A0_5C4E_D01E_5EED;
@@ -182,11 +177,6 @@ pub struct SuperviseReport {
     pub quarantined: Vec<QuarantineRecord>,
     /// Completion accounting over the merged journal.
     pub accounting: CampaignAccounting,
-    /// Records appended across all segment ingests.
-    pub transport_appended: usize,
-    /// Records verified as duplicates across all ingests (at least one
-    /// segment is always re-ingested as an idempotency self-check).
-    pub transport_duplicates: usize,
     /// Digest of the merged stream — only for a fully measured
     /// campaign (no quarantined slots).
     pub digest: Option<u64>,
@@ -249,14 +239,6 @@ impl SuperviseReport {
             self.accounting.completed,
             self.accounting.quarantined,
             self.accounting.outstanding()
-        ));
-        out.push_str(&format!(
-            "  \"transport_appended\": {},\n",
-            self.transport_appended
-        ));
-        out.push_str(&format!(
-            "  \"transport_duplicates\": {},\n",
-            self.transport_duplicates
         ));
         match self.digest {
             Some(d) => out.push_str(&format!("  \"digest\": \"{d:#018x}\",\n")),
@@ -608,9 +590,9 @@ pub fn supervise_cancellable(
         if cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed)) {
             break Err(LabError::Cancelled);
         }
-        if poll >= policy.max_polls {
+        if poll >= MAX_POLLS {
             break Err(LabError::PollBudgetExhausted {
-                max_polls: policy.max_polls,
+                max_polls: MAX_POLLS,
             });
         }
         let quarantined_slots: Vec<usize> = quarantine.iter().map(|q| q.slot).collect();
@@ -802,34 +784,15 @@ pub fn supervise_cancellable(
     }
     result?;
 
-    // Collection: export each worker journal as a full transport
-    // segment and splice it into the collector replica. The first
-    // segment is ingested twice on purpose — every supervised run
-    // exercises the transport's duplicate-upload no-op guarantee.
-    let segment_dir = dir.join("segments");
-    let collect_dir = dir.join("collect");
-    fs::create_dir_all(&segment_dir)?;
-    fs::create_dir_all(&collect_dir)?;
-    let mut transport_appended = 0;
-    let mut transport_duplicates = 0;
-    let mut collected: Vec<PathBuf> = Vec::new();
-    for shard in 0..policy.shards {
-        let seg = segment_dir.join(format!("shard{shard}.seg"));
-        let replica = collect_dir.join(format!("shard{shard}.journal"));
-        transport::export_segment(&worker_journal(dir, shard), 0, &seg)?;
-        let out = transport::ingest_segment(&replica, &seg)?;
-        transport_appended += out.appended;
-        transport_duplicates += out.duplicates;
-        if shard == 0 {
-            let replay = transport::ingest_segment(&replica, &seg)?;
-            transport_duplicates += replay.duplicates;
-        }
-        collected.push(replica);
-    }
-
+    let worker_journals: Vec<PathBuf> = (0..policy.shards)
+        .map(|shard| worker_journal(dir, shard))
+        .collect();
     let quarantined_slots: Vec<usize> = quarantine.iter().map(|q| q.slot).collect();
-    let merged =
-        journal::merge_allowing(&dir.join("merged.journal"), &collected, &quarantined_slots)?;
+    let merged = journal::merge_allowing(
+        &dir.join("merged.journal"),
+        &worker_journals,
+        &quarantined_slots,
+    )?;
     let accounting = CampaignAccounting::new(tasks, &merged.completed_slots(), &quarantined_slots);
 
     // Integrity gate: a fully measured campaign must reproduce its
@@ -871,8 +834,6 @@ pub fn supervise_cancellable(
             .collect(),
         quarantined: quarantine,
         accounting,
-        transport_appended,
-        transport_duplicates,
         digest,
         digest_checked,
     };
@@ -902,8 +863,8 @@ fn crashed(w: &mut WorkerState, poll: u64, policy: &SupervisePolicy, failed_slot
         policy.seed,
         w.shard,
         w.crashes_since_fence,
-        policy.backoff_base_ms,
-        policy.backoff_cap_ms,
+        BACKOFF_BASE_MS,
+        BACKOFF_CAP_MS,
     );
     w.crashes_since_fence += 1;
     w.backoff_ms.push(delay_ms);
@@ -1017,8 +978,6 @@ mod tests {
                 crashes: 3,
             }],
             accounting: CampaignAccounting::new(16, &[0, 1], &[5]),
-            transport_appended: 8,
-            transport_duplicates: 8,
             digest: None,
             digest_checked: false,
         };

@@ -209,6 +209,49 @@ fn short_payload_is_a_journal_error_not_a_finalize_panic() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `top500-trends` declares its five-value payload, so a record cut to
+/// two of its values is a typed [`LabError::BadPayload`] in the digest
+/// path rather than a digest of the short stream.
+///
+/// [`LabError::BadPayload`]: mb_lab::LabError::BadPayload
+#[test]
+fn short_top500_payload_is_a_journal_error() {
+    use mb_lab::driver::expected_header;
+    use mb_lab::LabError;
+    use montblanc::top500;
+
+    let dir = scratch("short-top500");
+    let campaign = find("top500-trends").expect("registered campaign");
+    let path = dir.join("short.journal");
+    let mut journal = Journal::create(&path, expected_header(campaign.as_ref(), Shard::solo()))
+        .expect("create journal");
+    let full = |slot: usize| {
+        top500::trend_stream(&top500::fit_trend(
+            &top500::history(),
+            top500::all_series()[slot],
+        ))
+    };
+    journal.append(0, &full(0)).expect("journal append");
+    journal.append(1, &full(1)[..2]).expect("journal append");
+    journal.append(2, &full(2)).expect("journal append");
+    drop(journal);
+
+    let loaded = Journal::load(&path).expect("journal itself verifies");
+    let digest = digest_journal(&loaded);
+    assert!(
+        matches!(
+            digest,
+            Err(LabError::BadPayload {
+                slot: 1,
+                got: 2,
+                expected: 5
+            })
+        ),
+        "digest path accepted a short top500 payload: {digest:?}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Every quick figure campaign's journaled payloads — the f64 records
 /// `mb-lab` persists — fold into the very report the figure's own
 /// `run()` returns, compared whole. That covers what the digest
@@ -316,7 +359,7 @@ fn registry_identity_is_pinned() {
          "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid"),
         ("table2-paper", 0xe02ff0, 14, Some(1), Some(0x8bd9_f1e8_0879_d505), 0x6cf0_3e34_f48e_fd53,
          "Extended Table II single-node comparison (Snowball vs Xeon), paper config"),
-        ("top500-trends", 0x70500, 3, None, Some(0xe0c5_c859_2a9b_23ef), 0x4fe3_4be0_9879_6c60,
+        ("top500-trends", 0x70500, 3, Some(5), Some(0xe0c5_c859_2a9b_23ef), 0x4fe3_4be0_9879_6c60,
          "Figure 1 TOP500 log-linear trend fits and exaflop projections"),
         ("selftest", 0x5e1f, 16, Some(3), None, 0xbf03_a7e9_0fc8_9467,
          "Synthetic driver-validation campaign (seed-derived payloads, instant slots)"),

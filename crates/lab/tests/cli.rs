@@ -379,7 +379,7 @@ fn usage_is_generated_for_every_verb_and_exits_2() {
         assert!(stderr.contains(line), "usage lacks '{line}':\n{stderr}");
     }
     let output = mb_lab()
-        .args(["export", "a.journal", "a.seg", "--to", "3"])
+        .args(["digest", "a.journal", "--to", "3"])
         .output()
         .expect("run mb-lab with an unknown flag");
     assert_eq!(

@@ -1,11 +1,10 @@
 //! The decoder fuzz surface: every on-disk format goes through one
-//! codec, so one never-panic sweep covers it. Arbitrary bytes and
-//! single-byte mutations of a valid journal and segment (the pinned
-//! fixtures) must come back from `Journal::load` and
-//! `transport::load_segment` as `Ok` or a typed error — never a panic.
+//! codec, and the journal is the one results format, so one never-panic
+//! sweep covers it. Arbitrary bytes and single-byte mutations of a
+//! valid journal (the pinned fixture) must come back from
+//! `Journal::load` as `Ok` or a typed error — never a panic.
 
 use mb_lab::journal::Journal;
-use mb_lab::transport::load_segment;
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,21 +19,16 @@ fn case_file() -> PathBuf {
     dir.join(format!("case{}", CASE.fetch_add(1, Ordering::Relaxed)))
 }
 
-fn fixture(name: &str) -> Vec<u8> {
-    fs::read(
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures")
-            .join(name),
-    )
-    .expect("fixture")
+fn fixture() -> Vec<u8> {
+    fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/selftest-1of3.journal"))
+        .expect("fixture")
 }
 
-/// Both decoders over `bytes`; any typed outcome is fine.
-fn decode_both(bytes: &[u8]) {
+/// The journal decoder over `bytes`; any typed outcome is fine.
+fn decode(bytes: &[u8]) {
     let path = case_file();
     fs::write(&path, bytes).expect("write case");
     let _ = Journal::load(&path);
-    let _ = load_segment(&path);
     let _ = fs::remove_file(&path);
 }
 
@@ -43,22 +37,16 @@ proptest! {
 
     #[test]
     fn decoders_never_panic_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        decode_both(&bytes);
+        decode(&bytes);
     }
 
-    /// One byte of a valid journal or segment flipped: walks the
-    /// separators, hex digits, counts and header fields far harder than
-    /// random bytes do.
+    /// One byte of a valid journal flipped: walks the separators, hex
+    /// digits and header fields far harder than random bytes do.
     #[test]
-    fn mutated_fixtures_never_panic(
-        which in 0usize..3,
-        pos in 0usize..512,
-        byte in any::<u8>(),
-    ) {
-        let name = ["selftest-1of3.journal", "selftest-1of3.from0.seg", "selftest-1of3.from2.seg"][which];
-        let mut bytes = fixture(name);
+    fn mutated_fixtures_never_panic(pos in 0usize..512, byte in any::<u8>()) {
+        let mut bytes = fixture();
         let at = pos % bytes.len();
         bytes[at] = byte;
-        decode_both(&bytes);
+        decode(&bytes);
     }
 }

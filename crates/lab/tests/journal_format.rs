@@ -5,7 +5,6 @@
 
 use mb_lab::driver::{run_campaign, Shard};
 use mb_lab::journal::{merge, Journal, JournalHeader, MISSING_LISTED};
-use mb_lab::transport::{export_segment, ingest_segment};
 use mb_lab::LabError;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -250,7 +249,7 @@ fn merge_rejects_mixed_campaigns() {
 
 /// The header's task count is read from the file, so it may bound a
 /// check but never size an allocation: a journal claiming `usize::MAX`
-/// tasks loads, merges to a typed error, and crosses the transport.
+/// tasks loads and merges to a typed error.
 #[test]
 fn header_task_count_never_sizes_an_allocation() {
     let dir = scratch("huge-tasks");
@@ -271,51 +270,12 @@ fn header_task_count_never_sizes_an_allocation() {
         }
         other => panic!("merge must fail typed, got {other:?}"),
     }
-
-    let seg = dir.join("huge.seg");
-    let replica = dir.join("replica.journal");
-    export_segment(&path, 0, &seg).expect("export");
-    ingest_segment(&replica, &seg).expect("ingest into a fresh replica");
-    let replay = ingest_segment(&replica, &seg).expect("replay loads the replica");
-    assert_eq!((replay.appended, replay.duplicates), (0, 1));
 }
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name)
-}
-
-/// Segments are byte slices of their journal: `selftest-1of3.from*.seg`
-/// were exported from `selftest-1of3.journal` by the re-rendering
-/// exporter that predates the slice rule, and today's export of the
-/// same journal must reproduce them byte for byte — and they must
-/// splice into a replica that is byte-identical to the source.
-#[test]
-fn exported_segments_match_the_pinned_fixtures_and_ingest() {
-    let dir = scratch("segment-fixtures");
-    let source = fixture("selftest-1of3.journal");
-    for (from, name) in [
-        (0, "selftest-1of3.from0.seg"),
-        (2, "selftest-1of3.from2.seg"),
-    ] {
-        let out = dir.join(name);
-        export_segment(&source, from, &out).expect("export");
-        assert_eq!(
-            fs::read(&out).expect("exported"),
-            fs::read(fixture(name)).expect("fixture"),
-            "{name}: export drifted from the pinned bytes"
-        );
-    }
-    let replica = dir.join("replica.journal");
-    let full = ingest_segment(&replica, &fixture("selftest-1of3.from0.seg")).expect("ingest");
-    assert_eq!((full.appended, full.duplicates), (5, 0));
-    assert_eq!(
-        fs::read(&replica).expect("replica"),
-        fs::read(&source).expect("source")
-    );
-    let tail = ingest_segment(&replica, &fixture("selftest-1of3.from2.seg")).expect("re-ingest");
-    assert_eq!((tail.appended, tail.duplicates), (0, 3));
 }
 
 /// A fresh `selftest` shard 1/3 run writes `selftest-1of3.journal` byte
@@ -340,7 +300,7 @@ fn fresh_selftest_shard_matches_the_pinned_journal() {
 }
 
 /// Records parse only in their canonical rendering, so the bytes the
-/// chain hashes are exactly the bytes a segment ships: another spelling
+/// chain hashes are exactly the bytes a fetch ships: another spelling
 /// of the same slot is a bad record, not a synonym.
 #[test]
 fn non_canonical_record_spellings_are_bad_records() {

@@ -1,7 +1,7 @@
 //! Wire-format contract tests for the `mbsrv1` protocol: golden
 //! fixtures pinned byte-for-byte (the on-wire renderings are a
-//! compatibility surface, exactly like the journal and segment
-//! headers), a rejection table where every malformed frame is a
+//! compatibility surface, exactly like the journal header), a
+//! rejection table where every malformed frame is a
 //! *typed* error, and a proptest sweep proving the parsers never
 //! panic on arbitrary input and that every frame they accept renders
 //! back to itself.

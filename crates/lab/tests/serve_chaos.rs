@@ -4,12 +4,18 @@
 //! *pinned* solo digest. A torn or corrupted shard journal must
 //! surface as a typed per-job failure report — never a server crash —
 //! and a second server on a live data dir must be refused with the
-//! typed ownership error (exit 5).
+//! typed ownership error (exit 5). A fetch whose stream arrives cut or
+//! garbled must fail closed with the corruption exit and leave no file.
 
 use mb_lab::client;
+use mb_lab::driver::digest_journal;
+use mb_lab::journal::Journal;
 use mb_lab::protocol::JobState;
+use mb_simcore::error::exit_code;
 use montblanc::pins::FIG3_QUICK_DIGEST;
 use std::fs;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::os::unix::process::CommandExt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -111,16 +117,22 @@ fn sigkill_mid_campaign_then_restart_resumes_to_the_pinned_digest() {
     );
     assert!(outcome.checked, "resumed digest must be registry-checked");
 
-    // The digest gate agrees through the CLI as well: fetch the merged
-    // segment and check it against the registry pin end to end.
-    let seg = dir.join("resumed.seg");
-    client::fetch(&addr, &job, &seg).expect("fetch resumed segment");
+    // The digest gate agrees end to end: the fetched merged journal
+    // digests to the registry pin.
+    let fetched = dir.join("resumed.journal");
+    client::fetch(&addr, &job, &fetched).expect("fetch resumed journal");
+    let loaded = Journal::load(&fetched).expect("fetched journal verifies");
+    assert_eq!(
+        digest_journal(&loaded).expect("digest the fetched journal"),
+        FIG3_QUICK_DIGEST,
+        "fetched journal missed the pin"
+    );
 
-    // A segment fetch that cannot write its local file is a filesystem
+    // A fetch that cannot write its local file is a filesystem
     // failure (exit 5), not an unavailable server (exit 7, retry).
     let output = Command::new(env!("CARGO_BIN_EXE_mb-lab"))
         .args(["fetch", &job])
-        .arg(dir.join("no-such-dir").join("x.seg"))
+        .arg(dir.join("no-such-dir").join("x.journal"))
         .args(["--addr", &addr])
         .output()
         .expect("run mb-lab fetch");
@@ -235,5 +247,71 @@ fn second_server_on_a_live_data_dir_is_refused_with_exit_5() {
     client::ping(&addr).expect("first server still alive");
     client::shutdown(&addr).expect("shutdown");
     let _ = first.wait();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Serves one fetch from an in-test socket: reads the request line,
+/// announces `lines` journal lines, sends `body` and hangs up.
+fn fake_fetch_server(lines: usize, body: Vec<u8>) -> (String, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().expect("fake server addr").to_string();
+    let handle = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the fetch");
+        let mut request = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut request)
+            .expect("read the fetch request");
+        assert!(request.starts_with("mbsrv1 fetch "), "{request}");
+        let mut stream = stream;
+        writeln!(stream, "mbsrv1 segment lines={lines}").expect("announce");
+        stream.write_all(&body).expect("stream the body");
+    });
+    (addr, handle)
+}
+
+#[test]
+fn cut_or_garbled_fetch_stream_fails_closed_with_exit_3() {
+    let dir = scratch("fake-fetch");
+    let journal = fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/selftest-1of3.journal"),
+    )
+    .expect("fixture");
+    let lines: Vec<&str> = journal.lines().collect();
+    let all_but_last: String = lines[..lines.len() - 1]
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let last = lines[lines.len() - 1];
+
+    // The whole journal arrives intact: the control case.
+    let out = dir.join("intact.journal");
+    let (addr, server) = fake_fetch_server(lines.len(), journal.clone().into_bytes());
+    assert_eq!(
+        client::fetch(&addr, "j1", &out).expect("intact fetch"),
+        lines.len() - 1
+    );
+    server.join().expect("fake server");
+    assert_eq!(fs::read_to_string(&out).expect("fetched"), journal);
+
+    // `Journal::load` alone takes a garbled or cut last line for a torn
+    // write and cannot see a missing one; a fetch also checks the line
+    // count the frame announced, and refuses every one of them.
+    let cases = [
+        ("garbled", format!("{all_but_last}r 9 garbage\n")),
+        (
+            "tampered",
+            format!("{all_but_last}{}\n", last.replacen("r ", "r 1", 1)),
+        ),
+        ("missing", all_but_last.clone()),
+        ("cut", format!("{all_but_last}{}", &last[..last.len() / 2])),
+    ];
+    for (name, body) in cases {
+        let out = dir.join(format!("{name}.journal"));
+        let (addr, server) = fake_fetch_server(lines.len(), body.into_bytes());
+        let err = client::fetch(&addr, "j1", &out).expect_err(name);
+        server.join().expect("fake server");
+        assert_eq!(err.exit_code(), exit_code::CORRUPT, "{name}: {err}");
+        assert!(!out.exists(), "{name}: a refused fetch must leave no file");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
 //! Concurrency soak for `mb-lab serve`: many clients against one
 //! server must not perturb determinism — every concurrently-submitted
 //! `fig3-quick` family converges to the *pinned* solo digest bit for
-//! bit, fetched segments are byte-identical across jobs, the bounded
+//! bit, fetched journals are byte-identical across jobs and across
+//! clients fetching one job at once, the bounded
 //! queue answers overflow with a typed `busy` (never a hang, never a
 //! dropped job), and a malformed frame hurts only its own connection.
 
@@ -13,6 +14,7 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -72,11 +74,11 @@ fn concurrent_submissions_converge_to_the_pinned_digest_bit_for_bit() {
                         "{job} diverged from the solo pin"
                     );
                     assert!(outcome.checked, "{job} digest must be registry-checked");
-                    let seg = dir.join(format!("client{i}.seg"));
+                    let out = dir.join(format!("client{i}.journal"));
                     let records =
-                        client::fetch(&addr, &job, &seg).expect("fetch the merged segment");
-                    assert!(records > 0, "{job} fetched an empty segment");
-                    (job, fs::read(&seg).expect("read fetched segment"))
+                        client::fetch(&addr, &job, &out).expect("fetch the merged journal");
+                    assert!(records > 0, "{job} fetched an empty journal");
+                    (job, fs::read(&out).expect("read fetched journal"))
                 })
             })
             .collect();
@@ -86,7 +88,7 @@ fn concurrent_submissions_converge_to_the_pinned_digest_bit_for_bit() {
             .collect()
     });
 
-    // Distinct jobs, identical results: the fetched segments must be
+    // Distinct jobs, identical results: the fetched journals must be
     // byte-identical — same campaign, same slots, same chain.
     assert_ne!(
         fetched[0].0, fetched[1].0,
@@ -94,8 +96,38 @@ fn concurrent_submissions_converge_to_the_pinned_digest_bit_for_bit() {
     );
     assert_eq!(
         fetched[0].1, fetched[1].1,
-        "concurrent families must produce byte-identical segments"
+        "concurrent families must produce byte-identical journals"
     );
+
+    // Two clients fetching one finished job at the same instant share
+    // nothing on the server: both fetches verify and match byte for
+    // byte. A hundred rounds, so the fetches really overlap.
+    let job = &fetched[0].0;
+    for round in 0..100 {
+        let barrier = Barrier::new(2);
+        let copies: Vec<Vec<u8>> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|i| {
+                    let out = dir.join(format!("same{round}-{i}.journal"));
+                    let (addr, barrier) = (&addr, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        client::fetch(addr, job, &out).expect("concurrent fetch of one job");
+                        fs::read(&out).expect("read fetched journal")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fetch thread"))
+                .collect()
+        });
+        assert_eq!(
+            copies[0], copies[1],
+            "round {round}: same job, different bytes"
+        );
+        assert_eq!(copies[0], fetched[0].1, "round {round}: refetch drifted");
+    }
 
     client::shutdown(&addr).expect("shutdown");
     server.join().expect("server thread");

@@ -1,5 +1,5 @@
 //! Chaos harness for `mb-lab supervise`: seeded SIGKILLs mid-family,
-//! a torn shard journal, and duplicate transport re-uploads must all
+//! a torn shard journal, and a re-run over a converged family must all
 //! converge to the *pinned* solo digest — crash tolerance is only
 //! worth having if the recovered campaign is bit-identical to an
 //! undisturbed one.
@@ -60,8 +60,7 @@ fn assert_merged_matches_pin(dir: &Path) {
 #[test]
 fn chaos_killed_family_converges_to_the_pinned_digest_at_any_thread_count() {
     // The whole acceptance chain, twice: a supervised fig3-quick family
-    // with a seeded SIGKILL (plus the supervisor's built-in duplicate
-    // segment re-ingest) must converge to the pinned digest bit for
+    // with a seeded SIGKILL must converge to the pinned digest bit for
     // bit, at MB_THREADS 1 and 3.
     for threads in ["1", "3"] {
         let dir = scratch(&format!("kill-t{threads}"));
@@ -92,10 +91,6 @@ fn chaos_killed_family_converges_to_the_pinned_digest_at_any_thread_count() {
             report.contains("\"chaos_kills\": 1"),
             "MB_THREADS={threads}: the seeded kill must actually land: {report}"
         );
-        assert!(
-            report.contains("\"transport_duplicates\""),
-            "report must account the duplicate re-ingest: {report}"
-        );
         assert_merged_matches_pin(&dir);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -114,28 +109,23 @@ fn torn_shard_journal_and_duplicate_reupload_still_converge() {
         .expect("run mb-lab supervise");
     assert_success(&output, "clean supervised run");
 
-    // Duplicate transport re-upload through the CLI: splicing shard
-    // 0's segment into its already-converged replica must be a pure
-    // no-op — every record verified as a duplicate, none appended.
-    let replica = dir.join("collect").join("shard0.journal");
-    let segment = dir.join("segments").join("shard0.seg");
-    let before = fs::read(&replica).expect("replica exists");
+    // Duplicate upload: supervising the converged family again hands
+    // the merge the same worker journals, and the merged journal it
+    // rewrites must come out byte-identical.
+    let merged = dir.join("merged.journal");
+    let before = fs::read(&merged).expect("merged journal exists");
     let output = mb_lab()
-        .arg("ingest")
-        .arg(&replica)
-        .arg(&segment)
+        .args(["supervise", "fig3-quick", "--dir"])
+        .arg(&dir)
+        .args(["--shards", "2", "--poll-ms", "10"])
+        .env("MB_THREADS", "1")
         .output()
-        .expect("run mb-lab ingest");
-    assert_success(&output, "duplicate segment re-upload");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        stdout.contains("0 appended"),
-        "re-upload must append nothing: {stdout}"
-    );
+        .expect("re-run mb-lab supervise");
+    assert_success(&output, "supervised re-run over a converged family");
     assert_eq!(
         before,
-        fs::read(&replica).expect("replica still exists"),
-        "duplicate re-upload must leave the replica byte-identical"
+        fs::read(&merged).expect("merged journal still exists"),
+        "re-merging the same worker journals must reproduce the bytes"
     );
 
     // Tear shard 0's journal mid-record (a crash mid-append) and

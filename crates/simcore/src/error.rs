@@ -35,8 +35,8 @@ pub mod exit_code {
     pub const FAILURE: u8 = 1;
     /// Bad command line: unknown flag, missing operand, malformed value.
     pub const USAGE: u8 = 2;
-    /// Journal (or transport segment) corruption: version skew, broken
-    /// digest chain, duplicate or foreign slots, torn segments.
+    /// Journal corruption: version skew, broken digest chain,
+    /// duplicate or foreign slots, a cut or tampered fetch.
     pub const CORRUPT: u8 = 3;
     /// A campaign slot panicked inside the contained sweep — the
     /// restartable, possibly-poisoned case.

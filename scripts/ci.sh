@@ -112,13 +112,11 @@ cargo run --release -p mb-lab --bin mb-lab -- \
 cargo run --release -p mb-lab --bin mb-lab -- \
     digest "$LAB_DIR/paper-merged.journal" --expect 0xc49f00d6ca0ac4ad --check
 
-echo "==> mb-lab supervise chaos smoke (SIGKILL + duplicate segment -> pinned digest)"
+echo "==> mb-lab supervise chaos smoke (SIGKILL -> pinned digest)"
 # The crash-tolerant supervisor end to end: a 2-shard fig3-quick family
 # with one seeded SIGKILL injected mid-run. The supervisor must restart
-# the killed worker, resume from its journal, push every shard through
-# the mbseg1 export/ingest transport (re-ingesting shard 0's segment as
-# a deliberate duplicate upload), merge, and verify the pinned digest —
-# all inside a 60 s wall-time budget.
+# the killed worker, resume from its journal, merge the worker journals
+# and verify the pinned digest — all inside a 60 s wall-time budget.
 sup_start=$(date +%s%N)
 SUP_OUT="$(cargo run --release -p mb-lab --bin mb-lab -- \
     supervise fig3-quick --dir "$LAB_DIR/family" --shards 2 \
@@ -161,8 +159,7 @@ cargo test --release -p mb-lab --test cli --test supervise_chaos --test campaign
 cargo test --release -p mb-lab \
     --test protocol_format --test serve_soak --test serve_chaos --quiet
 # The format contract and the one decoder fuzz surface: golden journal
-# and segment bytes, plus never-panic sweeps of Journal::load and
-# transport::load_segment.
+# bytes, plus never-panic sweeps of Journal::load.
 cargo test --release -p mb-lab --test journal_format --test codec_fuzz --quiet
 
 echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, rollback, the Fig 5 class memo, the Table II row runs and the batched kernel reports against their slow references)"
@@ -186,8 +183,9 @@ echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resu
 # The always-on service end to end: start a server, submit fig3-quick
 # over the mbsrv1 socket, SIGKILL the whole server process group
 # mid-campaign, restart on the same data dir, and the resumed family
-# must still converge to the pinned digest — fetched over the wire,
-# chain-verified, and digest-checked through the CLI gate. Budget 60 s.
+# must still converge to the pinned digest — its merged journal fetched
+# over the wire, chain-verified, and digest-checked through the CLI
+# gate. Budget 60 s.
 serve_start=$(date +%s%N)
 MB_LAB=target/release/mb-lab
 SERVE_DIR="$LAB_DIR/serve"
@@ -218,9 +216,8 @@ ADDR="$(cat "$SERVE_DIR/data/addr.txt")"
 WATCH_OUT="$("$MB_LAB" watch "$JOB" --addr "$ADDR")"
 grep -q "pinned digest check: ok" <<<"$WATCH_OUT" \
     || { echo "resumed serve job missed the pin: $WATCH_OUT"; exit 1; }
-"$MB_LAB" fetch "$JOB" "$SERVE_DIR/fetched.seg" --addr "$ADDR"
-"$MB_LAB" ingest "$SERVE_DIR/remote.journal" "$SERVE_DIR/fetched.seg"
-"$MB_LAB" digest "$SERVE_DIR/remote.journal" --expect 0xd0d5f716d0b30356 --check
+"$MB_LAB" fetch "$JOB" "$SERVE_DIR/fetched.journal" --addr "$ADDR"
+"$MB_LAB" digest "$SERVE_DIR/fetched.journal" --expect 0xd0d5f716d0b30356 --check
 "$MB_LAB" shutdown --addr "$ADDR"
 wait "$SERVE_PID" 2>/dev/null || true
 serve_elapsed_ms=$(( ($(date +%s%N) - serve_start) / 1000000 ))
