@@ -13,8 +13,8 @@
 //! A kernel reports the same operation stream whichever machine costs
 //! it, so each row runs its kernel once, tee'd into both machines'
 //! executors: a five-row table is five kernel runs, each costed on two
-//! machine models. [`SlotMeasurer`] serves a campaign's
-//! `(row, machine)` cells from those row runs.
+//! machine models. [`SlotMeasurer`] makes each row one campaign slot,
+//! its payload the row's `[snowball, xeon]` pair.
 
 use crate::platform::Platform;
 use crate::sweep::{self, Grid, Sweep};
@@ -26,7 +26,6 @@ use mb_kernels::coremark::CoreMark;
 use mb_kernels::linpack::Linpack;
 use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
-use std::sync::OnceLock;
 
 /// Parallel efficiency assumed when scaling single-core model times to
 /// the node's core count.
@@ -304,9 +303,9 @@ fn machines() -> [Platform; 2] {
 pub const PAPER_ROWS: usize = 5;
 
 /// Runs the extended Table II experiment: [`sweep::run`] over a
-/// [`SlotMeasurer`], so every `(row, machine)` cell is measured on the
-/// sweep worker pool and folded by [`assemble`]. Each row builds its
-/// own executors, so the table is bit-identical to a serial run.
+/// [`SlotMeasurer`], so every row is measured on the sweep worker pool
+/// and folded by [`assemble`]. Each row builds its own executors, so
+/// the table is bit-identical to a serial run.
 pub fn run(cfg: &Table2Config) -> Table2Report {
     sweep::run::<SlotMeasurer>(cfg)
 }
@@ -364,10 +363,9 @@ pub fn cell_label(idx: usize) -> String {
 }
 
 /// Measures campaign cell `idx` alone: the row's metric on Snowball
-/// (even `idx`) or Xeon (odd `idx`). A one-shot [`SlotMeasurer`];
-/// campaigns share one.
+/// (even `idx`) or Xeon (odd `idx`), from a run of the whole row.
 pub fn measure_cell(cfg: &Table2Config, idx: usize) -> f64 {
-    SlotMeasurer::new(cfg).measure(idx)
+    measure_row(cfg, idx / 2)[idx % 2]
 }
 
 /// Measures row `row` on both machines from one run of its kernel:
@@ -401,50 +399,42 @@ fn measure_row(cfg: &Table2Config, row: usize) -> [f64; 2] {
     ]
 }
 
-/// The Table II slot measurer: campaign cell `idx` is row `idx / 2` on
-/// Snowball (even `idx`) or Xeon (odd `idx`). A row's two cells come
-/// from one kernel run (see `measure_row`), kept in a `OnceLock` per
-/// row and filled by whichever of its cells is measured first. A row's
+/// The Table II slot measurer: slot `row` is row `row` of the table,
+/// both machines from one kernel run (see `measure_row`). A row's
 /// values depend on the configuration alone, so every process, shard
 /// and slot order computes the same bits.
 pub struct SlotMeasurer {
     cfg: Table2Config,
-    rows: [OnceLock<[f64; 2]>; ROWS.len()],
 }
 
 impl SlotMeasurer {
-    /// A measurer for `cfg`; rows are measured on demand.
+    /// A measurer for `cfg`.
     pub fn new(cfg: &Table2Config) -> SlotMeasurer {
-        SlotMeasurer {
-            cfg: *cfg,
-            rows: Default::default(),
-        }
+        SlotMeasurer { cfg: *cfg }
     }
 
-    /// Measures campaign cell `idx`, running its row if no cell of the
-    /// row has been measured yet.
-    pub fn measure(&self, idx: usize) -> f64 {
-        let row = idx / 2;
-        self.rows[row].get_or_init(|| measure_row(&self.cfg, row))[idx % 2]
+    /// Measures row `row` on both machines: `[snowball, xeon]`.
+    pub fn measure(&self, row: usize) -> [f64; 2] {
+        measure_row(&self.cfg, row)
     }
 }
 
-/// One slot per `(row, machine)` cell, each payload the cell's metric.
+/// One slot per row, each payload the row's `[snowball, xeon]` pair.
 impl Sweep for SlotMeasurer {
     type Config = Table2Config;
     type Report = Table2Report;
-    const WIDTH: Option<usize> = Some(1);
+    const WIDTH: Option<usize> = Some(2);
 
     fn config(grid: Grid) -> Table2Config {
         grid.pick(Table2Config::quick(), Table2Config::paper())
     }
 
     fn slot_count(_: &Table2Config) -> usize {
-        extended_cell_count()
+        ROWS.len()
     }
 
     fn labels(_: &Table2Config) -> Vec<String> {
-        (0..extended_cell_count()).map(cell_label).collect()
+        ROWS.iter().map(|&(name, ..)| name.to_string()).collect()
     }
 
     fn measurer(cfg: &Table2Config) -> Self {
@@ -452,7 +442,7 @@ impl Sweep for SlotMeasurer {
     }
 
     fn payload(&self, slot: usize) -> Vec<f64> {
-        vec![self.measure(slot)]
+        self.measure(slot).to_vec()
     }
 
     fn report(&self, payloads: &[Vec<f64>]) -> Table2Report {

@@ -4,8 +4,8 @@
 //! machines' executors, and finishes each machine's cell from its own
 //! executor. The reference here is the per-cell protocol: a fresh
 //! executor per cell, the kernel run once per cell, and the row's metric
-//! written out. Every quick cell must match it bit for bit, whichever
-//! cell of a row is measured first.
+//! written out. Every quick row must match it bit for bit, in any row
+//! order.
 
 use mb_kernels::chess;
 use mb_kernels::coremark::CoreMark;
@@ -15,6 +15,7 @@ use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
 use mb_kernels::protein::{HpModel, UNGER_MOULT_20};
 use mb_kernels::specfem::{Specfem, SpecfemConfig};
 use montblanc::platform::Platform;
+use montblanc::sweep::Sweep;
 use montblanc::table2::{self, SlotMeasurer, Table2Config};
 
 /// Cell `idx` on a fresh executor of its own machine: row `idx / 2`'s
@@ -91,25 +92,49 @@ fn reference_cells(cfg: &Table2Config) -> Vec<f64> {
         .collect()
 }
 
+/// A value pair as bits, so that a mismatch compares exactly.
+fn bits(pair: [f64; 2]) -> [u64; 2] {
+    pair.map(f64::to_bits)
+}
+
 #[test]
 fn every_quick_cell_matches_a_fresh_executor_per_machine_in_any_order() {
     let cfg = Table2Config::quick();
     let reference = reference_cells(&cfg);
-    let cells = table2::extended_cell_count();
-    let forward: Vec<usize> = (0..cells).collect();
-    let reverse: Vec<usize> = (0..cells).rev().collect();
-    let xeon_first: Vec<usize> = (1..cells).step_by(2).chain((0..cells).step_by(2)).collect();
-    for order in [forward, reverse, xeon_first] {
+    let rows = SlotMeasurer::slot_count(&cfg);
+    assert_eq!(2 * rows, table2::extended_cell_count());
+    let forward: Vec<usize> = (0..rows).collect();
+    let reverse: Vec<usize> = (0..rows).rev().collect();
+    for order in [forward, reverse] {
         let measurer = SlotMeasurer::new(&cfg);
-        for &idx in &order {
+        for &row in &order {
             assert_eq!(
-                measurer.measure(idx).to_bits(),
-                reference[idx].to_bits(),
-                "cell {idx} ({}), order starting at {}",
-                table2::cell_label(idx),
+                bits(measurer.measure(row)),
+                bits([reference[2 * row], reference[2 * row + 1]]),
+                "row {row} ({}), order starting at {}",
+                table2::cell_label(2 * row),
                 order[0]
             );
         }
+    }
+}
+
+#[test]
+fn every_quick_slot_payload_is_its_two_one_shot_cells() {
+    let cfg = Table2Config::quick();
+    let measurer = SlotMeasurer::new(&cfg);
+    for row in 0..SlotMeasurer::slot_count(&cfg) {
+        let cells = [
+            table2::measure_cell(&cfg, 2 * row),
+            table2::measure_cell(&cfg, 2 * row + 1),
+        ];
+        let payload: [f64; 2] = measurer.payload(row).try_into().expect("two values");
+        assert_eq!(
+            bits(payload),
+            bits(cells),
+            "row {row} ({})",
+            table2::cell_label(2 * row)
+        );
     }
 }
 

@@ -73,9 +73,9 @@ pub trait Campaign: Sync {
 /// A figure campaign: one row of [`registry`] over the figure's
 /// [`Sweep`]. The measurer is built by the first slot or fold this
 /// process runs and shared by the rest, so a sweep's per-process
-/// prelude (Fig 5's plan and page tables, Fig 7's magicfilter streams,
-/// Table II's row runs) is paid once, and a shard or resumed run still
-/// reproduces every slot's bits whichever slot comes first.
+/// prelude (Fig 5's plan and page tables, Fig 7's magicfilter streams)
+/// is paid once, and a shard or resumed run still reproduces every
+/// slot's bits whichever slot comes first.
 struct Figure<S> {
     name: &'static str,
     description: &'static str,

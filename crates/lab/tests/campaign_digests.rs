@@ -347,7 +347,7 @@ fn registry_identity_is_pinned() {
          "Figure 5 Snowball bandwidth under the RT scheduling anomaly, quick grid"),
         ("fig7-quick", 0xf167, 24, Some(2), Some(0xa5a1_d292_2006_e451), 0xad1f_bae3_f5a6_e63b,
          "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, quick grid"),
-        ("table2-quick", 0x7ab1e2, 14, Some(1), Some(0xe2a5_d2bf_61fb_fbcf), 0x6cf0_3e34_f48e_fd53,
+        ("table2-quick", 0x7ab1e2, 7, Some(2), Some(0xe2a5_d2bf_61fb_fbcf), 0x7b0c_fb60_761b_b417,
          "Extended Table II single-node comparison (Snowball vs Xeon), quick config"),
         ("fig3-paper", 0x9f540c, 23, Some(1), Some(0x622e_3c14_cb8e_59b9), 0xc4b3_77cd_e801_c9b9,
          "Figure 3 strong scaling (LINPACK/SPECFEM3D/BigDFT on Tibidabo), full paper grid"),
@@ -357,7 +357,7 @@ fn registry_identity_is_pinned() {
          "Figure 5 Snowball bandwidth under the RT anomaly, paper grid (50 sizes x 42 reps)"),
         ("fig7-paper", 0x9a6f75, 24, Some(2), Some(0x9080_737c_78a9_66c3), 0xad1f_bae3_f5a6_e63b,
          "Figure 7 magicfilter unroll sweep on Nehalem and Tegra2, paper grid"),
-        ("table2-paper", 0xe02ff0, 14, Some(1), Some(0x8bd9_f1e8_0879_d505), 0x6cf0_3e34_f48e_fd53,
+        ("table2-paper", 0xe02ff0, 7, Some(2), Some(0x8bd9_f1e8_0879_d505), 0x7b0c_fb60_761b_b417,
          "Extended Table II single-node comparison (Snowball vs Xeon), paper config"),
         ("top500-trends", 0x70500, 3, Some(5), Some(0xe0c5_c859_2a9b_23ef), 0x4fe3_4be0_9879_6c60,
          "Figure 1 TOP500 log-linear trend fits and exaflop projections"),

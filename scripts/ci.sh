@@ -77,15 +77,17 @@ cargo run --release -p mb-lab --bin mb-lab -- \
 cargo run --release -p mb-lab --bin mb-lab -- \
     digest "$LAB_DIR/fig7-merged.journal" --expect 0xa5a1d2922006e451 --check
 
-echo "==> mb-lab 2-shard table2 smoke (each shard owns one machine's cells)"
-# The Table II measurer runs each row's kernel once for both machines.
-# Under the modulo partition shard 0 owns every Snowball cell and shard
-# 1 every Xeon cell, so each shard runs every row and keeps one machine's
-# half; the merged journal must still reproduce the pinned digest.
-cargo run --release -p mb-lab --bin mb-lab -- \
-    run table2-quick --journal "$LAB_DIR/table2-shard0.journal" --shard 0/2
-MB_SHARD=1/2 cargo run --release -p mb-lab --bin mb-lab -- \
-    run table2-quick --journal "$LAB_DIR/table2-shard1.journal"
+echo "==> mb-lab 2-shard table2 smoke (each shard owns whole rows)"
+# A Table II slot is a row: one kernel run costed on both machines.
+# Under the modulo partition shard 0 owns rows 0, 2, 4 and 6 and shard 1
+# rows 1, 3 and 5, so each kernel runs once per family; the merged
+# journal must reproduce the pinned digest.
+T2_SMOKE0="$(cargo run --release -p mb-lab --bin mb-lab -- \
+    run table2-quick --journal "$LAB_DIR/table2-shard0.journal" --shard 0/2)"
+grep -qw "4 executed" <<<"$T2_SMOKE0" || { echo "shard 0/2 did not run its 4 rows: $T2_SMOKE0"; exit 1; }
+T2_SMOKE1="$(MB_SHARD=1/2 cargo run --release -p mb-lab --bin mb-lab -- \
+    run table2-quick --journal "$LAB_DIR/table2-shard1.journal")"
+grep -qw "3 executed" <<<"$T2_SMOKE1" || { echo "shard 1/2 did not run its 3 rows: $T2_SMOKE1"; exit 1; }
 cargo run --release -p mb-lab --bin mb-lab -- \
     merge "$LAB_DIR/table2-merged.journal" "$LAB_DIR/table2-shard0.journal" \
     "$LAB_DIR/table2-shard1.journal"
