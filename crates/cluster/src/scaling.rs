@@ -318,6 +318,10 @@ impl ScalingStudy {
         };
         let mut rng = Xoshiro256::seed_from(self.seed ^ 0xB0B ^ u64::from(ranks));
         let rate = workload.core_gflops * 1e9;
+        // A point's message lists, built by the first phase that needs
+        // them and rebuilt only when a phase changes the message size.
+        let mut halo: Vec<(u32, u32, u64)> = Vec::new();
+        let mut matrix: Vec<Vec<u64>> = Vec::new();
         for iter in 0..workload.iterations {
             for phase in workload.phases(ranks, iter) {
                 if phase.flops_per_rank > 0.0 {
@@ -332,20 +336,24 @@ impl ScalingStudy {
                     // HPL broadcasts panels with its 1-ring algorithm.
                     CommPattern::Bcast { root, bytes } => comm.bcast_ring(root, bytes),
                     CommPattern::HaloExchange { bytes } => {
-                        let mut msgs = Vec::with_capacity(2 * ranks as usize);
-                        for r in 0..ranks {
-                            if r + 1 < ranks {
-                                msgs.push((r, r + 1, bytes));
-                            }
-                            if r > 0 {
-                                msgs.push((r, r - 1, bytes));
+                        if halo.first().map(|m| m.2) != Some(bytes) {
+                            halo.clear();
+                            for r in 0..ranks {
+                                if r + 1 < ranks {
+                                    halo.push((r, r + 1, bytes));
+                                }
+                                if r > 0 {
+                                    halo.push((r, r - 1, bytes));
+                                }
                             }
                         }
-                        comm.exchange(&msgs);
+                        comm.exchange(&halo);
                     }
                     CommPattern::AllToAllV { per_pair_bytes } => {
-                        let m = vec![vec![per_pair_bytes; ranks as usize]; ranks as usize];
-                        comm.alltoallv(&m);
+                        if matrix.first().and_then(|row| row.first()) != Some(&per_pair_bytes) {
+                            matrix = vec![vec![per_pair_bytes; ranks as usize]; ranks as usize];
+                        }
+                        comm.alltoallv(&matrix);
                     }
                     CommPattern::Allreduce { bytes } => comm.allreduce(bytes),
                 }

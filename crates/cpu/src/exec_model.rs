@@ -102,6 +102,19 @@ fn grain(x: f64) -> i32 {
     scale + mantissa.trailing_zeros() as i32
 }
 
+/// `2f64.powi(e)` built from its exponent bits, with no libm call:
+/// `2^e` where that is a normal float, and what repeated squaring gives
+/// elsewhere — infinity from `e = 1024` up, `2^-1023` (subnormal) at
+/// `e = -1023` and zero below.
+fn pow2(e: i32) -> f64 {
+    match e {
+        1024.. => f64::INFINITY,
+        -1022..=1023 => f64::from_bits(((e + 1023) as u64) << 52),
+        -1023 => f64::from_bits(1 << 51),
+        _ => 0.0,
+    }
+}
+
 /// The two passes of a lockstep window: the TLB sees virtual addresses,
 /// the caches physical ones.
 #[derive(Debug, Clone, Copy)]
@@ -597,7 +610,7 @@ impl ModelExec {
             unit = unit.min(grain(issue)).min(penalty.map_or(i32::MAX, grain));
         }
         let total = self.tally.flop_cycles + n as f64 * body;
-        if n < 1 << 52 && total < 2f64.powi(unit.saturating_add(52)) {
+        if n < 1 << 52 && total < pow2(unit.saturating_add(52)) {
             self.tally.flop_cycles = total;
             return;
         }
@@ -1311,5 +1324,16 @@ mod tests {
             e.mem_run(0, 4096, 64, 4, false);
         }
         assert_eq!(e.finish().counters.get(Counter::TlbDataMisses), 128);
+    }
+
+    #[test]
+    fn pow2_matches_powi_for_every_exponent_it_can_see() {
+        // `grain` spans -1074 (the least subnormal) to 1024 (infinity),
+        // plus i32::MAX for zero; `lockstep_flops` adds 52, saturating.
+        let units = (-1074..=1024).chain([i32::MAX, i32::MIN, -2000, 2000]);
+        for e in units.flat_map(|u: i32| [u, u.saturating_add(52)]) {
+            let want = 2f64.powi(std::hint::black_box(e));
+            assert_eq!(pow2(e).to_bits(), want.to_bits(), "2^{e}");
+        }
     }
 }

@@ -298,7 +298,7 @@ impl Journal {
 /// [`LabError::IncompleteMerge`] when slots are missing, plus any
 /// load/write error.
 pub fn merge(out: &Path, inputs: &[PathBuf]) -> Result<Journal, LabError> {
-    merge_allowing(out, inputs, &[])
+    merge_allowing(out, inputs, &[]).map(|(merged, _)| merged)
 }
 
 /// [`merge`] with a quarantine list: slots named in `allow_missing`
@@ -309,6 +309,9 @@ pub fn merge(out: &Path, inputs: &[PathBuf]) -> Result<Journal, LabError> {
 /// have a record is merged normally — quarantine permits absence, it
 /// does not erase data.
 ///
+/// Returns the merged journal and each input's record count, in input
+/// order.
+///
 /// # Errors
 ///
 /// As [`merge`].
@@ -316,7 +319,7 @@ pub fn merge_allowing(
     out: &Path,
     inputs: &[PathBuf],
     allow_missing: &[usize],
-) -> Result<Journal, LabError> {
+) -> Result<(Journal, Vec<usize>), LabError> {
     if inputs.is_empty() {
         return Err(LabError::BadShardFamily {
             detail: "no input journals".to_string(),
@@ -377,5 +380,6 @@ pub fn merge_allowing(
     for (slot, payload) in slots {
         merged.append(slot, payload)?;
     }
-    Ok(merged)
+    let records = shards.iter().map(|j| j.records.len()).collect();
+    Ok((merged, records))
 }

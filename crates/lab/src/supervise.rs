@@ -788,7 +788,7 @@ pub fn supervise_cancellable(
         .map(|shard| worker_journal(dir, shard))
         .collect();
     let quarantined_slots: Vec<usize> = quarantine.iter().map(|q| q.slot).collect();
-    let merged = journal::merge_allowing(
+    let (merged, shard_records) = journal::merge_allowing(
         &dir.join("merged.journal"),
         &worker_journals,
         &quarantined_slots,
@@ -827,9 +827,7 @@ pub fn supervise_cancellable(
                 crashes: w.crashes_total,
                 hangs: w.hangs,
                 backoff_ms: w.backoff_ms.clone(),
-                records: Journal::load(&worker_journal(dir, w.shard))
-                    .map(|j| j.records.len())
-                    .unwrap_or(0),
+                records: shard_records[w.shard as usize],
             })
             .collect(),
         quarantined: quarantine,

@@ -13,12 +13,11 @@
 //! commodity 48-port switches of Tibidabo). That penalty is the
 //! "delayed communications" of Figure 4.
 
-use crate::graph::{LinkId, Network, NodeId};
+use crate::graph::{LinkSpec, Network, NodeId};
 use mb_faults::FaultPlan;
 use mb_simcore::error::{MbError, MbResult};
 use mb_simcore::rng::{Rng, Xoshiro256};
 use mb_simcore::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Ethernet MTU used for cut-through pipelining.
 const MTU_BYTES: u64 = 1500;
@@ -103,6 +102,36 @@ struct BufferState {
     queued_bytes: f64,
 }
 
+/// The wire times of one message size, one row per distinct link
+/// bandwidth it has crossed. [`LinkSpec::transmit_time`] is a pure
+/// function of `(bandwidth, bytes)`, so a time computed once and reused
+/// has the bits of one computed at every hop.
+#[derive(Debug, Clone, Default)]
+struct WireTimes {
+    bytes: u64,
+    // `(bandwidth bits, message time, first MTU chunk's time)`.
+    rows: Vec<(u64, SimTime, SimTime)>,
+}
+
+impl WireTimes {
+    /// The serialisation times on `spec` of a `bytes`-byte message and
+    /// of its first MTU chunk.
+    fn times(&mut self, spec: &LinkSpec, bytes: u64) -> (SimTime, SimTime) {
+        if self.bytes != bytes {
+            self.bytes = bytes;
+            self.rows.clear();
+        }
+        let key = spec.bandwidth_bps.to_bits();
+        if let Some(&(_, tx, chunk_tx)) = self.rows.iter().find(|row| row.0 == key) {
+            return (tx, chunk_tx);
+        }
+        let tx = spec.transmit_time(bytes);
+        let chunk_tx = spec.transmit_time(bytes.min(MTU_BYTES));
+        self.rows.push((key, tx, chunk_tx));
+        (tx, chunk_tx)
+    }
+}
+
 /// The fabric: a [`Network`] plus link/buffer occupancy state.
 ///
 /// # Examples
@@ -125,10 +154,13 @@ struct BufferState {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     network: Network,
-    // BTreeMap so that Clone/Debug and any future whole-map folds are
-    // key-ordered — occupancy state must never depend on hash order.
-    link_free: BTreeMap<LinkId, SimTime>,
-    buffers: BTreeMap<NodeId, BufferState>,
+    // Occupancy, indexed by id and sized to the network when the fabric
+    // is built: when each directed link is next free, and each node's
+    // switch buffer (a host's entry stays at its default). A hop is two
+    // vector reads, with no map search and no allocation.
+    link_free: Vec<SimTime>,
+    buffers: Vec<BufferState>,
+    wire: WireTimes,
     switch_model: Option<SwitchModel>,
     stats: FabricStats,
     rng: Xoshiro256,
@@ -144,9 +176,10 @@ impl Fabric {
     pub fn new(network: Network, switch_model: Option<SwitchModel>) -> Self {
         let seed = 0xFAB41C;
         Fabric {
+            link_free: vec![SimTime::ZERO; network.link_count()],
+            buffers: vec![BufferState::default(); network.node_count()],
             network,
-            link_free: BTreeMap::new(),
-            buffers: BTreeMap::new(),
+            wire: WireTimes::default(),
             switch_model,
             stats: FabricStats::default(),
             rng: Xoshiro256::seed_from(seed),
@@ -190,8 +223,8 @@ impl Fabric {
     /// Clears all occupancy state and statistics (topology is kept) and
     /// restarts the hiccup stream from the seed.
     pub fn reset(&mut self) {
-        self.link_free.clear();
-        self.buffers.clear();
+        self.link_free.fill(SimTime::ZERO);
+        self.buffers.fill(BufferState::default());
         self.stats = FabricStats::default();
         self.rng = Xoshiro256::seed_from(self.seed);
     }
@@ -234,9 +267,9 @@ impl Fabric {
         if src == dst {
             return Ok(depart);
         }
-        let route = self.network.try_route(src, dst)?;
+        let span = self.network.route_span(src, dst)?;
+        let network = &self.network;
         let bytes = bytes.max(1);
-        let chunk = bytes.min(MTU_BYTES);
 
         let mut head_available = depart; // earliest the head chunk is at the next sender
         let mut arrival = depart;
@@ -244,14 +277,9 @@ impl Fabric {
         // transmits it twice (the lost copy plus the retransmission), so
         // congestion wastes real bandwidth, not just this message's time.
         let mut retransmit = false;
-        for (hop, link_id) in route.iter().enumerate() {
-            let link = *self.network.link(*link_id);
-            let free = self
-                .link_free
-                .get(link_id)
-                .copied()
-                .unwrap_or(SimTime::ZERO);
-            let mut start = head_available.max(free);
+        for &link_id in network.cached_route(span) {
+            let link = network.link(link_id);
+            let mut start = head_available.max(self.link_free[link_id.0 as usize]);
             self.stats.queueing_ns += start.saturating_sub(head_available).as_nanos();
             // An outage holds the message at the hop until the link comes
             // back; the wait is attributed to the fault, not to
@@ -260,8 +288,7 @@ impl Fabric {
                 self.stats.fault_stall_ns += until.saturating_sub(start).as_nanos();
                 start = start.max(until);
             }
-            let mut tx = link.spec.transmit_time(bytes);
-            let mut chunk_tx = link.spec.transmit_time(chunk);
+            let (mut tx, mut chunk_tx) = self.wire.times(&link.spec, bytes);
             let factor = self.faults.link_degrade_factor(link_id.0, start);
             if factor != 1.0 {
                 tx = scale_by_inverse(tx, factor);
@@ -271,7 +298,7 @@ impl Fabric {
                 tx = tx * 2;
                 retransmit = false;
             }
-            self.link_free.insert(*link_id, start + tx);
+            self.link_free[link_id.0 as usize] = start + tx;
             // Head chunk reaches the next node after its own wire time +
             // propagation; the full message lands after tx + propagation.
             head_available = start + chunk_tx + link.spec.latency;
@@ -279,7 +306,7 @@ impl Fabric {
 
             // Buffer accounting at the receiving switch.
             let to = link.to;
-            if let Some(ordinal) = self.network.switch_ordinal(to) {
+            if let Some(ordinal) = network.switch_ordinal(to) {
                 // A faulted switch eats the message outright. The draw
                 // comes from the fabric's seeded stream and only happens
                 // inside an active drop window, so runs without fault
@@ -301,7 +328,7 @@ impl Fabric {
                         arrival += model.hiccup_delay;
                         retransmit = true;
                     }
-                    let state = self.buffers.entry(to).or_default();
+                    let state = &mut self.buffers[to.0 as usize];
                     let dt = arrival.saturating_sub(state.last_update).as_secs_f64();
                     state.queued_bytes = (state.queued_bytes - dt * model.drain_bps / 8.0).max(0.0);
                     state.last_update = arrival;
@@ -320,7 +347,6 @@ impl Fabric {
                     }
                 }
             }
-            let _ = hop;
         }
         Ok(arrival)
     }

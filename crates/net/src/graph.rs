@@ -2,7 +2,8 @@
 
 use mb_simcore::error::{MbError, MbResult};
 use mb_simcore::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Identifier of a network node (host or switch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -79,6 +80,21 @@ pub struct Link {
     pub spec: LinkSpec,
 }
 
+/// One cached route: its destination and the span of its links in
+/// `Network::route_links`.
+#[derive(Debug, Clone, Copy)]
+struct RouteRow {
+    dst: NodeId,
+    start: u32,
+    end: u32,
+}
+
+impl RouteRow {
+    fn span(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
 /// The network graph with precomputable routes.
 ///
 /// Links are added in pairs (full duplex) by [`Network::connect`].
@@ -89,9 +105,18 @@ pub struct Network {
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
     hosts: Vec<NodeId>,
     switches: Vec<NodeId>,
-    // Deterministic by construction: BTreeMap iteration (Clone, Debug,
-    // future folds) follows key order, never insertion or hash order.
-    route_cache: BTreeMap<(NodeId, NodeId), Vec<LinkId>>,
+    // The routes found so far: per source node, one row per routed
+    // destination, sorted by it, whose links are a span of
+    // `route_links`. Memory follows the pairs actually routed (a dense
+    // node × node table costs more than the fabric it serves), a lookup
+    // is one binary search, and a route is borrowed, never cloned.
+    routes: Vec<Vec<RouteRow>>,
+    route_links: Vec<LinkId>,
+    // Breadth-first search scratch, reused by every route search:
+    // each node's predecessor hop (`None` = not reached yet) and the
+    // frontier.
+    bfs_prev: Vec<Option<(NodeId, LinkId)>>,
+    bfs_queue: VecDeque<NodeId>,
 }
 
 impl Network {
@@ -104,6 +129,8 @@ impl Network {
         let id = NodeId(self.kinds.len() as u32);
         self.kinds.push(kind);
         self.adjacency.push(Vec::new());
+        self.routes.push(Vec::new());
+        self.bfs_prev.push(None);
         match kind {
             NodeKind::Host => self.hosts.push(id),
             NodeKind::Switch(_) => self.switches.push(id),
@@ -145,7 +172,11 @@ impl Network {
             spec,
         });
         self.adjacency[b.0 as usize].push((a, ba));
-        self.route_cache.clear();
+        // A new link can shorten any route: forget them all.
+        for rows in &mut self.routes {
+            rows.clear();
+        }
+        self.route_links.clear();
         (ab, ba)
     }
 
@@ -161,6 +192,16 @@ impl Network {
     /// Panics if the id is out of range.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0 as usize]
+    }
+
+    /// Number of nodes (hosts and switches); node ids run `0..n`.
+    pub(crate) fn node_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Number of directed links; link ids run `0..n`.
+    pub(crate) fn link_count(&self) -> usize {
+        self.links.len()
     }
 
     /// The switch's creation-order ordinal — how fault plans address
@@ -180,7 +221,7 @@ impl Network {
     ///
     /// Panics if no path exists; use [`Network::try_route`] when a
     /// missing path is a recoverable condition.
-    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> &[LinkId] {
         match self.try_route(src, dst) {
             Ok(path) => path,
             Err(e) => panic!("{e}"),
@@ -193,47 +234,72 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`MbError::NoRoute`] if no path exists.
-    pub fn try_route(&mut self, src: NodeId, dst: NodeId) -> MbResult<Vec<LinkId>> {
+    pub fn try_route(&mut self, src: NodeId, dst: NodeId) -> MbResult<&[LinkId]> {
+        let span = self.route_span(src, dst)?;
+        Ok(self.cached_route(span))
+    }
+
+    /// Where the `src → dst` route sits in the route store (see
+    /// [`Network::cached_route`]), searched for and stored on first use.
+    pub(crate) fn route_span(&mut self, src: NodeId, dst: NodeId) -> MbResult<Range<usize>> {
         if src == dst {
-            return Ok(Vec::new());
+            return Ok(0..0);
         }
-        if let Some(r) = self.route_cache.get(&(src, dst)) {
-            return Ok(r.clone());
-        }
-        let n = self.kinds.len();
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut q = VecDeque::new();
-        visited[src.0 as usize] = true;
-        q.push_back(src);
-        'bfs: while let Some(u) = q.pop_front() {
+        let at = match self.routes[src.0 as usize].binary_search_by_key(&dst, |row| row.dst) {
+            Ok(i) => return Ok(self.routes[src.0 as usize][i].span()),
+            Err(at) => at,
+        };
+        let start = self.route_links.len();
+        self.find_route(src, dst)?;
+        let row = RouteRow {
+            dst,
+            start: start as u32,
+            end: self.route_links.len() as u32,
+        };
+        self.routes[src.0 as usize].insert(at, row);
+        Ok(row.span())
+    }
+
+    /// The links of a route found by [`Network::route_span`].
+    pub(crate) fn cached_route(&self, span: Range<usize>) -> &[LinkId] {
+        &self.route_links[span]
+    }
+
+    /// Breadth-first search from `src`, stopping when `dst` is reached;
+    /// appends the `src → dst` route to `route_links`. `src != dst`.
+    fn find_route(&mut self, src: NodeId, dst: NodeId) -> MbResult<()> {
+        let prev = &mut self.bfs_prev;
+        prev.fill(None);
+        let queue = &mut self.bfs_queue;
+        queue.clear();
+        queue.push_back(src);
+        'bfs: while let Some(u) = queue.pop_front() {
             for &(v, l) in &self.adjacency[u.0 as usize] {
-                if !visited[v.0 as usize] {
-                    visited[v.0 as usize] = true;
+                // Reached = the source, or given a predecessor.
+                if v != src && prev[v.0 as usize].is_none() {
                     prev[v.0 as usize] = Some((u, l));
                     if v == dst {
                         break 'bfs;
                     }
-                    q.push_back(v);
+                    queue.push_back(v);
                 }
             }
         }
-        if !visited[dst.0 as usize] {
+        if prev[dst.0 as usize].is_none() {
             return Err(MbError::NoRoute {
                 src: src.0,
                 dst: dst.0,
             });
         }
-        let mut path = Vec::new();
+        let start = self.route_links.len();
         let mut cur = dst;
         while cur != src {
             let (p, l) = prev[cur.0 as usize].expect("path recorded");
-            path.push(l);
+            self.route_links.push(l);
             cur = p;
         }
-        path.reverse();
-        self.route_cache.insert((src, dst), path.clone());
-        Ok(path)
+        self.route_links[start..].reverse();
+        Ok(())
     }
 
     /// Summary of this network's addressable elements for
@@ -278,7 +344,7 @@ mod tests {
     #[test]
     fn star_routes_via_switch() {
         let (mut net, hosts, _sw) = star(4);
-        let r = net.route(hosts[0], hosts[3]);
+        let r = net.route(hosts[0], hosts[3]).to_vec();
         assert_eq!(r.len(), 2, "host→switch→host");
         assert_eq!(net.link(r[0]).from, hosts[0]);
         assert_eq!(net.link(r[1]).to, hosts[3]);
@@ -314,8 +380,8 @@ mod tests {
     #[test]
     fn route_cache_consistent() {
         let (mut net, hosts, _) = star(3);
-        let r1 = net.route(hosts[0], hosts[1]);
-        let r2 = net.route(hosts[0], hosts[1]);
+        let r1 = net.route(hosts[0], hosts[1]).to_vec();
+        let r2 = net.route(hosts[0], hosts[1]).to_vec();
         assert_eq!(r1, r2);
     }
 
@@ -344,7 +410,7 @@ mod tests {
         let a = net.add_host();
         let b = net.add_host();
         assert_eq!(
-            net.try_route(a, b),
+            net.try_route(a, b).map(<[LinkId]>::len),
             Err(MbError::NoRoute { src: a.0, dst: b.0 })
         );
         // Connected pairs still route.

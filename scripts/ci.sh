@@ -164,7 +164,7 @@ cargo test --release -p mb-lab \
 # bytes, plus never-panic sweeps of Journal::load.
 cargo test --release -p mb-lab --test journal_format --test codec_fuzz --quiet
 
-echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, rollback, the Fig 5 class memo, the Table II row runs and the batched kernel reports against their slow references)"
+echo "==> fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, rollback, the Fig 5 class memo, the Table II row runs, the batched kernel reports and the Fabric against their slow references)"
 # The cache, TLB and page-table fast paths must match the plain-scan
 # implementations kept in these suites on every access, a batched
 # `mem_run` or `lockstep_run` must cost exactly what its per-access
@@ -172,14 +172,17 @@ echo "==> mem fast-path oracles (Cache, Tlb, ModelExec::mem_run, lockstep_run, r
 # fresh one fed the same stream reports, a Figure 5 slot read from its
 # measurement class must equal a fresh executor fed the slot's own page
 # table, a Table II cell read from its row's tee'd run must equal a
-# fresh executor of its own machine, and the kernels' batched reports
-# must expand to their per-access loops; name them so a broken fast
-# path fails loudly here, not as one dot in the workspace run.
+# fresh executor of its own machine, the kernels' batched reports
+# must expand to their per-access loops, and the vector-indexed fabric
+# must send every message as the BTreeMap one did; name them so a
+# broken fast path fails loudly here, not as one dot in the workspace
+# run.
 cargo test --release -p mb-mem --test cache_equivalence --test tlb_equivalence --quiet
 cargo test --release -p mb-cpu --test mem_run_equivalence --test checkpoint_equivalence \
     --test lockstep_equivalence --quiet
 cargo test --release -p montblanc --test fig5_classes --test table2_rows --quiet
 cargo test --release -p mb-kernels --test batched_reports --quiet
+cargo test --release -p mb-net --test fabric_equivalence --quiet
 
 echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resume)"
 # The always-on service end to end: start a server, submit fig3-quick
